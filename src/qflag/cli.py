@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dynamics, emfield, roots as roots_mod, s4lb
-from .errors import QflagError
+from .errors import QflagError, UsageError
 from .quatmat import random_skew_adjoint
 from .verify import SCHEMA_VERSION, RunConfig, SUITES, run_suite
 
@@ -53,15 +53,20 @@ def _json_doc(doc: dict) -> str:
 def _parse_tol(entries) -> dict:
     out = {}
     for entry in entries or ():
-        if "=" not in entry:
-            raise argparse.ArgumentTypeError(f"--tol expects KEY=VALUE, got {entry!r}")
-        key, val = entry.split("=", 1)
-        out[key] = float(val)
+        key, _, val = entry.partition("=")
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise UsageError(f"--tol expects KEY=NUMBER, got {entry!r}") from None
     return out
 
 
 def _parse_half_integer(text: str) -> Fraction:
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"--ell expects a number such as 1 or 3/2, "
+                         f"got {text!r}") from exc
     if value.denominator not in (1, 2):
         raise QflagError(f"--ell must be an integer or half-integer, got {text}")
     return value
@@ -364,7 +369,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except QflagError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 class Tolerances:
     #: algebraic identities evaluated directly (products, adjoints, traces)
     identity: float = 1e-10
-    #: anything obtained through first-order finite differences
-    derivative: float = 1e-6
     #: relative tolerance for matching doubled eigenvalue pairs
     pairing_rel: float = 1e-8
     #: quaternionic-structure residual allowed when projecting a complex

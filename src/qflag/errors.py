@@ -111,5 +111,13 @@ class PartitionMismatch(QflagError):
 
 # -- verification / CLI -------------------------------------------------------
 
-class UnknownSuite(QflagError):
+class UsageError(QflagError):
+    """Command-line input is malformed or names nothing that exists."""
+
+
+class UnknownSuite(UsageError):
     """Requested verification suite does not exist."""
+
+
+class UnknownTolerance(UsageError):
+    """A tolerance override names no check of the suites being run."""

@@ -479,10 +479,6 @@ def generator(kind: str, indices, k: int, n: int) -> DiffOperator:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def apply(op: DiffOperator, f: PolyFunction) -> PolyFunction:
-    return op.apply(f)
-
-
 # -- J-contracted generator families ------------------------------------------
 # (hJ)_{alpha mu} contracts the second index with the almost complex
 # structure; only one term of the sum survives because J is a signed

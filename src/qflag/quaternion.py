@@ -127,18 +127,6 @@ BASIS = (E, I, J, K)
 JBLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    return a * b
-
-
-def conj(q: Quaternion) -> Quaternion:
-    return q.conj()
-
-
-def norm_sq(q: Quaternion) -> float:
-    return q.norm_sq()
-
-
 def to_m2c(q: Quaternion) -> np.ndarray:
     """2x2 complex image of ``q``; a ring homomorphism."""
     r1 = complex(q.w, q.z)

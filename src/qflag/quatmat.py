@@ -1,8 +1,15 @@
 """Rectangular quaternion matrices and the compact symplectic group.
 
 Entries are stored as an ``(rows, cols, 4)`` float array in the basis order
-(e, i, j, k).  All spectral work routes through the doubled complex
-embedding: each quaternion entry is replaced by its 2x2 image, giving a
+(e, i, j, k).  A product ``A @ B`` of an (i, l) by an (l, j) matrix is one
+real GEMM: ``B`` is expanded to the real (4l, 4j) matrix whose 4x4 block per
+entry is right multiplication by that quaternion (its real regular
+representation, Zhang 1997), and ``A``, read as a real (i, 4l) matrix,
+multiplies it.  Reading contiguous ``A`` and the (i, 4j) result this way
+needs no copy.
+
+All spectral work routes through the doubled complex embedding: each
+quaternion entry is replaced by its 2x2 image, giving a
 ``(2 rows, 2 cols)`` complex matrix on which standard dense solvers apply.
 The embedding is a faithful ring homomorphism, and a hyper-Hermitian
 quaternion matrix embeds to a complex Hermitian matrix whose spectrum
@@ -18,6 +25,10 @@ from .errors import (DimensionMismatch, MalformedM2C, NonSquare,
                      NotGroupElement, NotHyperHermitian, NotSkewAdjoint,
                      PairingFailure, SingularInvSqrt)
 from .quaternion import MUL_TABLE, Quaternion
+
+# _RIGHT_TABLE[q, 4 p + r] = MUL_TABLE[p, q, r]: one entry's components times
+# it give the 4x4 real matrix of right multiplication by that entry.
+_RIGHT_TABLE = MUL_TABLE.transpose(1, 0, 2).reshape(4, 16)
 
 
 class QuatMatrix:
@@ -82,9 +93,6 @@ class QuatMatrix:
     def entry(self, i: int, j: int) -> Quaternion:
         return Quaternion.from_array(self.a[i, j])
 
-    def submatrix(self, rows: slice, cols: slice) -> "QuatMatrix":
-        return QuatMatrix(self.a[rows, cols])
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -110,14 +118,12 @@ class QuatMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        prod = np.einsum("ilp,ljq,pqr->ijr", self.a, other.a, MUL_TABLE,
-                         optimize=True)
-        return QuatMatrix(prod)
-
-    def scale_left(self, q: Quaternion) -> "QuatMatrix":
-        """Left multiplication of every entry by the quaternion ``q``."""
-        out = np.einsum("p,ijq,pqr->ijr", q.to_array(), self.a, MUL_TABLE)
-        return QuatMatrix(out)
+        (rows, inner), cols = self.shape, other.cols
+        # right[l, p, j, r] = sum_q other[l, j, q] MUL_TABLE[p, q, r]
+        right = (other.a.reshape(inner * cols, 4) @ _RIGHT_TABLE).reshape(
+            inner, cols, 4, 4).transpose(0, 2, 1, 3).reshape(4 * inner, 4 * cols)
+        prod = self.a.reshape(rows, 4 * inner) @ right
+        return QuatMatrix(prod.reshape(rows, cols, 4))
 
     def adjoint(self) -> "QuatMatrix":
         """Conjugate transpose."""
@@ -130,9 +136,6 @@ class QuatMatrix:
             raise NonSquare("trace of a non-square matrix")
         n = self.rows
         return Quaternion.from_array(self.a[np.arange(n), np.arange(n)].sum(axis=0))
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt((self.a ** 2).sum()))
 
     def max_abs(self) -> float:
         """Largest magnitude over all real components."""
@@ -214,14 +217,6 @@ def block_matrix(blocks) -> QuatMatrix:
     """Assemble from a 2d grid of conforming QuatMatrix blocks."""
     rows = [np.concatenate([b.a for b in row], axis=1) for row in blocks]
     return QuatMatrix(np.concatenate(rows, axis=0))
-
-
-def matmul(a: QuatMatrix, b: QuatMatrix) -> QuatMatrix:
-    return a @ b
-
-
-def adjoint(m: QuatMatrix) -> QuatMatrix:
-    return m.adjoint()
 
 
 def expm(m: QuatMatrix, order: int = 18) -> QuatMatrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coset, dynamics, emfield, forms, liealg, roots as roots_mod, s4lb
-from .errors import UnknownSuite
+from .errors import UnknownSuite, UnknownTolerance
 from .quaternion import (Quaternion, from_m2c, j_conjugate, random_quaternion,
                          random_unit_quaternion, to_m2c)
 from .quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
@@ -717,6 +717,12 @@ SUITES = {
 }
 
 
+def _require_known(unknown) -> None:
+    if unknown:
+        raise UnknownTolerance(
+            f"--tol names no check of this run: {', '.join(unknown)}")
+
+
 def run_suite(name: str, cfg: RunConfig) -> dict:
     """Run one named suite (or 'all') and assemble the report."""
     if name == "all":
@@ -726,9 +732,14 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
     else:
         raise UnknownSuite(f"no suite named {name!r}; "
                            f"choose from {', '.join(SUITES)} or all")
+    # check names start with their suite's name: a wrong suite fails before
+    # any work, a misspelt check once the suites have named theirs
+    _require_known([k for k in cfg.tol_overrides
+                    if k.split(".", 1)[0] not in names])
     checks = []
     for suite_name in names:
         checks.extend(SUITES[suite_name](cfg))
+    _require_known(sorted(set(cfg.tol_overrides) - {c.name for c in checks}))
     return {
         "spec_version": SCHEMA_VERSION,
         "suite": name,

@@ -42,6 +42,22 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["foo", "quaternion.norm_multiplicative=abc"])
+def test_verify_malformed_tol_is_usage_error(tol, capsys):
+    code, out, err = run_cli(["verify", "quaternion", "--tol", tol], capsys)
+    assert code == 2
+    assert out == "" and "KEY=NUMBER" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite, tol", [("all", "nosuch.check=1"),
+                                        ("roots", "roots.nosuch=1"),
+                                        ("roots", "em.decomposition_exact=1")])
+def test_verify_unknown_tol_name_is_usage_error(suite, tol, capsys):
+    code, out, err = run_cli(["verify", suite, "--tol", tol], capsys)
+    assert code == 2
+    assert out == "" and tol.split("=")[0] in err
+
+
 def test_verify_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "em", "--seed", "5", "--out", str(a)]) == 0
@@ -98,6 +114,13 @@ def test_lb_rejects_non_half_integer(capsys):
     code, _, err = run_cli(["lb", "--ell", "0.3", "--big-n", "0"], capsys)
     assert code == 3
     assert "half-integer" in err
+
+
+@pytest.mark.parametrize("ell", ["abc", "1/0", ""])
+def test_lb_unparseable_ell_is_usage_error(ell, capsys):
+    code, out, err = run_cli(["lb", "--ell", ell], capsys)
+    assert code == 2
+    assert out == "" and "--ell" in err
 
 
 def test_lb_deterministic(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from qflag.errors import (DimensionMismatch, MalformedM2C, NonSquare,
                           NotGroupElement, NotHyperHermitian, SingularInvSqrt)
-from qflag.quaternion import I, J, K, Quaternion
+from qflag.quaternion import BASIS, I, J, K, Quaternion
 from qflag.quatmat import (GroupElement, QuatMatrix, block_matrix,
                            eigvals_hyperhermitian, expm, func_hermitian,
                            interleave_to_block_permutation,
@@ -44,6 +44,59 @@ def test_matmul_against_complex_embedding():
         direct = (a @ b).embed()
         oracle = a.embed() @ b.embed()
         assert np.abs(direct - oracle).max() < 1e-11
+
+
+# the kernel tests draw from their own stream, leaving the draws of the
+# tests below as they were
+kernel_rng = np.random.default_rng(404)
+
+
+def assert_matches_embedding(a: QuatMatrix, b: QuatMatrix):
+    """The product against the complex-embedding oracle, relative 1e-11."""
+    prod = a @ b
+    assert prod.a.shape == (a.rows, b.cols, 4)
+    oracle = a.embed() @ b.embed()
+    scale = max(1.0, float(np.abs(oracle).max())) if oracle.size else 1.0
+    assert np.abs(prod.embed() - oracle).max(initial=0.0) <= 1e-11 * scale
+
+
+def test_matmul_basis_pairs_match_scalar_product():
+    for p in BASIS:
+        for q in BASIS:
+            prod = (QuatMatrix.from_quaternions([[p]])
+                    @ QuatMatrix.from_quaternions([[q]]))
+            assert prod.a.shape == (1, 1, 4)
+            assert prod.entry(0, 0) == p * q
+
+
+def test_matmul_rectangular_and_empty_shapes():
+    for rows, inner, cols in ((1, 5, 1), (5, 1, 5), (2, 7, 3), (6, 2, 1),
+                              (0, 3, 5), (2, 0, 4), (3, 4, 0), (0, 0, 0)):
+        assert_matches_embedding(random_quatmat(kernel_rng, rows, inner),
+                                 random_quatmat(kernel_rng, inner, cols))
+    # an empty inner dimension sums nothing
+    empty_sum = random_quatmat(kernel_rng, 2, 0) @ random_quatmat(kernel_rng, 0, 4)
+    assert empty_sum.shape == (2, 4) and not empty_sum.a.any()
+
+
+def test_matmul_non_contiguous_operands():
+    g = random_group_element(kernel_rng, 5)
+    a, b, c, d = g.blocks(2, 3)
+    assert not any(blk.a.flags.c_contiguous for blk in (a, b, c, d))
+    for left, right in ((a, b), (b, d), (c, a), (d, c)):
+        assert_matches_embedding(left, right)
+    m = random_quatmat(kernel_rng, 4, 3)
+    transposed = QuatMatrix(m.a.transpose(1, 0, 2))
+    assert not transposed.a.flags.c_contiguous
+    assert_matches_embedding(transposed, m)
+    assert_matches_embedding(m, transposed)
+    strided = QuatMatrix(random_quatmat(kernel_rng, 6, 6).a[::2, 1::2])
+    assert_matches_embedding(strided, strided)
+
+
+def test_matmul_large():
+    assert_matches_embedding(random_quatmat(kernel_rng, 64, 64),
+                             random_quatmat(kernel_rng, 64, 64))
 
 
 def test_matmul_dimension_gate():
