@@ -6,7 +6,6 @@ Laplace-Beltrami solutions on the 4-sphere, and the quaternionic Maxwell
 decomposition.
 """
 
-from .config import DEFAULT, Tolerances
 from .quaternion import (BASIS, E, I, J, K, Quaternion, from_m2c, j_conjugate,
                          random_quaternion, random_unit_quaternion, to_m2c)
 from .quatmat import (GroupElement, QuatMatrix, block_matrix,

@@ -85,6 +85,8 @@ def cmd_verify(args) -> int:
 
 def cmd_lb(args) -> int:
     ell = _parse_half_integer(args.ell)
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     if ell == 0 and args.big_n == 0:
         sol = s4lb.make_f0()
     else:
@@ -162,6 +164,8 @@ def cmd_em(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    if args.steps < 0:
+        raise UsageError(f"--steps must be nonnegative, got {args.steps}")
     rng = np.random.default_rng(args.seed)
     gen = random_skew_adjoint(rng, args.n)
     psi = dynamics.random_state(rng, args.n, args.split)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from . import config
 from .errors import (DegenerateQuadruple, DimensionMismatch, PairingFailure,
                      ShapeMismatch, SingularDenominator)
 from .quaternion import Quaternion, random_unit_quaternion
@@ -49,7 +49,7 @@ class GrassmannPoint:
         return f"GrassmannPoint(j={self.j}, k={self.k})"
 
 
-def coset_element(xi: QuatMatrix, tol: Tolerances = DEFAULT) -> GroupElement:
+def coset_element(xi: QuatMatrix) -> GroupElement:
     """Exponential of the off-diagonal generator [[0, xi], [-xi*, 0]].
 
     Built in closed form from scalar functions of xi xi*:
@@ -61,10 +61,10 @@ def coset_element(xi: QuatMatrix, tol: Tolerances = DEFAULT) -> GroupElement:
     """
     left = xi @ xi.adjoint()
     right = xi.adjoint() @ xi
-    z = func_hermitian(left, "sinc_sqrt", tol) @ xi
-    top = [func_hermitian(left, "cos_sqrt", tol), z]
-    bottom = [-z.adjoint(), func_hermitian(right, "cos_sqrt", tol)]
-    return GroupElement(block_matrix([top, bottom]), tol=tol.structure * 10)
+    z = func_hermitian(left, "sinc_sqrt") @ xi
+    top = [func_hermitian(left, "cos_sqrt"), z]
+    bottom = [-z.adjoint(), func_hermitian(right, "cos_sqrt")]
+    return GroupElement(block_matrix([top, bottom]), tol=config.STRUCTURE * 10)
 
 
 def coset_generator(xi: QuatMatrix) -> QuatMatrix:
@@ -74,46 +74,36 @@ def coset_generator(xi: QuatMatrix) -> QuatMatrix:
                          [-xi.adjoint(), QuatMatrix.zeros(k, k)]])
 
 
-def grassmann_from_coset(xi: QuatMatrix, tol: Tolerances = DEFAULT) -> GrassmannPoint:
+def grassmann_from_coset(xi: QuatMatrix) -> GrassmannPoint:
     """X = Z (1 - Z* Z)^{-1/2} for the coset element generated by ``xi``."""
     left = xi @ xi.adjoint()
-    z = func_hermitian(left, "sinc_sqrt", tol) @ xi
+    z = func_hermitian(left, "sinc_sqrt") @ xi
     gram = QuatMatrix.identity(z.cols) - z.adjoint() @ z
-    return GrassmannPoint(z @ func_hermitian(gram, "invsqrt", tol))
+    return GrassmannPoint(z @ func_hermitian(gram, "invsqrt"))
 
 
-def _checked_inverse(m: QuatMatrix, tol: Tolerances, err) -> QuatMatrix:
-    emb = m.embed()
-    if np.linalg.cond(emb) > tol.cond_limit:
-        raise err
-    sol = np.linalg.solve(emb, np.eye(emb.shape[0], dtype=complex))
-    return QuatMatrix.project(sol, tol=tol.structure)
-
-
-def lft_apply(g: GroupElement, point: GrassmannPoint,
-              tol: Tolerances = DEFAULT) -> GrassmannPoint:
+def lft_apply(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
     """Linear fractional action Y = (A X + B)(C X + D)^{-1}."""
     x = point.x
     a, b, c, d = g.blocks(point.j, point.k)
     den = c @ x + d
-    den_inv = _checked_inverse(den, tol, SingularDenominator(
+    den_inv = den.inv(SingularDenominator(
         "C X + D is singular; the point is mapped to infinity"))
     return GrassmannPoint((a @ x + b) @ den_inv)
 
 
-def lft_apply_second_form(g: GroupElement, point: GrassmannPoint,
-                          tol: Tolerances = DEFAULT) -> GrassmannPoint:
+def lft_apply_second_form(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
     """Equivalent left-quotient form Y = (-X B* + A*)^{-1}(X D* - C*)."""
     x = point.x
     a, b, c, d = g.blocks(point.j, point.k)
     den = -(x @ b.adjoint()) + a.adjoint()
-    den_inv = _checked_inverse(den, tol, SingularDenominator(
+    den_inv = den.inv(SingularDenominator(
         "A* - X B* is singular; the point is mapped to infinity"))
     return GrassmannPoint(den_inv @ (x @ d.adjoint() - c.adjoint()))
 
 
-def transport_identities(g: GroupElement, pa: GrassmannPoint, pb: GrassmannPoint,
-                         tol: Tolerances = DEFAULT) -> dict:
+def transport_identities(g: GroupElement, pa: GrassmannPoint,
+                         pb: GrassmannPoint) -> dict:
     """Residuals of the four projective transport identities.
 
     With Ya, Yb the images of Xa, Xb the identities factor 1 + Ya Yb*,
@@ -124,18 +114,18 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint, pb: GrassmannPoint
         raise ShapeMismatch("points live on different Grassmannians")
     xa, xb = pa.x, pb.x
     a, b, c, d = g.blocks(pa.j, pa.k)
-    ya = lft_apply(g, pa, tol).x
-    yb = lft_apply(g, pb, tol).x
+    ya = lft_apply(g, pa).x
+    yb = lft_apply(g, pb).x
     eye_j = QuatMatrix.identity(pa.j)
     eye_k = QuatMatrix.identity(pa.k)
 
     err = SingularDenominator("transport factor is singular")
-    la = _checked_inverse(-(xa @ b.adjoint()) + a.adjoint(), tol, err)
-    lb = _checked_inverse(-(xb @ b.adjoint()) + a.adjoint(), tol, err)
-    ra = _checked_inverse(c @ xa + d, tol, err)
-    rb = _checked_inverse(c @ xb + d, tol, err)
-    rb_star = _checked_inverse(-(b @ xb.adjoint()) + a, tol, err)
-    la_star = _checked_inverse(xa.adjoint() @ c.adjoint() + d.adjoint(), tol, err)
+    la = (-(xa @ b.adjoint()) + a.adjoint()).inv(err)
+    lb = (-(xb @ b.adjoint()) + a.adjoint()).inv(err)
+    ra = (c @ xa + d).inv(err)
+    rb = (c @ xb + d).inv(err)
+    rb_star = (-(b @ xb.adjoint()) + a).inv(err)
+    la_star = (xa.adjoint() @ c.adjoint() + d.adjoint()).inv(err)
 
     res = {}
     lhs = eye_j + ya @ yb.adjoint()
@@ -156,8 +146,7 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint, pb: GrassmannPoint
 
 
 def cross_ratio(pa: GrassmannPoint, pb: GrassmannPoint,
-                pc: GrassmannPoint, pd: GrassmannPoint,
-                tol: Tolerances = DEFAULT) -> float:
+                pc: GrassmannPoint, pd: GrassmannPoint) -> float:
     """Scalar part of tr[(Ya-Yb)(Yc-Yb)^{-1}(Yc-Yd)(Ya-Yd)^{-1}].
 
     Invariant under simultaneous group action on all four points.  The two
@@ -165,14 +154,13 @@ def cross_ratio(pa: GrassmannPoint, pb: GrassmannPoint,
     difference simply gives zero.
     """
     err = DegenerateQuadruple("inverted difference of points is singular")
-    inv_cb = _checked_inverse(pc.x - pb.x, tol, err)
-    inv_ad = _checked_inverse(pa.x - pd.x, tol, err)
+    inv_cb = (pc.x - pb.x).inv(err)
+    inv_ad = (pa.x - pd.x).inv(err)
     prod = (pa.x - pb.x) @ inv_cb @ (pc.x - pd.x) @ inv_ad
     return prod.trace().w
 
 
-def metric_form(point: GrassmannPoint, dx: QuatMatrix,
-                tol: Tolerances = DEFAULT) -> float:
+def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:
     """Invariant line element tr[(1+XX*)^{-1} dX (1+X*X)^{-1} dX*].
 
     The scalar part of the quaternion trace is returned.  Quaternion traces
@@ -184,13 +172,12 @@ def metric_form(point: GrassmannPoint, dx: QuatMatrix,
     x = point.x
     if dx.shape != x.shape:
         raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
-    left = (QuatMatrix.identity(point.j) + x @ x.adjoint()).inv(tol)
-    right = (QuatMatrix.identity(point.k) + x.adjoint() @ x).inv(tol)
+    left = (QuatMatrix.identity(point.j) + x @ x.adjoint()).inv()
+    right = (QuatMatrix.identity(point.k) + x.adjoint() @ x).inv()
     return (left @ dx @ right @ dx.adjoint()).trace().w
 
 
-def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix,
-                          tol: Tolerances = DEFAULT) -> float:
+def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix) -> float:
     """Same line element as tr(w w*) with w = A* dX D, manifestly real.
 
     Here A* = (1+XX*)^{-1/2} and D = (1+X*X)^{-1/2} are the diagonal blocks
@@ -201,15 +188,14 @@ def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix,
     if dx.shape != x.shape:
         raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
     astar = func_hermitian(QuatMatrix.identity(point.j) + x @ x.adjoint(),
-                           "invsqrt", tol)
+                           "invsqrt")
     dmat = func_hermitian(QuatMatrix.identity(point.k) + x.adjoint() @ x,
-                          "invsqrt", tol)
+                          "invsqrt")
     w = astar @ dx @ dmat
     return float((w.a ** 2).sum())
 
 
-def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix,
-                         tol: Tolerances = DEFAULT) -> float:
+def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix) -> float:
     """Second form of the line element, with (1+X*X)^{-1} eliminated:
 
     tr[(1+XX*)^{-1} dX dX* - (1+XX*)^{-1} dX X* (1+XX*)^{-1} X dX*].
@@ -217,49 +203,46 @@ def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix,
     x = point.x
     if dx.shape != x.shape:
         raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
-    left = (QuatMatrix.identity(point.j) + x @ x.adjoint()).inv(tol)
+    left = (QuatMatrix.identity(point.j) + x @ x.adjoint()).inv()
     term1 = left @ dx @ dx.adjoint()
     term2 = left @ dx @ x.adjoint() @ left @ x @ dx.adjoint()
     return (term1 - term2).trace().w
 
 
-def pushforward_tangent(g: GroupElement, point: GrassmannPoint, dx: QuatMatrix,
-                        step: float = None, tol: Tolerances = DEFAULT) -> QuatMatrix:
+def pushforward_tangent(g: GroupElement, point: GrassmannPoint,
+                        dx: QuatMatrix) -> QuatMatrix:
     """Central-difference transport of a tangent through the group action."""
-    h = tol.fd_step if step is None else step
-    plus = lft_apply(g, GrassmannPoint(point.x + dx * h), tol).x
-    minus = lft_apply(g, GrassmannPoint(point.x - dx * h), tol).x
+    h = config.FD_STEP
+    plus = lft_apply(g, GrassmannPoint(point.x + dx * h)).x
+    minus = lft_apply(g, GrassmannPoint(point.x - dx * h)).x
     return (plus - minus) * (0.5 / h)
 
 
 def metric_invariance_residual(g: GroupElement, point: GrassmannPoint,
-                               dx: QuatMatrix, step: float = None,
-                               tol: Tolerances = DEFAULT) -> float:
+                               dx: QuatMatrix) -> float:
     """|ds^2 at (X, dX) - ds^2 at (g X, g_* dX)| with finite-difference g_*."""
-    before = metric_form(point, dx, tol)
-    image = lft_apply(g, point, tol)
-    dy = pushforward_tangent(g, point, dx, step, tol)
-    after = metric_form(image, dy, tol)
+    before = metric_form(point, dx)
+    image = lft_apply(g, point)
+    dy = pushforward_tangent(g, point, dx)
+    after = metric_form(image, dy)
     return abs(after - before)
 
 
-def inversion_invariance_residual(q: Quaternion, dq: Quaternion,
-                                  tol: Tolerances = DEFAULT) -> float:
+def inversion_invariance_residual(q: Quaternion, dq: Quaternion) -> float:
     """Rank-one case: the metric is invariant under X -> X^{-1}.
 
     The tangent transports exactly as d(X^{-1}) = -X^{-1} dX X^{-1}.
     """
     p = GrassmannPoint(QuatMatrix.from_quaternions([[q]]))
-    before = metric_form(p, QuatMatrix.from_quaternions([[dq]]), tol)
+    before = metric_form(p, QuatMatrix.from_quaternions([[dq]]))
     qi = q.inverse()
     dq_inv = -(qi * dq * qi)
     p_inv = GrassmannPoint(QuatMatrix.from_quaternions([[qi]]))
-    after = metric_form(p_inv, QuatMatrix.from_quaternions([[dq_inv]]), tol)
+    after = metric_form(p_inv, QuatMatrix.from_quaternions([[dq_inv]]))
     return abs(after - before)
 
 
-def curvature_trace(q: QuatMatrix, n: int, k: int,
-                    tol: Tolerances = DEFAULT) -> tuple:
+def curvature_trace(q: QuatMatrix, n: int, k: int) -> tuple:
     """Both sides of the metric-tensor trace identity.
 
     For a k x n quaternion matrix Q, with traces taken in the complex
@@ -279,8 +262,7 @@ def curvature_trace(q: QuatMatrix, n: int, k: int,
     return lhs, rhs
 
 
-def curvature_det(q: QuatMatrix, n: int, k: int,
-                  tol: Tolerances = DEFAULT) -> float:
+def curvature_det(q: QuatMatrix, n: int, k: int) -> float:
     """det of the metric tensor, |1 + Q Q*|^{-(k+n)}.
 
     The quaternionic determinant |1 + Q Q*| is the product of the
@@ -290,7 +272,7 @@ def curvature_det(q: QuatMatrix, n: int, k: int,
     """
     if q.shape != (k, n):
         raise DimensionMismatch(f"expected a {k} x {n} matrix, got {q.shape}")
-    evs = eigvals_hyperhermitian(q @ q.adjoint(), tol)
+    evs = eigvals_hyperhermitian(q @ q.adjoint())
     det_quat = float(np.prod(1.0 + evs))
     emb = q.embed()
     det_emb = float(np.linalg.det(np.eye(2 * k) + emb @ emb.conj().T).real)

@@ -47,13 +47,17 @@ class NotUnitQuaternion(QflagError):
     """Quaternion does not have unit norm."""
 
 
+class SingularMatrix(QflagError):
+    """Matrix is singular, or too ill-conditioned to invert."""
+
+
 # -- coset geometry --------------------------------------------------------
 
-class SingularDenominator(QflagError):
+class SingularDenominator(SingularMatrix):
     """Linear fractional transformation maps the point to infinity."""
 
 
-class DegenerateQuadruple(QflagError):
+class DegenerateQuadruple(SingularMatrix):
     """Cross-ratio requested for points with a singular inverted difference."""
 
 
@@ -87,6 +91,10 @@ class TooCloseToPole(QflagError):
 
 class TerminationViolated(QflagError):
     """(l, N) pair violates the polynomial termination condition."""
+
+
+class CoefficientOverflow(QflagError):
+    """A radial-solution coefficient exceeds the floating-point range."""
 
 
 # -- root systems ------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from . import config
 from .errors import DependentDirections, DimensionMismatch
 from .quaternion import BASIS, Quaternion
 from .quatmat import GroupElement, QuatMatrix, func_hermitian
@@ -166,40 +166,32 @@ def hodge_star(form: QTwoForm) -> QTwoForm:
 # -- pulled-back connection and curvature data --------------------------------
 
 
-def connection_along_path(g_path, t: float, step: float = None,
-                          tol: Tolerances = DEFAULT) -> QuatMatrix:
+def connection_along_path(g_path, t: float) -> QuatMatrix:
     """omega = g* dg/dt evaluated by central differences along a path."""
-    h = tol.fd_step if step is None else step
+    h = config.FD_STEP
     gdot = (g_path(t + h).m - g_path(t - h).m) * (0.5 / h)
     return g_path(t).m.adjoint() @ gdot
 
 
-def connection_blocks(g_path, t: float, j: int, k: int, step: float = None,
-                      tol: Tolerances = DEFAULT):
+def connection_blocks(g_path, t: float, j: int, k: int):
     """The four blocks (w11, w12, w21, w22) of g* dg along a path.
 
     The full form is skew-adjoint, so w21 = -w12* up to differencing error;
     paths inside the block-diagonal subgroup have vanishing off-diagonal
     blocks.
     """
-    omega = connection_along_path(g_path, t, step, tol)
-    if j + k != omega.rows:
-        raise DimensionMismatch(f"partition {j}+{k} != {omega.rows}")
-    a = omega.a
-    return (QuatMatrix(a[:j, :j]), QuatMatrix(a[:j, j:]),
-            QuatMatrix(a[j:, :j]), QuatMatrix(a[j:, j:]))
+    return connection_along_path(g_path, t).blocks(j, k)
 
 
-def _gram_independent(u: QuatMatrix, v: QuatMatrix, tol: float = 1e-10) -> bool:
+def _gram_independent(u: QuatMatrix, v: QuatMatrix) -> bool:
     uu = float((u.a ** 2).sum())
     vv = float((v.a ** 2).sum())
     uv = float((u.a * v.a).sum())
-    return uu * vv - uv * uv > tol * max(1.0, uu * vv)
+    return uu * vv - uv * uv > config.IDENTITY * max(1.0, uu * vv)
 
 
 def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix,
-                     require_independent: bool = False,
-                     tol: Tolerances = DEFAULT) -> dict:
+                     require_independent: bool = False) -> dict:
     """Curvature pieces at a Grassmannian point on a pair of tangents.
 
     Evaluates Omega11 = (w12 ^ w12*)(du, dv) and Omega22 = (w12* ^ w12)(du, dv)
@@ -220,15 +212,15 @@ def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix,
     j, k = y.rows, y.cols
     s1 = QuatMatrix.identity(j) + y @ y.adjoint()
     s2 = QuatMatrix.identity(k) + y.adjoint() @ y
-    astar = func_hermitian(s1, "invsqrt", tol)
-    dmat = func_hermitian(s2, "invsqrt", tol)
+    astar = func_hermitian(s1, "invsqrt")
+    dmat = func_hermitian(s2, "invsqrt")
     w_u = astar @ du @ dmat
     w_v = astar @ dv @ dmat
     omega11 = w_u @ w_v.adjoint() - w_v @ w_u.adjoint()
     omega22 = w_u.adjoint() @ w_v - w_v.adjoint() @ w_u
 
-    s1_inv = s1.inv(tol)
-    s2_inv = s2.inv(tol)
+    s1_inv = s1.inv()
+    s2_inv = s2.inv()
     r11 = (du @ s2_inv @ dv.adjoint() @ s1_inv
            - dv @ s2_inv @ du.adjoint() @ s1_inv).trace()
     r22 = (du.adjoint() @ s1_inv @ dv @ s2_inv
@@ -236,8 +228,7 @@ def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix,
     return {"omega11": omega11, "omega22": omega22, "r11": r11, "r22": r22}
 
 
-def maurer_cartan_residual(g_family, s: float, t: float, step: float = None,
-                           tol: Tolerances = DEFAULT) -> float:
+def maurer_cartan_residual(g_family, s: float, t: float) -> float:
     """Residual of d omega + omega ^ omega = 0 along a two-parameter family.
 
     With omega_s = g* (dg/ds) and omega_t = g* (dg/dt), the structure
@@ -248,7 +239,7 @@ def maurer_cartan_residual(g_family, s: float, t: float, step: float = None,
     All derivatives are second-order central differences; this is the
     loosest check in the library (double differencing).
     """
-    h = tol.second_diff_step if step is None else step
+    h = config.SECOND_DIFF_STEP
 
     def omega_s(ss, tt):
         gdot = (g_family(ss + h, tt).m - g_family(ss - h, tt).m) * (0.5 / h)

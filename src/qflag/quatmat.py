@@ -14,16 +14,21 @@ quaternion entry is replaced by its 2x2 image, giving a
 The embedding is a faithful ring homomorphism, and a hyper-Hermitian
 quaternion matrix embeds to a complex Hermitian matrix whose spectrum
 consists of doubled real eigenvalues.
+
+:meth:`QuatMatrix.inv` is the one inverse: it solves the embedding E against
+the identity, projects back, and raises (by default :class:`SingularMatrix`)
+unless ``||E||_1 ||E^-1||_1 <= config.COND_LIMIT``, a test that also refuses
+an exactly singular matrix and any NaN entry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from . import config
 from .errors import (DimensionMismatch, MalformedM2C, NonSquare,
                      NotGroupElement, NotHyperHermitian, NotSkewAdjoint,
-                     PairingFailure, SingularInvSqrt)
+                     PairingFailure, SingularInvSqrt, SingularMatrix)
 from .quaternion import MUL_TABLE, Quaternion
 
 # _RIGHT_TABLE[q, 4 p + r] = MUL_TABLE[p, q, r]: one entry's components times
@@ -131,6 +136,14 @@ class QuatMatrix:
         out[..., 1:] *= -1.0
         return QuatMatrix(out)
 
+    def blocks(self, j: int, k: int):
+        """Conforming partition into (A, B, C, D) with A of size j x j."""
+        if self.shape != (j + k, j + k):
+            raise DimensionMismatch(f"partition {j}+{k} does not fit {self.shape}")
+        a = self.a
+        return (QuatMatrix(a[:j, :j]), QuatMatrix(a[:j, j:]),
+                QuatMatrix(a[j:, :j]), QuatMatrix(a[j:, j:]))
+
     def trace(self) -> Quaternion:
         if not self.is_square():
             raise NonSquare("trace of a non-square matrix")
@@ -157,14 +170,13 @@ class QuatMatrix:
         return blocks.transpose(0, 2, 1, 3).reshape(2 * self.rows, 2 * self.cols)
 
     @classmethod
-    def project(cls, emb, tol: float = None, strict: bool = True) -> "QuatMatrix":
+    def project(cls, emb) -> "QuatMatrix":
         """Back from a complex embedding, checking the block structure.
 
         The residual against the quaternionic structure (m22 = conj(m11),
-        m21 = -conj(m12) per block) must stay below ``tol`` relative to the
-        matrix scale when ``strict``.
+        m21 = -conj(m12) per block) must stay below ``config.STRUCTURE``
+        relative to the matrix scale.
         """
-        tol = DEFAULT.structure if tol is None else tol
         emb = np.asarray(emb, dtype=complex)
         r2, c2 = emb.shape
         if r2 % 2 or c2 % 2:
@@ -172,13 +184,12 @@ class QuatMatrix:
         blocks = emb.reshape(r2 // 2, 2, c2 // 2, 2).transpose(0, 2, 1, 3)
         m11, m12 = blocks[..., 0, 0], blocks[..., 0, 1]
         m21, m22 = blocks[..., 1, 0], blocks[..., 1, 1]
-        if strict:
-            scale = max(1.0, float(np.abs(emb).max()))
-            res = max(float(np.abs(m22 - m11.conj()).max()),
-                      float(np.abs(m21 + m12.conj()).max()))
-            if res > tol * scale:
-                raise MalformedM2C(
-                    f"structure residual {res:.3e} exceeds {tol:.1e} * scale")
+        scale = max(1.0, float(np.abs(emb).max()))
+        res = max(float(np.abs(m22 - m11.conj()).max()),
+                  float(np.abs(m21 + m12.conj()).max()))
+        if res > config.STRUCTURE * scale:
+            raise MalformedM2C(f"structure residual {res:.3e} exceeds "
+                               f"{config.STRUCTURE:.1e} * scale")
         a = np.empty((r2 // 2, c2 // 2, 4))
         a[..., 0] = (m11.real + m22.real) / 2.0
         a[..., 1] = (m12.real - m21.real) / 2.0
@@ -186,31 +197,43 @@ class QuatMatrix:
         a[..., 3] = (m11.imag - m22.imag) / 2.0
         return cls(a)
 
-    def inv(self, tol: Tolerances = DEFAULT) -> "QuatMatrix":
-        """Inverse via the complex embedding (solve, project back)."""
+    def inv(self, err: Exception = None) -> "QuatMatrix":
+        """Inverse via the complex embedding; raises ``err`` (default
+        :class:`SingularMatrix`) past the condition ceiling."""
         if not self.is_square():
             raise NonSquare("inverse of a non-square matrix")
         emb = self.embed()
-        sol = np.linalg.solve(emb, np.eye(2 * self.rows, dtype=complex))
-        return QuatMatrix.project(sol, tol=tol.structure)
+        try:
+            sol = np.linalg.solve(emb, np.eye(2 * self.rows, dtype=complex))
+            cond = _norm1(emb) * _norm1(sol)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if not cond <= config.COND_LIMIT:
+            raise err if err is not None else SingularMatrix(
+                f"1-norm condition number {cond:.3e} > {config.COND_LIMIT:.0e}")
+        return QuatMatrix.project(sol)
 
     # -- structure predicates ----------------------------------------------------------
 
     def is_hermitian(self, tol: float = None) -> bool:
-        tol = DEFAULT.identity if tol is None else tol
+        tol = config.IDENTITY if tol is None else tol
         return (self - self.adjoint()).max_abs() <= tol * max(1.0, self.max_abs())
 
     def is_skew_adjoint(self, tol: float = None) -> bool:
-        tol = DEFAULT.identity if tol is None else tol
+        tol = config.IDENTITY if tol is None else tol
         return (self + self.adjoint()).max_abs() <= tol * max(1.0, self.max_abs())
 
     def is_unitary(self, tol: float = None) -> bool:
-        tol = DEFAULT.identity if tol is None else tol
+        tol = config.IDENTITY if tol is None else tol
         delta = self.adjoint() @ self - QuatMatrix.identity(self.rows)
         return delta.max_abs() <= tol
 
     def __repr__(self) -> str:
         return f"QuatMatrix(shape={self.shape})"
+
+
+def _norm1(m: np.ndarray) -> float:
+    return float(np.abs(m).sum(axis=0).max(initial=0.0))
 
 
 def block_matrix(blocks) -> QuatMatrix:
@@ -219,11 +242,11 @@ def block_matrix(blocks) -> QuatMatrix:
     return QuatMatrix(np.concatenate(rows, axis=0))
 
 
-def expm(m: QuatMatrix, order: int = 18) -> QuatMatrix:
+def expm(m: QuatMatrix) -> QuatMatrix:
     """Matrix exponential by scaling and squaring.
 
     The argument is halved until the 1-norm of its complex embedding drops
-    below 0.5, the truncated power series of the stated order is summed with
+    below 0.5, the power series truncated after order 18 is summed with
     quaternion products, and the result is squared back up.
     """
     if not m.is_square():
@@ -235,7 +258,7 @@ def expm(m: QuatMatrix, order: int = 18) -> QuatMatrix:
     scaled = m * (0.5 ** squarings)
     result = QuatMatrix.identity(m.rows)
     term = QuatMatrix.identity(m.rows)
-    for k in range(1, order + 1):
+    for k in range(1, 19):
         term = (term @ scaled) * (1.0 / k)
         result = result + term
     for _ in range(squarings):
@@ -243,7 +266,7 @@ def expm(m: QuatMatrix, order: int = 18) -> QuatMatrix:
     return result
 
 
-def eigvals_hyperhermitian(p: QuatMatrix, tol: Tolerances = DEFAULT) -> np.ndarray:
+def eigvals_hyperhermitian(p: QuatMatrix) -> np.ndarray:
     """Real eigenvalues of a hyper-Hermitian matrix, ascending.
 
     The 2n complex-embedding eigenvalues come in equal pairs; each pair is
@@ -251,7 +274,7 @@ def eigvals_hyperhermitian(p: QuatMatrix, tol: Tolerances = DEFAULT) -> np.ndarr
     """
     if not p.is_square():
         raise NonSquare("eigenvalues of a non-square matrix")
-    if not p.is_hermitian(tol.identity * 10):
+    if not p.is_hermitian(config.IDENTITY * 10):
         raise NotHyperHermitian("matrix is not equal to its conjugate transpose")
     emb = p.embed()
     emb = (emb + emb.conj().T) / 2.0
@@ -259,7 +282,7 @@ def eigvals_hyperhermitian(p: QuatMatrix, tol: Tolerances = DEFAULT) -> np.ndarr
     even, odd = lam[0::2], lam[1::2]
     gap = np.abs(even - odd)
     scale = np.maximum(1.0, np.abs(even))
-    if np.any(gap > tol.pairing_rel * scale):
+    if np.any(gap > config.PAIRING_REL * scale):
         raise PairingFailure(
             f"embedding spectrum does not pair: max gap {gap.max():.3e}")
     return (even + odd) / 2.0
@@ -289,7 +312,7 @@ def _cos_sqrt(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def func_hermitian(p: QuatMatrix, kind: str, tol: Tolerances = DEFAULT) -> QuatMatrix:
+def func_hermitian(p: QuatMatrix, kind: str) -> QuatMatrix:
     """Apply a scalar function to a hyper-Hermitian matrix spectrally.
 
     ``kind`` is one of ``sqrt``, ``invsqrt``, ``cos_sqrt``, ``sin_sqrt``,
@@ -300,7 +323,7 @@ def func_hermitian(p: QuatMatrix, kind: str, tol: Tolerances = DEFAULT) -> QuatM
     """
     if not p.is_square():
         raise NonSquare("matrix function of a non-square matrix")
-    if not p.is_hermitian(tol.identity * 10):
+    if not p.is_hermitian(config.IDENTITY * 10):
         raise NotHyperHermitian("matrix function requires a hyper-Hermitian input")
     emb = p.embed()
     emb = (emb + emb.conj().T) / 2.0
@@ -308,7 +331,7 @@ def func_hermitian(p: QuatMatrix, kind: str, tol: Tolerances = DEFAULT) -> QuatM
     if kind == "sqrt":
         vals = np.sqrt(np.maximum(lam, 0.0))
     elif kind == "invsqrt":
-        if np.any(lam <= tol.identity):
+        if np.any(lam <= config.IDENTITY):
             raise SingularInvSqrt(f"minimum eigenvalue {lam.min():.3e}")
         vals = 1.0 / np.sqrt(lam)
     elif kind == "cos_sqrt":
@@ -320,7 +343,7 @@ def func_hermitian(p: QuatMatrix, kind: str, tol: Tolerances = DEFAULT) -> QuatM
     else:
         raise ValueError(f"unknown scalar function tag {kind!r}")
     out = (vec * vals) @ vec.conj().T
-    return QuatMatrix.project(out, tol=tol.structure)
+    return QuatMatrix.project(out)
 
 
 class GroupElement:
@@ -332,7 +355,7 @@ class GroupElement:
         if check:
             if not m.is_square():
                 raise NotGroupElement("group elements are square matrices")
-            if not m.is_unitary(DEFAULT.identity if tol is None else tol):
+            if not m.is_unitary(tol):
                 res = (m.adjoint() @ m - QuatMatrix.identity(m.rows)).max_abs()
                 raise NotGroupElement(f"unitarity residual {res:.3e}")
         self.m = m
@@ -349,19 +372,14 @@ class GroupElement:
 
     def blocks(self, j: int, k: int):
         """Conforming partition into (A, B, C, D) with A of size j x j."""
-        if j + k != self.n:
-            raise DimensionMismatch(f"partition {j}+{k} != {self.n}")
-        a = self.m.a
-        return (QuatMatrix(a[:j, :j]), QuatMatrix(a[:j, j:]),
-                QuatMatrix(a[j:, :j]), QuatMatrix(a[j:, j:]))
+        return self.m.blocks(j, k)
 
     def __repr__(self) -> str:
         return f"GroupElement(n={self.n})"
 
 
-def require_skew_adjoint(m: QuatMatrix, tol: float = None) -> QuatMatrix:
-    tol = DEFAULT.identity if tol is None else tol
-    if not m.is_skew_adjoint(tol):
+def require_skew_adjoint(m: QuatMatrix) -> QuatMatrix:
+    if not m.is_skew_adjoint():
         raise NotSkewAdjoint("generator must satisfy g* = -g")
     return m
 

@@ -41,7 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChartBoundary, TerminationViolated, TooCloseToPole
+from .errors import (ChartBoundary, CoefficientOverflow, TerminationViolated,
+                     TooCloseToPole)
 
 POLE_MARGIN = 0.05
 
@@ -179,7 +180,10 @@ def check_termination(ell, big_n: int) -> Fraction:
 
 def _gamma_fact(x: float) -> float:
     """x! as Gamma(x+1), with poles mapped to infinity for the caller."""
-    return math.gamma(x + 1.0)
+    try:
+        return math.gamma(x + 1.0)
+    except OverflowError:
+        raise CoefficientOverflow(f"({x:g})! overflows a float") from None
 
 
 def gl_coefficients(ell, big_n: int):

@@ -1,0 +1,44 @@
+"""One traced round of two benchmark workloads.
+
+The benchmark under ``bench/`` binds package entry points by name and wraps
+them from outside.  Running a round of the kernel and geometry workloads
+under its tracer here makes a renamed or removed entry point fail the test
+suite rather than a later benchmark run.
+"""
+
+import os
+import sys
+
+import pytest
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, BENCH)
+    try:
+        import spans
+        import workloads
+        yield spans, workloads
+    finally:
+        sys.path.remove(BENCH)
+
+
+@pytest.mark.parametrize("name", ["kernels-large", "geometry-calls"])
+def test_traced_round_passes_its_gates(bench, name, tmp_path):
+    spans, workloads = bench
+    wl = workloads.WORKLOADS[name]
+    inputs = wl.prepare(42, 1, str(tmp_path))[0]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        _, outputs = wl.run_round(inputs, tracer)
+    finally:
+        tracer.remove()
+    attempted, failed = wl.check(inputs, outputs)
+    assert attempted > 0 and failed == 0
+    counts = tracer.call_counts()
+    assert counts["quatmat.inv"] > 0 and counts["linalg.solve"] > 0
+    assert "linalg.cond" not in counts

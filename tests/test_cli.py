@@ -123,6 +123,19 @@ def test_lb_unparseable_ell_is_usage_error(ell, capsys):
     assert out == "" and "--ell" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_lb_nonpositive_samples_is_usage_error(samples, capsys):
+    code, out, err = run_cli(["lb", "--ell", "1", "--samples", samples], capsys)
+    assert code == 2
+    assert out == "" and "--samples" in err
+
+
+def test_lb_coefficient_overflow_is_domain_error(capsys):
+    code, out, err = run_cli(["lb", "--ell", "100"], capsys)
+    assert code == 3
+    assert out == "" and "overflows" in err
+
+
 def test_lb_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["lb", "--ell", "2", "--big-n", "1", "--out", str(a)])
@@ -222,6 +235,12 @@ def test_evolve_deterministic(tmp_path, capsys):
     main(["evolve", "--seed", "4", "--steps", "10", "--out", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_evolve_negative_steps_is_usage_error(capsys):
+    code, out, err = run_cli(["evolve", "--steps", "-1"], capsys)
+    assert code == 2
+    assert out == "" and "--steps" in err
 
 
 # -- console entry point --------------------------------------------------------------

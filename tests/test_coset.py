@@ -12,7 +12,7 @@ from qflag.coset import (GrassmannPoint, coset_element, coset_generator,
                          metric_form_expanded, metric_form_hermitian,
                          metric_invariance_residual, transport_identities,
                          trivial_action)
-from qflag.errors import (DegenerateQuadruple, DimensionMismatch,
+from qflag.errors import (DegenerateQuadruple, DimensionMismatch, QflagError,
                           ShapeMismatch, SingularDenominator)
 from qflag.quaternion import Quaternion, random_quaternion, random_unit_quaternion
 from qflag.quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
@@ -123,6 +123,20 @@ def test_lft_singular_denominator():
         lft_apply(swap, GrassmannPoint.origin(2, 2))
 
 
+def nan_point():
+    x = QuatMatrix.zeros(2, 2)
+    x.a[1, 0, 3] = np.nan
+    return GrassmannPoint(x)
+
+
+def test_lft_nan_point_is_singular():
+    g = GroupElement(QuatMatrix.identity(4))
+    with pytest.raises(SingularDenominator):
+        lft_apply(g, nan_point())
+    with pytest.raises(SingularDenominator):
+        lft_apply_second_form(g, nan_point())
+
+
 # -- projective identities -----------------------------------------------------------
 
 def test_transport_identities_on_random_draws():
@@ -194,6 +208,13 @@ def test_cross_ratio_degenerate_gate():
 
 
 # -- the invariant metric ---------------------------------------------------------------
+
+def test_metric_nan_point_is_refused():
+    with pytest.raises(QflagError):
+        metric_form(nan_point(), QuatMatrix.identity(2))
+    with pytest.raises(QflagError):
+        metric_form_expanded(nan_point(), QuatMatrix.identity(2))
+
 
 def test_metric_flat_origin():
     dx = random_quatmat(rng, 2, 2)

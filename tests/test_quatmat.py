@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qflag.errors import (DimensionMismatch, MalformedM2C, NonSquare,
-                          NotGroupElement, NotHyperHermitian, SingularInvSqrt)
+                          NotGroupElement, NotHyperHermitian, SingularInvSqrt,
+                          SingularMatrix)
 from qflag.quaternion import BASIS, I, J, K, Quaternion
 from qflag.quatmat import (GroupElement, QuatMatrix, block_matrix,
                            eigvals_hyperhermitian, expm, func_hermitian,
@@ -192,14 +193,15 @@ def test_eigvals_rejects_non_hermitian():
         eigvals_hyperhermitian(random_quatmat(rng, 3, 3))
 
 
-def test_eigvals_pairing_gate():
-    from qflag.config import Tolerances
+def test_eigvals_pairing_gate(monkeypatch):
+    from qflag import config
     from qflag.errors import PairingFailure
     q = random_quatmat(rng, 3, 3)
     p = q @ q.adjoint()
     # a zero pairing tolerance trips on the solver's rounding noise
+    monkeypatch.setattr(config, "PAIRING_REL", 0.0)
     with pytest.raises(PairingFailure):
-        eigvals_hyperhermitian(p, Tolerances(pairing_rel=0.0))
+        eigvals_hyperhermitian(p)
 
 
 def test_func_hermitian():
@@ -294,3 +296,47 @@ def test_block_matrix_assembly():
     assert m.shape == (3, 5)
     assert m.entry(0, 0).is_close(a.entry(0, 0))
     assert m.entry(2, 4).is_close(d.entry(0, 2))
+
+
+# -- the one inverse and the block partition ----------------------------------------
+
+def test_inv_rejects_exactly_singular():
+    with pytest.raises(SingularMatrix):
+        QuatMatrix.zeros(2, 2).inv()
+
+
+def test_inv_condition_ceiling():
+    # the embedding of diag(1, eps) has 1-norm condition number 1/eps
+    with pytest.raises(SingularMatrix):
+        QuatMatrix.from_real(np.diag([1.0, 1e-13])).inv()
+    near = QuatMatrix.from_real(np.diag([1.0, 1e-11]))
+    assert (near @ near.inv()).allclose(QuatMatrix.identity(2))
+
+
+def test_inv_rejects_nan():
+    m = QuatMatrix.identity(2)
+    m.a[0, 1, 2] = np.nan
+    with pytest.raises(SingularMatrix):
+        m.inv()
+
+
+def test_inv_raises_the_callers_error():
+    class Custom(SingularMatrix):
+        pass
+
+    err = Custom("singular here")
+    with pytest.raises(Custom) as caught:
+        QuatMatrix.zeros(1, 1).inv(err)
+    assert caught.value is err
+    with pytest.raises(NonSquare):
+        QuatMatrix.zeros(1, 2).inv()
+
+
+def test_blocks_partition():
+    m = random_quatmat(kernel_rng, 5, 5)
+    a, b, c, d = m.blocks(2, 3)
+    assert (a.shape, b.shape, c.shape, d.shape) == ((2, 2), (2, 3), (3, 2), (3, 3))
+    assert block_matrix([[a, b], [c, d]]).allclose(m, tol=0.0)
+    for j, k, shape in ((2, 2, (5, 5)), (2, 3, (5, 4))):
+        with pytest.raises(DimensionMismatch):
+            random_quatmat(kernel_rng, *shape).blocks(j, k)
