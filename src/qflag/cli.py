@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+# Largest rank ``qflag roots`` lists: 2 n^2 roots of n entries each, so the
+# JSON listing grows as n^3 (about 5 MB at this ceiling).
+MAX_ROOTS_RANK = 64
 
 
 def _fmt(x: float) -> str:
@@ -120,6 +125,8 @@ def cmd_lb(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    if args.n > MAX_ROOTS_RANK:
+        raise UsageError(f"rank must be at most {MAX_ROOTS_RANK}, got {args.n}")
     system = roots_mod.generate(args.n)
     if args.format == "csv":
         dims = args.projection
@@ -166,6 +173,10 @@ def cmd_em(args) -> int:
 def cmd_evolve(args) -> int:
     if args.steps < 0:
         raise UsageError(f"--steps must be nonnegative, got {args.steps}")
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
+    if not math.isfinite(args.t_max):
+        raise UsageError(f"--t-max must be finite, got {args.t_max}")
     rng = np.random.default_rng(args.seed)
     gen = random_skew_adjoint(rng, args.n)
     psi = dynamics.random_state(rng, args.n, args.split)
@@ -341,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.set_defaults(func=cmd_lb)
 
     p_roots = sub.add_parser("roots", help="root system listing")
-    p_roots.add_argument("n", type=int)
+    p_roots.add_argument("n", type=int,
+                         help=f"rank, 1 to {MAX_ROOTS_RANK}")
     p_roots.add_argument("--projection", type=int, choices=[2, 3], default=2,
                          help="coordinates kept in the csv projection")
     p_roots.add_argument("--format", choices=["json", "csv"], default="json")

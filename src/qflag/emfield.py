@@ -30,27 +30,31 @@ _QUAT_SIGNS = {
 
 
 class RealPoly:
-    """Exact polynomial in (x0, x1, x2, x3): {exponent 4-tuple: Fraction}."""
+    """Exact polynomial in (x0, x1, x2, x3): {exponent 4-tuple: coefficient}.
+
+    Coefficients are ints where integral and Fractions otherwise; an int and
+    the equal Fraction compare, hash and print alike.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
+        self.terms = {}
         for expo, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
             if c:
-                clean[expo] = clean.get(expo, 0) + c
-        self.terms = {e: c for e, c in clean.items() if c}
+                self.terms[expo] = c
 
     @classmethod
     def constant(cls, c) -> "RealPoly":
-        return cls({(0, 0, 0, 0): Fraction(c)})
+        return cls({(0, 0, 0, 0): c})
 
     @classmethod
     def x(cls, axis: int) -> "RealPoly":
         expo = [0, 0, 0, 0]
         expo[axis] = 1
-        return cls({tuple(expo): Fraction(1)})
+        return cls({tuple(expo): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -69,7 +73,8 @@ class RealPoly:
 
     def __mul__(self, o) -> "RealPoly":
         if not isinstance(o, RealPoly):
-            return RealPoly({e: c * Fraction(o) for e, c in self.terms.items()})
+            o = o if type(o) is int else Fraction(o)
+            return RealPoly({e: c * o for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -225,6 +230,6 @@ def random_field(rng, max_degree: int = 3, terms: int = 4,
             while sum(expo) > max_degree:
                 expo = tuple(int(v) for v in rng.integers(0, max_degree + 1, 4))
             c = int(rng.integers(-coeff_range, coeff_range + 1))
-            poly = poly + RealPoly({expo: Fraction(c)})
+            poly = poly + RealPoly({expo: c})
         comps.append(poly)
     return QPolyField(tuple(comps))

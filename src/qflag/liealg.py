@@ -23,7 +23,6 @@ operators, which is how the Laplace-Beltrami composite is assembled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
@@ -31,19 +30,30 @@ from .errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
 
 # -- exact Gaussian rational coefficients -------------------------------------
 
-@dataclass(frozen=True)
 class CRat:
-    re: Fraction
-    im: Fraction
+    """Exact Gaussian rational ``re + im i``.
+
+    The parts stay Python ints until a division makes them Fractions; every
+    generator and commutator coefficient is a Gaussian integer.  An int and
+    the equal Fraction compare and hash alike, so either form is canonical.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
 
     @classmethod
     def of(cls, value) -> "CRat":
         if isinstance(value, CRat):
             return value
+        if isinstance(value, int):
+            return cls(value, 0)
         if isinstance(value, complex):
             return cls(Fraction(value.real).limit_denominator(10 ** 12),
                        Fraction(value.imag).limit_denominator(10 ** 12))
-        return cls(Fraction(value), Fraction(0))
+        return cls(Fraction(value), 0)
 
     def __add__(self, o: "CRat") -> "CRat":
         return CRat(self.re + o.re, self.im + o.im)
@@ -58,11 +68,19 @@ class CRat:
     def __neg__(self) -> "CRat":
         return CRat(-self.re, -self.im)
 
+    def __eq__(self, o) -> bool:
+        if not isinstance(o, CRat):
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
     def conjugate(self) -> "CRat":
         return CRat(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __repr__(self) -> str:
         if self.im == 0:
@@ -70,8 +88,8 @@ class CRat:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
 
-ONE = CRat(Fraction(1), Fraction(0))
-ZERO = CRat(Fraction(0), Fraction(0))
+ONE = CRat(1, 0)
+ZERO = CRat(0, 0)
 
 
 def mate(i: int) -> int:
@@ -91,6 +109,17 @@ def jval(r: int, c: int) -> int:
     return 0
 
 
+def _nonzero(terms) -> dict:
+    """Coerce coefficients to CRat (CRat values pass as they are), drop zeros."""
+    out = {}
+    for key, c in (terms or {}).items():
+        if not isinstance(c, CRat):
+            c = CRat.of(c)
+        if c.re or c.im:
+            out[key] = c
+    return out
+
+
 # -- polynomials ----------------------------------------------------------------
 
 class PolyFunction:
@@ -103,12 +132,7 @@ class PolyFunction:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for mono, c in (terms or {}).items():
-            c = CRat.of(c)
-            if not c.is_zero():
-                clean[mono] = clean[mono] + c if mono in clean else c
-        self.terms = {m: c for m, c in clean.items() if not c.is_zero()}
+        self.terms = _nonzero(terms)
 
     @classmethod
     def constant(cls, value) -> "PolyFunction":
@@ -235,12 +259,7 @@ class DiffOperator:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = CRat.of(c)
-            if not c.is_zero():
-                clean[key] = clean[key] + c if key in clean else c
-        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
+        self.terms = _nonzero(terms)
 
     @classmethod
     def zero(cls) -> "DiffOperator":
@@ -301,29 +320,41 @@ class DiffOperator:
         return out
 
     def compose(self, o: "DiffOperator") -> "DiffOperator":
-        """Operator product self o other, expanded by the Leibniz rule."""
+        """Operator product self o other, expanded by the Leibniz rule.
+
+        Each subset of the left word (by position, so a repeated symbol is
+        hit once per copy) differentiates the right coefficient monomial
+        directly on its exponents; the factor is the product of the powers
+        taken down, and the rest of the left word passes through.
+        """
         out = {}
         for (m1, w1), c1 in self.terms.items():
+            splits = []
+            for mask in itertools.product((False, True), repeat=len(w1)):
+                hit = tuple(sym for sym, h in zip(w1, mask) if h)
+                passed = tuple(sym for sym, h in zip(w1, mask) if not h)
+                splits.append((hit, passed))
             for (m2, w2), c2 in o.terms.items():
-                f2 = PolyFunction({m2: c2})
-                for mask in itertools.product((False, True), repeat=len(w1)):
-                    g = f2
-                    passed = []
-                    for hit, sym in zip(mask, w1):
-                        if hit:
-                            g = g.diff(sym)
-                            if g.is_zero():
-                                break
+                c12 = c1 * c2
+                for hit, passed in splits:
+                    powers = dict(m2)
+                    factor = 1
+                    for sym in hit:
+                        p = powers.get(sym, 0)
+                        if not p:
+                            break
+                        factor *= p
+                        if p == 1:
+                            del powers[sym]
                         else:
-                            passed.append(sym)
+                            powers[sym] = p - 1
                     else:
-                        if g.is_zero():
-                            continue
-                        poly = PolyFunction({m1: c1}) * g
-                        word = tuple(sorted(passed + list(w2)))
-                        for mono, cc in poly.terms.items():
-                            key = (mono, word)
-                            out[key] = out[key] + cc if key in out else cc
+                        for var, p in m1:
+                            powers[var] = powers.get(var, 0) + p
+                        key = (tuple(sorted(powers.items())),
+                               tuple(sorted(passed + w2)))
+                        c = c12 if factor == 1 else c12 * CRat(factor, 0)
+                        out[key] = out[key] + c if key in out else c
         return DiffOperator(out)
 
     def conjugate(self) -> "DiffOperator":
@@ -484,28 +515,38 @@ def generator(kind: str, indices, k: int, n: int) -> DiffOperator:
 # structure; only one term of the sum survives because J is a signed
 # permutation.
 
+def _right_j(gen, i: int, c: int) -> DiffOperator:
+    """(X J)_{i c} for the generator family ``gen(i, j)``."""
+    return gen(i, mate(c)).scaled(jval(mate(c), c))
+
+
+def _left_j(gen, d: int, j: int) -> DiffOperator:
+    """(J X)_{d j} for the generator family ``gen(i, j)``."""
+    return gen(mate(d), j).scaled(jval(d, mate(d)))
+
+
 def hJ(alpha: int, mu: int, k: int, n: int) -> DiffOperator:
-    return gen_h(alpha, mate(mu), k, n).scaled(jval(mate(mu), mu))
+    return _right_j(lambda i, j: gen_h(i, j, k, n), alpha, mu)
 
 
 def Jh(beta: int, nu: int, k: int, n: int) -> DiffOperator:
-    return gen_h(mate(beta), nu, k, n).scaled(jval(beta, mate(beta)))
+    return _left_j(lambda i, j: gen_h(i, j, k, n), beta, nu)
 
 
 def HJ(a: int, c: int, k: int, n: int) -> DiffOperator:
-    return gen_H(a, mate(c), k, n).scaled(jval(mate(c), c))
+    return _right_j(lambda i, j: gen_H(i, j, k, n), a, c)
 
 
 def JH(d: int, b: int, k: int, n: int) -> DiffOperator:
-    return gen_H(mate(d), b, k, n).scaled(jval(d, mate(d)))
+    return _left_j(lambda i, j: gen_H(i, j, k, n), d, b)
 
 
 def pJ(alpha: int, c: int, k: int, n: int) -> DiffOperator:
-    return gen_p(alpha, mate(c), k, n).scaled(jval(mate(c), c))
+    return _right_j(lambda i, j: gen_p(i, j, k, n), alpha, c)
 
 
 def Jp(nu: int, a: int, k: int, n: int) -> DiffOperator:
-    return gen_p(mate(nu), a, k, n).scaled(jval(nu, mate(nu)))
+    return _left_j(lambda i, j: gen_p(i, j, k, n), nu, a)
 
 
 # -- commutation table -----------------------------------------------------------
@@ -516,51 +557,70 @@ def _delta(i: int, j: int) -> int:
 
 def _relation_cases(k: int, n: int):
     """Yield (family, lhs, rhs) for every index combination of the seven
-    commutation relations, with the right sides exactly as displayed."""
+    commutation relations, with the right sides exactly as displayed.
+
+    Each generator is built once, into a table per kind, and every case
+    reads its operators from those tables.
+    """
     K, A = 2 * k, 2 * (n - k)
+    row_pairs = list(itertools.product(range(K), repeat=2))
+    col_pairs = list(itertools.product(range(A), repeat=2))
+    row_cols = list(itertools.product(range(K), range(A)))
+    h_tab = {ij: gen_h(*ij, k, n) for ij in row_pairs}
+    H_tab = {ab: gen_H(*ab, k, n) for ab in col_pairs}
+    p_tab = {ia: gen_p(*ia, k, n) for ia in row_cols}
+    pbar_tab = {ia: op.conjugate() for ia, op in p_tab.items()}
+
+    def h(i, j):
+        return h_tab[i, j]
+
+    def H(i, j):
+        return H_tab[i, j]
+
+    def p(i, j):
+        return p_tab[i, j]
 
     for al, be, mu, nu in itertools.product(range(K), repeat=4):
-        lhs = commutator(gen_h(al, be, k, n), gen_h(mu, nu, k, n))
-        rhs = (gen_h(al, nu, k, n).scaled(_delta(be, mu))
-               - gen_h(mu, be, k, n).scaled(_delta(al, nu))
-               - hJ(al, mu, k, n).scaled(jval(be, nu))
-               + Jh(be, nu, k, n).scaled(jval(mu, al)))
+        lhs = commutator(h(al, be), h(mu, nu))
+        rhs = (h(al, nu).scaled(_delta(be, mu))
+               - h(mu, be).scaled(_delta(al, nu))
+               - _right_j(h, al, mu).scaled(jval(be, nu))
+               + _left_j(h, be, nu).scaled(jval(mu, al)))
         yield "[h,h]", lhs, rhs
     for a, b, c, d in itertools.product(range(A), repeat=4):
-        lhs = commutator(gen_H(a, b, k, n), gen_H(c, d, k, n))
-        rhs = (gen_H(a, d, k, n).scaled(_delta(b, c))
-               - gen_H(c, b, k, n).scaled(_delta(a, d))
-               - HJ(a, c, k, n).scaled(jval(b, d))
-               + JH(d, b, k, n).scaled(jval(c, a)))
+        lhs = commutator(H(a, b), H(c, d))
+        rhs = (H(a, d).scaled(_delta(b, c))
+               - H(c, b).scaled(_delta(a, d))
+               - _right_j(H, a, c).scaled(jval(b, d))
+               + _left_j(H, d, b).scaled(jval(c, a)))
         yield "[H,H]", lhs, rhs
-    for al, be in itertools.product(range(K), repeat=2):
-        for a, b in itertools.product(range(A), repeat=2):
-            lhs = commutator(gen_h(al, be, k, n), gen_H(a, b, k, n))
+    for al, be in row_pairs:
+        for a, b in col_pairs:
+            lhs = commutator(h(al, be), H(a, b))
             yield "[h,H]", lhs, DiffOperator.zero()
-    for al in range(K):
-        for a in range(A):
-            for mu, nu in itertools.product(range(K), repeat=2):
-                lhs = commutator(gen_p(al, a, k, n), gen_h(mu, nu, k, n))
-                rhs = (gen_p(mu, a, k, n).scaled(-_delta(al, nu))
-                       - Jp(nu, a, k, n).scaled(jval(al, mu)))
-                yield "[p,h]", lhs, rhs
+    for al, a in row_cols:
+        for mu, nu in row_pairs:
+            lhs = commutator(p(al, a), h(mu, nu))
+            rhs = (p(mu, a).scaled(-_delta(al, nu))
+                   - _left_j(p, nu, a).scaled(jval(al, mu)))
+            yield "[p,h]", lhs, rhs
     for al in range(K):
         for a, b, c in itertools.product(range(A), repeat=3):
-            lhs = commutator(gen_p(al, a, k, n), gen_H(b, c, k, n))
-            rhs = (gen_p(al, b, k, n).scaled(-_delta(a, c))
-                   + pJ(al, c, k, n).scaled(jval(a, b)))
+            lhs = commutator(p(al, a), H(b, c))
+            rhs = (p(al, b).scaled(-_delta(a, c))
+                   + _right_j(p, al, c).scaled(jval(a, b)))
             yield "[p,H]", lhs, rhs
-    for al, be in itertools.product(range(K), repeat=2):
-        for a, b in itertools.product(range(A), repeat=2):
-            lhs = commutator(gen_p(al, a, k, n), gen_p(be, b, k, n))
-            rhs = (hJ(al, be, k, n).scaled(-jval(a, b))
-                   - HJ(a, b, k, n).scaled(jval(al, be)))
+    for al, be in row_pairs:
+        for a, b in col_pairs:
+            lhs = commutator(p(al, a), p(be, b))
+            rhs = (_right_j(h, al, be).scaled(-jval(a, b))
+                   - _right_j(H, a, b).scaled(jval(al, be)))
             yield "[p,p]", lhs, rhs
-    for al, be in itertools.product(range(K), repeat=2):
-        for a, b in itertools.product(range(A), repeat=2):
-            lhs = commutator(gen_pbar(al, a, k, n), gen_p(be, b, k, n))
-            rhs = (gen_H(b, a, k, n).scaled(_delta(al, be))
-                   + gen_h(be, al, k, n).scaled(_delta(a, b)))
+    for al, be in row_pairs:
+        for a, b in col_pairs:
+            lhs = commutator(pbar_tab[al, a], p(be, b))
+            rhs = (H(b, a).scaled(_delta(al, be))
+                   + h(be, al).scaled(_delta(a, b)))
             yield "[pbar,p]", lhs, rhs
 
 
@@ -678,21 +738,18 @@ def laplace_beltrami(k: int, n: int) -> DiffOperator:
     """
     _check_dims(k, n)
     K, A = 2 * k, 2 * (n - k)
+    p_ops = [gen_p(al, a, k, n) for al in range(K) for a in range(A)]
     total = DiffOperator.zero()
     for al, be in itertools.product(range(K), repeat=2):
         op = gen_h(al, be, k, n)
         total = total + op.compose(op.conjugate())
-    for al in range(K):
-        for a in range(A):
-            op = gen_p(al, a, k, n)
-            total = total + op.compose(op.conjugate())
+    for op in p_ops:
+        total = total + op.compose(op.conjugate())
     for a, b in itertools.product(range(A), repeat=2):
         op = gen_H(a, b, k, n)
         total = total + op.compose(op.conjugate())
-    for al in range(K):
-        for a in range(A):
-            op = gen_p(al, a, k, n)
-            total = total + op.conjugate().compose(op)
+    for op in p_ops:
+        total = total + op.conjugate().compose(op)
     return total
 
 

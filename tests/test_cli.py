@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qflag.cli import main, parse_field_spec, parse_polynomial
+from qflag.cli import MAX_ROOTS_RANK, main, parse_field_spec, parse_polynomial
 from qflag.emfield import RealPoly
 
 
@@ -169,6 +169,19 @@ def test_roots_domain_error(capsys):
     assert "error" in err
 
 
+def test_roots_at_rank_ceiling(capsys):
+    code, out, _ = run_cli(["roots", str(MAX_ROOTS_RANK), "--format", "csv"],
+                           capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 2 * MAX_ROOTS_RANK ** 2
+
+
+def test_roots_above_rank_ceiling_is_usage_error(capsys):
+    code, out, err = run_cli(["roots", str(MAX_ROOTS_RANK + 1)], capsys)
+    assert code == 2
+    assert out == "" and "error:" in err and "rank" in err
+
+
 # -- em ---------------------------------------------------------------------------
 
 def test_polynomial_parser():
@@ -241,6 +254,14 @@ def test_evolve_negative_steps_is_usage_error(capsys):
     code, out, err = run_cli(["evolve", "--steps", "-1"], capsys)
     assert code == 2
     assert out == "" and "--steps" in err
+
+
+@pytest.mark.parametrize("argv", [["--n", "-1"], ["--t-max", "nan"],
+                                  ["--t-max", "inf"]])
+def test_evolve_bad_size_or_horizon_is_usage_error(argv, capsys):
+    code, out, err = run_cli(["evolve", "--steps", "3"] + argv, capsys)
+    assert code == 2
+    assert out == "" and "error:" in err and argv[0] in err
 
 
 # -- console entry point --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,25 @@ def test_crat_arithmetic():
     assert (a * b).im == Fraction(1, 2) * Fraction(-1, 3) + Fraction(6)
     assert (a + b - b) == a
     assert a.conjugate().im == -3
+
+
+def test_crat_mixed_int_and_fraction_parts():
+    assert CRat(2, 0) == CRat(Fraction(2), Fraction(0))
+    assert hash(CRat(2, 0)) == hash(CRat(Fraction(2), Fraction(0)))
+    assert CRat(-1, 3) == CRat(Fraction(-1), 3)
+    assert hash(CRat(-1, 3)) == hash(CRat(Fraction(-1), 3))
+    assert CRat(1, 0) != CRat(Fraction(1, 2), 0)
+    assert {CRat(2, 0): "two"}[CRat(Fraction(4, 2), Fraction(0))] == "two"
+    assert repr(CRat(2, 0)) == repr(CRat(Fraction(2), Fraction(0))) == "2"
+    assert repr(CRat(Fraction(1, 2), 3)) == "(1/2+3i)"
+    assert repr(CRat(2, Fraction(-3))) == "(2-3i)"
+    assert CRat.of(3) == CRat(3, 0) and type(CRat.of(3).re) is int
+    assert CRat.of(Fraction(3, 4)).re == Fraction(3, 4)
+    assert CRat.of(0.5 - 2j) == CRat(Fraction(1, 2), -2)
+    assert CRat(Fraction(0), Fraction(0)).is_zero()
+    # operators and polynomials compare alike whichever form the parts take
+    assert DiffOperator.d(0, 0).scaled(Fraction(1)) == DiffOperator.d(0, 0)
+    assert PolyFunction({(): CRat(Fraction(0), Fraction(0))}).is_zero()
 
 
 def test_polynomial_ring():
@@ -96,6 +116,50 @@ def test_composition_leibniz_on_repeated_symbols():
     dd = DiffOperator.d(0, 0).compose(DiffOperator.d(0, 0))
     f = Z(0, 0) * Z(0, 0) * Z(0, 0)
     assert dd.apply(f) == Z(0, 0) * 6
+
+
+def _random_operator(rng, variables, gaussian_integer):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        mono = {}
+        for var in rng.choices(variables, k=rng.randint(0, 2)):
+            mono[var] = mono.get(var, 0) + 1
+        word = tuple(sorted(rng.choices(variables, k=rng.randint(0, 2))))
+        if gaussian_integer:
+            c = CRat(rng.randint(-3, 3), rng.randint(-3, 3))
+        else:
+            c = CRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                     Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        terms[(tuple(sorted(mono.items())), word)] = c
+    return DiffOperator(terms)
+
+
+def test_compose_agrees_with_successive_application():
+    # the right side never calls compose: B then A, each through apply
+    rng = random.Random(5)
+    k, n = 1, 2
+    variables = [(r, c) for r in range(2 * k) for c in range(2 * (n - k))]
+    basis = monomials_up_to_degree(k, n, 3)
+    for trial in range(24):
+        a = _random_operator(rng, variables, gaussian_integer=trial % 2 == 0)
+        b = _random_operator(rng, variables, gaussian_integer=trial % 3 == 0)
+        ab = a.compose(b)
+        assert ab.order() <= a.order() + b.order()
+        for f in basis:
+            assert ab.apply(f) == a.apply(b.apply(f)), (trial, f)
+
+
+def test_compose_repeated_symbol_in_both_words():
+    # z^2 d d composed with z^3 d: the Leibniz expansion hits z^3 twice
+    s = (0, 0)
+    a = DiffOperator({(((s, 2),), (s, s)): CRat(1, 1)})
+    b = DiffOperator({(((s, 3),), (s,)): CRat(Fraction(1, 2), 0)})
+    want = DiffOperator({(((s, 5),), (s, s, s)): CRat(Fraction(1, 2), Fraction(1, 2)),
+                         (((s, 4),), (s, s)): CRat(3, 3),
+                         (((s, 3),), (s,)): CRat(3, 3)})
+    assert a.compose(b) == want
+    for f in monomials_up_to_degree(1, 2, 3):
+        assert want.apply(f) == a.apply(b.apply(f))
 
 
 def test_generator_index_gates():
@@ -174,6 +238,14 @@ def test_commutation_table_k1_n3():
     assert report["rewrites"] == []
 
 
+def test_commutation_table_k2_n3():
+    report = verify_commutation_table(2, 3, max_degree=3)
+    assert report["all_passed"]
+    assert report["families"]["[h,h]"]["cases"] == 4 ** 4
+    assert report["families"]["[H,H]"]["cases"] == 2 ** 4
+    assert all(entry["passed"] for entry in report["families"].values())
+
+
 def test_h_H_commute_spot_application():
     # independent reduction order: apply to every monomial of degree <= 3
     op = commutator(gen_h(0, 1, 1, 2), gen_H(1, 0, 1, 2))
@@ -221,6 +293,16 @@ def test_ladder_direction_reverses_under_conjugation():
     down = gen_pbar(0, 0, 1, 2).apply(vec)
     if not down.is_zero():
         assert eigenvalue_of(big, down) == n_a - ONE
+
+
+def test_eigenvalue_non_integer_rational():
+    # (2+i) z00 under H00 / 3: the division leaves the Gaussian integers
+    f = Z(0, 0) * CRat(2, 1)
+    lam = eigenvalue_of(cartan_H(0, 1, 2).scaled(Fraction(1, 3)), f)
+    assert lam == CRat(Fraction(1, 3), 0)
+    assert repr(lam) == "1/3"
+    lam = eigenvalue_of(cartan_H(0, 1, 2).scaled(CRat(Fraction(1, 2), -1)), f)
+    assert lam == CRat(Fraction(1, 2), -1)
 
 
 def test_ladder_rejects_non_eigenvector():
