@@ -37,6 +37,11 @@ EXIT_DOMAIN = 3
 # Largest rank ``qflag roots`` lists: 2 n^2 roots of n entries each, so the
 # JSON listing grows as n^3 (about 5 MB at this ceiling).
 MAX_ROOTS_RANK = 64
+# Largest ``qflag evolve`` state size and row count: each row takes one
+# exponential of an n x n generator (about 20 ms at n = 64 on a 2-vCPU x86-64
+# machine), so a table at both ceilings stays near 20 s.
+MAX_EVOLVE_N = 64
+MAX_EVOLVE_STEPS = 1000
 
 
 def _fmt(x: float) -> str:
@@ -171,10 +176,11 @@ def cmd_em(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    if args.steps < 0:
-        raise UsageError(f"--steps must be nonnegative, got {args.steps}")
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
+    if not 0 <= args.steps <= MAX_EVOLVE_STEPS:
+        raise UsageError(f"--steps must be 0 to {MAX_EVOLVE_STEPS}, "
+                         f"got {args.steps}")
+    if not 1 <= args.n <= MAX_EVOLVE_N:
+        raise UsageError(f"--n must be 1 to {MAX_EVOLVE_N}, got {args.n}")
     if not math.isfinite(args.t_max):
         raise UsageError(f"--t-max must be finite, got {args.t_max}")
     rng = np.random.default_rng(args.seed)
@@ -368,11 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_em.set_defaults(func=cmd_em)
 
     p_evolve = sub.add_parser("evolve", help="trajectory table")
-    p_evolve.add_argument("--n", type=int, default=3)
+    p_evolve.add_argument("--n", type=int, default=3,
+                          help=f"state size, 1 to {MAX_EVOLVE_N}")
     p_evolve.add_argument("--split", type=int, default=1)
     p_evolve.add_argument("--seed", type=int, default=0)
     p_evolve.add_argument("--t-max", type=float, default=10.0, dest="t_max")
-    p_evolve.add_argument("--steps", type=int, default=100)
+    p_evolve.add_argument("--steps", type=int, default=100,
+                          help=f"table rows, 0 to {MAX_EVOLVE_STEPS}")
     p_evolve.add_argument("--out", default=None)
     p_evolve.set_defaults(func=cmd_evolve)
     return parser

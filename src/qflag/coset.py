@@ -11,6 +11,10 @@ This module provides the exponential coset parameterisation, the action and
 its projective transport identities, the invariant metric in two equivalent
 forms, trace/determinant curvature invariants, and Monte-Carlo averaging of
 equivariant functions over the internal-motion fibers.
+
+Points and group elements may be batches (see :mod:`qflag.quatmat`).  A
+scalar result is a ``float`` for a single point and an array of the batch
+shape for a batch.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .quatmat import (GroupElement, QuatMatrix, block_matrix, expm,
 
 
 class GrassmannPoint:
-    """Inhomogeneous coset coordinates: a j x k quaternion matrix."""
+    """Inhomogeneous coset coordinates: a j x k quaternion matrix, or a batch."""
 
     __slots__ = ("x",)
 
@@ -47,6 +51,22 @@ class GrassmannPoint:
 
     def __repr__(self) -> str:
         return f"GrassmannPoint(j={self.j}, k={self.k})"
+
+
+def _scalar_trace(m: QuatMatrix):
+    """Scalar part of the trace: a float, or an array of the batch shape."""
+    t = m.trace()
+    return t.w if isinstance(t, Quaternion) else t[..., 0]
+
+
+def _float_or_batch(values: np.ndarray):
+    """A float for batch shape (), else the array of the batch shape."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _max_abs_each(m: QuatMatrix):
+    """Largest component magnitude of each matrix of a batch."""
+    return _float_or_batch(np.abs(m.a).max(axis=(-3, -2, -1), initial=0.0))
 
 
 def coset_element(xi: QuatMatrix) -> GroupElement:
@@ -130,18 +150,18 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
     res = {}
     lhs = eye_j + ya @ yb.adjoint()
     rhs = la @ (eye_j + xa @ xb.adjoint()) @ rb_star
-    res["one_plus_y_ystar"] = (lhs - rhs).max_abs()
+    res["one_plus_y_ystar"] = _max_abs_each(lhs - rhs)
 
     lhs = eye_k + ya.adjoint() @ yb
     rhs = la_star @ (eye_k + xa.adjoint() @ xb) @ rb
-    res["one_plus_ystar_y"] = (lhs - rhs).max_abs()
+    res["one_plus_ystar_y"] = _max_abs_each(lhs - rhs)
 
     diff = ya - yb
     rhs = la @ (xa - xb) @ rb
-    res["difference_a"] = (diff - rhs).max_abs()
+    res["difference_a"] = _max_abs_each(diff - rhs)
 
     rhs = lb @ (xa - xb) @ ra
-    res["difference_b"] = (diff - rhs).max_abs()
+    res["difference_b"] = _max_abs_each(diff - rhs)
     return res
 
 
@@ -157,7 +177,7 @@ def cross_ratio(pa: GrassmannPoint, pb: GrassmannPoint,
     inv_cb = (pc.x - pb.x).inv(err)
     inv_ad = (pa.x - pd.x).inv(err)
     prod = (pa.x - pb.x) @ inv_cb @ (pc.x - pd.x) @ inv_ad
-    return prod.trace().w
+    return _scalar_trace(prod)
 
 
 def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:
@@ -174,7 +194,7 @@ def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:
         raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
     left = (QuatMatrix.identity(point.j) + x @ x.adjoint()).inv()
     right = (QuatMatrix.identity(point.k) + x.adjoint() @ x).inv()
-    return (left @ dx @ right @ dx.adjoint()).trace().w
+    return _scalar_trace(left @ dx @ right @ dx.adjoint())
 
 
 def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix) -> float:
@@ -192,7 +212,7 @@ def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix) -> float:
     dmat = func_hermitian(QuatMatrix.identity(point.k) + x.adjoint() @ x,
                           "invsqrt")
     w = astar @ dx @ dmat
-    return float((w.a ** 2).sum())
+    return _float_or_batch((w.a ** 2).reshape(w.batch + (-1,)).sum(axis=-1))
 
 
 def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix) -> float:
@@ -206,7 +226,7 @@ def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix) -> float:
     left = (QuatMatrix.identity(point.j) + x @ x.adjoint()).inv()
     term1 = left @ dx @ dx.adjoint()
     term2 = left @ dx @ x.adjoint() @ left @ x @ dx.adjoint()
-    return (term1 - term2).trace().w
+    return _scalar_trace(term1 - term2)
 
 
 def pushforward_tangent(g: GroupElement, point: GrassmannPoint,
@@ -285,14 +305,26 @@ def curvature_det(q: QuatMatrix, n: int, k: int) -> float:
 
 
 # -- Haar averaging over the internal fibers ---------------------------------
+# Quaternion vectors are (..., n, 4) arrays and fiber draws eta are (..., n, 4)
+# arrays of unit quaternions, one per row of the group element.
 
-def fundamental_action(eta, vec):
-    """Componentwise left multiplication: the fundamental unit-quaternion action."""
-    return [e * v for e, v in zip(eta, vec)]
+def _diag(entries: np.ndarray) -> QuatMatrix:
+    """Diagonal matrices from (..., n, 4) arrays of entries."""
+    n = entries.shape[-2]
+    out = np.zeros(entries.shape[:-1] + (n, 4))
+    out[..., np.arange(n), np.arange(n), :] = entries
+    return QuatMatrix(out)
 
 
-def trivial_action(eta, vec):
-    return list(vec)
+def fundamental_action(eta: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Componentwise left multiplication eta_c vec_c: the fundamental
+    unit-quaternion action, as diag(eta) on the column ``vec``."""
+    column = QuatMatrix(vec[..., None, :])
+    return (_diag(eta) @ column).a[..., 0, :]
+
+
+def trivial_action(eta: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    return vec
 
 
 def fiber_element(units) -> GroupElement:
@@ -300,44 +332,27 @@ def fiber_element(units) -> GroupElement:
     return GroupElement(QuatMatrix.diag(list(units)), check=False)
 
 
-def haar_average(alpha, sigma, x: GroupElement, samples: int, seed: int = 0):
+def haar_average(alpha, sigma, x: GroupElement, samples: int,
+                 seed: int = 0) -> np.ndarray:
     """Monte-Carlo average of sigma(eta) alpha(x eta) over the fiber torus.
 
-    ``eta`` is drawn uniformly from the product of unit-quaternion fibers
-    (one factor per row of ``x``, via normalised 4d Gaussians); ``alpha``
-    maps a group element to a list of quaternions and ``sigma`` is a unitary
-    action on such lists.  The average f satisfies
-    f(x xi) = sigma(xi^{-1}) f(x) up to O(1/sqrt(samples)).
-
-    The fiber products x @ diag(eta) for all draws are batched into a single
-    contraction; ``alpha`` and ``sigma`` are still invoked per draw.
+    All ``samples`` draws of ``eta`` are taken at once, uniformly from the
+    product of unit-quaternion fibers (one factor per row of ``x``, via
+    normalised 4d Gaussians), as an ``(N, n, 4)`` array.  ``alpha`` maps the
+    ``(N, n, n, 4)`` array of products ``x @ diag(eta)`` to an ``(N, m, 4)``
+    array of quaternion vectors, and ``sigma(etas, values)`` is a unitary
+    action of the draws on such an array.  The ``(m, 4)`` average f
+    satisfies f(x xi) = sigma(xi^{-1}) f(x) up to O(1/sqrt(samples)).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    n = x.n
-    etas = rng.normal(0.0, 1.0, (samples, n, 4))
+    etas = rng.normal(0.0, 1.0, (samples, x.n, 4))
     etas /= np.linalg.norm(etas, axis=2, keepdims=True)
-    # (x eta)[r, c] = x[r, c] * eta[c] for the block-diagonal fiber element
-    from .quaternion import MUL_TABLE
-    shifted_all = np.einsum("rcp,Ncq,pqs->Nrcs", x.m.a, etas, MUL_TABLE,
-                            optimize=True)
-    acc = None
-    for idx in range(samples):
-        eta = [Quaternion.from_array(etas[idx, c]) for c in range(n)]
-        shifted = GroupElement(QuatMatrix(shifted_all[idx]), check=False)
-        val = sigma(eta, alpha(shifted))
-        if acc is None:
-            acc = list(val)
-        else:
-            acc = [a + v for a, v in zip(acc, val)]
-    inv = 1.0 / samples
-    return [a * inv for a in acc]
+    values = sigma(etas, alpha((x.m @ _diag(etas)).a))
+    return values.sum(axis=0) * (1.0 / samples)
 
 
-def inner_product(u, v) -> float:
-    """Scalar part of sum_i conj(u_i) v_i."""
-    total = Quaternion()
-    for a, b in zip(u, v):
-        total = total + a.conj() * b
-    return total.w
+def inner_product(u: np.ndarray, v: np.ndarray):
+    """Scalar part of sum_i conj(u_i) v_i for (..., m, 4) arrays."""
+    return _float_or_batch((u * v).sum(axis=(-2, -1)))

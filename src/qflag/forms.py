@@ -184,10 +184,12 @@ def connection_blocks(g_path, t: float, j: int, k: int):
 
 
 def _gram_independent(u: QuatMatrix, v: QuatMatrix) -> bool:
-    uu = float((u.a ** 2).sum())
-    vv = float((v.a ** 2).sum())
-    uv = float((u.a * v.a).sum())
-    return uu * vv - uv * uv > config.IDENTITY * max(1.0, uu * vv)
+    """True when every tangent pair of the batch is linearly independent."""
+    def dot(p, q):
+        return (p.a * q.a).sum(axis=(-3, -2, -1))
+    uu, vv, uv = dot(u, u), dot(v, v), dot(u, v)
+    gram = uu * vv - uv * uv
+    return bool(np.all(gram > config.IDENTITY * np.maximum(1.0, uu * vv)))
 
 
 def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix,
@@ -202,7 +204,8 @@ def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix,
         R22 = tr[dY* (1+YY*)^{-1} ^ dY (1+Y*Y)^{-1}](du, dv).
 
     Both evaluations are antisymmetric in (du, dv); the scalar parts of R11
-    and R22 have equal magnitude.
+    and R22 have equal magnitude.  For a batch of points and tangents the
+    traces R11 and R22 are ``(..., 4)`` arrays in place of quaternions.
     """
     y = point.x
     if du.shape != y.shape or dv.shape != y.shape:

@@ -511,9 +511,9 @@ def generator(kind: str, indices, k: int, n: int) -> DiffOperator:
 
 
 # -- J-contracted generator families ------------------------------------------
-# (hJ)_{alpha mu} contracts the second index with the almost complex
-# structure; only one term of the sum survives because J is a signed
-# permutation.
+# (X J)_{i c} contracts the second index of a generator family X with the
+# almost complex structure, (J X)_{d j} the first; only one term of each sum
+# survives because J is a signed permutation.
 
 def _right_j(gen, i: int, c: int) -> DiffOperator:
     """(X J)_{i c} for the generator family ``gen(i, j)``."""
@@ -525,28 +525,12 @@ def _left_j(gen, d: int, j: int) -> DiffOperator:
     return gen(mate(d), j).scaled(jval(d, mate(d)))
 
 
-def hJ(alpha: int, mu: int, k: int, n: int) -> DiffOperator:
-    return _right_j(lambda i, j: gen_h(i, j, k, n), alpha, mu)
-
-
 def Jh(beta: int, nu: int, k: int, n: int) -> DiffOperator:
     return _left_j(lambda i, j: gen_h(i, j, k, n), beta, nu)
 
 
-def HJ(a: int, c: int, k: int, n: int) -> DiffOperator:
-    return _right_j(lambda i, j: gen_H(i, j, k, n), a, c)
-
-
 def JH(d: int, b: int, k: int, n: int) -> DiffOperator:
     return _left_j(lambda i, j: gen_H(i, j, k, n), d, b)
-
-
-def pJ(alpha: int, c: int, k: int, n: int) -> DiffOperator:
-    return _right_j(lambda i, j: gen_p(i, j, k, n), alpha, c)
-
-
-def Jp(nu: int, a: int, k: int, n: int) -> DiffOperator:
-    return _left_j(lambda i, j: gen_p(i, j, k, n), nu, a)
 
 
 # -- commutation table -----------------------------------------------------------

@@ -1,12 +1,17 @@
 """Rectangular quaternion matrices and the compact symplectic group.
 
-Entries are stored as an ``(rows, cols, 4)`` float array in the basis order
-(e, i, j, k).  A product ``A @ B`` of an (i, l) by an (l, j) matrix is one
-real GEMM: ``B`` is expanded to the real (4l, 4j) matrix whose 4x4 block per
-entry is right multiplication by that quaternion (its real regular
-representation, Zhang 1997), and ``A``, read as a real (i, 4l) matrix,
-multiplies it.  Reading contiguous ``A`` and the (i, 4j) result this way
-needs no copy.
+Entries are stored as an ``(..., rows, cols, 4)`` float array in the basis
+order (e, i, j, k).  The leading axes are a batch: every operation acts on
+each matrix of a batch as it acts on a single matrix, and the batch shapes
+of two operands broadcast as numpy broadcasts them.  A single matrix is the
+batch shape ``()``; it takes the same code path as a batch.
+
+A product ``A @ B`` of an (i, l) by an (l, j) matrix is one real GEMM:
+``B`` is expanded to the real (4l, 4j) matrix whose 4x4 block per entry is
+right multiplication by that quaternion (its real regular representation,
+Zhang 1997), and ``A``, read as a real (i, 4l) matrix, multiplies it;
+``np.matmul`` broadcasts that product over the batch.  Reading contiguous
+``A`` and the (i, 4j) result this way needs no copy.
 
 All spectral work routes through the doubled complex embedding: each
 quaternion entry is replaced by its 2x2 image, giving a
@@ -19,6 +24,10 @@ consists of doubled real eigenvalues.
 the identity, projects back, and raises (by default :class:`SingularMatrix`)
 unless ``||E||_1 ||E^-1||_1 <= config.COND_LIMIT``, a test that also refuses
 an exactly singular matrix and any NaN entry.
+
+Every check keeps its meaning per matrix of a batch: tolerances are relative
+to each matrix's own scale, and a batch raises the error that a loop over
+its matrices would raise if any one of them fails.
 """
 
 from __future__ import annotations
@@ -35,16 +44,20 @@ from .quaternion import MUL_TABLE, Quaternion
 # it give the 4x4 real matrix of right multiplication by that entry.
 _RIGHT_TABLE = MUL_TABLE.transpose(1, 0, 2).reshape(4, 16)
 
+# the axes of one quaternion matrix inside a batch
+_ENTRY_AXES = (-3, -2, -1)
+
 
 class QuatMatrix:
-    """Dense matrix of quaternions with value semantics."""
+    """Dense matrix of quaternions, or a batch of them, with value semantics."""
 
     __slots__ = ("a",)
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
-        if a.ndim != 3 or a.shape[2] != 4:
-            raise DimensionMismatch(f"expected shape (rows, cols, 4), got {a.shape}")
+        if a.ndim < 3 or a.shape[-1] != 4:
+            raise DimensionMismatch(
+                f"expected shape (..., rows, cols, 4), got {a.shape}")
         self.a = a
 
     # -- constructors ---------------------------------------------------------
@@ -84,16 +97,21 @@ class QuatMatrix:
     # -- basic queries ----------------------------------------------------------
 
     @property
+    def batch(self) -> tuple:
+        """Shape of the leading batch axes; ``()`` for a single matrix."""
+        return self.a.shape[:-3]
+
+    @property
     def rows(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-3]
 
     @property
     def cols(self) -> int:
-        return self.a.shape[1]
+        return self.a.shape[-2]
 
     @property
     def shape(self):
-        return self.a.shape[:2]
+        return self.a.shape[-3:-1]
 
     def entry(self, i: int, j: int) -> Quaternion:
         return Quaternion.from_array(self.a[i, j])
@@ -120,19 +138,23 @@ class QuatMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QuatMatrix") -> "QuatMatrix":
-        if self.cols != other.rows:
+        a, b = self.a, other.a
+        rows, inner = a.shape[-3:-1]
+        cols = b.shape[-2]
+        if b.shape[-3] != inner:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        (rows, inner), cols = self.shape, other.cols
-        # right[l, p, j, r] = sum_q other[l, j, q] MUL_TABLE[p, q, r]
-        right = (other.a.reshape(inner * cols, 4) @ _RIGHT_TABLE).reshape(
-            inner, cols, 4, 4).transpose(0, 2, 1, 3).reshape(4 * inner, 4 * cols)
-        prod = self.a.reshape(rows, 4 * inner) @ right
-        return QuatMatrix(prod.reshape(rows, cols, 4))
+        lead = b.shape[:-3]
+        # right[..., l, p, j, r] = sum_q b[..., l, j, q] MUL_TABLE[p, q, r]
+        right = (b.reshape(-1, 4) @ _RIGHT_TABLE).reshape(
+            lead + (inner, cols, 4, 4)).swapaxes(-3, -2).reshape(
+            lead + (4 * inner, 4 * cols))
+        prod = a.reshape(a.shape[:-3] + (rows, 4 * inner)) @ right
+        return QuatMatrix(prod.reshape(prod.shape[:-1] + (cols, 4)))
 
     def adjoint(self) -> "QuatMatrix":
         """Conjugate transpose."""
-        out = self.a.transpose(1, 0, 2).copy()
+        out = self.a.swapaxes(-3, -2).copy()
         out[..., 1:] *= -1.0
         return QuatMatrix(out)
 
@@ -141,17 +163,18 @@ class QuatMatrix:
         if self.shape != (j + k, j + k):
             raise DimensionMismatch(f"partition {j}+{k} does not fit {self.shape}")
         a = self.a
-        return (QuatMatrix(a[:j, :j]), QuatMatrix(a[:j, j:]),
-                QuatMatrix(a[j:, :j]), QuatMatrix(a[j:, j:]))
+        return (QuatMatrix(a[..., :j, :j, :]), QuatMatrix(a[..., :j, j:, :]),
+                QuatMatrix(a[..., j:, :j, :]), QuatMatrix(a[..., j:, j:, :]))
 
-    def trace(self) -> Quaternion:
+    def trace(self):
+        """A :class:`Quaternion`; for a batch, a ``(..., 4)`` array."""
         if not self.is_square():
             raise NonSquare("trace of a non-square matrix")
-        n = self.rows
-        return Quaternion.from_array(self.a[np.arange(n), np.arange(n)].sum(axis=0))
+        t = self.a.diagonal(0, -3, -2).sum(axis=-1)
+        return Quaternion.from_array(t) if t.ndim == 1 else t
 
     def max_abs(self) -> float:
-        """Largest magnitude over all real components."""
+        """Largest magnitude over all real components of the whole batch."""
         return float(np.abs(self.a).max()) if self.a.size else 0.0
 
     def allclose(self, other: "QuatMatrix", tol: float = 1e-12) -> bool:
@@ -160,14 +183,16 @@ class QuatMatrix:
     # -- complex embedding --------------------------------------------------------
 
     def embed(self) -> np.ndarray:
-        """(2 rows, 2 cols) complex matrix with one 2x2 block per entry."""
-        w, x, y, z = (self.a[..., c] for c in range(4))
-        blocks = np.empty((self.rows, self.cols, 2, 2), dtype=complex)
+        """(..., 2 rows, 2 cols) complex matrix with one 2x2 block per entry."""
+        a = self.a
+        w, x, y, z = (a[..., c] for c in range(4))
+        blocks = np.empty(a.shape[:-1] + (2, 2), dtype=complex)
         blocks[..., 0, 0] = w + 1j * z
         blocks[..., 0, 1] = x + 1j * y
         blocks[..., 1, 0] = -x + 1j * y
         blocks[..., 1, 1] = w - 1j * z
-        return blocks.transpose(0, 2, 1, 3).reshape(2 * self.rows, 2 * self.cols)
+        return blocks.swapaxes(-3, -2).reshape(
+            a.shape[:-3] + (2 * self.rows, 2 * self.cols))
 
     @classmethod
     def project(cls, emb) -> "QuatMatrix":
@@ -175,22 +200,29 @@ class QuatMatrix:
 
         The residual against the quaternionic structure (m22 = conj(m11),
         m21 = -conj(m12) per block) must stay below ``config.STRUCTURE``
-        relative to the matrix scale.
+        relative to the scale of each matrix.
         """
         emb = np.asarray(emb, dtype=complex)
-        r2, c2 = emb.shape
-        if r2 % 2 or c2 % 2:
+        if emb.ndim < 2 or emb.shape[-2] % 2 or emb.shape[-1] % 2:
             raise MalformedM2C("embedding dimensions must be even")
-        blocks = emb.reshape(r2 // 2, 2, c2 // 2, 2).transpose(0, 2, 1, 3)
+        lead, (r2, c2) = emb.shape[:-2], emb.shape[-2:]
+        blocks = emb.reshape(lead + (r2 // 2, 2, c2 // 2, 2)).swapaxes(-3, -2)
         m11, m12 = blocks[..., 0, 0], blocks[..., 0, 1]
         m21, m22 = blocks[..., 1, 0], blocks[..., 1, 1]
-        scale = max(1.0, float(np.abs(emb).max()))
-        res = max(float(np.abs(m22 - m11.conj()).max()),
-                  float(np.abs(m21 + m12.conj()).max()))
-        if res > config.STRUCTURE * scale:
-            raise MalformedM2C(f"structure residual {res:.3e} exceeds "
-                               f"{config.STRUCTURE:.1e} * scale")
-        a = np.empty((r2 // 2, c2 // 2, 4))
+        d22 = np.abs(m22 - m11.conj())
+        d21 = np.abs(m21 + m12.conj())
+        # every scale is at least 1, so a worst residual within the bare
+        # tolerance passes without the per-matrix scales
+        if not max(d22.max(initial=0.0), d21.max(initial=0.0)) <= config.STRUCTURE:
+            axes = (-2, -1)
+            res = np.maximum(d22.max(axis=axes, initial=0.0),
+                             d21.max(axis=axes, initial=0.0))
+            scale = np.maximum(1.0, np.abs(emb).max(axis=axes, initial=0.0))
+            bad = res > config.STRUCTURE * scale
+            if bad.any():
+                raise MalformedM2C(f"structure residual {res[bad].max():.3e} "
+                                   f"exceeds {config.STRUCTURE:.1e} * scale")
+        a = np.empty(lead + (r2 // 2, c2 // 2, 4))
         a[..., 0] = (m11.real + m22.real) / 2.0
         a[..., 1] = (m12.real - m21.real) / 2.0
         a[..., 2] = (m12.imag + m21.imag) / 2.0
@@ -199,7 +231,8 @@ class QuatMatrix:
 
     def inv(self, err: Exception = None) -> "QuatMatrix":
         """Inverse via the complex embedding; raises ``err`` (default
-        :class:`SingularMatrix`) past the condition ceiling."""
+        :class:`SingularMatrix`) when any matrix is past the condition
+        ceiling."""
         if not self.is_square():
             raise NonSquare("inverse of a non-square matrix")
         emb = self.embed()
@@ -207,21 +240,24 @@ class QuatMatrix:
             sol = np.linalg.solve(emb, np.eye(2 * self.rows, dtype=complex))
             cond = _norm1(emb) * _norm1(sol)
         except np.linalg.LinAlgError:
-            cond = np.inf
-        if not cond <= config.COND_LIMIT:
+            cond = np.float64(np.inf)
+        # the worst matrix decides (a NaN is the worst); a single matrix
+        # skips the reduction, which costs more than the test itself
+        worst = cond.max(initial=0.0) if cond.ndim else cond
+        if not worst <= config.COND_LIMIT:
             raise err if err is not None else SingularMatrix(
-                f"1-norm condition number {cond:.3e} > {config.COND_LIMIT:.0e}")
+                f"1-norm condition number {worst:.3e} > "
+                f"{config.COND_LIMIT:.0e}")
         return QuatMatrix.project(sol)
 
     # -- structure predicates ----------------------------------------------------------
+    # Each is True when every matrix of the batch has the property.
 
     def is_hermitian(self, tol: float = None) -> bool:
-        tol = config.IDENTITY if tol is None else tol
-        return (self - self.adjoint()).max_abs() <= tol * max(1.0, self.max_abs())
+        return _within_scale(self - self.adjoint(), self, tol)
 
     def is_skew_adjoint(self, tol: float = None) -> bool:
-        tol = config.IDENTITY if tol is None else tol
-        return (self + self.adjoint()).max_abs() <= tol * max(1.0, self.max_abs())
+        return _within_scale(self + self.adjoint(), self, tol)
 
     def is_unitary(self, tol: float = None) -> bool:
         tol = config.IDENTITY if tol is None else tol
@@ -229,45 +265,79 @@ class QuatMatrix:
         return delta.max_abs() <= tol
 
     def __repr__(self) -> str:
-        return f"QuatMatrix(shape={self.shape})"
+        batch = f"batch={self.batch}, " if self.batch else ""
+        return f"QuatMatrix({batch}shape={self.shape})"
 
 
-def _norm1(m: np.ndarray) -> float:
-    return float(np.abs(m).sum(axis=0).max(initial=0.0))
+def _within_scale(delta: QuatMatrix, ref: QuatMatrix, tol) -> bool:
+    """Every |delta| <= tol * max(1, |ref|), matrix by matrix."""
+    tol = config.IDENTITY if tol is None else tol
+    res = np.abs(delta.a)
+    # every scale is at least 1: a worst residual within the bare tolerance
+    # passes without the per-matrix scales
+    if res.max(initial=0.0) <= tol:
+        return True
+    res = res.max(axis=_ENTRY_AXES, initial=0.0)
+    scale = np.maximum(1.0, np.abs(ref.a).max(axis=_ENTRY_AXES, initial=0.0))
+    return bool((res <= tol * scale).all())
+
+
+def _norm1(m: np.ndarray):
+    """1-norm of each complex matrix of a batch."""
+    return np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
 def block_matrix(blocks) -> QuatMatrix:
-    """Assemble from a 2d grid of conforming QuatMatrix blocks."""
-    rows = [np.concatenate([b.a for b in row], axis=1) for row in blocks]
-    return QuatMatrix(np.concatenate(rows, axis=0))
+    """Assemble from a 2d grid of conforming QuatMatrix blocks.
+
+    Blocks of different batch shapes are broadcast to a common one.
+    """
+    arrays = [[b.a for b in row] for row in blocks]
+    batches = {a.shape[:-3] for row in arrays for a in row}
+    if len(batches) > 1:
+        batch = np.broadcast_shapes(*batches)
+        arrays = [[np.broadcast_to(a, batch + a.shape[-3:]) for a in row]
+                  for row in arrays]
+    rows = [np.concatenate(row, axis=-2) for row in arrays]
+    return QuatMatrix(np.concatenate(rows, axis=-3))
 
 
 def expm(m: QuatMatrix) -> QuatMatrix:
     """Matrix exponential by scaling and squaring.
 
-    The argument is halved until the 1-norm of its complex embedding drops
+    Each matrix is halved until the 1-norm of its complex embedding drops
     below 0.5, the power series truncated after order 18 is summed with
-    quaternion products, and the result is squared back up.
+    quaternion products, and the result is squared back up; in a batch only
+    the matrices that were halved more often are squared more often.
     """
     if not m.is_square():
         raise NonSquare("exponential of a non-square matrix")
-    norm1 = float(np.linalg.norm(m.embed(), 1)) if m.rows else 0.0
-    squarings = 0
-    if norm1 > 0.5:
-        squarings = int(np.ceil(np.log2(norm1 / 0.5)))
-    scaled = m * (0.5 ** squarings)
-    result = QuatMatrix.identity(m.rows)
-    term = QuatMatrix.identity(m.rows)
+    n = m.rows
+    norm1 = (np.linalg.norm(m.embed(), 1, axis=(-2, -1)) if n
+             else np.zeros(m.batch))
+    # fmax sends a NaN norm to no squarings, as ``norm1 > 0.5`` did
+    squarings = np.ceil(np.log2(np.fmax(norm1, 0.5) / 0.5))
+    count = int(squarings.max(initial=0.0))   # OverflowError on an inf norm
+    squarings = squarings.astype(int)
+    scale = np.ldexp(1.0, -squarings)        # exact powers of two
+    scaled = QuatMatrix(m.a * scale[..., None, None, None])
+    result = QuatMatrix.identity(n)
+    term = QuatMatrix.identity(n)
     for k in range(1, 19):
         term = (term @ scaled) * (1.0 / k)
         result = result + term
-    for _ in range(squarings):
-        result = result @ result
+    for done in range(count):
+        need = squarings > done
+        if need.all():
+            result = result @ result
+        else:
+            part = QuatMatrix(result.a[need])
+            result.a[need] = (part @ part).a
     return result
 
 
 def eigvals_hyperhermitian(p: QuatMatrix) -> np.ndarray:
-    """Real eigenvalues of a hyper-Hermitian matrix, ascending.
+    """Real eigenvalues of a hyper-Hermitian matrix, ascending, ``(..., n)``.
 
     The 2n complex-embedding eigenvalues come in equal pairs; each pair is
     collapsed to a single quaternionic eigenvalue.
@@ -277,9 +347,9 @@ def eigvals_hyperhermitian(p: QuatMatrix) -> np.ndarray:
     if not p.is_hermitian(config.IDENTITY * 10):
         raise NotHyperHermitian("matrix is not equal to its conjugate transpose")
     emb = p.embed()
-    emb = (emb + emb.conj().T) / 2.0
+    emb = (emb + emb.conj().swapaxes(-1, -2)) / 2.0
     lam = np.linalg.eigvalsh(emb)
-    even, odd = lam[0::2], lam[1::2]
+    even, odd = lam[..., 0::2], lam[..., 1::2]
     gap = np.abs(even - odd)
     scale = np.maximum(1.0, np.abs(even))
     if np.any(gap > config.PAIRING_REL * scale):
@@ -326,7 +396,7 @@ def func_hermitian(p: QuatMatrix, kind: str) -> QuatMatrix:
     if not p.is_hermitian(config.IDENTITY * 10):
         raise NotHyperHermitian("matrix function requires a hyper-Hermitian input")
     emb = p.embed()
-    emb = (emb + emb.conj().T) / 2.0
+    emb = (emb + emb.conj().swapaxes(-1, -2)) / 2.0
     lam, vec = np.linalg.eigh(emb)
     if kind == "sqrt":
         vals = np.sqrt(np.maximum(lam, 0.0))
@@ -342,12 +412,15 @@ def func_hermitian(p: QuatMatrix, kind: str) -> QuatMatrix:
         vals = _sinc_sqrt(lam)
     else:
         raise ValueError(f"unknown scalar function tag {kind!r}")
-    out = (vec * vals) @ vec.conj().T
+    out = (vec * vals[..., None, :]) @ vec.conj().swapaxes(-1, -2)
     return QuatMatrix.project(out)
 
 
 class GroupElement:
-    """Member of the unitary quaternion group: square with g* g = 1."""
+    """Member of the unitary quaternion group: square with g* g = 1.
+
+    ``m`` may be a batch; the membership check then covers every matrix.
+    """
 
     __slots__ = ("m",)
 

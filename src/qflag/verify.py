@@ -57,6 +57,32 @@ class RunConfig:
         return float(self.tol_overrides.get(name, default))
 
 
+def _draw_batches(rng: np.random.Generator, count: int, *draws):
+    """``count`` rounds of draws, each round calling every ``draws[i](rng)``
+    in order, stacked into one QuatMatrix batch per position ``i``.
+
+    This keeps the order in which a loop of single draws reads ``rng``.
+    """
+    rounds = [[draw(rng) for draw in draws] for _ in range(count)]
+    return [QuatMatrix(np.stack([r[i].a for r in rounds]))
+            for i in range(len(draws))]
+
+
+def _group_gen(rng):
+    """The generator that ``random_group_element(rng, 4)`` exponentiates."""
+    return random_skew_adjoint(rng, 4, 0.7)
+
+
+def _quatmat_draw(rows: int, cols: int, scale: float = 1.0):
+    return lambda rng: random_quatmat(rng, rows, cols, scale)
+
+
+def _quat_norm(q: np.ndarray) -> np.ndarray:
+    """Quaternion norms of a (..., 4) array, summed as Quaternion.norm sums."""
+    w, x, y, z = (q[..., c] for c in range(4))
+    return np.sqrt(w * w + x * x + y * y + z * z)
+
+
 def _check(cfg: RunConfig, name: str, residual: float, tolerance: float,
            detail: str = "") -> CheckResult:
     tolerance = cfg.tol(name, tolerance)
@@ -178,66 +204,56 @@ def suite_quatmat(cfg: RunConfig):
 
 def suite_coset(cfg: RunConfig):
     out = []
+    point = coset.GrassmannPoint
+    half, unit = _quatmat_draw(2, 2, 0.5), _quatmat_draw(2, 2)
+
     rng = cfg.rng("coset.exponential_parameterisation")
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        xi = random_quatmat(rng, 2, 2, 0.5)
-        worst = max(worst, (coset.coset_element(xi).m
-                            - expm(coset.coset_generator(xi))).max_abs())
+    (xi,) = _draw_batches(rng, cfg.count(200), half)
+    worst = (coset.coset_element(xi).m
+             - expm(coset.coset_generator(xi))).max_abs()
     out.append(_check(cfg, "coset.exponential_parameterisation", worst, 1e-9))
 
     rng = cfg.rng("coset.lft_two_forms")
-    worst_forms = 0.0
-    worst_law = 0.0
-    for _ in range(cfg.count(500)):
-        g1 = random_group_element(rng, 4)
-        g2 = random_group_element(rng, 4)
-        x = coset.GrassmannPoint(random_quatmat(rng, 2, 2, 0.5))
-        ya = coset.lft_apply(g1, x)
-        yb = coset.lft_apply_second_form(g1, x)
-        worst_forms = max(worst_forms, (ya.x - yb.x).max_abs())
-        comp = coset.lft_apply(g2, ya)
-        direct = coset.lft_apply(g2 @ g1, x)
-        worst_law = max(worst_law, (comp.x - direct.x).max_abs())
+    gen1, gen2, x = _draw_batches(rng, cfg.count(500), _group_gen, _group_gen,
+                                  half)
+    g1, g2, x = GroupElement(expm(gen1)), GroupElement(expm(gen2)), point(x)
+    ya = coset.lft_apply(g1, x)
+    yb = coset.lft_apply_second_form(g1, x)
+    worst_forms = (ya.x - yb.x).max_abs()
+    comp = coset.lft_apply(g2, ya)
+    direct = coset.lft_apply(g2 @ g1, x)
+    worst_law = (comp.x - direct.x).max_abs()
     out.append(_check(cfg, "coset.lft_two_forms", worst_forms, 1e-9))
     out.append(_check(cfg, "coset.lft_group_law", worst_law, 1e-8))
 
     rng = cfg.rng("coset.transport_identities")
-    worst = 0.0
-    for _ in range(cfg.count(500)):
-        g = random_group_element(rng, 4)
-        xa = coset.GrassmannPoint(random_quatmat(rng, 2, 2, 0.5))
-        xb = coset.GrassmannPoint(random_quatmat(rng, 2, 2, 0.5))
-        worst = max(worst, max(coset.transport_identities(g, xa, xb).values()))
+    gen, xa, xb = _draw_batches(rng, cfg.count(500), _group_gen, half, half)
+    res = coset.transport_identities(GroupElement(expm(gen)), point(xa),
+                                     point(xb))
+    worst = max(float(r.max()) for r in res.values())
     out.append(_check(cfg, "coset.transport_identities", worst, 1e-9))
 
     rng = cfg.rng("coset.cross_ratio_invariance")
-    worst = 0.0
-    for _ in range(cfg.count(500)):
-        g = random_group_element(rng, 4)
-        pts = [coset.GrassmannPoint(random_quatmat(rng, 2, 2, 0.5))
-               for _ in range(4)]
-        cr = coset.cross_ratio(*pts)
-        cr_moved = coset.cross_ratio(*[coset.lft_apply(g, p) for p in pts])
-        worst = max(worst, abs(cr - cr_moved) / max(1.0, abs(cr)))
+    gen, *pts = _draw_batches(rng, cfg.count(500), _group_gen,
+                              half, half, half, half)
+    g = GroupElement(expm(gen))
+    pts = [point(p) for p in pts]
+    cr = coset.cross_ratio(*pts)
+    cr_moved = coset.cross_ratio(*[coset.lft_apply(g, p) for p in pts])
+    worst = float((np.abs(cr - cr_moved) / np.maximum(1.0, np.abs(cr))).max())
     out.append(_check(cfg, "coset.cross_ratio_invariance", worst, 1e-8))
 
     rng = cfg.rng("coset.metric_two_versions")
-    worst = 0.0
-    for _ in range(cfg.count(500)):
-        x = coset.GrassmannPoint(random_quatmat(rng, 2, 2, 0.5))
-        dx = random_quatmat(rng, 2, 2)
-        worst = max(worst, abs(coset.metric_form(x, dx)
-                               - coset.metric_form_expanded(x, dx)))
+    x, dx = _draw_batches(rng, cfg.count(500), half, unit)
+    worst = float(np.abs(coset.metric_form(point(x), dx)
+                         - coset.metric_form_expanded(point(x), dx)).max())
     out.append(_check(cfg, "coset.metric_two_versions", worst, 1e-10))
 
     rng = cfg.rng("coset.metric_pushforward_invariance")
-    worst = 0.0
-    for _ in range(cfg.count(100)):
-        g = random_group_element(rng, 4)
-        x = coset.GrassmannPoint(random_quatmat(rng, 2, 2, 0.4))
-        dx = random_quatmat(rng, 2, 2)
-        worst = max(worst, coset.metric_invariance_residual(g, x, dx))
+    gen, x, dx = _draw_batches(rng, cfg.count(100), _group_gen,
+                               _quatmat_draw(2, 2, 0.4), unit)
+    worst = float(coset.metric_invariance_residual(
+        GroupElement(expm(gen)), point(x), dx).max())
     out.append(_check(cfg, "coset.metric_pushforward_invariance", worst, 1e-5))
 
     rng = cfg.rng("coset.metric_inversion_invariance")
@@ -283,16 +299,17 @@ def suite_coset(cfg: RunConfig):
     xi = [random_unit_quaternion(rng) for _ in range(2)]
     x_xi = GroupElement(x.m @ QuatMatrix.diag(xi), check=False)
 
-    def alpha(g):
-        return [g.m.entry(0, 0), g.m.entry(1, 1)]
+    def alpha(shifted):
+        return shifted[:, [0, 1], [0, 1]]     # the entries (0, 0) and (1, 1)
 
     sub_seed = int(rng.integers(0, 2 ** 31))
     f_shift = coset.haar_average(alpha, coset.fundamental_action, x_xi,
                                  samples, seed=sub_seed)
     f_base = coset.haar_average(alpha, coset.fundamental_action, x,
                                 samples, seed=sub_seed)
-    moved = coset.fundamental_action([u.conj() for u in xi], f_base)
-    diff = max((a - b).norm() for a, b in zip(f_shift, moved))
+    xi_conj = np.array([u.conj().to_array() for u in xi])
+    moved = coset.fundamental_action(xi_conj, f_base)
+    diff = float(_quat_norm(f_shift - moved).max())
     stderr = 2.0 / math.sqrt(samples)
     out.append(_check(cfg, "coset.haar_equivariance", diff / stderr, 5.0,
                       "equivariance gap in units of the Monte-Carlo error"))
@@ -386,24 +403,19 @@ def suite_forms(cfg: RunConfig):
                       "double finite differences; loosest check in the suite"))
 
     rng = cfg.rng("forms.curvature_blocks")
-    worst_anti = 0.0
-    worst_scalar = 0.0
-    worst_rank1 = 0.0
-    for _ in range(cfg.count(200)):
-        x = coset.GrassmannPoint(random_quatmat(rng, 2, 2, 0.5))
-        u = random_quatmat(rng, 2, 2)
-        v = random_quatmat(rng, 2, 2)
-        blocks = forms.curvature_blocks(x, u, v)
-        swapped = forms.curvature_blocks(x, v, u)
-        worst_anti = max(worst_anti,
-                         (blocks["omega11"] + swapped["omega11"]).max_abs())
-        worst_scalar = max(worst_scalar,
-                           abs(abs(blocks["r11"].w) - abs(blocks["r22"].w)))
-        x1 = coset.GrassmannPoint(random_quatmat(rng, 1, 1, 0.5))
-        u1, v1 = random_quatmat(rng, 1, 1), random_quatmat(rng, 1, 1)
-        b1 = forms.curvature_blocks(x1, u1, v1)
-        worst_rank1 = max(worst_rank1,
-                          abs(b1["r11"].norm() - b1["r22"].norm()))
+    unit, single = _quatmat_draw(2, 2), _quatmat_draw(1, 1)
+    x, u, v, x1, u1, v1 = _draw_batches(
+        rng, cfg.count(200), _quatmat_draw(2, 2, 0.5), unit, unit,
+        _quatmat_draw(1, 1, 0.5), single, single)
+    x, x1 = coset.GrassmannPoint(x), coset.GrassmannPoint(x1)
+    blocks = forms.curvature_blocks(x, u, v)
+    swapped = forms.curvature_blocks(x, v, u)
+    worst_anti = (blocks["omega11"] + swapped["omega11"]).max_abs()
+    worst_scalar = float(np.abs(np.abs(blocks["r11"][..., 0])
+                                - np.abs(blocks["r22"][..., 0])).max())
+    b1 = forms.curvature_blocks(x1, u1, v1)
+    worst_rank1 = float(np.abs(_quat_norm(b1["r11"])
+                               - _quat_norm(b1["r22"])).max())
     out.append(_check(cfg, "forms.curvature_antisymmetry", worst_anti, 1e-12))
     out.append(_check(cfg, "forms.curvature_scalar_parts", worst_scalar, 1e-8,
                       "matrix-trace scalar parts agree (both vanish)"))

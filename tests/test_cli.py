@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from qflag.cli import MAX_ROOTS_RANK, main, parse_field_spec, parse_polynomial
+from qflag.cli import (MAX_EVOLVE_N, MAX_EVOLVE_STEPS, MAX_ROOTS_RANK, main,
+                       parse_field_spec, parse_polynomial)
 from qflag.emfield import RealPoly
 
 
@@ -260,6 +261,22 @@ def test_evolve_negative_steps_is_usage_error(capsys):
                                   ["--t-max", "inf"]])
 def test_evolve_bad_size_or_horizon_is_usage_error(argv, capsys):
     code, out, err = run_cli(["evolve", "--steps", "3"] + argv, capsys)
+    assert code == 2
+    assert out == "" and "error:" in err and argv[0] in err
+
+
+@pytest.mark.parametrize("argv", [["--n", str(MAX_EVOLVE_N), "--steps", "2"],
+                                  ["--n", "1", "--steps", str(MAX_EVOLVE_STEPS)]])
+def test_evolve_at_its_ceilings(argv, capsys):
+    code, out, _ = run_cli(["evolve"] + argv, capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + int(argv[3])
+
+
+@pytest.mark.parametrize("argv", [["--n", str(MAX_EVOLVE_N + 1)],
+                                  ["--steps", str(MAX_EVOLVE_STEPS + 1)]])
+def test_evolve_above_its_ceilings_is_usage_error(argv, capsys):
+    code, out, err = run_cli(["evolve"] + argv, capsys)
     assert code == 2
     assert out == "" and "error:" in err and argv[0] in err
 

@@ -10,13 +10,14 @@ from qflag.coset import (GrassmannPoint, coset_element, coset_generator,
                          inversion_invariance_residual, lft_apply,
                          lft_apply_second_form, metric_form,
                          metric_form_expanded, metric_form_hermitian,
-                         metric_invariance_residual, transport_identities,
-                         trivial_action)
+                         metric_invariance_residual, pushforward_tangent,
+                         transport_identities, trivial_action)
 from qflag.errors import (DegenerateQuadruple, DimensionMismatch, QflagError,
                           ShapeMismatch, SingularDenominator)
 from qflag.quaternion import Quaternion, random_quaternion, random_unit_quaternion
 from qflag.quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
-                           random_group_element, random_quatmat)
+                           random_group_element, random_quatmat,
+                           random_skew_adjoint)
 
 rng = np.random.default_rng(303)
 
@@ -355,13 +356,98 @@ def test_curvature_det():
         assert 0.0 < val <= 1.0 + 1e-12
 
 
+# -- batched points and group elements ----------------------------------------------
+
+def test_batched_coset_calls_equal_the_stacked_singles():
+    local = np.random.default_rng(606)    # own stream
+    count = 6
+    gens = [random_skew_adjoint(local, 4, 0.7) for _ in range(count)]
+    pts = [[random_quatmat(local, 2, 2, 0.5) for _ in range(count)]
+           for _ in range(4)]
+    dxs = [random_quatmat(local, 2, 2) for _ in range(count)]
+
+    def stack(mats):
+        return QuatMatrix(np.stack([m.a for m in mats]))
+
+    singles = [GroupElement(expm(s)) for s in gens]
+    g = GroupElement(expm(stack(gens)))
+    batch = [GrassmannPoint(stack(p)) for p in pts]
+    dx = stack(dxs)
+
+    def single_points(i):
+        return [GrassmannPoint(p[i]) for p in pts]
+
+    def same_matrices(got, per_draw):
+        return np.array_equal(got.a, np.stack([m.a for m in per_draw]))
+
+    def same_floats(got, per_draw):
+        assert all(type(v) is float for v in per_draw)
+        return isinstance(got, np.ndarray) and np.array_equal(got, per_draw)
+
+    for action in (lft_apply, lft_apply_second_form):
+        assert same_matrices(action(g, batch[0]).x,
+                             [action(singles[i], single_points(i)[0]).x
+                              for i in range(count)])
+    res = transport_identities(g, batch[0], batch[1])
+    per_draw = [transport_identities(singles[i], *single_points(i)[:2])
+                for i in range(count)]
+    for key, values in res.items():
+        assert same_floats(values, [r[key] for r in per_draw])
+    assert same_floats(cross_ratio(*batch),
+                       [cross_ratio(*single_points(i)) for i in range(count)])
+    for form in (metric_form, metric_form_expanded, metric_form_hermitian):
+        assert same_floats(form(batch[0], dx),
+                           [form(single_points(i)[0], dxs[i])
+                            for i in range(count)])
+    assert same_floats(metric_invariance_residual(g, batch[0], dx),
+                       [metric_invariance_residual(singles[i],
+                                                   single_points(i)[0], dxs[i])
+                        for i in range(count)])
+    assert same_matrices(pushforward_tangent(g, batch[0], dx),
+                         [pushforward_tangent(singles[i], single_points(i)[0],
+                                              dxs[i]) for i in range(count)])
+    xis = pts[3]
+    assert same_matrices(coset_generator(stack(xis)),
+                         [coset_generator(xi) for xi in xis])
+    assert same_matrices(coset_element(stack(xis)).m,
+                         [coset_element(xi).m for xi in xis])
+
+
+def test_batched_coset_calls_raise_the_single_error():
+    local = np.random.default_rng(607)
+    quad = [GrassmannPoint(QuatMatrix(local.normal(0.0, 0.5, (3, 2, 2, 4))))
+            for _ in range(4)]
+    cross_ratio(*quad)
+    # the third quadruple repeats a point, so its inverted difference is singular
+    quad[3].x.a[2] = quad[0].x.a[2]
+    with pytest.raises(DegenerateQuadruple):
+        cross_ratio(*quad)
+    # a group element that maps one of the points to infinity
+    x = GrassmannPoint(QuatMatrix(np.zeros((3, 1, 1, 4))))
+    swap = QuatMatrix.from_real([[0.0, 1.0], [-1.0, 0.0]])
+    rot = [QuatMatrix.identity(2), swap, QuatMatrix.identity(2)]
+    g = GroupElement(QuatMatrix(np.stack([m.a for m in rot])))
+    lft_apply(GroupElement(QuatMatrix(np.stack([rot[0].a, rot[2].a]))),
+              GrassmannPoint(QuatMatrix(np.zeros((2, 1, 1, 4)))))
+    with pytest.raises(SingularDenominator):
+        lft_apply(g, x)
+
+
 # -- Haar averaging ------------------------------------------------------------------------
+
+def diagonal_entries(shifted):
+    """alpha on (N, n, n, 4) group elements: their n diagonal entries."""
+    idx = np.arange(shifted.shape[-2])
+    return shifted[:, idx, idx]
+
 
 def test_haar_trivial_action_constant_alpha():
     x = random_group_element(rng, 2)
-    target = [Quaternion(1.0), Quaternion(0, 1.0)]
-    f = haar_average(lambda g: list(target), trivial_action, x, 50, seed=1)
-    assert all((a - b).norm() < 1e-14 for a, b in zip(f, target))
+    target = np.array([Quaternion(1.0).to_array(), Quaternion(0, 1.0).to_array()])
+    f = haar_average(lambda shifted: np.broadcast_to(target, (len(shifted), 2, 4)),
+                     trivial_action, x, 50, seed=1)
+    assert f.shape == (2, 4)
+    assert np.sqrt(((f - target) ** 2).sum(axis=-1)).max() < 1e-14
 
 
 def test_haar_equivariance_common_draws():
@@ -370,13 +456,13 @@ def test_haar_equivariance_common_draws():
     xi = [random_unit_quaternion(rng) for _ in range(2)]
     x_xi = GroupElement(x.m @ QuatMatrix.diag(xi), check=False)
 
-    def alpha(g):
-        return [g.m.entry(0, 0), g.m.entry(1, 1)]
-
-    f_shift = haar_average(alpha, fundamental_action, x_xi, samples, seed=9)
-    f_base = haar_average(alpha, fundamental_action, x, samples, seed=9)
-    moved = fundamental_action([u.conj() for u in xi], f_base)
-    gap = max((a - b).norm() for a, b in zip(f_shift, moved))
+    f_shift = haar_average(diagonal_entries, fundamental_action, x_xi, samples,
+                           seed=9)
+    f_base = haar_average(diagonal_entries, fundamental_action, x, samples,
+                          seed=9)
+    xi_conj = np.array([u.conj().to_array() for u in xi])
+    moved = fundamental_action(xi_conj, f_base)
+    gap = np.sqrt(((f_shift - moved) ** 2).sum(axis=-1)).max()
     stderr = 2.0 / math.sqrt(samples)
     assert gap < 5.0 * stderr
 
@@ -385,16 +471,43 @@ def test_haar_inner_product_fiber_independent():
     samples = 40_000
     x = random_group_element(rng, 2)
 
-    def alpha(g):
-        return [g.m.entry(0, 0), g.m.entry(1, 1)]
-
     values = []
     for trial in range(2):
         xi = [random_unit_quaternion(rng) for _ in range(2)]
         shifted = GroupElement(x.m @ QuatMatrix.diag(xi), check=False)
-        f = haar_average(alpha, fundamental_action, shifted, samples, seed=11)
+        f = haar_average(diagonal_entries, fundamental_action, shifted, samples,
+                         seed=11)
         values.append(inner_product(f, f))
     assert abs(values[0] - values[1]) < 5.0 * 2.0 / math.sqrt(samples)
+
+
+def test_haar_average_matches_a_per_draw_loop():
+    # reference: the draws of haar_average replayed one at a time through
+    # unbatched products and Quaternion arithmetic
+    local = np.random.default_rng(505)
+    x = random_group_element(local, 3)
+    samples, seed = 300, 21
+    got = haar_average(diagonal_entries, fundamental_action, x, samples, seed)
+
+    draws = np.random.default_rng(seed).normal(0.0, 1.0, (samples, 3, 4))
+    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
+    acc = [Quaternion()] * 3
+    for eta in draws:
+        units = [Quaternion.from_array(e) for e in eta]
+        shifted = x.m @ QuatMatrix.diag(units)
+        acc = [acc[c] + units[c] * shifted.entry(c, c) for c in range(3)]
+    expect = np.array([(q * (1.0 / samples)).to_array() for q in acc])
+    assert np.abs(got - expect).max() < 1e-13
+    loop_inner = sum(q.norm_sq() for q in acc) / samples ** 2
+    assert abs(inner_product(got, got) - loop_inner) < 1e-13
+    # the array actions against their scalar definitions
+    eta, vec = draws[:2, :2], local.normal(size=(2, 2, 4))
+    left = fundamental_action(eta, vec)
+    for n in range(2):
+        for c in range(2):
+            q = Quaternion.from_array(eta[n, c]) * Quaternion.from_array(vec[n, c])
+            assert np.abs(left[n, c] - q.to_array()).max() < 1e-15
+    assert trivial_action(eta, vec) is vec
 
 
 def test_fiber_element_is_group_member():

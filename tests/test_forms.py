@@ -256,3 +256,28 @@ def test_connection_consistency_with_curvature():
     w21_u, w21_v = -w_u.adjoint(), -w_v.adjoint()
     minus_w12_w21 = -(w_u @ w21_v - w_v @ w21_u)
     assert (out["omega11"] - minus_w12_w21).max_abs() < 1e-12
+
+
+def test_batched_curvature_blocks_equal_the_stacked_singles():
+    local = np.random.default_rng(606)    # own stream
+    draws = [[random_quatmat(local, 2, 2, scale) for scale in (0.5, 1.0, 1.0)]
+             for _ in range(5)]
+
+    def stack(i):
+        return QuatMatrix(np.stack([d[i].a for d in draws]))
+
+    got = curvature_blocks(GrassmannPoint(stack(0)), stack(1), stack(2))
+    singles = [curvature_blocks(GrassmannPoint(x), u, v) for x, u, v in draws]
+    for key in ("omega11", "omega22"):
+        assert np.array_equal(got[key].a, np.stack([s[key].a for s in singles]))
+    for key in ("r11", "r22"):
+        assert all(isinstance(s[key], Quaternion) for s in singles)
+        assert np.array_equal(got[key],
+                              np.stack([s[key].to_array() for s in singles]))
+    # the independence gate holds per tangent pair
+    u, v = stack(1), stack(2)
+    v.a[3] = 2.0 * u.a[3]
+    with pytest.raises(DependentDirections):
+        curvature_blocks(GrassmannPoint(stack(0)), u, v, require_independent=True)
+    curvature_blocks(GrassmannPoint(stack(0)), u, stack(2),
+                     require_independent=True)

@@ -340,3 +340,180 @@ def test_blocks_partition():
     for j, k, shape in ((2, 2, (5, 5)), (2, 3, (5, 4))):
         with pytest.raises(DimensionMismatch):
             random_quatmat(kernel_rng, *shape).blocks(j, k)
+
+
+# -- the batch axis: a batch acts as the stack of its single matrices --------------
+
+# the batch tests draw from their own stream, leaving the draws above as they were
+batch_rng = np.random.default_rng(606)
+
+
+def stack(mats) -> np.ndarray:
+    return np.stack([m.a for m in mats])
+
+
+def positive_batch(count: int, n: int):
+    qs = [random_quatmat(batch_rng, n, n) for _ in range(count)]
+    return [q @ q.adjoint() + QuatMatrix.identity(n) for q in qs]
+
+
+def test_batch_shape_queries():
+    m = QuatMatrix(np.zeros((5, 2, 3, 2, 4)))
+    assert m.batch == (5, 2) and m.shape == (3, 2)
+    assert (m.rows, m.cols) == (3, 2)
+    assert QuatMatrix.identity(2).batch == ()
+    with pytest.raises(DimensionMismatch):
+        QuatMatrix(np.zeros((2, 3)))
+
+
+def test_batched_products_and_embedding_equal_the_stacked_singles():
+    lefts = [random_quatmat(batch_rng, 3, 4) for _ in range(6)]
+    rights = [random_quatmat(batch_rng, 4, 2) for _ in range(6)]
+    left, right = QuatMatrix(stack(lefts)), QuatMatrix(stack(rights))
+    assert np.array_equal((left @ right).a,
+                          stack([a @ b for a, b in zip(lefts, rights)]))
+    assert np.array_equal(left.adjoint().a, stack([a.adjoint() for a in lefts]))
+    embs = np.stack([a.embed() for a in lefts])
+    assert np.array_equal(left.embed(), embs)
+    assert np.array_equal(QuatMatrix.project(embs).a,
+                          stack([QuatMatrix.project(e) for e in embs]))
+    square = QuatMatrix(stack(positive_batch(4, 3)))
+    assert np.array_equal(square.trace(), np.stack(
+        [QuatMatrix(a).trace().to_array() for a in square.a]))
+    parts = square.blocks(1, 2)
+    singles = [QuatMatrix(a).blocks(1, 2) for a in square.a]
+    for i, part in enumerate(parts):
+        assert np.array_equal(part.a, stack([s[i] for s in singles]))
+
+
+def test_batched_product_broadcasts_against_single_matrices():
+    lefts = [random_quatmat(batch_rng, 3, 4) for _ in range(6)]
+    rights = [random_quatmat(batch_rng, 4, 2) for _ in range(3)]
+    left = QuatMatrix(stack(lefts))
+    single_left, single_right = lefts[0], rights[0]
+    assert np.array_equal((left @ single_right).a,
+                          stack([a @ single_right for a in lefts]))
+    right = QuatMatrix(stack(rights))
+    assert np.array_equal((single_left @ right).a,
+                          stack([single_left @ b for b in rights]))
+    # batch shapes (2, 3) and (3,) broadcast to (2, 3)
+    grid = QuatMatrix(left.a.reshape(2, 3, 3, 4, 4))
+    expect = np.stack([stack([lefts[3 * i + j] @ rights[j] for j in range(3)])
+                       for i in range(2)])
+    assert np.array_equal((grid @ right).a, expect)
+
+
+def test_batched_inverse_equals_the_stacked_singles():
+    mats = positive_batch(5, 3)
+    got = QuatMatrix(stack(mats)).inv()
+    assert np.array_equal(got.a, stack([m.inv() for m in mats]))
+
+
+def test_batched_expm_squares_each_matrix_its_own_number_of_times():
+    gen = random_skew_adjoint(batch_rng, 3)
+    unit = gen * (1.0 / float(np.linalg.norm(gen.embed(), 1)))
+    # embedding 1-norms 0.3, 0.8, 5 and 40: 0, 1, 4 and 7 squarings
+    gens = [unit * s for s in (0.3, 0.8, 5.0, 40.0)]
+    gens.append(random_skew_adjoint(batch_rng, 3))
+    got = expm(QuatMatrix(stack(gens)))
+    assert np.array_equal(got.a, stack([expm(g) for g in gens]))
+    for g, e in zip(gens, got.a):
+        assert (QuatMatrix(e) - series_exp(g)).max_abs() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["sqrt", "invsqrt", "cos_sqrt", "sin_sqrt",
+                                  "sinc_sqrt"])
+def test_batched_func_hermitian_equals_the_stacked_singles(kind):
+    mats = positive_batch(4, 3)
+    if kind != "invsqrt":
+        q = random_quatmat(batch_rng, 3, 3)
+        mats += [q + q.adjoint(), QuatMatrix.zeros(3, 3)]   # negative and tiny
+    got = func_hermitian(QuatMatrix(stack(mats)), kind)
+    assert np.array_equal(got.a, stack([func_hermitian(m, kind) for m in mats]))
+
+
+def test_batched_eigvals_equal_the_stacked_singles():
+    mats = positive_batch(5, 3)
+    got = eigvals_hyperhermitian(QuatMatrix(stack(mats)))
+    assert got.shape == (5, 3)
+    assert np.array_equal(got, np.stack([eigvals_hyperhermitian(m) for m in mats]))
+
+
+def test_batched_block_matrix_broadcasts_single_blocks():
+    tops = [random_quatmat(batch_rng, 2, 2) for _ in range(4)]
+    lows = [random_quatmat(batch_rng, 1, 3) for _ in range(4)]
+    right, corner = random_quatmat(batch_rng, 2, 3), random_quatmat(batch_rng, 1, 2)
+    got = block_matrix([[QuatMatrix(stack(tops)), right],
+                        [corner, QuatMatrix(stack(lows))]])
+    expect = stack([block_matrix([[t, right], [corner, d]])
+                    for t, d in zip(tops, lows)])
+    assert np.array_equal(got.a, expect)
+
+
+def test_empty_batch_passes_through_every_kernel():
+    empty = QuatMatrix(np.zeros((0, 2, 2, 4)))
+    assert (empty @ QuatMatrix(np.zeros((0, 2, 3, 4)))).a.shape == (0, 2, 3, 4)
+    assert (empty @ random_quatmat(batch_rng, 2, 3)).a.shape == (0, 2, 3, 4)
+    assert empty.adjoint().a.shape == (0, 2, 2, 4)
+    assert empty.embed().shape == (0, 4, 4)
+    assert QuatMatrix.project(empty.embed()).a.shape == (0, 2, 2, 4)
+    assert empty.inv().a.shape == (0, 2, 2, 4)
+    assert expm(empty).a.shape == (0, 2, 2, 4)
+    assert func_hermitian(empty, "sqrt").a.shape == (0, 2, 2, 4)
+    assert eigvals_hyperhermitian(empty).shape == (0, 2)
+    assert empty.trace().shape == (0, 4)
+    assert empty.is_hermitian() and empty.is_unitary()
+
+
+def test_one_bad_matrix_fails_the_whole_batch():
+    good = positive_batch(3, 2)
+    singular = stack(good + [QuatMatrix.zeros(2, 2)])
+    with pytest.raises(SingularMatrix):
+        QuatMatrix(singular).inv()
+    err = SingularMatrix("caller's error")
+    with pytest.raises(SingularMatrix) as caught:
+        QuatMatrix(singular).inv(err)
+    assert caught.value is err
+    ill = stack(good + [QuatMatrix.from_real(np.diag([1.0, 1e-13]))])
+    with pytest.raises(SingularMatrix):
+        QuatMatrix(ill).inv()
+    nan = stack(good + [QuatMatrix.identity(2)])
+    nan[1, 0, 1, 2] = np.nan
+    with pytest.raises(SingularMatrix):
+        QuatMatrix(nan).inv()
+    embs = np.stack([m.embed() for m in good])
+    embs[2, 0, 1] += 1.0
+    with pytest.raises(MalformedM2C):
+        QuatMatrix.project(embs)
+    members = [random_group_element(batch_rng, 2) for _ in range(3)]
+    with pytest.raises(NotGroupElement):
+        GroupElement(QuatMatrix(stack([g.m for g in members] + [good[0]])))
+    GroupElement(QuatMatrix(stack([g.m for g in members])))
+    skewed = stack(good + [random_quatmat(batch_rng, 2, 2)])
+    with pytest.raises(NotHyperHermitian):
+        func_hermitian(QuatMatrix(skewed), "sqrt")
+    with pytest.raises(NotHyperHermitian):
+        eigvals_hyperhermitian(QuatMatrix(skewed))
+    with pytest.raises(SingularInvSqrt):
+        func_hermitian(QuatMatrix(stack(good + [QuatMatrix.zeros(2, 2)])),
+                       "invsqrt")
+
+
+def test_structure_tolerances_scale_with_each_matrix():
+    # a large matrix with a relatively small defect passes on its own scale,
+    # while the same absolute defect in a unit-scale matrix fails on its own
+    big = random_quatmat(batch_rng, 2, 2) * 1e6
+    small = random_quatmat(batch_rng, 2, 2)
+    embs = np.stack([big.embed(), small.embed()])
+    embs[:, 1, 1] += 1e-5
+    QuatMatrix.project(embs[:1])
+    with pytest.raises(MalformedM2C):
+        QuatMatrix.project(embs[1:])
+    with pytest.raises(MalformedM2C):
+        QuatMatrix.project(embs)
+    herm = positive_batch(2, 2)
+    herm = QuatMatrix(stack([herm[0] * 1e6, herm[1]]))
+    herm.a[:, 0, 1, 1] += 1e-5
+    assert QuatMatrix(herm.a[:1]).is_hermitian()
+    assert not QuatMatrix(herm.a[1:]).is_hermitian()
+    assert not herm.is_hermitian()
