@@ -13,10 +13,6 @@ PAIRING_REL = 1e-8
 #: quaternionic-structure residual allowed when projecting a complex
 #: embedding back to quaternion entries
 STRUCTURE = 1e-9
-#: step for first-order central differences (tangent pushforwards)
-FD_STEP = 1e-6
-#: step for doubly-differentiated quantities (Maurer-Cartan residuals)
-SECOND_DIFF_STEP = 1e-4
 #: ceiling on the 1-norm condition number of a complex embedding before
 #: its matrix counts as singular
 COND_LIMIT = 1e12

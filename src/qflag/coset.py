@@ -102,14 +102,18 @@ def grassmann_from_coset(xi: QuatMatrix) -> GrassmannPoint:
     return GrassmannPoint(z @ func_hermitian(gram, "invsqrt"))
 
 
-def lft_apply(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
-    """Linear fractional action Y = (A X + B)(C X + D)^{-1}."""
+def _action(g: GroupElement, point: GrassmannPoint):
+    """The blocks A, C of ``g``, the image Y and (C X + D)^{-1}."""
     x = point.x
     a, b, c, d = g.blocks(point.j, point.k)
-    den = c @ x + d
-    den_inv = den.inv(SingularDenominator(
+    den_inv = (c @ x + d).inv(SingularDenominator(
         "C X + D is singular; the point is mapped to infinity"))
-    return GrassmannPoint((a @ x + b) @ den_inv)
+    return a, c, (a @ x + b) @ den_inv, den_inv
+
+
+def lft_apply(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
+    """Linear fractional action Y = (A X + B)(C X + D)^{-1}."""
+    return GrassmannPoint(_action(g, point)[2])
 
 
 def lft_apply_second_form(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
@@ -231,21 +235,16 @@ def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix) -> float:
 
 def pushforward_tangent(g: GroupElement, point: GrassmannPoint,
                         dx: QuatMatrix) -> QuatMatrix:
-    """Central-difference transport of a tangent through the group action."""
-    h = config.FD_STEP
-    plus = lft_apply(g, GrassmannPoint(point.x + dx * h)).x
-    minus = lft_apply(g, GrassmannPoint(point.x - dx * h)).x
-    return (plus - minus) * (0.5 / h)
+    """Exact transport of a tangent: dY = (A - Y C) dX (C X + D)^{-1}."""
+    a, c, y, den_inv = _action(g, point)
+    return (a - y @ c) @ dx @ den_inv
 
 
 def metric_invariance_residual(g: GroupElement, point: GrassmannPoint,
                                dx: QuatMatrix) -> float:
-    """|ds^2 at (X, dX) - ds^2 at (g X, g_* dX)| with finite-difference g_*."""
-    before = metric_form(point, dx)
-    image = lft_apply(g, point)
-    dy = pushforward_tangent(g, point, dx)
-    after = metric_form(image, dy)
-    return abs(after - before)
+    """|ds^2 at (X, dX) - ds^2 at (g X, g_* dX)| with the exact g_*."""
+    after = metric_form(lft_apply(g, point), pushforward_tangent(g, point, dx))
+    return abs(after - metric_form(point, dx))
 
 
 def inversion_invariance_residual(q: Quaternion, dq: Quaternion) -> float:
@@ -332,25 +331,32 @@ def fiber_element(units) -> GroupElement:
     return GroupElement(QuatMatrix.diag(list(units)), check=False)
 
 
+_HAAR_CHUNK = 8192   # draws per block of haar_average (about 11 MB at n = 2)
+
+
 def haar_average(alpha, sigma, x: GroupElement, samples: int,
                  seed: int = 0) -> np.ndarray:
     """Monte-Carlo average of sigma(eta) alpha(x eta) over the fiber torus.
 
-    All ``samples`` draws of ``eta`` are taken at once, uniformly from the
-    product of unit-quaternion fibers (one factor per row of ``x``, via
-    normalised 4d Gaussians), as an ``(N, n, 4)`` array.  ``alpha`` maps the
-    ``(N, n, n, 4)`` array of products ``x @ diag(eta)`` to an ``(N, m, 4)``
-    array of quaternion vectors, and ``sigma(etas, values)`` is a unitary
-    action of the draws on such an array.  The ``(m, 4)`` average f
-    satisfies f(x xi) = sigma(xi^{-1}) f(x) up to O(1/sqrt(samples)).
+    The draws of ``eta`` are taken uniformly from the product of
+    unit-quaternion fibers (one factor per row of ``x``, via normalised 4d
+    Gaussians) from one random stream, as ``(N, n, 4)`` arrays of at most
+    ``_HAAR_CHUNK`` draws.  ``alpha`` maps the ``(N, n, n, 4)`` array of
+    products ``x @ diag(eta)`` to an ``(N, m, 4)`` array of quaternion
+    vectors, and ``sigma(etas, values)`` is a unitary action of the draws on
+    such an array.  The ``(m, 4)`` average f satisfies
+    f(x xi) = sigma(xi^{-1}) f(x) up to O(1/sqrt(samples)).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    etas = rng.normal(0.0, 1.0, (samples, x.n, 4))
-    etas /= np.linalg.norm(etas, axis=2, keepdims=True)
-    values = sigma(etas, alpha((x.m @ _diag(etas)).a))
-    return values.sum(axis=0) * (1.0 / samples)
+    total = 0.0
+    for start in range(0, samples, _HAAR_CHUNK):
+        size = min(_HAAR_CHUNK, samples - start)
+        etas = rng.normal(0.0, 1.0, (size, x.n, 4))
+        etas /= np.linalg.norm(etas, axis=2, keepdims=True)
+        total = total + sigma(etas, alpha((x.m @ _diag(etas)).a)).sum(axis=0)
+    return total * (1.0 / samples)
 
 
 def inner_product(u: np.ndarray, v: np.ndarray):

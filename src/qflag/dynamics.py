@@ -132,28 +132,17 @@ def transition_split(gen: QuatMatrix, psi: StateVector) -> TransitionSplit:
     The sum of the four labelled parts reproduces gen @ psi exactly (up to
     rounding); block-diagonal generators have vanishing exchange channels.
     """
-    k = psi.split
-    n = psi.n
+    k, n = psi.split, psi.n
     if gen.rows != n or gen.cols != n:
         raise PartitionMismatch(f"generator {gen.shape} does not act on n={n}")
-    a = gen.a
-    top_left = QuatMatrix(a[:k, :k]) if k else None
-    col = psi.as_column()
-    v = QuatMatrix(col.a[:k]) if k else None
-    big_v = QuatMatrix(col.a[k:]) if k < n else None
+    a, b, c, d = gen.blocks(k, n - k)
+    col = psi.as_column().a
+    v, big_v = QuatMatrix(col[:k]), QuatMatrix(col[k:])
 
-    def col_entries(mat):
-        return tuple(mat.entry(i, 0) for i in range(mat.rows)) if mat else ()
+    def entries(mat):
+        return tuple(mat.entry(i, 0) for i in range(mat.rows))
 
-    sys_rot = col_entries(top_left @ v if k else None)
-    sur_rot = col_entries(QuatMatrix(a[k:, k:]) @ big_v if k < n else None)
-    exch_in = col_entries(QuatMatrix(a[:k, k:]) @ big_v if (k and k < n) else None)
-    exch_out = col_entries(QuatMatrix(a[k:, :k]) @ v if (k and k < n) else None)
-    if not exch_in and k:
-        exch_in = tuple(Quaternion() for _ in range(k))
-    if not exch_out and k < n:
-        exch_out = tuple(Quaternion() for _ in range(n - k))
-    return TransitionSplit(system_rotation=sys_rot,
-                           surroundings_rotation=sur_rot,
-                           exchange_in=exch_in,
-                           exchange_out=exch_out)
+    return TransitionSplit(system_rotation=entries(a @ v),
+                           surroundings_rotation=entries(d @ big_v),
+                           exchange_in=entries(b @ big_v),
+                           exchange_out=entries(c @ v))

@@ -51,6 +51,10 @@ class SingularMatrix(QflagError):
     """Matrix is singular, or too ill-conditioned to invert."""
 
 
+class NonFiniteMatrix(QflagError):
+    """Matrix has a NaN or infinite entry where a finite one is required."""
+
+
 # -- coset geometry --------------------------------------------------------
 
 class SingularDenominator(SingularMatrix):

@@ -10,8 +10,9 @@ differentials anticommute:
     (a dx_r) ^ (b dx_s) = (a b) dx_r ^ dx_s = -(a b) dx_s ^ dx_r.
 
 The module also evaluates pulled-back connection and curvature data along
-explicit paths and tangent pairs, which is how the Maurer-Cartan structure
-equation and the curvature block identities are checked pointwise.
+one-parameter subgroups and tangent pairs, which is how the Maurer-Cartan
+structure equation and the curvature block identities are checked
+pointwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import config
 from .errors import DependentDirections, DimensionMismatch
 from .quaternion import BASIS, Quaternion
-from .quatmat import GroupElement, QuatMatrix, func_hermitian
+from .quatmat import QuatMatrix, block_matrix, expm, func_hermitian
 
 
 def _mul(a, b):
@@ -165,22 +166,32 @@ def hodge_star(form: QTwoForm) -> QTwoForm:
 
 # -- pulled-back connection and curvature data --------------------------------
 
+def _exp_with_derivatives(x: QuatMatrix, *directions: QuatMatrix) -> list:
+    """[exp(x), D exp(x)[e_1], ..., D exp(x)[e_m]], exactly, from one expm:
+    the top block row of exp [[x, e_1, ..., e_m], [0, x, 0, ...], ...,
+    [0, ..., 0, x]] (Higham, Functions of Matrices, 2008, Thm 3.6)."""
+    n, size = x.rows, len(directions) + 1
+    zero = QuatMatrix.zeros(n, n)
+    grid = [[x, *directions]] + [[x if c == r else zero for c in range(size)]
+                                 for r in range(1, size)]
+    top = expm(block_matrix(grid)).a[..., :n, :, :]
+    return [QuatMatrix(top[..., c * n:(c + 1) * n, :]) for c in range(size)]
 
-def connection_along_path(g_path, t: float) -> QuatMatrix:
-    """omega = g* dg/dt evaluated by central differences along a path."""
-    h = config.FD_STEP
-    gdot = (g_path(t + h).m - g_path(t - h).m) * (0.5 / h)
-    return g_path(t).m.adjoint() @ gdot
+
+def connection_along_path(gen: QuatMatrix, t: float) -> QuatMatrix:
+    """omega = g* dg/dt along g(t) = exp(t gen), with the exact dg/dt; for a
+    skew-adjoint ``gen`` it equals ``gen`` up to rounding."""
+    g, dg = _exp_with_derivatives(gen * t, gen)
+    return g.adjoint() @ dg
 
 
-def connection_blocks(g_path, t: float, j: int, k: int):
-    """The four blocks (w11, w12, w21, w22) of g* dg along a path.
+def connection_blocks(gen: QuatMatrix, t: float, j: int, k: int):
+    """The four blocks (w11, w12, w21, w22) of g* dg along exp(t gen).
 
-    The full form is skew-adjoint, so w21 = -w12* up to differencing error;
-    paths inside the block-diagonal subgroup have vanishing off-diagonal
-    blocks.
+    The full form is skew-adjoint, so w21 = -w12*; generators inside the
+    block-diagonal subalgebra give vanishing off-diagonal blocks.
     """
-    return connection_along_path(g_path, t).blocks(j, k)
+    return connection_along_path(gen, t).blocks(j, k)
 
 
 def _gram_independent(u: QuatMatrix, v: QuatMatrix) -> bool:
@@ -231,30 +242,19 @@ def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix,
     return {"omega11": omega11, "omega22": omega22, "r11": r11, "r22": r22}
 
 
-def maurer_cartan_residual(g_family, s: float, t: float) -> float:
-    """Residual of d omega + omega ^ omega = 0 along a two-parameter family.
+def maurer_cartan_residual(a: QuatMatrix, b: QuatMatrix, s: float,
+                           t: float) -> float:
+    """Residual of d omega + omega ^ omega = 0 on the family exp(s a + t b).
 
-    With omega_s = g* (dg/ds) and omega_t = g* (dg/dt), the structure
-    equation evaluated on the coordinate pair reads
+    With omega_s = g* g_s and omega_t = g* g_t, the structure equation
+    evaluated on the coordinate pair reads
 
-        d/ds omega_t - d/dt omega_s + [omega_s, omega_t] = 0.
+        d/ds omega_t - d/dt omega_s + [omega_s, omega_t] = 0,
 
-    All derivatives are second-order central differences; this is the
-    loosest check in the library (double differencing).
+    where the mixed second derivatives of g cancel from the first two
+    terms, leaving g_s* g_t - g_t* g_s with the exact g_s and g_t.
     """
-    h = config.SECOND_DIFF_STEP
-
-    def omega_s(ss, tt):
-        gdot = (g_family(ss + h, tt).m - g_family(ss - h, tt).m) * (0.5 / h)
-        return g_family(ss, tt).m.adjoint() @ gdot
-
-    def omega_t(ss, tt):
-        gdot = (g_family(ss, tt + h).m - g_family(ss, tt - h).m) * (0.5 / h)
-        return g_family(ss, tt).m.adjoint() @ gdot
-
-    d_s = (omega_t(s + h, t) - omega_t(s - h, t)) * (0.5 / h)
-    d_t = (omega_s(s, t + h) - omega_s(s, t - h)) * (0.5 / h)
-    ws = omega_s(s, t)
-    wt = omega_t(s, t)
-    residual = d_s - d_t + ws @ wt - wt @ ws
+    g, g_s, g_t = _exp_with_derivatives(a * s + b * t, a, b)
+    w_s, w_t = g.adjoint() @ g_s, g.adjoint() @ g_t
+    residual = g_s.adjoint() @ g_t - g_t.adjoint() @ g_s + w_s @ w_t - w_t @ w_s
     return residual.max_abs()

@@ -35,9 +35,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import config
-from .errors import (DimensionMismatch, MalformedM2C, NonSquare,
-                     NotGroupElement, NotHyperHermitian, NotSkewAdjoint,
-                     PairingFailure, SingularInvSqrt, SingularMatrix)
+from .errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
+                     NonSquare, NotGroupElement, NotHyperHermitian,
+                     NotSkewAdjoint, PairingFailure, SingularInvSqrt,
+                     SingularMatrix)
 from .quaternion import MUL_TABLE, Quaternion
 
 # _RIGHT_TABLE[q, 4 p + r] = MUL_TABLE[p, q, r]: one entry's components times
@@ -200,7 +201,7 @@ class QuatMatrix:
 
         The residual against the quaternionic structure (m22 = conj(m11),
         m21 = -conj(m12) per block) must stay below ``config.STRUCTURE``
-        relative to the scale of each matrix.
+        relative to the scale of each matrix; a NaN or infinite entry fails.
         """
         emb = np.asarray(emb, dtype=complex)
         if emb.ndim < 2 or emb.shape[-2] % 2 or emb.shape[-1] % 2:
@@ -212,13 +213,14 @@ class QuatMatrix:
         d22 = np.abs(m22 - m11.conj())
         d21 = np.abs(m21 + m12.conj())
         # every scale is at least 1, so a worst residual within the bare
-        # tolerance passes without the per-matrix scales
-        if not max(d22.max(initial=0.0), d21.max(initial=0.0)) <= config.STRUCTURE:
+        # tolerance passes without the per-matrix scales (NaN fails both)
+        if not (d22.max(initial=0.0) <= config.STRUCTURE
+                and d21.max(initial=0.0) <= config.STRUCTURE):
             axes = (-2, -1)
             res = np.maximum(d22.max(axis=axes, initial=0.0),
                              d21.max(axis=axes, initial=0.0))
             scale = np.maximum(1.0, np.abs(emb).max(axis=axes, initial=0.0))
-            bad = res > config.STRUCTURE * scale
+            bad = ~(np.isfinite(res) & (res <= config.STRUCTURE * scale))
             if bad.any():
                 raise MalformedM2C(f"structure residual {res[bad].max():.3e} "
                                    f"exceeds {config.STRUCTURE:.1e} * scale")
@@ -308,16 +310,19 @@ def expm(m: QuatMatrix) -> QuatMatrix:
     Each matrix is halved until the 1-norm of its complex embedding drops
     below 0.5, the power series truncated after order 18 is summed with
     quaternion products, and the result is squared back up; in a batch only
-    the matrices that were halved more often are squared more often.
+    the matrices that were halved more often are squared more often.  A NaN
+    or infinite entry raises :class:`NonFiniteMatrix`.
     """
     if not m.is_square():
         raise NonSquare("exponential of a non-square matrix")
     n = m.rows
     norm1 = (np.linalg.norm(m.embed(), 1, axis=(-2, -1)) if n
              else np.zeros(m.batch))
-    # fmax sends a NaN norm to no squarings, as ``norm1 > 0.5`` did
-    squarings = np.ceil(np.log2(np.fmax(norm1, 0.5) / 0.5))
-    count = int(squarings.max(initial=0.0))   # OverflowError on an inf norm
+    # np.maximum keeps a NaN norm: the worst count is NaN or inf on bad input
+    squarings = np.ceil(np.log2(np.maximum(norm1, 0.5) / 0.5))
+    count = squarings.max(initial=0.0)
+    if not count < np.inf:
+        raise NonFiniteMatrix("exponential of a NaN or infinite entry")
     squarings = squarings.astype(int)
     scale = np.ldexp(1.0, -squarings)        # exact powers of two
     scaled = QuatMatrix(m.a * scale[..., None, None, None])
@@ -326,7 +331,7 @@ def expm(m: QuatMatrix) -> QuatMatrix:
     for k in range(1, 19):
         term = (term @ scaled) * (1.0 / k)
         result = result + term
-    for done in range(count):
+    for done in range(int(count)):
         need = squarings > done
         if need.all():
             result = result @ result

@@ -72,34 +72,34 @@ def angular_metric(omega: float, alpha: float) -> np.ndarray:
 
 # -- finite-difference curvature ----------------------------------------------
 
-def christoffel(metric_fn, point, step: float = 1e-4) -> np.ndarray:
+_STEP = 1e-4            # central-difference step of Christoffel and Ricci
+_OFFDIAG_FLOOR = 1e-8   # metric entries this small count as zero
+
+
+def christoffel(metric_fn, point) -> np.ndarray:
     """Gamma^k_{ij} by central differences of the metric."""
     point = np.asarray(point, dtype=float)
     dim = point.size
     g = metric_fn(point)
     g_inv = np.linalg.inv(g)
     dg = np.empty((dim, dim, dim))
-    for m in range(dim):
-        delta = np.zeros(dim)
-        delta[m] = step
-        dg[m] = (metric_fn(point + delta) - metric_fn(point - delta)) / (2 * step)
+    for m, delta in enumerate(np.eye(dim) * _STEP):
+        dg[m] = (metric_fn(point + delta) - metric_fn(point - delta)) / (2 * _STEP)
     # dg[m, i, j] = partial_m g_ij; build sym[i, j, l] =
     # partial_i g_jl + partial_j g_il - partial_l g_ij
     sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     return 0.5 * np.einsum("kl,ijl->kij", g_inv, sym)
 
 
-def ricci(metric_fn, point, step: float = 1e-4) -> np.ndarray:
+def ricci(metric_fn, point) -> np.ndarray:
     """Ricci tensor by differencing the Christoffel symbols."""
     point = np.asarray(point, dtype=float)
     dim = point.size
     dgamma = np.empty((dim, dim, dim, dim))
-    for m in range(dim):
-        delta = np.zeros(dim)
-        delta[m] = step
-        dgamma[m] = (christoffel(metric_fn, point + delta, step)
-                     - christoffel(metric_fn, point - delta, step)) / (2 * step)
-    gamma = christoffel(metric_fn, point, step)
+    for m, delta in enumerate(np.eye(dim) * _STEP):
+        dgamma[m] = (christoffel(metric_fn, point + delta)
+                     - christoffel(metric_fn, point - delta)) / (2 * _STEP)
+    gamma = christoffel(metric_fn, point)
     # R_ij = d_k Gamma^k_ij - d_j Gamma^k_ik + Gamma^k_kl Gamma^l_ij
     #        - Gamma^k_jl Gamma^l_ik
     term1 = np.einsum("kkij->ij", dgamma)
@@ -110,8 +110,7 @@ def ricci(metric_fn, point, step: float = 1e-4) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def einstein_check(points, metric_fn=fs_metric, step: float = 1e-4,
-                   offdiag_floor: float = 1e-8) -> dict:
+def einstein_check(points, metric_fn=fs_metric) -> dict:
     """Ratios Ricci_ij / g_ij over sample points.
 
     For an Einstein metric all ratios collapse onto a single constant; the
@@ -124,11 +123,11 @@ def einstein_check(points, metric_fn=fs_metric, step: float = 1e-4,
     max_offdiag = 0.0
     for p in points:
         g = metric_fn(np.asarray(p, dtype=float))
-        r = ricci(metric_fn, p, step)
+        r = ricci(metric_fn, p)
         local = []
         for i in range(4):
             for j in range(4):
-                if abs(g[i, j]) > offdiag_floor:
+                if abs(g[i, j]) > _OFFDIAG_FLOOR:
                     local.append(r[i, j] / g[i, j])
                 else:
                     max_offdiag = max(max_offdiag, abs(r[i, j]))

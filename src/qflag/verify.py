@@ -254,7 +254,7 @@ def suite_coset(cfg: RunConfig):
                                _quatmat_draw(2, 2, 0.4), unit)
     worst = float(coset.metric_invariance_residual(
         GroupElement(expm(gen)), point(x), dx).max())
-    out.append(_check(cfg, "coset.metric_pushforward_invariance", worst, 1e-5))
+    out.append(_check(cfg, "coset.metric_pushforward_invariance", worst, 1e-11))
 
     rng = cfg.rng("coset.metric_inversion_invariance")
     worst = 0.0
@@ -370,13 +370,12 @@ def suite_forms(cfg: RunConfig):
     worst_pair = 0.0
     for _ in range(cfg.count(20)):
         gen = random_skew_adjoint(rng, 4)
-        path = (lambda s: lambda t: GroupElement(expm(s * t), check=False))(gen)
-        w11, w12, w21, w22 = forms.connection_blocks(path, 0.3, 2, 2)
-        full = forms.connection_along_path(path, 0.3)
+        w11, w12, w21, w22 = forms.connection_blocks(gen, 0.3, 2, 2)
+        full = forms.connection_along_path(gen, 0.3)
         worst_skew = max(worst_skew, (full + full.adjoint()).max_abs())
         worst_pair = max(worst_pair, (w21 + w12.adjoint()).max_abs())
-    out.append(_check(cfg, "forms.connection_skewness", worst_skew, 1e-7))
-    out.append(_check(cfg, "forms.connection_block_pairing", worst_pair, 1e-7))
+    out.append(_check(cfg, "forms.connection_skewness", worst_skew, 1e-11))
+    out.append(_check(cfg, "forms.connection_block_pairing", worst_pair, 1e-11))
 
     rng = cfg.rng("forms.isotropy_vanishing")
     worst = 0.0
@@ -384,10 +383,9 @@ def suite_forms(cfg: RunConfig):
         gen = random_skew_adjoint(rng, 4)
         gen.a[:2, 2:, :] = 0.0
         gen.a[2:, :2, :] = 0.0
-        path = (lambda s: lambda t: GroupElement(expm(s * t), check=False))(gen)
-        _, w12, w21, _ = forms.connection_blocks(path, 0.4, 2, 2)
+        _, w12, w21, _ = forms.connection_blocks(gen, 0.4, 2, 2)
         worst = max(worst, w12.max_abs(), w21.max_abs())
-    out.append(_check(cfg, "forms.isotropy_vanishing", worst, 1e-7,
+    out.append(_check(cfg, "forms.isotropy_vanishing", worst, 1e-11,
                       "block-diagonal paths carry no off-diagonal connection"))
 
     rng = cfg.rng("forms.maurer_cartan")
@@ -395,12 +393,10 @@ def suite_forms(cfg: RunConfig):
     for _ in range(cfg.count(10)):
         g1 = random_skew_adjoint(rng, 3)
         g2 = random_skew_adjoint(rng, 3)
-        fam = (lambda a, b: lambda s, t: GroupElement(expm(a * s + b * t),
-                                                      check=False))(g1, g2)
         worst = max(worst, forms.maurer_cartan_residual(
-            fam, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)))
-    out.append(_check(cfg, "forms.maurer_cartan", worst, 1e-4,
-                      "double finite differences; loosest check in the suite"))
+            g1, g2, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)))
+    out.append(_check(cfg, "forms.maurer_cartan", worst, 1e-11,
+                      "exact derivatives of exp(s a + t b) from one dual block"))
 
     rng = cfg.rng("forms.curvature_blocks")
     unit, single = _quatmat_draw(2, 2), _quatmat_draw(1, 1)

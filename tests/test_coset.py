@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qflag.coset import (GrassmannPoint, coset_element, coset_generator,
+from qflag.coset import (_HAAR_CHUNK, GrassmannPoint, coset_element, coset_generator,
                          cross_ratio, curvature_det, curvature_trace,
                          fiber_element, fundamental_action,
                          grassmann_from_coset, haar_average, inner_product,
@@ -263,7 +263,21 @@ def test_metric_invariance_under_pushforward():
     for _ in range(500):
         g = random_group_element(rng, 4)
         x, dx = random_point(scale=0.4), random_quatmat(rng, 2, 2)
-        assert metric_invariance_residual(g, x, dx) < 1e-5
+        assert metric_invariance_residual(g, x, dx) < 1e-11
+
+
+def test_pushforward_matches_central_differences_of_lft_apply():
+    # oracle: (g(X + h dX) - g(X - h dX)) / 2h, good to O(h^2)
+    local = np.random.default_rng(3031)
+    h = 1e-5
+    for j, k in ((1, 1), (2, 2), (1, 3), (3, 1)):
+        g = random_group_element(local, j + k)
+        x = GrassmannPoint(random_quatmat(local, j, k, 0.4))
+        dx = random_quatmat(local, j, k)
+        plus = lft_apply(g, GrassmannPoint(x.x + dx * h)).x
+        minus = lft_apply(g, GrassmannPoint(x.x - dx * h)).x
+        oracle = (plus - minus) * (0.5 / h)
+        assert (pushforward_tangent(g, x, dx) - oracle).max_abs() < 1e-8
 
 
 def test_metric_inversion_invariance_scalar():
@@ -431,6 +445,8 @@ def test_batched_coset_calls_raise_the_single_error():
               GrassmannPoint(QuatMatrix(np.zeros((2, 1, 1, 4)))))
     with pytest.raises(SingularDenominator):
         lft_apply(g, x)
+    with pytest.raises(SingularDenominator):
+        pushforward_tangent(g, x, QuatMatrix(np.ones((3, 1, 1, 4))))
 
 
 # -- Haar averaging ------------------------------------------------------------------------
@@ -483,23 +499,25 @@ def test_haar_inner_product_fiber_independent():
 
 def test_haar_average_matches_a_per_draw_loop():
     # reference: the draws of haar_average replayed one at a time through
-    # unbatched products and Quaternion arithmetic
+    # unbatched products and Quaternion arithmetic; the second sample count
+    # spans two full blocks of draws and a remainder
     local = np.random.default_rng(505)
     x = random_group_element(local, 3)
-    samples, seed = 300, 21
-    got = haar_average(diagonal_entries, fundamental_action, x, samples, seed)
-
-    draws = np.random.default_rng(seed).normal(0.0, 1.0, (samples, 3, 4))
-    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
-    acc = [Quaternion()] * 3
-    for eta in draws:
-        units = [Quaternion.from_array(e) for e in eta]
-        shifted = x.m @ QuatMatrix.diag(units)
-        acc = [acc[c] + units[c] * shifted.entry(c, c) for c in range(3)]
-    expect = np.array([(q * (1.0 / samples)).to_array() for q in acc])
-    assert np.abs(got - expect).max() < 1e-13
-    loop_inner = sum(q.norm_sq() for q in acc) / samples ** 2
-    assert abs(inner_product(got, got) - loop_inner) < 1e-13
+    seed = 21
+    for samples in (300, 2 * _HAAR_CHUNK + 123):
+        got = haar_average(diagonal_entries, fundamental_action, x, samples,
+                           seed)
+        draws = np.random.default_rng(seed).normal(0.0, 1.0, (samples, 3, 4))
+        draws /= np.linalg.norm(draws, axis=2, keepdims=True)
+        acc = [Quaternion()] * 3
+        for eta in draws:
+            units = [Quaternion.from_array(e) for e in eta]
+            shifted = x.m @ QuatMatrix.diag(units)
+            acc = [acc[c] + units[c] * shifted.entry(c, c) for c in range(3)]
+        expect = np.array([(q * (1.0 / samples)).to_array() for q in acc])
+        assert np.abs(got - expect).max() < 1e-13
+        loop_inner = sum(q.norm_sq() for q in acc) / samples ** 2
+        assert abs(inner_product(got, got) - loop_inner) < 1e-13
     # the array actions against their scalar definitions
     eta, vec = draws[:2, :2], local.normal(size=(2, 2, 4))
     left = fundamental_action(eta, vec)

@@ -116,6 +116,19 @@ def test_transition_split_reconstruction():
         direct = gen @ psi.as_column()
         assert max((rec[i] - direct.entry(i, 0)).norm()
                    for i in range(4)) < 1e-12
+    # an empty system or empty surroundings: no exchange, one rotation
+    local = np.random.default_rng(1101)
+    for k in (0, 4):
+        gen = random_skew_adjoint(local, 4)
+        psi = random_state(local, 4, k)
+        split = transition_split(gen, psi)
+        assert len(split.system_rotation) == len(split.exchange_in) == k
+        assert len(split.surroundings_rotation) == len(split.exchange_out) == 4 - k
+        assert all(q.norm() == 0.0 for q in split.exchange_in + split.exchange_out)
+        rec = split.reconstruction()
+        direct = gen @ psi.as_column()
+        assert max((rec[i] - direct.entry(i, 0)).norm()
+                   for i in range(4)) < 1e-12
 
 
 def test_transition_split_block_diagonal():

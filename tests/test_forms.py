@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qflag import forms
 from qflag.coset import GrassmannPoint
 from qflag.errors import DependentDirections, DimensionMismatch
 from qflag.forms import (HODGE_PAIRS, QOneForm, QTwoForm, connection_along_path,
@@ -8,8 +9,7 @@ from qflag.forms import (HODGE_PAIRS, QOneForm, QTwoForm, connection_along_path,
                          curvature_blocks, dY_wedge, hodge_star,
                          maurer_cartan_residual, wedge)
 from qflag.quaternion import E, I, J, K, Quaternion, random_quaternion
-from qflag.quatmat import (GroupElement, QuatMatrix, expm, random_quatmat,
-                           random_skew_adjoint)
+from qflag.quatmat import QuatMatrix, expm, random_quatmat, random_skew_adjoint
 
 rng = np.random.default_rng(404)
 
@@ -124,22 +124,20 @@ def test_hodge_star_involution_and_eigensectors():
         assert (hodge_star(f) + f).max_abs() == 0.0    # -1 eigenvector
 
 
-# -- connection along paths -------------------------------------------------------
+# -- connection along one-parameter subgroups ---------------------------------------
 
 def test_constant_path_has_zero_connection():
-    path = lambda t: GroupElement(QuatMatrix.identity(4), check=False)
-    blocks = connection_blocks(path, 0.2, 2, 2)
+    blocks = connection_blocks(QuatMatrix.zeros(4, 4), 0.2, 2, 2)
     assert max(b.max_abs() for b in blocks) == 0.0
 
 
 def test_connection_skewness_and_block_pairing():
     for _ in range(20):
         gen = random_skew_adjoint(rng, 4)
-        path = (lambda s: lambda t: GroupElement(expm(s * t), check=False))(gen)
-        omega = connection_along_path(path, 0.3)
-        assert (omega + omega.adjoint()).max_abs() < 1e-7
-        w11, w12, w21, w22 = connection_blocks(path, 0.3, 2, 2)
-        assert (w21 + w12.adjoint()).max_abs() < 1e-7
+        omega = connection_along_path(gen, 0.3)
+        assert (omega + omega.adjoint()).max_abs() < 1e-11
+        w11, w12, w21, w22 = connection_blocks(gen, 0.3, 2, 2)
+        assert (w21 + w12.adjoint()).max_abs() < 1e-11
 
 
 def test_isotropy_paths_have_no_off_diagonal_connection():
@@ -147,18 +145,27 @@ def test_isotropy_paths_have_no_off_diagonal_connection():
         gen = random_skew_adjoint(rng, 4)
         gen.a[:2, 2:, :] = 0.0
         gen.a[2:, :2, :] = 0.0
-        path = (lambda s: lambda t: GroupElement(expm(s * t), check=False))(gen)
-        _, w12, w21, _ = connection_blocks(path, 0.4, 2, 2)
-        assert w12.max_abs() < 1e-7
-        assert w21.max_abs() < 1e-7
+        _, w12, w21, _ = connection_blocks(gen, 0.4, 2, 2)
+        assert w12.max_abs() < 1e-11
+        assert w21.max_abs() < 1e-11
 
 
 def test_exact_connection_value():
     # for g(t) = exp(t S), g* dg/dt = S exactly
     gen = random_skew_adjoint(rng, 3)
-    path = lambda t: GroupElement(expm(gen * t), check=False)
-    omega = connection_along_path(path, 0.7)
-    assert (omega - gen).max_abs() < 1e-8
+    omega = connection_along_path(gen, 0.7)
+    assert (omega - gen).max_abs() < 1e-12
+
+
+def test_connection_matches_central_differences_of_expm():
+    # oracle: g* (g(t + h) - g(t - h)) / 2h, good to O(h^2)
+    local = np.random.default_rng(4041)
+    h = 1e-5
+    for n, t in ((2, 0.3), (3, -0.8), (4, 1.5)):
+        gen = random_skew_adjoint(local, n)
+        gdot = (expm(gen * (t + h)) - expm(gen * (t - h))) * (0.5 / h)
+        oracle = expm(gen * t).adjoint() @ gdot
+        assert (connection_along_path(gen, t) - oracle).max_abs() < 1e-8
 
 
 # -- Maurer-Cartan -------------------------------------------------------------------
@@ -167,11 +174,9 @@ def test_maurer_cartan_vanishes():
     for _ in range(10):
         g1 = random_skew_adjoint(rng, 3)
         g2 = random_skew_adjoint(rng, 3)
-        fam = (lambda a, b: lambda s, t:
-               GroupElement(expm(a * s + b * t), check=False))(g1, g2)
-        res = maurer_cartan_residual(fam, rng.uniform(-0.3, 0.3),
+        res = maurer_cartan_residual(g1, g2, rng.uniform(-0.3, 0.3),
                                      rng.uniform(-0.3, 0.3))
-        assert res < 1e-4
+        assert res < 1e-11
 
 
 def test_maurer_cartan_isotropy_family():
@@ -182,8 +187,27 @@ def test_maurer_cartan_isotropy_family():
     for gen in (g1, g2):
         gen.a[:2, 2:, :] = 0.0
         gen.a[2:, :2, :] = 0.0
-    fam = lambda s, t: GroupElement(expm(g1 * s + g2 * t), check=False)
-    assert maurer_cartan_residual(fam, 0.15, -0.2) < 1e-4
+    assert maurer_cartan_residual(g1, g2, 0.15, -0.2) < 1e-11
+
+
+def test_maurer_cartan_detects_a_wrong_derivative(monkeypatch):
+    # a one-sided difference in place of the exact g_t leaves the tangent
+    # space of the group by O(h), and the residual shows it
+    local = np.random.default_rng(4042)
+    a, b = random_skew_adjoint(local, 3), random_skew_adjoint(local, 3)
+    exact = maurer_cartan_residual(a, b, 0.1, -0.2)
+    real_expm = forms.expm
+    h = 1e-3
+
+    def forward_difference_g_t(m):
+        out = real_expm(m)
+        x, e = QuatMatrix(m.a[:3, :3]), QuatMatrix(m.a[:3, 6:])
+        out.a[:3, 6:] = ((real_expm(x + e * h) - real_expm(x)) * (1.0 / h)).a
+        return out
+
+    monkeypatch.setattr(forms, "expm", forward_difference_g_t)
+    assert exact < 1e-12
+    assert maurer_cartan_residual(a, b, 0.1, -0.2) > 1e-3
 
 
 # -- curvature at a point ---------------------------------------------------------------

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qflag.errors import (DimensionMismatch, MalformedM2C, NonSquare,
-                          NotGroupElement, NotHyperHermitian, SingularInvSqrt,
-                          SingularMatrix)
+from qflag.errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
+                          NonSquare, NotGroupElement, NotHyperHermitian,
+                          SingularInvSqrt, SingularMatrix)
 from qflag.quaternion import BASIS, I, J, K, Quaternion
 from qflag.quatmat import (GroupElement, QuatMatrix, block_matrix,
                            eigvals_hyperhermitian, expm, func_hermitian,
@@ -517,3 +517,32 @@ def test_structure_tolerances_scale_with_each_matrix():
     assert QuatMatrix(herm.a[:1]).is_hermitian()
     assert not QuatMatrix(herm.a[1:]).is_hermitian()
     assert not herm.is_hermitian()
+
+
+# -- non-finite entries ----------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_and_expm_refuse_non_finite_entries(bad):
+    local = np.random.default_rng(608)
+    with pytest.raises(MalformedM2C):
+        QuatMatrix.project(np.full((2, 2), bad, dtype=complex))
+    good = [random_quatmat(local, 2, 2) for _ in range(3)]
+    # a bad m12 alone leaves the m22 residual finite
+    for pos in ((0, 0), (0, 1), (3, 2)):
+        emb = good[0].embed()
+        emb[pos] = bad
+        with pytest.raises(MalformedM2C):
+            QuatMatrix.project(emb)
+        embs = np.stack([m.embed() for m in good])
+        embs[1][pos] = bad
+        with pytest.raises(MalformedM2C):
+            QuatMatrix.project(embs)
+    gen = random_skew_adjoint(local, 2)
+    gen.a[0, 1, 2] = bad
+    with pytest.raises(NonFiniteMatrix):
+        expm(gen)
+    batch = stack([random_skew_adjoint(local, 2) for _ in range(2)] + [gen])
+    with pytest.raises(NonFiniteMatrix):
+        expm(QuatMatrix(batch))
+    expm(QuatMatrix(batch[:2]))
