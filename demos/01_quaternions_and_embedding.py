@@ -6,7 +6,7 @@ complex structure that conjugates the embedding.
 
 import numpy as np
 
-from qflag import E, I, J, K, Quaternion, from_m2c, j_conjugate, to_m2c
+from qflag import I, J, K, Quaternion, from_m2c, j_conjugate, to_m2c
 from qflag.quaternion import random_quaternion
 
 rng = np.random.default_rng(0)

@@ -12,7 +12,6 @@ from qflag import (GrassmannPoint, coset_element, cross_ratio, expm,
                    metric_form_expanded, transport_identities)
 from qflag.coset import (coset_generator, inversion_invariance_residual,
                          metric_invariance_residual)
-from qflag.quaternion import random_quaternion
 from qflag.quatmat import random_group_element, random_quatmat
 
 rng = np.random.default_rng(2)
@@ -47,9 +46,9 @@ print(f"\ncross-ratio before/after the action: {before:.12f} "
 dx = random_quatmat(rng, 2, 2)
 print("\nline element, two equivalent forms:",
       metric_form(x, dx), metric_form_expanded(x, dx))
-print("invariance under the action (finite-difference transport):",
+print("invariance under the action (exact tangent transport):",
       metric_invariance_residual(g, x, dx))
 
-q, dq = random_quaternion(rng), random_quaternion(rng)
+q, dq = random_quatmat(rng, 1, 1), random_quatmat(rng, 1, 1)
 print("rank-one inversion invariance X -> X^{-1}:",
-      inversion_invariance_residual(q, dq))
+      inversion_invariance_residual(GrassmannPoint(q), dq))

@@ -5,9 +5,8 @@ Everything here is symbolic with Gaussian-rational coefficients, so the
 printed residuals are exact integers (term counts), not floats.
 """
 
-from qflag.liealg import (DiffOperator, PolyFunction, cartan_H, commutator,
-                          gen_H, gen_h, gen_p, gen_pbar, ladder_check,
-                          laplace_beltrami, linear_part,
+from qflag.liealg import (PolyFunction, commutator, gen_H, gen_h, gen_p,
+                          gen_pbar, ladder_check, laplace_beltrami, linear_part,
                           verify_commutation_table)
 
 k, n = 1, 2

@@ -24,8 +24,8 @@ import numpy as np
 from . import config
 from .errors import (DegenerateQuadruple, DimensionMismatch, PairingFailure,
                      ShapeMismatch, SingularDenominator)
-from .quaternion import Quaternion, random_unit_quaternion
-from .quatmat import (GroupElement, QuatMatrix, block_matrix, expm,
+from .quaternion import Quaternion
+from .quatmat import (GroupElement, QuatMatrix, block_matrix,
                       eigvals_hyperhermitian, func_hermitian)
 
 
@@ -247,18 +247,17 @@ def metric_invariance_residual(g: GroupElement, point: GrassmannPoint,
     return abs(after - metric_form(point, dx))
 
 
-def inversion_invariance_residual(q: Quaternion, dq: Quaternion) -> float:
-    """Rank-one case: the metric is invariant under X -> X^{-1}.
+def inversion_invariance_residual(point: GrassmannPoint, dx: QuatMatrix):
+    """|ds^2 at (X, dX) - ds^2 at (X^{-1}, d(X^{-1}))| for square X.
 
-    The tangent transports exactly as d(X^{-1}) = -X^{-1} dX X^{-1}.
+    X -> X^{-1} is the action of the block swap [[0, 1], [1, 0]], so the
+    metric is invariant; the rank-one case has 1x1 points.  The inverse is
+    :meth:`QuatMatrix.inv` and the tangent transports exactly as
+    d(X^{-1}) = -X^{-1} dX X^{-1}.
     """
-    p = GrassmannPoint(QuatMatrix.from_quaternions([[q]]))
-    before = metric_form(p, QuatMatrix.from_quaternions([[dq]]))
-    qi = q.inverse()
-    dq_inv = -(qi * dq * qi)
-    p_inv = GrassmannPoint(QuatMatrix.from_quaternions([[qi]]))
-    after = metric_form(p_inv, QuatMatrix.from_quaternions([[dq_inv]]))
-    return abs(after - before)
+    x_inv = point.x.inv()
+    after = metric_form(GrassmannPoint(x_inv), -(x_inv @ dx @ x_inv))
+    return abs(after - metric_form(point, dx))
 
 
 def curvature_trace(q: QuatMatrix, n: int, k: int) -> tuple:
@@ -281,25 +280,38 @@ def curvature_trace(q: QuatMatrix, n: int, k: int) -> tuple:
     return lhs, rhs
 
 
-def curvature_det(q: QuatMatrix, n: int, k: int) -> float:
-    """det of the metric tensor, |1 + Q Q*|^{-(k+n)}.
+def curvature_det_gap(q: QuatMatrix, n: int, k: int) -> tuple:
+    """The quaternionic determinant |1 + Q Q*| and its relative gap to the
+    square root of the complex-embedding determinant det(1 + E E*).
 
-    The quaternionic determinant |1 + Q Q*| is the product of the
-    deduplicated real eigenvalues of Q Q*, each shifted by one; it is
-    cross-checked against the square root of the complex-embedding
-    determinant before exponentiation.
+    |1 + Q Q*| is the product of the deduplicated real eigenvalues of Q Q*,
+    each shifted by one; the embedding determinant is an independent route
+    to the same number.  Both values are floats for a single matrix and
+    arrays of the batch shape for a batch.
     """
     if q.shape != (k, n):
         raise DimensionMismatch(f"expected a {k} x {n} matrix, got {q.shape}")
     evs = eigvals_hyperhermitian(q @ q.adjoint())
-    det_quat = float(np.prod(1.0 + evs))
+    det_quat = np.prod(1.0 + evs, axis=-1)
     emb = q.embed()
-    det_emb = float(np.linalg.det(np.eye(2 * k) + emb @ emb.conj().T).real)
-    ref = np.sqrt(max(det_emb, 0.0))
-    if abs(det_quat - ref) > 1e-8 * max(1.0, abs(ref)):
+    det_emb = np.linalg.det(np.eye(2 * k)
+                            + emb @ emb.conj().swapaxes(-1, -2)).real
+    ref = np.sqrt(np.maximum(det_emb, 0.0))
+    gap = np.abs(det_quat - ref) / np.maximum(1.0, np.abs(ref))
+    return _float_or_batch(det_quat), _float_or_batch(gap)
+
+
+def curvature_det(q: QuatMatrix, n: int, k: int) -> float:
+    """det of the metric tensor, |1 + Q Q*|^{-(k+n)}.
+
+    Raises :class:`PairingFailure` when the two routes of
+    :func:`curvature_det_gap` differ by more than 1e-8 relative.
+    """
+    det_quat, gap = curvature_det_gap(q, n, k)
+    if np.any(gap > 1e-8):
         raise PairingFailure(
-            f"eigenvalue product {det_quat:.12g} disagrees with embedding "
-            f"determinant root {ref:.12g}")
+            f"eigenvalue product and embedding determinant root differ by "
+            f"{np.max(gap):.3e} relative")
     return det_quat ** (-(k + n))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitQuaternion, PartitionMismatch
+from .errors import PartitionMismatch
 from .quaternion import Quaternion, require_unit
 from .quatmat import GroupElement, QuatMatrix, expm, require_skew_adjoint
 

@@ -18,15 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quaternion import Quaternion
+import numpy as np
 
-_QUAT_SIGNS = {
-    # (r, s) -> (component, sign) for e_r * e_s in basis order (e, i, j, k)
-    (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-    (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-    (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-    (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-}
+from .quaternion import MUL_TABLE, Quaternion
+from .quatmat import QuatMatrix
+
+# e_r * e_s = sign e_c for (c, sign) = _PRODUCT[r][s], read off the product
+# table once as plain ints
+_PRODUCT = [[next((c, v) for c, v in enumerate(signs) if v) for signs in row]
+            for row in MUL_TABLE.astype(int).tolist()]
 
 
 class RealPoly:
@@ -178,7 +178,7 @@ def apply_pstar(psi: QPolyField) -> QPolyField:
             d = psi.components[s].diff(r)
             if d.is_zero():
                 continue
-            comp, sign = _QUAT_SIGNS[(r, s)]
+            comp, sign = _PRODUCT[r][s]
             out[comp] = out[comp] + (d if sign > 0 else -d)
     return QPolyField(tuple(out))
 
@@ -208,15 +208,18 @@ def decompose(psi: QPolyField) -> FieldDecomposition:
                               magnetic=magnetic)
 
 
-def quaternion_product_identity(v: Quaternion, w: Quaternion) -> float:
-    """Residual of vw = (v0 w0 - v.w) + (v0 w + w0 v + v x w)."""
-    import numpy as np
-    direct = v * w
-    vv, wv = v.vector, w.vector
-    scalar = v.w * w.w - float(vv @ wv)
-    vector = v.w * wv + w.w * vv + np.cross(vv, wv)
-    assembled = Quaternion(scalar, *vector)
-    return (direct - assembled).norm()
+def quaternion_product_identity(v, w) -> float:
+    """Worst residual of vw = (v0 w0 - v.w) + (v0 w + w0 v + v x w) over
+    ``(..., 4)`` arrays of quaternions; vw is the product of the 1x1
+    quaternion matrices they form."""
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    direct = (QuatMatrix(v[..., None, None, :])
+              @ QuatMatrix(w[..., None, None, :])).a[..., 0, 0, :]
+    vv, wv = v[..., 1:], w[..., 1:]
+    assembled = np.empty(direct.shape)
+    assembled[..., 0] = v[..., 0] * w[..., 0] - (vv * wv).sum(axis=-1)
+    assembled[..., 1:] = v[..., :1] * wv + w[..., :1] * vv + np.cross(vv, wv)
+    return float(np.sqrt(((direct - assembled) ** 2).sum(axis=-1)).max())
 
 
 def random_field(rng, max_degree: int = 3, terms: int = 4,

@@ -2,8 +2,7 @@
 
 One- and two-forms are stored sparsely: a one-form maps a base-differential
 index r to a coefficient, a two-form maps an ordered pair (r, s), r < s, to a
-coefficient.  Coefficients may be :class:`Quaternion` scalars or, for forms
-along matrix-valued coordinates, :class:`QuatMatrix` blocks; the wedge rule
+coefficient.  Coefficients are :class:`Quaternion` scalars; the wedge rule
 keeps coefficient products in left-to-right order while the base
 differentials anticommute:
 
@@ -25,20 +24,8 @@ from .quaternion import BASIS, Quaternion
 from .quatmat import QuatMatrix, block_matrix, expm, func_hermitian
 
 
-def _mul(a, b):
-    if isinstance(a, QuatMatrix) and isinstance(b, QuatMatrix):
-        return a @ b
-    return a * b
-
-
-def _coeff_norm(c) -> float:
-    if isinstance(c, QuatMatrix):
-        return c.max_abs()
-    return c.norm()
-
-
 class QOneForm:
-    """Sparse one-form: {base index: quaternion(-matrix) coefficient}."""
+    """Sparse one-form: {base index: quaternion coefficient}."""
 
     def __init__(self, dim: int, coeffs=None):
         self.dim = dim
@@ -46,7 +33,7 @@ class QOneForm:
         for idx, c in (coeffs or {}).items():
             if not 0 <= idx < dim:
                 raise DimensionMismatch(f"index {idx} outside 0..{dim - 1}")
-            if _coeff_norm(c) != 0.0:
+            if c.norm() != 0.0:
                 self.coeffs[idx] = c
 
     def wedge(self, other: "QOneForm") -> "QTwoForm":
@@ -58,7 +45,7 @@ class QOneForm:
                 if r == s:
                     continue
                 key, sign = ((r, s), 1.0) if r < s else ((s, r), -1.0)
-                term = _mul(cr, cs) * sign
+                term = cr * cs * sign
                 out[key] = out[key] + term if key in out else term
         return QTwoForm(self.dim, out)
 
@@ -83,7 +70,7 @@ class QTwoForm:
         for (r, s), c in (coeffs or {}).items():
             if not (0 <= r < s < dim):
                 raise DimensionMismatch(f"bad ordered pair ({r}, {s})")
-            if _coeff_norm(c) > 0.0:
+            if c.norm() > 0.0:
                 self.coeffs[(r, s)] = c
 
     def coefficient(self, r: int, s: int):
@@ -111,7 +98,7 @@ class QTwoForm:
     __rmul__ = __mul__
 
     def max_abs(self) -> float:
-        return max((_coeff_norm(c) for c in self.coeffs.values()), default=0.0)
+        return max((c.norm() for c in self.coeffs.values()), default=0.0)
 
 
 def wedge(a: QOneForm, b: QOneForm) -> QTwoForm:

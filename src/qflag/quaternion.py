@@ -21,20 +21,6 @@ import numpy as np
 
 from .errors import MalformedM2C, NotUnitQuaternion
 
-# MUL_TABLE[p, q, r] is the e_r component of e_p * e_q, basis order (e, i, j, k).
-MUL_TABLE = np.zeros((4, 4, 4))
-for _p in range(4):
-    MUL_TABLE[0, _p, _p] = 1.0
-    MUL_TABLE[_p, 0, _p] = 1.0
-for _p, _q, _sign, _r in [
-    (1, 1, -1.0, 0), (2, 2, -1.0, 0), (3, 3, -1.0, 0),
-    (1, 2, 1.0, 3), (2, 1, -1.0, 3),
-    (2, 3, 1.0, 1), (3, 2, -1.0, 1),
-    (3, 1, 1.0, 2), (1, 3, -1.0, 2),
-]:
-    MUL_TABLE[_p, _q, _r] = _sign
-
-
 @dataclass(frozen=True)
 class Quaternion:
     w: float = 0.0
@@ -123,15 +109,31 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 ZERO = Quaternion()
 BASIS = (E, I, J, K)
 
+# MUL_TABLE[p, q, r] is the e_r component of e_p * e_q, basis order (e, i, j, k):
+# the product rule of Quaternion.__mul__ on the basis, which every array
+# product reads.
+MUL_TABLE = np.array([[(p * q).to_array() for q in BASIS] for p in BASIS])
+
 # j block of the almost complex structure, [[0, 1], [-1, 0]]
 JBLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def m2c_blocks(q) -> np.ndarray:
+    """2x2 complex images of a ``(..., 4)`` array of quaternions, as a
+    ``(..., 2, 2)`` array."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = (q[..., c] for c in range(4))
+    out = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = w + 1j * z
+    out[..., 0, 1] = x + 1j * y
+    out[..., 1, 0] = -x + 1j * y
+    out[..., 1, 1] = w - 1j * z
+    return out
+
+
 def to_m2c(q: Quaternion) -> np.ndarray:
     """2x2 complex image of ``q``; a ring homomorphism."""
-    r1 = complex(q.w, q.z)
-    r2 = complex(q.x, q.y)
-    return np.array([[r1, r2], [-r2.conjugate(), r1.conjugate()]])
+    return m2c_blocks(q.to_array())
 
 
 def from_m2c(m, tol: float = 1e-12) -> Quaternion:

@@ -39,7 +39,7 @@ from .errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
                      NonSquare, NotGroupElement, NotHyperHermitian,
                      NotSkewAdjoint, PairingFailure, SingularInvSqrt,
                      SingularMatrix)
-from .quaternion import MUL_TABLE, Quaternion
+from .quaternion import MUL_TABLE, Quaternion, m2c_blocks
 
 # _RIGHT_TABLE[q, 4 p + r] = MUL_TABLE[p, q, r]: one entry's components times
 # it give the 4x4 real matrix of right multiplication by that entry.
@@ -185,15 +185,8 @@ class QuatMatrix:
 
     def embed(self) -> np.ndarray:
         """(..., 2 rows, 2 cols) complex matrix with one 2x2 block per entry."""
-        a = self.a
-        w, x, y, z = (a[..., c] for c in range(4))
-        blocks = np.empty(a.shape[:-1] + (2, 2), dtype=complex)
-        blocks[..., 0, 0] = w + 1j * z
-        blocks[..., 0, 1] = x + 1j * y
-        blocks[..., 1, 0] = -x + 1j * y
-        blocks[..., 1, 1] = w - 1j * z
-        return blocks.swapaxes(-3, -2).reshape(
-            a.shape[:-3] + (2 * self.rows, 2 * self.cols))
+        return m2c_blocks(self.a).swapaxes(-3, -2).reshape(
+            self.batch + (2 * self.rows, 2 * self.cols))
 
     @classmethod
     def project(cls, emb) -> "QuatMatrix":

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import coset, dynamics, emfield, forms, liealg, roots as roots_mod, s4lb
 from .errors import UnknownSuite, UnknownTolerance
-from .quaternion import (Quaternion, from_m2c, j_conjugate, random_quaternion,
-                         random_unit_quaternion, to_m2c)
+from .quaternion import (Quaternion, j_conjugate, random_quaternion,
+                         random_unit_quaternion)
 from .quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
                       random_group_element, random_quatmat,
                       random_skew_adjoint, sp2nc_form, to_sp2nc)
@@ -68,19 +68,32 @@ def _draw_batches(rng: np.random.Generator, count: int, *draws):
             for i in range(len(draws))]
 
 
-def _group_gen(rng):
-    """The generator that ``random_group_element(rng, 4)`` exponentiates."""
-    return random_skew_adjoint(rng, 4, 0.7)
+def _skew_draw(n: int, scale: float = 1.0):
+    """Draw of a skew-adjoint generator; at scale 0.7 it is the generator
+    that ``random_group_element(rng, n)`` exponentiates."""
+    return lambda rng: random_skew_adjoint(rng, n, scale)
 
 
 def _quatmat_draw(rows: int, cols: int, scale: float = 1.0):
     return lambda rng: random_quatmat(rng, rows, cols, scale)
 
 
-def _quat_norm(q: np.ndarray) -> np.ndarray:
-    """Quaternion norms of a (..., 4) array, summed as Quaternion.norm sums."""
+def _quat_pairs(rng: np.random.Generator, count: int):
+    """``count`` pairs of 1x1 quaternion matrices, read from ``rng`` as
+    ``count`` pairs of ``random_quaternion(rng)`` calls read it."""
+    pairs = rng.normal(0.0, 1.0, (count, 2, 1, 1, 4))
+    return QuatMatrix(pairs[:, 0]), QuatMatrix(pairs[:, 1])
+
+
+def _quat_norm_sq(q: np.ndarray) -> np.ndarray:
+    """Squared quaternion norms of a (..., 4) array, summed as
+    Quaternion.norm_sq sums."""
     w, x, y, z = (q[..., c] for c in range(4))
-    return np.sqrt(w * w + x * x + y * y + z * z)
+    return w * w + x * x + y * y + z * z
+
+
+def _quat_norm(q: np.ndarray) -> np.ndarray:
+    return np.sqrt(_quat_norm_sq(q))
 
 
 def _check(cfg: RunConfig, name: str, residual: float, tolerance: float,
@@ -95,41 +108,32 @@ def _check(cfg: RunConfig, name: str, residual: float, tolerance: float,
 
 def suite_quaternion(cfg: RunConfig):
     out = []
-    rng = cfg.rng("quaternion.norm_multiplicative")
-    worst = 0.0
-    for _ in range(cfg.count(10_000)):
-        a, b = random_quaternion(rng), random_quaternion(rng)
-        lhs, rhs = (a * b).norm_sq(), a.norm_sq() * b.norm_sq()
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    a, b = _quat_pairs(cfg.rng("quaternion.norm_multiplicative"),
+                       cfg.count(10_000))
+    lhs = _quat_norm_sq((a @ b).a)
+    rhs = _quat_norm_sq(a.a) * _quat_norm_sq(b.a)
+    worst = float((np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))).max())
     out.append(_check(cfg, "quaternion.norm_multiplicative", worst, 1e-12))
 
-    rng = cfg.rng("quaternion.conj_antihomomorphism")
-    worst = 0.0
-    for _ in range(cfg.count(10_000)):
-        a, b = random_quaternion(rng), random_quaternion(rng)
-        worst = max(worst, ((a * b).conj() - b.conj() * a.conj()).norm())
+    a, b = _quat_pairs(cfg.rng("quaternion.conj_antihomomorphism"),
+                       cfg.count(10_000))
+    worst = float(_quat_norm(((a @ b).adjoint()
+                              - b.adjoint() @ a.adjoint()).a).max())
     out.append(_check(cfg, "quaternion.conj_antihomomorphism", worst, 1e-13))
 
-    rng = cfg.rng("quaternion.m2c_homomorphism")
-    worst = 0.0
-    round_trip_exact = True
-    for _ in range(cfg.count(10_000)):
-        a, b = random_quaternion(rng), random_quaternion(rng)
-        diff = np.abs(to_m2c(a * b) - to_m2c(a) @ to_m2c(b)).max()
-        worst = max(worst, float(diff))
-        if from_m2c(to_m2c(a)) != a:
-            round_trip_exact = False
+    a, b = _quat_pairs(cfg.rng("quaternion.m2c_homomorphism"),
+                       cfg.count(10_000))
+    worst = float(np.abs((a @ b).embed() - a.embed() @ b.embed()).max())
+    round_trip_exact = np.array_equal(QuatMatrix.project(a.embed()).a, a.a)
     out.append(_check(cfg, "quaternion.m2c_homomorphism", worst, 1e-12))
     out.append(_check(cfg, "quaternion.m2c_round_trip",
                       0.0 if round_trip_exact else 1.0, 0.5,
                       "bit-exact inverse of the embedding"))
 
     rng = cfg.rng("quaternion.j_conjugation")
-    worst = 0.0
-    for _ in range(cfg.count(1000)):
-        m = to_m2c(random_quaternion(rng))
-        worst = max(worst, float(np.abs(j_conjugate(m) - m.conj()).max()))
-        worst = max(worst, float(np.abs(j_conjugate(j_conjugate(m)) - m).max()))
+    m = QuatMatrix(rng.normal(0.0, 1.0, (cfg.count(1000), 1, 1, 4))).embed()
+    worst = max(float(np.abs(j_conjugate(m) - m.conj()).max()),
+                float(np.abs(j_conjugate(j_conjugate(m)) - m).max()))
     out.append(_check(cfg, "quaternion.j_conjugation", worst, 1e-13,
                       "entrywise conjugate and involution"))
     return out
@@ -140,61 +144,49 @@ def suite_quaternion(cfg: RunConfig):
 def suite_quatmat(cfg: RunConfig):
     out = []
     rng = cfg.rng("quatmat.embedding_faithful")
-    worst = 0.0
-    for _ in range(cfg.count(500)):
-        a = random_quatmat(rng, 3, 4)
-        b = random_quatmat(rng, 4, 2)
-        worst = max(worst, float(np.abs((a @ b).embed()
-                                        - a.embed() @ b.embed()).max()))
-        worst = max(worst, float(np.abs(a.adjoint().embed()
-                                        - a.embed().conj().T).max()))
-        c = random_quatmat(rng, 3, 4)
-        worst = max(worst, float(np.abs((a + c).embed()
-                                        - (a.embed() + c.embed())).max()))
+    a, b, c = _draw_batches(rng, cfg.count(500), _quatmat_draw(3, 4),
+                            _quatmat_draw(4, 2), _quatmat_draw(3, 4))
+    worst = max(float(np.abs((a @ b).embed() - a.embed() @ b.embed()).max()),
+                float(np.abs(a.adjoint().embed()
+                             - a.embed().conj().swapaxes(-1, -2)).max()),
+                float(np.abs((a + c).embed()
+                             - (a.embed() + c.embed())).max()))
     out.append(_check(cfg, "quatmat.embedding_faithful", worst, 1e-11))
 
     rng = cfg.rng("quatmat.exp_group_membership")
+    (gen,) = _draw_batches(rng, cfg.count(50), _skew_draw(3))
     worst = 0.0
-    for _ in range(cfg.count(50)):
-        gen = random_skew_adjoint(rng, 3)
-        for t in (0.1, 1.0, 10.0):
-            g = expm(gen * t)
-            worst = max(worst, (g.adjoint() @ g
-                                - QuatMatrix.identity(3)).max_abs())
+    for t in (0.1, 1.0, 10.0):
+        g = expm(gen * t)
+        worst = max(worst, (g.adjoint() @ g - QuatMatrix.identity(3)).max_abs())
     out.append(_check(cfg, "quatmat.exp_group_membership", worst, 1e-10))
 
     rng = cfg.rng("quatmat.exp_inverse")
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        gen = random_skew_adjoint(rng, 3)
-        worst = max(worst, (expm(gen) @ expm(-gen)
-                            - QuatMatrix.identity(3)).max_abs())
+    (gen,) = _draw_batches(rng, cfg.count(200), _skew_draw(3))
+    worst = (expm(gen) @ expm(-gen) - QuatMatrix.identity(3)).max_abs()
     out.append(_check(cfg, "quatmat.exp_inverse", worst, 1e-10))
 
     rng = cfg.rng("quatmat.unit_determinant")
-    worst = 0.0
-    for _ in range(cfg.count(100)):
-        g = random_group_element(rng, 3)
-        worst = max(worst, abs(abs(np.linalg.det(g.m.embed())) - 1.0))
+    (gen,) = _draw_batches(rng, cfg.count(100), _skew_draw(3, 0.7))
+    g = GroupElement(expm(gen))
+    worst = float(np.abs(np.abs(np.linalg.det(g.m.embed())) - 1.0).max())
     out.append(_check(cfg, "quatmat.unit_determinant", worst, 1e-9))
 
     rng = cfg.rng("quatmat.sqrt_remultiplication")
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        q = random_quatmat(rng, 3, 3)
-        p = q @ q.adjoint()
-        r = func_hermitian(p, "sqrt")
-        worst = max(worst, (r @ r - p).max_abs() / max(1.0, p.max_abs()))
+    (q,) = _draw_batches(rng, cfg.count(200), _quatmat_draw(3, 3))
+    p = q @ q.adjoint()
+    r = func_hermitian(p, "sqrt")
+    scale = np.maximum(1.0, np.abs(p.a).max(axis=(-3, -2, -1), keepdims=True))
+    worst = float((np.abs((r @ r - p).a) / scale).max())
     out.append(_check(cfg, "quatmat.sqrt_remultiplication", worst, 1e-9))
 
     rng = cfg.rng("quatmat.sp2nc_conditions")
-    worst = 0.0
-    for _ in range(cfg.count(100)):
-        g = random_group_element(rng, 2)
-        big = to_sp2nc(g)
-        form = sp2nc_form(2)
-        worst = max(worst, float(np.abs(big.T @ form @ big - form).max()))
-        worst = max(worst, float(np.abs(big.conj().T @ big - np.eye(4)).max()))
+    (gen,) = _draw_batches(rng, cfg.count(100), _skew_draw(2, 0.7))
+    big = to_sp2nc(GroupElement(expm(gen)))
+    form = sp2nc_form(2)
+    worst = max(float(np.abs(big.swapaxes(-1, -2) @ form @ big - form).max()),
+                float(np.abs(big.conj().swapaxes(-1, -2) @ big
+                             - np.eye(4)).max()))
     out.append(_check(cfg, "quatmat.sp2nc_conditions", worst, 1e-10,
                       "simultaneously complex symplectic and unitary"))
     return out
@@ -206,6 +198,7 @@ def suite_coset(cfg: RunConfig):
     out = []
     point = coset.GrassmannPoint
     half, unit = _quatmat_draw(2, 2, 0.5), _quatmat_draw(2, 2)
+    group_gen = _skew_draw(4, 0.7)
 
     rng = cfg.rng("coset.exponential_parameterisation")
     (xi,) = _draw_batches(rng, cfg.count(200), half)
@@ -214,7 +207,7 @@ def suite_coset(cfg: RunConfig):
     out.append(_check(cfg, "coset.exponential_parameterisation", worst, 1e-9))
 
     rng = cfg.rng("coset.lft_two_forms")
-    gen1, gen2, x = _draw_batches(rng, cfg.count(500), _group_gen, _group_gen,
+    gen1, gen2, x = _draw_batches(rng, cfg.count(500), group_gen, group_gen,
                                   half)
     g1, g2, x = GroupElement(expm(gen1)), GroupElement(expm(gen2)), point(x)
     ya = coset.lft_apply(g1, x)
@@ -227,14 +220,14 @@ def suite_coset(cfg: RunConfig):
     out.append(_check(cfg, "coset.lft_group_law", worst_law, 1e-8))
 
     rng = cfg.rng("coset.transport_identities")
-    gen, xa, xb = _draw_batches(rng, cfg.count(500), _group_gen, half, half)
+    gen, xa, xb = _draw_batches(rng, cfg.count(500), group_gen, half, half)
     res = coset.transport_identities(GroupElement(expm(gen)), point(xa),
                                      point(xb))
     worst = max(float(r.max()) for r in res.values())
     out.append(_check(cfg, "coset.transport_identities", worst, 1e-9))
 
     rng = cfg.rng("coset.cross_ratio_invariance")
-    gen, *pts = _draw_batches(rng, cfg.count(500), _group_gen,
+    gen, *pts = _draw_batches(rng, cfg.count(500), group_gen,
                               half, half, half, half)
     g = GroupElement(expm(gen))
     pts = [point(p) for p in pts]
@@ -250,21 +243,18 @@ def suite_coset(cfg: RunConfig):
     out.append(_check(cfg, "coset.metric_two_versions", worst, 1e-10))
 
     rng = cfg.rng("coset.metric_pushforward_invariance")
-    gen, x, dx = _draw_batches(rng, cfg.count(100), _group_gen,
+    gen, x, dx = _draw_batches(rng, cfg.count(100), group_gen,
                                _quatmat_draw(2, 2, 0.4), unit)
     worst = float(coset.metric_invariance_residual(
         GroupElement(expm(gen)), point(x), dx).max())
     out.append(_check(cfg, "coset.metric_pushforward_invariance", worst, 1e-11))
 
-    rng = cfg.rng("coset.metric_inversion_invariance")
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        q = random_quaternion(rng)
-        dq = random_quaternion(rng)
-        if q.norm() < 0.1:
-            continue
-        worst = max(worst, coset.inversion_invariance_residual(q, dq))
-    out.append(_check(cfg, "coset.metric_inversion_invariance", worst, 1e-6))
+    q, dq = _quat_pairs(cfg.rng("coset.metric_inversion_invariance"),
+                        cfg.count(200))
+    keep = _quat_norm(q.a[:, 0, 0]) >= 0.1
+    worst = float(coset.inversion_invariance_residual(
+        point(QuatMatrix(q.a[keep])), QuatMatrix(dq.a[keep])).max(initial=0.0))
+    out.append(_check(cfg, "coset.metric_inversion_invariance", worst, 1e-12))
 
     rng = cfg.rng("coset.curvature_trace_identity")
     worst = 0.0
@@ -276,11 +266,10 @@ def suite_coset(cfg: RunConfig):
     out.append(_check(cfg, "coset.curvature_trace_identity", worst, 1e-9))
 
     rng = cfg.rng("coset.curvature_det_consistency")
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        q = random_quatmat(rng, 2, 4, 0.7)
-        coset.curvature_det(q, 4, 2)   # raises on cross-check failure
-    out.append(_check(cfg, "coset.curvature_det_consistency", worst, 0.5,
+    (q,) = _draw_batches(rng, cfg.count(200), _quatmat_draw(2, 4, 0.7))
+    _, gap = coset.curvature_det_gap(q, 4, 2)
+    out.append(_check(cfg, "coset.curvature_det_consistency",
+                      float(gap.max()), 1e-8,
                       "eigenvalue product vs embedding determinant root"))
 
     rng = cfg.rng("coset.s3_sampling_uniform")
@@ -368,14 +357,18 @@ def suite_forms(cfg: RunConfig):
     rng = cfg.rng("forms.connection_skewness")
     worst_skew = 0.0
     worst_pair = 0.0
+    worst_value = 0.0
     for _ in range(cfg.count(20)):
         gen = random_skew_adjoint(rng, 4)
         w11, w12, w21, w22 = forms.connection_blocks(gen, 0.3, 2, 2)
         full = forms.connection_along_path(gen, 0.3)
         worst_skew = max(worst_skew, (full + full.adjoint()).max_abs())
         worst_pair = max(worst_pair, (w21 + w12.adjoint()).max_abs())
+        worst_value = max(worst_value, (full - gen).max_abs())
     out.append(_check(cfg, "forms.connection_skewness", worst_skew, 1e-11))
     out.append(_check(cfg, "forms.connection_block_pairing", worst_pair, 1e-11))
+    out.append(_check(cfg, "forms.connection_value", worst_value, 1e-11,
+                      "g* dg/dt along exp(t gen) equals gen"))
 
     rng = cfg.rng("forms.isotropy_vanishing")
     worst = 0.0
@@ -578,11 +571,8 @@ def suite_em(cfg: RunConfig):
             bad += 1
     out.append(_check(cfg, "em.pstar_linearity", float(bad), 0.5))
 
-    rng = cfg.rng("em.product_identity")
-    worst = 0.0
-    for _ in range(cfg.count(10_000)):
-        worst = max(worst, emfield.quaternion_product_identity(
-            random_quaternion(rng), random_quaternion(rng)))
+    v, w = _quat_pairs(cfg.rng("em.product_identity"), cfg.count(10_000))
+    worst = emfield.quaternion_product_identity(v.a[:, 0, 0], w.a[:, 0, 0])
     out.append(_check(cfg, "em.product_identity", worst, 1e-13,
                       "scalar/dot/cross assembly matches the product"))
     return out

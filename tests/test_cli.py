@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from qflag.cli import (MAX_EVOLVE_N, MAX_EVOLVE_STEPS, MAX_ROOTS_RANK, main,
-                       parse_field_spec, parse_polynomial)
+from qflag import coset
+from qflag.cli import (MAX_EVOLVE_N, MAX_EVOLVE_STEPS, MAX_EVOLVE_T,
+                       MAX_ROOTS_RANK, main, parse_field_spec,
+                       parse_polynomial)
 from qflag.emfield import RealPoly
 
 
@@ -34,6 +36,24 @@ def test_verify_reports_failure_exit_code(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["passed"] is False
+
+
+def test_verify_curvature_det_gap_fails_a_check_not_the_run(monkeypatch,
+                                                             capsys):
+    # a disagreeing determinant is a failed check (exit 1), not an error
+    real = coset.curvature_det_gap
+
+    def widened(q, n, k):
+        det, gap = real(q, n, k)
+        return det, gap + 1e-6
+
+    monkeypatch.setattr(coset, "curvature_det_gap", widened)
+    code, out, _ = run_cli(["verify", "coset", "--seed", "7"], capsys)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    bad = checks["coset.curvature_det_consistency"]
+    assert not bad["passed"] and bad["residual"] >= 1e-6
+    assert all(c["passed"] for name, c in checks.items() if c is not bad)
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -266,7 +286,9 @@ def test_evolve_bad_size_or_horizon_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--n", str(MAX_EVOLVE_N), "--steps", "2"],
-                                  ["--n", "1", "--steps", str(MAX_EVOLVE_STEPS)]])
+                                  ["--n", "1", "--steps", str(MAX_EVOLVE_STEPS)],
+                                  ["--t-max", str(MAX_EVOLVE_T), "--steps", "2"],
+                                  ["--t-max", str(-MAX_EVOLVE_T), "--steps", "2"]])
 def test_evolve_at_its_ceilings(argv, capsys):
     code, out, _ = run_cli(["evolve"] + argv, capsys)
     assert code == 0
@@ -274,7 +296,8 @@ def test_evolve_at_its_ceilings(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--n", str(MAX_EVOLVE_N + 1)],
-                                  ["--steps", str(MAX_EVOLVE_STEPS + 1)]])
+                                  ["--steps", str(MAX_EVOLVE_STEPS + 1)],
+                                  ["--t-max", "1.0001e4"]])
 def test_evolve_above_its_ceilings_is_usage_error(argv, capsys):
     code, out, err = run_cli(["evolve"] + argv, capsys)
     assert code == 2

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qflag.coset import (_HAAR_CHUNK, GrassmannPoint, coset_element, coset_generator,
-                         cross_ratio, curvature_det, curvature_trace,
+                         cross_ratio, curvature_det, curvature_det_gap,
+                         curvature_trace,
                          fiber_element, fundamental_action,
                          grassmann_from_coset, haar_average, inner_product,
                          inversion_invariance_residual, lft_apply,
@@ -12,8 +13,9 @@ from qflag.coset import (_HAAR_CHUNK, GrassmannPoint, coset_element, coset_gener
                          metric_form_expanded, metric_form_hermitian,
                          metric_invariance_residual, pushforward_tangent,
                          transport_identities, trivial_action)
-from qflag.errors import (DegenerateQuadruple, DimensionMismatch, QflagError,
-                          ShapeMismatch, SingularDenominator)
+from qflag.errors import (DegenerateQuadruple, DimensionMismatch, NonSquare,
+                          PairingFailure, QflagError, ShapeMismatch,
+                          SingularDenominator, SingularMatrix)
 from qflag.quaternion import Quaternion, random_quaternion, random_unit_quaternion
 from qflag.quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
                            random_group_element, random_quatmat,
@@ -281,12 +283,29 @@ def test_pushforward_matches_central_differences_of_lft_apply():
 
 
 def test_metric_inversion_invariance_scalar():
-    for _ in range(200):
-        q = random_quaternion(rng)
-        if q.norm() < 0.1:
-            continue
-        dq = random_quaternion(rng)
-        assert inversion_invariance_residual(q, dq) < 1e-6
+    draws = rng.normal(0.0, 1.0, (200, 2, 1, 1, 4))
+    keep = np.linalg.norm(draws[:, 0, 0, 0], axis=-1) >= 0.1
+    q, dq = QuatMatrix(draws[keep, 0]), QuatMatrix(draws[keep, 1])
+    res = inversion_invariance_residual(GrassmannPoint(q), dq)
+    assert res.shape == (int(keep.sum()),)
+    assert res.max() < 1e-12
+    singles = [inversion_invariance_residual(GrassmannPoint(QuatMatrix(x)),
+                                             QuatMatrix(dx))
+               for x, dx in zip(q.a, dq.a)]
+    assert all(type(v) is float for v in singles)
+    assert np.array_equal(res, singles)
+
+
+def test_metric_inversion_invariance_square_and_gates():
+    # X -> X^{-1} is the block swap acting on square coordinates
+    assert inversion_invariance_residual(random_point(2, 2),
+                                         random_quatmat(rng, 2, 2)) < 1e-12
+    with pytest.raises(NonSquare):
+        inversion_invariance_residual(random_point(1, 2),
+                                      random_quatmat(rng, 1, 2))
+    with pytest.raises(SingularMatrix):
+        inversion_invariance_residual(GrassmannPoint(QuatMatrix.zeros(1, 1)),
+                                      random_quatmat(rng, 1, 1))
 
 
 def test_block_inverse_identities_at_group_image_of_origin():
@@ -368,6 +387,26 @@ def test_curvature_det():
         q = random_quatmat(rng, 2, 4, 0.7)
         val = curvature_det(q, 4, 2)   # internal embedding cross-check
         assert 0.0 < val <= 1.0 + 1e-12
+
+
+def test_curvature_det_gap_batch_equals_the_singles():
+    qs = [random_quatmat(rng, 2, 4, 0.7) for _ in range(20)]
+    det, gap = curvature_det_gap(QuatMatrix(np.stack([q.a for q in qs])), 4, 2)
+    singles = [curvature_det_gap(q, 4, 2) for q in qs]
+    assert all(type(d) is float and type(g) is float for d, g in singles)
+    assert np.array_equal(det, [d for d, _ in singles])
+    assert np.array_equal(gap, [g for _, g in singles])
+    assert gap.max() < 1e-13
+    assert np.all(det >= 1.0)
+
+
+def test_curvature_det_refuses_disagreeing_routes(monkeypatch):
+    import qflag.coset as coset_mod
+    real = coset_mod.eigvals_hyperhermitian
+    monkeypatch.setattr(coset_mod, "eigvals_hyperhermitian",
+                        lambda p: real(p) * 1.01)
+    with pytest.raises(PairingFailure):
+        curvature_det(random_quatmat(rng, 2, 4, 0.7), 4, 2)
 
 
 # -- batched points and group elements ----------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qflag.errors import (IndexOutOfRange, NotEigenvector, SecondOrderResidue)
+from qflag.errors import IndexOutOfRange, NotEigenvector
 from qflag.liealg import (CRat, DiffOperator, ONE, PolyFunction, cartan_H,
                           cartan_h, commutator, eigenvalue_of, gen_H, gen_h,
                           gen_p, gen_p_via_H, gen_p_via_h, gen_pbar, generator,

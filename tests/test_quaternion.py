@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qflag.errors import MalformedM2C, NotUnitQuaternion
-from qflag.quaternion import (E, I, J, K, Quaternion, from_m2c, j_conjugate,
-                              random_quaternion, random_unit_quaternion,
-                              require_unit, to_m2c)
+from qflag.quaternion import (MUL_TABLE, E, I, J, K, Quaternion, from_m2c,
+                              j_conjugate, m2c_blocks, random_quaternion,
+                              random_unit_quaternion, require_unit, to_m2c)
 
 rng = np.random.default_rng(101)
 
@@ -15,6 +15,23 @@ def test_basis_rules():
     assert (K * I).is_close(J)
     for b in (I, J, K):
         assert (b * b).is_close(-E)
+
+
+def test_mul_table_matches_the_basis_rules_written_out():
+    # independent oracle: the sign list the table was once written as
+    expected = np.zeros((4, 4, 4))
+    for p in range(4):
+        expected[0, p, p] = 1.0
+        expected[p, 0, p] = 1.0
+    for p, q, sign, r in [
+        (1, 1, -1.0, 0), (2, 2, -1.0, 0), (3, 3, -1.0, 0),
+        (1, 2, 1.0, 3), (2, 1, -1.0, 3),
+        (2, 3, 1.0, 1), (3, 2, -1.0, 1),
+        (3, 1, 1.0, 2), (1, 3, -1.0, 2),
+    ]:
+        expected[p, q, r] = sign
+    assert np.array_equal(MUL_TABLE, expected)
+    assert not np.signbit(MUL_TABLE[MUL_TABLE == 0.0]).any()
 
 
 def test_identity_element():
@@ -76,6 +93,14 @@ def test_m2c_values():
     m = to_m2c(q)
     assert m[0, 0] == 1 + 4j and m[0, 1] == 2 + 3j
     assert m[1, 0] == -(2 - 3j) and m[1, 1] == 1 - 4j
+
+
+def test_m2c_blocks_stack_the_single_images():
+    qs = rng.normal(0.0, 1.0, (3, 5, 4))
+    blocks = m2c_blocks(qs)
+    assert blocks.shape == (3, 5, 2, 2)
+    for idx in np.ndindex(3, 5):
+        assert np.array_equal(blocks[idx], to_m2c(Quaternion.from_array(qs[idx])))
 
 
 def test_m2c_homomorphism_and_round_trip():

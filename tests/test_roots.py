@@ -3,9 +3,8 @@ import itertools
 import pytest
 
 from qflag.errors import InvalidRank, OddDimension, UnsupportedWeightCount
-from qflag.roots import (BAR, ParticleLabel, embed_check,
-                         euler_characteristic, generate, parse_label,
-                         particle_label, projection)
+from qflag.roots import (BAR, embed_check, euler_characteristic, generate,
+                         parse_label, particle_label, projection)
 
 
 def brute_force_roots(n):
