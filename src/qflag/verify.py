@@ -17,8 +17,8 @@ import numpy as np
 
 from . import coset, dynamics, emfield, forms, liealg, roots as roots_mod, s4lb
 from .errors import UnknownSuite, UnknownTolerance
-from .quaternion import (Quaternion, j_conjugate, random_quaternion,
-                         random_unit_quaternion)
+from .quaternion import (Quaternion, from_m2c, j_conjugate,
+                         random_quaternion, random_unit_quaternion, to_m2c)
 from .quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
                       random_group_element, random_quatmat,
                       random_skew_adjoint, sp2nc_form, to_sp2nc)
@@ -124,7 +124,14 @@ def suite_quaternion(cfg: RunConfig):
     a, b = _quat_pairs(cfg.rng("quaternion.m2c_homomorphism"),
                        cfg.count(10_000))
     worst = float(np.abs((a @ b).embed() - a.embed() @ b.embed()).max())
-    round_trip_exact = np.array_equal(QuatMatrix.project(a.embed()).a, a.a)
+    # spot check on 16 pairs of the scalar API dynamics and forms still use
+    ps, qs = ([Quaternion.from_array(v) for v in m.a[:16, 0, 0]]
+              for m in (a, b))
+    worst = max([worst] + [float(np.abs(to_m2c(p * q)
+                                        - to_m2c(p) @ to_m2c(q)).max())
+                           for p, q in zip(ps, qs)])
+    round_trip_exact = (np.array_equal(QuatMatrix.project(a.embed()).a, a.a)
+                        and all(from_m2c(to_m2c(p)) == p for p in ps))
     out.append(_check(cfg, "quaternion.m2c_homomorphism", worst, 1e-12))
     out.append(_check(cfg, "quaternion.m2c_round_trip",
                       0.0 if round_trip_exact else 1.0, 0.5,

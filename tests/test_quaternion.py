@@ -93,14 +93,14 @@ def test_m2c_values():
     m = to_m2c(q)
     assert m[0, 0] == 1 + 4j and m[0, 1] == 2 + 3j
     assert m[1, 0] == -(2 - 3j) and m[1, 1] == 1 - 4j
-
-
-def test_m2c_blocks_stack_the_single_images():
-    qs = rng.normal(0.0, 1.0, (3, 5, 4))
-    blocks = m2c_blocks(qs)
-    assert blocks.shape == (3, 5, 2, 2)
-    for idx in np.ndindex(3, 5):
-        assert np.array_equal(blocks[idx], to_m2c(Quaternion.from_array(qs[idx])))
+    # a stacked (..., 4) input: every block holds the same literal entries
+    qs = np.array([[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.0]])
+    blocks = m2c_blocks(np.stack([qs, 2.0 * qs, qs]))
+    assert blocks.shape == (3, 2, 2, 2)
+    for idx in np.ndindex(3, 2):
+        s = (2.0 if idx[0] == 1 else 1.0) * (1.0 if idx[1] == 0 else -1.0)
+        assert np.array_equal(blocks[idx], s * np.array([[1 + 4j, 2 + 3j],
+                                                         [-2 + 3j, 1 - 4j]]))
 
 
 def test_m2c_homomorphism_and_round_trip():
