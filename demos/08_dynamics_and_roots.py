@@ -10,16 +10,17 @@ from qflag import euler_characteristic, expm, generate, particle_label
 from qflag.dynamics import (cocycle_residual, evolve, geodesic_block,
                             geodesic_generator, random_state,
                             time_reversal_residual, transition_split)
-from qflag.quaternion import random_unit_quaternion
+from qflag.quaternion import random_unit_quaternion, sq_norms
 from qflag.quatmat import random_skew_adjoint
 
 rng = np.random.default_rng(6)
 
 gen = random_skew_adjoint(rng, 3)
 psi = random_state(rng, 3, 1)
+times = np.array([0.0, 2.5, 5.0, 10.0])
 print("norm of the state along the flow (conserved):")
-for t in (0.0, 2.5, 5.0, 10.0):
-    print(f"  t={t:5.1f}: |psi|^2 = {evolve(gen, psi, t).norm_sq():.12f}")
+for t, norm_sq in zip(times, evolve(gen, psi, times).norm_sq()):
+    print(f"  t={t:5.1f}: |psi|^2 = {norm_sq:.12f}")
 
 print("\ncocycle g(t) = g(t - t0) g(t0):",
       cocycle_residual(gen, 2.7, 1.3))
@@ -28,11 +29,12 @@ print("time reversal + conjugation is the identity:",
 
 split = transition_split(gen, psi)
 print("\nexchange channels at t=0:")
-print("  into the system  :", [f"{q.norm():.3f}" for q in split.exchange_in])
+print("  into the system  :",
+      [f"{q:.3f}" for q in np.sqrt(sq_norms(split.exchange_in))])
 print("  out to surroundings:",
-      [f"{q.norm():.3f}" for q in split.exchange_out])
+      [f"{q:.3f}" for q in np.sqrt(sq_norms(split.exchange_out))])
 
-u = random_unit_quaternion(rng)
+u = random_unit_quaternion(rng).to_array()
 omega = 1.3
 blk = geodesic_block(u, omega, 0.8)
 ex = expm(geodesic_generator(u) * (omega * 0.8))

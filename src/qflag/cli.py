@@ -25,6 +25,7 @@ import numpy as np
 
 from . import dynamics, emfield, roots as roots_mod, s4lb
 from .errors import QflagError, UsageError
+from .quaternion import sq_norms
 from .quatmat import random_skew_adjoint
 from .verify import SCHEMA_VERSION, RunConfig, SUITES, run_suite
 
@@ -36,11 +37,13 @@ EXIT_DOMAIN = 3
 # Largest rank ``qflag roots`` lists: 2 n^2 roots of n entries each, so the
 # JSON listing grows as n^3 (about 5 MB at this ceiling).
 MAX_ROOTS_RANK = 64
-# Largest ``qflag evolve`` state size and row count: each row takes one
-# exponential of an n x n generator (about 20 ms at n = 64 on a 2-vCPU x86-64
-# machine), so a table at both ceilings stays near 20 s.
+# Largest ``qflag evolve`` state size and row count; rows are evolved in
+# blocks of EVOLVE_BLOCK_ELEMENTS // n^2, one batched exponential each.  At
+# both ceilings a table takes 20-30 s and 42.5 MB peak RSS on a 2-vCPU x86-64
+# machine (41.8 MB row by row; 70 MB in blocks of 2^16, as @ expands 16-fold).
 MAX_EVOLVE_N = 64
 MAX_EVOLVE_STEPS = 1000
+EVOLVE_BLOCK_ELEMENTS = 2 ** 13
 # Largest ``qflag evolve`` horizon |t|: the relative norm drift of a state of
 # size 64 is 2.2e-10 at t = 1e4, 3.7e-9 at 1e6 and 5.8e-3 at 1e12.
 MAX_EVOLVE_T = 1e4
@@ -186,6 +189,8 @@ def cmd_evolve(args) -> int:
     if not abs(args.t_max) <= MAX_EVOLVE_T:
         raise UsageError(f"--t-max must be -{MAX_EVOLVE_T:g} to "
                          f"{MAX_EVOLVE_T:g}, got {args.t_max}")
+    if not 0 <= args.split <= args.n:
+        raise UsageError(f"--split must be 0 to {args.n}, got {args.split}")
     rng = np.random.default_rng(args.seed)
     gen = random_skew_adjoint(rng, args.n)
     psi = dynamics.random_state(rng, args.n, args.split)
@@ -193,15 +198,17 @@ def cmd_evolve(args) -> int:
               + [f"component{i}_norm" for i in range(args.n)]
               + ["exchange_in_norm", "exchange_out_norm"])
     lines = [",".join(header)]
-    for t in np.linspace(0.0, args.t_max, args.steps):
-        state = dynamics.evolve(gen, psi, float(t))
+    times = np.linspace(0.0, args.t_max, args.steps)
+    block = max(1, EVOLVE_BLOCK_ELEMENTS // args.n ** 2)
+    for start in range(0, args.steps, block):
+        t = times[start:start + block]
+        state = dynamics.evolve(gen, psi, t)
         split = dynamics.transition_split(gen, state)
-        ex_in = np.sqrt(sum(q.norm_sq() for q in split.exchange_in))
-        ex_out = np.sqrt(sum(q.norm_sq() for q in split.exchange_out))
-        row = ([float(t), state.norm_sq()]
-               + [q.norm() for q in state.components]
-               + [float(ex_in), float(ex_out)])
-        lines.append(",".join(_fmt(v) for v in row))
+        table = np.column_stack(
+            [t, state.norm_sq(), np.sqrt(sq_norms(state.a)),
+             np.sqrt(dynamics.column_norm_sq(split.exchange_in)),
+             np.sqrt(dynamics.column_norm_sq(split.exchange_out))])
+        lines.extend(",".join(_fmt(v) for v in row) for row in table)
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -268,16 +268,17 @@ def curvature_trace(q: QuatMatrix, n: int, k: int) -> tuple:
 
         tr[(1 + Q* Q)^{-1}]  =  2(n - k) + tr[(1 + Q Q*)^{-1}].
 
-    Returns (lhs, rhs).
+    Returns (lhs, rhs), each a float or an array of the batch shape.
     """
     if q.shape != (k, n):
         raise DimensionMismatch(f"expected a {k} x {n} matrix, got {q.shape}")
     emb = q.embed()
-    lhs_mat = np.linalg.inv(np.eye(2 * n) + emb.conj().T @ emb)
-    rhs_mat = np.linalg.inv(np.eye(2 * k) + emb @ emb.conj().T)
-    lhs = float(np.trace(lhs_mat).real)
-    rhs = 2.0 * (n - k) + float(np.trace(rhs_mat).real)
-    return lhs, rhs
+    adj = emb.conj().swapaxes(-1, -2)
+    lhs_mat = np.linalg.inv(np.eye(2 * n) + adj @ emb)
+    rhs_mat = np.linalg.inv(np.eye(2 * k) + emb @ adj)
+    lhs = np.trace(lhs_mat, axis1=-2, axis2=-1).real
+    rhs = 2.0 * (n - k) + np.trace(rhs_mat, axis1=-2, axis2=-1).real
+    return _float_or_batch(lhs), _float_or_batch(rhs)
 
 
 def curvature_det_gap(q: QuatMatrix, n: int, k: int) -> tuple:

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import QflagError
 from .quaternion import MUL_TABLE, Quaternion
 from .quatmat import QuatMatrix
 
@@ -169,6 +170,11 @@ class FieldDecomposition:
     electric: tuple   # E = -A,0 - grad A0
     magnetic: tuple   # B = curl A
 
+    def pstar_image(self) -> "QPolyField":
+        """The field (A0,0 - div A) + (-E + B) that p* psi must equal."""
+        return QPolyField((self.scalar,) + tuple(
+            b - e for b, e in zip(self.magnetic, self.electric)))
+
 
 def apply_pstar(psi: QPolyField) -> QPolyField:
     """(d0 + d1 i + d2 j + d3 k) * psi by exact quaternion differentiation."""
@@ -188,7 +194,7 @@ def decompose(psi: QPolyField) -> FieldDecomposition:
 
     Cross-validated on every call: the scalar part of p* psi must equal
     A0,0 - div A and its vector part must equal -E + B, as exact polynomial
-    identities.
+    identities; a mismatch raises :class:`QflagError`.
     """
     a0, a1, a2, a3 = psi.components
     scalar = a0.diff(0) - (a1.diff(1) + a2.diff(2) + a3.diff(3))
@@ -198,14 +204,11 @@ def decompose(psi: QPolyField) -> FieldDecomposition:
     magnetic = (a3.diff(2) - a2.diff(3),
                 a1.diff(3) - a3.diff(1),
                 a2.diff(1) - a1.diff(2))
-    image = apply_pstar(psi)
-    assert image.components[0] == scalar, "scalar part mismatch"
-    for axis in range(3):
-        expected = magnetic[axis] - electric[axis]
-        assert image.components[axis + 1] == expected, \
-            f"vector part mismatch on component {axis + 1}"
-    return FieldDecomposition(scalar=scalar, electric=electric,
-                              magnetic=magnetic)
+    dec = FieldDecomposition(scalar=scalar, electric=electric,
+                             magnetic=magnetic)
+    if apply_pstar(psi) != dec.pstar_image():
+        raise QflagError("p* psi differs from its decomposition")
+    return dec
 
 
 def quaternion_product_identity(v, w) -> float:

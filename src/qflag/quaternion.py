@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedM2C, NotUnitQuaternion
+from .errors import DimensionMismatch, MalformedM2C, NotUnitQuaternion
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -172,7 +172,18 @@ def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
     return Quaternion.from_array(v / n)
 
 
-def require_unit(q: Quaternion, tol: float = 1e-12) -> Quaternion:
-    if abs(q.norm_sq() - 1.0) > tol:
-        raise NotUnitQuaternion(f"|q|^2 = {q.norm_sq():.15g}")
+def sq_norms(q) -> np.ndarray:
+    """Squared norms of ``(..., 4)`` quaternions, summed as Quaternion.norm_sq."""
+    w, x, y, z = (q[..., c] for c in range(4))
+    return w * w + x * x + y * y + z * z
+
+
+def require_unit(q, tol: float = 1e-12) -> np.ndarray:
+    """``q`` as a ``(..., 4)`` float array once all of it is unit within tol."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 0 or q.shape[-1] != 4:
+        raise DimensionMismatch(f"expected shape (..., 4), got {q.shape}")
+    gap = np.abs(sq_norms(q) - 1.0).max(initial=0.0)
+    if not gap <= tol:
+        raise NotUnitQuaternion(f"|q|^2 differs from 1 by {gap:.3e}")
     return q

@@ -132,9 +132,10 @@ class QuatMatrix:
         return QuatMatrix(-self.a)
 
     def __mul__(self, s):
-        if isinstance(s, (int, float)):
-            return QuatMatrix(self.a * float(s))
-        return NotImplemented
+        """Scale by a number, or by an array that broadcasts with the batch."""
+        if not isinstance(s, (int, float)):
+            s = np.asarray(s, dtype=float)[..., None, None, None]
+        return QuatMatrix(self.a * s)
 
     __rmul__ = __mul__
 
@@ -318,7 +319,7 @@ def expm(m: QuatMatrix) -> QuatMatrix:
         raise NonFiniteMatrix("exponential of a NaN or infinite entry")
     squarings = squarings.astype(int)
     scale = np.ldexp(1.0, -squarings)        # exact powers of two
-    scaled = QuatMatrix(m.a * scale[..., None, None, None])
+    scaled = m * scale
     result = QuatMatrix.identity(n)
     term = QuatMatrix.identity(n)
     for k in range(1, 19):

@@ -284,21 +284,22 @@ def test_criterion_13_dynamics():
     rng = np.random.default_rng(1013)
     gen = random_skew_adjoint(rng, 3)
     psi = dynamics.random_state(rng, 3, 1)
-    worst_norm = max(abs(dynamics.evolve(gen, psi, t).norm_sq()
-                         - psi.norm_sq())
-                     for t in np.linspace(0.0, 10.0, 100))
-    worst_cocycle = max(dynamics.cocycle_residual(random_skew_adjoint(rng, 3),
-                                                  2.7, 1.3)
-                        for _ in range(20))
-    worst_reversal = max(dynamics.time_reversal_residual(
-        random_skew_adjoint(rng, 3), t) for t in (0.1, 1.0, 10.0))
-    worst_block = 0.0
-    for _ in range(100):
-        u = random_unit_quaternion(rng)
-        omega, t = rng.uniform(0.1, 3.0), rng.uniform(0.0, 5.0)
-        blk = dynamics.geodesic_block(u, omega, t)
-        ex = expm(dynamics.geodesic_generator(u) * (omega * t))
-        worst_block = max(worst_block, (blk.m - ex).max_abs())
+    moved = dynamics.evolve(gen, psi, np.linspace(0.0, 10.0, 100))
+    worst_norm = float(np.abs(moved.norm_sq() - psi.norm_sq()).max())
+    gens = QuatMatrix(np.stack([random_skew_adjoint(rng, 3).a
+                                for _ in range(20)]))
+    worst_cocycle = dynamics.cocycle_residual(gens, 2.7, 1.3)
+    # one generator per time, paired along the batch axis
+    worst_reversal = dynamics.time_reversal_residual(
+        QuatMatrix(np.stack([random_skew_adjoint(rng, 3).a
+                             for _ in range(3)])),
+        np.array([0.1, 1.0, 10.0]))
+    draws = [(random_unit_quaternion(rng).to_array(), rng.uniform(0.1, 3.0),
+              rng.uniform(0.0, 5.0)) for _ in range(100)]
+    u, omega, t = (np.array(col) for col in zip(*draws))
+    blk = dynamics.geodesic_block(u, omega, t)
+    ex = expm(dynamics.geodesic_generator(u) * (omega * t))
+    worst_block = (blk.m - ex).max_abs()
     passed = (worst_norm < 1e-9 and worst_cocycle < 1e-9
               and worst_reversal < 1e-11 and worst_block < 1e-10)
     record_criterion(13, "dynamics: norm, cocycle, reversal, geodesic block",

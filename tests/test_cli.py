@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from qflag import coset
+from qflag import coset, emfield
 from qflag.cli import (MAX_EVOLVE_N, MAX_EVOLVE_STEPS, MAX_EVOLVE_T,
                        MAX_ROOTS_RANK, main, parse_field_spec,
                        parse_polynomial)
@@ -53,6 +54,25 @@ def test_verify_curvature_det_gap_fails_a_check_not_the_run(monkeypatch,
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     bad = checks["coset.curvature_det_consistency"]
     assert not bad["passed"] and bad["residual"] >= 1e-6
+    assert all(c["passed"] for name, c in checks.items() if c is not bad)
+
+
+def test_verify_em_decomposition_mismatch_fails_a_check(monkeypatch, capsys):
+    # p* psi off by one flipped vector component: a failed check (exit 1),
+    # not a traceback
+    real = emfield.apply_pstar
+
+    def flipped(psi):
+        comps = list(real(psi).components)
+        comps[2] = -comps[2]
+        return emfield.QPolyField(tuple(comps))
+
+    monkeypatch.setattr(emfield, "apply_pstar", flipped)
+    code, out, _ = run_cli(["verify", "em", "--seed", "7"], capsys)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    bad = checks["em.decomposition_exact"]
+    assert not bad["passed"] and bad["residual"] > 0
     assert all(c["passed"] for name, c in checks.items() if c is not bad)
 
 
@@ -271,6 +291,20 @@ def test_evolve_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "3", "--split", "1", "--seed", "4", "--steps", "10"],
+     "e7fab582e26bf7a7c2785ac171f86a0d989427a50f56d1145de56283da0cafd1"),
+    # n > 8: the squared norms of nine rows are summed in row order
+    (["--n", "9", "--split", "4", "--seed", "1", "--steps", "7",
+      "--t-max", "1e4"],
+     "ffab4f6bab5a9c4e2c0a458b7f12036aef21fad0dd8697662cea501f35ce98cb")])
+def test_evolve_bytes_are_pinned(argv, digest, capsys):
+    # SHA-256 of tables printed by the one-row-at-a-time implementation
+    code, out, _ = run_cli(["evolve"] + argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_evolve_negative_steps_is_usage_error(capsys):
     code, out, err = run_cli(["evolve", "--steps", "-1"], capsys)
     assert code == 2
@@ -278,7 +312,8 @@ def test_evolve_negative_steps_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--n", "-1"], ["--t-max", "nan"],
-                                  ["--t-max", "inf"]])
+                                  ["--t-max", "inf"], ["--split", "5"],
+                                  ["--split", "-1"]])
 def test_evolve_bad_size_or_horizon_is_usage_error(argv, capsys):
     code, out, err = run_cli(["evolve", "--steps", "3"] + argv, capsys)
     assert code == 2

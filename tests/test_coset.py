@@ -361,6 +361,13 @@ def test_curvature_trace_identity():
             q = random_quatmat(rng, k, n, 0.8)
             lhs, rhs = curvature_trace(q, n, k)
             assert abs(lhs - rhs) < 1e-9
+    # a stacked input gives arrays of the batch shape, equal to the singles
+    q = QuatMatrix(np.stack([random_quatmat(rng, 2, 5, 0.8).a
+                             for _ in range(6)]).reshape(2, 3, 2, 5, 4))
+    lhs, rhs = curvature_trace(q, 5, 2)
+    assert lhs.shape == rhs.shape == (2, 3)
+    assert np.abs(lhs - rhs).max() < 1e-9
+    assert (lhs[1, 2], rhs[1, 2]) == curvature_trace(QuatMatrix(q.a[1, 2]), 5, 2)
 
 
 def test_curvature_trace_scalar_oracle():

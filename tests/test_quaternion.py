@@ -4,7 +4,8 @@ import pytest
 from qflag.errors import MalformedM2C, NotUnitQuaternion
 from qflag.quaternion import (MUL_TABLE, E, I, J, K, Quaternion, from_m2c,
                               j_conjugate, m2c_blocks, random_quaternion,
-                              random_unit_quaternion, require_unit, to_m2c)
+                              random_unit_quaternion, require_unit, sq_norms,
+                              to_m2c)
 
 rng = np.random.default_rng(101)
 
@@ -127,12 +128,20 @@ def test_j_conjugate():
 
 
 def test_unit_sampling_and_gate():
+    units = []
     for _ in range(200):
         u = random_unit_quaternion(rng)
         assert abs(u.norm_sq() - 1.0) < 1e-12
-        require_unit(u)
+        units.append(u.to_array())
+    units = np.array(units)
+    assert np.array_equal(require_unit(units), units)
+    assert np.array_equal(sq_norms(units),
+                          [Quaternion.from_array(u).norm_sq() for u in units])
     with pytest.raises(NotUnitQuaternion):
-        require_unit(Quaternion(2.0))
+        require_unit(Quaternion(2.0).to_array())
+    units[17, 2] += 1e-6
+    with pytest.raises(NotUnitQuaternion):
+        require_unit(units.reshape(20, 10, 4))
 
 
 def test_inverse():
