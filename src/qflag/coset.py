@@ -138,16 +138,14 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
         raise ShapeMismatch("points live on different Grassmannians")
     xa, xb = pa.x, pb.x
     a, b, c, d = g.blocks(pa.j, pa.k)
-    ya = lft_apply(g, pa).x
-    yb = lft_apply(g, pb).x
+    _, _, ya, ra = _action(g, pa)
+    _, _, yb, rb = _action(g, pb)
     eye_j = QuatMatrix.identity(pa.j)
     eye_k = QuatMatrix.identity(pa.k)
 
     err = SingularDenominator("transport factor is singular")
     la = (-(xa @ b.adjoint()) + a.adjoint()).inv(err)
     lb = (-(xb @ b.adjoint()) + a.adjoint()).inv(err)
-    ra = (c @ xa + d).inv(err)
-    rb = (c @ xb + d).inv(err)
     rb_star = (-(b @ xb.adjoint()) + a).inv(err)
     la_star = (xa.adjoint() @ c.adjoint() + d.adjoint()).inv(err)
 
@@ -233,17 +231,23 @@ def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix) -> float:
     return _scalar_trace(term1 - term2)
 
 
+def _transport(g: GroupElement, point: GrassmannPoint, dx: QuatMatrix):
+    """The image Y and the transported tangent, from one :func:`_action`."""
+    a, c, y, den_inv = _action(g, point)
+    return y, (a - y @ c) @ dx @ den_inv
+
+
 def pushforward_tangent(g: GroupElement, point: GrassmannPoint,
                         dx: QuatMatrix) -> QuatMatrix:
     """Exact transport of a tangent: dY = (A - Y C) dX (C X + D)^{-1}."""
-    a, c, y, den_inv = _action(g, point)
-    return (a - y @ c) @ dx @ den_inv
+    return _transport(g, point, dx)[1]
 
 
 def metric_invariance_residual(g: GroupElement, point: GrassmannPoint,
                                dx: QuatMatrix) -> float:
     """|ds^2 at (X, dX) - ds^2 at (g X, g_* dX)| with the exact g_*."""
-    after = metric_form(lft_apply(g, point), pushforward_tangent(g, point, dx))
+    y, dy = _transport(g, point, dx)
+    after = metric_form(GrassmannPoint(y), dy)
     return abs(after - metric_form(point, dx))
 
 

@@ -225,17 +225,33 @@ def quaternion_product_identity(v, w) -> float:
     return float(np.sqrt(((direct - assembled) ** 2).sum(axis=-1)).max())
 
 
+def _exponents(max_degree: int) -> list:
+    """The exponent 4-tuples of total degree at most ``max_degree``, in
+    lexicographic order."""
+    d = max_degree
+    return [(a, b, c, r)
+            for a in range(d + 1) for b in range(d + 1 - a)
+            for c in range(d + 1 - a - b) for r in range(d + 1 - a - b - c)]
+
+
 def random_field(rng, max_degree: int = 3, terms: int = 4,
                  coeff_range: int = 5) -> QPolyField:
-    """Random integer-coefficient field for exactness tests."""
+    """Random integer-coefficient field for exactness tests.
+
+    Each component is a sum of ``terms`` monomials c x^e drawn independently:
+    e uniform over the exponent 4-tuples of total degree at most
+    ``max_degree`` and c uniform over the integers in
+    [-coeff_range, coeff_range].  Monomials that share an exponent add up, so
+    a component has at most ``terms`` nonzero coefficients.  The field takes
+    two ``rng.integers`` calls: every exponent index, then every coefficient.
+    """
+    expos = _exponents(max_degree)
+    picks = rng.integers(0, len(expos), (4, terms)).tolist()
+    coeffs = rng.integers(-coeff_range, coeff_range + 1, (4, terms)).tolist()
     comps = []
-    for _ in range(4):
-        poly = RealPoly()
-        for _ in range(terms):
-            expo = tuple(int(v) for v in rng.integers(0, max_degree + 1, 4))
-            while sum(expo) > max_degree:
-                expo = tuple(int(v) for v in rng.integers(0, max_degree + 1, 4))
-            c = int(rng.integers(-coeff_range, coeff_range + 1))
-            poly = poly + RealPoly({expo: c})
-        comps.append(poly)
+    for row, cs in zip(picks, coeffs):
+        poly = {}
+        for i, c in zip(row, cs):
+            poly[expos[i]] = poly.get(expos[i], 0) + c
+        comps.append(RealPoly(poly))
     return QPolyField(tuple(comps))

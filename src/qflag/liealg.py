@@ -291,13 +291,18 @@ class DiffOperator:
         return DiffOperator(out)
 
     def __sub__(self, o: "DiffOperator") -> "DiffOperator":
-        return self + (-o)
+        out = dict(self.terms)
+        for key, c in o.terms.items():
+            out[key] = out[key] - c if key in out else -c
+        return DiffOperator(out)
 
     def __neg__(self) -> "DiffOperator":
         return DiffOperator({k: -c for k, c in self.terms.items()})
 
     def scaled(self, value) -> "DiffOperator":
         c0 = CRat.of(value)
+        if c0.is_zero():
+            return DiffOperator()
         return DiffOperator({k: c * c0 for k, c in self.terms.items()})
 
     def __eq__(self, o) -> bool:
@@ -325,19 +330,26 @@ class DiffOperator:
         Each subset of the left word (by position, so a repeated symbol is
         hit once per copy) differentiates the right coefficient monomial
         directly on its exponents; the factor is the product of the powers
-        taken down, and the rest of the left word passes through.
+        taken down, and the rest of the left word passes through.  Each right
+        monomial becomes a powers dict once per call; a subset that hits a
+        symbol absent from it contributes nothing and is skipped before any
+        copy.
         """
         out = {}
+        rights = [(dict(m2), w2, c2) for (m2, w2), c2 in o.terms.items()]
         for (m1, w1), c1 in self.terms.items():
             splits = []
             for mask in itertools.product((False, True), repeat=len(w1)):
                 hit = tuple(sym for sym, h in zip(w1, mask) if h)
                 passed = tuple(sym for sym, h in zip(w1, mask) if not h)
-                splits.append((hit, passed))
-            for (m2, w2), c2 in o.terms.items():
+                splits.append((frozenset(hit), hit, passed))
+            for right, w2, c2 in rights:
                 c12 = c1 * c2
-                for hit, passed in splits:
-                    powers = dict(m2)
+                symbols = right.keys()
+                for need, hit, passed in splits:
+                    if not symbols >= need:
+                        continue
+                    powers = right.copy()
                     factor = 1
                     for sym in hit:
                         p = powers.get(sym, 0)
@@ -352,7 +364,7 @@ class DiffOperator:
                         for var, p in m1:
                             powers[var] = powers.get(var, 0) + p
                         key = (tuple(sorted(powers.items())),
-                               tuple(sorted(passed + w2)))
+                               tuple(sorted(passed + w2)) if passed else w2)
                         c = c12 if factor == 1 else c12 * CRat(factor, 0)
                         out[key] = out[key] + c if key in out else c
         return DiffOperator(out)
@@ -539,12 +551,34 @@ def _delta(i: int, j: int) -> int:
     return 1 if i == j else 0
 
 
+def _commutators(table: dict, pairs):
+    """Yield ((x, y), [table[x], table[y]]) for each key pair, in order.
+
+    The first of the cases (x, y) and (y, x) computes the commutator and
+    keeps it (unless x == y); the second reads it back as exactly
+    -[table[x], table[y]] and drops it, so nothing outlives its family.
+    """
+    kept = {}
+    for x, y in pairs:
+        lhs = kept.pop((y, x), None)
+        if lhs is not None:
+            lhs = -lhs
+        else:
+            lhs = commutator(table[x], table[y])
+            if x != y:
+                kept[x, y] = lhs
+        yield (x, y), lhs
+
+
 def _relation_cases(k: int, n: int):
     """Yield (family, lhs, rhs) for every index combination of the seven
     commutation relations, with the right sides exactly as displayed.
 
     Each generator is built once, into a table per kind, and every case
-    reads its operators from those tables.
+    reads its operators from those tables.  In the [h,h], [H,H] and [p,p]
+    families every ordered pair of generators appears, and [Y, X] is exactly
+    -[X, Y]; so each pair is composed once (see :func:`_commutators`) and the
+    case order is unchanged.
     """
     K, A = 2 * k, 2 * (n - k)
     row_pairs = list(itertools.product(range(K), repeat=2))
@@ -564,15 +598,15 @@ def _relation_cases(k: int, n: int):
     def p(i, j):
         return p_tab[i, j]
 
-    for al, be, mu, nu in itertools.product(range(K), repeat=4):
-        lhs = commutator(h(al, be), h(mu, nu))
+    for ((al, be), (mu, nu)), lhs in _commutators(
+            h_tab, itertools.product(row_pairs, repeat=2)):
         rhs = (h(al, nu).scaled(_delta(be, mu))
                - h(mu, be).scaled(_delta(al, nu))
                - _right_j(h, al, mu).scaled(jval(be, nu))
                + _left_j(h, be, nu).scaled(jval(mu, al)))
         yield "[h,h]", lhs, rhs
-    for a, b, c, d in itertools.product(range(A), repeat=4):
-        lhs = commutator(H(a, b), H(c, d))
+    for ((a, b), (c, d)), lhs in _commutators(
+            H_tab, itertools.product(col_pairs, repeat=2)):
         rhs = (H(a, d).scaled(_delta(b, c))
                - H(c, b).scaled(_delta(a, d))
                - _right_j(H, a, c).scaled(jval(b, d))
@@ -594,12 +628,11 @@ def _relation_cases(k: int, n: int):
             rhs = (p(al, b).scaled(-_delta(a, c))
                    + _right_j(p, al, c).scaled(jval(a, b)))
             yield "[p,H]", lhs, rhs
-    for al, be in row_pairs:
-        for a, b in col_pairs:
-            lhs = commutator(p(al, a), p(be, b))
-            rhs = (_right_j(h, al, be).scaled(-jval(a, b))
-                   - _right_j(H, a, b).scaled(jval(al, be)))
-            yield "[p,p]", lhs, rhs
+    pp_pairs = (((al, a), (be, b)) for al, be in row_pairs for a, b in col_pairs)
+    for ((al, a), (be, b)), lhs in _commutators(p_tab, pp_pairs):
+        rhs = (_right_j(h, al, be).scaled(-jval(a, b))
+               - _right_j(H, a, b).scaled(jval(al, be)))
+        yield "[p,p]", lhs, rhs
     for al, be in row_pairs:
         for a, b in col_pairs:
             lhs = commutator(pbar_tab[al, a], p(be, b))

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from qflag import coset, emfield
+from qflag import cli, coset, emfield
 from qflag.cli import (MAX_EVOLVE_N, MAX_EVOLVE_STEPS, MAX_EVOLVE_T,
-                       MAX_ROOTS_RANK, main, parse_field_spec,
-                       parse_polynomial)
+                       MAX_ROOTS_RANK, MAX_VERIFY_TRIALS, main,
+                       parse_field_spec, parse_polynomial)
 from qflag.emfield import RealPoly
 
 
@@ -28,6 +28,25 @@ def test_verify_roots_report(capsys):
     assert doc["suite"] == "roots"
     assert doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_verify_at_trials_ceiling(capsys):
+    code, out, _ = run_cli(["verify", "quaternion", "--seed", "1",
+                            "--trials", str(MAX_VERIFY_TRIALS)], capsys)
+    assert code == 0
+    assert json.loads(out)["trials"] == MAX_VERIFY_TRIALS
+
+
+@pytest.mark.parametrize("trials", [MAX_VERIFY_TRIALS + 1, -1])
+def test_verify_trials_out_of_range_is_usage_error(trials, monkeypatch,
+                                                   capsys):
+    # refused before any suite runs
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda *args: pytest.fail("a suite ran"))
+    code, out, err = run_cli(["verify", "all", "--trials", str(trials)],
+                             capsys)
+    assert code == 2
+    assert out == "" and "error:" in err and "--trials" in err
 
 
 def test_verify_reports_failure_exit_code(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,36 @@ def test_decomposition_identity_exact_on_random_fields():
         for axis in range(3):
             assert image.components[axis + 1] == \
                 dec.magnetic[axis] - dec.electric[axis]
+
+
+def test_random_field_support_and_range():
+    # exponents of total degree <= 3 (all 35 of them reached), integer
+    # coefficients within the range; repeated exponents add up
+    r = np.random.default_rng(11)
+    cubic = {e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3}
+    assert len(cubic) == 35
+    seen, coeffs = set(), set()
+    for _ in range(100):
+        psi = random_field(r, max_degree=3, terms=1, coeff_range=5)
+        for comp in psi.components:
+            assert comp.degree() <= 3 and len(comp.terms) <= 1
+            seen.update(comp.terms)
+            coeffs.update(comp.terms.values())
+    assert seen == cubic
+    assert coeffs == set(range(-5, 6)) - {0}
+    assert all(type(c) is int for c in coeffs)
+    for _ in range(50):
+        psi = random_field(r, max_degree=2, terms=6, coeff_range=3)
+        for comp in psi.components:
+            assert comp.degree() <= 2 and len(comp.terms) <= 6
+            assert all(0 < abs(c) <= 6 * 3 for c in comp.terms.values())
+
+
+def test_random_field_is_keyed_by_the_seed():
+    a = random_field(np.random.default_rng(9), max_degree=5, terms=6)
+    b = random_field(np.random.default_rng(9), max_degree=5, terms=6)
+    assert a == b
+    assert a != random_field(np.random.default_rng(10), max_degree=5, terms=6)
 
 
 def test_scalar_term_is_present_not_zero():

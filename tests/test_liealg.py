@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qflag import liealg
 from qflag.errors import IndexOutOfRange, NotEigenvector
 from qflag.liealg import (CRat, DiffOperator, ONE, PolyFunction, cartan_H,
                           cartan_h, commutator, eigenvalue_of, gen_H, gen_h,
@@ -162,6 +163,29 @@ def test_compose_repeated_symbol_in_both_words():
         assert want.apply(f) == a.apply(b.apply(f))
 
 
+@pytest.mark.parametrize("word", [((0, 0),), ((0, 0), (0, 0)),
+                                  ((0, 0), (1, 1))])
+@pytest.mark.parametrize("power", [0, 1, 2])
+def test_compose_hit_symbol_absent_once_or_squared(word, power):
+    # the left word hits z[0,0], which the right monomial holds 0, 1 or 2
+    # times; compose must match B then A through apply
+    s, t = (0, 0), (1, 1)
+    mono = (((s, power),) if power else ()) + ((t, 1),)
+    a = DiffOperator({((((1, 0), 1),), word): CRat(2, -1)})
+    b = DiffOperator({(mono, ((0, 1),)): CRat(1, 3)})
+    ab = a.compose(b)
+    for f in monomials_up_to_degree(1, 2, 3):
+        assert ab.apply(f) == a.apply(b.apply(f)), f
+
+
+def test_difference_and_zero_scaling():
+    a, b = gen_p(0, 1, 1, 2), gen_H(1, 0, 1, 2)
+    assert a - b == a + (-b)
+    assert (a - a).is_zero()
+    assert a.scaled(0).is_zero() and a.scaled(0) == DiffOperator.zero()
+    assert a.scaled(-1) == -a
+
+
 def test_generator_index_gates():
     with pytest.raises(IndexOutOfRange):
         gen_h(2, 0, 1, 2)
@@ -244,6 +268,31 @@ def test_commutation_table_k2_n3():
     assert report["families"]["[h,h]"]["cases"] == 4 ** 4
     assert report["families"]["[H,H]"]["cases"] == 2 ** 4
     assert all(entry["passed"] for entry in report["families"].values())
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 3)])
+def test_reused_commutators_equal_fresh_ones(k, n):
+    # the table reads [Y, X] back as -[X, Y]; every case must still equal a
+    # freshly computed commutator of its own pair, in the original order
+    K, A = 2 * k, 2 * (n - k)
+    rows = list(itertools.product(range(K), repeat=2))
+    cols = list(itertools.product(range(A), repeat=2))
+    h = {ij: gen_h(*ij, k, n) for ij in rows}
+    H = {ab: gen_H(*ab, k, n) for ab in cols}
+    p = {ia: gen_p(*ia, k, n) for ia in itertools.product(range(K), range(A))}
+    fresh = {
+        "[h,h]": [(h[x], h[y]) for x, y in itertools.product(rows, repeat=2)],
+        "[H,H]": [(H[x], H[y]) for x, y in itertools.product(cols, repeat=2)],
+        "[p,p]": [(p[al, a], p[be, b]) for al, be in rows for a, b in cols],
+    }
+    got = {family: [] for family in fresh}
+    for family, lhs, _ in liealg._relation_cases(k, n):
+        if family in got:
+            got[family].append(lhs)
+    for family, pairs in fresh.items():
+        assert len(got[family]) == len(pairs), family
+        for i, ((x, y), lhs) in enumerate(zip(pairs, got[family])):
+            assert lhs == commutator(x, y), (family, i)
 
 
 def test_h_H_commute_spot_application():
