@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from fractions import Fraction
 
@@ -36,9 +38,9 @@ EXIT_DOMAIN = 3
 
 # Largest ``qflag verify --trials``: the count replaces every check's own draw
 # count, and the batched checks hold all their draws at once, so memory grows
-# with it.  ``verify all`` at this ceiling peaks at 83 MB RSS in about 5 s on
-# a 2-vCPU x86-64 machine (125 MB at 2000; 120 MB at the default counts,
-# where the S^3 sampling check draws 10^6 points).
+# with it.  ``verify all`` at this ceiling peaks at 82 MB RSS in about 6 s on
+# a 2-vCPU x86-64 machine (125 MB at 2000; 53 MB at the default counts, where
+# the S^3 sampling check streams its 10^6 points in blocks).
 MAX_VERIFY_TRIALS = 1000
 # Largest rank ``qflag roots`` lists: 2 n^2 roots of n entries each, so the
 # JSON listing grows as n^3 (about 5 MB at this ceiling).
@@ -53,16 +55,40 @@ EVOLVE_BLOCK_ELEMENTS = 2 ** 13
 # Largest ``qflag evolve`` horizon |t|: the relative norm drift of a state of
 # size 64 is 2.2e-10 at t = 1e4, 3.7e-9 at 1e6 and 5.8e-3 at 1e12.
 MAX_EVOLVE_T = 1e4
+# Largest ``qflag lb --samples``: each grid point is one scalar solution and
+# residual evaluation, so the time grows linearly with the count.  A table at
+# this ceiling takes about 0.35 s beyond start-up and 33 MB peak RSS on a
+# 2-vCPU x86-64 machine (2 s and 69 MB at 10^5).
+MAX_LB_SAMPLES = 10_000
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {seed}")
+
+
+def _require_out_path(out_path) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any work."""
+    if out_path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(folder):
+        raise UsageError(f"--out {out_path}: no directory {folder}")
+    if os.path.isdir(out_path) or not os.access(folder, os.W_OK):
+        raise UsageError(f"--out {out_path}: not a writable file path")
+
+
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:   # the checks above cannot see a full disk
+            raise UsageError(f"--out {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -79,6 +105,9 @@ def _parse_tol(entries) -> dict:
             out[key] = float(val)
         except ValueError:
             raise UsageError(f"--tol expects KEY=NUMBER, got {entry!r}") from None
+        if not 0.0 < out[key] < math.inf:
+            raise UsageError(f"--tol {key}: a tolerance must be a positive "
+                             f"finite number, got {val}")
     return out
 
 
@@ -100,6 +129,7 @@ def cmd_verify(args) -> int:
     if not 0 <= args.trials <= MAX_VERIFY_TRIALS:
         raise UsageError(f"--trials must be 0 to {MAX_VERIFY_TRIALS}, "
                          f"got {args.trials}")
+    _require_seed(args.seed)
     cfg = RunConfig(seed=args.seed, trials=args.trials,
                     tol_overrides=_parse_tol(args.tol))
     report = run_suite(args.suite, cfg)
@@ -109,8 +139,9 @@ def cmd_verify(args) -> int:
 
 def cmd_lb(args) -> int:
     ell = _parse_half_integer(args.ell)
-    if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_LB_SAMPLES:
+        raise UsageError(f"--samples must be 1 to {MAX_LB_SAMPLES}, "
+                         f"got {args.samples}")
     if ell == 0 and args.big_n == 0:
         sol = s4lb.make_f0()
     else:
@@ -200,6 +231,7 @@ def cmd_evolve(args) -> int:
                          f"{MAX_EVOLVE_T:g}, got {args.t_max}")
     if not 0 <= args.split <= args.n:
         raise UsageError(f"--split must be 0 to {args.n}, got {args.split}")
+    _require_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     gen = random_skew_adjoint(rng, args.n)
     psi = dynamics.random_state(rng, args.n, args.split)
@@ -357,12 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("suite", choices=["all"] + sorted(SUITES))
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="non-negative integer keying every draw")
     p_verify.add_argument("--trials", type=int, default=0,
                           help=f"override per-check draw counts, 1 to "
                                f"{MAX_VERIFY_TRIALS} (0 = defaults)")
     p_verify.add_argument("--tol", action="append", metavar="KEY=VAL",
-                          help="override a check tolerance by name")
+                          help="override a check tolerance by name; VAL is "
+                               "a positive finite number")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -372,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--big-n", type=int, default=0, dest="big_n",
                       help="termination index N")
     p_lb.add_argument("--samples", type=int, default=200,
-                      help="grid points between the pole exclusion zones")
+                      help=f"grid points between the pole exclusion zones, "
+                           f"1 to {MAX_LB_SAMPLES}")
     p_lb.add_argument("--format", choices=["csv", "json"], default="csv")
     p_lb.add_argument("--out", default=None)
     p_lb.set_defaults(func=cmd_lb)
@@ -397,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--n", type=int, default=3,
                           help=f"state size, 1 to {MAX_EVOLVE_N}")
     p_evolve.add_argument("--split", type=int, default=1)
-    p_evolve.add_argument("--seed", type=int, default=0)
+    p_evolve.add_argument("--seed", type=int, default=0,
+                          help="non-negative integer keying the draws")
     p_evolve.add_argument("--t-max", type=float, default=10.0, dest="t_max",
                           help=f"horizon, -{MAX_EVOLVE_T:g} to "
                                f"{MAX_EVOLVE_T:g}")
@@ -412,6 +448,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_out_path(args.out)
         return args.func(args)
     except QflagError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -7,8 +8,8 @@ import pytest
 
 from qflag import cli, coset, emfield
 from qflag.cli import (MAX_EVOLVE_N, MAX_EVOLVE_STEPS, MAX_EVOLVE_T,
-                       MAX_ROOTS_RANK, MAX_VERIFY_TRIALS, main,
-                       parse_field_spec, parse_polynomial)
+                       MAX_LB_SAMPLES, MAX_ROOTS_RANK, MAX_VERIFY_TRIALS,
+                       main, parse_field_spec, parse_polynomial)
 from qflag.emfield import RealPoly
 
 
@@ -50,12 +51,65 @@ def test_verify_trials_out_of_range_is_usage_error(trials, monkeypatch,
 
 
 def test_verify_reports_failure_exit_code(capsys):
-    # an impossible tolerance forces a check failure and exit code 1
-    code, out, _ = run_cli(["verify", "roots", "--seed", "7",
-                            "--tol", "roots.counts_and_closure=-1"], capsys)
+    # the smallest positive tolerance is accepted, and lies below the
+    # residual of the check: a check failure and exit code 1
+    code, out, _ = run_cli(["verify", "s4", "--seed", "7",
+                            "--tol", "s4.f0_residual=5e-324"], capsys)
     assert code == 1
     doc = json.loads(out)
     assert doc["passed"] is False
+    bad = [c for c in doc["checks"] if not c["passed"]]
+    assert [c["name"] for c in bad] == ["s4.f0_residual"]
+    assert bad[0]["tolerance"] == 5e-324
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf"])
+def test_verify_nonpositive_or_nonfinite_tol_is_usage_error(value, monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda *args: pytest.fail("a suite ran"))
+    code, out, err = run_cli(["verify", "coset", "--tol",
+                              f"coset.lft_two_forms={value}"], capsys)
+    assert code == 2
+    assert out == "" and "coset.lft_two_forms" in err and "positive" in err
+
+
+def test_verify_negative_seed_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda *args: pytest.fail("a suite ran"))
+    code, out, err = run_cli(["verify", "all", "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == "" and "--seed" in err and "Traceback" not in err
+
+
+def test_verify_at_seed_zero(capsys):
+    code, out, _ = run_cli(["verify", "roots", "--seed", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["seed"] == 0
+
+
+def test_verify_out_in_missing_directory_is_usage_error(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda *args: pytest.fail("a suite ran"))
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["verify", "coset", "--out", str(target)],
+                             capsys)
+    assert code == 2
+    assert out == "" and "--out" in err and not target.parent.exists()
+
+
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(["roots", "2", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == "" and "--out" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_write_failure_is_usage_error(capsys):
+    code, out, err = run_cli(["roots", "2", "--out", "/dev/full"], capsys)
+    assert code == 2
+    assert out == "" and "--out" in err and "Traceback" not in err
 
 
 def test_verify_curvature_det_gap_fails_a_check_not_the_run(monkeypatch,
@@ -186,6 +240,22 @@ def test_lb_unparseable_ell_is_usage_error(ell, capsys):
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_lb_nonpositive_samples_is_usage_error(samples, capsys):
     code, out, err = run_cli(["lb", "--ell", "1", "--samples", samples], capsys)
+    assert code == 2
+    assert out == "" and "--samples" in err
+
+
+def test_lb_at_samples_ceiling(capsys):
+    code, out, _ = run_cli(["lb", "--ell", "1", "--samples",
+                            str(MAX_LB_SAMPLES)], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + MAX_LB_SAMPLES
+
+
+def test_lb_samples_above_ceiling_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli.s4lb, "make_gl",
+                        lambda *args: pytest.fail("a table was built"))
+    code, out, err = run_cli(["lb", "--ell", "1", "--samples",
+                              str(MAX_LB_SAMPLES + 1)], capsys)
     assert code == 2
     assert out == "" and "--samples" in err
 
@@ -322,6 +392,14 @@ def test_evolve_bytes_are_pinned(argv, digest, capsys):
     code, out, _ = run_cli(["evolve"] + argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_evolve_negative_seed_is_usage_error(capsys):
+    # seed 0, the default, is the boundary the other evolve tests run at
+    code, out, err = run_cli(["evolve", "--n", "2", "--split", "1",
+                              "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == "" and "--seed" in err
 
 
 def test_evolve_negative_steps_is_usage_error(capsys):

@@ -20,6 +20,7 @@ from qflag.quaternion import Quaternion, random_quaternion, random_unit_quaterni
 from qflag.quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
                            random_group_element, random_quatmat,
                            random_skew_adjoint)
+from qflag.verify import s3_component_means
 
 rng = np.random.default_rng(303)
 
@@ -582,8 +583,6 @@ def test_fiber_element_is_group_member():
 
 def test_s3_sampling_mean():
     draws = 1_000_000
-    local = np.random.default_rng(77)
-    comp = local.normal(0.0, 1.0, (draws, 4))
-    comp /= np.linalg.norm(comp, axis=1, keepdims=True)
+    means = s3_component_means(np.random.default_rng(77), draws)
     sigma = 0.5 / math.sqrt(draws)
-    assert np.abs(comp.mean(axis=0)).max() < 4.0 * sigma
+    assert np.abs(means).max() < 4.0 * sigma

@@ -1,0 +1,74 @@
+"""A broken product kernel must fail named checks, not crash the run.
+
+Each test swaps in a wrong quaternion product rule, re-derives the tables
+that ``@`` and the exact field products read from it, and runs
+``qflag verify all``: the run must write its report and exit 1.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from qflag import emfield, quatmat
+from qflag.cli import main
+from qflag.quaternion import BASIS, MUL_TABLE, Quaternion
+
+
+def _install(monkeypatch, table):
+    """Point the matrix product and the exact field product at ``table``,
+    derived as quatmat and emfield derive theirs from MUL_TABLE."""
+    monkeypatch.setattr(quatmat, "_RIGHT_TABLE",
+                        table.transpose(1, 0, 2).reshape(4, 16))
+    monkeypatch.setattr(emfield, "_PRODUCT", [
+        [next((c, v) for c, v in enumerate(signs) if v) for signs in row]
+        for row in table.astype(int).tolist()])
+
+
+def _failed_checks(capsys):
+    code = main(["verify", "all", "--seed", "42", "--trials", "20"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["passed"] is False
+    failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+    # the exact suites do not read the quaternion product
+    assert not [n for n in failed if n.split(".")[0] in ("liealg", "roots",
+                                                        "s4")]
+    return failed
+
+
+def test_flipped_product_sign_fails_checks(monkeypatch, capsys):
+    real = Quaternion.__mul__
+
+    def flipped(a, b):
+        if not isinstance(b, Quaternion):
+            return real(a, b)
+        # the i component's a.y b.z term has the wrong sign: j k = -i
+        return Quaternion(
+            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.w * b.x + a.x * b.w - a.y * b.z - a.z * b.y,
+            a.w * b.y + a.y * b.w + a.z * b.x - a.x * b.z,
+            a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x)
+
+    monkeypatch.setattr(Quaternion, "__mul__", flipped)
+    _install(monkeypatch,
+             np.array([[(p * q).to_array() for q in BASIS] for p in BASIS]))
+    failed = _failed_checks(capsys)
+    assert {"quaternion.norm_multiplicative", "quaternion.m2c_homomorphism",
+            "quatmat.embedding_faithful", "quatmat.exp_group_membership",
+            "quatmat.unit_determinant", "forms.connection_value",
+            "em.product_identity", "em.decomposition_exact"} <= set(failed)
+    # a drawn generator no longer exponentiates into the group: the suite
+    # records the error and the run goes on
+    assert "unitarity residual" in failed["dynamics.error"]["detail"]
+
+
+def test_transposed_product_table_fails_checks(monkeypatch, capsys):
+    # e_p e_q read as e_q e_p: the opposite algebra, still associative and
+    # normed, so only the checks that compare against the true product fail
+    _install(monkeypatch, MUL_TABLE.transpose(1, 0, 2))
+    failed = _failed_checks(capsys)
+    assert {"quaternion.m2c_homomorphism", "quatmat.embedding_faithful",
+            "quatmat.sp2nc_conditions", "coset.lft_two_forms",
+            "coset.lft_group_law", "em.product_identity"} <= set(failed)
+    assert "quaternion.norm_multiplicative" not in failed
+    assert not [n for n in failed if n.endswith(".error")]

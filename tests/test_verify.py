@@ -1,7 +1,18 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from qflag.errors import UnknownSuite
-from qflag.verify import RunConfig, SUITES, run_suite
+import qflag
+from qflag import coset, dynamics
+from qflag.errors import SingularMatrix, UnknownSuite
+from qflag.quatmat import random_quatmat, random_skew_adjoint
+from qflag.verify import (S3_BLOCK, RunConfig, SUITES, _draw_batches,
+                          _quatmat_draw, _skew_draw, run_suite,
+                          s3_component_means)
 
 
 def test_unknown_suite_raises():
@@ -49,3 +60,86 @@ def test_rng_streams_are_stable_per_check():
     c = RunConfig(seed=9).rng("other.check").normal(size=4)
     assert (a == b).all()
     assert (a != c).any()
+
+
+# -- draws ----------------------------------------------------------------------
+
+LOOP_DRAWS = {
+    "quatmat": (_quatmat_draw(3, 4, 0.5),
+                lambda rng: random_quatmat(rng, 3, 4, 0.5).a),
+    "skew": (_skew_draw(4, 0.7),
+             lambda rng: random_skew_adjoint(rng, 4, 0.7).a),
+    "state": (_quatmat_draw(4, 1),
+              lambda rng: dynamics.random_state(rng, 4, 2).a[:, None, :]),
+}
+
+
+@pytest.mark.parametrize("names", [["quatmat"], ["skew"], ["state"],
+                                   ["quatmat", "skew", "state"],
+                                   ["skew", "state", "skew"]])
+def test_draw_batches_equal_a_loop_of_single_draws(names):
+    count = 7
+    batches = _draw_batches(np.random.default_rng(3), count,
+                            *[LOOP_DRAWS[n][0] for n in names])
+    rng = np.random.default_rng(3)
+    rounds = [[LOOP_DRAWS[n][1](rng) for n in names] for _ in range(count)]
+    assert len(batches) == len(names)
+    for batch, column in zip(batches, zip(*rounds)):
+        assert np.array_equal(batch.a, np.stack(column))
+
+
+@pytest.mark.parametrize("draws", [1, S3_BLOCK, 3 * S3_BLOCK + 123])
+def test_s3_component_means_equal_the_full_array_mean(draws):
+    comp = np.random.default_rng(11).normal(0.0, 1.0, (draws, 4))
+    comp /= np.linalg.norm(comp, axis=1, keepdims=True)
+    means = s3_component_means(np.random.default_rng(11), draws)
+    assert np.array_equal(means, comp.mean(axis=0))
+
+
+def test_s3_component_means_memory_is_bounded():
+    # 10^6 rows held at once would take 32 MB and more in temporaries
+    tracemalloc.start()
+    try:
+        s3_component_means(np.random.default_rng(0), 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_verify_coset_peak_rss_is_bounded():
+    # RUSAGE_CHILDREN keeps the largest child ever waited for, so the run is
+    # measured from a fresh parent; at the default counts it peaks near 53 MB
+    # (120 MB when the S^3 check held its 10^6 draws at once)
+    probe = ("import os, resource, subprocess, sys\n"
+             "subprocess.run([sys.executable, '-m', 'qflag.cli', 'verify',"
+             " 'coset', '--seed', '42', '--out', os.devnull], check=True)\n"
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(qflag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    assert int(proc.stdout.split()[-1]) / 1024 < 80
+
+
+# -- failures inside a suite ------------------------------------------------------
+
+def test_error_inside_a_suite_is_a_failed_check(monkeypatch):
+    def broken(*args, **kwargs):
+        raise SingularMatrix("broken on purpose")
+
+    monkeypatch.setattr(coset, "curvature_trace", broken)
+    # an override naming a check the aborted suite never reached is no
+    # usage error
+    rep = run_suite("coset", RunConfig(
+        seed=2, trials=5, tol_overrides={"coset.haar_inner_product": 1.0}))
+    names = [c["name"] for c in rep["checks"]]
+    assert not rep["passed"]
+    assert names[-1] == "coset.error" and "coset.metric_two_versions" in names
+    error = rep["checks"][-1]
+    assert not error["passed"]
+    assert error["detail"].startswith("SingularMatrix: broken on purpose")
+    assert all(c["passed"] for c in rep["checks"][:-1])
