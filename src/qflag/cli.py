@@ -60,6 +60,11 @@ MAX_EVOLVE_T = 1e4
 # this ceiling takes about 0.35 s beyond start-up and 33 MB peak RSS on a
 # 2-vCPU x86-64 machine (2 s and 69 MB at 10^5).
 MAX_LB_SAMPLES = 10_000
+# Largest degree ``qflag em`` multiplies out, checked on each exponent and each
+# product before it is formed: a degree-d polynomial in x0..x3 has up to
+# C(d + 4, 4) terms.  Four dense components at this ceiling take about 7 s and
+# 94 MB peak RSS on a 2-vCPU x86-64 machine (23 s and 174 MB at degree 20).
+MAX_EM_DEGREE = 16
 
 
 def _fmt(x: float) -> str:
@@ -294,6 +299,12 @@ def _tokenize(text: str):
     return tokens
 
 
+def _require_em_degree(degree: int, what: str) -> None:
+    if degree > MAX_EM_DEGREE:
+        raise UsageError(f"{what} of degree {degree} is above {MAX_EM_DEGREE}, "
+                         f"the largest degree em multiplies out")
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -319,7 +330,9 @@ class _Parser:
         node = self.factor()
         while self.peek() == "*":
             self.take()
-            node = node * self.factor()
+            rhs = self.factor()
+            _require_em_degree(node.degree() + rhs.degree(), "a product")
+            node = node * rhs
         return node
 
     def factor(self) -> emfield.RealPoly:
@@ -329,7 +342,13 @@ class _Parser:
             power_tok = self.take()
             if power_tok is None or not power_tok.isdigit():
                 raise _SpecError("exponent must be a nonnegative integer")
+            # the digit count first: int() refuses very long digit strings
+            if (len(power_tok) > len(str(MAX_EM_DEGREE))
+                    or int(power_tok) > MAX_EM_DEGREE):
+                raise UsageError(f"exponent above {MAX_EM_DEGREE}, the largest "
+                                 f"degree em multiplies out")
             power = int(power_tok)
+            _require_em_degree(node.degree() * power, "a power")
             out = emfield.RealPoly.constant(1)
             for _ in range(power):
                 out = out * node

@@ -15,13 +15,15 @@ Gaussian rationals, so operator identities either hold exactly or fail
 loudly; no floating point enters.
 
 First-order operators with polynomial coefficients are closed under the
-commutator (the second-order parts cancel structurally, and this is
-asserted); compositions of generators produce genuine second-order
-operators, which is how the Laplace-Beltrami composite is assembled.
+commutator (the second-order parts are juxtaposition terms, which cancel
+exactly and are never built; the order is still asserted); compositions
+of generators produce genuine second-order operators, which is how the
+Laplace-Beltrami composite is assembled.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -227,8 +229,12 @@ class PolyFunction:
 
 
 def _merge_monomials(m1, m2):
-    powers = {}
-    for var, p in itertools.chain(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    powers = dict(m2)
+    for var, p in m1:
         powers[var] = powers.get(var, 0) + p
     return tuple(sorted(powers.items()))
 
@@ -327,46 +333,21 @@ class DiffOperator:
     def compose(self, o: "DiffOperator") -> "DiffOperator":
         """Operator product self o other, expanded by the Leibniz rule.
 
-        Each subset of the left word (by position, so a repeated symbol is
-        hit once per copy) differentiates the right coefficient monomial
-        directly on its exponents; the factor is the product of the powers
-        taken down, and the rest of the left word passes through.  Each right
-        monomial becomes a powers dict once per call; a subset that hits a
-        symbol absent from it contributes nothing and is skipped before any
-        copy.
+        Each subset of a left word differentiates the right coefficient.  The
+        empty subset gives the juxtaposition term: coefficient product
+        ``m1 m2`` times the merged word ``w1 + w2``, with weight ``c1 c2``.
+        It is symmetric in the two factors, so it cancels exactly from
+        ``ab - ba`` (see :func:`commutator`); the rest comes from
+        :func:`_leibniz_cross`.
         """
         out = {}
-        rights = [(dict(m2), w2, c2) for (m2, w2), c2 in o.terms.items()]
         for (m1, w1), c1 in self.terms.items():
-            splits = []
-            for mask in itertools.product((False, True), repeat=len(w1)):
-                hit = tuple(sym for sym, h in zip(w1, mask) if h)
-                passed = tuple(sym for sym, h in zip(w1, mask) if not h)
-                splits.append((frozenset(hit), hit, passed))
-            for right, w2, c2 in rights:
-                c12 = c1 * c2
-                symbols = right.keys()
-                for need, hit, passed in splits:
-                    if not symbols >= need:
-                        continue
-                    powers = right.copy()
-                    factor = 1
-                    for sym in hit:
-                        p = powers.get(sym, 0)
-                        if not p:
-                            break
-                        factor *= p
-                        if p == 1:
-                            del powers[sym]
-                        else:
-                            powers[sym] = p - 1
-                    else:
-                        for var, p in m1:
-                            powers[var] = powers.get(var, 0) + p
-                        key = (tuple(sorted(powers.items())),
-                               tuple(sorted(passed + w2)) if passed else w2)
-                        c = c12 if factor == 1 else c12 * CRat(factor, 0)
-                        out[key] = out[key] + c if key in out else c
+            for (m2, w2), c2 in o.terms.items():
+                key = (_merge_monomials(m1, m2),
+                       tuple(sorted(w1 + w2)) if w1 else w2)
+                c = c1 * c2
+                out[key] = out[key] + c if key in out else c
+        _leibniz_cross(self, o, 1, out)
         return DiffOperator(out)
 
     def conjugate(self) -> "DiffOperator":
@@ -406,9 +387,71 @@ class DiffOperator:
         return " + ".join(bits)
 
 
+@functools.lru_cache(maxsize=4096)
+def _hit_splits(word: tuple) -> tuple:
+    """(hit, passed) for each non-empty subset of ``word`` by position."""
+    return tuple((tuple(s for s, h in zip(word, mask) if h),
+                  tuple(s for s, h in zip(word, mask) if not h))
+                 for mask in itertools.product((False, True), repeat=len(word))
+                 if any(mask))
+
+
+def _leibniz_cross(left: DiffOperator, right: DiffOperator, sign: int,
+                   out: dict) -> None:
+    """Add ``sign`` times the cross terms of ``left o right`` into ``out``.
+
+    A cross term is one in which a non-empty subset of a left word (by
+    position, so a repeated symbol is hit once per copy) differentiates the
+    right coefficient monomial on its exponents; the factor is the product
+    of the powers taken down, and the rest of the left word passes through.
+    Right terms are indexed by the symbols their monomials hold, so a subset
+    meets only the terms that hold its first symbol.
+    """
+    holding = {}
+    for (m2, w2), c2 in right.terms.items():
+        entry = (dict(m2), w2, c2 if sign > 0 else -c2)
+        for var, _ in m2:
+            holding.setdefault(var, []).append(entry)
+    if not holding:
+        return
+    for (m1, w1), c1 in left.terms.items():
+        for hit, passed in _hit_splits(w1):
+            for right_powers, w2, c2 in holding.get(hit[0], ()):
+                powers = right_powers.copy()
+                factor = 1
+                for sym in hit:
+                    p = powers.get(sym, 0)
+                    if not p:
+                        break
+                    factor *= p
+                    if p == 1:
+                        del powers[sym]
+                    else:
+                        powers[sym] = p - 1
+                else:
+                    for var, p in m1:
+                        powers[var] = powers.get(var, 0) + p
+                    key = (tuple(sorted(powers.items())),
+                           tuple(sorted(passed + w2)) if passed else w2)
+                    c = c1 * c2
+                    if factor != 1:
+                        c = c * CRat(factor, 0)
+                    out[key] = out[key] + c if key in out else c
+
+
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    """[a, b] = ab - ba; for first-order inputs the result must be first order."""
-    out = a.compose(b) - b.compose(a)
+    """[a, b] = ab - ba, from the Leibniz cross terms of both products.
+
+    The juxtaposition terms of ``ab`` and ``ba`` are equal (coefficient
+    ``m1 m2``, word ``w1 + w2``, weight ``c1 c2`` either way), so they cancel
+    exactly and are never built; only the terms in which one factor's word
+    differentiates the other's coefficient remain.  For first-order inputs
+    the result must be first order.
+    """
+    terms = {}
+    _leibniz_cross(a, b, 1, terms)
+    _leibniz_cross(b, a, -1, terms)
+    out = DiffOperator(terms)
     if a.order() <= 1 and b.order() <= 1 and out.order() > 1:
         raise SecondOrderResidue(
             "second-order terms failed to cancel in a first-order commutator")

@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from qflag import cli, coset, emfield
-from qflag.cli import (MAX_EVOLVE_N, MAX_EVOLVE_STEPS, MAX_EVOLVE_T,
-                       MAX_LB_SAMPLES, MAX_ROOTS_RANK, MAX_VERIFY_TRIALS,
-                       main, parse_field_spec, parse_polynomial)
+from qflag.cli import (MAX_EM_DEGREE, MAX_EVOLVE_N, MAX_EVOLVE_STEPS,
+                       MAX_EVOLVE_T, MAX_LB_SAMPLES, MAX_ROOTS_RANK,
+                       MAX_VERIFY_TRIALS, main, parse_field_spec,
+                       parse_polynomial)
 from qflag.emfield import RealPoly
 
 
@@ -356,6 +357,31 @@ def test_em_bad_spec(capsys):
     assert code == 3
     code, _, err = run_cli(["em", "A1=x9"], capsys)
     assert code == 3
+
+
+def test_em_degree_at_the_ceiling(capsys):
+    code, out, _ = run_cli(["em", f"A1=x1^{MAX_EM_DEGREE}",
+                            f"A2=(x0+1)^{MAX_EM_DEGREE // 2}"
+                            f"*(x3-1)^{MAX_EM_DEGREE - MAX_EM_DEGREE // 2}"],
+                           capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["scalar"] == [{"coefficient": str(-MAX_EM_DEGREE),
+                              "exponents": [0, MAX_EM_DEGREE - 1, 0, 0]}]
+
+
+@pytest.mark.parametrize("spec", [
+    "A0=x0^100000000",                   # the exponent alone
+    f"A0=x0^{MAX_EM_DEGREE + 1}",
+    "A0=2^" + "9" * 5000,                # longer than int() parses
+    f"A0=(x0*x1)^{MAX_EM_DEGREE // 2 + 1}",  # a power of a product
+    "A0=(x0+x1+x2+x3)^64*(x0+x1+x2+x3)^64",
+    f"A0=(x0+x1)^{MAX_EM_DEGREE}*x2",    # each factor within, the product not
+])
+def test_em_degree_above_the_ceiling_is_a_usage_error(spec, capsys):
+    code, out, err = run_cli(["em", spec], capsys)
+    assert code == 2 and out == ""
+    assert str(MAX_EM_DEGREE) in err
 
 
 # -- evolve ------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qflag import liealg
-from qflag.errors import IndexOutOfRange, NotEigenvector
+from qflag.errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
 from qflag.liealg import (CRat, DiffOperator, ONE, PolyFunction, cartan_H,
                           cartan_h, commutator, eigenvalue_of, gen_H, gen_h,
                           gen_p, gen_p_via_H, gen_p_via_h, gen_pbar, generator,
@@ -148,6 +148,43 @@ def test_compose_agrees_with_successive_application():
         assert ab.order() <= a.order() + b.order()
         for f in basis:
             assert ab.apply(f) == a.apply(b.apply(f)), (trial, f)
+
+
+def test_commutator_equals_difference_of_compositions():
+    # the commutator builds only the Leibniz cross terms; the difference of
+    # the two full products, juxtaposition terms included, must agree
+    rng = random.Random(11)
+    variables = [(r, c) for r in range(2) for c in range(2)]
+    orders = set()
+    for trial in range(40):
+        a = _random_operator(rng, variables, gaussian_integer=trial % 2 == 0)
+        b = _random_operator(rng, variables, gaussian_integer=trial % 3 == 0)
+        orders.add((a.order(), b.order()))
+        assert commutator(a, b) == a.compose(b) - b.compose(a), trial
+    assert {0, 1, 2} <= {o for pair in orders for o in pair}
+    gens = ([generator(kind, ij, 1, 2) for kind in ("h", "H")
+             for ij in itertools.product(range(2), repeat=2)]
+            + [generator(kind, ia, 1, 2) for kind in ("p", "pbar")
+               for ia in itertools.product(range(2), range(2))])
+    for a, b in itertools.product(gens, repeat=2):
+        assert commutator(a, b) == a.compose(b) - b.compose(a)
+
+
+def test_commutator_refuses_second_order_residue(monkeypatch):
+    # a cross-term kernel that leaked one second-order term: first-order
+    # inputs must raise rather than return it, higher-order inputs may not
+    real = liealg._leibniz_cross
+
+    def leaky(left, right, sign, out):
+        real(left, right, sign, out)
+        if sign > 0:
+            out[((), ((0, 0), (1, 1)))] = ONE
+
+    monkeypatch.setattr(liealg, "_leibniz_cross", leaky)
+    with pytest.raises(SecondOrderResidue):
+        commutator(gen_h(0, 1, 1, 2), gen_H(1, 0, 1, 2))
+    dd = DiffOperator({((), ((0, 0), (0, 1))): ONE})
+    assert commutator(dd, gen_h(0, 0, 1, 2)).order() == 2
 
 
 def test_compose_repeated_symbol_in_both_words():

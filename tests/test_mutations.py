@@ -1,7 +1,8 @@
-"""A broken product kernel must fail named checks, not crash the run.
+"""A broken kernel must fail named checks, not crash the run.
 
-Each test swaps in a wrong quaternion product rule, re-derives the tables
-that ``@`` and the exact field products read from it, and runs
+Each test swaps in one known fault (a wrong quaternion product rule, with
+the tables that ``@`` and the exact field products derive from it, or a
+misplaced block in the exponential that differentiates ``exp``) and runs
 ``qflag verify all``: the run must write its report and exit 1.
 """
 
@@ -10,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from qflag import emfield, quatmat
+from qflag import emfield, forms, quatmat
 from qflag.cli import main
 from qflag.quaternion import BASIS, MUL_TABLE, Quaternion
 
@@ -72,3 +73,24 @@ def test_transposed_product_table_fails_checks(monkeypatch, capsys):
             "coset.lft_group_law", "em.product_identity"} <= set(failed)
     assert "quaternion.norm_multiplicative" not in failed
     assert not [n for n in failed if n.endswith(".error")]
+
+
+def test_dual_block_below_the_diagonal_fails_connection_value(monkeypatch,
+                                                              capsys):
+    # the directions sit below the diagonal of the block matrix, so its top
+    # block row reads exp(x) and zeros in place of the derivatives
+    def lowered(x, *directions):
+        n, size = x.rows, len(directions) + 1
+        zero = quatmat.QuatMatrix.zeros(n, n)
+        grid = [[x] + [zero] * (size - 1)] + [
+            [directions[r - 1]] + [x if c == r else zero
+                                   for c in range(1, size)]
+            for r in range(1, size)]
+        top = quatmat.expm(quatmat.block_matrix(grid)).a[..., :n, :, :]
+        return [quatmat.QuatMatrix(top[..., c * n:(c + 1) * n, :])
+                for c in range(size)]
+
+    monkeypatch.setattr(forms, "_exp_with_derivatives", lowered)
+    # the Maurer-Cartan residual of zero derivatives is zero, so only the
+    # connection compared against its generator sees the fault
+    assert set(_failed_checks(capsys)) == {"forms.connection_value"}
