@@ -267,8 +267,8 @@ def cmd_evolve(args) -> int:
 #   atom   := number | 'x0'..'x3' | '(' expr ')' | '-' atom
 
 
-class _SpecError(QflagError):
-    pass
+class _SpecError(UsageError):
+    """An ``em`` argument that does not parse: a usage error (exit 2)."""
 
 
 def _tokenize(text: str):

@@ -9,7 +9,7 @@ transformations
 
 This module provides the exponential coset parameterisation, the action and
 its projective transport identities, the invariant metric in two equivalent
-forms, trace/determinant curvature invariants, and Monte-Carlo averaging of
+forms, trace/determinant curvature invariants, and exact averages of
 equivariant functions over the internal-motion fibers.
 
 Points and group elements may be batches (see :mod:`qflag.quatmat`).  A
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import config
 from .errors import (DegenerateQuadruple, DimensionMismatch, PairingFailure,
-                     ShapeMismatch, SingularDenominator)
-from .quaternion import Quaternion
+                     ShapeMismatch, SingularDenominator, TooManyFibers)
+from .quaternion import HURWITZ_UNITS, Quaternion
 from .quatmat import (GroupElement, QuatMatrix, block_matrix,
                       eigvals_hyperhermitian, func_hermitian)
 
@@ -321,8 +321,8 @@ def curvature_det(q: QuatMatrix, n: int, k: int) -> float:
 
 
 # -- Haar averaging over the internal fibers ---------------------------------
-# Quaternion vectors are (..., n, 4) arrays and fiber draws eta are (..., n, 4)
-# arrays of unit quaternions, one per row of the group element.
+# Quaternion vectors are (..., n, 4) arrays and fiber elements eta are
+# (..., n, 4) arrays of unit quaternions, one per row of the group element.
 
 def _diag(entries: np.ndarray) -> QuatMatrix:
     """Diagonal matrices from (..., n, 4) arrays of entries."""
@@ -348,32 +348,29 @@ def fiber_element(units) -> GroupElement:
     return GroupElement(QuatMatrix.diag(list(units)), check=False)
 
 
-_HAAR_CHUNK = 8192   # draws per block of haar_average (about 11 MB at n = 2)
+MAX_HAAR_FIBERS = 3   # 24^3 = 13,824 nodes, about 40 MB; no caller needs more
 
 
-def haar_average(alpha, sigma, x: GroupElement, samples: int,
-                 seed: int = 0) -> np.ndarray:
-    """Monte-Carlo average of sigma(eta) alpha(x eta) over the fiber torus.
-
-    The draws of ``eta`` are taken uniformly from the product of
-    unit-quaternion fibers (one factor per row of ``x``, via normalised 4d
-    Gaussians) from one random stream, as ``(N, n, 4)`` arrays of at most
-    ``_HAAR_CHUNK`` draws.  ``alpha`` maps the ``(N, n, n, 4)`` array of
-    products ``x @ diag(eta)`` to an ``(N, m, 4)`` array of quaternion
-    vectors, and ``sigma(etas, values)`` is a unitary action of the draws on
-    such an array.  The ``(m, 4)`` average f satisfies
-    f(x xi) = sigma(xi^{-1}) f(x) up to O(1/sqrt(samples)).
+def haar_average(alpha, sigma, x: GroupElement) -> np.ndarray:
+    """Mean of sigma(eta) alpha(x eta) over the product design
+    ``HURWITZ_UNITS^n``, one factor per row of ``x``: all ``24^n`` tuples as
+    one ``(24^n, n, 4)`` batch ``etas``.  ``alpha`` maps the products
+    ``x @ diag(eta)``, ``(24^n, n, n, 4)``, to ``(24^n, m, 4)`` quaternion
+    vectors, and ``sigma(etas, values)`` acts unitarily on those.  The mean
+    is the Haar integral over the fiber torus Sp(1)^n, up to rounding, when
+    the integrand has degree at most 5 in each ``eta_c`` (2 for
+    ``fundamental_action`` on entries of ``x @ diag(eta)``, 0 for
+    ``trivial_action``), so the ``(m, 4)`` result f satisfies
+    f(x xi) = sigma(xi^{-1}) f(x).  Above ``MAX_HAAR_FIBERS`` fibers it
+    raises :class:`TooManyFibers` before any work.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for start in range(0, samples, _HAAR_CHUNK):
-        size = min(_HAAR_CHUNK, samples - start)
-        etas = rng.normal(0.0, 1.0, (size, x.n, 4))
-        etas /= np.linalg.norm(etas, axis=2, keepdims=True)
-        total = total + sigma(etas, alpha((x.m @ _diag(etas)).a)).sum(axis=0)
-    return total * (1.0 / samples)
+    n = x.n
+    if n > MAX_HAAR_FIBERS:
+        raise TooManyFibers(f"{n} fibers need {len(HURWITZ_UNITS)}^{n} nodes; "
+                            f"at most {MAX_HAAR_FIBERS} fibers are averaged")
+    nodes = np.indices((len(HURWITZ_UNITS),) * n).reshape(n, -1).T
+    etas = HURWITZ_UNITS[nodes]
+    return sigma(etas, alpha((x.m @ _diag(etas)).a)).mean(axis=0)
 
 
 def inner_product(u: np.ndarray, v: np.ndarray):

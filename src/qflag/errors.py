@@ -69,6 +69,10 @@ class DependentDirections(QflagError):
     """Tangent directions are linearly dependent."""
 
 
+class TooManyFibers(QflagError):
+    """Fiber average asked over more fibers than coset.MAX_HAAR_FIBERS."""
+
+
 # -- symbolic operator engine ----------------------------------------------
 
 class IndexOutOfRange(QflagError):

@@ -14,6 +14,7 @@ conjugate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -118,17 +119,27 @@ MUL_TABLE = np.array([[(p * q).to_array() for q in BASIS] for p in BASIS])
 JBLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+# m2c_blocks as a real map: row c holds (re, im) of m11, m12, m21, m22 of e_c
+_M2C = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],     # e
+                 [0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0],    # i
+                 [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],     # j
+                 [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]])   # k
+
+# The 24 Hurwitz units +-1, +-i, +-j, +-k, (+-1 +-i +-j +-k)/2, a group: a
+# spherical 5-design on S^3 (Delsarte, Goethals & Seidel, Geom. Dedicata 6,
+# 1977), whose mean of a polynomial of degree <= 5 is its Haar average.
+HURWITZ_UNITS = np.concatenate([np.eye(4), -np.eye(4), 0.5 * np.array(
+    list(itertools.product((1.0, -1.0), repeat=4)))])
+
+
 def m2c_blocks(q) -> np.ndarray:
     """2x2 complex images of a ``(..., 4)`` array of quaternions, as a
-    ``(..., 2, 2)`` array."""
+    ``(..., 2, 2)`` array.  A NaN or infinite component puts a NaN in every
+    entry of its block, without a warning."""
     q = np.asarray(q, dtype=float)
-    w, x, y, z = (q[..., c] for c in range(4))
-    out = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = w + 1j * z
-    out[..., 0, 1] = x + 1j * y
-    out[..., 1, 0] = -x + 1j * y
-    out[..., 1, 1] = w - 1j * z
-    return out
+    with np.errstate(invalid="ignore"):      # 0 * inf in the zero entries
+        flat = q @ _M2C
+    return flat.view(complex).reshape(q.shape[:-1] + (2, 2))
 
 
 def to_m2c(q: Quaternion) -> np.ndarray:
@@ -162,14 +173,18 @@ def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternio
     return Quaternion.from_array(rng.normal(0.0, scale, 4))
 
 
+def random_unit_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniform draws on the unit 3-sphere as a ``(count, 4)`` array:
+    normalised Gaussians, read from ``rng`` as one standard-normal block."""
+    q = rng.standard_normal((count, 4))
+    while (small := sq_norms(q) < 1e-24).any():  # pragma: no cover
+        q[small] = rng.standard_normal((int(small.sum()), 4))
+    return q / np.sqrt(sq_norms(q))[:, None]
+
+
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
-    """Uniform draw on the unit 3-sphere via a normalised 4d Gaussian."""
-    v = rng.normal(0.0, 1.0, 4)
-    n = np.linalg.norm(v)
-    while n < 1e-12:  # pragma: no cover - probability zero in practice
-        v = rng.normal(0.0, 1.0, 4)
-        n = np.linalg.norm(v)
-    return Quaternion.from_array(v / n)
+    """One draw of :func:`random_unit_quaternions`."""
+    return Quaternion.from_array(random_unit_quaternions(rng, 1)[0])
 
 
 def sq_norms(q) -> np.ndarray:

@@ -195,7 +195,8 @@ class QuatMatrix:
 
         The residual against the quaternionic structure (m22 = conj(m11),
         m21 = -conj(m12) per block) must stay below ``config.STRUCTURE``
-        relative to the scale of each matrix; a NaN or infinite entry fails.
+        relative to the scale of each matrix; a NaN or infinite entry fails,
+        without a warning.
         """
         emb = np.asarray(emb, dtype=complex)
         if emb.ndim < 2 or emb.shape[-2] % 2 or emb.shape[-1] % 2:
@@ -204,8 +205,9 @@ class QuatMatrix:
         blocks = emb.reshape(lead + (r2 // 2, 2, c2 // 2, 2)).swapaxes(-3, -2)
         m11, m12 = blocks[..., 0, 0], blocks[..., 0, 1]
         m21, m22 = blocks[..., 1, 0], blocks[..., 1, 1]
-        d22 = np.abs(m22 - m11.conj())
-        d21 = np.abs(m21 + m12.conj())
+        with np.errstate(invalid="ignore"):     # inf - inf: a NaN residual
+            d22 = np.abs(m22 - m11.conj())
+            d21 = np.abs(m21 + m12.conj())
         # every scale is at least 1, so a worst residual within the bare
         # tolerance passes without the per-matrix scales (NaN fails both)
         if not (d22.max(initial=0.0) <= config.STRUCTURE

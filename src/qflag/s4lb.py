@@ -274,21 +274,24 @@ def make_gl(ell, big_n: int) -> RadialSolution:
     )
 
 
-def lb_radial_residual(sol: RadialSolution, omega: float) -> float:
-    """Residual of the radial equation at one interior point.
-
-    Uses the exact closed-form derivatives of the stored solution; the
-    eigenvalue term is (2 theta)^2 (zero for the static solution).
-    """
+def _radial_terms(sol: RadialSolution, omega: float) -> tuple:
+    """The four terms of the radial equation at one interior point, from
+    the exact closed-form derivatives of the stored solution: f'',
+    3 cot(omega) f', the angular term -2l(2l+2) f / sin^2 and the eigenvalue
+    term (2 theta)^2 f (zero for the static solution)."""
     if not (POLE_MARGIN < omega < math.pi - POLE_MARGIN):
         raise TooCloseToPole(f"omega = {omega} inside the pole exclusion zone")
     s = math.sin(omega)
     ell = float(sol.ell)
-    angular = 2.0 * ell * (2.0 * ell + 2.0) / s ** 2
-    return (sol.second_derivative(omega)
-            + 3.0 * (math.cos(omega) / s) * sol.derivative(omega)
-            - angular * sol.value(omega)
-            + 4.0 * sol.theta_sq * sol.value(omega))
+    return (sol.second_derivative(omega),
+            3.0 * (math.cos(omega) / s) * sol.derivative(omega),
+            -2.0 * ell * (2.0 * ell + 2.0) / s ** 2 * sol.value(omega),
+            4.0 * sol.theta_sq * sol.value(omega))
+
+
+def lb_radial_residual(sol: RadialSolution, omega: float) -> float:
+    """Residual of the radial equation at one interior point."""
+    return sum(_radial_terms(sol, omega))
 
 
 def lb_radial_residual_scaled(sol: RadialSolution, omega: float) -> float:
@@ -299,18 +302,8 @@ def lb_radial_residual_scaled(sol: RadialSolution, omega: float) -> float:
     huge cancelling terms rather than correctness; dividing by the term
     scale gives a pole-uniform check.
     """
-    if not (POLE_MARGIN < omega < math.pi - POLE_MARGIN):
-        raise TooCloseToPole(f"omega = {omega} inside the pole exclusion zone")
-    s = math.sin(omega)
-    ell = float(sol.ell)
-    terms = (
-        sol.second_derivative(omega),
-        3.0 * (math.cos(omega) / s) * sol.derivative(omega),
-        -2.0 * ell * (2.0 * ell + 2.0) / s ** 2 * sol.value(omega),
-        4.0 * sol.theta_sq * sol.value(omega),
-    )
-    scale = max(1.0, max(abs(t) for t in terms))
-    return sum(terms) / scale
+    terms = _radial_terms(sol, omega)
+    return sum(terms) / max(1.0, max(abs(t) for t in terms))
 
 
 def weighted_absolute_integral(sol: RadialSolution, eps: float,

@@ -11,9 +11,10 @@ standard-normal block of shape (draws, total), one row per draw holding every
 position in order (:func:`_draw_batches`), and each uniform input as one
 further block.  Only a few single draws and the library samplers behind the
 s4 and em checks (``s4lb.random_chart_points``, ``emfield.random_field``)
-read the generator draw by draw.  The 10^6-draw S^3 sampling statistic is
-drawn and summed in blocks of ``S3_BLOCK`` rows, so a pass's memory does not
-grow with its draw counts.
+read the generator draw by draw.  Points on S^3 come from the library's
+``random_unit_quaternions``; the 10^6-draw S^3 sampling statistic reads them
+in blocks of ``S3_BLOCK`` rows, so a pass's memory does not grow with its
+draw counts.  The Haar checks' fiber averages are exact and draw nothing.
 
 A :class:`~qflag.errors.QflagError` raised inside a suite (say, a broken
 kernel making a drawn element non-unitary) is recorded as the failed check
@@ -33,7 +34,8 @@ import numpy as np
 from . import coset, dynamics, emfield, forms, liealg, roots as roots_mod, s4lb
 from .errors import QflagError, UnknownSuite, UnknownTolerance
 from .quaternion import (Quaternion, from_m2c, j_conjugate,
-                         random_unit_quaternion, sq_norms, to_m2c)
+                         random_unit_quaternion, random_unit_quaternions,
+                         sq_norms, to_m2c)
 from .quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
                       random_group_element, random_skew_adjoint, sp2nc_form,
                       to_sp2nc)
@@ -115,27 +117,17 @@ def _quat_norm(q: np.ndarray) -> np.ndarray:
     return np.sqrt(sq_norms(q))
 
 
-def _unit_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` uniform draws on the unit 3-sphere as a ``(count, 4)`` array:
-    normalised Gaussians, as ``random_unit_quaternion`` draws one."""
-    q = rng.standard_normal((count, 4))
-    while (small := sq_norms(q) < 1e-24).any():  # pragma: no cover
-        q[small] = rng.standard_normal((int(small.sum()), 4))
-    return q / _quat_norm(q)[:, None]
-
-
 def s3_component_means(rng: np.random.Generator, draws: int) -> np.ndarray:
-    """Component means of ``draws`` uniform points on the unit 3-sphere.
+    """Component means of ``draws`` points of ``random_unit_quaternions``.
 
-    The normalised Gaussians are drawn and summed ``S3_BLOCK`` rows at a
-    time, so memory does not grow with ``draws``; the sum runs row by row
-    through the blocks, so the means equal those of all ``draws`` rows drawn
-    at once, normalised by ``np.linalg.norm`` and averaged, bit for bit.
+    The points are drawn and summed ``S3_BLOCK`` rows at a time, so memory
+    does not grow with ``draws``; the sum runs row by row through the
+    blocks, so the means equal those of all ``draws`` rows drawn at once,
+    normalised by ``np.linalg.norm`` and averaged, bit for bit.
     """
     total = np.zeros(4)
     for start in range(0, draws, S3_BLOCK):
-        comp = rng.standard_normal((min(S3_BLOCK, draws - start), 4))
-        comp /= _quat_norm(comp)[:, None]
+        comp = random_unit_quaternions(rng, min(S3_BLOCK, draws - start))
         comp[0] += total
         total = comp.sum(axis=0)
     return total / draws
@@ -349,7 +341,6 @@ def suite_coset(cfg: RunConfig):
                  "component means in units of the standard error")
 
     rng = cfg.rng("coset.haar_equivariance")
-    samples = cfg.count(20_000)
     x = random_group_element(rng, 2)
     xi = [random_unit_quaternion(rng) for _ in range(2)]
     x_xi = GroupElement(x.m @ QuatMatrix.diag(xi), check=False)
@@ -357,21 +348,17 @@ def suite_coset(cfg: RunConfig):
     def alpha(shifted):
         return shifted[:, [0, 1], [0, 1]]     # the entries (0, 0) and (1, 1)
 
-    sub_seed = int(rng.integers(0, 2 ** 31))
-    f_shift = coset.haar_average(alpha, coset.fundamental_action, x_xi,
-                                 samples, seed=sub_seed)
-    f_base = coset.haar_average(alpha, coset.fundamental_action, x,
-                                samples, seed=sub_seed)
+    f_shift = coset.haar_average(alpha, coset.fundamental_action, x_xi)
+    f_base = coset.haar_average(alpha, coset.fundamental_action, x)
     xi_conj = np.array([u.conj().to_array() for u in xi])
     moved = coset.fundamental_action(xi_conj, f_base)
-    diff = float(_quat_norm(f_shift - moved).max())
-    stderr = 2.0 / math.sqrt(samples)
-    yield _check(cfg, "coset.haar_equivariance", diff / stderr, 5.0,
-                 "equivariance gap in units of the Monte-Carlo error")
+    yield _check(cfg, "coset.haar_equivariance",
+                 float(_quat_norm(f_shift - moved).max()), 1e-12,
+                 "exact average over the Hurwitz-unit fiber nodes")
 
     inner_gap = abs(coset.inner_product(f_shift, f_shift)
                     - coset.inner_product(moved, moved))
-    yield _check(cfg, "coset.haar_inner_product", inner_gap / stderr, 5.0,
+    yield _check(cfg, "coset.haar_inner_product", inner_gap, 1e-12,
                  "fiber shift leaves the inner product fixed")
 
 
@@ -662,7 +649,7 @@ def suite_dynamics(cfg: RunConfig):
 
     rng = cfg.rng("dynamics.geodesic_block")
     count = cfg.count(100)
-    u = _unit_quaternions(rng, count)
+    u = random_unit_quaternions(rng, count)
     omega = rng.uniform(0.1, 3.0, count)
     t = rng.uniform(0.0, 5.0, count)
     blk = dynamics.geodesic_block(u, omega, t).m

@@ -353,10 +353,13 @@ def test_em_curl_example(capsys):
 
 
 def test_em_bad_spec(capsys):
-    code, _, err = run_cli(["em", "A7=x1"], capsys)
-    assert code == 3
-    code, _, err = run_cli(["em", "A1=x9"], capsys)
-    assert code == 3
+    # every unparseable em argument is a usage error, as the degree
+    # ceiling on the same argument is
+    for spec in ("A7=x1", "A1=x9", "A1=x1+", "A1=x1^99", "A1=x1^1.5",
+                 "A1=x1?", "A1"):
+        code, _, err = run_cli(["em", spec], capsys)
+        assert code == 2, spec
+        assert err.startswith("error: "), spec
 
 
 def test_em_degree_at_the_ceiling(capsys):

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qflag.coset import (_HAAR_CHUNK, GrassmannPoint, coset_element, coset_generator,
-                         cross_ratio, curvature_det, curvature_det_gap,
+from qflag.coset import (MAX_HAAR_FIBERS, GrassmannPoint, coset_element,
+                         coset_generator, cross_ratio, curvature_det,
+                         curvature_det_gap,
                          curvature_trace,
                          fiber_element, fundamental_action,
                          grassmann_from_coset, haar_average, inner_product,
@@ -15,8 +17,9 @@ from qflag.coset import (_HAAR_CHUNK, GrassmannPoint, coset_element, coset_gener
                          transport_identities, trivial_action)
 from qflag.errors import (DegenerateQuadruple, DimensionMismatch, NonSquare,
                           PairingFailure, QflagError, ShapeMismatch,
-                          SingularDenominator, SingularMatrix)
-from qflag.quaternion import Quaternion, random_quaternion, random_unit_quaternion
+                          SingularDenominator, SingularMatrix, TooManyFibers)
+from qflag.quaternion import (HURWITZ_UNITS, Quaternion, random_quaternion,
+                              random_unit_quaternion)
 from qflag.quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
                            random_group_element, random_quatmat,
                            random_skew_adjoint)
@@ -508,71 +511,81 @@ def test_haar_trivial_action_constant_alpha():
     x = random_group_element(rng, 2)
     target = np.array([Quaternion(1.0).to_array(), Quaternion(0, 1.0).to_array()])
     f = haar_average(lambda shifted: np.broadcast_to(target, (len(shifted), 2, 4)),
-                     trivial_action, x, 50, seed=1)
+                     trivial_action, x)
     assert f.shape == (2, 4)
     assert np.sqrt(((f - target) ** 2).sum(axis=-1)).max() < 1e-14
 
 
-def test_haar_equivariance_common_draws():
-    samples = 100_000
-    x = random_group_element(rng, 2)
-    xi = [random_unit_quaternion(rng) for _ in range(2)]
-    x_xi = GroupElement(x.m @ QuatMatrix.diag(xi), check=False)
-
-    f_shift = haar_average(diagonal_entries, fundamental_action, x_xi, samples,
-                           seed=9)
-    f_base = haar_average(diagonal_entries, fundamental_action, x, samples,
-                          seed=9)
+def _shifted(x, n):
+    """x xi for a random fiber element xi, and the conjugates of xi."""
+    xi = [random_unit_quaternion(rng) for _ in range(n)]
     xi_conj = np.array([u.conj().to_array() for u in xi])
-    moved = fundamental_action(xi_conj, f_base)
-    gap = np.sqrt(((f_shift - moved) ** 2).sum(axis=-1)).max()
-    stderr = 2.0 / math.sqrt(samples)
-    assert gap < 5.0 * stderr
+    return GroupElement(x.m @ QuatMatrix.diag(xi), check=False), xi_conj
+
+
+def test_haar_equivariance_is_exact():
+    for n in (2, MAX_HAAR_FIBERS):
+        x = random_group_element(rng, n)
+        x_xi, xi_conj = _shifted(x, n)
+        f_shift = haar_average(diagonal_entries, fundamental_action, x_xi)
+        moved = fundamental_action(
+            xi_conj, haar_average(diagonal_entries, fundamental_action, x))
+        assert np.sqrt(((f_shift - moved) ** 2).sum(axis=-1)).max() <= 1e-12
 
 
 def test_haar_inner_product_fiber_independent():
-    samples = 40_000
+    for n in (2, MAX_HAAR_FIBERS):
+        x = random_group_element(rng, n)
+        values = []
+        for trial in range(2):
+            f = haar_average(diagonal_entries, fundamental_action,
+                             _shifted(x, n)[0])
+            values.append(inner_product(f, f))
+        assert abs(values[0] - values[1]) <= 1e-12
+
+
+def test_haar_average_is_repeatable():
     x = random_group_element(rng, 2)
-
-    values = []
-    for trial in range(2):
-        xi = [random_unit_quaternion(rng) for _ in range(2)]
-        shifted = GroupElement(x.m @ QuatMatrix.diag(xi), check=False)
-        f = haar_average(diagonal_entries, fundamental_action, shifted, samples,
-                         seed=11)
-        values.append(inner_product(f, f))
-    assert abs(values[0] - values[1]) < 5.0 * 2.0 / math.sqrt(samples)
+    first = haar_average(diagonal_entries, fundamental_action, x)
+    assert np.array_equal(first,
+                          haar_average(diagonal_entries, fundamental_action, x))
 
 
-def test_haar_average_matches_a_per_draw_loop():
-    # reference: the draws of haar_average replayed one at a time through
-    # unbatched products and Quaternion arithmetic; the second sample count
-    # spans two full blocks of draws and a remainder
+def test_haar_average_matches_a_per_node_loop():
+    # reference: every one of the 24^2 node pairs replayed through
+    # unbatched products and Quaternion arithmetic
     local = np.random.default_rng(505)
-    x = random_group_element(local, 3)
-    seed = 21
-    for samples in (300, 2 * _HAAR_CHUNK + 123):
-        got = haar_average(diagonal_entries, fundamental_action, x, samples,
-                           seed)
-        draws = np.random.default_rng(seed).normal(0.0, 1.0, (samples, 3, 4))
-        draws /= np.linalg.norm(draws, axis=2, keepdims=True)
-        acc = [Quaternion()] * 3
-        for eta in draws:
-            units = [Quaternion.from_array(e) for e in eta]
-            shifted = x.m @ QuatMatrix.diag(units)
-            acc = [acc[c] + units[c] * shifted.entry(c, c) for c in range(3)]
-        expect = np.array([(q * (1.0 / samples)).to_array() for q in acc])
-        assert np.abs(got - expect).max() < 1e-13
-        loop_inner = sum(q.norm_sq() for q in acc) / samples ** 2
-        assert abs(inner_product(got, got) - loop_inner) < 1e-13
+    x = random_group_element(local, 2)
+    got = haar_average(diagonal_entries, fundamental_action, x)
+    units = [Quaternion.from_array(u) for u in HURWITZ_UNITS]
+    acc = [Quaternion()] * 2
+    for pair in itertools.product(units, repeat=2):
+        shifted = x.m @ QuatMatrix.diag(pair)
+        acc = [acc[c] + pair[c] * shifted.entry(c, c) for c in range(2)]
+    nodes = len(units) ** 2
+    assert nodes == 576
+    expect = np.array([(q * (1.0 / nodes)).to_array() for q in acc])
+    assert np.abs(got - expect).max() < 1e-13
+    loop_inner = sum(q.norm_sq() for q in acc) / nodes ** 2
+    assert abs(inner_product(got, got) - loop_inner) < 1e-13
     # the array actions against their scalar definitions
-    eta, vec = draws[:2, :2], local.normal(size=(2, 2, 4))
+    eta, vec = local.normal(size=(2, 2, 4)), local.normal(size=(2, 2, 4))
     left = fundamental_action(eta, vec)
     for n in range(2):
         for c in range(2):
             q = Quaternion.from_array(eta[n, c]) * Quaternion.from_array(vec[n, c])
             assert np.abs(left[n, c] - q.to_array()).max() < 1e-15
     assert trivial_action(eta, vec) is vec
+
+
+def test_haar_average_refuses_more_fibers_before_any_work(monkeypatch):
+    def untouched(*args):
+        raise AssertionError("work started above the fiber ceiling")
+
+    monkeypatch.setattr(QuatMatrix, "__matmul__", untouched)
+    x = GroupElement(QuatMatrix.identity(MAX_HAAR_FIBERS + 1), check=False)
+    with pytest.raises(TooManyFibers):
+        haar_average(untouched, untouched, x)
 
 
 def test_fiber_element_is_group_member():

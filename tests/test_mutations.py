@@ -1,9 +1,10 @@
 """A broken kernel must fail named checks, not crash the run.
 
 Each test swaps in one known fault (a wrong quaternion product rule, with
-the tables that ``@`` and the exact field products derive from it, or a
-misplaced block in the exponential that differentiates ``exp``) and runs
-``qflag verify all``: the run must write its report and exit 1.
+the tables that ``@`` and the exact field products derive from it, a
+misplaced block in the exponential that differentiates ``exp``, or a biased
+S^3 sampler) and runs ``qflag verify all``: the run must write its report
+and exit 1.
 """
 
 import json
@@ -11,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from qflag import emfield, forms, quatmat
+from qflag import emfield, forms, quatmat, verify
 from qflag.cli import main
 from qflag.quaternion import BASIS, MUL_TABLE, Quaternion
 
@@ -26,8 +27,8 @@ def _install(monkeypatch, table):
         for row in table.astype(int).tolist()])
 
 
-def _failed_checks(capsys):
-    code = main(["verify", "all", "--seed", "42", "--trials", "20"])
+def _failed_checks(capsys, trials=20):
+    code = main(["verify", "all", "--seed", "42", "--trials", str(trials)])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["passed"] is False
     failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
@@ -94,3 +95,19 @@ def test_dual_block_below_the_diagonal_fails_connection_value(monkeypatch,
     # the Maurer-Cartan residual of zero derivatives is zero, so only the
     # connection compared against its generator sees the fault
     assert set(_failed_checks(capsys)) == {"forms.connection_value"}
+
+
+def test_biased_sampler_fails_s3_sampling_uniform(monkeypatch, capsys):
+    # unit quaternions folded onto the w >= 0 half of S^3: still unit, so
+    # only the uniformity statistic can see it; 200 draws put the mean of w
+    # (about 0.42) some 12 standard errors out
+    real = verify.random_unit_quaternions
+
+    def folded(rng, count):
+        q = real(rng, count)
+        q[:, 0] = np.abs(q[:, 0])
+        return q
+
+    monkeypatch.setattr(verify, "random_unit_quaternions", folded)
+    assert set(_failed_checks(capsys, trials=200)) == {
+        "coset.s3_sampling_uniform"}

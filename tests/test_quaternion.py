@@ -1,11 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from qflag.errors import MalformedM2C, NotUnitQuaternion
-from qflag.quaternion import (MUL_TABLE, E, I, J, K, Quaternion, from_m2c,
-                              j_conjugate, m2c_blocks, random_quaternion,
-                              random_unit_quaternion, require_unit, sq_norms,
-                              to_m2c)
+from qflag.quaternion import (HURWITZ_UNITS, MUL_TABLE, E, I, J, K,
+                              Quaternion, from_m2c, j_conjugate, m2c_blocks,
+                              random_quaternion, random_unit_quaternion,
+                              random_unit_quaternions, require_unit,
+                              sq_norms, to_m2c)
 
 rng = np.random.default_rng(101)
 
@@ -104,6 +108,28 @@ def test_m2c_values():
                                                          [-2 + 3j, 1 - 4j]]))
 
 
+def _m2c_four_entries(q):
+    """Oracle: the image written out entry by entry."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = (q[..., c] for c in range(4))
+    out = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = w + 1j * z
+    out[..., 0, 1] = x + 1j * y
+    out[..., 1, 0] = -x + 1j * y
+    out[..., 1, 1] = w - 1j * z
+    return out
+
+
+@pytest.mark.parametrize("shape", [(4,), (1000, 4), (50, 3, 3, 4), (0, 4)])
+def test_m2c_blocks_equal_the_four_entry_formula(shape):
+    q = rng.normal(size=shape)
+    got, expect = m2c_blocks(q), _m2c_four_entries(q)
+    assert got.shape == expect.shape
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got.view(float)),
+                          np.signbit(expect.view(float)))
+
+
 def test_m2c_homomorphism_and_round_trip():
     for _ in range(1000):
         a, b = random_quaternion(rng), random_quaternion(rng)
@@ -142,6 +168,48 @@ def test_unit_sampling_and_gate():
     units[17, 2] += 1e-6
     with pytest.raises(NotUnitQuaternion):
         require_unit(units.reshape(20, 10, 4))
+
+
+def test_unit_sampler_reads_one_block():
+    # the batch sampler and the single draw read the same stream
+    batch = random_unit_quaternions(np.random.default_rng(12), 50)
+    local = np.random.default_rng(12)
+    singles = [random_unit_quaternion(local).to_array() for _ in range(50)]
+    assert batch.shape == (50, 4)
+    assert np.array_equal(batch, singles)
+    assert np.abs(sq_norms(batch) - 1.0).max() < 1e-15
+    gauss = np.random.default_rng(12).standard_normal((50, 4))
+    assert np.array_equal(np.sign(batch), np.sign(gauss))
+
+
+def _sphere_moment(powers):
+    """Haar average of prod_c q_c^(a_c) on S^3, by the Gamma closed form."""
+    if any(a % 2 for a in powers):
+        return 0.0
+    return (1.0 / math.gamma(2.0 + sum(powers) / 2.0)
+            * math.prod(math.gamma((a + 1) / 2.0) / math.sqrt(math.pi)
+                        for a in powers))
+
+
+def test_hurwitz_units_form_a_group():
+    members = {tuple(u) for u in HURWITZ_UNITS}
+    assert HURWITZ_UNITS.shape == (24, 4) and len(members) == 24
+    assert np.array_equal(sq_norms(HURWITZ_UNITS), np.ones(24))
+    products = np.einsum("ap,bq,pqr->abr", HURWITZ_UNITS, HURWITZ_UNITS,
+                         MUL_TABLE)
+    assert {tuple(p) for p in products.reshape(-1, 4)} == members
+
+
+def test_hurwitz_units_are_a_5_design():
+    worst = [0.0] * 7
+    for powers in itertools.product(range(7), repeat=4):
+        degree = sum(powers)
+        if degree > 6:
+            continue
+        mean = np.prod(HURWITZ_UNITS ** np.array(powers), axis=1).mean()
+        worst[degree] = max(worst[degree], abs(mean - _sphere_moment(powers)))
+    assert max(worst[:6]) < 1e-15     # exact through degree 5
+    assert worst[6] > 1e-3            # and not at degree 6
 
 
 def test_inverse():

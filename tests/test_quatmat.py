@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -546,3 +547,26 @@ def test_project_and_expm_refuse_non_finite_entries(bad):
     with pytest.raises(NonFiniteMatrix):
         expm(QuatMatrix(batch))
     expm(QuatMatrix(batch[:2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_fail_quietly_after_the_embedding(bad):
+    # 0 * inf in the real map spreads NaN over the block, and the calls that
+    # read the embedding refuse it with their own errors, not with a warning
+    local = np.random.default_rng(609)
+    single = random_skew_adjoint(local, 2)
+    single.a[0, 1, 2] = bad
+    batch = QuatMatrix(stack([random_skew_adjoint(local, 2), single]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (single, batch):
+            emb = m.embed()
+            last = emb.reshape(-1, 4, 4)[-1]
+            assert np.isnan(last[0:2, 2:4]).all()
+            assert np.isfinite(last[0:2, 0:2]).all()
+            with pytest.raises(SingularMatrix):
+                m.inv()
+            with pytest.raises(NonFiniteMatrix):
+                expm(m)
+            with pytest.raises(MalformedM2C):
+                QuatMatrix.project(emb)
