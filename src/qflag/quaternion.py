@@ -120,10 +120,10 @@ JBLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 # m2c_blocks as a real map: row c holds (re, im) of m11, m12, m21, m22 of e_c
-_M2C = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],     # e
-                 [0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0],    # i
-                 [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],     # j
-                 [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]])   # k
+M2C = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],     # e
+                [0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0],    # i
+                [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],     # j
+                [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]])   # k
 
 # The 24 Hurwitz units +-1, +-i, +-j, +-k, (+-1 +-i +-j +-k)/2, a group: a
 # spherical 5-design on S^3 (Delsarte, Goethals & Seidel, Geom. Dedicata 6,
@@ -138,7 +138,7 @@ def m2c_blocks(q) -> np.ndarray:
     entry of its block, without a warning."""
     q = np.asarray(q, dtype=float)
     with np.errstate(invalid="ignore"):      # 0 * inf in the zero entries
-        flat = q @ _M2C
+        flat = q @ M2C
     return flat.view(complex).reshape(q.shape[:-1] + (2, 2))
 
 

@@ -20,10 +20,19 @@ The embedding is a faithful ring homomorphism, and a hyper-Hermitian
 quaternion matrix embeds to a complex Hermitian matrix whose spectrum
 consists of doubled real eigenvalues.
 
+Both directions are real linear maps of one block.  :meth:`QuatMatrix.embed`
+multiplies each entry by ``quaternion.M2C``; :meth:`QuatMatrix.project`, the
+one way back, reads each 2x2 block as 8 reals and multiplies them by the
+constant 8x8 ``_READBACK``, whose columns give the quaternion and the block's
+residuals against the quaternionic structure, and refuses a block whose
+residuals are too large.  ``inv`` and ``func_hermitian`` read their complex
+results back through it, so every readback is checked.
+
 :meth:`QuatMatrix.inv` is the one inverse: it solves the embedding E against
 the identity, projects back, and raises (by default :class:`SingularMatrix`)
-unless ``||E||_1 ||E^-1||_1 <= config.COND_LIMIT``, a test that also refuses
-an exactly singular matrix and any NaN entry.
+unless ``||E||_1 ||E^-1||_1 <= config.COND_LIMIT`` and the solution passes
+the structure check, a test that also refuses an exactly singular matrix and
+any NaN entry.
 
 Every check keeps its meaning per matrix of a batch: tolerances are relative
 to each matrix's own scale, and a batch raises the error that a loop over
@@ -39,7 +48,7 @@ from .errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
                      NonSquare, NotGroupElement, NotHyperHermitian,
                      NotSkewAdjoint, PairingFailure, SingularInvSqrt,
                      SingularMatrix)
-from .quaternion import MUL_TABLE, Quaternion, m2c_blocks
+from .quaternion import M2C, MUL_TABLE, Quaternion, m2c_blocks
 
 # _RIGHT_TABLE[q, 4 p + r] = MUL_TABLE[p, q, r]: one entry's components times
 # it give the 4x4 real matrix of right multiplication by that entry.
@@ -47,6 +56,20 @@ _RIGHT_TABLE = MUL_TABLE.transpose(1, 0, 2).reshape(4, 16)
 
 # the axes of one quaternion matrix inside a batch
 _ENTRY_AXES = (-3, -2, -1)
+
+# conjugation, componentwise
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+# The readback of one 2x2 block read as the 8 reals (re, im) of m11, m12,
+# m21, m22, the columns of M2C.  Columns 0-3 give (e, i, j, k): M2C.T / 2
+# averages the two entries that carry each component, exactly, since halving
+# is exact.  Columns 4-7 give the structure residuals m22 - conj(m11) and
+# m21 + conj(m12) as (re, im), which vanish on the image of M2C.
+_READBACK = np.concatenate([M2C.T / 2.0, np.array([
+    [-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
+    [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])], axis=1)
 
 
 class QuatMatrix:
@@ -156,9 +179,8 @@ class QuatMatrix:
 
     def adjoint(self) -> "QuatMatrix":
         """Conjugate transpose."""
-        out = self.a.swapaxes(-3, -2).copy()
-        out[..., 1:] *= -1.0
-        return QuatMatrix(out)
+        return QuatMatrix(np.multiply(self.a.swapaxes(-3, -2), _CONJ,
+                                      order="C"))
 
     def blocks(self, j: int, k: int):
         """Conforming partition into (A, B, C, D) with A of size j x j."""
@@ -191,46 +213,44 @@ class QuatMatrix:
 
     @classmethod
     def project(cls, emb) -> "QuatMatrix":
-        """Back from a complex embedding, checking the block structure.
+        """Back from a complex embedding through one checked real map.
 
-        The residual against the quaternionic structure (m22 = conj(m11),
-        m21 = -conj(m12) per block) must stay below ``config.STRUCTURE``
-        relative to the scale of each matrix; a NaN or infinite entry fails,
-        without a warning.
+        Each 2x2 block, read as 8 reals, is multiplied by ``_READBACK``,
+        which gives its quaternion and its residuals against the
+        quaternionic structure (m22 = conj(m11), m21 = -conj(m12)).  The
+        residuals' moduli must stay below ``config.STRUCTURE`` relative to
+        the scale of each matrix, or :class:`MalformedM2C` is raised; a NaN
+        or infinite entry fails, without a warning.
         """
-        emb = np.asarray(emb, dtype=complex)
+        emb = np.ascontiguousarray(emb, dtype=complex)
         if emb.ndim < 2 or emb.shape[-2] % 2 or emb.shape[-1] % 2:
             raise MalformedM2C("embedding dimensions must be even")
         lead, (r2, c2) = emb.shape[:-2], emb.shape[-2:]
-        blocks = emb.reshape(lead + (r2 // 2, 2, c2 // 2, 2)).swapaxes(-3, -2)
-        m11, m12 = blocks[..., 0, 0], blocks[..., 0, 1]
-        m21, m22 = blocks[..., 1, 0], blocks[..., 1, 1]
-        with np.errstate(invalid="ignore"):     # inf - inf: a NaN residual
-            d22 = np.abs(m22 - m11.conj())
-            d21 = np.abs(m21 + m12.conj())
+        shape = lead + (r2 // 2, c2 // 2)
+        # (..., r, 2, c, 2 x (re, im)) reals to one row of 8 per block
+        blocks = emb.view(float).reshape(
+            lead + (r2 // 2, 2, c2 // 2, 4)).swapaxes(-3, -2).reshape(-1, 8)
+        with np.errstate(invalid="ignore"):     # 0 * inf: NaN over the block
+            out = (blocks @ _READBACK).reshape(shape + (8,))
+        del blocks                        # free the copy before the residuals
+        res = np.abs(out[..., 4:].view(complex))
         # every scale is at least 1, so a worst residual within the bare
         # tolerance passes without the per-matrix scales (NaN fails both)
-        if not (d22.max(initial=0.0) <= config.STRUCTURE
-                and d21.max(initial=0.0) <= config.STRUCTURE):
-            axes = (-2, -1)
-            res = np.maximum(d22.max(axis=axes, initial=0.0),
-                             d21.max(axis=axes, initial=0.0))
-            scale = np.maximum(1.0, np.abs(emb).max(axis=axes, initial=0.0))
+        if not res.max(initial=0.0) <= config.STRUCTURE:
+            res = res.max(axis=_ENTRY_AXES, initial=0.0)
+            scale = np.maximum(1.0, np.abs(emb).max(axis=(-2, -1),
+                                                    initial=0.0))
             bad = ~(np.isfinite(res) & (res <= config.STRUCTURE * scale))
             if bad.any():
                 raise MalformedM2C(f"structure residual {res[bad].max():.3e} "
                                    f"exceeds {config.STRUCTURE:.1e} * scale")
-        a = np.empty(lead + (r2 // 2, c2 // 2, 4))
-        a[..., 0] = (m11.real + m22.real) / 2.0
-        a[..., 1] = (m12.real - m21.real) / 2.0
-        a[..., 2] = (m12.imag + m21.imag) / 2.0
-        a[..., 3] = (m11.imag - m22.imag) / 2.0
-        return cls(a)
+        return cls(np.ascontiguousarray(out[..., :4]))
 
     def inv(self, err: Exception = None) -> "QuatMatrix":
-        """Inverse via the complex embedding; raises ``err`` (default
-        :class:`SingularMatrix`) when any matrix is past the condition
-        ceiling."""
+        """Inverse via the complex embedding, read back through the checked
+        :meth:`project`; raises ``err`` (default :class:`SingularMatrix`)
+        when any matrix is past the condition ceiling or its solution fails
+        the structure check."""
         if not self.is_square():
             raise NonSquare("inverse of a non-square matrix")
         emb = self.embed()
@@ -242,11 +262,15 @@ class QuatMatrix:
         # the worst matrix decides (a NaN is the worst); a single matrix
         # skips the reduction, which costs more than the test itself
         worst = cond.max(initial=0.0) if cond.ndim else cond
-        if not worst <= config.COND_LIMIT:
-            raise err if err is not None else SingularMatrix(
-                f"1-norm condition number {worst:.3e} > "
-                f"{config.COND_LIMIT:.0e}")
-        return QuatMatrix.project(sol)
+        if worst <= config.COND_LIMIT:
+            try:
+                return QuatMatrix.project(sol)
+            except MalformedM2C as exc:
+                reason = f"solution off the quaternionic structure: {exc}"
+        else:
+            reason = (f"1-norm condition number {worst:.3e} > "
+                      f"{config.COND_LIMIT:.0e}")
+        raise err if err is not None else SingularMatrix(reason)
 
     # -- structure predicates ----------------------------------------------------------
     # Each is True when every matrix of the batch has the property.
@@ -277,7 +301,8 @@ def _within_scale(delta: QuatMatrix, ref: QuatMatrix, tol) -> bool:
         return True
     res = res.max(axis=_ENTRY_AXES, initial=0.0)
     scale = np.maximum(1.0, np.abs(ref.a).max(axis=_ENTRY_AXES, initial=0.0))
-    return bool((res <= tol * scale).all())
+    # an infinite entry makes its scale infinite; its residual is not finite
+    return bool((np.isfinite(res) & (res <= tol * scale)).all())
 
 
 def _norm1(m: np.ndarray):

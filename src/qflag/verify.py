@@ -12,9 +12,10 @@ position in order (:func:`_draw_batches`), and each uniform input as one
 further block.  Only a few single draws and the library samplers behind the
 s4 and em checks (``s4lb.random_chart_points``, ``emfield.random_field``)
 read the generator draw by draw.  Points on S^3 come from the library's
-``random_unit_quaternions``; the 10^6-draw S^3 sampling statistic reads them
-in blocks of ``S3_BLOCK`` rows, so a pass's memory does not grow with its
-draw counts.  The Haar checks' fiber averages are exact and draw nothing.
+``random_unit_quaternions``; the 10^6-draw S^3 sampling statistics (the
+component means and fourth moments) read them in blocks of ``S3_BLOCK``
+rows, so a pass's memory does not grow with its draw counts.  The Haar
+checks' fiber averages are exact and draw nothing.
 
 A :class:`~qflag.errors.QflagError` raised inside a suite (say, a broken
 kernel making a drawn element non-unitary) is recorded as the failed check
@@ -41,7 +42,7 @@ from .quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
                       to_sp2nc)
 
 SCHEMA_VERSION = 1
-# rows per block of the streamed S^3 sampling statistic
+# rows per block of the streamed S^3 sampling statistics
 S3_BLOCK = 1 << 14
 
 
@@ -117,20 +118,28 @@ def _quat_norm(q: np.ndarray) -> np.ndarray:
     return np.sqrt(sq_norms(q))
 
 
-def s3_component_means(rng: np.random.Generator, draws: int) -> np.ndarray:
-    """Component means of ``draws`` points of ``random_unit_quaternions``.
+def s3_moments(rng: np.random.Generator, draws: int):
+    """The ``(4,)`` component means of ``draws`` points of
+    ``random_unit_quaternions``, and the mean of ``q_c^4`` over the points
+    and their 4 components.
 
     The points are drawn and summed ``S3_BLOCK`` rows at a time, so memory
-    does not grow with ``draws``; the sum runs row by row through the
-    blocks, so the means equal those of all ``draws`` rows drawn at once,
-    normalised by ``np.linalg.norm`` and averaged, bit for bit.
+    does not grow with ``draws``.  The means' sum runs row by row through
+    the blocks, so they equal those of all ``draws`` rows drawn at once,
+    normalised by ``np.linalg.norm`` and averaged, bit for bit.  The fourth
+    powers, which the report does not pin to that order, are summed pairwise
+    per block, several times faster.
     """
     total = np.zeros(4)
+    fourth = 0.0
     for start in range(0, draws, S3_BLOCK):
         comp = random_unit_quaternions(rng, min(S3_BLOCK, draws - start))
+        power = np.square(comp)
+        power *= power
+        fourth += float(power.sum())
         comp[0] += total
         total = comp.sum(axis=0)
-    return total / draws
+    return total / draws, fourth / (4 * draws)
 
 
 def _suite(body):
@@ -334,11 +343,22 @@ def suite_coset(cfg: RunConfig):
 
     rng = cfg.rng("coset.s3_sampling_uniform")
     draws = cfg.count(1_000_000)
-    means = s3_component_means(rng, draws)
+    means, fourth = s3_moments(rng, draws)
     sigma = 0.5 / math.sqrt(draws)   # per-component std of a unit 3-sphere
     worst = float(np.abs(means).max() / sigma)
     yield _check(cfg, "coset.s3_sampling_uniform", worst, 4.0,
                  "component means in units of the standard error")
+    # On S^3, E[q_c^4] = 3/24 = 1/8, E[q_c^8] = 105/1920 and
+    # E[q_c^4 q_d^4] = 9/1920, so the mean of q_c^4 over the 4 components has
+    # variance 1/640 per draw.  It lies in [1/16, 1/4], so one draw is
+    # within sqrt(640)/8 = 3.2 standard errors and a handful of draws
+    # rarely reach 4.  A sampler that is not uniform but has zero means
+    # moves it.
+    sigma = 1.0 / math.sqrt(640.0 * draws)
+    worst = abs(fourth - 0.125) / sigma
+    yield _check(cfg, "coset.s3_fourth_moment", worst, 4.0,
+                 "mean fourth moment of the components against 1/8 in units "
+                 "of the standard error")
 
     rng = cfg.rng("coset.haar_equivariance")
     x = random_group_element(rng, 2)

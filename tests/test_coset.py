@@ -23,7 +23,7 @@ from qflag.quaternion import (HURWITZ_UNITS, Quaternion, random_quaternion,
 from qflag.quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
                            random_group_element, random_quatmat,
                            random_skew_adjoint)
-from qflag.verify import s3_component_means
+from qflag.verify import s3_moments
 
 rng = np.random.default_rng(303)
 
@@ -596,6 +596,7 @@ def test_fiber_element_is_group_member():
 
 def test_s3_sampling_mean():
     draws = 1_000_000
-    means = s3_component_means(np.random.default_rng(77), draws)
+    means, fourth = s3_moments(np.random.default_rng(77), draws)
     sigma = 0.5 / math.sqrt(draws)
     assert np.abs(means).max() < 4.0 * sigma
+    assert abs(fourth - 0.125) < 4.0 / math.sqrt(640.0 * draws)

@@ -28,7 +28,12 @@ def _install(monkeypatch, table):
 
 
 def _failed_checks(capsys, trials=20):
-    code = main(["verify", "all", "--seed", "42", "--trials", str(trials)])
+    """The failed checks of ``verify all --seed 42``; ``trials=None`` runs
+    each check at its own default count."""
+    argv = ["verify", "all", "--seed", "42"]
+    if trials is not None:
+        argv += ["--trials", str(trials)]
+    code = main(argv)
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["passed"] is False
     failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
@@ -111,3 +116,17 @@ def test_biased_sampler_fails_s3_sampling_uniform(monkeypatch, capsys):
     monkeypatch.setattr(verify, "random_unit_quaternions", folded)
     assert set(_failed_checks(capsys, trials=200)) == {
         "coset.s3_sampling_uniform"}
+
+
+def test_cube_sampler_fails_only_s3_fourth_moment(monkeypatch, capsys):
+    # a uniform cube projected onto S^3: unit, zero means, and exchangeable
+    # components, so the means stay within 4 standard errors at the default
+    # 10^6 draws; its E[q_c^4] is about 0.107 against the sphere's 1/8
+    def cube(rng, count):
+        q = rng.uniform(-1.0, 1.0, (count, 4))
+        return q / np.sqrt(np.square(q).sum(axis=1))[:, None]
+
+    monkeypatch.setattr(verify, "random_unit_quaternions", cube)
+    failed = _failed_checks(capsys, trials=None)
+    assert set(failed) == {"coset.s3_fourth_moment"}
+    assert failed["coset.s3_fourth_moment"]["residual"] > 100.0

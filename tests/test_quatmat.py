@@ -333,6 +333,29 @@ def test_inv_raises_the_callers_error():
         QuatMatrix.zeros(1, 2).inv()
 
 
+@pytest.mark.parametrize("n, eps", [(2, 1e-8), (4, 1e-8), (8, 1e-10)])
+def test_inv_structure_failure_is_a_singular_matrix(n, eps):
+    # u diag(1, ..., eps) v is far inside the condition ceiling, yet its
+    # solved inverse is off the quaternionic structure by more than the
+    # STRUCTURE tolerance allows: the inverse refuses it with its own error
+    local = np.random.default_rng(611)
+    u, v = (random_group_element(local, n).m for _ in range(2))
+    m = u @ QuatMatrix.from_real(np.diag([1.0] * (n - 1) + [eps])) @ v
+    with pytest.raises(SingularMatrix, match="quaternionic structure"):
+        m.inv()
+
+    class Custom(SingularMatrix):
+        pass
+
+    err = Custom("singular here")
+    with pytest.raises(Custom) as caught:
+        m.inv(err)
+    assert caught.value is err
+    batch = QuatMatrix(stack([u, m]))
+    with pytest.raises(SingularMatrix, match="quaternionic structure"):
+        batch.inv()
+
+
 def test_blocks_partition():
     m = random_quatmat(kernel_rng, 5, 5)
     a, b, c, d = m.blocks(2, 3)
@@ -570,3 +593,85 @@ def test_non_finite_entries_fail_quietly_after_the_embedding(bad):
                 expm(m)
             with pytest.raises(MalformedM2C):
                 QuatMatrix.project(emb)
+            with pytest.raises(NotHyperHermitian):
+                func_hermitian(m, "sqrt")
+        q = QuatMatrix(local.normal(0.0, 1.0, (2, 2, 2, 4)))
+        herm = q @ q.adjoint() + QuatMatrix.identity(2)
+        for h in (QuatMatrix(herm.a[1].copy()), herm):
+            h.a[..., 0, 1, 2] = bad
+            with pytest.raises(NotHyperHermitian):
+                func_hermitian(h, "sqrt")
+        # a bad value in any of the 8 reals of a block, (re, im) of m11,
+        # m12, m21, m22, reaches every column of the readback map
+        good = np.stack([random_quatmat(local, 2, 3).embed()
+                         for _ in range(3)])
+        for slot in range(8):
+            s, t, part = slot // 4, slot // 2 % 2, slot % 2
+            embs = good.copy()
+            embs.view(float)[:, 2 + s, 2 * (2 + t) + part] = bad
+            for emb in (embs[1], embs):
+                with pytest.raises(MalformedM2C):
+                    QuatMatrix.project(emb)
+
+
+# -- the readback equals its old formulas bit for bit -----------------------------
+
+def _old_readback(emb):
+    """The quaternion of each 2x2 block as the code wrote it before the real
+    map: the average of the two entries that carry each component."""
+    lead, (r2, c2) = emb.shape[:-2], emb.shape[-2:]
+    blocks = emb.reshape(lead + (r2 // 2, 2, c2 // 2, 2)).swapaxes(-3, -2)
+    m11, m12 = blocks[..., 0, 0], blocks[..., 0, 1]
+    m21, m22 = blocks[..., 1, 0], blocks[..., 1, 1]
+    return np.stack([(m11.real + m22.real) / 2.0, (m12.real - m21.real) / 2.0,
+                     (m12.imag + m21.imag) / 2.0, (m11.imag - m22.imag) / 2.0],
+                    axis=-1)
+
+
+READBACK_SHAPES = [(1, 1), (3, 3), (5, 2, 2), (64, 64)]
+
+
+@pytest.mark.parametrize("shape", READBACK_SHAPES)
+def test_project_equals_the_old_readback(shape):
+    local = np.random.default_rng(613)
+    m = QuatMatrix(local.normal(0.0, 1.0, shape + (4,)))
+    emb = m.embed()
+    # off the structure by rounding-sized amounts, so each average matters
+    emb = emb + 1e-13 * (local.normal(0.0, 1.0, emb.shape)
+                         + 1j * local.normal(0.0, 1.0, emb.shape))
+    got = QuatMatrix.project(emb).a
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _old_readback(emb))
+    assert np.array_equal(QuatMatrix.project(m.embed()).a, m.a)
+
+
+@pytest.mark.parametrize("shape", READBACK_SHAPES)
+def test_inv_and_func_hermitian_equal_the_old_readback(shape):
+    local = np.random.default_rng(614)
+    n = shape[-1]
+    q = QuatMatrix(local.normal(0.0, 1.0, shape + (4,)))
+    p = q @ q.adjoint() + QuatMatrix.identity(n)
+    emb = q.embed()
+    sol = np.linalg.solve(emb, np.eye(2 * n, dtype=complex))
+    assert np.array_equal(q.inv().a, _old_readback(sol))
+    herm = p.embed()
+    herm = (herm + herm.conj().swapaxes(-1, -2)) / 2.0
+    lam, vec = np.linalg.eigh(herm)
+    for kind, vals in (("sqrt", np.sqrt(np.maximum(lam, 0.0))),
+                       ("invsqrt", 1.0 / np.sqrt(lam))):
+        out = (vec * vals[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+        assert np.array_equal(func_hermitian(p, kind).a, _old_readback(out))
+
+
+@pytest.mark.parametrize("shape", READBACK_SHAPES)
+def test_adjoint_equals_the_old_formula_with_signed_zeros(shape):
+    local = np.random.default_rng(615)
+    a = local.normal(0.0, 1.0, shape + (4,))
+    a[local.random(a.shape) < 0.3] = 0.0
+    a[local.random(a.shape) < 0.3] = -0.0
+    old = a.swapaxes(-3, -2).copy()
+    old[..., 1:] *= -1.0
+    got = QuatMatrix(a).adjoint().a
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, old)
+    assert np.array_equal(np.signbit(got), np.signbit(old))

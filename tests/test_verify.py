@@ -12,7 +12,7 @@ from qflag.errors import SingularMatrix, UnknownSuite
 from qflag.quatmat import random_quatmat, random_skew_adjoint
 from qflag.verify import (S3_BLOCK, RunConfig, SUITES, _draw_batches,
                           _quatmat_draw, _skew_draw, run_suite,
-                          s3_component_means)
+                          s3_moments)
 
 
 def test_unknown_suite_raises():
@@ -92,15 +92,17 @@ def test_draw_batches_equal_a_loop_of_single_draws(names):
 def test_s3_component_means_equal_the_full_array_mean(draws):
     comp = np.random.default_rng(11).normal(0.0, 1.0, (draws, 4))
     comp /= np.linalg.norm(comp, axis=1, keepdims=True)
-    means = s3_component_means(np.random.default_rng(11), draws)
+    means, fourth = s3_moments(np.random.default_rng(11), draws)
     assert np.array_equal(means, comp.mean(axis=0))
+    assert fourth == pytest.approx(np.square(np.square(comp)).mean(),
+                                   rel=1e-14)
 
 
 def test_s3_component_means_memory_is_bounded():
     # 10^6 rows held at once would take 32 MB and more in temporaries
     tracemalloc.start()
     try:
-        s3_component_means(np.random.default_rng(0), 1_000_000)
+        s3_moments(np.random.default_rng(0), 1_000_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
