@@ -276,10 +276,12 @@ class QuatMatrix:
     # Each is True when every matrix of the batch has the property.
 
     def is_hermitian(self, tol: float = None) -> bool:
-        return _within_scale(self - self.adjoint(), self, tol)
+        with np.errstate(invalid="ignore"):     # inf - inf on the diagonal
+            return _within_scale(self - self.adjoint(), self, tol)
 
     def is_skew_adjoint(self, tol: float = None) -> bool:
-        return _within_scale(self + self.adjoint(), self, tol)
+        with np.errstate(invalid="ignore"):
+            return _within_scale(self + self.adjoint(), self, tol)
 
     def is_unitary(self, tol: float = None) -> bool:
         tol = config.IDENTITY if tol is None else tol

@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflag import cli, coset, emfield
 from qflag.cli import (MAX_EM_DEGREE, MAX_EVOLVE_N, MAX_EVOLVE_STEPS,
@@ -12,6 +15,7 @@ from qflag.cli import (MAX_EM_DEGREE, MAX_EVOLVE_N, MAX_EVOLVE_STEPS,
                        MAX_VERIFY_TRIALS, main, parse_field_spec,
                        parse_polynomial)
 from qflag.emfield import RealPoly
+from qflag.errors import SingularMatrix
 
 
 def run_cli(argv, capsys):
@@ -171,6 +175,54 @@ def test_verify_unknown_tol_name_is_usage_error(suite, tol, capsys):
     code, out, err = run_cli(["verify", suite, "--tol", tol], capsys)
     assert code == 2
     assert out == "" and tol.split("=")[0] in err
+
+
+def test_verify_unknown_tol_name_fails_before_any_unit_runs(monkeypatch,
+                                                            capsys):
+    # the first coset unit's call would escape as a traceback if it ran
+    def ran(*args, **kwargs):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr(coset, "coset_element", ran)
+    code, out, err = run_cli(["verify", "coset", "--tol", "coset.nosuch=1"],
+                             capsys)
+    assert code == 2
+    assert out == "" and "coset.nosuch" in err
+
+
+def test_verify_tol_naming_a_check_of_a_raising_unit_is_accepted(monkeypatch,
+                                                                 capsys):
+    def broken(*args, **kwargs):
+        raise SingularMatrix("broken on purpose")
+
+    monkeypatch.setattr(coset, "curvature_trace", broken)
+    code, out, _ = run_cli(["verify", "coset", "--seed", "2", "--trials", "5",
+                            "--tol", "coset.curvature_trace_identity=1"],
+                           capsys)
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"]
+              if not c["passed"]]
+    assert failed == ["coset.curvature_trace_identity.error"]
+
+
+_TOL_KEYS = st.one_of(st.sampled_from(["roots.counts_and_closure",
+                                       "roots.euler_characteristic",
+                                       "coset.lft_two_forms", ""]),
+                      st.text(max_size=30))
+_TOL_VALUES = st.one_of(st.floats().map(repr), st.text(max_size=20))
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(st.one_of(st.builds("{}={}".format, _TOL_KEYS, _TOL_VALUES),
+                 st.text(max_size=40)))
+def test_verify_any_tol_text_ends_in_an_exit_code(tol):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["verify", "roots", f"--tol={tol}"])
+        except SystemExit as exc:     # argparse refusing the argument
+            code = exc.code
+    assert code in (0, 1, 2)
 
 
 def test_verify_deterministic(tmp_path, capsys):

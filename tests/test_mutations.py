@@ -64,9 +64,12 @@ def test_flipped_product_sign_fails_checks(monkeypatch, capsys):
             "quatmat.embedding_faithful", "quatmat.exp_group_membership",
             "quatmat.unit_determinant", "forms.connection_value",
             "em.product_identity", "em.decomposition_exact"} <= set(failed)
-    # a drawn generator no longer exponentiates into the group: the suite
-    # records the error and the run goes on
-    assert "unitarity residual" in failed["dynamics.error"]["detail"]
+    # a drawn generator no longer exponentiates into the group: the unit
+    # records the error, and the rest of its suite still runs and is named
+    assert "unitarity residual" in failed[
+        "dynamics.geodesic_block.error"]["detail"]
+    assert "coset.metric_two_versions" in failed
+    assert not {f"{suite}.error" for suite in verify.SUITES} & set(failed)
 
 
 def test_transposed_product_table_fails_checks(monkeypatch, capsys):

@@ -601,6 +601,18 @@ def test_non_finite_entries_fail_quietly_after_the_embedding(bad):
             h.a[..., 0, 1, 2] = bad
             with pytest.raises(NotHyperHermitian):
                 func_hermitian(h, "sqrt")
+        # on the diagonal, a bad scalar part meets itself in m - m* (inf -
+        # inf) and a bad i part in m + m*
+        diag = QuatMatrix.identity(2)
+        diag.a[0, 0, 0] = bad
+        with pytest.raises(NotHyperHermitian):
+            func_hermitian(diag, "sqrt")
+        with pytest.raises(NotHyperHermitian):
+            eigvals_hyperhermitian(diag)
+        assert not diag.is_hermitian()
+        skew = QuatMatrix.zeros(2, 2)
+        skew.a[0, 0, 1] = bad
+        assert not skew.is_skew_adjoint()
         # a bad value in any of the 8 reals of a block, (re, im) of m11,
         # m12, m21, m22, reaches every column of the readback map
         good = np.stack([random_quatmat(local, 2, 3).embed()

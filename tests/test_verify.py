@@ -10,7 +10,7 @@ import qflag
 from qflag import coset, dynamics
 from qflag.errors import SingularMatrix, UnknownSuite
 from qflag.quatmat import random_quatmat, random_skew_adjoint
-from qflag.verify import (S3_BLOCK, RunConfig, SUITES, _draw_batches,
+from qflag.verify import (S3_BLOCK, SUITES, UNITS, RunConfig, _draw_batches,
                           _quatmat_draw, _skew_draw, run_suite,
                           s3_moments)
 
@@ -23,6 +23,34 @@ def test_unknown_suite_raises():
 def test_suite_registry_names():
     assert set(SUITES) == {"quaternion", "quatmat", "coset", "forms",
                            "liealg", "s4", "em", "dynamics", "roots"}
+
+
+def test_report_names_are_the_registered_names():
+    declared = [name for names, _ in UNITS for name in names]
+    rep = run_suite("all", RunConfig(trials=1))
+    assert [c["name"] for c in rep["checks"]] == declared
+    assert len(set(declared)) == len(declared)
+    # a unit's checks share its suite, and each suite's units are adjacent,
+    # in the order of SUITES
+    suites = [name.split(".", 1)[0] for name in declared]
+    assert suites == sorted(suites, key=list(SUITES).index)
+    for names, _ in UNITS:
+        assert {n.split(".", 1)[0] for n in names} == {
+            names[0].split(".", 1)[0]}
+
+
+def test_units_draw_from_the_streams_of_their_first_names(monkeypatch):
+    # the report's draws are keyed by these names; two bodies open one more
+    # stream named after the library call it feeds
+    keys = []
+    real = RunConfig.rng
+    monkeypatch.setattr(RunConfig, "rng",
+                        lambda cfg, name: keys.append(name) or real(cfg, name))
+    run_suite("all", RunConfig(trials=1))
+    second = {"forms.curvature_antisymmetry": ["forms.curvature_blocks"],
+              "s4.einstein_y_chart": ["s4.einstein_angular_chart"]}
+    assert keys == [key for names, _ in UNITS
+                    for key in [names[0]] + second.get(names[0], [])]
 
 
 def test_single_suite_report_shape():
@@ -127,21 +155,23 @@ def test_verify_coset_peak_rss_is_bounded():
     assert int(proc.stdout.split()[-1]) / 1024 < 80
 
 
-# -- failures inside a suite ------------------------------------------------------
+# -- failures inside a unit -------------------------------------------------------
 
 def test_error_inside_a_suite_is_a_failed_check(monkeypatch):
     def broken(*args, **kwargs):
         raise SingularMatrix("broken on purpose")
 
     monkeypatch.setattr(coset, "curvature_trace", broken)
-    # an override naming a check the aborted suite never reached is no
-    # usage error
-    rep = run_suite("coset", RunConfig(
-        seed=2, trials=5, tol_overrides={"coset.haar_inner_product": 1.0}))
+    rep = run_suite("coset", RunConfig(seed=2, trials=5))
     names = [c["name"] for c in rep["checks"]]
-    assert not rep["passed"]
-    assert names[-1] == "coset.error" and "coset.metric_two_versions" in names
-    error = rep["checks"][-1]
-    assert not error["passed"]
+    declared = [n for unit, _ in UNITS for n in unit
+                if n.startswith("coset.")]
+    at = declared.index("coset.curvature_trace_identity")
+    # the raise fails its own unit only; every later check still runs
+    assert names == (declared[:at] + ["coset.curvature_trace_identity.error"]
+                     + declared[at + 1:])
+    assert names[-1] == "coset.haar_inner_product"
+    error = rep["checks"][at]
+    assert not rep["passed"] and not error["passed"]
     assert error["detail"].startswith("SingularMatrix: broken on purpose")
-    assert all(c["passed"] for c in rep["checks"][:-1])
+    assert all(c["passed"] for c in rep["checks"] if c is not error)
