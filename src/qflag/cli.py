@@ -65,6 +65,11 @@ MAX_LB_SAMPLES = 10_000
 # C(d + 4, 4) terms.  Four dense components at this ceiling take about 7 s and
 # 94 MB peak RSS on a 2-vCPU x86-64 machine (23 s and 174 MB at degree 20).
 MAX_EM_DEGREE = 16
+# Deepest ``qflag em`` nesting, counting each open parenthesis and each unary
+# minus sign, checked before the parser recurses into the level.  A level
+# takes the parser up to four stack frames; Python's default stack overflows
+# at about 245 parenthesis levels.
+MAX_EM_NESTING = 100
 
 
 def _fmt(x: float) -> str:
@@ -309,6 +314,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -359,12 +365,18 @@ class _Parser:
         tok = self.take()
         if tok is None:
             raise _SpecError("unexpected end of polynomial")
-        if tok == "-":
-            return -self.atom()
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise _SpecError("missing closing parenthesis")
+        if tok in ("-", "("):
+            self.depth += 1
+            if self.depth > MAX_EM_NESTING:
+                raise UsageError(f"nesting above {MAX_EM_NESTING} levels of "
+                                 f"parentheses and signs")
+            if tok == "-":
+                node = -self.atom()
+            else:
+                node = self.expr()
+                if self.take() != ")":
+                    raise _SpecError("missing closing parenthesis")
+            self.depth -= 1
             return node
         if tok.startswith("x"):
             return emfield.RealPoly.x(int(tok[1]))

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import QflagError
 from .quaternion import MUL_TABLE, Quaternion
 from .quatmat import QuatMatrix
+from .sparse import SparseSum
 
 # e_r * e_s = sign e_c for (c, sign) = _PRODUCT[r][s], read off the product
 # table once as plain ints
@@ -30,47 +31,24 @@ _PRODUCT = [[next((c, v) for c, v in enumerate(signs) if v) for signs in row]
             for row in MUL_TABLE.astype(int).tolist()]
 
 
-class RealPoly:
+class RealPoly(SparseSum):
     """Exact polynomial in (x0, x1, x2, x3): {exponent 4-tuple: coefficient}.
 
     Coefficients are ints where integral and Fractions otherwise; an int and
     the equal Fraction compare, hash and print alike.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for expo, c in (terms or {}).items():
-            if type(c) is not int:
-                c = Fraction(c)
-            if c:
-                self.terms[expo] = c
+    __slots__ = ()
 
     @classmethod
     def constant(cls, c) -> "RealPoly":
-        return cls({(0, 0, 0, 0): c})
+        return cls({(0, 0, 0, 0): c if type(c) is int else Fraction(c)})
 
     @classmethod
     def x(cls, axis: int) -> "RealPoly":
         expo = [0, 0, 0, 0]
         expo[axis] = 1
         return cls({tuple(expo): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, o: "RealPoly") -> "RealPoly":
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, 0) + c
-        return RealPoly(out)
-
-    def __sub__(self, o: "RealPoly") -> "RealPoly":
-        return self + (-o)
-
-    def __neg__(self) -> "RealPoly":
-        return RealPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, o) -> "RealPoly":
         if not isinstance(o, RealPoly):
@@ -84,12 +62,6 @@ class RealPoly:
         return RealPoly(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, RealPoly) and self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def diff(self, axis: int) -> "RealPoly":
         out = {}

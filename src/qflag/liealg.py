@@ -28,6 +28,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
+from .sparse import SparseSum
 
 
 # -- exact Gaussian rational coefficients -------------------------------------
@@ -111,35 +112,30 @@ def jval(r: int, c: int) -> int:
     return 0
 
 
-def _nonzero(terms) -> dict:
-    """Coerce coefficients to CRat (CRat values pass as they are), drop zeros."""
-    out = {}
-    for key, c in (terms or {}).items():
-        if not isinstance(c, CRat):
-            c = CRat.of(c)
-        if c.re or c.im:
-            out[key] = c
-    return out
+class _CRatSum(SparseSum):
+    """Sparse sum of CRat coefficients, with the zero test inlined."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        self.terms = ({k: c for k, c in terms.items() if c.re or c.im}
+                      if terms else {})
 
 
 # -- polynomials ----------------------------------------------------------------
 
-class PolyFunction:
+class PolyFunction(_CRatSum):
     """Sparse exact polynomial in the matrix entries.
 
     Monomials are sorted tuples of ((row, col), power); the public
     constructors accept barred symbols and canonicalise them immediately.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _nonzero(terms)
+    __slots__ = ()
 
     @classmethod
     def constant(cls, value) -> "PolyFunction":
-        c = CRat.of(value)
-        return cls({(): c}) if not c.is_zero() else cls()
+        return cls({(): CRat.of(value)})
 
     @classmethod
     def z(cls, row: int, col: int) -> "PolyFunction":
@@ -148,25 +144,10 @@ class PolyFunction:
     @classmethod
     def zbar(cls, row: int, col: int) -> "PolyFunction":
         sign = kappa(row) * kappa(col)
-        return cls({(((mate(row), mate(col)), 1),): CRat.of(sign)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls({(((mate(row), mate(col)), 1),): CRat(sign, 0)})
 
     def degree(self) -> int:
         return max((sum(p for _, p in m) for m in self.terms), default=0)
-
-    def __add__(self, o: "PolyFunction") -> "PolyFunction":
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return PolyFunction(out)
-
-    def __sub__(self, o: "PolyFunction") -> "PolyFunction":
-        return self + (-o)
-
-    def __neg__(self) -> "PolyFunction":
-        return PolyFunction({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, o) -> "PolyFunction":
         if not isinstance(o, PolyFunction):
@@ -178,12 +159,6 @@ class PolyFunction:
                 c = c1 * c2
                 out[m] = out[m] + c if m in out else c
         return PolyFunction(out)
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, PolyFunction) and self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def diff(self, sym) -> "PolyFunction":
         """Partial derivative with respect to the entry ``sym = (row, col)``."""
@@ -198,7 +173,7 @@ class PolyFunction:
                 else:
                     rest[idx] = (var, power - 1)
                 m = tuple(rest)
-                add = c * CRat.of(power)
+                add = c * CRat(power, 0)
                 out[m] = out[m] + add if m in out else add
         return PolyFunction(out)
 
@@ -213,7 +188,7 @@ class PolyFunction:
                     sign *= kappa(row) * kappa(col)
                 new.append(((mate(row), mate(col)), power))
             m = tuple(sorted(new))
-            cc = c.conjugate() * CRat.of(sign)
+            cc = c.conjugate() * CRat(sign, 0)
             out[m] = out[m] + cc if m in out else cc
         return PolyFunction(out)
 
@@ -254,7 +229,7 @@ def monomials_up_to_degree(k: int, n: int, max_degree: int):
 
 # -- differential operators ------------------------------------------------------
 
-class DiffOperator:
+class DiffOperator(_CRatSum):
     """Sparse sum of (polynomial coefficient) x (product of derivatives).
 
     Keys are (monomial, word) with the word a sorted tuple of derivative
@@ -262,10 +237,7 @@ class DiffOperator:
     Derivative symbols commute, so sorted words are canonical.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _nonzero(terms)
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "DiffOperator":
@@ -278,44 +250,20 @@ class DiffOperator:
     @classmethod
     def dbar(cls, row: int, col: int) -> "DiffOperator":
         sign = kappa(row) * kappa(col)
-        return cls({((), ((mate(row), mate(col)),)): CRat.of(sign)})
+        return cls({((), ((mate(row), mate(col)),)): CRat(sign, 0)})
 
     @classmethod
     def multiplication(cls, poly: PolyFunction) -> "DiffOperator":
         return cls({(m, ()): c for m, c in poly.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def order(self) -> int:
         return max((len(w) for _, w in self.terms), default=0)
-
-    def __add__(self, o: "DiffOperator") -> "DiffOperator":
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return DiffOperator(out)
-
-    def __sub__(self, o: "DiffOperator") -> "DiffOperator":
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            out[key] = out[key] - c if key in out else -c
-        return DiffOperator(out)
-
-    def __neg__(self) -> "DiffOperator":
-        return DiffOperator({k: -c for k, c in self.terms.items()})
 
     def scaled(self, value) -> "DiffOperator":
         c0 = CRat.of(value)
         if c0.is_zero():
             return DiffOperator()
         return DiffOperator({k: c * c0 for k, c in self.terms.items()})
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, DiffOperator) and self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def apply(self, f: PolyFunction) -> PolyFunction:
         out = PolyFunction()
@@ -363,7 +311,7 @@ class DiffOperator:
             word2 = tuple(sorted(new_word))
             for m2, c2 in poly.terms.items():
                 key = (m2, word2)
-                add = c2 * CRat.of(sign)
+                add = c2 * CRat(sign, 0)
                 out[key] = out[key] + add if key in out else add
         return DiffOperator(out)
 

@@ -339,8 +339,7 @@ def expm(m: QuatMatrix) -> QuatMatrix:
     if not m.is_square():
         raise NonSquare("exponential of a non-square matrix")
     n = m.rows
-    norm1 = (np.linalg.norm(m.embed(), 1, axis=(-2, -1)) if n
-             else np.zeros(m.batch))
+    norm1 = _norm1(m.embed())
     # np.maximum keeps a NaN norm: the worst count is NaN or inf on bad input
     squarings = np.ceil(np.log2(np.maximum(norm1, 0.5) / 0.5))
     count = squarings.max(initial=0.0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflag import cli, coset, emfield
-from qflag.cli import (MAX_EM_DEGREE, MAX_EVOLVE_N, MAX_EVOLVE_STEPS,
+from qflag.cli import (MAX_EM_DEGREE, MAX_EM_NESTING, MAX_EVOLVE_N, MAX_EVOLVE_STEPS,
                        MAX_EVOLVE_T, MAX_LB_SAMPLES, MAX_ROOTS_RANK,
                        MAX_VERIFY_TRIALS, main, parse_field_spec,
                        parse_polynomial)
@@ -437,6 +437,40 @@ def test_em_degree_above_the_ceiling_is_a_usage_error(spec, capsys):
     code, out, err = run_cli(["em", spec], capsys)
     assert code == 2 and out == ""
     assert str(MAX_EM_DEGREE) in err
+
+
+@pytest.mark.parametrize("spec", [
+    "A0=" + "(" * 300 + "x0" + ")" * 300,
+    "A0=" + "-" * 1000 + "x0",
+    "A0=" + "(-" * (MAX_EM_NESTING // 2) + "(x0" + ")" * (MAX_EM_NESTING // 2 + 1),
+    "A0=x1 - " + "(" * (MAX_EM_NESTING + 1) + "x0" + ")" * (MAX_EM_NESTING + 1),
+])
+def test_em_nesting_above_the_ceiling_is_a_usage_error(spec, capsys):
+    code, out, err = run_cli(["em", spec], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(MAX_EM_NESTING) in err
+
+
+def test_em_nesting_at_the_ceiling(capsys):
+    depth = MAX_EM_NESTING
+    for spec in ("A0=" + "(" * depth + "x0" + ")" * depth,
+                 "A0=" + "-" * depth + "x0",
+                 "A0=" + "(-" * (depth // 2) + "x0" + ")" * (depth // 2)):
+        code, out, _ = run_cli(["em", spec], capsys)
+        assert code == 0, spec
+        assert json.loads(out)["scalar"] == [{"coefficient": "1",
+                                              "exponents": [0, 0, 0, 0]}]
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.sampled_from(["x0", "x1", "x2", "x3",
+                                  *"0123456789+-*/^(). "]),
+                max_size=12).map("".join))
+def test_em_any_component_text_ends_in_an_exit_code(text):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["em", f"A0={text}"])
+    assert code in (0, 2, 3)
 
 
 # -- evolve ------------------------------------------------------------------------

@@ -483,6 +483,7 @@ def test_empty_batch_passes_through_every_kernel():
     assert QuatMatrix.project(empty.embed()).a.shape == (0, 2, 2, 4)
     assert empty.inv().a.shape == (0, 2, 2, 4)
     assert expm(empty).a.shape == (0, 2, 2, 4)
+    assert expm(QuatMatrix(np.zeros((3, 0, 0, 4)))).a.shape == (3, 0, 0, 4)
     assert func_hermitian(empty, "sqrt").a.shape == (0, 2, 2, 4)
     assert eigvals_hyperhermitian(empty).shape == (0, 2)
     assert empty.trace().shape == (0, 4)

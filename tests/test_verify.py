@@ -64,6 +64,15 @@ def test_single_suite_report_shape():
                               "detail"}
 
 
+def test_einstein_offdiagonal_compares_ricci_entries():
+    # a random y-chart point has no vanishing metric entry, so the residual
+    # comes from the exact zeros of the polar chart: nonzero, within tolerance
+    rep = run_suite("s4", RunConfig(seed=42))
+    row = next(c for c in rep["checks"]
+               if c["name"] == "s4.einstein_offdiagonal")
+    assert row["passed"] and 0.0 < row["residual"] < 1e-8
+
+
 def test_trials_override_reduces_work():
     fast = run_suite("quaternion", RunConfig(seed=1, trials=10))
     assert fast["trials"] == 10
