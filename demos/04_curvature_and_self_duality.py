@@ -6,7 +6,7 @@ import numpy as np
 
 from qflag import curvature_blocks, dY_wedge, hodge_star
 from qflag.coset import GrassmannPoint, curvature_det, curvature_trace
-from qflag.forms import (QTwoForm, connection_blocks, maurer_cartan_residual)
+from qflag.forms import connection_blocks, maurer_cartan_residual
 from qflag.quaternion import Quaternion
 from qflag.quatmat import random_quatmat, random_skew_adjoint
 
@@ -36,18 +36,13 @@ print("\ntwo-particle curvature pieces (equal magnitude):",
 
 print("\nself-dual / anti-self-dual split of dY ^ dY* and dY* ^ dY:")
 sd, asd = dY_wedge()
-for key in sorted(sd.coeffs):
-    print(f"  dx{key[0]}^dx{key[1]}: sd={sd.coefficient(*key)}, "
-          f"asd={asd.coefficient(*key)}")
+for r, s in zip(*np.triu_indices(4, 1)):
+    print(f"  dx{r}^dx{s}: sd={Quaternion.from_array(sd[r, s])}, "
+          f"asd={Quaternion.from_array(asd[r, s])}")
 
-
-def component(form, comp):
-    return QTwoForm(4, {k: Quaternion(getattr(c, comp))
-                        for k, c in form.coeffs.items() if getattr(c, comp)})
-
-
-star_plus = (hodge_star(component(sd, "x")) - component(sd, "x")).max_abs()
-star_minus = (hodge_star(component(asd, "x")) + component(asd, "x") * 1.0).max_abs()
+# the star acts on each quaternion component on its own
+star_plus = np.abs(hodge_star(sd) - sd).max()
+star_minus = np.abs(hodge_star(asd) + asd).max()
 print("Hodge eigenvalues: +1 sector residual =", star_plus,
       ", -1 sector residual =", star_minus)
 

@@ -16,8 +16,8 @@ from .coset import (GrassmannPoint, coset_element, cross_ratio, curvature_det,
                     curvature_trace, grassmann_from_coset, haar_average,
                     lft_apply, lft_apply_second_form, metric_form,
                     metric_form_expanded, transport_identities)
-from .forms import (QOneForm, QTwoForm, connection_blocks, curvature_blocks,
-                    dY_wedge, hodge_star, maurer_cartan_residual, wedge)
+from .forms import (connection_blocks, curvature_blocks, dY_wedge, hodge_star,
+                    maurer_cartan_residual, wedge)
 from .liealg import (DiffOperator, PolyFunction, commutator, generator,
                      ladder_check, laplace_beltrami, verify_commutation_table)
 from .s4lb import (RadialSolution, angular_metric, einstein_check, fs_metric,

@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -60,6 +61,11 @@ MAX_EVOLVE_T = 1e4
 # this ceiling takes about 0.35 s beyond start-up and 33 MB peak RSS on a
 # 2-vCPU x86-64 machine (2 s and 69 MB at 10^5).
 MAX_LB_SAMPLES = 10_000
+# ``Fraction`` turns a decimal exponent into the integer 10**exp before any
+# check can run: ``--ell 1e9999999`` takes 12 s to parse.  An ``--ell``
+# exponent of five or more digits is a usage error; every |l| from 1e4 up
+# overflows the coefficients anyway.
+_LONG_ELL_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9](_?\d){4}")
 # Largest degree ``qflag em`` multiplies out, checked on each exponent and each
 # product before it is formed: a degree-d polynomial in x0..x3 has up to
 # C(d + 4, 4) terms.  Four dense components at this ceiling take about 7 s and
@@ -122,6 +128,8 @@ def _parse_tol(entries) -> dict:
 
 
 def _parse_half_integer(text: str) -> Fraction:
+    if _LONG_ELL_EXPONENT.search(text):
+        raise UsageError(f"--ell exponents have at most 4 digits, got {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

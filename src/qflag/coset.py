@@ -105,7 +105,7 @@ def grassmann_from_coset(xi: QuatMatrix) -> GrassmannPoint:
 def _action(g: GroupElement, point: GrassmannPoint):
     """The blocks A, C of ``g``, the image Y and (C X + D)^{-1}."""
     x = point.x
-    a, b, c, d = g.blocks(point.j, point.k)
+    a, b, c, d = g.m.blocks(point.j, point.k)
     den_inv = (c @ x + d).inv(SingularDenominator(
         "C X + D is singular; the point is mapped to infinity"))
     return a, c, (a @ x + b) @ den_inv, den_inv
@@ -119,7 +119,7 @@ def lft_apply(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
 def lft_apply_second_form(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
     """Equivalent left-quotient form Y = (-X B* + A*)^{-1}(X D* - C*)."""
     x = point.x
-    a, b, c, d = g.blocks(point.j, point.k)
+    a, b, c, d = g.m.blocks(point.j, point.k)
     den = -(x @ b.adjoint()) + a.adjoint()
     den_inv = den.inv(SingularDenominator(
         "A* - X B* is singular; the point is mapped to infinity"))
@@ -137,7 +137,7 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
     if (pa.j, pa.k) != (pb.j, pb.k):
         raise ShapeMismatch("points live on different Grassmannians")
     xa, xb = pa.x, pb.x
-    a, b, c, d = g.blocks(pa.j, pa.k)
+    a, b, c, d = g.m.blocks(pa.j, pa.k)
     _, _, ya, ra = _action(g, pa)
     _, _, yb, rb = _action(g, pb)
     eye_j = QuatMatrix.identity(pa.j)

@@ -1,12 +1,20 @@
 """Exterior forms with quaternion coefficients over real base differentials.
 
-One- and two-forms are stored sparsely: a one-form maps a base-differential
-index r to a coefficient, a two-form maps an ordered pair (r, s), r < s, to a
-coefficient.  Coefficients are :class:`Quaternion` scalars; the wedge rule
-keeps coefficient products in left-to-right order while the base
-differentials anticommute:
+Forms are plain arrays with the quaternion components (e, i, j, k) on the
+last axis, as in :class:`QuatMatrix`:
 
-    (a dx_r) ^ (b dx_s) = (a b) dx_r ^ dx_s = -(a b) dx_s ^ dx_r.
+- a one-form is a ``(..., dim, 4)`` array whose row ``r`` is the
+  coefficient of ``dx_r``;
+- a two-form is an antisymmetric ``(..., dim, dim, 4)`` array whose entry
+  ``[r, s]`` is the coefficient of ``dx_r ^ dx_s``.
+
+Leading axes batch.  The wedge rule keeps coefficient products in
+left-to-right order while the base differentials anticommute:
+
+    (a dx_r) ^ (b dx_s) = (a b) dx_r ^ dx_s = -(a b) dx_s ^ dx_r,
+
+so ``wedge(a, b)[r, s] = a_r b_s - a_s b_r``.  The star acts on each
+quaternion component on its own.
 
 The module also evaluates pulled-back connection and curvature data along
 one-parameter subgroups and tangent pairs, which is how the Maurer-Cartan
@@ -16,117 +24,54 @@ pointwise.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import config
 from .errors import DependentDirections, DimensionMismatch
-from .quaternion import BASIS, Quaternion
-from .quatmat import QuatMatrix, block_matrix, expm, func_hermitian
+from .quaternion import MUL_TABLE
+from .quatmat import _CONJ, QuatMatrix, block_matrix, expm, func_hermitian
 
 
-class QOneForm:
-    """Sparse one-form: {base index: quaternion coefficient}."""
-
-    def __init__(self, dim: int, coeffs=None):
-        self.dim = dim
-        self.coeffs = {}
-        for idx, c in (coeffs or {}).items():
-            if not 0 <= idx < dim:
-                raise DimensionMismatch(f"index {idx} outside 0..{dim - 1}")
-            if c.norm() != 0.0:
-                self.coeffs[idx] = c
-
-    def wedge(self, other: "QOneForm") -> "QTwoForm":
-        if self.dim != other.dim:
-            raise DimensionMismatch("forms live over different base spaces")
-        out = {}
-        for r, cr in self.coeffs.items():
-            for s, cs in other.coeffs.items():
-                if r == s:
-                    continue
-                key, sign = ((r, s), 1.0) if r < s else ((s, r), -1.0)
-                term = cr * cs * sign
-                out[key] = out[key] + term if key in out else term
-        return QTwoForm(self.dim, out)
-
-    def __add__(self, other: "QOneForm") -> "QOneForm":
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out[idx] + c if idx in out else c
-        return QOneForm(self.dim, out)
-
-    def __mul__(self, s: float) -> "QOneForm":
-        return QOneForm(self.dim, {i: c * s for i, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
+def _one_form(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != 4:
+        raise DimensionMismatch(f"a one-form is a (..., dim, 4) array, "
+                                f"not {a.shape}")
+    return a
 
 
-class QTwoForm:
-    """Sparse two-form over ordered index pairs (r, s) with r < s."""
-
-    def __init__(self, dim: int, coeffs=None):
-        self.dim = dim
-        self.coeffs = {}
-        for (r, s), c in (coeffs or {}).items():
-            if not (0 <= r < s < dim):
-                raise DimensionMismatch(f"bad ordered pair ({r}, {s})")
-            if c.norm() > 0.0:
-                self.coeffs[(r, s)] = c
-
-    def coefficient(self, r: int, s: int):
-        """Coefficient of dx_r ^ dx_s, honouring antisymmetry."""
-        if r == s:
-            return Quaternion()
-        if r < s:
-            c = self.coeffs.get((r, s))
-            return c if c is not None else Quaternion()
-        c = self.coeffs.get((s, r))
-        return -c if c is not None else Quaternion()
-
-    def __add__(self, other: "QTwoForm") -> "QTwoForm":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out[key] + c if key in out else c
-        return QTwoForm(self.dim, out)
-
-    def __sub__(self, other: "QTwoForm") -> "QTwoForm":
-        return self + other * (-1.0)
-
-    def __mul__(self, s: float) -> "QTwoForm":
-        return QTwoForm(self.dim, {k: c * s for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def max_abs(self) -> float:
-        return max((c.norm() for c in self.coeffs.values()), default=0.0)
+def wedge(a, b) -> np.ndarray:
+    """The two-form a ^ b of two one-forms; batch axes broadcast."""
+    a, b = _one_form(a), _one_form(b)
+    if a.shape[-2] != b.shape[-2]:
+        raise DimensionMismatch("forms live over different base spaces")
+    try:
+        t = np.einsum("...rp,...sq,pqu->...rsu", a, b, MUL_TABLE)
+    except ValueError:
+        raise DimensionMismatch(f"batch shapes {a.shape}, {b.shape} "
+                                "do not broadcast") from None
+    return t - t.swapaxes(-3, -2)
 
 
-def wedge(a: QOneForm, b: QOneForm) -> QTwoForm:
-    return a.wedge(b)
-
-
-def coordinate_differential() -> QOneForm:
-    """The canonical quaternion differential dx0 e + dx1 i + dx2 j + dx3 k."""
-    return QOneForm(4, {r: BASIS[r] for r in range(4)})
-
-
-def dY_wedge(dy: QOneForm = None):
+def dY_wedge(dy=None):
     """The pair (dY ^ dY*, dY* ^ dY) for a quaternion differential.
 
-    Defaults to the canonical dx0 e + dx1 i + dx2 j + dx3 k.  The first
-    product expands to -2(dy0 ^ dy + dy ^ dy), the self-dual sector; the
-    second to +2(dy0 ^ dy - dy ^ dy), the anti-self-dual sector.  Component
-    pattern for the self-dual side (basis coefficient of i):
+    Defaults to the canonical dx0 e + dx1 i + dx2 j + dx3 k, whose row r is
+    the basis quaternion e_r.  The first product expands to
+    -2(dy0 ^ dy + dy ^ dy), the self-dual sector; the second to
+    +2(dy0 ^ dy - dy ^ dy), the anti-self-dual sector.  Component pattern
+    for the self-dual side (basis coefficient of i):
 
         -2 (dx0 ^ dx1 + dx2 ^ dx3),
 
     with cyclic analogues for j and k; the anti-self-dual side carries the
     minus sign between the paired area elements.
     """
-    if dy is None:
-        dy = coordinate_differential()
-    dy_star = QOneForm(dy.dim, {r: c.conj() for r, c in dy.coeffs.items()})
-    return dy.wedge(dy_star), dy_star.wedge(dy)
+    dy = np.eye(4) if dy is None else _one_form(dy)
+    dy_star = dy * _CONJ
+    return wedge(dy, dy_star), wedge(dy_star, dy)
 
 
 # Hodge pairs for the Euclidean star on 2-forms, orientation dx0^dx1^dx2^dx3.
@@ -139,16 +84,22 @@ HODGE_PAIRS = {
     (2, 3): ((0, 1), 1.0),
 }
 
+# LEVI_CIVITA[a, b, c, d] is the sign of the permutation (a, b, c, d) of 0..3.
+LEVI_CIVITA = np.zeros((4, 4, 4, 4))
+for _p in itertools.permutations(range(4)):
+    LEVI_CIVITA[_p] = (-1) ** sum(x > y for x, y in itertools.combinations(_p, 2))
 
-def hodge_star(form: QTwoForm) -> QTwoForm:
-    """Euclidean Hodge star on two-forms over four base differentials."""
-    if form.dim != 4:
+
+def hodge_star(form) -> np.ndarray:
+    """Euclidean Hodge star (*f)_ab = 1/2 eps_abcd f_cd on two-forms over
+    four base differentials."""
+    form = np.asarray(form, dtype=float)
+    if form.ndim < 3 or form.shape[-1] != 4:
+        raise DimensionMismatch(f"a two-form is a (..., dim, dim, 4) array, "
+                                f"not {form.shape}")
+    if form.shape[-3:-1] != (4, 4):
         raise DimensionMismatch("the star operator is defined for dim 4")
-    out = {}
-    for key, c in form.coeffs.items():
-        dual, sign = HODGE_PAIRS[key]
-        out[dual] = out.get(dual, Quaternion()) + c * sign
-    return QTwoForm(4, out)
+    return 0.5 * np.einsum("abcd,...cdu->...abu", LEVI_CIVITA, form)
 
 
 # -- pulled-back connection and curvature data --------------------------------

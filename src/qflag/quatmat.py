@@ -471,7 +471,10 @@ class GroupElement:
         return GroupElement(self.m @ other.m, check=False)
 
     def blocks(self, j: int, k: int):
-        """Conforming partition into (A, B, C, D) with A of size j x j."""
+        """Conforming partition into (A, B, C, D) with A of size j x j.
+
+        Library code calls ``self.m.blocks``; this forwarder stays only
+        because ``bench/workloads.py`` partitions group elements with it."""
         return self.m.blocks(j, k)
 
     def __repr__(self) -> str:

@@ -195,7 +195,10 @@ def gl_coefficients(ell, big_n: int):
     sit on a pole.
     """
     f = check_termination(ell, big_n)
-    two_ell = float(2 * f)
+    try:
+        two_ell = float(2 * f)
+    except OverflowError:
+        raise CoefficientOverflow("2 l overflows a float") from None
     out = []
     for nn in range(big_n + 1):
         denom_args = (float(nn), float(big_n - nn))

@@ -408,45 +408,24 @@ def _(cfg, rng):
 @_unit("forms.wedge_component_pattern", "forms.hodge_eigensectors")
 def _(cfg, rng):
     sd, asd = forms.dY_wedge()
-    expected_sd = {(0, 1): Quaternion(0, -2, 0, 0), (2, 3): Quaternion(0, -2, 0, 0),
-                   (0, 2): Quaternion(0, 0, -2, 0), (1, 3): Quaternion(0, 0, 2, 0),
-                   (0, 3): Quaternion(0, 0, 0, -2), (1, 2): Quaternion(0, 0, 0, -2)}
-    worst = max((sd.coefficient(*key) - val).norm()
-                for key, val in expected_sd.items())
-    worst = max(worst, max((sd.coefficient(*k) + asd.coefficient(*k)).norm()
-                           for k in ((0, 1), (0, 2), (0, 3))))
-    worst = max(worst, max(abs(c.w) for c in sd.coeffs.values()))
-    yield (worst, 1e-15,
+    # the six area elements (0,1), (2,3), (0,2), (1,3), (0,3), (1,2) of sd
+    rows, cols = [0, 2, 0, 1, 0, 1], [1, 3, 2, 3, 3, 2]
+    expected_sd = 2.0 * np.array([[0, -1, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0],
+                                  [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, -1]])
+    worst = max(_quat_norm(sd[rows, cols] - expected_sd).max(),
+                _quat_norm(sd[0, 1:] + asd[0, 1:]).max(), np.abs(sd[..., 0]).max())
+    yield (float(worst), 1e-15,
            "displayed +/- area-element pattern, no scalar part")
-
-    def component(form, comp):
-        data = {}
-        for key, c in form.coeffs.items():
-            v = getattr(c, comp)
-            if v:
-                data[key] = Quaternion(v)
-        return forms.QTwoForm(4, data)
-
-    worst = 0.0
-    for compname in "xyz":
-        f = component(sd, compname)
-        worst = max(worst, (forms.hodge_star(f) - f).max_abs())
-        f = component(asd, compname)
-        worst = max(worst, (forms.hodge_star(f) + f * 1.0).max_abs())
-    yield worst, 1e-15, "+1 on the first product, -1 on the second"
+    worst = max(_quat_norm(forms.hodge_star(sd) - sd).max(),
+                _quat_norm(forms.hodge_star(asd) + asd).max())
+    yield float(worst), 1e-15, "+1 on the first product, -1 on the second"
 
 
 @_unit("forms.wedge_bilinearity")
 def _(cfg, rng):
-    worst = 0.0
-    for draw in rng.standard_normal((cfg.count(100), 3, 4, 4)):
-        a, b, c = (forms.QOneForm(4, {i: Quaternion.from_array(q)
-                                      for i, q in enumerate(coeffs)})
-                   for coeffs in draw)
-        lhs = (a + b).wedge(c)
-        rhs = a.wedge(c) + b.wedge(c)
-        worst = max(worst, (lhs - rhs).max_abs())
-    yield worst, 1e-12
+    a, b, c = rng.standard_normal((cfg.count(100), 3, 4, 4)).swapaxes(0, 1)
+    diff = forms.wedge(a + b, c) - (forms.wedge(a, c) + forms.wedge(b, c))
+    yield float(_quat_norm(diff).max()), 1e-12
 
 
 @_unit("forms.connection_skewness", "forms.connection_block_pairing",

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qflag import cli, coset, emfield
 from qflag.cli import (MAX_EM_DEGREE, MAX_EM_NESTING, MAX_EVOLVE_N, MAX_EVOLVE_STEPS,
@@ -317,6 +317,33 @@ def test_lb_coefficient_overflow_is_domain_error(capsys):
     code, out, err = run_cli(["lb", "--ell", "100"], capsys)
     assert code == 3
     assert out == "" and "overflows" in err
+
+
+@pytest.mark.parametrize("ell", ["1e400", "5e308", "1e9999"])
+def test_lb_ell_past_the_float_range_is_domain_error(ell, capsys):
+    code, out, err = run_cli(["lb", "--ell", ell], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "overflows" in err
+
+
+@pytest.mark.parametrize("ell", ["1e10000", "1e-99999", "1e9_999_999"])
+def test_lb_ell_exponent_past_four_digits_is_usage_error(ell, capsys):
+    code, out, err = run_cli(["lb", "--ell", ell], capsys)
+    assert code == 2
+    assert out == "" and "--ell" in err
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(st.one_of(st.integers().map(str), st.fractions().map(str),
+                 st.floats().map(repr),
+                 st.text(alphabet="0123456789eE+-./_ ", max_size=10)))
+@example("1e400")
+@example("1e99999999")
+def test_lb_any_ell_text_ends_in_an_exit_code(text):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["lb", f"--ell={text}", "--samples", "1"])
+    assert code in (0, 2, 3)
 
 
 def test_lb_deterministic(tmp_path, capsys):

@@ -4,8 +4,7 @@ import pytest
 from qflag import forms
 from qflag.coset import GrassmannPoint
 from qflag.errors import DependentDirections, DimensionMismatch
-from qflag.forms import (HODGE_PAIRS, QOneForm, QTwoForm, connection_along_path,
-                         connection_blocks, coordinate_differential,
+from qflag.forms import (HODGE_PAIRS, connection_along_path, connection_blocks,
                          curvature_blocks, dY_wedge, hodge_star,
                          maurer_cartan_residual, wedge)
 from qflag.quaternion import E, I, J, K, Quaternion, random_quaternion
@@ -15,49 +14,74 @@ rng = np.random.default_rng(404)
 
 
 def random_one_form(dim=4):
-    return QOneForm(dim, {i: random_quaternion(rng) for i in range(dim)})
+    return np.array([random_quaternion(rng).to_array() for _ in range(dim)])
+
+
+def coefficient(form, r, s):
+    return Quaternion.from_array(form[r, s])
+
+
+def max_abs(form):
+    return np.linalg.norm(form, axis=-1).max()
 
 
 # -- wedge algebra ------------------------------------------------------------
 
 def test_wedge_self_with_commuting_coefficient_vanishes():
-    form = QOneForm(4, {0: E})
-    assert not form.wedge(form).coeffs
+    form = np.zeros((4, 4))
+    form[0] = E.to_array()
+    assert not wedge(form, form).any()
 
 
 def test_wedge_basic_rule():
     # dx0 e ^ dx1 i = (dx0 ^ dx1) i
-    left = QOneForm(4, {0: E})
-    right = QOneForm(4, {1: I})
+    left, right = np.zeros((4, 4)), np.zeros((4, 4))
+    left[0], right[1] = E.to_array(), I.to_array()
     out = wedge(left, right)
-    assert out.coefficient(0, 1).is_close(I)
-    assert out.coefficient(1, 0).is_close(-I)
+    assert coefficient(out, 0, 1).is_close(I)
+    assert coefficient(out, 1, 0).is_close(-I)
 
 
 def test_wedge_order_reversal_sign():
     a, b = random_one_form(), random_one_form()
-    ab = a.wedge(b)
+    qa, qb = ([Quaternion.from_array(c) for c in f] for f in (a, b))
     # (b ^ a) coefficient is the reversed product with a sign, not -ab
-    ba = b.wedge(a)
-    for key in ab.coeffs:
-        r, s = key
-        expected = -(b.coeffs[s] * a.coeffs[r] - b.coeffs[r] * a.coeffs[s])
-        assert (ba.coefficient(r, s) - expected).norm() < 1e-12
+    ba = wedge(b, a)
+    for r in range(4):
+        for s in range(r + 1, 4):
+            expected = -(qb[s] * qa[r] - qb[r] * qa[s])
+            assert (coefficient(ba, r, s) - expected).norm() < 1e-12
 
 
 def test_wedge_bilinearity():
     for _ in range(100):
         a, b, c = random_one_form(), random_one_form(), random_one_form()
-        lhs = (a + b).wedge(c)
-        rhs = a.wedge(c) + b.wedge(c)
-        assert (lhs - rhs).max_abs() < 1e-12
+        lhs = wedge(a + b, c)
+        rhs = wedge(a, c) + wedge(b, c)
+        assert max_abs(lhs - rhs) < 1e-12
+
+
+def test_batched_wedge_equals_the_per_row_wedge():
+    local = np.random.default_rng(4043)    # own stream
+    a, b = local.standard_normal((2, 6, 5, 4))
+    got = wedge(a, b)
+    assert got.shape == (6, 5, 5, 4)
+    assert np.array_equal(got, np.stack([wedge(x, y) for x, y in zip(a, b)]))
+    # one form against a batch broadcasts over the batch axis
+    assert np.array_equal(wedge(a[0], b), np.stack([wedge(a[0], y) for y in b]))
 
 
 def test_dimension_gate():
     with pytest.raises(DimensionMismatch):
-        QOneForm(4, {5: E})
+        wedge(np.eye(4), np.eye(8, 4))
     with pytest.raises(DimensionMismatch):
-        QOneForm(4, {0: E}).wedge(QOneForm(8, {0: E}))
+        wedge(np.eye(4)[:, :3], np.eye(4)[:, :3])     # trailing axis not 4
+    with pytest.raises(DimensionMismatch):
+        wedge(np.zeros((2, 4, 4)), np.zeros((3, 4, 4)))   # batches differ
+    with pytest.raises(DimensionMismatch):
+        hodge_star(wedge(np.ones((3, 4)), np.ones((3, 4))))   # dim 3
+    with pytest.raises(DimensionMismatch):
+        hodge_star(np.zeros((4, 4, 3)))
 
 
 # -- the self-dual / anti-self-dual split ----------------------------------------
@@ -65,21 +89,21 @@ def test_dimension_gate():
 def test_dY_wedge_component_pattern():
     sd, asd = dY_wedge()
     # self-dual side: -2 (dx0^dx1 + dx2^dx3) on i, cyclic analogues on j, k
-    assert sd.coefficient(0, 1).is_close(Quaternion(0, -2, 0, 0))
-    assert sd.coefficient(2, 3).is_close(Quaternion(0, -2, 0, 0))
-    assert sd.coefficient(0, 2).is_close(Quaternion(0, 0, -2, 0))
-    assert sd.coefficient(1, 3).is_close(Quaternion(0, 0, 2, 0))   # dx3^dx1
-    assert sd.coefficient(0, 3).is_close(Quaternion(0, 0, 0, -2))
-    assert sd.coefficient(1, 2).is_close(Quaternion(0, 0, 0, -2))
+    assert coefficient(sd, 0, 1).is_close(Quaternion(0, -2, 0, 0))
+    assert coefficient(sd, 2, 3).is_close(Quaternion(0, -2, 0, 0))
+    assert coefficient(sd, 0, 2).is_close(Quaternion(0, 0, -2, 0))
+    assert coefficient(sd, 1, 3).is_close(Quaternion(0, 0, 2, 0))   # dx3^dx1
+    assert coefficient(sd, 0, 3).is_close(Quaternion(0, 0, 0, -2))
+    assert coefficient(sd, 1, 2).is_close(Quaternion(0, 0, 0, -2))
     # anti-self-dual side: +2 (dx0^dx1 - dx2^dx3) pattern
-    assert asd.coefficient(0, 1).is_close(Quaternion(0, 2, 0, 0))
-    assert asd.coefficient(2, 3).is_close(Quaternion(0, -2, 0, 0))
+    assert coefficient(asd, 0, 1).is_close(Quaternion(0, 2, 0, 0))
+    assert coefficient(asd, 2, 3).is_close(Quaternion(0, -2, 0, 0))
 
 
 def test_dY_wedge_scalar_parts_vanish():
     # direct expansion: the e-parts of both products cancel
     for form in dY_wedge():
-        assert all(abs(c.w) < 1e-15 for c in form.coeffs.values())
+        assert np.abs(form[..., 0]).max() < 1e-15
 
 
 def test_dY_wedge_against_direct_expansion():
@@ -89,39 +113,41 @@ def test_dY_wedge_against_direct_expansion():
     for r in range(4):
         for s in range(r + 1, 4):
             expected = basis[r] * basis[s].conj() - basis[s] * basis[r].conj()
-            assert (sd.coefficient(r, s) - expected).norm() < 1e-15
+            assert (coefficient(sd, r, s) - expected).norm() < 1e-15
 
 
 def test_dY_wedge_accepts_custom_differential():
     # a rescaled differential scales both products quadratically
-    scaled = QOneForm(4, {r: c * 2.0 for r, c in
-                          coordinate_differential().coeffs.items()})
-    sd_scaled, asd_scaled = dY_wedge(scaled)
+    sd_scaled, asd_scaled = dY_wedge(2.0 * np.eye(4))
     sd, asd = dY_wedge()
-    assert (sd_scaled - sd * 4.0).max_abs() < 1e-14
-    assert (asd_scaled - asd * 4.0).max_abs() < 1e-14
+    assert max_abs(sd_scaled - sd * 4.0) < 1e-14
+    assert max_abs(asd_scaled - asd * 4.0) < 1e-14
 
 
 def test_hodge_star_involution_and_eigensectors():
     # star is an involution on the six basis two-forms
-    for key, (dual, sign) in HODGE_PAIRS.items():
-        form = QTwoForm(4, {key: E})
+    for (r, s), (dual, sign) in HODGE_PAIRS.items():
+        form = np.zeros((4, 4, 4))
+        form[r, s], form[s, r] = E.to_array(), -E.to_array()
         starred = hodge_star(form)
-        assert (starred.coefficient(*dual) - E * sign).norm() == 0.0
+        assert (coefficient(starred, *dual) - E * sign).norm() == 0.0
         twice = hodge_star(starred)
-        assert (twice.coefficient(*key) - E).norm() == 0.0
+        assert (coefficient(twice, r, s) - E).norm() == 0.0
+    # the star acts on each quaternion component on its own
     sd, asd = dY_wedge()
+    assert max_abs(hodge_star(sd) - sd) == 0.0      # +1 eigenvector
+    assert max_abs(hodge_star(asd) + asd) == 0.0    # -1 eigenvector
 
-    def component(form, comp):
-        return QTwoForm(4, {k: Quaternion(getattr(c, comp))
-                            for k, c in form.coeffs.items()
-                            if getattr(c, comp)})
 
-    for comp in "xyz":
-        f = component(sd, comp)
-        assert (hodge_star(f) - f).max_abs() == 0.0    # +1 eigenvector
-        f = component(asd, comp)
-        assert (hodge_star(f) + f).max_abs() == 0.0    # -1 eigenvector
+def test_hodge_star_is_the_pair_table():
+    # the Levi-Civita contraction reproduces every HODGE_PAIRS entry exactly
+    local = np.random.default_rng(4044)    # own stream
+    form = wedge(*local.standard_normal((2, 4, 4)))
+    starred = hodge_star(form)
+    for (r, s), ((p, q), sign) in HODGE_PAIRS.items():
+        assert np.array_equal(starred[r, s], sign * form[p, q])
+        assert np.array_equal(starred[s, r], -sign * form[p, q])
+    assert not starred[np.arange(4), np.arange(4)].any()
 
 
 # -- connection along one-parameter subgroups ---------------------------------------

@@ -83,7 +83,7 @@ def test_matmul_rectangular_and_empty_shapes():
 
 def test_matmul_non_contiguous_operands():
     g = random_group_element(kernel_rng, 5)
-    a, b, c, d = g.blocks(2, 3)
+    a, b, c, d = g.m.blocks(2, 3)
     assert not any(blk.a.flags.c_contiguous for blk in (a, b, c, d))
     for left, right in ((a, b), (b, d), (c, a), (d, c)):
         assert_matches_embedding(left, right)
