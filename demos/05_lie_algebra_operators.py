@@ -1,7 +1,7 @@
 """The generator calculus: exact commutators, ladder shifts, and the
 Laplace-Beltrami composite.
 
-Everything here is symbolic with Gaussian-rational coefficients, so the
+Everything here is symbolic with exact rational coefficients, so the
 printed residuals are exact integers (term counts), not floats.
 """
 

@@ -16,14 +16,13 @@ electric field with a minus, exactly as the vector part -E + B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import QflagError
 from .quaternion import MUL_TABLE, Quaternion
 from .quatmat import QuatMatrix
-from .sparse import SparseSum
+from .sparse import SparseSum, exact
 
 # e_r * e_s = sign e_c for (c, sign) = _PRODUCT[r][s], read off the product
 # table once as plain ints
@@ -42,7 +41,7 @@ class RealPoly(SparseSum):
 
     @classmethod
     def constant(cls, c) -> "RealPoly":
-        return cls({(0, 0, 0, 0): c if type(c) is int else Fraction(c)})
+        return cls({(0, 0, 0, 0): exact(c)})
 
     @classmethod
     def x(cls, axis: int) -> "RealPoly":
@@ -52,7 +51,7 @@ class RealPoly(SparseSum):
 
     def __mul__(self, o) -> "RealPoly":
         if not isinstance(o, RealPoly):
-            o = o if type(o) is int else Fraction(o)
+            o = exact(o)
             return RealPoly({e: c * o for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():

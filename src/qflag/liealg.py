@@ -11,8 +11,9 @@ where ``mate`` flips an index inside its 2-block and ``kappa`` is -1 on even
 (0-based) indices and +1 on odd ones.  The same substitution defines the
 conjugate derivative dbar in terms of d.  Everything here is therefore
 canonicalised to the unbarred symbols, and all coefficients are exact
-Gaussian rationals, so operator identities either hold exactly or fail
-loudly; no floating point enters.
+rationals (ints, or Fractions where a division leaves the integers), so
+operator identities either hold exactly or fail loudly; no floating point
+enters.
 
 First-order operators with polynomial coefficients are closed under the
 commutator (the second-order parts are juxtaposition terms, which cancel
@@ -28,71 +29,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
-from .sparse import SparseSum
-
-
-# -- exact Gaussian rational coefficients -------------------------------------
-
-class CRat:
-    """Exact Gaussian rational ``re + im i``.
-
-    The parts stay Python ints until a division makes them Fractions; every
-    generator and commutator coefficient is a Gaussian integer.  An int and
-    the equal Fraction compare and hash alike, so either form is canonical.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def of(cls, value) -> "CRat":
-        if isinstance(value, CRat):
-            return value
-        if isinstance(value, int):
-            return cls(value, 0)
-        if isinstance(value, complex):
-            return cls(Fraction(value.real).limit_denominator(10 ** 12),
-                       Fraction(value.imag).limit_denominator(10 ** 12))
-        return cls(Fraction(value), 0)
-
-    def __add__(self, o: "CRat") -> "CRat":
-        return CRat(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o: "CRat") -> "CRat":
-        return CRat(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o: "CRat") -> "CRat":
-        return CRat(self.re * o.re - self.im * o.im,
-                    self.re * o.im + self.im * o.re)
-
-    def __neg__(self) -> "CRat":
-        return CRat(-self.re, -self.im)
-
-    def __eq__(self, o) -> bool:
-        if not isinstance(o, CRat):
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def __repr__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
-ONE = CRat(1, 0)
-ZERO = CRat(0, 0)
+from .sparse import SparseSum, exact
 
 
 def mate(i: int) -> int:
@@ -112,19 +49,9 @@ def jval(r: int, c: int) -> int:
     return 0
 
 
-class _CRatSum(SparseSum):
-    """Sparse sum of CRat coefficients, with the zero test inlined."""
-
-    __slots__ = ()
-
-    def __init__(self, terms=None):
-        self.terms = ({k: c for k, c in terms.items() if c.re or c.im}
-                      if terms else {})
-
-
 # -- polynomials ----------------------------------------------------------------
 
-class PolyFunction(_CRatSum):
+class PolyFunction(SparseSum):
     """Sparse exact polynomial in the matrix entries.
 
     Monomials are sorted tuples of ((row, col), power); the public
@@ -135,16 +62,16 @@ class PolyFunction(_CRatSum):
 
     @classmethod
     def constant(cls, value) -> "PolyFunction":
-        return cls({(): CRat.of(value)})
+        return cls({(): exact(value)})
 
     @classmethod
     def z(cls, row: int, col: int) -> "PolyFunction":
-        return cls({(((row, col), 1),): ONE})
+        return cls({(((row, col), 1),): 1})
 
     @classmethod
     def zbar(cls, row: int, col: int) -> "PolyFunction":
         sign = kappa(row) * kappa(col)
-        return cls({(((mate(row), mate(col)), 1),): CRat(sign, 0)})
+        return cls({(((mate(row), mate(col)), 1),): sign})
 
     def degree(self) -> int:
         return max((sum(p for _, p in m) for m in self.terms), default=0)
@@ -173,7 +100,7 @@ class PolyFunction(_CRatSum):
                 else:
                     rest[idx] = (var, power - 1)
                 m = tuple(rest)
-                add = c * CRat(power, 0)
+                add = c * power
                 out[m] = out[m] + add if m in out else add
         return PolyFunction(out)
 
@@ -181,15 +108,8 @@ class PolyFunction(_CRatSum):
         """Formal quaternionic conjugation: the J substitution on every symbol."""
         out = {}
         for mono, c in self.terms.items():
-            sign = 1
-            new = []
-            for (row, col), power in mono:
-                if power % 2 == 1:
-                    sign *= kappa(row) * kappa(col)
-                new.append(((mate(row), mate(col)), power))
-            m = tuple(sorted(new))
-            cc = c.conjugate() * CRat(sign, 0)
-            out[m] = out[m] + cc if m in out else cc
+            sign, m = _conjugate_monomial(mono)
+            out[m] = sign * c
         return PolyFunction(out)
 
     def __repr__(self) -> str:
@@ -199,8 +119,22 @@ class PolyFunction(_CRatSum):
         for mono, c in sorted(self.terms.items()):
             vars_ = "".join(f"z[{r},{s}]" + (f"^{p}" if p > 1 else "")
                             for (r, s), p in mono)
-            bits.append(f"{c!r}*{vars_}" if vars_ else f"{c!r}")
+            bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
         return " + ".join(bits)
+
+
+def _conjugate_monomial(mono):
+    """(sign, image) of a monomial under the J substitution.
+
+    The substitution maps distinct monomials to distinct images, so a
+    conjugated sum needs no accumulation.
+    """
+    sign = 1
+    for (row, col), power in mono:
+        if power % 2 == 1:
+            sign *= kappa(row) * kappa(col)
+    return sign, tuple(sorted(((mate(row), mate(col)), power)
+                              for (row, col), power in mono))
 
 
 def _merge_monomials(m1, m2):
@@ -223,13 +157,13 @@ def monomials_up_to_degree(k: int, n: int, max_degree: int):
             powers = {}
             for var in combo:
                 powers[var] = powers.get(var, 0) + 1
-            out.append(PolyFunction({tuple(sorted(powers.items())): ONE}))
+            out.append(PolyFunction({tuple(sorted(powers.items())): 1}))
     return out
 
 
 # -- differential operators ------------------------------------------------------
 
-class DiffOperator(_CRatSum):
+class DiffOperator(SparseSum):
     """Sparse sum of (polynomial coefficient) x (product of derivatives).
 
     Keys are (monomial, word) with the word a sorted tuple of derivative
@@ -245,12 +179,12 @@ class DiffOperator(_CRatSum):
 
     @classmethod
     def d(cls, row: int, col: int) -> "DiffOperator":
-        return cls({((), ((row, col),)): ONE})
+        return cls({((), ((row, col),)): 1})
 
     @classmethod
     def dbar(cls, row: int, col: int) -> "DiffOperator":
         sign = kappa(row) * kappa(col)
-        return cls({((), ((mate(row), mate(col)),)): CRat(sign, 0)})
+        return cls({((), ((mate(row), mate(col)),)): sign})
 
     @classmethod
     def multiplication(cls, poly: PolyFunction) -> "DiffOperator":
@@ -260,8 +194,8 @@ class DiffOperator(_CRatSum):
         return max((len(w) for _, w in self.terms), default=0)
 
     def scaled(self, value) -> "DiffOperator":
-        c0 = CRat.of(value)
-        if c0.is_zero():
+        c0 = exact(value)
+        if not c0:
             return DiffOperator()
         return DiffOperator({k: c * c0 for k, c in self.terms.items()})
 
@@ -299,29 +233,15 @@ class DiffOperator(_CRatSum):
         return DiffOperator(out)
 
     def conjugate(self) -> "DiffOperator":
-        """Formal quaternionic conjugation (J substitution, coefficients conjugated)."""
+        """Formal quaternionic conjugation: the J substitution on coefficient
+        and word alike."""
         out = {}
         for (mono, word), c in self.terms.items():
-            poly = PolyFunction({mono: c}).conjugate()
-            sign = 1
-            new_word = []
+            sign, m = _conjugate_monomial(mono)
             for row, col in word:
                 sign *= kappa(row) * kappa(col)
-                new_word.append((mate(row), mate(col)))
-            word2 = tuple(sorted(new_word))
-            for m2, c2 in poly.terms.items():
-                key = (m2, word2)
-                add = c2 * CRat(sign, 0)
-                out[key] = out[key] + add if key in out else add
+            out[m, tuple(sorted((mate(r), mate(s)) for r, s in word))] = sign * c
         return DiffOperator(out)
-
-    def coefficient_degree_filter(self, max_degree: int) -> "DiffOperator":
-        """Keep terms whose polynomial coefficient has at most the given degree."""
-        keep = {}
-        for (mono, word), c in self.terms.items():
-            if sum(p for _, p in mono) <= max_degree:
-                keep[(mono, word)] = c
-        return DiffOperator(keep)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -331,7 +251,7 @@ class DiffOperator(_CRatSum):
             vars_ = "".join(f"z[{r},{s}]" + (f"^{p}" if p > 1 else "")
                             for (r, s), p in mono)
             ds = "".join(f"d[{r},{s}]" for r, s in word)
-            bits.append("*".join(x for x in (repr(c), vars_, ds) if x))
+            bits.append("*".join(x for x in (str(c), vars_, ds) if x))
         return " + ".join(bits)
 
 
@@ -381,9 +301,7 @@ def _leibniz_cross(left: DiffOperator, right: DiffOperator, sign: int,
                         powers[var] = powers.get(var, 0) + p
                     key = (tuple(sorted(powers.items())),
                            tuple(sorted(passed + w2)) if passed else w2)
-                    c = c1 * c2
-                    if factor != 1:
-                        c = c * CRat(factor, 0)
+                    c = c1 * c2 * factor
                     out[key] = out[key] + c if key in out else c
 
 
@@ -681,21 +599,23 @@ def cartan_H(a: int, k: int, n: int) -> DiffOperator:
     return gen_H(a, a, k, n)
 
 
-def eigenvalue_of(op: DiffOperator, f: PolyFunction) -> CRat:
-    """Exact eigenvalue of ``f`` under ``op``; raises NotEigenvector."""
+def eigenvalue_of(op: DiffOperator, f: PolyFunction):
+    """Exact eigenvalue of ``f`` under ``op``, an int where integral and a
+    Fraction otherwise; raises NotEigenvector."""
     if f.is_zero():
         raise NotEigenvector("the zero polynomial is not an eigenvector")
     g = op.apply(f)
     if g.is_zero():
-        return ZERO
+        return 0
     mono, c = next(iter(f.terms.items()))
     top = g.terms.get(mono)
     if top is None:
         raise NotEigenvector("image lost the leading monomial")
-    denom = c.re * c.re + c.im * c.im
-    lam = top * c.conjugate() * CRat(Fraction(1, 1) / denom, Fraction(0))
+    lam = Fraction(top) / c
+    if lam.denominator == 1:
+        lam = lam.numerator
     for m2, c2 in f.terms.items():
-        if g.terms.get(m2, ZERO) != c2 * lam:
+        if g.terms.get(m2, 0) != c2 * lam:
             raise NotEigenvector("image is not a scalar multiple of the input")
     if len(g.terms) != len(f.terms):
         raise NotEigenvector("image has extra monomials")
@@ -720,17 +640,17 @@ def ladder_check(k: int, n: int, vector: PolyFunction,
     up = gen_p(alpha, a, k, n).apply(vector)
     if not up.is_zero():
         out["raised"] = eigenvalue_of(big, up)
-        if out["raised"] != n_a + ONE:
+        if out["raised"] != n_a + 1:
             raise NotEigenvector(
                 f"raising produced eigenvalue {out['raised']}, "
-                f"expected {n_a + ONE}")
+                f"expected {n_a + 1}")
     down = gen_pbar(alpha, a, k, n).apply(vector)
     if not down.is_zero():
         out["lowered"] = eigenvalue_of(small, down)
-        if out["lowered"] != n_alpha - ONE:
+        if out["lowered"] != n_alpha - 1:
             raise NotEigenvector(
                 f"lowering produced eigenvalue {out['lowered']}, "
-                f"expected {n_alpha - ONE}")
+                f"expected {n_alpha - 1}")
     return out
 
 
@@ -767,4 +687,5 @@ def linear_part(op: DiffOperator) -> DiffOperator:
     Near the origin the off-diagonal generator reduces to its constant part,
     the bare conjugate derivative.
     """
-    return op.coefficient_degree_filter(0)
+    return DiffOperator({(mono, word): c for (mono, word), c in op.terms.items()
+                         if not mono})

@@ -1,13 +1,24 @@
 """Sparse exact sums: the additive arithmetic that the polynomial and
 operator classes share."""
 
+from fractions import Fraction
+
+
+def exact(value):
+    """An int unchanged, any other real number as the equal Fraction.
+
+    A complex value raises TypeError.
+    """
+    return value if type(value) is int else Fraction(value)
+
 
 class SparseSum:
     """Sum of coefficient x key over a dict of nonzero coefficients.
 
     The constructor takes exact coefficients as given and drops zero ones;
-    subclasses coerce numbers from callers where they enter.  Values of two
-    classes are never equal.
+    subclasses coerce numbers from callers where they enter (see
+    :func:`exact`).  Values of two classes are never equal, and adding or
+    subtracting them raises TypeError.
     """
 
     __slots__ = ("terms",)
@@ -19,12 +30,16 @@ class SparseSum:
         return not self.terms
 
     def __add__(self, o):
+        if type(o) is not type(self):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in o.terms.items():
             out[k] = out[k] + c if k in out else c
         return type(self)(out)
 
     def __sub__(self, o):
+        if type(o) is not type(self):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in o.terms.items():
             out[k] = out[k] - c if k in out else -c

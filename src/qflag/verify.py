@@ -540,9 +540,9 @@ def _(cfg, rng):
               liealg.PolyFunction.z(1, 1)]
     for vec in probes:
         rep = liealg.ladder_check(1, 2, vec, alpha=0, a=0)
-        if rep["raised"] is not None and rep["raised"] != rep["H_eigenvalue"] + liealg.ONE:
+        if rep["raised"] is not None and rep["raised"] != rep["H_eigenvalue"] + 1:
             bad += 1
-        if rep["lowered"] is not None and rep["lowered"] != rep["h_eigenvalue"] - liealg.ONE:
+        if rep["lowered"] is not None and rep["lowered"] != rep["h_eigenvalue"] - 1:
             bad += 1
     yield float(bad), 0.5, "+1 under p, -1 under pbar, exact"
 
@@ -624,13 +624,10 @@ def _(cfg, rng):
 def _(cfg, rng):
     bad = 0
     for _ in range(cfg.count(100)):
-        psi = emfield.random_field(rng)
         try:
-            dec = emfield.decompose(psi)   # raises on an internal mismatch
+            # compares p* psi with its decomposition; raises on a mismatch
+            emfield.decompose(emfield.random_field(rng))
         except QflagError:
-            bad += 1
-            continue
-        if emfield.apply_pstar(psi) != dec.pstar_image():
             bad += 1
     yield (float(bad), 0.5,
            "scalar = A0,0 - div A and vector = -E + B, exact")

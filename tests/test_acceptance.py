@@ -169,10 +169,10 @@ def test_criterion_08_ladder_shifts():
     for vec in vectors:
         rep = liealg.ladder_check(1, 2, vec, alpha=0, a=0)
         if rep["raised"] is not None and \
-                rep["raised"] != rep["H_eigenvalue"] + liealg.ONE:
+                rep["raised"] != rep["H_eigenvalue"] + 1:
             bad += 1
         if rep["lowered"] is not None and \
-                rep["lowered"] != rep["h_eigenvalue"] - liealg.ONE:
+                rep["lowered"] != rep["h_eigenvalue"] - 1:
             bad += 1
     passed = bad == 0
     record_criterion(8, "ladder shifts +1 under p, -1 under pbar (exact)",

@@ -1,9 +1,9 @@
-"""One traced round of two benchmark workloads.
+"""One traced round of three benchmark workloads.
 
 The benchmark under ``bench/`` binds package entry points by name and wraps
-them from outside.  Running a round of the kernel and geometry workloads
-under its tracer here makes a renamed or removed entry point fail the test
-suite rather than a later benchmark run.
+them from outside.  Running a round of the kernel, geometry and symbolic
+workloads under its tracer here makes a renamed or removed entry point fail
+the test suite rather than a later benchmark run.
 """
 
 import os
@@ -26,7 +26,15 @@ def bench():
         sys.path.remove(BENCH)
 
 
-@pytest.mark.parametrize("name", ["kernels-large", "geometry-calls"])
+# spans each workload must reach through the tracer
+REACHED = {
+    "kernels-large": ("quatmat.inv", "linalg.solve"),
+    "geometry-calls": ("quatmat.inv", "linalg.solve"),
+    "symbolic": ("liealg.compose", "liealg.apply"),
+}
+
+
+@pytest.mark.parametrize("name", list(REACHED))
 def test_traced_round_passes_its_gates(bench, name, tmp_path):
     spans, workloads = bench
     wl = workloads.WORKLOADS[name]
@@ -40,5 +48,5 @@ def test_traced_round_passes_its_gates(bench, name, tmp_path):
     attempted, failed = wl.check(inputs, outputs)
     assert attempted > 0 and failed == 0
     counts = tracer.call_counts()
-    assert counts["quatmat.inv"] > 0 and counts["linalg.solve"] > 0
+    assert all(counts.get(span, 0) > 0 for span in REACHED[name])
     assert "linalg.cond" not in counts

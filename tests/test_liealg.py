@@ -6,7 +6,7 @@ import pytest
 
 from qflag import liealg
 from qflag.errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
-from qflag.liealg import (CRat, DiffOperator, ONE, PolyFunction, cartan_H,
+from qflag.liealg import (DiffOperator, PolyFunction, cartan_H,
                           cartan_h, commutator, eigenvalue_of, gen_H, gen_h,
                           gen_p, gen_p_via_H, gen_p_via_h, gen_pbar, generator,
                           jval, kappa, ladder_check, laplace_beltrami,
@@ -19,34 +19,6 @@ ZB = PolyFunction.zbar
 
 # -- exact arithmetic ----------------------------------------------------------
 
-def test_crat_arithmetic():
-    a = CRat(Fraction(1, 2), Fraction(3))
-    b = CRat(Fraction(2), Fraction(-1, 3))
-    assert (a * b).re == 1 + Fraction(1)      # 1/2*2 - 3*(-1/3) = 1 + 1
-    assert (a * b).im == Fraction(1, 2) * Fraction(-1, 3) + Fraction(6)
-    assert (a + b - b) == a
-    assert a.conjugate().im == -3
-
-
-def test_crat_mixed_int_and_fraction_parts():
-    assert CRat(2, 0) == CRat(Fraction(2), Fraction(0))
-    assert hash(CRat(2, 0)) == hash(CRat(Fraction(2), Fraction(0)))
-    assert CRat(-1, 3) == CRat(Fraction(-1), 3)
-    assert hash(CRat(-1, 3)) == hash(CRat(Fraction(-1), 3))
-    assert CRat(1, 0) != CRat(Fraction(1, 2), 0)
-    assert {CRat(2, 0): "two"}[CRat(Fraction(4, 2), Fraction(0))] == "two"
-    assert repr(CRat(2, 0)) == repr(CRat(Fraction(2), Fraction(0))) == "2"
-    assert repr(CRat(Fraction(1, 2), 3)) == "(1/2+3i)"
-    assert repr(CRat(2, Fraction(-3))) == "(2-3i)"
-    assert CRat.of(3) == CRat(3, 0) and type(CRat.of(3).re) is int
-    assert CRat.of(Fraction(3, 4)).re == Fraction(3, 4)
-    assert CRat.of(0.5 - 2j) == CRat(Fraction(1, 2), -2)
-    assert CRat(Fraction(0), Fraction(0)).is_zero()
-    # operators and polynomials compare alike whichever form the parts take
-    assert DiffOperator.d(0, 0).scaled(Fraction(1)) == DiffOperator.d(0, 0)
-    assert PolyFunction({(): CRat(Fraction(0), Fraction(0))}).is_zero()
-
-
 def test_polynomial_ring():
     f = Z(0, 0) * Z(0, 0) + PolyFunction.constant(2)
     g = Z(0, 0) - PolyFunction.constant(1)
@@ -54,6 +26,13 @@ def test_polynomial_ring():
     assert f.diff((0, 0)) == Z(0, 0) * 2
     assert f.diff((1, 1)).is_zero()
     assert (f - f).is_zero()
+    # an int and the equal Fraction are one coefficient
+    two = PolyFunction.constant(2)
+    assert two == PolyFunction.constant(Fraction(4, 2))
+    assert hash(two) == hash(PolyFunction.constant(Fraction(2)))
+    assert {two: "two"}[PolyFunction.constant(Fraction(4, 2))] == "two"
+    assert repr(two) == repr(PolyFunction.constant(Fraction(2))) == "2"
+    assert PolyFunction({(): Fraction(0)}).is_zero()
 
 
 def test_zbar_canonicalisation():
@@ -119,18 +98,17 @@ def test_composition_leibniz_on_repeated_symbols():
     assert dd.apply(f) == Z(0, 0) * 6
 
 
-def _random_operator(rng, variables, gaussian_integer):
+def _random_operator(rng, variables, integer):
     terms = {}
     for _ in range(rng.randint(1, 5)):
         mono = {}
         for var in rng.choices(variables, k=rng.randint(0, 2)):
             mono[var] = mono.get(var, 0) + 1
         word = tuple(sorted(rng.choices(variables, k=rng.randint(0, 2))))
-        if gaussian_integer:
-            c = CRat(rng.randint(-3, 3), rng.randint(-3, 3))
+        if integer:
+            c = rng.randint(-3, 3)
         else:
-            c = CRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                     Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         terms[(tuple(sorted(mono.items())), word)] = c
     return DiffOperator(terms)
 
@@ -142,8 +120,8 @@ def test_compose_agrees_with_successive_application():
     variables = [(r, c) for r in range(2 * k) for c in range(2 * (n - k))]
     basis = monomials_up_to_degree(k, n, 3)
     for trial in range(24):
-        a = _random_operator(rng, variables, gaussian_integer=trial % 2 == 0)
-        b = _random_operator(rng, variables, gaussian_integer=trial % 3 == 0)
+        a = _random_operator(rng, variables, integer=trial % 2 == 0)
+        b = _random_operator(rng, variables, integer=trial % 3 == 0)
         ab = a.compose(b)
         assert ab.order() <= a.order() + b.order()
         for f in basis:
@@ -157,8 +135,8 @@ def test_commutator_equals_difference_of_compositions():
     variables = [(r, c) for r in range(2) for c in range(2)]
     orders = set()
     for trial in range(40):
-        a = _random_operator(rng, variables, gaussian_integer=trial % 2 == 0)
-        b = _random_operator(rng, variables, gaussian_integer=trial % 3 == 0)
+        a = _random_operator(rng, variables, integer=trial % 2 == 0)
+        b = _random_operator(rng, variables, integer=trial % 3 == 0)
         orders.add((a.order(), b.order()))
         assert commutator(a, b) == a.compose(b) - b.compose(a), trial
     assert {0, 1, 2} <= {o for pair in orders for o in pair}
@@ -178,23 +156,24 @@ def test_commutator_refuses_second_order_residue(monkeypatch):
     def leaky(left, right, sign, out):
         real(left, right, sign, out)
         if sign > 0:
-            out[((), ((0, 0), (1, 1)))] = ONE
+            out[((), ((0, 0), (1, 1)))] = 1
 
     monkeypatch.setattr(liealg, "_leibniz_cross", leaky)
     with pytest.raises(SecondOrderResidue):
         commutator(gen_h(0, 1, 1, 2), gen_H(1, 0, 1, 2))
-    dd = DiffOperator({((), ((0, 0), (0, 1))): ONE})
+    dd = DiffOperator({((), ((0, 0), (0, 1))): 1})
     assert commutator(dd, gen_h(0, 0, 1, 2)).order() == 2
 
 
 def test_compose_repeated_symbol_in_both_words():
-    # z^2 d d composed with z^3 d: the Leibniz expansion hits z^3 twice
+    # z^2 d d composed with z^3 d: the Leibniz expansion hits z^3 twice,
+    # d d (z^3 d) = z^3 d^3 + 6 z^2 d^2 + 6 z d, weighted by -3 * 1/2
     s = (0, 0)
-    a = DiffOperator({(((s, 2),), (s, s)): CRat(1, 1)})
-    b = DiffOperator({(((s, 3),), (s,)): CRat(Fraction(1, 2), 0)})
-    want = DiffOperator({(((s, 5),), (s, s, s)): CRat(Fraction(1, 2), Fraction(1, 2)),
-                         (((s, 4),), (s, s)): CRat(3, 3),
-                         (((s, 3),), (s,)): CRat(3, 3)})
+    a = DiffOperator({(((s, 2),), (s, s)): -3})
+    b = DiffOperator({(((s, 3),), (s,)): Fraction(1, 2)})
+    want = DiffOperator({(((s, 5),), (s, s, s)): Fraction(-3, 2),
+                         (((s, 4),), (s, s)): -9,
+                         (((s, 3),), (s,)): -9})
     assert a.compose(b) == want
     for f in monomials_up_to_degree(1, 2, 3):
         assert want.apply(f) == a.apply(b.apply(f))
@@ -208,8 +187,8 @@ def test_compose_hit_symbol_absent_once_or_squared(word, power):
     # times; compose must match B then A through apply
     s, t = (0, 0), (1, 1)
     mono = (((s, power),) if power else ()) + ((t, 1),)
-    a = DiffOperator({((((1, 0), 1),), word): CRat(2, -1)})
-    b = DiffOperator({(mono, ((0, 1),)): CRat(1, 3)})
+    a = DiffOperator({((((1, 0), 1),), word): -2})
+    b = DiffOperator({(mono, ((0, 1),)): Fraction(1, 3)})
     ab = a.compose(b)
     for f in monomials_up_to_degree(1, 2, 3):
         assert ab.apply(f) == a.apply(b.apply(f)), f
@@ -221,6 +200,10 @@ def test_difference_and_zero_scaling():
     assert (a - a).is_zero()
     assert a.scaled(0).is_zero() and a.scaled(0) == DiffOperator.zero()
     assert a.scaled(-1) == -a
+    # an int and the equal Fraction scale alike
+    d = DiffOperator.d(0, 0)
+    assert d.scaled(Fraction(1)) == d and hash(d.scaled(Fraction(1))) == hash(d)
+    assert d.scaled(Fraction(1, 2)) != d
 
 
 def test_generator_index_gates():
@@ -353,9 +336,9 @@ def test_pbar_p_relation_by_application():
 
 def test_ladder_raising_and_lowering():
     rep = ladder_check(1, 2, Z(0, 0), alpha=0, a=0)
-    assert rep["H_eigenvalue"] == ONE
-    assert rep["raised"] == CRat(Fraction(2), Fraction(0))
-    assert rep["lowered"] == CRat(Fraction(0), Fraction(0))
+    assert rep["H_eigenvalue"] == 1
+    assert rep["raised"] == 2
+    assert rep["lowered"] == 0
 
 
 def test_ladder_on_monomial_family():
@@ -364,11 +347,11 @@ def test_ladder_on_monomial_family():
         for _ in range(power):
             mono = mono * Z(0, 0)
         rep = ladder_check(1, 2, mono, alpha=0, a=0)
-        assert rep["H_eigenvalue"] == CRat(Fraction(power), Fraction(0))
+        assert rep["H_eigenvalue"] == power
         if rep["raised"] is not None:
-            assert rep["raised"] == CRat(Fraction(power + 1), Fraction(0))
+            assert rep["raised"] == power + 1
         if rep["lowered"] is not None:
-            assert rep["lowered"] == CRat(Fraction(power - 1), Fraction(0))
+            assert rep["lowered"] == power - 1
 
 
 def test_ladder_direction_reverses_under_conjugation():
@@ -378,17 +361,25 @@ def test_ladder_direction_reverses_under_conjugation():
     n_a = eigenvalue_of(big, vec)
     down = gen_pbar(0, 0, 1, 2).apply(vec)
     if not down.is_zero():
-        assert eigenvalue_of(big, down) == n_a - ONE
+        assert eigenvalue_of(big, down) == n_a - 1
 
 
 def test_eigenvalue_non_integer_rational():
-    # (2+i) z00 under H00 / 3: the division leaves the Gaussian integers
-    f = Z(0, 0) * CRat(2, 1)
+    # -2/5 z00 under H00 / 3: the division leaves the integers
+    f = Z(0, 0) * Fraction(-2, 5)
     lam = eigenvalue_of(cartan_H(0, 1, 2).scaled(Fraction(1, 3)), f)
-    assert lam == CRat(Fraction(1, 3), 0)
-    assert repr(lam) == "1/3"
-    lam = eigenvalue_of(cartan_H(0, 1, 2).scaled(CRat(Fraction(1, 2), -1)), f)
-    assert lam == CRat(Fraction(1, 2), -1)
+    assert lam == Fraction(1, 3)
+    assert str(lam) == "1/3"
+    lam = eigenvalue_of(cartan_H(0, 1, 2).scaled(Fraction(-1, 2)), f)
+    assert lam == Fraction(-1, 2)
+
+
+def test_rational_coefficients_print_plainly():
+    assert repr(Z(0, 0) * Fraction(1, 2)) == "1/2*z[0,0]"
+    assert repr(DiffOperator.d(0, 0).scaled(-1)) == "-1*d[0,0]"
+    # an integral eigenvalue comes back as an int, even from a Fraction input
+    lam = eigenvalue_of(cartan_H(0, 1, 2), Z(0, 0) * Fraction(1, 2))
+    assert lam == 1 and type(lam) is int and repr(lam) == "1"
 
 
 def test_ladder_rejects_non_eigenvector():
@@ -399,14 +390,14 @@ def test_ladder_rejects_non_eigenvector():
 def test_annihilated_vector_reported_as_none():
     rep = ladder_check(1, 2, PolyFunction.constant(1))
     assert rep["raised"] is None
-    assert rep["H_eigenvalue"] == CRat(Fraction(0), Fraction(0))
+    assert rep["H_eigenvalue"] == 0
 
 
 def test_cartan_eigenvalues_are_degree_differences():
     # h_{00} counts row-0 degree minus row-1 degree
     f = Z(0, 0) * Z(0, 1) * Z(1, 0)
-    assert eigenvalue_of(cartan_h(0, 1, 2), f) == ONE
-    assert eigenvalue_of(cartan_H(0, 1, 2), f) == ONE
+    assert eigenvalue_of(cartan_h(0, 1, 2), f) == 1
+    assert eigenvalue_of(cartan_H(0, 1, 2), f) == 1
 
 
 # -- Laplace-Beltrami -------------------------------------------------------------------

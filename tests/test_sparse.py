@@ -1,17 +1,18 @@
 """The sparse exact sum shared by RealPoly, PolyFunction and DiffOperator."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from qflag.emfield import RealPoly
-from qflag.liealg import ONE, ZERO, CRat, DiffOperator, PolyFunction
+from qflag.liealg import DiffOperator, PolyFunction
 
 # one key of each class, a nonzero coefficient and the zero coefficient
 CASES = {
     RealPoly: ((1, 0, 2, 0), Fraction(3, 2), 0),
-    PolyFunction: ((((0, 1), 2),), CRat(2, -1), ZERO),
-    DiffOperator: (((((0, 1), 1),), ((1, 0),)), CRat(Fraction(1, 3), 1), ZERO),
+    PolyFunction: ((((0, 1), 2),), -2, 0),
+    DiffOperator: (((((0, 1), 1),), ((1, 0),)), Fraction(1, 3), Fraction(0)),
 }
 
 
@@ -39,21 +40,40 @@ def test_equal_values_hash_alike(cls):
 
 def test_equal_terms_of_two_classes_compare_unequal():
     key = ()
-    poly = PolyFunction({key: ONE})
-    op = DiffOperator({key: ONE})
+    poly = PolyFunction({key: 1})
+    op = DiffOperator({key: 1})
     real = RealPoly({key: 1})
     assert poly.terms == op.terms
     assert poly != op and op != poly
     assert poly != real and op != real
 
 
+@pytest.mark.parametrize("left, right", list(itertools.permutations(CASES, 2)),
+                         ids=lambda c: c.__name__)
+def test_sums_of_two_classes_raise(left, right):
+    a = left({CASES[left][0]: CASES[left][1]})
+    b = right({CASES[right][0]: CASES[right][1]})
+    with pytest.raises(TypeError):
+        a + b
+    with pytest.raises(TypeError):
+        a - b
+
+
 def test_numbers_are_coerced_where_they_enter():
     assert RealPoly.constant(0.5).terms == {(0, 0, 0, 0): Fraction(1, 2)}
     assert type(RealPoly.constant(3).terms[0, 0, 0, 0]) is int
     assert (RealPoly.x(1) * 0.25).terms == {(0, 1, 0, 0): Fraction(1, 4)}
-    assert PolyFunction.constant(2).terms == {(): CRat(2, 0)}
+    assert PolyFunction.constant(2).terms == {(): 2}
+    assert type(PolyFunction.constant(2).terms[()]) is int
     assert PolyFunction.constant(0).is_zero()
-    assert (PolyFunction.z(0, 0) * 3).terms == {(((0, 0), 1),): CRat(3, 0)}
+    assert (PolyFunction.z(0, 0) * 3).terms == {(((0, 0), 1),): 3}
+    assert (PolyFunction.z(0, 0) * 0.25).terms == {(((0, 0), 1),): Fraction(1, 4)}
     assert DiffOperator.d(0, 0).scaled(0).is_zero()
-    assert DiffOperator.d(0, 0).scaled(0.5j).terms == {
-        ((), ((0, 0),)): CRat(0, Fraction(1, 2))}
+    assert DiffOperator.d(0, 0).scaled(0.5).terms == {
+        ((), ((0, 0),)): Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        PolyFunction.constant(1j)
+    with pytest.raises(TypeError):
+        DiffOperator.d(0, 0).scaled(0.5j)
+    with pytest.raises(TypeError):
+        RealPoly.constant(1j)
