@@ -1,5 +1,5 @@
-"""The 4-sphere: Einstein property by finite differences and the radial
-solutions of the Laplace-Beltrami equation.
+"""The 4-sphere: Einstein property from the exact derivatives of the metric
+and the radial solutions of the Laplace-Beltrami equation.
 """
 
 import math
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qflag.s4lb import (angular_metric, einstein_check, fs_metric,
+from qflag.s4lb import (angular_jet, einstein_check, fs_metric,
                         lb_radial_residual, make_f0, make_gl,
                         random_chart_points, weighted_absolute_integral)
 
@@ -20,7 +20,7 @@ print(f"\nEinstein constant on the y-chart: lambda = {rep['lambda']:.6f} "
 
 ang = einstein_check(
     [np.array([1.1, 0.9, 1.0, 2.0]), np.array([2.0, 1.7, 0.3, 4.0])],
-    metric_fn=lambda p: angular_metric(p[0], p[1]))
+    metric_fn=angular_jet)
 print(f"polar chart (metric scaled by 4): lambda = {ang['lambda']:.6f}; "
       "Ricci is scale invariant, so 4x this matches the y-chart value")
 

@@ -343,11 +343,6 @@ def trivial_action(eta: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def fiber_element(units) -> GroupElement:
-    """Block-diagonal group element from a tuple of unit quaternions."""
-    return GroupElement(QuatMatrix.diag(list(units)), check=False)
-
-
 MAX_HAAR_FIBERS = 3   # 24^3 = 13,824 nodes, about 40 MB; no caller needs more
 
 

@@ -65,10 +65,6 @@ class DegenerateQuadruple(SingularMatrix):
     """Cross-ratio requested for points with a singular inverted difference."""
 
 
-class DependentDirections(QflagError):
-    """Tangent directions are linearly dependent."""
-
-
 class TooManyFibers(QflagError):
     """Fiber average asked over more fibers than coset.MAX_HAAR_FIBERS."""
 

@@ -28,8 +28,7 @@ import itertools
 
 import numpy as np
 
-from . import config
-from .errors import DependentDirections, DimensionMismatch
+from .errors import DimensionMismatch
 from .quaternion import MUL_TABLE
 from .quatmat import _CONJ, QuatMatrix, block_matrix, expm, func_hermitian
 
@@ -132,17 +131,7 @@ def connection_blocks(gen: QuatMatrix, t: float, j: int, k: int):
     return connection_along_path(gen, t).blocks(j, k)
 
 
-def _gram_independent(u: QuatMatrix, v: QuatMatrix) -> bool:
-    """True when every tangent pair of the batch is linearly independent."""
-    def dot(p, q):
-        return (p.a * q.a).sum(axis=(-3, -2, -1))
-    uu, vv, uv = dot(u, u), dot(v, v), dot(u, v)
-    gram = uu * vv - uv * uv
-    return bool(np.all(gram > config.IDENTITY * np.maximum(1.0, uu * vv)))
-
-
-def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix,
-                     require_independent: bool = False) -> dict:
+def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix) -> dict:
     """Curvature pieces at a Grassmannian point on a pair of tangents.
 
     Evaluates Omega11 = (w12 ^ w12*)(du, dv) and Omega22 = (w12* ^ w12)(du, dv)
@@ -159,8 +148,6 @@ def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix,
     y = point.x
     if du.shape != y.shape or dv.shape != y.shape:
         raise DimensionMismatch("tangents must match the point shape")
-    if require_independent and not _gram_independent(du, dv):
-        raise DependentDirections("tangent pair is linearly dependent")
     j, k = y.rows, y.cols
     s1 = QuatMatrix.identity(j) + y @ y.adjoint()
     s2 = QuatMatrix.identity(k) + y.adjoint() @ y

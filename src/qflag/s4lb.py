@@ -5,8 +5,9 @@ projection of the unit sphere) carry the Fubini-Study line element
 
     ds^2 = (1 + y y')^{-1} dy (1 + y' y)^{-1} dy',
 
-which is the unit round metric; its Ricci tensor is 3 g, checked here by
-finite differences.  Polar coordinates (omega, alpha, beta, gamma) carry
+which is the unit round metric; its Ricci tensor is 3 g, checked here from
+the closed-form derivatives of the metric.  Polar coordinates (omega, alpha,
+beta, gamma) carry
 
     ds^2 = 4 domega^2 + sin^2(omega) [dalpha^2 + dbeta^2 + dgamma^2
                                       + 2 cos(alpha) dbeta dgamma].
@@ -70,74 +71,81 @@ def angular_metric(omega: float, alpha: float) -> np.ndarray:
     return g
 
 
-# -- finite-difference curvature ----------------------------------------------
-
-_STEP = 1e-4            # central-difference step of Christoffel and Ricci
-_OFFDIAG_FLOOR = 1e-8   # metric entries this small count as zero
+# -- exact curvature ----------------------------------------------------------
 
 
-def christoffel(metric_fn, point) -> np.ndarray:
-    """Gamma^k_{ij} by central differences of the metric."""
-    point = np.asarray(point, dtype=float)
-    dim = point.size
-    g = metric_fn(point)
+def fs_jet(y):
+    """(g, dg, ddg) of the y-chart metric: dg[m] = d_m g, ddg[m, n] = d_m d_n g."""
+    g = fs_metric(y)
+    y = np.asarray(y, dtype=float)
+    eye, yy = np.eye(4), np.outer(y, y)
+    # g = u 1 - u^2 y y' with u = 1/(1+|y|^2); du and du2 are the derivatives
+    # of u and u^2, d_m u = -2 u^2 y_m
+    u = 1.0 / (1.0 + float(y @ y))
+    du, ddu = -2 * u ** 2 * y, 8 * u ** 3 * yy - 2 * u ** 2 * eye
+    du2, ddu2 = -4 * u ** 3 * y, 24 * u ** 4 * yy - 4 * u ** 3 * eye
+    # e[m] = d_m (y y') and ee[m, n] = d_m d_n (y y')
+    e = np.einsum("mi,j->mij", eye, y) + np.einsum("mj,i->mij", eye, y)
+    ee = np.einsum("mi,nj->mnij", eye, eye) + np.einsum("mj,ni->mnij", eye, eye)
+    dg = du[:, None, None] * eye - du2[:, None, None] * yy - u ** 2 * e
+    ddg = (ddu[:, :, None, None] * eye - ddu2[:, :, None, None] * yy
+           - du2[:, None, None, None] * e - du2[None, :, None, None] * e[:, None]
+           - u ** 2 * ee)
+    return g, dg, ddg
+
+
+def angular_jet(point):
+    """(g, dg, ddg) of the polar metric diag(4, 0, 0, 0) + sin^2(omega) S(alpha)."""
+    omega, alpha = point[0], point[1]
+    g = angular_metric(omega, alpha)
+    # s[d] and big_s[d]: the d-th derivatives of sin^2(omega) and S(alpha)
+    s = (math.sin(omega) ** 2, math.sin(2 * omega), 2 * math.cos(2 * omega))
+    big_s = np.zeros((3, 4, 4))
+    big_s[0, 1:, 1:] = np.eye(3)
+    big_s[:, 2, 3] = big_s[:, 3, 2] = (math.cos(alpha), -math.sin(alpha),
+                                       -math.cos(alpha))
+    dg, ddg = np.zeros((4, 4, 4)), np.zeros((4, 4, 4, 4))
+    dg[0], dg[1] = s[1] * big_s[0], s[0] * big_s[1]
+    ddg[0, 0], ddg[1, 1] = s[2] * big_s[0], s[0] * big_s[2]
+    ddg[0, 1] = ddg[1, 0] = s[1] * big_s[1]
+    return g, dg, ddg
+
+
+def _ricci(g, dg, ddg) -> np.ndarray:
+    """Ricci tensor of a metric 2-jet; leading axes are a batch."""
     g_inv = np.linalg.inv(g)
-    dg = np.empty((dim, dim, dim))
-    for m, delta in enumerate(np.eye(dim) * _STEP):
-        dg[m] = (metric_fn(point + delta) - metric_fn(point - delta)) / (2 * _STEP)
-    # dg[m, i, j] = partial_m g_ij; build sym[i, j, l] =
-    # partial_i g_jl + partial_j g_il - partial_l g_ij
-    sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", g_inv, sym)
-
-
-def ricci(metric_fn, point) -> np.ndarray:
-    """Ricci tensor by differencing the Christoffel symbols."""
-    point = np.asarray(point, dtype=float)
-    dim = point.size
-    dgamma = np.empty((dim, dim, dim, dim))
-    for m, delta in enumerate(np.eye(dim) * _STEP):
-        dgamma[m] = (christoffel(metric_fn, point + delta)
-                     - christoffel(metric_fn, point - delta)) / (2 * _STEP)
-    gamma = christoffel(metric_fn, point)
+    # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij and its derivatives dsym[m]
+    sym, dsym = (d + np.einsum("...jil->...ijl", d) - np.einsum("...lij->...ijl", d)
+                 for d in (dg, ddg))
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, sym)
+    # d_m Gamma^k_ij = 1/2 g^kl d_m sym_ijl - g^ka d_m g_ab Gamma^b_ij
+    dgamma = (0.5 * np.einsum("...kl,...mijl->...mkij", g_inv, dsym)
+              - np.einsum("...ka,...mab,...bij->...mkij", g_inv, dg, gamma))
     # R_ij = d_k Gamma^k_ij - d_j Gamma^k_ik + Gamma^k_kl Gamma^l_ij
     #        - Gamma^k_jl Gamma^l_ik
-    term1 = np.einsum("kkij->ij", dgamma)
-    term2 = np.einsum("jkik->ij", dgamma)
-    term3 = np.einsum("kkl,lij->ij", gamma, gamma)
-    term4 = np.einsum("kjl,lik->ij", gamma, gamma)
-    r = term1 - term2 + term3 - term4
-    return (r + r.T) / 2.0
+    return (np.einsum("...kkij->...ij", dgamma) - np.einsum("...jkik->...ij", dgamma)
+            + np.einsum("...kkl,...lij->...ij", gamma, gamma)
+            - np.einsum("...kjl,...lik->...ij", gamma, gamma))
 
 
-def einstein_check(points, metric_fn=fs_metric) -> dict:
-    """Ratios Ricci_ij / g_ij over sample points.
+def ricci(jet_fn, point) -> np.ndarray:
+    """Ricci tensor at ``point`` from the closed-form metric jet ``jet_fn``."""
+    return _ricci(*jet_fn(point))
 
-    For an Einstein metric all ratios collapse onto a single constant; the
-    spread is returned together with per-point estimates.  Off-diagonal
-    Ricci components are compared against zero wherever the metric entry is
-    negligible.
+
+def einstein_check(points, metric_fn=fs_jet) -> dict:
+    """Einstein constant of a metric jet ``metric_fn`` over sample points.
+
+    ``lambda`` is the mean of tr(g^-1 Ric)/4 and ``relative_spread`` the
+    largest |Ric - lambda g| / |lambda|; Ricci is compared against zero
+    wherever the metric entry is exactly zero.
     """
-    ratios = []
-    per_point = []
-    max_offdiag = 0.0
-    for p in points:
-        g = metric_fn(np.asarray(p, dtype=float))
-        r = ricci(metric_fn, p)
-        local = []
-        for i in range(4):
-            for j in range(4):
-                if abs(g[i, j]) > _OFFDIAG_FLOOR:
-                    local.append(r[i, j] / g[i, j])
-                else:
-                    max_offdiag = max(max_offdiag, abs(r[i, j]))
-        ratios.extend(local)
-        per_point.append(float(np.mean(local)))
-    ratios = np.array(ratios)
-    lam = float(ratios.mean())
-    spread = float((ratios.max() - ratios.min()) / max(1e-30, abs(lam)))
-    return {"lambda": lam, "relative_spread": spread,
-            "per_point": per_point, "max_offdiagonal_ricci": max_offdiag}
+    g, dg, ddg = map(np.array, zip(*map(metric_fn, points)))
+    ric = _ricci(g, dg, ddg)
+    lam = float(np.trace(np.linalg.solve(g, ric), axis1=1, axis2=2).mean() / 4)
+    return {"lambda": lam,
+            "relative_spread": float(np.abs(ric - lam * g).max() / abs(lam)),
+            "max_offdiagonal_ricci": float(np.abs(ric[g == 0.0]).max(initial=0.0))}
 
 
 def random_chart_points(rng: np.random.Generator, count: int,
@@ -147,10 +155,6 @@ def random_chart_points(rng: np.random.Generator, count: int,
 
 
 # -- radial solutions ------------------------------------------------------------
-
-
-def _is_half_integer(x: Fraction) -> bool:
-    return x.denominator == 2
 
 
 def _as_fraction(ell) -> Fraction:
@@ -166,7 +170,7 @@ def check_termination(ell, big_n: int) -> Fraction:
     f = _as_fraction(ell)
     if big_n < 0 or big_n != int(big_n):
         raise TerminationViolated(f"N must be a nonnegative integer, got {big_n}")
-    if _is_half_integer(f):
+    if f.denominator == 2:
         if not Fraction(big_n) < f - Fraction(1, 2):
             raise TerminationViolated(
                 f"half-integer l = {f} requires N < l - 1/2, got N = {big_n}")

@@ -555,12 +555,13 @@ def _(cfg, rng):
         bad += 1
     if lap.conjugate() != lap:
         bad += 1
-    for al in range(2):
-        for cartan in (liealg.cartan_h(al, 1, 2), liealg.cartan_H(al, 1, 2)):
-            if not liealg.commutator(lap, cartan).is_zero():
+    # at (1, 2) each of h, H, p and pbar has 2 x 2 index pairs
+    for kind in ("h", "H", "p", "pbar"):
+        for ij in np.ndindex(2, 2):
+            if not liealg.commutator(lap, liealg.generator(kind, ij, 1, 2)).is_zero():
                 bad += 1
     yield (float(bad), 0.5,
-           "kills constants, J-invariant, commutes with Cartans")
+           "kills constants, J-invariant, commutes with all 16 generators")
 
 
 # -- s4 ---------------------------------------------------------------------------
@@ -605,16 +606,15 @@ def _(cfg, rng):
     rep = s4lb.einstein_check(pts)
     ang_pts = list(cfg.rng("s4.einstein_angular_chart").uniform(
         [0.7, 0.7, 0.0, 0.0], [2.4, 2.4, 6.0, 6.0], (4, 4)))
-    rep_ang = s4lb.einstein_check(
-        ang_pts, metric_fn=lambda p: s4lb.angular_metric(p[0], p[1]))
-    yield rep["relative_spread"], 1e-3, f"lambda = {rep['lambda']:.6f}"
+    rep_ang = s4lb.einstein_check(ang_pts, metric_fn=s4lb.angular_jet)
+    yield rep["relative_spread"], 1e-12, f"lambda = {rep['lambda']:.6f}"
     # a random y-chart point has no zero metric entry; the polar chart's
     # off-diagonal entries are exact zeros
     yield (max(rep["max_offdiagonal_ricci"], rep_ang["max_offdiagonal_ricci"]),
-           1e-5, "Ricci where the metric vanishes, both charts")
+           1e-12, "Ricci where the metric vanishes, both charts")
     # the polar metric is 4x the unit round one; Ricci is scale invariant
     gap = abs(4.0 * rep_ang["lambda"] - rep["lambda"]) / abs(rep["lambda"])
-    yield (max(gap, rep_ang["relative_spread"]), 1e-3,
+    yield (max(gap, rep_ang["relative_spread"]), 1e-12,
            f"angular lambda = {rep_ang['lambda']:.6f}")
 
 

@@ -216,11 +216,11 @@ def test_criterion_10_einstein_property():
     pts = s4lb.random_chart_points(rng, 20)
     rep = s4lb.einstein_check(pts)
     elapsed = time.perf_counter() - start
-    passed = rep["relative_spread"] < 1e-3 and elapsed < 30.0
-    record_criterion(10, "Ricci/metric ratio constant over 20 points",
+    passed = rep["relative_spread"] < 1e-12 and elapsed < 30.0
+    record_criterion(10, "Ricci = lambda g over 20 points",
                      passed, f"spread={rep['relative_spread']:.2e}, "
                              f"lambda={rep['lambda']:.4f}, {elapsed:.1f}s")
-    assert rep["relative_spread"] < 1e-3
+    assert rep["relative_spread"] < 1e-12
     assert elapsed < 30.0
 
 

@@ -1,9 +1,9 @@
-"""One traced round of three benchmark workloads.
+"""One traced round of each benchmark workload.
 
 The benchmark under ``bench/`` binds package entry points by name and wraps
-them from outside.  Running a round of the kernel, geometry and symbolic
-workloads under its tracer here makes a renamed or removed entry point fail
-the test suite rather than a later benchmark run.
+them from outside.  Running a round of the kernel, geometry, symbolic and
+verify-all workloads under its tracer here makes a renamed or removed entry
+point fail the test suite rather than a later benchmark run.
 """
 
 import os
@@ -31,6 +31,7 @@ REACHED = {
     "kernels-large": ("quatmat.inv", "linalg.solve"),
     "geometry-calls": ("quatmat.inv", "linalg.solve"),
     "symbolic": ("liealg.compose", "liealg.apply"),
+    "verify-all": ("verify.run_suite", "s4lb.einstein_check", "s4lb.metric_evals"),
 }
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qflag.errors import ChartBoundary, TerminationViolated, TooCloseToPole
-from qflag.s4lb import (angular_metric, einstein_check, fs_metric,
-                        gl_coefficients, lb_radial_residual,
+from qflag.s4lb import (angular_jet, angular_metric, einstein_check, fs_jet,
+                        fs_metric, gl_coefficients, lb_radial_residual,
                         lb_radial_residual_scaled, make_f0, make_gl,
                         random_chart_points, ricci, theta_squared,
                         weighted_absolute_integral)
@@ -74,16 +74,36 @@ def test_angular_metric_boundary_gate():
         angular_metric(1.0, math.pi)
 
 
+def _central(f, p, h=1e-3):
+    """d_m f(p) for each coordinate m, by the fourth-order central stencil."""
+    return np.array([(8 * (f(p + e) - f(p - e)) - (f(p + 2 * e) - f(p - 2 * e)))
+                     / (12 * h) for e in np.eye(4) * h])
+
+
+def test_metric_jets_match_central_differences():
+    def polar(p):
+        return angular_metric(p[0], p[1])
+
+    points = [(fs_jet, fs_metric, rng.uniform(-1.2, 1.2, 4)) for _ in range(5)]
+    points += [(angular_jet, polar, rng.uniform([0.7, 0.7, 0, 0], [2.4, 2.4, 6, 6]))
+               for _ in range(5)]
+    for jet, metric, p in points:
+        g, dg, ddg = jet(p)
+        assert np.array_equal(g, metric(p))
+        assert np.abs(dg - _central(metric, p)).max() < 1e-8
+        assert np.abs(ddg - _central(lambda q: _central(metric, q), p)).max() < 1e-8
+
+
 # -- Einstein property --------------------------------------------------------------
 
 def test_einstein_y_chart():
     # include an axis point, where the off-diagonal metric entries vanish
     pts = random_chart_points(rng, 19) + [np.array([0.7, 0.0, 0.0, 0.0])]
     rep = einstein_check(pts)
-    assert rep["relative_spread"] < 1e-3
-    assert rep["max_offdiagonal_ricci"] < 1e-5
+    assert rep["relative_spread"] < 1e-12
+    assert rep["max_offdiagonal_ricci"] < 1e-12
     # the y-chart metric is the unit round sphere: Ricci = 3 g
-    assert rep["lambda"] == pytest.approx(3.0, abs=1e-3)
+    assert rep["lambda"] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_einstein_lambda_rotation_consistent():
@@ -91,7 +111,7 @@ def test_einstein_lambda_rotation_consistent():
     rot = random_rotation()
     r1 = einstein_check([y])["lambda"]
     r2 = einstein_check([rot @ y])["lambda"]
-    assert abs(r1 - r2) < 1e-5
+    assert abs(r1 - r2) < 1e-12
 
 
 def test_einstein_angular_chart_scale_relation():
@@ -99,14 +119,14 @@ def test_einstein_angular_chart_scale_relation():
     # rescaling, so its Einstein constant is 3/4
     pts = [np.array([rng.uniform(0.8, 2.3), rng.uniform(0.8, 2.3),
                      rng.uniform(0, 6), rng.uniform(0, 6)]) for _ in range(5)]
-    rep = einstein_check(pts, metric_fn=lambda p: angular_metric(p[0], p[1]))
-    assert rep["relative_spread"] < 1e-3
-    assert rep["lambda"] == pytest.approx(0.75, abs=1e-4)
+    rep = einstein_check(pts, metric_fn=angular_jet)
+    assert rep["relative_spread"] < 1e-12
+    assert rep["lambda"] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_ricci_is_symmetric():
     y = rng.uniform(-1, 1, 4)
-    r = ricci(fs_metric, y)
+    r = ricci(fs_jet, y)
     assert np.abs(r - r.T).max() < 1e-12
 
 
