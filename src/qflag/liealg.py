@@ -171,7 +171,7 @@ class DiffOperator(SparseSum):
     Derivative symbols commute, so sorted words are canonical.
     """
 
-    __slots__ = ()
+    __slots__ = ("_held",)
 
     @classmethod
     def zero(cls) -> "DiffOperator":
@@ -223,12 +223,15 @@ class DiffOperator(SparseSum):
         :func:`_leibniz_cross`.
         """
         out = {}
-        for (m1, w1), c1 in self.terms.items():
-            for (m2, w2), c2 in o.terms.items():
-                key = (_merge_monomials(m1, m2),
-                       tuple(sorted(w1 + w2)) if w1 else w2)
-                c = c1 * c2
-                out[key] = out[key] + c if key in out else c
+        right = _by_monomial(o).items()
+        for m1, left_terms in _by_monomial(self).items():
+            for m2, right_terms in right:
+                m = _merge_monomials(m1, m2)
+                for w1, c1 in left_terms:
+                    for w2, c2 in right_terms:
+                        key = (m, _joined(w1, w2))
+                        c = c1 * c2
+                        out[key] = out[key] + c if key in out else c
         _leibniz_cross(self, o, 1, out)
         return DiffOperator(out)
 
@@ -243,6 +246,21 @@ class DiffOperator(SparseSum):
             out[m, tuple(sorted((mate(r), mate(s)) for r, s in word))] = sign * c
         return DiffOperator(out)
 
+    def _holding(self) -> dict:
+        """Terms as (powers, word, coefficient), indexed by each symbol their
+        monomial holds; built once, as operators never change in place and
+        every derived operator is a new value with its own index."""
+        try:
+            return self._held
+        except AttributeError:
+            held = {}
+            for (m2, w2), c2 in self.terms.items():
+                entry = (dict(m2), w2, c2)
+                for var, _ in m2:
+                    held.setdefault(var, []).append(entry)
+            self._held = held
+            return held
+
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -253,6 +271,21 @@ class DiffOperator(SparseSum):
             ds = "".join(f"d[{r},{s}]" for r, s in word)
             bits.append("*".join(x for x in (str(c), vars_, ds) if x))
         return " + ".join(bits)
+
+
+def _by_monomial(op: DiffOperator) -> dict:
+    """The (word, coefficient) pairs of ``op``, grouped by coefficient
+    monomial, so that a product merges each pair of monomials once."""
+    out = {}
+    for (m, w), c in op.terms.items():
+        out.setdefault(m, []).append((w, c))
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _joined(w1: tuple, w2: tuple) -> tuple:
+    """The sorted word ``w1 + w2``; few pairs of words recur across products."""
+    return tuple(sorted(w1 + w2)) if w1 else w2
 
 
 @functools.lru_cache(maxsize=4096)
@@ -272,17 +305,16 @@ def _leibniz_cross(left: DiffOperator, right: DiffOperator, sign: int,
     position, so a repeated symbol is hit once per copy) differentiates the
     right coefficient monomial on its exponents; the factor is the product
     of the powers taken down, and the rest of the left word passes through.
-    Right terms are indexed by the symbols their monomials hold, so a subset
-    meets only the terms that hold its first symbol.
+    Right terms are indexed by the symbols their monomials hold (see
+    :meth:`DiffOperator._holding`), so a subset meets only the terms that
+    hold its first symbol.
     """
-    holding = {}
-    for (m2, w2), c2 in right.terms.items():
-        entry = (dict(m2), w2, c2 if sign > 0 else -c2)
-        for var, _ in m2:
-            holding.setdefault(var, []).append(entry)
+    holding = right._holding()
     if not holding:
         return
     for (m1, w1), c1 in left.terms.items():
+        if sign < 0:
+            c1 = -c1
         for hit, passed in _hit_splits(w1):
             for right_powers, w2, c2 in holding.get(hit[0], ()):
                 powers = right_powers.copy()
@@ -318,7 +350,7 @@ def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     _leibniz_cross(a, b, 1, terms)
     _leibniz_cross(b, a, -1, terms)
     out = DiffOperator(terms)
-    if a.order() <= 1 and b.order() <= 1 and out.order() > 1:
+    if out.order() > 1 and a.order() <= 1 and b.order() <= 1:
         raise SecondOrderResidue(
             "second-order terms failed to cancel in a first-order commutator")
     return out
@@ -432,14 +464,10 @@ def generator(kind: str, indices, k: int, n: int) -> DiffOperator:
 
 
 # -- J-contracted generator families ------------------------------------------
-# (X J)_{i c} contracts the second index of a generator family X with the
-# almost complex structure, (J X)_{d j} the first; only one term of each sum
-# survives because J is a signed permutation.
-
-def _right_j(gen, i: int, c: int) -> DiffOperator:
-    """(X J)_{i c} for the generator family ``gen(i, j)``."""
-    return gen(i, mate(c)).scaled(jval(mate(c), c))
-
+# (J X)_{d j} contracts the first index of a generator family X with the
+# almost complex structure, (X J)_{i c} the second; only one term of each sum
+# survives because J is a signed permutation: (J X)_{d j} = J_{d, mate d}
+# X_{mate d, j} and (X J)_{i c} = X_{i, mate c} J_{mate c, c}.
 
 def _left_j(gen, d: int, j: int) -> DiffOperator:
     """(J X)_{d j} for the generator family ``gen(i, j)``."""
@@ -479,87 +507,93 @@ def _commutators(table: dict, pairs):
         yield (x, y), lhs
 
 
+def _combination(*pairs) -> DiffOperator:
+    """Sum of c x op over the (c, op) pairs whose c is nonzero."""
+    out = {}
+    for c0, op in pairs:
+        if c0:
+            for key, c in op.terms.items():
+                c *= c0
+                out[key] = out[key] + c if key in out else c
+    return DiffOperator(out)
+
+
 def _relation_cases(k: int, n: int):
     """Yield (family, lhs, rhs) for every index combination of the seven
-    commutation relations, with the right sides exactly as displayed.
+    commutation relations, with the right sides as displayed.
 
     Each generator is built once, into a table per kind, and every case
-    reads its operators from those tables.  In the [h,h], [H,H] and [p,p]
-    families every ordered pair of generators appears, and [Y, X] is exactly
-    -[X, Y]; so each pair is composed once (see :func:`_commutators`) and the
-    case order is unchanged.
+    reads its operators from those tables.  A right side adds each table
+    operator once per nonzero Kronecker or J coefficient, with the sign of
+    its J contraction (see :func:`_left_j`) folded into that coefficient.
+    In the [h,h], [H,H] and [p,p] families every ordered pair of generators
+    appears, and [Y, X] is exactly -[X, Y]; so each pair is composed once
+    (see :func:`_commutators`) and the case order is unchanged.
     """
     K, A = 2 * k, 2 * (n - k)
     row_pairs = list(itertools.product(range(K), repeat=2))
     col_pairs = list(itertools.product(range(A), repeat=2))
     row_cols = list(itertools.product(range(K), range(A)))
-    h_tab = {ij: gen_h(*ij, k, n) for ij in row_pairs}
-    H_tab = {ab: gen_H(*ab, k, n) for ab in col_pairs}
-    p_tab = {ia: gen_p(*ia, k, n) for ia in row_cols}
-    pbar_tab = {ia: op.conjugate() for ia, op in p_tab.items()}
-
-    def h(i, j):
-        return h_tab[i, j]
-
-    def H(i, j):
-        return H_tab[i, j]
-
-    def p(i, j):
-        return p_tab[i, j]
+    h = {ij: gen_h(*ij, k, n) for ij in row_pairs}
+    H = {ab: gen_H(*ab, k, n) for ab in col_pairs}
+    p = {ia: gen_p(*ia, k, n) for ia in row_cols}
+    pbar = {ia: op.conjugate() for ia, op in p.items()}
 
     for ((al, be), (mu, nu)), lhs in _commutators(
-            h_tab, itertools.product(row_pairs, repeat=2)):
-        rhs = (h(al, nu).scaled(_delta(be, mu))
-               - h(mu, be).scaled(_delta(al, nu))
-               - _right_j(h, al, mu).scaled(jval(be, nu))
-               + _left_j(h, be, nu).scaled(jval(mu, al)))
-        yield "[h,h]", lhs, rhs
+            h, itertools.product(row_pairs, repeat=2)):
+        # d_{be mu} h_{al nu} - d_{al nu} h_{mu be}
+        #   - (h J)_{al mu} J_{be nu} + (J h)_{be nu} J_{mu al}
+        yield "[h,h]", lhs, _combination(
+            (_delta(be, mu), h[al, nu]),
+            (-_delta(al, nu), h[mu, be]),
+            (-jval(mate(mu), mu) * jval(be, nu), h[al, mate(mu)]),
+            (jval(be, mate(be)) * jval(mu, al), h[mate(be), nu]))
     for ((a, b), (c, d)), lhs in _commutators(
-            H_tab, itertools.product(col_pairs, repeat=2)):
-        rhs = (H(a, d).scaled(_delta(b, c))
-               - H(c, b).scaled(_delta(a, d))
-               - _right_j(H, a, c).scaled(jval(b, d))
-               + _left_j(H, d, b).scaled(jval(c, a)))
-        yield "[H,H]", lhs, rhs
+            H, itertools.product(col_pairs, repeat=2)):
+        # d_{bc} H_{ad} - d_{ad} H_{cb} - (H J)_{ac} J_{bd} + (J H)_{db} J_{ca}
+        yield "[H,H]", lhs, _combination(
+            (_delta(b, c), H[a, d]),
+            (-_delta(a, d), H[c, b]),
+            (-jval(mate(c), c) * jval(b, d), H[a, mate(c)]),
+            (jval(d, mate(d)) * jval(c, a), H[mate(d), b]))
     for al, be in row_pairs:
         for a, b in col_pairs:
-            lhs = commutator(h(al, be), H(a, b))
-            yield "[h,H]", lhs, DiffOperator.zero()
+            yield "[h,H]", commutator(h[al, be], H[a, b]), DiffOperator.zero()
     for al, a in row_cols:
         for mu, nu in row_pairs:
-            lhs = commutator(p(al, a), h(mu, nu))
-            rhs = (p(mu, a).scaled(-_delta(al, nu))
-                   - _left_j(p, nu, a).scaled(jval(al, mu)))
-            yield "[p,h]", lhs, rhs
+            # -d_{al nu} p_{mu a} - (J p)_{nu a} J_{al mu}
+            yield "[p,h]", commutator(p[al, a], h[mu, nu]), _combination(
+                (-_delta(al, nu), p[mu, a]),
+                (-jval(nu, mate(nu)) * jval(al, mu), p[mate(nu), a]))
     for al in range(K):
         for a, b, c in itertools.product(range(A), repeat=3):
-            lhs = commutator(p(al, a), H(b, c))
-            rhs = (p(al, b).scaled(-_delta(a, c))
-                   + _right_j(p, al, c).scaled(jval(a, b)))
-            yield "[p,H]", lhs, rhs
+            # -d_{ac} p_{al b} + (p J)_{al c} J_{ab}
+            yield "[p,H]", commutator(p[al, a], H[b, c]), _combination(
+                (-_delta(a, c), p[al, b]),
+                (jval(mate(c), c) * jval(a, b), p[al, mate(c)]))
     pp_pairs = (((al, a), (be, b)) for al, be in row_pairs for a, b in col_pairs)
-    for ((al, a), (be, b)), lhs in _commutators(p_tab, pp_pairs):
-        rhs = (_right_j(h, al, be).scaled(-jval(a, b))
-               - _right_j(H, a, b).scaled(jval(al, be)))
-        yield "[p,p]", lhs, rhs
+    for ((al, a), (be, b)), lhs in _commutators(p, pp_pairs):
+        # -(h J)_{al be} J_{ab} - (H J)_{ab} J_{al be}
+        yield "[p,p]", lhs, _combination(
+            (-jval(mate(be), be) * jval(a, b), h[al, mate(be)]),
+            (-jval(mate(b), b) * jval(al, be), H[a, mate(b)]))
     for al, be in row_pairs:
         for a, b in col_pairs:
-            lhs = commutator(pbar_tab[al, a], p(be, b))
-            rhs = (H(b, a).scaled(_delta(al, be))
-                   + h(be, al).scaled(_delta(a, b)))
-            yield "[pbar,p]", lhs, rhs
+            yield "[pbar,p]", commutator(pbar[al, a], p[be, b]), _combination(
+                (_delta(al, be), H[b, a]), (_delta(a, b), h[be, al]))
 
 
 def verify_commutation_table(k: int, n: int, max_degree: int = 3,
                              spot_checks: int = 8) -> dict:
     """Check all seven commutation relations at the given partition.
 
-    Every relation is verified twice, by two independent reduction orders:
-    once as an exact equality of canonical operator forms, and once by
-    applying both sides to monomials up to ``max_degree`` (the first
-    ``spot_checks`` index combinations of each family, to bound runtime).
-    Any family that fails the displayed form would be reported with its
-    discrepancies rather than silently rewritten.
+    Every case is checked as an exact equality of canonical operator forms.
+    The first ``spot_checks`` cases of each family also apply ``lhs - rhs``
+    to every monomial up to ``max_degree``; that operator is zero whenever
+    the equality holds, so this guards ``==`` and ``-`` but is no second
+    route to the commutator (the tests hold that route: ``compose`` against
+    successive ``apply``).  A family that fails the displayed form is
+    reported with its discrepancies rather than silently rewritten.
     """
     _check_dims(k, n)
     basis = monomials_up_to_degree(k, n, max_degree)

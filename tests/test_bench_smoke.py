@@ -30,7 +30,8 @@ def bench():
 REACHED = {
     "kernels-large": ("quatmat.inv", "linalg.solve"),
     "geometry-calls": ("quatmat.inv", "linalg.solve"),
-    "symbolic": ("liealg.compose", "liealg.apply"),
+    "symbolic": ("liealg.compose", "liealg.apply", "liealg.table.k1n4",
+                 "liealg.laplace_beltrami"),
     "verify-all": ("verify.run_suite", "s4lb.einstein_check", "s4lb.metric_evals"),
 }
 

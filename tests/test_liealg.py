@@ -315,6 +315,103 @@ def test_reused_commutators_equal_fresh_ones(k, n):
             assert lhs == commutator(x, y), (family, i)
 
 
+def _displayed_right_sides(k, n):
+    """(family, rhs) of every case, each right side built term by term from
+    scaled generators exactly as the relations are displayed."""
+    K, A = 2 * k, 2 * (n - k)
+    d = liealg._delta
+
+    def right_j(gen, i, c):     # (X J)_{i c}
+        return gen(i, mate(c)).scaled(jval(mate(c), c))
+
+    def left_j(gen, dd, j):     # (J X)_{d j}
+        return gen(mate(dd), j).scaled(jval(dd, mate(dd)))
+
+    def h(i, j):
+        return gen_h(i, j, k, n)
+
+    def H(i, j):
+        return gen_H(i, j, k, n)
+
+    def p(i, j):
+        return gen_p(i, j, k, n)
+
+    rows = list(itertools.product(range(K), repeat=2))
+    cols = list(itertools.product(range(A), repeat=2))
+    for (al, be), (mu, nu) in itertools.product(rows, repeat=2):
+        yield "[h,h]", (h(al, nu).scaled(d(be, mu)) - h(mu, be).scaled(d(al, nu))
+                        - right_j(h, al, mu).scaled(jval(be, nu))
+                        + left_j(h, be, nu).scaled(jval(mu, al)))
+    for (a, b), (c, dd) in itertools.product(cols, repeat=2):
+        yield "[H,H]", (H(a, dd).scaled(d(b, c)) - H(c, b).scaled(d(a, dd))
+                        - right_j(H, a, c).scaled(jval(b, dd))
+                        + left_j(H, dd, b).scaled(jval(c, a)))
+    for _ in range(len(rows) * len(cols)):
+        yield "[h,H]", DiffOperator.zero()
+    for al, a in itertools.product(range(K), range(A)):
+        for mu, nu in rows:
+            yield "[p,h]", (p(mu, a).scaled(-d(al, nu))
+                            - left_j(p, nu, a).scaled(jval(al, mu)))
+    for al in range(K):
+        for a, b, c in itertools.product(range(A), repeat=3):
+            yield "[p,H]", (p(al, b).scaled(-d(a, c))
+                            + right_j(p, al, c).scaled(jval(a, b)))
+    for al, be in rows:
+        for a, b in cols:
+            yield "[p,p]", (right_j(h, al, be).scaled(-jval(a, b))
+                            - right_j(H, a, b).scaled(jval(al, be)))
+    for al, be in rows:
+        for a, b in cols:
+            yield "[pbar,p]", (H(b, a).scaled(d(al, be))
+                               + h(be, al).scaled(d(a, b)))
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (1, 3), (2, 3)])
+def test_right_sides_equal_the_displayed_forms(k, n):
+    # the table adds each generator once per nonzero coefficient; the
+    # displayed sums of scaled generators and J contractions stay the oracle
+    want = list(_displayed_right_sides(k, n))
+    got = [(family, rhs) for family, _, rhs in liealg._relation_cases(k, n)]
+    assert len(got) == len(want)
+    for i, ((family, rhs), (family0, rhs0)) in enumerate(zip(got, want)):
+        assert family == family0, i
+        assert rhs == rhs0, (family, i)
+
+
+def test_flipped_j_entry_fails_the_j_families(monkeypatch):
+    # J_{01} = -1 instead of +1: every relation with a J term must fail as
+    # operators, and the two without one must still pass
+    real = liealg.jval
+    monkeypatch.setattr(liealg, "jval",
+                        lambda r, c: -real(r, c) if (r, c) == (0, 1) else real(r, c))
+    report = verify_commutation_table(1, 2)
+    fam = report["families"]
+    assert not report["all_passed"]
+    for family in ("[h,h]", "[H,H]", "[p,h]", "[p,H]", "[p,p]"):
+        assert fam[family]["operator_failures"] > 0, family
+    assert fam["[h,H]"]["passed"] and fam["[pbar,p]"]["passed"]
+
+
+def test_derived_operators_do_not_reuse_an_index():
+    # every operator below has served as the right factor of a commutator,
+    # so its term index is built; sums, differences, negatives, scalings and
+    # conjugates must each act through their own terms
+    k, n = 1, 2
+    gens = ([generator(kind, ij, k, n) for kind in ("h", "H")
+             for ij in itertools.product(range(2), repeat=2)]
+            + [generator(kind, ia, k, n) for kind in ("p", "pbar")
+               for ia in itertools.product(range(2), range(2))])
+    a, b = gen_p(0, 1, k, n), gen_h(0, 1, k, n)
+    for gen in gens:
+        commutator(gen, a)
+        commutator(gen, b)
+    for x in (a + b, a - b, -a, a.scaled(2), a.conjugate()):
+        fresh = DiffOperator(dict(x.terms))
+        for gen in gens:
+            assert commutator(x, gen) == commutator(fresh, gen)
+            assert commutator(gen, x) == commutator(gen, fresh)
+
+
 def test_h_H_commute_spot_application():
     # independent reduction order: apply to every monomial of degree <= 3
     op = commutator(gen_h(0, 1, 1, 2), gen_H(1, 0, 1, 2))
