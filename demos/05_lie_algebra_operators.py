@@ -24,7 +24,7 @@ bracket = commutator(gen_pbar(0, 0, k, n), gen_p(0, 0, k, n))
 closure = gen_H(0, 0, k, n) + gen_h(0, 0, k, n)
 print("  [pbar_00, p_00] == H_00 + h_00 :", bracket == closure)
 
-report = verify_commutation_table(k, n, max_degree=3)
+report = verify_commutation_table(k, n)
 print("\nfull commutation table:")
 for family, entry in report["families"].items():
     print(f"  {family:9s} cases={entry['cases']:3d} passed={entry['passed']}")

@@ -61,6 +61,12 @@ MAX_EVOLVE_T = 1e4
 # this ceiling takes about 0.35 s beyond start-up and 33 MB peak RSS on a
 # 2-vCPU x86-64 machine (2 s and 69 MB at 10^5).
 MAX_LB_SAMPLES = 10_000
+# Largest ``qflag lb`` max_scaled_residual that passes as a solution of the
+# radial equation.  Over every allowed N on the default 200-point grid the
+# worst residual is 9.8e-11 up to l = 8, 3.8e-9 up to l = 10 and 3.2e-7 up to
+# l = 12; it first passes 1e-6 at l = 13, N = 12 and reaches 0.14 at
+# l = N = 20.  At N = 0 it stays below 1e-15 up to l = 30.
+MAX_LB_SCALED_RESIDUAL = 1e-6
 # ``Fraction`` turns a decimal exponent into the integer 10**exp before any
 # check can run: ``--ell 1e9999999`` takes 12 s to parse.  An ``--ell``
 # exponent of five or more digits is a usage error; every |l| from 1e4 up
@@ -168,6 +174,7 @@ def cmd_lb(args) -> int:
     grid = np.linspace(lo + 1e-9, hi - 1e-9, args.samples)
     rows = [(w, sol.value(w), s4lb.lb_radial_residual_scaled(sol, w))
             for w in grid]
+    worst = max(abs(r[2]) for r in rows)
     metadata = {
         "spec_version": SCHEMA_VERSION,
         "kind": sol.kind,
@@ -178,7 +185,7 @@ def cmd_lb(args) -> int:
         "coefficients": list(sol.coeffs),
         "integrable": sol.integrable,
         "samples": args.samples,
-        "max_scaled_residual": max(abs(r[2]) for r in rows),
+        "max_scaled_residual": worst,
     }
     if args.format == "json":
         metadata["table"] = [[row[0], row[1], row[2]] for row in rows]
@@ -189,6 +196,10 @@ def cmd_lb(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         if args.out:
             sys.stdout.write(_json_doc(metadata))
+    if not worst <= MAX_LB_SCALED_RESIDUAL:
+        print(f"check failed: max_scaled_residual {worst:.3g} is above "
+              f"{MAX_LB_SCALED_RESIDUAL:g}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
     return EXIT_OK
 
 

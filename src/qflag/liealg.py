@@ -583,44 +583,24 @@ def _relation_cases(k: int, n: int):
                 (_delta(al, be), H[b, a]), (_delta(a, b), h[be, al]))
 
 
-def verify_commutation_table(k: int, n: int, max_degree: int = 3,
-                             spot_checks: int = 8) -> dict:
+def verify_commutation_table(k: int, n: int) -> dict:
     """Check all seven commutation relations at the given partition.
 
-    Every case is checked as an exact equality of canonical operator forms.
-    The first ``spot_checks`` cases of each family also apply ``lhs - rhs``
-    to every monomial up to ``max_degree``; that operator is zero whenever
-    the equality holds, so this guards ``==`` and ``-`` but is no second
-    route to the commutator (the tests hold that route: ``compose`` against
-    successive ``apply``).  A family that fails the displayed form is
-    reported with its discrepancies rather than silently rewritten.
+    Every case is checked once, as an exact equality of canonical operator
+    forms (the tests hold a second route to the commutator: ``compose``
+    against successive ``apply``).  A family that fails the displayed form
+    is reported with its failure count rather than silently rewritten.
     """
     _check_dims(k, n)
-    basis = monomials_up_to_degree(k, n, max_degree)
-    report = {
-        "k": k, "n": n, "max_degree": max_degree,
-        "families": {}, "all_passed": True, "rewrites": [],
-    }
+    families = {}
     for family, lhs, rhs in _relation_cases(k, n):
-        entry = report["families"].setdefault(
-            family, {"cases": 0, "operator_failures": 0,
-                     "application_failures": 0, "applied_cases": 0})
+        entry = families.setdefault(family, {"cases": 0, "operator_failures": 0})
         entry["cases"] += 1
-        if lhs != rhs:
-            entry["operator_failures"] += 1
-            report["all_passed"] = False
-        if entry["applied_cases"] < spot_checks:
-            entry["applied_cases"] += 1
-            diff = lhs - rhs
-            for mono in basis:
-                if not diff.apply(mono).is_zero():
-                    entry["application_failures"] += 1
-                    report["all_passed"] = False
-                    break
-    for entry in report["families"].values():
-        entry["passed"] = (entry["operator_failures"] == 0
-                           and entry["application_failures"] == 0)
-    return report
+        entry["operator_failures"] += lhs != rhs
+    for entry in families.values():
+        entry["passed"] = entry["operator_failures"] == 0
+    return {"k": k, "n": n, "families": families,
+            "all_passed": all(e["passed"] for e in families.values())}
 
 
 # -- ladder structure ----------------------------------------------------------

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from qflag import cli, coset, emfield
 from qflag.cli import (MAX_EM_DEGREE, MAX_EM_NESTING, MAX_EVOLVE_N, MAX_EVOLVE_STEPS,
-                       MAX_EVOLVE_T, MAX_LB_SAMPLES, MAX_ROOTS_RANK,
-                       MAX_VERIFY_TRIALS, main, parse_field_spec,
-                       parse_polynomial)
+                       MAX_EVOLVE_T, MAX_LB_SAMPLES, MAX_LB_SCALED_RESIDUAL,
+                       MAX_ROOTS_RANK, MAX_VERIFY_TRIALS, main,
+                       parse_field_spec, parse_polynomial)
 from qflag.emfield import RealPoly
 from qflag.errors import SingularMatrix
 
@@ -319,6 +319,20 @@ def test_lb_coefficient_overflow_is_domain_error(capsys):
     assert out == "" and "overflows" in err
 
 
+@pytest.mark.parametrize("ell, big_n, expected", [("2", "1", 0),
+                                                   ("20", "20", 1)])
+def test_lb_residual_above_its_bound_exits_1(ell, big_n, expected, capsys):
+    # at l = N = 20 the scaled residual reads about 0.14: the table is still
+    # written, and the exit code says it is not a solution
+    code, out, err = run_cli(["lb", "--ell", ell, "--big-n", big_n,
+                              "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == expected
+    assert (doc["max_scaled_residual"] > MAX_LB_SCALED_RESIDUAL) == bool(code)
+    assert len(doc["table"]) == 200
+    assert ("max_scaled_residual" in err) == bool(code)
+
+
 @pytest.mark.parametrize("ell", ["1e400", "5e308", "1e9999"])
 def test_lb_ell_past_the_float_range_is_domain_error(ell, capsys):
     code, out, err = run_cli(["lb", "--ell", ell], capsys)
@@ -390,6 +404,39 @@ def test_roots_above_rank_ceiling_is_usage_error(capsys):
     code, out, err = run_cli(["roots", str(MAX_ROOTS_RANK + 1)], capsys)
     assert code == 2
     assert out == "" and "error:" in err and "rank" in err
+
+
+def _any_argv(data, command, valid, anything):
+    """``command`` with one argument per prefix of ``valid``, each drawn from
+    ``valid``, except at most two drawn from ``anything``."""
+    broken = data.draw(st.sets(st.sampled_from(sorted(valid)), max_size=2))
+    return [command] + [
+        prefix + str(data.draw((anything if prefix in broken else valid)[prefix]))
+        for prefix in valid]
+
+
+def _main_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:     # argparse refusing an argument
+            return exc.code
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_roots_any_argv_ends_in_an_exit_code(data):
+    argv = _any_argv(data, "roots", {
+        "": st.integers(1, 6),
+        "--projection=": st.sampled_from([2, 3]),
+        "--format=": st.sampled_from(["json", "csv"]),
+    }, {
+        "": st.one_of(st.integers(), st.text(max_size=6)),
+        "--projection=": st.one_of(st.integers(), st.text(max_size=4)),
+        "--format=": st.text(max_size=6),
+    })
+    assert _main_code(argv) in (0, 1, 2, 3)
 
 
 # -- em ---------------------------------------------------------------------------
@@ -576,6 +623,27 @@ def test_evolve_above_its_ceilings_is_usage_error(argv, capsys):
     code, out, err = run_cli(["evolve"] + argv, capsys)
     assert code == 2
     assert out == "" and "error:" in err and argv[0] in err
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_evolve_any_argv_ends_in_an_exit_code(data):
+    # --steps stays at 3 or fewer, so that no example builds a long table
+    argv = _any_argv(data, "evolve", {
+        "--n=": st.integers(1, 6),
+        "--split=": st.integers(0, 1),
+        "--seed=": st.integers(0),
+        "--t-max=": st.floats(-MAX_EVOLVE_T, MAX_EVOLVE_T),
+        "--steps=": st.integers(0, 3),
+    }, {
+        "--n=": st.one_of(st.integers(), st.text(max_size=4)),
+        "--split=": st.one_of(st.integers(), st.text(max_size=4)),
+        "--seed=": st.one_of(st.integers(), st.text(max_size=4)),
+        "--t-max=": st.one_of(st.floats(), st.text(max_size=6)),
+        "--steps=": st.one_of(st.integers(max_value=3),
+                              st.text(alphabet="abe.+- ", max_size=3)),
+    })
+    assert _main_code(argv) in (0, 1, 2, 3)
 
 
 # -- console entry point --------------------------------------------------------------

@@ -265,25 +265,23 @@ def test_j_contracted_symmetry():
 # -- the seven relations ------------------------------------------------------------
 
 def test_commutation_table_k1_n2():
-    report = verify_commutation_table(1, 2, max_degree=3)
+    report = verify_commutation_table(1, 2)
+    assert set(report) == {"k", "n", "all_passed", "families"}
     assert report["all_passed"]
     assert set(report["families"]) == {"[h,h]", "[H,H]", "[h,H]", "[p,h]",
                                        "[p,H]", "[p,p]", "[pbar,p]"}
     for family, entry in report["families"].items():
-        assert entry["passed"], family
-        assert entry["operator_failures"] == 0
-        assert entry["application_failures"] == 0
-    assert report["rewrites"] == []
+        assert entry == {"cases": entry["cases"], "operator_failures": 0,
+                         "passed": True}, family
 
 
 def test_commutation_table_k1_n3():
-    report = verify_commutation_table(1, 3, max_degree=3, spot_checks=2)
+    report = verify_commutation_table(1, 3)
     assert report["all_passed"]
-    assert report["rewrites"] == []
 
 
 def test_commutation_table_k2_n3():
-    report = verify_commutation_table(2, 3, max_degree=3)
+    report = verify_commutation_table(2, 3)
     assert report["all_passed"]
     assert report["families"]["[h,h]"]["cases"] == 4 ** 4
     assert report["families"]["[H,H]"]["cases"] == 2 ** 4

@@ -2,8 +2,9 @@
 
 Each test swaps in one known fault (a wrong quaternion product rule, with
 the tables that ``@`` and the exact field products derive from it, a
-misplaced block in the exponential that differentiates ``exp``, or a biased
-S^3 sampler) and runs ``qflag verify all``: the run must write its report
+misplaced block in the exponential that differentiates ``exp``, a biased
+S^3 sampler, a wrong commutator cross term or a raising generator that
+does not raise) and runs ``qflag verify``: the run must write its report
 and exit 1.
 """
 
@@ -12,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from qflag import emfield, forms, quatmat, verify
+from qflag import emfield, forms, liealg, quatmat, verify
 from qflag.cli import main
 from qflag.quaternion import BASIS, MUL_TABLE, Quaternion
 
@@ -27,16 +28,22 @@ def _install(monkeypatch, table):
         for row in table.astype(int).tolist()])
 
 
+def _failures(capsys, argv):
+    """The failed checks of ``qflag <argv>``, which must write its report
+    and exit 1."""
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["passed"] is False
+    return {c["name"]: c for c in report["checks"] if not c["passed"]}
+
+
 def _failed_checks(capsys, trials=20):
     """The failed checks of ``verify all --seed 42``; ``trials=None`` runs
     each check at its own default count."""
     argv = ["verify", "all", "--seed", "42"]
     if trials is not None:
         argv += ["--trials", str(trials)]
-    code = main(argv)
-    report = json.loads(capsys.readouterr().out)
-    assert code == 1 and report["passed"] is False
-    failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+    failed = _failures(capsys, argv)
     # the exact suites do not read the quaternion product
     assert not [n for n in failed if n.split(".")[0] in ("liealg", "roots",
                                                         "s4")]
@@ -133,3 +140,32 @@ def test_cube_sampler_fails_only_s3_fourth_moment(monkeypatch, capsys):
     failed = _failed_checks(capsys, trials=None)
     assert set(failed) == {"coset.s3_fourth_moment"}
     assert failed["coset.s3_fourth_moment"]["residual"] > 100.0
+
+
+def test_doubled_cross_terms_fail_the_commutation_tables(monkeypatch, capsys):
+    # the a-differentiates-b half of [a, b] counted twice: still first order,
+    # so only the exact comparison against the displayed right sides sees it
+    real = liealg._leibniz_cross
+
+    def doubled(left, right, sign, out):
+        real(left, right, sign, out)
+        if sign > 0:
+            real(left, right, sign, out)
+
+    monkeypatch.setattr(liealg, "_leibniz_cross", doubled)
+    failed = _failures(capsys, ["verify", "liealg", "--seed", "42"])
+    assert {"liealg.commutation_table_k1_n2",
+            "liealg.commutation_table_k1_n3"} <= set(failed)
+    assert failed["liealg.commutation_table_k1_n2"]["residual"] > 0
+
+
+def test_raising_by_a_cartan_generator_fails_ladder_shifts(monkeypatch,
+                                                           capsys):
+    # p_{alpha a} read as H_{aa}: the image keeps its eigenvalue, so
+    # ladder_check raises and the unit fails as one named error
+    monkeypatch.setattr(liealg, "gen_p",
+                        lambda alpha, a, k, n: liealg.cartan_H(a, k, n))
+    failed = _failures(capsys, ["verify", "liealg", "--seed", "42"])
+    assert "liealg.ladder_shifts" not in failed
+    assert failed["liealg.ladder_shifts.error"]["detail"].startswith(
+        "NotEigenvector: raising produced eigenvalue")

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflag.emfield import RealPoly
 from qflag.liealg import DiffOperator, PolyFunction
@@ -77,3 +78,31 @@ def test_numbers_are_coerced_where_they_enter():
         DiffOperator.d(0, 0).scaled(0.5j)
     with pytest.raises(TypeError):
         RealPoly.constant(1j)
+
+
+# operators over a few keys with small coefficients, so that sums cancel
+# and unequal pairs differ in few terms
+_OPERATOR_KEYS = st.sampled_from([
+    (m, w) for m in ((), (((0, 0), 1),), (((0, 1), 2),),
+                     (((0, 0), 1), ((1, 1), 1)))
+    for w in ((), ((0, 0),), ((0, 1), (1, 0)))])
+_OPERATORS = st.dictionaries(
+    _OPERATOR_KEYS,
+    st.one_of(st.integers(-2, 2), st.fractions(-1, 1, max_denominator=3)),
+    max_size=4).map(DiffOperator)
+# an independent pair, a and the equal value (a + c) - c, or a and a
+# multiple of a, which holds the same keys
+_OPERATOR_PAIRS = st.one_of(
+    st.tuples(_OPERATORS, _OPERATORS),
+    st.tuples(_OPERATORS, _OPERATORS).map(lambda ac: (ac[0],
+                                                      (ac[0] + ac[1]) - ac[1])),
+    st.tuples(_OPERATORS, st.sampled_from([1, -1, 2, Fraction(1, 2)])).map(
+        lambda ac: (ac[0], ac[0].scaled(ac[1]))))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_OPERATOR_PAIRS)
+def test_operator_equality_agrees_with_subtraction(pair):
+    a, b = pair
+    assert (a == b) == (a - b).is_zero()
+    assert a - b == a + (-b)
