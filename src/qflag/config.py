@@ -2,8 +2,14 @@
 
 Every identity implemented by the library is exact in real arithmetic; the
 constants below state how much floating-point slack each class of check is
-allowed.  They are the single policy of the library: routines read them
-from this module at call time and take no tolerance objects of their own.
+allowed, and routines read them from this module at call time.  Two
+routines take a tolerance, because their callers need two bounds:
+``QuatMatrix.is_unitary`` and ``GroupElement(m, tol=)``, which passes it
+on (``IDENTITY``, and ``10 * STRUCTURE`` for ``coset.coset_element``, whose
+blocks come back through checked spectral readbacks).  Every other routine
+has one fixed bound: a constant below, or a literal that its docstring or
+a comment beside it states.
+``qflag verify --tol`` overrides the bounds of the verify checks.
 """
 
 #: algebraic identities evaluated directly (products, adjoints, traces)

@@ -45,10 +45,6 @@ class GrassmannPoint:
     def k(self) -> int:
         return self.x.cols
 
-    @classmethod
-    def origin(cls, j: int, k: int) -> "GrassmannPoint":
-        return cls(QuatMatrix.zeros(j, k))
-
     def __repr__(self) -> str:
         return f"GrassmannPoint(j={self.j}, k={self.k})"
 

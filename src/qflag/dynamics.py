@@ -48,9 +48,6 @@ class StateVector:
     def system_norm_sq(self):
         return column_norm_sq(self.a[..., :self.split, :])
 
-    def surroundings_norm_sq(self):
-        return column_norm_sq(self.a[..., self.split:, :])
-
 
 def column_norm_sq(rows: np.ndarray):
     """Summed squared norm of the ``(..., m, 4)`` rows per batch entry, added

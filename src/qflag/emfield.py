@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QflagError
-from .quaternion import MUL_TABLE, Quaternion
+from .quaternion import MUL_TABLE
 from .quatmat import QuatMatrix
 from .sparse import SparseSum, exact
 
@@ -74,15 +74,6 @@ class RealPoly(SparseSum):
             out[e] = out.get(e, 0) + c * p
         return RealPoly(out)
 
-    def eval(self, point) -> float:
-        total = 0.0
-        for expo, c in self.terms.items():
-            v = float(c)
-            for xi, p in zip(point, expo):
-                v *= xi ** p
-            total += v
-        return total
-
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -109,10 +100,6 @@ class QPolyField:
         self.components = tuple(self.components)
 
     @classmethod
-    def zero(cls) -> "QPolyField":
-        return cls(tuple(RealPoly() for _ in range(4)))
-
-    @classmethod
     def from_component(cls, index: int, poly: RealPoly) -> "QPolyField":
         comps = [RealPoly() for _ in range(4)]
         comps[index] = poly
@@ -121,16 +108,6 @@ class QPolyField:
     def __add__(self, o: "QPolyField") -> "QPolyField":
         return QPolyField(tuple(a + b for a, b in
                                 zip(self.components, o.components)))
-
-    def __eq__(self, o) -> bool:
-        return (isinstance(o, QPolyField)
-                and all(a == b for a, b in zip(self.components, o.components)))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def eval(self, point) -> Quaternion:
-        return Quaternion(*(c.eval(point) for c in self.components))
 
 
 @dataclass
@@ -205,20 +182,19 @@ def _exponents(max_degree: int) -> list:
             for c in range(d + 1 - a - b) for r in range(d + 1 - a - b - c)]
 
 
-def random_field(rng, max_degree: int = 3, terms: int = 4,
-                 coeff_range: int = 5) -> QPolyField:
+def random_field(rng, max_degree: int = 3, terms: int = 4) -> QPolyField:
     """Random integer-coefficient field for exactness tests.
 
     Each component is a sum of ``terms`` monomials c x^e drawn independently:
     e uniform over the exponent 4-tuples of total degree at most
-    ``max_degree`` and c uniform over the integers in
-    [-coeff_range, coeff_range].  Monomials that share an exponent add up, so
-    a component has at most ``terms`` nonzero coefficients.  The field takes
-    two ``rng.integers`` calls: every exponent index, then every coefficient.
+    ``max_degree`` and c uniform over the integers in [-5, 5].  Monomials
+    that share an exponent add up, so a component has at most ``terms``
+    nonzero coefficients.  The field takes two ``rng.integers`` calls:
+    every exponent index, then every coefficient.
     """
     expos = _exponents(max_degree)
     picks = rng.integers(0, len(expos), (4, terms)).tolist()
-    coeffs = rng.integers(-coeff_range, coeff_range + 1, (4, terms)).tolist()
+    coeffs = rng.integers(-5, 6, (4, terms)).tolist()
     comps = []
     for row, cs in zip(picks, coeffs):
         poly = {}

@@ -54,11 +54,11 @@ def wedge(a, b) -> np.ndarray:
     return t - t.swapaxes(-3, -2)
 
 
-def dY_wedge(dy=None):
-    """The pair (dY ^ dY*, dY* ^ dY) for a quaternion differential.
+def dY_wedge():
+    """The pair (dY ^ dY*, dY* ^ dY) for the quaternion differential.
 
-    Defaults to the canonical dx0 e + dx1 i + dx2 j + dx3 k, whose row r is
-    the basis quaternion e_r.  The first product expands to
+    dY is dx0 e + dx1 i + dx2 j + dx3 k, whose row r is the basis
+    quaternion e_r.  The first product expands to
     -2(dy0 ^ dy + dy ^ dy), the self-dual sector; the second to
     +2(dy0 ^ dy - dy ^ dy), the anti-self-dual sector.  Component pattern
     for the self-dual side (basis coefficient of i):
@@ -68,20 +68,10 @@ def dY_wedge(dy=None):
     with cyclic analogues for j and k; the anti-self-dual side carries the
     minus sign between the paired area elements.
     """
-    dy = np.eye(4) if dy is None else _one_form(dy)
+    dy = np.eye(4)
     dy_star = dy * _CONJ
     return wedge(dy, dy_star), wedge(dy_star, dy)
 
-
-# Hodge pairs for the Euclidean star on 2-forms, orientation dx0^dx1^dx2^dx3.
-HODGE_PAIRS = {
-    (0, 1): ((2, 3), 1.0),
-    (0, 2): ((1, 3), -1.0),
-    (0, 3): ((1, 2), 1.0),
-    (1, 2): ((0, 3), 1.0),
-    (1, 3): ((0, 2), -1.0),
-    (2, 3): ((0, 1), 1.0),
-}
 
 # LEVI_CIVITA[a, b, c, d] is the sign of the permutation (a, b, c, d) of 0..3.
 LEVI_CIVITA = np.zeros((4, 4, 4, 4))

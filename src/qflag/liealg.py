@@ -73,9 +73,6 @@ class PolyFunction(SparseSum):
         sign = kappa(row) * kappa(col)
         return cls({(((mate(row), mate(col)), 1),): sign})
 
-    def degree(self) -> int:
-        return max((sum(p for _, p in m) for m in self.terms), default=0)
-
     def __mul__(self, o) -> "PolyFunction":
         if not isinstance(o, PolyFunction):
             o = PolyFunction.constant(o)
@@ -146,19 +143,6 @@ def _merge_monomials(m1, m2):
     for var, p in m1:
         powers[var] = powers.get(var, 0) + p
     return tuple(sorted(powers.items()))
-
-
-def monomials_up_to_degree(k: int, n: int, max_degree: int):
-    """All monomials in the 2k x 2(n-k) entries up to the given total degree."""
-    variables = [(r, c) for r in range(2 * k) for c in range(2 * (n - k))]
-    out = [PolyFunction.constant(1)]
-    for deg in range(1, max_degree + 1):
-        for combo in itertools.combinations_with_replacement(variables, deg):
-            powers = {}
-            for var in combo:
-                powers[var] = powers.get(var, 0) + 1
-            out.append(PolyFunction({tuple(sorted(powers.items())): 1}))
-    return out
 
 
 # -- differential operators ------------------------------------------------------

@@ -56,10 +56,8 @@ class Quaternion:
             return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return NotImplemented
+    # reached only for a left operand that is not a Quaternion
+    __rmul__ = __mul__
 
     def conj(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -72,21 +70,7 @@ class Quaternion:
 
     __abs__ = norm
 
-    def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
-        if n == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return self.conj() * (1.0 / n)
-
     # -- views ---------------------------------------------------------------
-
-    @property
-    def scalar(self) -> float:
-        return self.w
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
     def to_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
@@ -96,9 +80,6 @@ class Quaternion:
         w, x, y, z = (float(v) for v in a)
         return cls(w, x, y, z)
 
-    def is_close(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
-
     def __repr__(self) -> str:
         return f"Quaternion({self.w:g}, {self.x:g}, {self.y:g}, {self.z:g})"
 
@@ -107,7 +88,6 @@ E = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-ZERO = Quaternion()
 BASIS = (E, I, J, K)
 
 # MUL_TABLE[p, q, r] is the e_r component of e_p * e_q, basis order (e, i, j, k):
@@ -147,11 +127,13 @@ def to_m2c(q: Quaternion) -> np.ndarray:
     return m2c_blocks(q.to_array())
 
 
-def from_m2c(m, tol: float = 1e-12) -> Quaternion:
+def from_m2c(m) -> Quaternion:
     """Inverse of :func:`to_m2c`.
 
-    Raises :class:`MalformedM2C` when the quaternionic block structure
-    (m22 = conj(m11), m21 = -conj(m12)) is violated beyond ``tol``.
+    Raises :class:`MalformedM2C` unless the quaternionic block structure
+    (m22 = conj(m11), m21 = -conj(m12)) holds within 1e-12 relative to the
+    block's scale; a NaN or infinite entry leaves a residual that is not
+    finite, and fails, as in :meth:`QuatMatrix.project`.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
@@ -159,8 +141,8 @@ def from_m2c(m, tol: float = 1e-12) -> Quaternion:
     scale = max(1.0, float(np.abs(m).max()))
     res = max(abs(m[1, 1] - m[0, 0].conjugate()),
               abs(m[1, 0] + m[0, 1].conjugate()))
-    if res > tol * scale:
-        raise MalformedM2C(f"structure residual {res:.3e} exceeds {tol:.1e}")
+    if not (math.isfinite(res) and res <= 1e-12 * scale):
+        raise MalformedM2C(f"structure residual {res:.3e} exceeds 1.0e-12")
     return Quaternion(m[0, 0].real, m[0, 1].real, m[0, 1].imag, m[0, 0].imag)
 
 
@@ -169,8 +151,8 @@ def j_conjugate(m) -> np.ndarray:
     return JBLOCK.T @ np.asarray(m, dtype=complex) @ JBLOCK
 
 
-def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    return Quaternion.from_array(rng.normal(0.0, scale, 4))
+def random_quaternion(rng: np.random.Generator) -> Quaternion:
+    return Quaternion.from_array(rng.normal(0.0, 1.0, 4))
 
 
 def random_unit_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -193,12 +175,13 @@ def sq_norms(q) -> np.ndarray:
     return w * w + x * x + y * y + z * z
 
 
-def require_unit(q, tol: float = 1e-12) -> np.ndarray:
-    """``q`` as a ``(..., 4)`` float array once all of it is unit within tol."""
+def require_unit(q) -> np.ndarray:
+    """``q`` as a ``(..., 4)`` float array once every squared norm is 1
+    within 1e-12."""
     q = np.asarray(q, dtype=float)
     if q.ndim == 0 or q.shape[-1] != 4:
         raise DimensionMismatch(f"expected shape (..., 4), got {q.shape}")
     gap = np.abs(sq_norms(q) - 1.0).max(initial=0.0)
-    if not gap <= tol:
+    if not gap <= 1e-12:
         raise NotUnitQuaternion(f"|q|^2 differs from 1 by {gap:.3e}")
     return q

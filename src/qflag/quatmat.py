@@ -97,20 +97,6 @@ class QuatMatrix:
         return cls(a)
 
     @classmethod
-    def from_quaternions(cls, rows) -> "QuatMatrix":
-        """Build from a nested list of :class:`Quaternion`."""
-        data = [[q.to_array() for q in row] for row in rows]
-        return cls(np.array(data))
-
-    @classmethod
-    def from_real(cls, m) -> "QuatMatrix":
-        """Real matrix into the e-component."""
-        m = np.asarray(m, dtype=float)
-        a = np.zeros(m.shape + (4,))
-        a[..., 0] = m
-        return cls(a)
-
-    @classmethod
     def diag(cls, entries) -> "QuatMatrix":
         n = len(entries)
         a = np.zeros((n, n, 4))
@@ -136,9 +122,6 @@ class QuatMatrix:
     @property
     def shape(self):
         return self.a.shape[-3:-1]
-
-    def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion.from_array(self.a[i, j])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -200,9 +183,6 @@ class QuatMatrix:
     def max_abs(self) -> float:
         """Largest magnitude over all real components of the whole batch."""
         return float(np.abs(self.a).max()) if self.a.size else 0.0
-
-    def allclose(self, other: "QuatMatrix", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs() <= tol
 
     # -- complex embedding --------------------------------------------------------
 
@@ -275,13 +255,16 @@ class QuatMatrix:
     # -- structure predicates ----------------------------------------------------------
     # Each is True when every matrix of the batch has the property.
 
-    def is_hermitian(self, tol: float = None) -> bool:
+    def is_hermitian(self) -> bool:
+        # within 10 IDENTITY: the eigen-solvers that check it average the
+        # embedding with its adjoint, which absorbs that much asymmetry
         with np.errstate(invalid="ignore"):     # inf - inf on the diagonal
-            return _within_scale(self - self.adjoint(), self, tol)
+            delta = self - self.adjoint()
+        return _within_scale(delta, self, config.IDENTITY * 10)
 
-    def is_skew_adjoint(self, tol: float = None) -> bool:
+    def is_skew_adjoint(self) -> bool:
         with np.errstate(invalid="ignore"):
-            return _within_scale(self + self.adjoint(), self, tol)
+            return _within_scale(self + self.adjoint(), self, config.IDENTITY)
 
     def is_unitary(self, tol: float = None) -> bool:
         tol = config.IDENTITY if tol is None else tol
@@ -293,9 +276,8 @@ class QuatMatrix:
         return f"QuatMatrix({batch}shape={self.shape})"
 
 
-def _within_scale(delta: QuatMatrix, ref: QuatMatrix, tol) -> bool:
+def _within_scale(delta: QuatMatrix, ref: QuatMatrix, tol: float) -> bool:
     """Every |delta| <= tol * max(1, |ref|), matrix by matrix."""
-    tol = config.IDENTITY if tol is None else tol
     res = np.abs(delta.a)
     # every scale is at least 1: a worst residual within the bare tolerance
     # passes without the per-matrix scales
@@ -363,18 +345,25 @@ def expm(m: QuatMatrix) -> QuatMatrix:
     return result
 
 
+def _hermitian_embedding(p: QuatMatrix, what: str, not_hermitian: str):
+    """The complex embedding of ``p`` averaged with its adjoint, once ``p``
+    is square and :meth:`QuatMatrix.is_hermitian`."""
+    if not p.is_square():
+        raise NonSquare(f"{what} of a non-square matrix")
+    if not p.is_hermitian():
+        raise NotHyperHermitian(not_hermitian)
+    emb = p.embed()
+    return (emb + emb.conj().swapaxes(-1, -2)) / 2.0
+
+
 def eigvals_hyperhermitian(p: QuatMatrix) -> np.ndarray:
     """Real eigenvalues of a hyper-Hermitian matrix, ascending, ``(..., n)``.
 
     The 2n complex-embedding eigenvalues come in equal pairs; each pair is
     collapsed to a single quaternionic eigenvalue.
     """
-    if not p.is_square():
-        raise NonSquare("eigenvalues of a non-square matrix")
-    if not p.is_hermitian(config.IDENTITY * 10):
-        raise NotHyperHermitian("matrix is not equal to its conjugate transpose")
-    emb = p.embed()
-    emb = (emb + emb.conj().swapaxes(-1, -2)) / 2.0
+    emb = _hermitian_embedding(
+        p, "eigenvalues", "matrix is not equal to its conjugate transpose")
     lam = np.linalg.eigvalsh(emb)
     even, odd = lam[..., 0::2], lam[..., 1::2]
     gap = np.abs(even - odd)
@@ -412,18 +401,14 @@ def _cos_sqrt(lam: np.ndarray) -> np.ndarray:
 def func_hermitian(p: QuatMatrix, kind: str) -> QuatMatrix:
     """Apply a scalar function to a hyper-Hermitian matrix spectrally.
 
-    ``kind`` is one of ``sqrt``, ``invsqrt``, ``cos_sqrt``, ``sin_sqrt``,
-    ``sinc_sqrt``; the last three treat the eigenvalue as a squared argument
-    (cos_sqrt of P gives cos of the operator square root of P) and are the
-    pieces needed for the exponential coset parameterisation, where
+    ``kind`` is one of ``sqrt``, ``invsqrt``, ``cos_sqrt``, ``sinc_sqrt``;
+    the last two treat the eigenvalue as a squared argument (cos_sqrt of P
+    gives cos of the operator square root of P) and are the pieces needed
+    for the exponential coset parameterisation, where
     ``sinc_sqrt(x xi*) @ xi`` stays finite for rank-deficient arguments.
     """
-    if not p.is_square():
-        raise NonSquare("matrix function of a non-square matrix")
-    if not p.is_hermitian(config.IDENTITY * 10):
-        raise NotHyperHermitian("matrix function requires a hyper-Hermitian input")
-    emb = p.embed()
-    emb = (emb + emb.conj().swapaxes(-1, -2)) / 2.0
+    emb = _hermitian_embedding(
+        p, "matrix function", "matrix function requires a hyper-Hermitian input")
     lam, vec = np.linalg.eigh(emb)
     if kind == "sqrt":
         vals = np.sqrt(np.maximum(lam, 0.0))
@@ -433,8 +418,6 @@ def func_hermitian(p: QuatMatrix, kind: str) -> QuatMatrix:
         vals = 1.0 / np.sqrt(lam)
     elif kind == "cos_sqrt":
         vals = _cos_sqrt(lam)
-    elif kind == "sin_sqrt":
-        vals = np.sin(np.sqrt(np.maximum(lam, 0.0)))
     elif kind == "sinc_sqrt":
         vals = _sinc_sqrt(lam)
     else:
@@ -463,9 +446,6 @@ class GroupElement:
     @property
     def n(self) -> int:
         return self.m.rows
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.m.adjoint(), check=False)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.m @ other.m, check=False)
@@ -528,6 +508,5 @@ def random_skew_adjoint(rng: np.random.Generator, n: int,
     return (m - m.adjoint()) * 0.5
 
 
-def random_group_element(rng: np.random.Generator, n: int,
-                         scale: float = 0.7) -> GroupElement:
-    return GroupElement(expm(random_skew_adjoint(rng, n, scale)))
+def random_group_element(rng: np.random.Generator, n: int) -> GroupElement:
+    return GroupElement(expm(random_skew_adjoint(rng, n, 0.7)))

@@ -128,11 +128,6 @@ def _ricci(g, dg, ddg) -> np.ndarray:
             - np.einsum("...kjl,...lik->...ij", gamma, gamma))
 
 
-def ricci(jet_fn, point) -> np.ndarray:
-    """Ricci tensor at ``point`` from the closed-form metric jet ``jet_fn``."""
-    return _ricci(*jet_fn(point))
-
-
 def einstein_check(points, metric_fn=fs_jet) -> dict:
     """Einstein constant of a metric jet ``metric_fn`` over sample points.
 
@@ -148,10 +143,9 @@ def einstein_check(points, metric_fn=fs_jet) -> dict:
             "max_offdiagonal_ricci": float(np.abs(ric[g == 0.0]).max(initial=0.0))}
 
 
-def random_chart_points(rng: np.random.Generator, count: int,
-                        radius: float = 1.2):
-    """Interior sample points for the y-chart."""
-    return [rng.uniform(-radius, radius, 4) for _ in range(count)]
+def random_chart_points(rng: np.random.Generator, count: int):
+    """Interior sample points for the y-chart, uniform on [-1.2, 1.2]^4."""
+    return [rng.uniform(-1.2, 1.2, 4) for _ in range(count)]
 
 
 # -- radial solutions ------------------------------------------------------------
@@ -245,25 +239,19 @@ class RadialSolution:
         return sum(a * s ** (2 * nn - 2 * (float(self.ell) + 1))
                    for nn, a in enumerate(self.coeffs))
 
-    def derivative(self, omega: float) -> float:
+    def _jet(self, omega: float) -> tuple:
+        """(f, f', f'') at ``omega``: :meth:`value`, then both derivatives
+        in one pass over the coefficients."""
+        f = self.value(omega)
         s, c = math.sin(omega), math.cos(omega)
         if self.kind == "f0":
-            return 2.0 / s ** 3
-        total = 0.0
+            return f, 2.0 / s ** 3, -6.0 * c / s ** 4
+        df = ddf = 0.0
         for nn, a in enumerate(self.coeffs):
             mu = 2 * nn - 2 * (float(self.ell) + 1)
-            total += a * mu * s ** (mu - 1) * c
-        return total
-
-    def second_derivative(self, omega: float) -> float:
-        s, c = math.sin(omega), math.cos(omega)
-        if self.kind == "f0":
-            return -6.0 * c / s ** 4
-        total = 0.0
-        for nn, a in enumerate(self.coeffs):
-            mu = 2 * nn - 2 * (float(self.ell) + 1)
-            total += a * mu * ((mu - 1) * s ** (mu - 2) * c ** 2 - s ** mu)
-        return total
+            df += a * mu * s ** (mu - 1) * c
+            ddf += a * mu * ((mu - 1) * s ** (mu - 2) * c ** 2 - s ** mu)
+        return f, df, ddf
 
 
 def make_f0() -> RadialSolution:
@@ -290,10 +278,11 @@ def _radial_terms(sol: RadialSolution, omega: float) -> tuple:
         raise TooCloseToPole(f"omega = {omega} inside the pole exclusion zone")
     s = math.sin(omega)
     ell = float(sol.ell)
-    return (sol.second_derivative(omega),
-            3.0 * (math.cos(omega) / s) * sol.derivative(omega),
-            -2.0 * ell * (2.0 * ell + 2.0) / s ** 2 * sol.value(omega),
-            4.0 * sol.theta_sq * sol.value(omega))
+    f, df, ddf = sol._jet(omega)
+    return (ddf,
+            3.0 * (math.cos(omega) / s) * df,
+            -2.0 * ell * (2.0 * ell + 2.0) / s ** 2 * f,
+            4.0 * sol.theta_sq * f)
 
 
 def lb_radial_residual(sol: RadialSolution, omega: float) -> float:
@@ -313,14 +302,14 @@ def lb_radial_residual_scaled(sol: RadialSolution, omega: float) -> float:
     return sum(terms) / max(1.0, max(abs(t) for t in terms))
 
 
-def weighted_absolute_integral(sol: RadialSolution, eps: float,
-                               points: int = 4000) -> float:
-    """integral of |f| sin^3(omega) over (eps, pi - eps), trapezoidal.
+def weighted_absolute_integral(sol: RadialSolution, eps: float) -> float:
+    """integral of |f| sin^3(omega) over (eps, pi - eps), trapezoidal on
+    4000 points.
 
     Monotone bounded as eps -> 0 exactly when the source profile is
     integrable against the volume weight; the polynomial family with l > 1/2
     diverges.
     """
-    xs = np.linspace(eps, math.pi - eps, points)
+    xs = np.linspace(eps, math.pi - eps, 4000)
     ys = np.array([abs(sol.value(x)) * math.sin(x) ** 3 for x in xs])
     return float(np.trapezoid(ys, xs))

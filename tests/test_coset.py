@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mat_close, real_matrix
 from qflag.coset import (MAX_HAAR_FIBERS, GrassmannPoint, coset_element,
                          coset_generator, cross_ratio, curvature_det,
                          curvature_det_gap,
@@ -35,16 +36,16 @@ def random_point(j=2, k=2, scale=0.5):
 # -- coset parameterisation -----------------------------------------------------
 
 def test_coset_element_zero_is_identity():
-    assert coset_element(QuatMatrix.zeros(2, 3)).m.allclose(
-        QuatMatrix.identity(5), tol=1e-13)
+    assert mat_close(coset_element(QuatMatrix.zeros(2, 3)).m,
+                     QuatMatrix.identity(5), 1e-13)
 
 
 def test_coset_element_scalar_case():
     t = 0.9
-    ge = coset_element(QuatMatrix.from_real([[t]]))
-    assert abs(ge.m.entry(0, 0).w - math.cos(t)) < 1e-13
-    assert abs(ge.m.entry(0, 1).w - math.sin(t)) < 1e-13
-    assert abs(ge.m.entry(1, 0).w + math.sin(t)) < 1e-13
+    ge = coset_element(real_matrix([[t]]))
+    assert abs(ge.m.a[0, 0, 0] - math.cos(t)) < 1e-13
+    assert abs(ge.m.a[0, 1, 0] - math.sin(t)) < 1e-13
+    assert abs(ge.m.a[1, 0, 0] + math.sin(t)) < 1e-13
 
 
 def test_coset_element_matches_exponential():
@@ -87,7 +88,7 @@ def test_lft_identity_fixes_points():
 def test_lft_origin_maps_to_bd_inverse():
     g = random_group_element(rng, 4)
     a, b, c, d = g.m.blocks(2, 2)
-    y = lft_apply(g, GrassmannPoint.origin(2, 2)).x
+    y = lft_apply(g, GrassmannPoint(QuatMatrix.zeros(2, 2))).x
     assert (y - b @ d.inv()).max_abs() < 1e-10
     second = -(a.adjoint().inv() @ c.adjoint())
     assert (y - second).max_abs() < 1e-10
@@ -127,7 +128,7 @@ def test_lft_singular_denominator():
     from qflag.quatmat import block_matrix
     swap = GroupElement(block_matrix([[zero, eye], [-eye, zero]]))
     with pytest.raises(SingularDenominator):
-        lft_apply(swap, GrassmannPoint.origin(2, 2))
+        lft_apply(swap, GrassmannPoint(QuatMatrix.zeros(2, 2)))
 
 
 def nan_point():
@@ -225,7 +226,7 @@ def test_metric_nan_point_is_refused():
 
 def test_metric_flat_origin():
     dx = random_quatmat(rng, 2, 2)
-    ds = metric_form(GrassmannPoint.origin(2, 2), dx)
+    ds = metric_form(GrassmannPoint(QuatMatrix.zeros(2, 2)), dx)
     assert abs(ds - float((dx.a ** 2).sum())) < 1e-12
 
 
@@ -245,8 +246,8 @@ def test_metric_matches_hermitian_sandwich():
 def test_metric_scalar_case():
     q = random_quaternion(rng)
     dq = random_quaternion(rng)
-    p = GrassmannPoint(QuatMatrix.from_quaternions([[q]]))
-    ds = metric_form(p, QuatMatrix.from_quaternions([[dq]]))
+    p = GrassmannPoint(QuatMatrix([[q.to_array()]]))
+    ds = metric_form(p, QuatMatrix([[dq.to_array()]]))
     assert abs(ds - dq.norm_sq() / (1 + q.norm_sq()) ** 2) < 1e-13
 
 
@@ -317,7 +318,7 @@ def test_block_inverse_identities_at_group_image_of_origin():
     for _ in range(50):
         g = random_group_element(rng, 4)
         a, b, c, d = g.m.blocks(2, 2)
-        y = lft_apply(g, GrassmannPoint.origin(2, 2)).x
+        y = lft_apply(g, GrassmannPoint(QuatMatrix.zeros(2, 2))).x
         eye = QuatMatrix.identity(2)
         assert (eye + y @ y.adjoint()
                 - (a @ a.adjoint()).inv()).max_abs() < 1e-10
@@ -335,7 +336,7 @@ def test_tangent_through_connection_and_metric2():
         g0 = random_group_element(rng, 4)
         gen = random_skew_adjoint(rng, 4)
         t0, h = 0.3, 1e-6
-        origin = GrassmannPoint.origin(2, 2)
+        origin = GrassmannPoint(QuatMatrix.zeros(2, 2))
 
         def image_at(t):
             g = GroupElement(g0.m @ expm(gen * t), check=False)
@@ -376,7 +377,7 @@ def test_curvature_trace_identity():
 
 def test_curvature_trace_scalar_oracle():
     q = random_quatmat(rng, 1, 1, 0.8)
-    qq = q.entry(0, 0).norm_sq()
+    qq = Quaternion.from_array(q.a[0, 0]).norm_sq()
     lhs, rhs = curvature_trace(q, 1, 1)
     assert lhs == pytest.approx(2.0 / (1.0 + qq), abs=1e-12)
     assert rhs == pytest.approx(2.0 / (1.0 + qq), abs=1e-12)
@@ -390,7 +391,7 @@ def test_curvature_trace_shape_gate():
 def test_curvature_det():
     assert curvature_det(QuatMatrix.zeros(1, 3), 3, 1) == pytest.approx(1.0)
     q = random_quatmat(rng, 1, 1, 0.9)
-    qq = q.entry(0, 0).norm_sq()
+    qq = Quaternion.from_array(q.a[0, 0]).norm_sq()
     n, k = 1, 1
     assert curvature_det(q, n, k) == pytest.approx((1 + qq) ** (-(k + n)),
                                                    rel=1e-12)
@@ -488,7 +489,7 @@ def test_batched_coset_calls_raise_the_single_error():
         cross_ratio(*quad)
     # a group element that maps one of the points to infinity
     x = GrassmannPoint(QuatMatrix(np.zeros((3, 1, 1, 4))))
-    swap = QuatMatrix.from_real([[0.0, 1.0], [-1.0, 0.0]])
+    swap = real_matrix([[0.0, 1.0], [-1.0, 0.0]])
     rot = [QuatMatrix.identity(2), swap, QuatMatrix.identity(2)]
     g = GroupElement(QuatMatrix(np.stack([m.a for m in rot])))
     lft_apply(GroupElement(QuatMatrix(np.stack([rot[0].a, rot[2].a]))),
@@ -561,7 +562,8 @@ def test_haar_average_matches_a_per_node_loop():
     acc = [Quaternion()] * 2
     for pair in itertools.product(units, repeat=2):
         shifted = x.m @ QuatMatrix.diag(pair)
-        acc = [acc[c] + pair[c] * shifted.entry(c, c) for c in range(2)]
+        acc = [acc[c] + pair[c] * Quaternion.from_array(shifted.a[c, c])
+               for c in range(2)]
     nodes = len(units) ** 2
     assert nodes == 576
     expect = np.array([(q * (1.0 / nodes)).to_array() for q in acc])

@@ -1,8 +1,8 @@
 import itertools
 
 import numpy as np
-import pytest
 
+from conftest import quat_close
 from qflag.emfield import (QPolyField, RealPoly, apply_pstar, decompose,
                            quaternion_product_identity, random_field)
 from qflag.quaternion import Quaternion, I, J
@@ -17,12 +17,12 @@ def test_polynomial_arithmetic():
     assert p == X1 * X1 - RealPoly.constant(4)
     assert p.diff(1) == X1 * 2
     assert p.diff(0).is_zero()
-    assert p.eval((0.0, 3.0, 0.0, 0.0)) == pytest.approx(5.0)
     assert (X0 * X3).degree() == 2
 
 
 def test_pstar_zero_field():
-    assert apply_pstar(QPolyField.zero()).is_zero()
+    zero = QPolyField((RealPoly(),) * 4)
+    assert apply_pstar(zero) == zero
 
 
 def test_pstar_hand_cases():
@@ -91,7 +91,7 @@ def test_random_field_support_and_range():
     assert len(cubic) == 35
     seen, coeffs = set(), set()
     for _ in range(100):
-        psi = random_field(r, max_degree=3, terms=1, coeff_range=5)
+        psi = random_field(r, max_degree=3, terms=1)
         for comp in psi.components:
             assert comp.degree() <= 3 and len(comp.terms) <= 1
             seen.update(comp.terms)
@@ -100,10 +100,10 @@ def test_random_field_support_and_range():
     assert coeffs == set(range(-5, 6)) - {0}
     assert all(type(c) is int for c in coeffs)
     for _ in range(50):
-        psi = random_field(r, max_degree=2, terms=6, coeff_range=3)
+        psi = random_field(r, max_degree=2, terms=6)
         for comp in psi.components:
             assert comp.degree() <= 2 and len(comp.terms) <= 6
-            assert all(0 < abs(c) <= 6 * 3 for c in comp.terms.values())
+            assert all(0 < abs(c) <= 6 * 5 for c in comp.terms.values())
 
 
 def test_random_field_is_keyed_by_the_seed():
@@ -125,12 +125,6 @@ def test_product_identity():
     assert quaternion_product_identity(I.to_array(), J.to_array()) < 1e-15
     v = Quaternion(0, 1.0, 2.0, -1.0)
     assert quaternion_product_identity(v.to_array(), v.to_array()) < 1e-15
-    assert (v * v).is_close(Quaternion(-v.norm_sq()))
+    assert quat_close(v * v, Quaternion(-v.norm_sq()))
     pairs = rng.normal(0.0, 1.0, (10_000, 2, 4))
     assert quaternion_product_identity(pairs[:, 0], pairs[:, 1]) < 1e-13
-
-
-def test_field_evaluation():
-    psi = QPolyField((X0, X1, RealPoly(), RealPoly.constant(2)))
-    val = psi.eval((0.5, -1.0, 9.0, 9.0))
-    assert val.is_close(Quaternion(0.5, -1.0, 0.0, 2.0))

@@ -1,0 +1,90 @@
+"""No public library name that only the tests reach.
+
+Every public function, method and module constant of ``src/qflag`` must be
+referenced by name somewhere in ``src/``, ``bench/`` or ``demos/`` outside
+its own definition: as an ``ast.Name``, an ``ast.Attribute`` or an import
+alias.  ``__init__.py`` re-exports do not count as uses.
+
+The match is by bare name, not by binding: a method counts as used when an
+attribute of that name is read anywhere, so two definitions that share a
+name (``zero`` on two classes, say) hide each other when only one of them
+has a caller.  The test finds names that nothing reaches, not every
+definition that only the tests reach.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Public names kept with no caller outside the tests, and why.
+ALLOWED = {
+    "coset.pushforward_tangent":
+        "the paper's closed form dY = (A - Y C) dX (C X + D)^-1 of the "
+        "action on tangents",
+    "coset.grassmann_from_coset":
+        "the paper's closed form X = Z (1 - Z* Z)^-1/2 of the coset point",
+    "coset.trivial_action":
+        "the constant sigma of haar_average that the README documents",
+}
+
+
+def _trees():
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for folder in ("src", "bench", "demos")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _definitions(path, tree):
+    """(qualified name, bare name, nodes of the definition) of each public
+    function, method and module constant of one module."""
+    module = path.stem
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{sub.name}", sub.name, sub
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield f"{module}.{name.id}", name.id, target
+
+
+def _references(trees):
+    """{bare name: ids of the nodes that reference it}."""
+    refs = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            refs.setdefault(name, set()).add(id(node))
+    return refs
+
+
+def test_every_public_library_name_has_a_caller_outside_the_tests():
+    trees = _trees()
+    refs = _references(trees)
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != ROOT / "src" / "qflag":
+            continue
+        for qualname, name, node in _definitions(path, tree):
+            if name.startswith("_"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not refs.get(name, set()) - inside:
+                unused.append(qualname)
+    assert sorted(set(unused) - set(ALLOWED)) == []
+    # an allowance that is no longer needed goes too
+    assert sorted(set(ALLOWED) - set(unused)) == []
