@@ -32,7 +32,7 @@ print("  all passed:", report["all_passed"])
 
 print("\nladder action on an eigen-monomial:")
 vec = PolyFunction.z(0, 0)
-rep = ladder_check(k, n, vec, alpha=0, a=0)
+rep = ladder_check(k, n, vec)
 print(f"  eigenvalue {rep['H_eigenvalue']} -> raised to {rep['raised']}, "
       f"h-eigenvalue {rep['h_eigenvalue']} -> lowered to {rep['lowered']}")
 

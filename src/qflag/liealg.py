@@ -20,6 +20,15 @@ commutator (the second-order parts are juxtaposition terms, which cancel
 exactly and are never built; the order is still asserted); compositions
 of generators produce genuine second-order operators, which is how the
 Laplace-Beltrami composite is assembled.
+
+A commutation table makes each generator the operand of dozens of
+products, so the pieces of a product that depend on one operand alone are
+built once per operator and kept on it: its terms split by the symbols a
+left word differentiates, and its terms differentiated by each such split
+(see :func:`_leibniz_cross`).  Keeping them is safe because operators never
+change in place: every sum, scaling or product is a new value that builds
+its own.  Monomial and word products go through small bounded caches, since
+the generators share their coefficient monomials.
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ class PolyFunction(SparseSum):
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                m = _merge_monomials(m1, m2)
+                m = _merged(m1, m2)
                 c = c1 * c2
                 out[m] = out[m] + c if m in out else c
         return PolyFunction(out)
@@ -134,15 +143,23 @@ def _conjugate_monomial(mono):
                               for (row, col), power in mono))
 
 
-def _merge_monomials(m1, m2):
+@functools.lru_cache(maxsize=2048)
+def _merged(m1: tuple, m2: tuple) -> tuple:
+    """The monomial product ``m1 m2``; few pairs of monomials recur across
+    products, as the generators share their coefficients."""
     if not m1:
         return m2
     if not m2:
         return m1
-    powers = dict(m2)
-    for var, p in m1:
-        powers[var] = powers.get(var, 0) + p
-    return tuple(sorted(powers.items()))
+    # a symbol is held at most once per factor, so equal symbols sort into
+    # adjacent pairs; the rest keep their (symbol, power) tuples
+    out = []
+    for item in sorted(m1 + m2):
+        if out and out[-1][0] == item[0]:
+            out[-1] = (item[0], out[-1][1] + item[1])
+        else:
+            out.append(item)
+    return tuple(out)
 
 
 # -- differential operators ------------------------------------------------------
@@ -155,7 +172,7 @@ class DiffOperator(SparseSum):
     Derivative symbols commute, so sorted words are canonical.
     """
 
-    __slots__ = ("_held",)
+    __slots__ = ("_split", "_held", "_lowered")
 
     @classmethod
     def zero(cls) -> "DiffOperator":
@@ -210,7 +227,7 @@ class DiffOperator(SparseSum):
         right = _by_monomial(o).items()
         for m1, left_terms in _by_monomial(self).items():
             for m2, right_terms in right:
-                m = _merge_monomials(m1, m2)
+                m = _merged(m1, m2)
                 for w1, c1 in left_terms:
                     for w2, c2 in right_terms:
                         key = (m, _joined(w1, w2))
@@ -230,20 +247,59 @@ class DiffOperator(SparseSum):
             out[m, tuple(sorted((mate(r), mate(s)) for r, s in word))] = sign * c
         return DiffOperator(out)
 
-    def _holding(self) -> dict:
-        """Terms as (powers, word, coefficient), indexed by each symbol their
-        monomial holds; built once, as operators never change in place and
-        every derived operator is a new value with its own index."""
+    def _splits(self) -> dict:
+        """This operator as the left factor of a product: for each ``hit``,
+        the (monomial, passed word, coefficient) of its terms, once for
+        each split of the word into ``hit`` and ``passed`` (see
+        :func:`_hit_splits`)."""
+        try:
+            return self._split
+        except AttributeError:
+            split = {}
+            for (m1, w1), c1 in self.terms.items():
+                for hit, passed in _hit_splits(w1):
+                    split.setdefault(hit, []).append((m1, passed, c1))
+            self._split = split
+            return split
+
+    def _held_symbols(self) -> set:
+        """The symbols that the coefficient monomials hold."""
         try:
             return self._held
         except AttributeError:
-            held = {}
-            for (m2, w2), c2 in self.terms.items():
-                entry = (dict(m2), w2, c2)
-                for var, _ in m2:
-                    held.setdefault(var, []).append(entry)
-            self._held = held
-            return held
+            self._held = {var for m2, _ in self.terms for var, _ in m2}
+            return self._held
+
+    def _lowered_by(self, hit: tuple) -> list:
+        """This operator as the right factor of a product whose left word
+        hits ``hit``, a tuple whose first symbol :meth:`_held_symbols`
+        holds: the (monomial, word, coefficient) of each term whose
+        monomial holds every symbol of ``hit``, with those powers taken
+        down into the coefficient."""
+        try:
+            return self._lowered[hit]
+        except AttributeError:
+            self._lowered = {}
+        except KeyError:
+            pass
+        out = []
+        for (m2, w2), c2 in self.terms.items():
+            powers = dict(m2)
+            factor = 1
+            for sym in hit:
+                p = powers.get(sym, 0)
+                if not p:
+                    break
+                factor *= p
+                if p == 1:
+                    del powers[sym]
+                else:
+                    powers[sym] = p - 1
+            else:
+                # m2 is sorted, and removing or lowering a power keeps it so
+                out.append((tuple(powers.items()), w2, c2 * factor))
+        self._lowered[hit] = out
+        return out
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -289,36 +345,27 @@ def _leibniz_cross(left: DiffOperator, right: DiffOperator, sign: int,
     position, so a repeated symbol is hit once per copy) differentiates the
     right coefficient monomial on its exponents; the factor is the product
     of the powers taken down, and the rest of the left word passes through.
-    Right terms are indexed by the symbols their monomials hold (see
-    :meth:`DiffOperator._holding`), so a subset meets only the terms that
-    hold its first symbol.
+
+    Both halves are cached on their operators, which never change in
+    place: the left terms grouped by the subset they hit
+    (:meth:`DiffOperator._splits`), and the right terms differentiated by
+    each such subset (:meth:`DiffOperator._lowered_by`), so a generator
+    that is the right factor of many products differentiates its terms
+    once per subset.  A subset whose first symbol no right monomial holds
+    is skipped before anything is built.
     """
-    holding = right._holding()
-    if not holding:
-        return
-    for (m1, w1), c1 in left.terms.items():
-        if sign < 0:
-            c1 = -c1
-        for hit, passed in _hit_splits(w1):
-            for right_powers, w2, c2 in holding.get(hit[0], ()):
-                powers = right_powers.copy()
-                factor = 1
-                for sym in hit:
-                    p = powers.get(sym, 0)
-                    if not p:
-                        break
-                    factor *= p
-                    if p == 1:
-                        del powers[sym]
-                    else:
-                        powers[sym] = p - 1
-                else:
-                    for var, p in m1:
-                        powers[var] = powers.get(var, 0) + p
-                    key = (tuple(sorted(powers.items())),
-                           tuple(sorted(passed + w2)) if passed else w2)
-                    c = c1 * c2 * factor
-                    out[key] = out[key] + c if key in out else c
+    held = right._held_symbols()
+    for hit, left_terms in left._splits().items():
+        if hit[0] not in held:
+            continue
+        lowered = right._lowered_by(hit)
+        for m1, passed, c1 in left_terms:
+            if sign < 0:
+                c1 = -c1
+            for m2, w2, c2 in lowered:
+                key = (_merged(m1, m2), _joined(passed, w2) if passed else w2)
+                c = c1 * c2
+                out[key] = out[key] + c if key in out else c
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
@@ -620,29 +667,28 @@ def eigenvalue_of(op: DiffOperator, f: PolyFunction):
     return lam
 
 
-def ladder_check(k: int, n: int, vector: PolyFunction,
-                 alpha: int = 0, a: int = 0) -> dict:
-    """Raising/lowering on an eigen-monomial of the Cartan elements.
+def ladder_check(k: int, n: int, vector: PolyFunction) -> dict:
+    """Raising/lowering on an eigen-monomial of the first Cartan elements.
 
-    ``vector`` must be an exact eigenvector of H_{aa} and of h_{alpha alpha}.
-    Applying p_{alpha a} shifts the H_{aa} eigenvalue by exactly +1, and
-    applying pbar_{alpha a} shifts the h_{alpha alpha} eigenvalue by exactly
-    -1 (whenever the image is nonzero).
+    ``vector`` must be an exact eigenvector of H_{00} and of h_{00}.
+    Applying p_{00} shifts the H_{00} eigenvalue by exactly +1, and applying
+    pbar_{00} shifts the h_{00} eigenvalue by exactly -1 (whenever the image
+    is nonzero).
     """
-    big = cartan_H(a, k, n)
-    small = cartan_h(alpha, k, n)
+    big = cartan_H(0, k, n)
+    small = cartan_h(0, k, n)
     n_a = eigenvalue_of(big, vector)
     n_alpha = eigenvalue_of(small, vector)
     out = {"H_eigenvalue": n_a, "h_eigenvalue": n_alpha,
            "raised": None, "lowered": None}
-    up = gen_p(alpha, a, k, n).apply(vector)
+    up = gen_p(0, 0, k, n).apply(vector)
     if not up.is_zero():
         out["raised"] = eigenvalue_of(big, up)
         if out["raised"] != n_a + 1:
             raise NotEigenvector(
                 f"raising produced eigenvalue {out['raised']}, "
                 f"expected {n_a + 1}")
-    down = gen_pbar(alpha, a, k, n).apply(vector)
+    down = gen_pbar(0, 0, k, n).apply(vector)
     if not down.is_zero():
         out["lowered"] = eigenvalue_of(small, down)
         if out["lowered"] != n_alpha - 1:

@@ -159,9 +159,12 @@ def random_unit_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` uniform draws on the unit 3-sphere as a ``(count, 4)`` array:
     normalised Gaussians, read from ``rng`` as one standard-normal block."""
     q = rng.standard_normal((count, 4))
-    while (small := sq_norms(q) < 1e-24).any():  # pragma: no cover
+    norms = sq_norms(q)
+    while (small := norms < 1e-24).any():  # pragma: no cover
         q[small] = rng.standard_normal((int(small.sum()), 4))
-    return q / np.sqrt(sq_norms(q))[:, None]
+        norms = sq_norms(q)
+    q /= np.sqrt(norms)[:, None]
+    return q
 
 
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:

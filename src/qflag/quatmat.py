@@ -309,17 +309,40 @@ def block_matrix(blocks) -> QuatMatrix:
     return QuatMatrix(np.concatenate(rows, axis=-3))
 
 
+# A batched ``expm`` runs in blocks whose right regular representations
+# (128 n^2 bytes per n x n matrix) stay within this many bytes.  glibc's
+# default mmap threshold is 128 KiB; the megabyte temporaries of a whole
+# 500-matrix batch at n = 4 were mapped afresh and faulted in again product
+# after product (about 23k minor faults per `verify all` pass, against 4.7k
+# in blocks, on a 2-vCPU x86-64 VM).
+_EXPM_BLOCK_BYTES = 2**18
+
+
 def expm(m: QuatMatrix) -> QuatMatrix:
     """Matrix exponential by scaling and squaring.
 
     Each matrix is halved until the 1-norm of its complex embedding drops
     below 0.5, the power series truncated after order 18 is summed with
     quaternion products, and the result is squared back up; in a batch only
-    the matrices that were halved more often are squared more often.  A NaN
-    or infinite entry raises :class:`NonFiniteMatrix`.
+    the matrices that were halved more often are squared more often.  A
+    batch of n x n matrices is evaluated in blocks of
+    ``max(1, 2**18 // (128 n^2))`` matrices, with the same result matrix by
+    matrix.  A NaN or infinite entry raises :class:`NonFiniteMatrix`.
     """
     if not m.is_square():
         raise NonSquare("exponential of a non-square matrix")
+    if not m.batch:
+        return _expm(m)
+    rows = m.a.reshape((np.prod(m.batch, dtype=int),) + m.a.shape[-3:])
+    step = max(1, _EXPM_BLOCK_BYTES // (128 * max(m.rows, 1) ** 2))
+    out = np.empty_like(rows)
+    for start in range(0, len(rows), step):
+        out[start:start + step] = _expm(QuatMatrix(rows[start:start + step])).a
+    return QuatMatrix(out.reshape(m.a.shape))
+
+
+def _expm(m: QuatMatrix) -> QuatMatrix:
+    """:func:`expm` of a square matrix or a batch of them, in one block."""
     n = m.rows
     norm1 = _norm1(m.embed())
     # np.maximum keeps a NaN norm: the worst count is NaN or inf on bad input

@@ -534,7 +534,7 @@ def _(cfg, rng):
     # unit as liealg.ladder_shifts.error
     z = liealg.PolyFunction.z
     for vec in (z(0, 0), z(0, 0) * z(0, 0), z(1, 1)):
-        liealg.ladder_check(1, 2, vec, alpha=0, a=0)
+        liealg.ladder_check(1, 2, vec)
     yield 0.0, 0.5, "+1 under p, -1 under pbar, exact"
 
 

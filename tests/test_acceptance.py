@@ -162,7 +162,7 @@ def test_criterion_08_ladder_shifts():
                z(0, 0) * z(0, 1), z(0, 0) * z(0, 0) * z(0, 0)]
     bad = 0
     for vec in vectors:
-        rep = liealg.ladder_check(1, 2, vec, alpha=0, a=0)
+        rep = liealg.ladder_check(1, 2, vec)
         if rep["raised"] is not None and \
                 rep["raised"] != rep["H_eigenvalue"] + 1:
             bad += 1

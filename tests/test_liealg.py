@@ -128,12 +128,24 @@ def _random_operator(rng, variables, integer):
     return DiffOperator(terms)
 
 
+def _shared_operator():
+    """Powers 0 to 3, repeated symbols in monomial and word, and Fraction
+    coefficients, at (k, n) = (1, 2)."""
+    s, t = (0, 0), (1, 1)
+    return DiffOperator({((), (s,)): Fraction(1, 3),
+                         (((s, 1),), (s, s)): -2,
+                         (((s, 2), (t, 1)), (t,)): Fraction(-5, 2),
+                         (((s, 3),), (s, t)): 4,
+                         ((((0, 1), 1), (t, 3)), ()): Fraction(7, 4)})
+
+
 def test_compose_agrees_with_successive_application():
     # the right side never calls compose: B then A, each through apply
     rng = random.Random(5)
     k, n = 1, 2
     variables = [(r, c) for r in range(2 * k) for c in range(2 * (n - k))]
     basis = monomials_up_to_degree(k, n, 3)
+    lefts = []
     for trial in range(24):
         a = _random_operator(rng, variables, integer=trial % 2 == 0)
         b = _random_operator(rng, variables, integer=trial % 3 == 0)
@@ -141,6 +153,20 @@ def test_compose_agrees_with_successive_application():
         assert ab.order() <= a.order() + b.order()
         for f in basis:
             assert ab.apply(f) == a.apply(b.apply(f)), (trial, f)
+        lefts.append(a)
+    # one operator is the right factor of every product below and both
+    # factors of the first; whatever it keeps from one product must serve
+    # the next, so each product must also equal one of fresh copies taken
+    # in the reverse order
+    shared = _shared_operator()
+    lefts.insert(0, shared)
+    products = [a.compose(shared) for a in lefts]
+    for a, ab in zip(lefts, products):
+        for f in monomials_up_to_degree(k, n, 4):
+            assert ab.apply(f) == a.apply(shared.apply(f)), (a, f)
+    for a, ab in reversed(list(zip(lefts, products))):
+        fresh = DiffOperator(dict(shared.terms))
+        assert DiffOperator(dict(a.terms)).compose(fresh) == ab
 
 
 def test_commutator_equals_difference_of_compositions():
@@ -161,6 +187,20 @@ def test_commutator_equals_difference_of_compositions():
                for ia in itertools.product(range(2), range(2))])
     for a, b in itertools.product(gens, repeat=2):
         assert commutator(a, b) == a.compose(b) - b.compose(a)
+    # one operator on both sides of many commutators, and of one with
+    # itself: each against successive application and against fresh copies
+    shared = _shared_operator()
+    basis = monomials_up_to_degree(1, 2, 4)
+    assert commutator(shared, shared).is_zero()
+    for a in gens[:6] + [_random_operator(rng, variables, integer=False)
+                         for _ in range(6)]:
+        fresh = DiffOperator(dict(shared.terms))
+        ab, ba = commutator(a, shared), commutator(shared, a)
+        assert ba == -ab and ab == commutator(a, fresh)
+        assert ab == a.compose(fresh) - fresh.compose(a)
+        for f in basis:
+            assert ab.apply(f) == a.apply(shared.apply(f)) - shared.apply(
+                a.apply(f)), (a, f)
 
 
 def test_commutator_refuses_second_order_residue(monkeypatch):
@@ -445,7 +485,7 @@ def test_pbar_p_relation_by_application():
 # -- ladder structure -----------------------------------------------------------------
 
 def test_ladder_raising_and_lowering():
-    rep = ladder_check(1, 2, Z(0, 0), alpha=0, a=0)
+    rep = ladder_check(1, 2, Z(0, 0))
     assert rep["H_eigenvalue"] == 1
     assert rep["raised"] == 2
     assert rep["lowered"] == 0
@@ -456,7 +496,7 @@ def test_ladder_on_monomial_family():
         mono = PolyFunction.constant(1)
         for _ in range(power):
             mono = mono * Z(0, 0)
-        rep = ladder_check(1, 2, mono, alpha=0, a=0)
+        rep = ladder_check(1, 2, mono)
         assert rep["H_eigenvalue"] == power
         if rep["raised"] is not None:
             assert rep["raised"] == power + 1

@@ -443,6 +443,27 @@ def test_batched_expm_squares_each_matrix_its_own_number_of_times():
     for g, e in zip(gens, got.a):
         assert (QuatMatrix(e) - series_exp(g)).max_abs() < 1e-12
 
+    # at n = 4 a batch runs in blocks of 2**18 // (128 * 16) = 128 matrices;
+    # 300 span three blocks, whose largest norms take 7, 4 and 1 squarings,
+    # and the counts differ inside each block
+    own = np.random.default_rng(435)
+    gen = random_skew_adjoint(own, 4)
+    unit = gen * (1.0 / float(np.linalg.norm(gen.embed(), 1)))
+    scales = ([0.3, 0.8, 5.0, 40.0] * 32 + [0.3, 5.0, 0.8, 2.0] * 32
+              + [0.3, 0.8, 0.1, 0.6] * 11)
+    gens = [unit * (s * (1.0 + 0.01 * own.random())) for s in scales]
+    batch = stack(gens)
+    got = expm(QuatMatrix(batch))
+    assert np.array_equal(got.a, stack([expm(g) for g in gens]))
+    # two batch axes keep their shape and their values
+    grid = expm(QuatMatrix(batch.reshape(20, 15, 4, 4, 4)))
+    assert grid.a.shape == (20, 15, 4, 4, 4)
+    assert np.array_equal(grid.a, got.a.reshape(20, 15, 4, 4, 4))
+    # a NaN only in the last block still fails the whole batch
+    batch[-1, 2, 3, 1] = np.nan
+    with pytest.raises(NonFiniteMatrix):
+        expm(QuatMatrix(batch))
+
 
 @pytest.mark.parametrize("kind", ["sqrt", "invsqrt", "cos_sqrt", "sinc_sqrt"])
 def test_batched_func_hermitian_equals_the_stacked_singles(kind):
