@@ -24,8 +24,9 @@ import numpy as np
 from . import config
 from .errors import (DegenerateQuadruple, DimensionMismatch, PairingFailure,
                      ShapeMismatch, SingularDenominator, TooManyFibers)
-from .quaternion import HURWITZ_UNITS, Quaternion
-from .quatmat import (GroupElement, QuatMatrix, block_matrix,
+from .quaternion import HURWITZ_UNITS
+from .quatmat import (GroupElement, QuatMatrix, _check_partition,
+                      _funcs_hermitian, _inverses, _stack, _wrap, block_matrix,
                       eigvals_hyperhermitian, func_hermitian)
 
 
@@ -50,9 +51,9 @@ class GrassmannPoint:
 
 
 def _scalar_trace(m: QuatMatrix):
-    """Scalar part of the trace: a float, or an array of the batch shape."""
-    t = m.trace()
-    return t.w if isinstance(t, Quaternion) else t[..., 0]
+    """Scalar part of the trace of a square matrix: a float, or an array of
+    the batch shape."""
+    return _float_or_batch(m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1))
 
 
 def _float_or_batch(values: np.ndarray):
@@ -75,11 +76,12 @@ def coset_element(xi: QuatMatrix) -> GroupElement:
 
     with Z = sinc_sqrt(xi xi*) xi = (xi xi*)^{-1/2} sin (xi xi*)^{1/2} xi.
     """
-    left = xi @ xi.adjoint()
-    right = xi.adjoint() @ xi
-    z = func_hermitian(left, "sinc_sqrt") @ xi
-    top = [func_hermitian(left, "cos_sqrt"), z]
-    bottom = [-z.adjoint(), func_hermitian(right, "cos_sqrt")]
+    xi_adj = xi.adjoint()
+    sinc_left, cos_left = _funcs_hermitian(xi @ xi_adj, ("sinc_sqrt", "cos_sqrt"))
+    (cos_right,) = _funcs_hermitian(xi_adj @ xi, ("cos_sqrt",))
+    z = sinc_left @ xi
+    top = [cos_left, z]
+    bottom = [-z.adjoint(), cos_right]
     return GroupElement(block_matrix([top, bottom]), tol=config.STRUCTURE * 10)
 
 
@@ -98,18 +100,24 @@ def grassmann_from_coset(xi: QuatMatrix) -> GrassmannPoint:
     return GrassmannPoint(z @ func_hermitian(gram, "invsqrt"))
 
 
-def _action(g: GroupElement, point: GrassmannPoint):
-    """The blocks A, C of ``g``, the image Y and (C X + D)^{-1}."""
-    x = point.x
-    a, b, c, d = g.m.blocks(point.j, point.k)
-    den_inv = (c @ x + d).inv(SingularDenominator(
+def _action(g: GroupElement, x: QuatMatrix):
+    """The blocks A, C of ``g``, the image Y of the point ``x`` and
+    (C X + D)^{-1}, with A X + B and C X + D from one product
+    [A; C] X + [B; D]."""
+    j = x.rows
+    _check_partition(g.m, j, x.cols)
+    m = g.m.a
+    left = m[..., :j, :]                                # [A; C]
+    num_den = (_wrap(left) @ x + _wrap(m[..., j:, :])).a
+    den_inv = _wrap(num_den[..., j:, :, :]).inv(SingularDenominator(
         "C X + D is singular; the point is mapped to infinity"))
-    return a, c, (a @ x + b) @ den_inv, den_inv
+    y = _wrap(num_den[..., :j, :, :]) @ den_inv
+    return _wrap(left[..., :j, :, :]), _wrap(left[..., j:, :, :]), y, den_inv
 
 
 def lft_apply(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
     """Linear fractional action Y = (A X + B)(C X + D)^{-1}."""
-    return GrassmannPoint(_action(g, point)[2])
+    return GrassmannPoint(_action(g, point.x)[2])
 
 
 def lft_apply_second_form(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
@@ -129,20 +137,27 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
     With Ya, Yb the images of Xa, Xb the identities factor 1 + Ya Yb*,
     1 + Ya* Yb and (twice, with the roles of the two points exchanged in the
     flanking inverses) Ya - Yb through the group blocks.
+
+    The six inverses take three calls, in this order: C Xa + D and C Xb + D
+    as one batch; the j x j transport factors A* - Xa B*, A* - Xb B* and
+    A - B Xb* as another; then the k x k factor Xa* C* + D*.  A batch
+    raises its error if any of its matrices is singular, so the error is
+    the one that six separate calls in this order would raise.
     """
     if (pa.j, pa.k) != (pb.j, pb.k):
         raise ShapeMismatch("points live on different Grassmannians")
     xa, xb = pa.x, pb.x
     a, b, c, d = g.m.blocks(pa.j, pa.k)
-    _, _, ya, ra = _action(g, pa)
-    _, _, yb, rb = _action(g, pb)
+    both = _stack([xa, xb], g.m.batch)
+    _, _, y, r = _action(g, both)
+    (ya, yb), (ra, rb) = map(_wrap, y.a), map(_wrap, r.a)
     eye_j = QuatMatrix.identity(pa.j)
     eye_k = QuatMatrix.identity(pa.k)
 
     err = SingularDenominator("transport factor is singular")
-    la = (-(xa @ b.adjoint()) + a.adjoint()).inv(err)
-    lb = (-(xb @ b.adjoint()) + a.adjoint()).inv(err)
-    rb_star = (-(b @ xb.adjoint()) + a).inv(err)
+    left = (a.adjoint() - both @ b.adjoint()).a
+    la, lb, rb_star = _inverses(
+        [_wrap(left[0]), _wrap(left[1]), a - b @ xb.adjoint()], err)
     la_star = (xa.adjoint() @ c.adjoint() + d.adjoint()).inv(err)
 
     res = {}
@@ -168,12 +183,11 @@ def cross_ratio(pa: GrassmannPoint, pb: GrassmannPoint,
     """Scalar part of tr[(Ya-Yb)(Yc-Yb)^{-1}(Yc-Yd)(Ya-Yd)^{-1}].
 
     Invariant under simultaneous group action on all four points.  The two
-    inverted differences must be nonsingular; a vanishing non-inverted
-    difference simply gives zero.
+    inverted differences must be nonsingular (one batched inverse); a
+    vanishing non-inverted difference simply gives zero.
     """
     err = DegenerateQuadruple("inverted difference of points is singular")
-    inv_cb = (pc.x - pb.x).inv(err)
-    inv_ad = (pa.x - pd.x).inv(err)
+    inv_cb, inv_ad = _inverses([pc.x - pb.x, pa.x - pd.x], err)
     prod = (pa.x - pb.x) @ inv_cb @ (pc.x - pd.x) @ inv_ad
     return _scalar_trace(prod)
 
@@ -229,7 +243,7 @@ def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix) -> float:
 
 def _transport(g: GroupElement, point: GrassmannPoint, dx: QuatMatrix):
     """The image Y and the transported tangent, from one :func:`_action`."""
-    a, c, y, den_inv = _action(g, point)
+    a, c, y, den_inv = _action(g, point.x)
     return y, (a - y @ c) @ dx @ den_inv
 
 

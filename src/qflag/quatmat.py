@@ -36,7 +36,15 @@ any NaN entry.
 
 Every check keeps its meaning per matrix of a batch: tolerances are relative
 to each matrix's own scale, and a batch raises the error that a loop over
-its matrices would raise if any one of them fails.
+its matrices would raise if any one of them fails.  Inverses of several
+matrices of one size go through one :meth:`QuatMatrix.inv` of their stack
+(:func:`_inverses`), which raises the caller's error if any one fails.
+
+The public constructor ``QuatMatrix(a)`` validates its argument.  Results
+that the class builds itself (``+``, ``-``, ``*``, ``@``, ``adjoint``,
+``blocks``, ``identity`` and the checked ``project``) have the right shape
+and dtype by construction and are wrapped by :func:`_wrap` without
+re-validation.
 """
 
 from __future__ import annotations
@@ -93,8 +101,8 @@ class QuatMatrix:
     @classmethod
     def identity(cls, n: int) -> "QuatMatrix":
         a = np.zeros((n, n, 4))
-        a[np.arange(n), np.arange(n), 0] = 1.0
-        return cls(a)
+        a.reshape(-1)[::4 * (n + 1)] = 1.0      # the entries (i, i, 0)
+        return _wrap(a)
 
     @classmethod
     def diag(cls, entries) -> "QuatMatrix":
@@ -129,49 +137,46 @@ class QuatMatrix:
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other: "QuatMatrix") -> "QuatMatrix":
-        return QuatMatrix(self.a + other.a)
+        return _wrap(self.a + other.a)
 
     def __sub__(self, other: "QuatMatrix") -> "QuatMatrix":
-        return QuatMatrix(self.a - other.a)
+        return _wrap(self.a - other.a)
 
     def __neg__(self) -> "QuatMatrix":
-        return QuatMatrix(-self.a)
+        return _wrap(-self.a)
 
     def __mul__(self, s):
         """Scale by a number, or by an array that broadcasts with the batch."""
         if not isinstance(s, (int, float)):
             s = np.asarray(s, dtype=float)[..., None, None, None]
-        return QuatMatrix(self.a * s)
+        return _wrap(self.a * s)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QuatMatrix") -> "QuatMatrix":
         a, b = self.a, other.a
-        rows, inner = a.shape[-3:-1]
-        cols = b.shape[-2]
-        if b.shape[-3] != inner:
+        shape = b.shape
+        inner, cols = shape[-3], shape[-2]
+        if a.shape[-2] != inner:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        lead = b.shape[:-3]
         # right[..., l, p, j, r] = sum_q b[..., l, j, q] MUL_TABLE[p, q, r]
         right = (b.reshape(-1, 4) @ _RIGHT_TABLE).reshape(
-            lead + (inner, cols, 4, 4)).swapaxes(-3, -2).reshape(
-            lead + (4 * inner, 4 * cols))
-        prod = a.reshape(a.shape[:-3] + (rows, 4 * inner)) @ right
-        return QuatMatrix(prod.reshape(prod.shape[:-1] + (cols, 4)))
+            shape[:-1] + (4, 4)).swapaxes(-3, -2).reshape(
+            shape[:-3] + (4 * inner, 4 * cols))
+        prod = a.reshape(a.shape[:-2] + (4 * inner,)) @ right
+        return _wrap(prod.reshape(prod.shape[:-1] + (cols, 4)))
 
     def adjoint(self) -> "QuatMatrix":
         """Conjugate transpose."""
-        return QuatMatrix(np.multiply(self.a.swapaxes(-3, -2), _CONJ,
-                                      order="C"))
+        return _wrap(np.multiply(self.a.swapaxes(-3, -2), _CONJ, order="C"))
 
     def blocks(self, j: int, k: int):
         """Conforming partition into (A, B, C, D) with A of size j x j."""
-        if self.shape != (j + k, j + k):
-            raise DimensionMismatch(f"partition {j}+{k} does not fit {self.shape}")
+        _check_partition(self, j, k)
         a = self.a
-        return (QuatMatrix(a[..., :j, :j, :]), QuatMatrix(a[..., :j, j:, :]),
-                QuatMatrix(a[..., j:, :j, :]), QuatMatrix(a[..., j:, j:, :]))
+        return (_wrap(a[..., :j, :j, :]), _wrap(a[..., :j, j:, :]),
+                _wrap(a[..., j:, :j, :]), _wrap(a[..., j:, j:, :]))
 
     def trace(self):
         """A :class:`Quaternion`; for a batch, a ``(..., 4)`` array."""
@@ -224,7 +229,7 @@ class QuatMatrix:
             if bad.any():
                 raise MalformedM2C(f"structure residual {res[bad].max():.3e} "
                                    f"exceeds {config.STRUCTURE:.1e} * scale")
-        return cls(np.ascontiguousarray(out[..., :4]))
+        return _wrap(np.ascontiguousarray(out[..., :4]))
 
     def inv(self, err: Exception = None) -> "QuatMatrix":
         """Inverse via the complex embedding, read back through the checked
@@ -274,6 +279,46 @@ class QuatMatrix:
     def __repr__(self) -> str:
         batch = f"batch={self.batch}, " if self.batch else ""
         return f"QuatMatrix({batch}shape={self.shape})"
+
+
+def _wrap(a: np.ndarray) -> QuatMatrix:
+    """A float ``(..., rows, cols, 4)`` array as a :class:`QuatMatrix`,
+    without the public constructor's conversion and shape checks."""
+    m = object.__new__(QuatMatrix)
+    m.a = a
+    return m
+
+
+def _check_partition(m: QuatMatrix, j: int, k: int) -> None:
+    """Raise :class:`DimensionMismatch` unless ``m`` is (j+k) x (j+k) with
+    j, k >= 0: the test of :meth:`QuatMatrix.blocks`, for callers that
+    slice the blocks themselves."""
+    if j < 0 or k < 0 or m.shape != (j + k, j + k):
+        raise DimensionMismatch(f"partition {j}+{k} does not fit {m.shape}")
+
+
+def _inverses(mats, err: Exception) -> list:
+    """Inverses of square matrices of one size, from one :meth:`QuatMatrix.inv`
+    of their stack.
+
+    The batch shapes broadcast, and each inverse comes back with the common
+    batch shape.  Each equals the matrix's own ``inv(err)``; if any matrix
+    fails, ``err`` is raised, as a loop over the matrices would raise it.
+    """
+    return list(map(_wrap, _stack(mats).inv(err).a))
+
+
+def _stack(mats, batch: tuple = None) -> QuatMatrix:
+    """Matrices of one shape on a new leading axis, broadcast to the common
+    batch shape of theirs and, if given, ``batch``."""
+    arrays = [m.a for m in mats]
+    leads = {a.shape[:-3] for a in arrays}
+    if batch is not None:
+        leads.add(batch)
+    if len(leads) > 1:
+        common = np.broadcast_shapes(*leads)
+        arrays = [np.broadcast_to(a, common + a.shape[-3:]) for a in arrays]
+    return _wrap(np.array(arrays))        # np.stack, without its checks
 
 
 def _within_scale(delta: QuatMatrix, ref: QuatMatrix, tol: float) -> bool:
@@ -430,23 +475,32 @@ def func_hermitian(p: QuatMatrix, kind: str) -> QuatMatrix:
     for the exponential coset parameterisation, where
     ``sinc_sqrt(x xi*) @ xi`` stays finite for rank-deficient arguments.
     """
+    return _funcs_hermitian(p, (kind,))[0]
+
+
+def _funcs_hermitian(p: QuatMatrix, kinds) -> list:
+    """``[func_hermitian(p, kind) for kind in kinds]`` from one ``eigh``;
+    each result is read back on its own, in order."""
     emb = _hermitian_embedding(
         p, "matrix function", "matrix function requires a hyper-Hermitian input")
     lam, vec = np.linalg.eigh(emb)
-    if kind == "sqrt":
-        vals = np.sqrt(np.maximum(lam, 0.0))
-    elif kind == "invsqrt":
-        if np.any(lam <= config.IDENTITY):
-            raise SingularInvSqrt(f"minimum eigenvalue {lam.min():.3e}")
-        vals = 1.0 / np.sqrt(lam)
-    elif kind == "cos_sqrt":
-        vals = _cos_sqrt(lam)
-    elif kind == "sinc_sqrt":
-        vals = _sinc_sqrt(lam)
-    else:
-        raise ValueError(f"unknown scalar function tag {kind!r}")
-    out = (vec * vals[..., None, :]) @ vec.conj().swapaxes(-1, -2)
-    return QuatMatrix.project(out)
+    vec_adj = vec.conj().swapaxes(-1, -2)
+    out = []
+    for kind in kinds:
+        if kind == "sqrt":
+            vals = np.sqrt(np.maximum(lam, 0.0))
+        elif kind == "invsqrt":
+            if np.any(lam <= config.IDENTITY):
+                raise SingularInvSqrt(f"minimum eigenvalue {lam.min():.3e}")
+            vals = 1.0 / np.sqrt(lam)
+        elif kind == "cos_sqrt":
+            vals = _cos_sqrt(lam)
+        elif kind == "sinc_sqrt":
+            vals = _sinc_sqrt(lam)
+        else:
+            raise ValueError(f"unknown scalar function tag {kind!r}")
+        out.append(QuatMatrix.project((vec * vals[..., None, :]) @ vec_adj))
+    return out
 
 
 class GroupElement:

@@ -119,6 +119,14 @@ def test_lft_rectangular_partition():
     y1 = lft_apply(g, x).x
     y2 = lft_apply_second_form(g, x).x
     assert (y1 - y2).max_abs() < 1e-9
+    # points that do not fit Sp(3), on every route through the action
+    for shape in ((2, 2), (1, 1)):
+        point = GrassmannPoint(QuatMatrix.zeros(*shape))
+        for call in (lambda: lft_apply(g, point),
+                     lambda: pushforward_tangent(g, point, point.x),
+                     lambda: transport_identities(g, point, point)):
+            with pytest.raises(DimensionMismatch):
+                call()
 
 
 def test_lft_singular_denominator():
@@ -182,6 +190,66 @@ def test_transport_identity_manual_recheck():
     right = (-(b @ xb.x.adjoint()) + a).inv()
     rhs = left @ (eye + xa.x @ xb.x.adjoint()) @ right
     assert (lhs - rhs).max_abs() < 1e-9
+
+
+def test_transport_identities_error_paths():
+    # For a group element, A* - X B* is singular exactly when C X + D is (the
+    # image leaves the chart), and the inverses of C X + D go first.  Only a
+    # matrix off the group, built here without the membership check, makes
+    # a transport factor singular on its own.
+    infinity = "the point is mapped to infinity"
+    factor = "transport factor is singular"
+    off_group = real_matrix([[0.0, 1.0], [1.0, 1.0]])     # A = 0, B = C = D = 1
+    swap = real_matrix([[0.0, 1.0], [-1.0, 0.0]])         # A = D = 0
+    eye = QuatMatrix.identity(2)
+    origin = GrassmannPoint(QuatMatrix.zeros(1, 1))
+    two = GrassmannPoint(real_matrix([[2.0]]))
+    cases = [
+        # A* = 0 is singular; C 0 + D = 1 is not
+        (off_group, origin, origin, factor),
+        # only A* - Xb B* = -Xb and A - B Xb* are singular
+        (off_group, two, origin, factor),
+        # C 0 + D = 0, and A* = 0 as well: the old order raised this first
+        (swap, origin, origin, infinity),
+        # only C Xb + D = 0 is singular
+        (swap, GrassmannPoint(real_matrix([[1.0]])), origin, infinity),
+    ]
+    for m, pa, pb, message in cases:
+        with pytest.raises(SingularDenominator, match=message):
+            transport_identities(GroupElement(m, check=False), pa, pb)
+        # the same element in the middle of a batch of identities
+        batch = GroupElement(QuatMatrix(np.stack([eye.a, m.a, eye.a])),
+                             check=False)
+        with pytest.raises(SingularDenominator, match=message):
+            transport_identities(batch, pa, pb)
+        # one element on a batch of points of which only the middle is bad
+        points = [GrassmannPoint(QuatMatrix(np.stack([two.x.a, p.x.a, two.x.a])))
+                  for p in (pa, pb)]
+        with pytest.raises(SingularDenominator, match=message):
+            transport_identities(GroupElement(m, check=False), *points)
+
+
+def test_grouped_calls_solve_and_diagonalise_once_per_group(monkeypatch):
+    # transport_identities inverts in 3 batches and cross_ratio in 1;
+    # coset_element takes sinc_sqrt and cos_sqrt of xi xi* from one eigh
+    counts = {"solve": 0, "eigh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
+            counts[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    g = GroupElement(expm(random_skew_adjoint(rng, 4, 0.7)))
+    pts = [random_point() for _ in range(4)]
+    expected = ((lambda: transport_identities(g, pts[0], pts[1]), 3, 0),
+                (lambda: cross_ratio(*pts), 1, 0),
+                (lambda: coset_element(pts[2].x), 0, 2))
+    for call, solves, eighs in expected:
+        counts.update(solve=0, eigh=0)
+        call()
+        assert counts == {"solve": solves, "eigh": eighs}
+    # internal results skip re-validation; the public constructor does not
+    with pytest.raises(DimensionMismatch):
+        QuatMatrix(np.zeros((2, 2)))
 
 
 def test_cross_ratio_invariance():

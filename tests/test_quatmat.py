@@ -9,7 +9,7 @@ from qflag.errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
                           NonSquare, NotGroupElement, NotHyperHermitian,
                           SingularInvSqrt, SingularMatrix)
 from qflag.quaternion import BASIS, I, J, K, Quaternion
-from qflag.quatmat import (GroupElement, QuatMatrix, block_matrix,
+from qflag.quatmat import (GroupElement, QuatMatrix, _inverses, block_matrix,
                            eigvals_hyperhermitian, expm, func_hermitian,
                            interleave_to_block_permutation,
                            random_group_element, random_quatmat,
@@ -363,6 +363,61 @@ def test_blocks_partition():
     for j, k, shape in ((2, 2, (5, 5)), (2, 3, (5, 4))):
         with pytest.raises(DimensionMismatch):
             random_quatmat(kernel_rng, *shape).blocks(j, k)
+    # j + k fits, but a negative size would give overlapping slices
+    for j, k in ((-1, 3), (3, -1)):
+        with pytest.raises(DimensionMismatch):
+            random_quatmat(kernel_rng, 2, 2).blocks(j, k)
+
+
+def positive_like(local, batch: tuple, n: int) -> QuatMatrix:
+    """q q* + 1 for a random n x n q of the given batch shape."""
+    q = QuatMatrix(local.normal(size=batch + (n, n, 4)))
+    return q @ q.adjoint() + QuatMatrix.identity(n)
+
+
+def test_grouped_inverses_equal_the_separate_inverses():
+    class Custom(SingularMatrix):
+        pass
+
+    err = Custom("singular here")
+    local = np.random.default_rng(612)
+    single = positive_like(local, (), 3)
+    batch = positive_like(local, (3,), 3)
+    other = positive_like(local, (3,), 3)
+    got = _inverses([single, batch, other], err)
+    assert [m.batch for m in got] == [(3,)] * 3
+    for i in range(3):
+        assert np.array_equal(got[0].a[i], single.inv(err).a)
+        assert np.array_equal(got[1].a[i], QuatMatrix(batch.a[i]).inv(err).a)
+        assert np.array_equal(got[2].a[i], QuatMatrix(other.a[i]).inv(err).a)
+    (alone,) = _inverses([single], err)
+    assert np.array_equal(alone.a, single.inv(err).a)
+
+
+def test_grouped_inverses_raise_the_loops_error():
+    class Custom(SingularMatrix):
+        pass
+
+    err = Custom("singular here")
+    local = np.random.default_rng(611)
+    u, v = (random_group_element(local, 2).m for _ in range(2))
+    good = positive_like(local, (3,), 2)
+    # past the condition ceiling, and inside it but off the structure on
+    # readback (see test_inv_structure_failure_is_a_singular_matrix)
+    far = real_matrix(np.diag([1.0, 1e-13]))
+    off = u @ real_matrix(np.diag([1.0, 1e-8])) @ v
+    for bad in (far, off):
+        with pytest.raises(Custom) as loop:
+            for m in (good, bad):
+                m.inv(err)
+        with pytest.raises(Custom) as grouped:
+            _inverses([good, bad], err)
+        assert grouped.value is loop.value is err
+        one_bad = QuatMatrix(good.a.copy())
+        one_bad.a[1] = bad.a
+        with pytest.raises(Custom) as grouped:
+            _inverses([good, one_bad], err)
+        assert grouped.value is err
 
 
 # -- the batch axis: a batch acts as the stack of its single matrices --------------
