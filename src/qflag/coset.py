@@ -15,6 +15,13 @@ equivariant functions over the internal-motion fibers.
 Points and group elements may be batches (see :mod:`qflag.quatmat`).  A
 scalar result is a ``float`` for a single point and an array of the batch
 shape for a batch.
+
+The three metric forms and :func:`qflag.forms.curvature_blocks` share the
+Gram factors of the most recent point: (1+XX*)^{-1} and (1+X*X)^{-1} from
+:meth:`QuatMatrix.inv`, (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from
+:func:`func_hermitian`.  A factor is computed again only when the point's
+content changes, so successive calls at one point return the bits that
+fresh calls would.
 """
 
 from __future__ import annotations
@@ -192,6 +199,38 @@ def cross_ratio(pa: GrassmannPoint, pb: GrassmannPoint,
     return _scalar_trace(prod)
 
 
+# The four Gram factors of the most recent point X: (1+XX*)^{-1} and
+# (1+X*X)^{-1} from QuatMatrix.inv, (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from
+# func_hermitian, one slot each.  A slot is one (array shape, array bytes,
+# factor) tuple, replaced in one assignment, so a reader never pairs one
+# point's key with another point's factor; keying on the content of X means
+# an in-place edit of X misses.  A factorisation that raises is not stored,
+# and stored factors are read-only.
+_GRAM_FACTORS = {}
+
+
+def _gram_factors(x: QuatMatrix, route: str, sides=("left", "right")) -> list:
+    """The inverses (``route`` "inv") or inverse square roots ("invsqrt") of
+    1 + X X* ("left") and 1 + X* X ("right"), one for each of ``sides`` in
+    order; each is computed only when its slot holds another X."""
+    key = x.a.shape, x.a.tobytes()
+    out = []
+    for side in sides:
+        slot = _GRAM_FACTORS.get((side, route))
+        if slot is not None and slot[:2] == key:
+            out.append(slot[2])
+            continue
+        if side == "left":
+            gram = QuatMatrix.identity(x.rows) + x @ x.adjoint()
+        else:
+            gram = QuatMatrix.identity(x.cols) + x.adjoint() @ x
+        factor = gram.inv() if route == "inv" else func_hermitian(gram, "invsqrt")
+        factor.a.flags.writeable = False
+        _GRAM_FACTORS[side, route] = key + (factor,)
+        out.append(factor)
+    return out
+
+
 def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:
     """Invariant line element tr[(1+XX*)^{-1} dX (1+X*X)^{-1} dX*].
 
@@ -204,8 +243,7 @@ def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:
     x = point.x
     if dx.shape != x.shape:
         raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
-    left = (QuatMatrix.identity(point.j) + x @ x.adjoint()).inv()
-    right = (QuatMatrix.identity(point.k) + x.adjoint() @ x).inv()
+    left, right = _gram_factors(x, "inv")
     return _scalar_trace(left @ dx @ right @ dx.adjoint())
 
 
@@ -219,10 +257,7 @@ def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix) -> float:
     x = point.x
     if dx.shape != x.shape:
         raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
-    astar = func_hermitian(QuatMatrix.identity(point.j) + x @ x.adjoint(),
-                           "invsqrt")
-    dmat = func_hermitian(QuatMatrix.identity(point.k) + x.adjoint() @ x,
-                          "invsqrt")
+    astar, dmat = _gram_factors(x, "invsqrt")
     w = astar @ dx @ dmat
     return _float_or_batch((w.a ** 2).reshape(w.batch + (-1,)).sum(axis=-1))
 
@@ -235,7 +270,7 @@ def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix) -> float:
     x = point.x
     if dx.shape != x.shape:
         raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
-    left = (QuatMatrix.identity(point.j) + x @ x.adjoint()).inv()
+    (left,) = _gram_factors(x, "inv", ("left",))
     term1 = left @ dx @ dx.adjoint()
     term2 = left @ dx @ x.adjoint() @ left @ x @ dx.adjoint()
     return _scalar_trace(term1 - term2)

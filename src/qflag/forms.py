@@ -28,9 +28,10 @@ import itertools
 
 import numpy as np
 
+from .coset import _gram_factors
 from .errors import DimensionMismatch
 from .quaternion import MUL_TABLE
-from .quatmat import _CONJ, QuatMatrix, block_matrix, expm, func_hermitian
+from .quatmat import _CONJ, QuatMatrix, block_matrix, expm
 
 
 def _one_form(a) -> np.ndarray:
@@ -138,18 +139,13 @@ def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix) -> dict:
     y = point.x
     if du.shape != y.shape or dv.shape != y.shape:
         raise DimensionMismatch("tangents must match the point shape")
-    j, k = y.rows, y.cols
-    s1 = QuatMatrix.identity(j) + y @ y.adjoint()
-    s2 = QuatMatrix.identity(k) + y.adjoint() @ y
-    astar = func_hermitian(s1, "invsqrt")
-    dmat = func_hermitian(s2, "invsqrt")
+    astar, dmat = _gram_factors(y, "invsqrt")
     w_u = astar @ du @ dmat
     w_v = astar @ dv @ dmat
     omega11 = w_u @ w_v.adjoint() - w_v @ w_u.adjoint()
     omega22 = w_u.adjoint() @ w_v - w_v.adjoint() @ w_u
 
-    s1_inv = s1.inv()
-    s2_inv = s2.inv()
+    s1_inv, s2_inv = _gram_factors(y, "inv")
     r11 = (du @ s2_inv @ dv.adjoint() @ s1_inv
            - dv @ s2_inv @ du.adjoint() @ s1_inv).trace()
     r22 = (du.adjoint() @ s1_inv @ dv @ s2_inv

@@ -137,10 +137,16 @@ class QuatMatrix:
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other: "QuatMatrix") -> "QuatMatrix":
-        return _wrap(self.a + other.a)
+        try:
+            return _wrap(self.a + other.a)
+        except ValueError:
+            raise _nonconforming("add", self, other) from None
 
     def __sub__(self, other: "QuatMatrix") -> "QuatMatrix":
-        return _wrap(self.a - other.a)
+        try:
+            return _wrap(self.a - other.a)
+        except ValueError:
+            raise _nonconforming("subtract", self, other) from None
 
     def __neg__(self) -> "QuatMatrix":
         return _wrap(-self.a)
@@ -164,7 +170,10 @@ class QuatMatrix:
         right = (b.reshape(-1, 4) @ _RIGHT_TABLE).reshape(
             shape[:-1] + (4, 4)).swapaxes(-3, -2).reshape(
             shape[:-3] + (4 * inner, 4 * cols))
-        prod = a.reshape(a.shape[:-2] + (4 * inner,)) @ right
+        try:
+            prod = a.reshape(a.shape[:-2] + (4 * inner,)) @ right
+        except ValueError:
+            raise _nonconforming("multiply", self, other) from None
         return _wrap(prod.reshape(prod.shape[:-1] + (cols, 4)))
 
     def adjoint(self) -> "QuatMatrix":
@@ -289,6 +298,13 @@ def _wrap(a: np.ndarray) -> QuatMatrix:
     return m
 
 
+def _nonconforming(what: str, x: QuatMatrix, y: QuatMatrix) -> DimensionMismatch:
+    """The error for operands whose shapes or batch shapes do not conform."""
+    return DimensionMismatch(f"cannot {what} matrices of batch {x.batch}, "
+                             f"shape {x.shape} and batch {y.batch}, "
+                             f"shape {y.shape}")
+
+
 def _check_partition(m: QuatMatrix, j: int, k: int) -> None:
     """Raise :class:`DimensionMismatch` unless ``m`` is (j+k) x (j+k) with
     j, k >= 0: the test of :meth:`QuatMatrix.blocks`, for callers that
@@ -316,7 +332,11 @@ def _stack(mats, batch: tuple = None) -> QuatMatrix:
     if batch is not None:
         leads.add(batch)
     if len(leads) > 1:
-        common = np.broadcast_shapes(*leads)
+        try:
+            common = np.broadcast_shapes(*leads)
+        except ValueError:
+            raise DimensionMismatch(f"batch shapes {sorted(leads)} "
+                                    "do not broadcast") from None
         arrays = [np.broadcast_to(a, common + a.shape[-3:]) for a in arrays]
     return _wrap(np.array(arrays))        # np.stack, without its checks
 

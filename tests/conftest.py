@@ -1,6 +1,7 @@
 import numpy as np
 
-from qflag.quatmat import QuatMatrix
+from qflag.quaternion import Quaternion
+from qflag.quatmat import QuatMatrix, func_hermitian
 
 _ACCEPTANCE_RESULTS = []
 
@@ -21,6 +22,61 @@ def real_matrix(m) -> QuatMatrix:
     a = np.zeros(m.shape + (4,))
     a[..., 0] = m
     return QuatMatrix(a)
+
+
+def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:
+    """The three metric forms at the point ``x`` on ``du`` and its curvature
+    blocks on (du, dv), keyed by function name, each from Gram factors of
+    its own, computed here anew."""
+    def gram_left():
+        return QuatMatrix.identity(x.rows) + x @ x.adjoint()
+
+    def gram_right():
+        return QuatMatrix.identity(x.cols) + x.adjoint() @ x
+
+    def scalar_trace(m):
+        values = m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1)
+        return float(values) if values.ndim == 0 else values
+
+    def curvature_blocks():
+        astar = func_hermitian(gram_left(), "invsqrt")
+        dmat = func_hermitian(gram_right(), "invsqrt")
+        w_u, w_v = astar @ du @ dmat, astar @ dv @ dmat
+        s1_inv, s2_inv = gram_left().inv(), gram_right().inv()
+        return {"omega11": w_u @ w_v.adjoint() - w_v @ w_u.adjoint(),
+                "omega22": w_u.adjoint() @ w_v - w_v.adjoint() @ w_u,
+                "r11": (du @ s2_inv @ dv.adjoint() @ s1_inv
+                        - dv @ s2_inv @ du.adjoint() @ s1_inv).trace(),
+                "r22": (du.adjoint() @ s1_inv @ dv @ s2_inv
+                        - dv.adjoint() @ s1_inv @ du @ s2_inv).trace()}
+
+    left, right = gram_left().inv(), gram_right().inv()
+    w = (func_hermitian(gram_left(), "invsqrt") @ du
+         @ func_hermitian(gram_right(), "invsqrt"))
+    hermitian = (w.a ** 2).reshape(w.batch + (-1,)).sum(axis=-1)
+    return {
+        "metric_form": scalar_trace(left @ du @ right @ du.adjoint()),
+        "metric_form_expanded": scalar_trace(
+            left @ du @ du.adjoint()
+            - left @ du @ x.adjoint() @ left @ x @ du.adjoint()),
+        "metric_form_hermitian": (float(hermitian) if hermitian.ndim == 0
+                                  else hermitian),
+        "curvature_blocks": curvature_blocks(),
+    }
+
+
+def same_bits(got, want) -> bool:
+    """Equal type and bit-equal values, through dicts of results."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(same_bits(got[k], want[k])
+                                                  for k in want)
+    if isinstance(want, QuatMatrix):
+        return np.array_equal(got.a, want.a)
+    if isinstance(want, Quaternion):
+        return np.array_equal(got.to_array(), want.to_array())
+    return np.array_equal(got, want)
 
 
 def record_criterion(number: int, title: str, passed: bool, detail: str = ""):

@@ -52,3 +52,22 @@ def test_traced_round_passes_its_gates(bench, name, tmp_path):
     counts = tracer.call_counts()
     assert all(counts.get(span, 0) > 0 for span in REACHED[name])
     assert "linalg.cond" not in counts
+
+
+def test_two_traced_geometry_rounds_count_alike(bench, tmp_path):
+    # the gate of a traced benchmark run: a result kept between calls must
+    # not make the second round of the same inputs do less work
+    spans, workloads = bench
+    wl = workloads.WORKLOADS["geometry-calls"]
+    inputs = wl.prepare(42, 1, str(tmp_path))[0]
+    counts = []
+    for _ in range(2):
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            wl.run_round(inputs, tracer)
+        finally:
+            tracer.remove()
+        counts.append(tracer.call_counts())
+    assert counts[0] == counts[1]
+    assert counts[0]["linalg.solve"] > 0

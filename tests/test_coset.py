@@ -1,13 +1,15 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from conftest import mat_close, real_matrix
-from qflag.coset import (MAX_HAAR_FIBERS, GrassmannPoint, coset_element,
-                         coset_generator, cross_ratio, curvature_det,
-                         curvature_det_gap,
+from conftest import fresh_geometry, mat_close, real_matrix, same_bits
+from qflag.coset import (MAX_HAAR_FIBERS, GrassmannPoint, _gram_factors,
+                         coset_element, coset_generator, cross_ratio,
+                         curvature_det, curvature_det_gap,
                          curvature_trace,
                          fundamental_action,
                          grassmann_from_coset, haar_average, inner_product,
@@ -19,6 +21,7 @@ from qflag.coset import (MAX_HAAR_FIBERS, GrassmannPoint, coset_element,
 from qflag.errors import (DegenerateQuadruple, DimensionMismatch, NonSquare,
                           PairingFailure, QflagError, ShapeMismatch,
                           SingularDenominator, SingularMatrix, TooManyFibers)
+from qflag.forms import curvature_blocks
 from qflag.quaternion import (HURWITZ_UNITS, Quaternion, random_quaternion,
                               random_unit_quaternion)
 from qflag.quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
@@ -240,9 +243,19 @@ def test_grouped_calls_solve_and_diagonalise_once_per_group(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     g = GroupElement(expm(random_skew_adjoint(rng, 4, 0.7)))
     pts = [random_point() for _ in range(4)]
+    du, dv = random_quatmat(rng, 2, 2), random_quatmat(rng, 2, 2)
+
+    def geometry_calls():
+        # the four calls at one point share its two inverses and its two
+        # inverse square roots
+        for call in GEOMETRY_CALLS.values():
+            call(pts[3], du, dv)
+
     expected = ((lambda: transport_identities(g, pts[0], pts[1]), 3, 0),
                 (lambda: cross_ratio(*pts), 1, 0),
-                (lambda: coset_element(pts[2].x), 0, 2))
+                (lambda: coset_element(pts[2].x), 0, 2),
+                (geometry_calls, 2, 2),
+                (geometry_calls, 0, 0))
     for call, solves, eighs in expected:
         counts.update(solve=0, eigh=0)
         call()
@@ -284,6 +297,109 @@ def test_cross_ratio_degenerate_gate():
 
 
 # -- the invariant metric ---------------------------------------------------------------
+
+GEOMETRY_CALLS = {
+    "metric_form": lambda p, du, dv: metric_form(p, du),
+    "metric_form_expanded": lambda p, du, dv: metric_form_expanded(p, du),
+    "metric_form_hermitian": lambda p, du, dv: metric_form_hermitian(p, du),
+    "curvature_blocks": curvature_blocks,
+}
+
+
+def geometry_draw(local, batch=(), j=2, k=3):
+    """A j x k point and two tangents, of batch shape ``batch``."""
+    return [QuatMatrix(local.normal(0.0, scale, batch + (j, k, 4)))
+            for scale in (0.5, 1.0, 1.0)]
+
+
+def test_shared_gram_factors_give_the_bits_of_fresh_calls():
+    local = np.random.default_rng(608)
+    for batch in ((), (3,)):
+        draws = [geometry_draw(local, batch) for _ in range(2)]
+        # a point with the first one's entries in the transposed shape
+        flipped = QuatMatrix(draws[0][0].a.reshape(batch + (3, 2, 4)))
+        draws.append([flipped] + geometry_draw(local, batch, 3, 2)[1:])
+        points = [GrassmannPoint(x) for x, _, _ in draws]
+        want = [fresh_geometry(*d) for d in draws]
+        for order in itertools.permutations(GEOMETRY_CALLS):
+            # each order twice at one point, then at the others
+            for i in (0, 0, 1, 2):
+                _, du, dv = draws[i]
+                for name in order:
+                    got = GEOMETRY_CALLS[name](points[i], du, dv)
+                    assert same_bits(got, want[i][name])
+
+
+def test_shared_gram_factors_follow_an_in_place_edit_of_the_point():
+    local = np.random.default_rng(609)
+    for batch in ((), (3,)):
+        x, du, dv = geometry_draw(local, batch)
+        point = GrassmannPoint(x)
+        # each call after an edit of another entry: first, middle, last
+        for entry, (name, call) in zip((0, 11, 17, -1), GEOMETRY_CALLS.items()):
+            before = call(point, du, dv)
+            x.a.reshape(batch + (-1,))[..., entry] += 0.25
+            want = fresh_geometry(x, du, dv)[name]
+            assert same_bits(call(point, du, dv), want)
+            assert not same_bits(before, want)
+
+
+def test_failed_gram_factors_are_not_stored():
+    local = np.random.default_rng(610)
+    x, du, dv = geometry_draw(local, (), 2, 2)
+    want = fresh_geometry(x, du, dv)
+    bad = nan_point()
+    bad_batch = GrassmannPoint(QuatMatrix(np.stack([x.a, bad.x.a, x.a])))
+    for name, call in GEOMETRY_CALLS.items():
+        for point in (bad, bad_batch):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(QflagError) as info:
+                    call(point, du, dv)
+                errors.append((type(info.value), str(info.value)))
+            assert errors[0] == errors[1]
+            assert same_bits(call(GrassmannPoint(x), du, dv), want[name])
+
+
+def test_stored_gram_factors_are_read_only():
+    point = random_point(2, 3)
+    for route in ("inv", "invsqrt"):
+        for factor in _gram_factors(point.x, route):
+            with pytest.raises(ValueError):
+                factor.a[0, 0, 0] = 1.0
+    dx = random_quatmat(rng, 2, 3)
+    assert same_bits(metric_form(point, dx),
+                     fresh_geometry(point.x, dx, dx)["metric_form"])
+
+
+def test_shared_gram_factors_hold_under_threads():
+    local = np.random.default_rng(611)
+    draws = [geometry_draw(local) for _ in range(4)]
+    want = [fresh_geometry(*d) for d in draws]
+    wrong, done = [], []
+
+    def work(i):
+        x, du, dv = draws[i]
+        point = GrassmannPoint(x)
+        for _ in range(30):
+            for name, call in GEOMETRY_CALLS.items():
+                if not same_bits(call(point, du, dv), want[i][name]):
+                    wrong.append((i, name))
+        done.append(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and not wrong
+
 
 def test_metric_nan_point_is_refused():
     with pytest.raises(QflagError):
@@ -544,6 +660,33 @@ def test_batched_coset_calls_equal_the_stacked_singles():
                          [coset_generator(xi) for xi in xis])
     assert same_matrices(coset_element(stack(xis)).m,
                          [coset_element(xi).m for xi in xis])
+
+
+def test_nonconforming_operands_raise_dimension_mismatch():
+    local = np.random.default_rng(612)
+
+    def tangent(batch):
+        return QuatMatrix(local.normal(0.0, 1.0, batch + (2, 2, 4)))
+
+    g3 = GroupElement(expm(QuatMatrix(np.stack(
+        [random_skew_adjoint(local, 4, 0.7).a for _ in range(3)]))))
+    p3, p5 = (GrassmannPoint(tangent(batch) * 0.5) for batch in ((3,), (5,)))
+    calls = [
+        lambda: QuatMatrix.identity(2) + QuatMatrix.identity(3),
+        lambda: QuatMatrix.identity(2) - QuatMatrix.identity(3),
+        lambda: tangent((3,)) @ tangent((5,)),
+        lambda: lft_apply(g3, p5),
+        lambda: transport_identities(g3, p5, p5),
+        lambda: transport_identities(GroupElement(QuatMatrix.identity(4)),
+                                     p3, p5),
+        lambda: cross_ratio(p3, p5, p3, p3),
+        lambda: cross_ratio(p5, p3, p3, p5),
+        lambda: metric_form(p3, tangent((5,))),
+        lambda: curvature_blocks(p3, tangent((5,)), tangent((5,))),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def test_batched_coset_calls_raise_the_single_error():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import quat_close
+from conftest import fresh_geometry, quat_close, same_bits
 from qflag import forms
-from qflag.coset import GrassmannPoint
+from qflag.coset import GrassmannPoint, metric_form_hermitian
 from qflag.errors import DimensionMismatch
 from qflag.forms import (connection_along_path, connection_blocks,
                          curvature_blocks, dY_wedge, hodge_star,
@@ -326,3 +326,20 @@ def test_batched_curvature_blocks_equal_the_stacked_singles():
         assert all(isinstance(s[key], Quaternion) for s in singles)
         assert np.array_equal(got[key],
                               np.stack([s[key].to_array() for s in singles]))
+
+
+def test_curvature_blocks_at_one_point_take_each_tangent_pair_fresh():
+    # the Gram factors shared between calls depend on the point alone
+    local = np.random.default_rng(613)
+    for batch in ((), (3,)):
+        x = QuatMatrix(local.normal(0.0, 0.5, batch + (3, 2, 4)))
+        point = GrassmannPoint(x)
+        tangents = [QuatMatrix(local.normal(0.0, 1.0, batch + (3, 2, 4)))
+                    for _ in range(3)]
+        for du, dv in [(0, 1), (1, 2), (2, 0), (0, 1)]:
+            du, dv = tangents[du], tangents[dv]
+            want = fresh_geometry(x, du, dv)
+            assert same_bits(curvature_blocks(point, du, dv),
+                             want["curvature_blocks"])
+            assert same_bits(metric_form_hermitian(point, dv),
+                             fresh_geometry(x, dv, du)["metric_form_hermitian"])
