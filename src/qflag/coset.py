@@ -369,19 +369,11 @@ def curvature_det(q: QuatMatrix, n: int, k: int) -> float:
 # Quaternion vectors are (..., n, 4) arrays and fiber elements eta are
 # (..., n, 4) arrays of unit quaternions, one per row of the group element.
 
-def _diag(entries: np.ndarray) -> QuatMatrix:
-    """Diagonal matrices from (..., n, 4) arrays of entries."""
-    n = entries.shape[-2]
-    out = np.zeros(entries.shape[:-1] + (n, 4))
-    out[..., np.arange(n), np.arange(n), :] = entries
-    return QuatMatrix(out)
-
-
 def fundamental_action(eta: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Componentwise left multiplication eta_c vec_c: the fundamental
     unit-quaternion action, as diag(eta) on the column ``vec``."""
     column = QuatMatrix(vec[..., None, :])
-    return (_diag(eta) @ column).a[..., 0, :]
+    return (QuatMatrix.diag(eta) @ column).a[..., 0, :]
 
 
 def trivial_action(eta: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -410,7 +402,7 @@ def haar_average(alpha, sigma, x: GroupElement) -> np.ndarray:
                             f"at most {MAX_HAAR_FIBERS} fibers are averaged")
     nodes = np.indices((len(HURWITZ_UNITS),) * n).reshape(n, -1).T
     etas = HURWITZ_UNITS[nodes]
-    return sigma(etas, alpha((x.m @ _diag(etas)).a)).mean(axis=0)
+    return sigma(etas, alpha((x.m @ QuatMatrix.diag(etas)).a)).mean(axis=0)
 
 
 def inner_product(u: np.ndarray, v: np.ndarray):

@@ -21,7 +21,8 @@ import numpy as np
 from .coset import coset_generator
 from .errors import DimensionMismatch, PartitionMismatch
 from .quaternion import require_unit, sq_norms
-from .quatmat import GroupElement, QuatMatrix, expm, require_skew_adjoint
+from .quatmat import (GroupElement, QuatMatrix, _stack, _wrap, expm,
+                      require_skew_adjoint)
 
 
 @dataclass
@@ -73,8 +74,7 @@ def evolve(gen: QuatMatrix, psi0: StateVector, t) -> StateVector:
 
 def _expm_each(*ms: QuatMatrix) -> list:
     """exp of each of ``ms``, broadcast to one batch, in one ``expm`` call."""
-    flows = expm(QuatMatrix(np.stack(np.broadcast_arrays(*(m.a for m in ms)))))
-    return [QuatMatrix(f) for f in flows.a]
+    return list(map(_wrap, expm(_stack(ms)).a))
 
 
 def cocycle_residual(gen: QuatMatrix, t, t0) -> float:

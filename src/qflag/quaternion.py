@@ -128,22 +128,13 @@ def to_m2c(q: Quaternion) -> np.ndarray:
 
 
 def from_m2c(m) -> Quaternion:
-    """Inverse of :func:`to_m2c`.
-
-    Raises :class:`MalformedM2C` unless the quaternionic block structure
-    (m22 = conj(m11), m21 = -conj(m12)) holds within 1e-12 relative to the
-    block's scale; a NaN or infinite entry leaves a residual that is not
-    finite, and fails, as in :meth:`QuatMatrix.project`.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise MalformedM2C(f"expected a 2x2 matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    res = max(abs(m[1, 1] - m[0, 0].conjugate()),
-              abs(m[1, 0] + m[0, 1].conjugate()))
-    if not (math.isfinite(res) and res <= 1e-12 * scale):
-        raise MalformedM2C(f"structure residual {res:.3e} exceeds 1.0e-12")
-    return Quaternion(m[0, 0].real, m[0, 1].real, m[0, 1].imag, m[0, 0].imag)
+    """Inverse of :func:`to_m2c`: the one-block case of
+    :meth:`QuatMatrix.project`, under its structure check (``config.STRUCTURE``
+    relative to the block's scale; a NaN or infinite entry fails)."""
+    from .quatmat import QuatMatrix        # quatmat imports this module
+    if np.shape(m) != (2, 2):
+        raise MalformedM2C(f"expected a 2x2 matrix, got shape {np.shape(m)}")
+    return Quaternion.from_array(QuatMatrix.project(m).a[0, 0])
 
 
 def j_conjugate(m) -> np.ndarray:

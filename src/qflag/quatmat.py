@@ -106,11 +106,11 @@ class QuatMatrix:
 
     @classmethod
     def diag(cls, entries) -> "QuatMatrix":
-        n = len(entries)
-        a = np.zeros((n, n, 4))
-        for i, q in enumerate(entries):
-            a[i, i] = q.to_array()
-        return cls(a)
+        """Diagonal matrices from an ``(..., n, 4)`` array of entries."""
+        entries = np.asarray(entries, dtype=float)
+        m = cls(np.zeros(entries.shape[:-1] + entries.shape[-2:]))
+        m.a[..., range(m.rows), range(m.rows), :] = entries
+        return m
 
     # -- basic queries ----------------------------------------------------------
 
@@ -137,16 +137,10 @@ class QuatMatrix:
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other: "QuatMatrix") -> "QuatMatrix":
-        try:
-            return _wrap(self.a + other.a)
-        except ValueError:
-            raise _nonconforming("add", self, other) from None
+        return _entrywise(np.add, self, other)
 
     def __sub__(self, other: "QuatMatrix") -> "QuatMatrix":
-        try:
-            return _wrap(self.a - other.a)
-        except ValueError:
-            raise _nonconforming("subtract", self, other) from None
+        return _entrywise(np.subtract, self, other)
 
     def __neg__(self) -> "QuatMatrix":
         return _wrap(-self.a)
@@ -155,7 +149,11 @@ class QuatMatrix:
         """Scale by a number, or by an array that broadcasts with the batch."""
         if not isinstance(s, (int, float)):
             s = np.asarray(s, dtype=float)[..., None, None, None]
-        return _wrap(self.a * s)
+        try:
+            return _wrap(self.a * s)
+        except ValueError:
+            raise DimensionMismatch(f"cannot scale batch {self.batch} by an "
+                                    f"array of shape {s.shape[:-3]}") from None
 
     __rmul__ = __mul__
 
@@ -227,17 +225,11 @@ class QuatMatrix:
         with np.errstate(invalid="ignore"):     # 0 * inf: NaN over the block
             out = (blocks @ _READBACK).reshape(shape + (8,))
         del blocks                        # free the copy before the residuals
-        res = np.abs(out[..., 4:].view(complex))
-        # every scale is at least 1, so a worst residual within the bare
-        # tolerance passes without the per-matrix scales (NaN fails both)
-        if not res.max(initial=0.0) <= config.STRUCTURE:
-            res = res.max(axis=_ENTRY_AXES, initial=0.0)
-            scale = np.maximum(1.0, np.abs(emb).max(axis=(-2, -1),
-                                                    initial=0.0))
-            bad = ~(np.isfinite(res) & (res <= config.STRUCTURE * scale))
-            if bad.any():
-                raise MalformedM2C(f"structure residual {res[bad].max():.3e} "
-                                   f"exceeds {config.STRUCTURE:.1e} * scale")
+        worst = _worst_off_scale(out[..., 4:].view(complex), emb,
+                                 config.STRUCTURE, (-2, -1))
+        if worst is not None:
+            raise MalformedM2C(f"structure residual {worst:.3e} "
+                               f"exceeds {config.STRUCTURE:.1e} * scale")
         return _wrap(np.ascontiguousarray(out[..., :4]))
 
     def inv(self, err: Exception = None) -> "QuatMatrix":
@@ -274,16 +266,12 @@ class QuatMatrix:
         # embedding with its adjoint, which absorbs that much asymmetry
         with np.errstate(invalid="ignore"):     # inf - inf on the diagonal
             delta = self - self.adjoint()
-        return _within_scale(delta, self, config.IDENTITY * 10)
+        return _worst_off_scale(delta.a, self.a, config.IDENTITY * 10) is None
 
     def is_skew_adjoint(self) -> bool:
         with np.errstate(invalid="ignore"):
-            return _within_scale(self + self.adjoint(), self, config.IDENTITY)
-
-    def is_unitary(self, tol: float = None) -> bool:
-        tol = config.IDENTITY if tol is None else tol
-        delta = self.adjoint() @ self - QuatMatrix.identity(self.rows)
-        return delta.max_abs() <= tol
+            delta = self + self.adjoint()
+        return _worst_off_scale(delta.a, self.a, config.IDENTITY) is None
 
     def __repr__(self) -> str:
         batch = f"batch={self.batch}, " if self.batch else ""
@@ -296,6 +284,16 @@ def _wrap(a: np.ndarray) -> QuatMatrix:
     m = object.__new__(QuatMatrix)
     m.a = a
     return m
+
+
+def _entrywise(op, x: QuatMatrix, y: QuatMatrix) -> QuatMatrix:
+    """``op`` of two matrices of one shape whose batch shapes broadcast."""
+    if x.a.shape[-3:] == y.a.shape[-3:]:
+        try:
+            return _wrap(op(x.a, y.a))
+        except ValueError:
+            pass
+    raise _nonconforming(op.__name__, x, y)
 
 
 def _nonconforming(what: str, x: QuatMatrix, y: QuatMatrix) -> DimensionMismatch:
@@ -325,33 +323,40 @@ def _inverses(mats, err: Exception) -> list:
 
 
 def _stack(mats, batch: tuple = None) -> QuatMatrix:
-    """Matrices of one shape on a new leading axis, broadcast to the common
-    batch shape of theirs and, if given, ``batch``."""
-    arrays = [m.a for m in mats]
+    """Matrices of one shape on a new leading axis, after :func:`_broadcast`."""
+    return _wrap(np.array(_broadcast([m.a for m in mats], batch)))
+
+
+def _broadcast(arrays: list, batch: tuple = None) -> list:
+    """Arrays of matrices broadcast to the common batch shape of theirs and,
+    if given, ``batch``; :class:`DimensionMismatch` if there is none."""
     leads = {a.shape[:-3] for a in arrays}
     if batch is not None:
         leads.add(batch)
-    if len(leads) > 1:
-        try:
-            common = np.broadcast_shapes(*leads)
-        except ValueError:
-            raise DimensionMismatch(f"batch shapes {sorted(leads)} "
-                                    "do not broadcast") from None
-        arrays = [np.broadcast_to(a, common + a.shape[-3:]) for a in arrays]
-    return _wrap(np.array(arrays))        # np.stack, without its checks
+    if len(leads) < 2:
+        return arrays
+    try:
+        common = np.broadcast_shapes(*leads)
+    except ValueError:
+        raise DimensionMismatch(f"batch shapes {sorted(leads)} "
+                                "do not broadcast") from None
+    return [np.broadcast_to(a, common + a.shape[-3:]) for a in arrays]
 
 
-def _within_scale(delta: QuatMatrix, ref: QuatMatrix, tol: float) -> bool:
-    """Every |delta| <= tol * max(1, |ref|), matrix by matrix."""
-    res = np.abs(delta.a)
+def _worst_off_scale(res: np.ndarray, ref: np.ndarray, tol: float,
+                     ref_axes: tuple = _ENTRY_AXES):
+    """The worst |res| (matrix axes ``_ENTRY_AXES``) over the matrices where
+    it exceeds ``tol * max(1, |ref|)`` (matrix axes ``ref_axes``), or None;
+    a NaN or infinite residual fails."""
+    res = np.abs(res)
     # every scale is at least 1: a worst residual within the bare tolerance
-    # passes without the per-matrix scales
+    # passes without the per-matrix scales (NaN fails both)
     if res.max(initial=0.0) <= tol:
-        return True
+        return None
     res = res.max(axis=_ENTRY_AXES, initial=0.0)
-    scale = np.maximum(1.0, np.abs(ref.a).max(axis=_ENTRY_AXES, initial=0.0))
-    # an infinite entry makes its scale infinite; its residual is not finite
-    return bool((np.isfinite(res) & (res <= tol * scale)).all())
+    scale = np.maximum(1.0, np.abs(ref).max(axis=ref_axes, initial=0.0))
+    bad = ~(np.isfinite(res) & (res <= tol * scale))
+    return res[bad].max() if bad.any() else None
 
 
 def _norm1(m: np.ndarray):
@@ -362,16 +367,16 @@ def _norm1(m: np.ndarray):
 def block_matrix(blocks) -> QuatMatrix:
     """Assemble from a 2d grid of conforming QuatMatrix blocks.
 
-    Blocks of different batch shapes are broadcast to a common one.
+    Blocks of different batch shapes are broadcast to a common one; blocks
+    that do not conform raise :class:`DimensionMismatch`.
     """
-    arrays = [[b.a for b in row] for row in blocks]
-    batches = {a.shape[:-3] for row in arrays for a in row}
-    if len(batches) > 1:
-        batch = np.broadcast_shapes(*batches)
-        arrays = [[np.broadcast_to(a, batch + a.shape[-3:]) for a in row]
-                  for row in arrays]
-    rows = [np.concatenate(row, axis=-2) for row in arrays]
-    return QuatMatrix(np.concatenate(rows, axis=-3))
+    arrays = iter(_broadcast([b.a for row in blocks for b in row]))
+    try:
+        return QuatMatrix(np.concatenate(
+            [np.concatenate([next(arrays) for _ in row], axis=-2)
+             for row in blocks], axis=-3))
+    except ValueError:
+        raise DimensionMismatch("blocks do not conform") from None
 
 
 # A batched ``expm`` runs in blocks whose right regular representations
@@ -396,8 +401,6 @@ def expm(m: QuatMatrix) -> QuatMatrix:
     """
     if not m.is_square():
         raise NonSquare("exponential of a non-square matrix")
-    if not m.batch:
-        return _expm(m)
     rows = m.a.reshape((np.prod(m.batch, dtype=int),) + m.a.shape[-3:])
     step = max(1, _EXPM_BLOCK_BYTES // (128 * max(m.rows, 1) ** 2))
     out = np.empty_like(rows)
@@ -407,7 +410,7 @@ def expm(m: QuatMatrix) -> QuatMatrix:
 
 
 def _expm(m: QuatMatrix) -> QuatMatrix:
-    """:func:`expm` of a square matrix or a batch of them, in one block."""
+    """:func:`expm` of a batch of square matrices, in one block."""
     n = m.rows
     norm1 = _norm1(m.embed())
     # np.maximum keeps a NaN norm: the worst count is NaN or inf on bad input
@@ -535,8 +538,8 @@ class GroupElement:
         if check:
             if not m.is_square():
                 raise NotGroupElement("group elements are square matrices")
-            if not m.is_unitary(tol):
-                res = (m.adjoint() @ m - QuatMatrix.identity(m.rows)).max_abs()
+            res = (m.adjoint() @ m - QuatMatrix.identity(m.rows)).max_abs()
+            if not res <= (config.IDENTITY if tol is None else tol):
                 raise NotGroupElement(f"unitarity residual {res:.3e}")
         self.m = m
 

@@ -387,7 +387,8 @@ def _(cfg, rng):
 def _(cfg, rng):
     x = random_group_element(rng, 2)
     xi = [random_unit_quaternion(rng) for _ in range(2)]
-    x_xi = GroupElement(x.m @ QuatMatrix.diag(xi), check=False)
+    x_xi = GroupElement(x.m @ QuatMatrix.diag([u.to_array() for u in xi]),
+                        check=False)
 
     def alpha(shifted):
         return shifted[:, [0, 1], [0, 1]]     # the entries (0, 0) and (1, 1)

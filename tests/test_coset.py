@@ -290,6 +290,14 @@ def test_cross_ratio_zero_numerator():
     assert cross_ratio(pa, GrassmannPoint(pa.x), pc, pd) == 0.0
 
 
+def test_cross_ratio_refuses_points_of_another_size():
+    small = GrassmannPoint(QuatMatrix.identity(1))
+    local = np.random.default_rng(36)
+    pts = [GrassmannPoint(random_quatmat(local, 2, 2, 0.5)) for _ in range(3)]
+    with pytest.raises(DimensionMismatch):
+        cross_ratio(small, *pts)
+
+
 def test_cross_ratio_degenerate_gate():
     pa, pb, pd = random_point(), random_point(), random_point()
     with pytest.raises(DegenerateQuadruple):
@@ -732,7 +740,8 @@ def _shifted(x, n):
     """x xi for a random fiber element xi, and the conjugates of xi."""
     xi = [random_unit_quaternion(rng) for _ in range(n)]
     xi_conj = np.array([u.conj().to_array() for u in xi])
-    return GroupElement(x.m @ QuatMatrix.diag(xi), check=False), xi_conj
+    return (GroupElement(x.m @ QuatMatrix.diag([u.to_array() for u in xi]),
+                         check=False), xi_conj)
 
 
 def test_haar_equivariance_is_exact():
@@ -772,7 +781,7 @@ def test_haar_average_matches_a_per_node_loop():
     units = [Quaternion.from_array(u) for u in HURWITZ_UNITS]
     acc = [Quaternion()] * 2
     for pair in itertools.product(units, repeat=2):
-        shifted = x.m @ QuatMatrix.diag(pair)
+        shifted = x.m @ QuatMatrix.diag([u.to_array() for u in pair])
         acc = [acc[c] + pair[c] * Quaternion.from_array(shifted.a[c, c])
                for c in range(2)]
     nodes = len(units) ** 2
@@ -803,7 +812,7 @@ def test_haar_average_refuses_more_fibers_before_any_work(monkeypatch):
 
 def test_fiber_element_is_group_member():
     units = [random_unit_quaternion(rng) for _ in range(3)]
-    assert QuatMatrix.diag(units).is_unitary(1e-12)
+    GroupElement(QuatMatrix.diag([u.to_array() for u in units]), tol=1e-12)
 
 
 def test_s3_sampling_mean():

@@ -157,6 +157,31 @@ def test_from_m2c_rejects_non_finite(block):
         from_m2c(np.array(block, dtype=complex))
 
 
+def test_from_m2c_is_the_one_block_case_of_project():
+    from qflag.quatmat import QuatMatrix
+
+    def projected(m):
+        return Quaternion.from_array(QuatMatrix.project(m).a[0, 0])
+
+    local = np.random.default_rng(35)
+    for _ in range(200):
+        m = to_m2c(random_quaternion(local))
+        got = from_m2c(m)
+        assert np.array_equal(got.to_array(), projected(m).to_array())
+    m = to_m2c(Quaternion(1.0, 2.0, 3.0, 4.0))
+    near = m.copy()
+    near[1, 1] += 1e-10
+    # project averages the two entries that carry w: 1 + 5e-11
+    assert from_m2c(near) == projected(near)
+    assert quat_close(from_m2c(near), Quaternion(1.0, 2.0, 3.0, 4.0), 1e-10)
+    far = m.copy()
+    far[1, 1] += 1e-8 * np.abs(m).max()
+    with pytest.raises(MalformedM2C):
+        from_m2c(far)
+    with pytest.raises(MalformedM2C):
+        projected(far)
+
+
 def test_j_conjugate():
     assert np.abs(j_conjugate(to_m2c(E)) - np.eye(2)).max() == 0
     for _ in range(1000):

@@ -106,6 +106,32 @@ def test_matmul_dimension_gate():
         random_quatmat(rng, 2, 3) @ random_quatmat(rng, 2, 3)
 
 
+def test_sum_and_difference_need_one_matrix_shape():
+    # a 1x1 operand is not stretched along the matrix axes
+    for x, y in ((QuatMatrix.identity(2), QuatMatrix.identity(1)),
+                 (QuatMatrix.identity(1), QuatMatrix.identity(2))):
+        with pytest.raises(DimensionMismatch):
+            x + y
+        with pytest.raises(DimensionMismatch):
+            x - y
+    # batch axes still broadcast, and batches that do not broadcast fail
+    batch = QuatMatrix(np.random.default_rng(31).normal(size=(3, 2, 2, 4)))
+    single = QuatMatrix.identity(2)
+    assert np.array_equal((batch + single).a, batch.a + single.a)
+    assert np.array_equal((single - batch).a, single.a - batch.a)
+    with pytest.raises(DimensionMismatch):
+        batch + QuatMatrix(np.zeros((4, 2, 2, 4)))
+
+
+def test_scaling_by_an_array_that_does_not_broadcast_fails():
+    batch = QuatMatrix(np.zeros((3, 2, 2, 4)))
+    assert (batch * np.ones((2, 3))).batch == (2, 3)
+    with pytest.raises(DimensionMismatch):
+        batch * np.ones(5)
+    with pytest.raises(DimensionMismatch):
+        batch * np.ones((3, 2))
+
+
 def test_adjoint():
     q = Quaternion(1.0, 2.0, -1.0, 0.5)
     single = QuatMatrix([[q.to_array()]])
@@ -157,11 +183,20 @@ def test_exp_inverse_and_oracle():
         assert (expm(gen) - series_exp(gen)).max_abs() < 1e-12
 
 
+def test_single_exponential_equals_the_batch_of_one():
+    local = np.random.default_rng(32)
+    for n in (1, 2, 3, 4, 8):
+        gen = random_skew_adjoint(local, n)
+        one = expm(QuatMatrix(gen.a[None]))
+        assert one.batch == (1,)
+        assert np.array_equal(expm(gen).a, one.a[0])
+
+
 def test_exp_group_membership_across_scales():
     gen = random_skew_adjoint(rng, 3)
     for t in (0.1, 1.0, 10.0):
         g = expm(gen * t)
-        assert g.is_unitary(1e-10)
+        GroupElement(g, tol=1e-10)
     with pytest.raises(NonSquare):
         expm(random_quatmat(rng, 2, 3))
 
@@ -537,6 +572,45 @@ def test_batched_eigvals_equal_the_stacked_singles():
     assert np.array_equal(got, np.stack([eigvals_hyperhermitian(m) for m in mats]))
 
 
+def test_block_matrix_refuses_blocks_that_do_not_conform():
+    one, two = QuatMatrix.zeros(1, 1), QuatMatrix.zeros(2, 2)
+    for grid in ([[one, two]], [[one], [QuatMatrix.zeros(1, 2)]],
+                 [[QuatMatrix(np.zeros((3, 1, 1, 4))),
+                   QuatMatrix(np.zeros((5, 1, 1, 4)))]]):
+        with pytest.raises(DimensionMismatch):
+            block_matrix(grid)
+
+
+def test_batched_diag_equals_the_stacked_singles():
+    entries = np.random.default_rng(33).normal(size=(5, 3, 4))
+    got = QuatMatrix.diag(entries)
+    assert got.batch == (5,) and got.shape == (3, 3)
+    expect = stack([QuatMatrix.diag(e) for e in entries])
+    assert np.array_equal(got.a, expect)
+    single = QuatMatrix.diag(entries[0])
+    for i in range(3):
+        for j in range(3):
+            assert np.array_equal(single.a[i, j],
+                                  entries[0, i] if i == j else np.zeros(4))
+    for bad in (np.ones(4), np.ones((2, 3))):
+        with pytest.raises(DimensionMismatch):
+            QuatMatrix.diag(bad)
+
+
+def test_failed_membership_check_forms_one_product(monkeypatch):
+    products = []
+    matmul = QuatMatrix.__matmul__
+
+    def counted(x, y):
+        products.append(1)
+        return matmul(x, y)
+
+    monkeypatch.setattr(QuatMatrix, "__matmul__", counted)
+    with pytest.raises(NotGroupElement, match="unitarity residual"):
+        GroupElement(random_quatmat(np.random.default_rng(34), 3, 3))
+    assert len(products) == 1
+
+
 def test_batched_block_matrix_broadcasts_single_blocks():
     tops = [random_quatmat(batch_rng, 2, 2) for _ in range(4)]
     lows = [random_quatmat(batch_rng, 1, 3) for _ in range(4)]
@@ -561,7 +635,8 @@ def test_empty_batch_passes_through_every_kernel():
     assert func_hermitian(empty, "sqrt").a.shape == (0, 2, 2, 4)
     assert eigvals_hyperhermitian(empty).shape == (0, 2)
     assert empty.trace().shape == (0, 4)
-    assert empty.is_hermitian() and empty.is_unitary()
+    assert empty.is_hermitian()
+    GroupElement(empty)
 
 
 def test_one_bad_matrix_fails_the_whole_batch():
