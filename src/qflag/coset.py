@@ -21,7 +21,9 @@ Gram factors of the most recent point: (1+XX*)^{-1} and (1+X*X)^{-1} from
 :meth:`QuatMatrix.inv`, (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from
 :func:`func_hermitian`.  A factor is computed again only when the point's
 content changes, so successive calls at one point return the bits that
-fresh calls would.
+fresh calls would.  The two sides of a route that are computed together go
+through one call per size: at a square point one ``solve`` for both
+inverses and one ``eigh`` for both inverse square roots.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import config
 from .errors import (DegenerateQuadruple, DimensionMismatch, PairingFailure,
                      ShapeMismatch, SingularDenominator, TooManyFibers)
 from .quaternion import HURWITZ_UNITS
-from .quatmat import (GroupElement, QuatMatrix, _check_partition,
+from .quatmat import (GroupElement, QuatMatrix, _by_size, _check_partition,
                       _funcs_hermitian, _inverses, _stack, _wrap, block_matrix,
                       eigvals_hyperhermitian, func_hermitian)
 
@@ -84,8 +86,9 @@ def coset_element(xi: QuatMatrix) -> GroupElement:
     with Z = sinc_sqrt(xi xi*) xi = (xi xi*)^{-1/2} sin (xi xi*)^{1/2} xi.
     """
     xi_adj = xi.adjoint()
-    sinc_left, cos_left = _funcs_hermitian(xi @ xi_adj, ("sinc_sqrt", "cos_sqrt"))
-    (cos_right,) = _funcs_hermitian(xi_adj @ xi, ("cos_sqrt",))
+    (sinc_left, cos_left), (_, cos_right) = _by_size(
+        [xi @ xi_adj, xi_adj @ xi],
+        lambda s: _funcs_hermitian(s, ("sinc_sqrt", "cos_sqrt")))
     z = sinc_left @ xi
     top = [cos_left, z]
     bottom = [-z.adjoint(), cos_right]
@@ -145,11 +148,13 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
     1 + Ya* Yb and (twice, with the roles of the two points exchanged in the
     flanking inverses) Ya - Yb through the group blocks.
 
-    The six inverses take three calls, in this order: C Xa + D and C Xb + D
-    as one batch; the j x j transport factors A* - Xa B*, A* - Xb B* and
-    A - B Xb* as another; then the k x k factor Xa* C* + D*.  A batch
-    raises its error if any of its matrices is singular, so the error is
-    the one that six separate calls in this order would raise.
+    The six inverses take two calls on a square point, in this order:
+    C Xa + D and C Xb + D as one batch, then the transport factors
+    A* - Xa B*, A* - Xb B*, A - B Xb* and Xa* C* + D* as another; a
+    j x k point with j != k takes one call for the j x j factors and one
+    for the k x k factor.  A batch raises its error if any of its matrices
+    is singular, so the error is the one that six separate calls in this
+    order would raise.
     """
     if (pa.j, pa.k) != (pb.j, pb.k):
         raise ShapeMismatch("points live on different Grassmannians")
@@ -163,9 +168,9 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
 
     err = SingularDenominator("transport factor is singular")
     left = (a.adjoint() - both @ b.adjoint()).a
-    la, lb, rb_star = _inverses(
-        [_wrap(left[0]), _wrap(left[1]), a - b @ xb.adjoint()], err)
-    la_star = (xa.adjoint() @ c.adjoint() + d.adjoint()).inv(err)
+    la, lb, rb_star, la_star = _inverses(
+        [_wrap(left[0]), _wrap(left[1]), a - b @ xb.adjoint(),
+         xa.adjoint() @ c.adjoint() + d.adjoint()], err)
 
     res = {}
     lhs = eye_j + ya @ yb.adjoint()
@@ -212,23 +217,25 @@ _GRAM_FACTORS = {}
 def _gram_factors(x: QuatMatrix, route: str, sides=("left", "right")) -> list:
     """The inverses (``route`` "inv") or inverse square roots ("invsqrt") of
     1 + X X* ("left") and 1 + X* X ("right"), one for each of ``sides`` in
-    order; each is computed only when its slot holds another X."""
+    order.  The sides whose slots hold another X are factored together,
+    one call per size (:func:`_by_size`)."""
     key = x.a.shape, x.a.tobytes()
-    out = []
-    for side in sides:
-        slot = _GRAM_FACTORS.get((side, route))
-        if slot is not None and slot[:2] == key:
-            out.append(slot[2])
-            continue
-        if side == "left":
-            gram = QuatMatrix.identity(x.rows) + x @ x.adjoint()
+    slots = {side: _GRAM_FACTORS.get((side, route)) for side in sides}
+    missing = [side for side, slot in slots.items()
+               if slot is None or slot[:2] != key]
+    if missing:
+        grams = [QuatMatrix.identity(x.rows) + x @ x.adjoint() if side == "left"
+                 else QuatMatrix.identity(x.cols) + x.adjoint() @ x
+                 for side in missing]
+        if route == "inv":
+            factors = _inverses(grams)
         else:
-            gram = QuatMatrix.identity(x.cols) + x.adjoint() @ x
-        factor = gram.inv() if route == "inv" else func_hermitian(gram, "invsqrt")
-        factor.a.flags.writeable = False
-        _GRAM_FACTORS[side, route] = key + (factor,)
-        out.append(factor)
-    return out
+            factors = [f for (f,) in _by_size(
+                grams, lambda s: [func_hermitian(s, "invsqrt")])]
+        for side, factor in zip(missing, factors):
+            factor.a.flags.writeable = False
+            slots[side] = _GRAM_FACTORS[side, route] = key + (factor,)
+    return [slots[side][2] for side in sides]
 
 
 def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:

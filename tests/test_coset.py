@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import fresh_geometry, mat_close, real_matrix, same_bits
-from qflag.coset import (MAX_HAAR_FIBERS, GrassmannPoint, _gram_factors,
-                         coset_element, coset_generator, cross_ratio,
+from qflag.coset import (MAX_HAAR_FIBERS, GrassmannPoint, _action,
+                         _gram_factors, coset_element, coset_generator,
+                         cross_ratio,
                          curvature_det, curvature_det_gap,
                          curvature_trace,
                          fundamental_action,
@@ -24,9 +25,9 @@ from qflag.errors import (DegenerateQuadruple, DimensionMismatch, NonSquare,
 from qflag.forms import curvature_blocks
 from qflag.quaternion import (HURWITZ_UNITS, Quaternion, random_quaternion,
                               random_unit_quaternion)
-from qflag.quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
-                           random_group_element, random_quatmat,
-                           random_skew_adjoint)
+from qflag.quatmat import (GroupElement, QuatMatrix, block_matrix, expm,
+                           func_hermitian, random_group_element,
+                           random_quatmat, random_skew_adjoint)
 from qflag.verify import s3_moments
 
 rng = np.random.default_rng(303)
@@ -233,36 +234,109 @@ def test_transport_identities_error_paths():
 
 
 def test_grouped_calls_solve_and_diagonalise_once_per_group(monkeypatch):
-    # transport_identities inverts in 3 batches and cross_ratio in 1;
-    # coset_element takes sinc_sqrt and cos_sqrt of xi xi* from one eigh
+    # one solve or eigh per size of matrix: transport_identities inverts
+    # C X + D, then its transport factors; cross_ratio inverts in 1 call;
+    # coset_element takes sinc_sqrt and cos_sqrt of xi xi* and xi* xi
     counts = {"solve": 0, "eigh": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
             counts[_name] += 1
             return _fn(*args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def check(g, pts, du, dv, expected):
+        def geometry_calls():
+            # the four calls at one point share its two inverses and its
+            # two inverse square roots
+            for call in GEOMETRY_CALLS.values():
+                call(pts[3], du, dv)
+
+        calls = {"transport": lambda: transport_identities(g, pts[0], pts[1]),
+                 "cross_ratio": lambda: cross_ratio(*pts),
+                 "coset_element": lambda: coset_element(pts[2].x),
+                 "geometry": geometry_calls, "geometry again": geometry_calls}
+        for name, want in expected.items():
+            counts.update(solve=0, eigh=0)
+            calls[name]()
+            assert counts == dict(zip(("solve", "eigh"), want)), name
+
+    # a square point: both sides of each pair share one call
     g = GroupElement(expm(random_skew_adjoint(rng, 4, 0.7)))
     pts = [random_point() for _ in range(4)]
     du, dv = random_quatmat(rng, 2, 2), random_quatmat(rng, 2, 2)
-
-    def geometry_calls():
-        # the four calls at one point share its two inverses and its two
-        # inverse square roots
-        for call in GEOMETRY_CALLS.values():
-            call(pts[3], du, dv)
-
-    expected = ((lambda: transport_identities(g, pts[0], pts[1]), 3, 0),
-                (lambda: cross_ratio(*pts), 1, 0),
-                (lambda: coset_element(pts[2].x), 0, 2),
-                (geometry_calls, 2, 2),
-                (geometry_calls, 0, 0))
-    for call, solves, eighs in expected:
-        counts.update(solve=0, eigh=0)
-        call()
-        assert counts == {"solve": solves, "eigh": eighs}
+    check(g, pts, du, dv, {"transport": (2, 0), "cross_ratio": (1, 0),
+                           "coset_element": (0, 1), "geometry": (1, 1),
+                           "geometry again": (0, 0)})
+    # a 1 x 2 point: two sizes, one call each
+    local = np.random.default_rng(613)
+    g = GroupElement(expm(random_skew_adjoint(local, 3, 0.7)))
+    pts = [GrassmannPoint(random_quatmat(local, 1, 2, 0.5)) for _ in range(4)]
+    du, dv = random_quatmat(local, 1, 2), random_quatmat(local, 1, 2)
+    check(g, pts, du, dv, {"transport": (3, 0), "coset_element": (0, 2),
+                           "geometry": (2, 2), "geometry again": (0, 0)})
     # internal results skip re-validation; the public constructor does not
     with pytest.raises(DimensionMismatch):
         QuatMatrix(np.zeros((2, 2)))
+
+
+def per_side_transport(g, xa, xb):
+    """transport_identities with each of its six inverses on its own: the
+    action at each point alone, then the four transport factors."""
+    j, k = xa.rows, xa.cols
+    a, b, c, d = g.m.blocks(j, k)
+    eye_j, eye_k = QuatMatrix.identity(j), QuatMatrix.identity(k)
+    _, _, ya, ra = _action(g, xa)
+    _, _, yb, rb = _action(g, xb)
+    la = (a.adjoint() - xa @ b.adjoint()).inv()
+    lb = (a.adjoint() - xb @ b.adjoint()).inv()
+    rb_star = (a - b @ xb.adjoint()).inv()
+    la_star = (xa.adjoint() @ c.adjoint() + d.adjoint()).inv()
+
+    def worst(m):
+        values = np.abs(m.a).max(axis=(-3, -2, -1))
+        return float(values) if values.ndim == 0 else values
+
+    return {"one_plus_y_ystar": worst(eye_j + ya @ yb.adjoint()
+                                      - la @ (eye_j + xa @ xb.adjoint())
+                                      @ rb_star),
+            "one_plus_ystar_y": worst(eye_k + ya.adjoint() @ yb
+                                      - la_star @ (eye_k + xa.adjoint() @ xb)
+                                      @ rb),
+            "difference_a": worst(ya - yb - la @ (xa - xb) @ rb),
+            "difference_b": worst(ya - yb - lb @ (xa - xb) @ ra)}
+
+
+def test_grouped_factors_have_the_bits_of_per_side_factors():
+    local = np.random.default_rng(614)
+    for n in (1, 2, 3):
+        for batch in ((), (3,)):
+            x = QuatMatrix(local.normal(0.0, 0.5, batch + (n, n, 4)))
+            left = QuatMatrix.identity(n) + x @ x.adjoint()
+            right = QuatMatrix.identity(n) + x.adjoint() @ x
+            # both Gram routes, each side factored alone
+            for got, want in zip(
+                    _gram_factors(x, "inv") + _gram_factors(x, "invsqrt"),
+                    (left.inv(), right.inv(), func_hermitian(left, "invsqrt"),
+                     func_hermitian(right, "invsqrt"))):
+                assert np.array_equal(got.a, want.a)
+            # coset_element from one spectrum per side
+            xi = QuatMatrix(local.normal(0.0, 0.5, batch + (n, n, 4)))
+            xi_adj = xi.adjoint()
+            z = func_hermitian(xi @ xi_adj, "sinc_sqrt") @ xi
+            want = block_matrix([[func_hermitian(xi @ xi_adj, "cos_sqrt"), z],
+                                 [-z.adjoint(),
+                                  func_hermitian(xi_adj @ xi, "cos_sqrt")]])
+            assert np.array_equal(coset_element(xi).m.a, want.a)
+            # every transport residual, the group element single or batched
+            for g_batch in ((), batch):
+                gens = QuatMatrix(local.normal(
+                    0.0, 0.7, g_batch + (2 * n, 2 * n, 4)))
+                g = GroupElement(expm((gens - gens.adjoint()) * 0.5))
+                xa, xb = (QuatMatrix(local.normal(0.0, 0.5, batch + (n, n, 4)))
+                          for _ in range(2))
+                got = transport_identities(g, GrassmannPoint(xa),
+                                           GrassmannPoint(xb))
+                assert same_bits(got, per_side_transport(g, xa, xb))
 
 
 def test_cross_ratio_invariance():

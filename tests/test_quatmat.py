@@ -132,6 +132,20 @@ def test_scaling_by_an_array_that_does_not_broadcast_fails():
         batch * np.ones((3, 2))
 
 
+def test_an_array_on_the_left_reaches_the_matrix_operators():
+    m = QuatMatrix(np.random.default_rng(32).normal(size=(3, 2, 2, 4)))
+    scale = np.array([1.0, -2.0, 0.5])
+    # a conforming array scales the batch, as on the right
+    left = scale * m
+    assert isinstance(left, QuatMatrix)
+    assert np.array_equal(left.a, (m * scale).a)
+    assert np.array_equal(left.a, m.a * scale[:, None, None, None])
+    with pytest.raises(DimensionMismatch):
+        np.ones((2, 5)) * m
+    with pytest.raises(TypeError):
+        np.ones((3, 2, 2, 4)) + m
+
+
 def test_adjoint():
     q = Quaternion(1.0, 2.0, -1.0, 0.5)
     single = QuatMatrix([[q.to_array()]])
