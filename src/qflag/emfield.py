@@ -15,6 +15,8 @@ electric field with a minus, exactly as the vector part -E + B.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import QflagError
 from .quaternion import MUL_TABLE
 from .quatmat import QuatMatrix
-from .sparse import SparseSum, exact
+from .sparse import Polynomial
 
 # e_r * e_s = sign e_c for (c, sign) = _PRODUCT[r][s], read off the product
 # table once as plain ints
@@ -30,8 +32,10 @@ _PRODUCT = [[next((c, v) for c, v in enumerate(signs) if v) for signs in row]
             for row in MUL_TABLE.astype(int).tolist()]
 
 
-class RealPoly(SparseSum):
-    """Exact polynomial in (x0, x1, x2, x3): {exponent 4-tuple: coefficient}.
+class RealPoly(Polynomial):
+    """Exact polynomial in (x0, x1, x2, x3), on the axes 0..3 as symbols:
+    ``{((axis, power), ...): coefficient}`` (see :func:`exponents` for the
+    dense exponent 4-tuple of a monomial).
 
     Coefficients are ints where integral and Fractions otherwise; an int and
     the equal Fraction compare, hash and print alike.
@@ -40,52 +44,28 @@ class RealPoly(SparseSum):
     __slots__ = ()
 
     @classmethod
-    def constant(cls, c) -> "RealPoly":
-        return cls({(0, 0, 0, 0): exact(c)})
-
-    @classmethod
     def x(cls, axis: int) -> "RealPoly":
-        expo = [0, 0, 0, 0]
-        expo[axis] = 1
-        return cls({tuple(expo): 1})
-
-    def __mul__(self, o) -> "RealPoly":
-        if not isinstance(o, RealPoly):
-            o = exact(o)
-            return RealPoly({e: c * o for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return RealPoly(out)
-
-    __rmul__ = __mul__
-
-    def diff(self, axis: int) -> "RealPoly":
-        out = {}
-        for expo, c in self.terms.items():
-            p = expo[axis]
-            if p == 0:
-                continue
-            e = list(expo)
-            e[axis] = p - 1
-            e = tuple(e)
-            out[e] = out.get(e, 0) + c * p
-        return RealPoly(out)
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return cls({((axis, 1),): 1})
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
-        for expo, c in sorted(self.terms.items()):
-            mono = "*".join(f"x{i}" + (f"^{p}" if p > 1 else "")
-                            for i, p in enumerate(expo) if p)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+        for mono, c in sorted(self.terms.items(),
+                              key=lambda term: exponents(term[0])):
+            text = "*".join(f"x{i}" + (f"^{p}" if p > 1 else "")
+                            for i, p in mono)
+            bits.append(f"{c}" + (f"*{text}" if text else ""))
         return " + ".join(bits)
+
+
+def exponents(mono) -> tuple:
+    """The exponent 4-tuple (e0, e1, e2, e3) of a :class:`RealPoly`
+    monomial; its lexicographic order is the order in which terms print."""
+    expo = [0, 0, 0, 0]
+    for axis, power in mono:
+        expo[axis] = power
+    return tuple(expo)
 
 
 @dataclass
@@ -124,37 +104,48 @@ class FieldDecomposition:
             b - e for b, e in zip(self.magnetic, self.electric)))
 
 
-def apply_pstar(psi: QPolyField) -> QPolyField:
-    """(d0 + d1 i + d2 j + d3 k) * psi by exact quaternion differentiation."""
+def _partials(psi: QPolyField) -> list:
+    """The 16 partial derivatives d[r][s] = d_r A_s of the components."""
+    return [[a.diff(r) for a in psi.components] for r in range(4)]
+
+
+def _pstar(d) -> QPolyField:
+    """sum over r, s of e_r e_s d[r][s]: p* psi assembled from its partials
+    by the quaternion product table."""
     out = [RealPoly() for _ in range(4)]
-    for r in range(4):
-        for s in range(4):
-            d = psi.components[s].diff(r)
-            if d.is_zero():
+    for r, row in enumerate(d):
+        for s, part in enumerate(row):
+            if part.is_zero():
                 continue
             comp, sign = _PRODUCT[r][s]
-            out[comp] = out[comp] + (d if sign > 0 else -d)
+            out[comp] = out[comp] + (part if sign > 0 else -part)
     return QPolyField(tuple(out))
+
+
+def apply_pstar(psi: QPolyField) -> QPolyField:
+    """(d0 + d1 i + d2 j + d3 k) * psi by exact quaternion differentiation."""
+    return _pstar(_partials(psi))
 
 
 def decompose(psi: QPolyField) -> FieldDecomposition:
     """Componentwise scalar/electric/magnetic split of the potential.
 
-    Cross-validated on every call: the scalar part of p* psi must equal
-    A0,0 - div A and its vector part must equal -E + B, as exact polynomial
-    identities; a mismatch raises :class:`QflagError`.
+    Cross-validated on every call: the partials are taken once, and their
+    product-table assembly p* psi must have the scalar part A0,0 - div A and
+    the vector part -E + B, as exact polynomial identities; a mismatch
+    raises :class:`QflagError`.
     """
-    a0, a1, a2, a3 = psi.components
-    scalar = a0.diff(0) - (a1.diff(1) + a2.diff(2) + a3.diff(3))
-    electric = (-a1.diff(0) - a0.diff(1),
-                -a2.diff(0) - a0.diff(2),
-                -a3.diff(0) - a0.diff(3))
-    magnetic = (a3.diff(2) - a2.diff(3),
-                a1.diff(3) - a3.diff(1),
-                a2.diff(1) - a1.diff(2))
+    d = _partials(psi)
+    scalar = d[0][0] - (d[1][1] + d[2][2] + d[3][3])
+    electric = (-d[0][1] - d[1][0],
+                -d[0][2] - d[2][0],
+                -d[0][3] - d[3][0])
+    magnetic = (d[2][3] - d[3][2],
+                d[3][1] - d[1][3],
+                d[1][2] - d[2][1])
     dec = FieldDecomposition(scalar=scalar, electric=electric,
                              magnetic=magnetic)
-    if apply_pstar(psi) != dec.pstar_image():
+    if _pstar(d) != dec.pstar_image():
         raise QflagError("p* psi differs from its decomposition")
     return dec
 
@@ -173,32 +164,33 @@ def quaternion_product_identity(v, w) -> float:
     return float(np.sqrt(((direct - assembled) ** 2).sum(axis=-1)).max())
 
 
-def _exponents(max_degree: int) -> list:
-    """The exponent 4-tuples of total degree at most ``max_degree``, in
-    lexicographic order."""
-    d = max_degree
-    return [(a, b, c, r)
-            for a in range(d + 1) for b in range(d + 1 - a)
-            for c in range(d + 1 - a - b) for r in range(d + 1 - a - b - c)]
+@functools.lru_cache(maxsize=8)
+def _monomials(max_degree: int) -> tuple:
+    """The monomials of total degree at most ``max_degree``, in the
+    lexicographic order of their exponent 4-tuples; built once per degree,
+    so the fields drawn share their monomials."""
+    return tuple(tuple((axis, p) for axis, p in enumerate(expo) if p)
+                 for expo in itertools.product(range(max_degree + 1), repeat=4)
+                 if sum(expo) <= max_degree)
 
 
 def random_field(rng, max_degree: int = 3, terms: int = 4) -> QPolyField:
     """Random integer-coefficient field for exactness tests.
 
     Each component is a sum of ``terms`` monomials c x^e drawn independently:
-    e uniform over the exponent 4-tuples of total degree at most
-    ``max_degree`` and c uniform over the integers in [-5, 5].  Monomials
-    that share an exponent add up, so a component has at most ``terms``
-    nonzero coefficients.  The field takes two ``rng.integers`` calls:
-    every exponent index, then every coefficient.
+    x^e uniform over the monomials of total degree at most ``max_degree``
+    and c uniform over the integers in [-5, 5].  Monomials that repeat add
+    up, so a component has at most ``terms`` nonzero coefficients.  The
+    field takes two ``rng.integers`` calls: every monomial index, then
+    every coefficient.
     """
-    expos = _exponents(max_degree)
-    picks = rng.integers(0, len(expos), (4, terms)).tolist()
+    monos = _monomials(max_degree)
+    picks = rng.integers(0, len(monos), (4, terms)).tolist()
     coeffs = rng.integers(-5, 6, (4, terms)).tolist()
     comps = []
     for row, cs in zip(picks, coeffs):
         poly = {}
         for i, c in zip(row, cs):
-            poly[expos[i]] = poly.get(expos[i], 0) + c
+            poly[monos[i]] = poly.get(monos[i], 0) + c
         comps.append(RealPoly(poly))
     return QPolyField(tuple(comps))

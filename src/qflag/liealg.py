@@ -38,7 +38,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
-from .sparse import SparseSum, exact
+from .sparse import Polynomial, SparseSum, _merged, exact
 
 
 def mate(i: int) -> int:
@@ -60,18 +60,12 @@ def jval(r: int, c: int) -> int:
 
 # -- polynomials ----------------------------------------------------------------
 
-class PolyFunction(SparseSum):
-    """Sparse exact polynomial in the matrix entries.
-
-    Monomials are sorted tuples of ((row, col), power); the public
-    constructors accept barred symbols and canonicalise them immediately.
-    """
+class PolyFunction(Polynomial):
+    """Sparse exact polynomial in the matrix entries, on the symbols
+    ``(row, col)``; the public constructors accept barred symbols and
+    canonicalise them immediately."""
 
     __slots__ = ()
-
-    @classmethod
-    def constant(cls, value) -> "PolyFunction":
-        return cls({(): exact(value)})
 
     @classmethod
     def z(cls, row: int, col: int) -> "PolyFunction":
@@ -82,51 +76,20 @@ class PolyFunction(SparseSum):
         sign = kappa(row) * kappa(col)
         return cls({(((mate(row), mate(col)), 1),): sign})
 
-    def __mul__(self, o) -> "PolyFunction":
-        if not isinstance(o, PolyFunction):
-            o = PolyFunction.constant(o)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = _merged(m1, m2)
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return PolyFunction(out)
-
-    def diff(self, sym) -> "PolyFunction":
-        """Partial derivative with respect to the entry ``sym = (row, col)``."""
-        out = {}
-        for mono, c in self.terms.items():
-            for idx, (var, power) in enumerate(mono):
-                if var != sym:
-                    continue
-                rest = list(mono)
-                if power == 1:
-                    del rest[idx]
-                else:
-                    rest[idx] = (var, power - 1)
-                m = tuple(rest)
-                add = c * power
-                out[m] = out[m] + add if m in out else add
-        return PolyFunction(out)
-
-    def conjugate(self) -> "PolyFunction":
-        """Formal quaternionic conjugation: the J substitution on every symbol."""
-        out = {}
-        for mono, c in self.terms.items():
-            sign, m = _conjugate_monomial(mono)
-            out[m] = sign * c
-        return PolyFunction(out)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
         for mono, c in sorted(self.terms.items()):
-            vars_ = "".join(f"z[{r},{s}]" + (f"^{p}" if p > 1 else "")
-                            for (r, s), p in mono)
+            vars_ = _monomial_text(mono)
             bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
         return " + ".join(bits)
+
+
+def _monomial_text(mono) -> str:
+    """A coefficient monomial as the polynomial and operator reprs print it."""
+    return "".join(f"z[{r},{s}]" + (f"^{p}" if p > 1 else "")
+                   for (r, s), p in mono)
 
 
 def _conjugate_monomial(mono):
@@ -141,25 +104,6 @@ def _conjugate_monomial(mono):
             sign *= kappa(row) * kappa(col)
     return sign, tuple(sorted(((mate(row), mate(col)), power)
                               for (row, col), power in mono))
-
-
-@functools.lru_cache(maxsize=2048)
-def _merged(m1: tuple, m2: tuple) -> tuple:
-    """The monomial product ``m1 m2``; few pairs of monomials recur across
-    products, as the generators share their coefficients."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    # a symbol is held at most once per factor, so equal symbols sort into
-    # adjacent pairs; the rest keep their (symbol, power) tuples
-    out = []
-    for item in sorted(m1 + m2):
-        if out and out[-1][0] == item[0]:
-            out[-1] = (item[0], out[-1][1] + item[1])
-        else:
-            out.append(item)
-    return tuple(out)
 
 
 # -- differential operators ------------------------------------------------------
@@ -306,10 +250,9 @@ class DiffOperator(SparseSum):
             return "0"
         bits = []
         for (mono, word), c in sorted(self.terms.items()):
-            vars_ = "".join(f"z[{r},{s}]" + (f"^{p}" if p > 1 else "")
-                            for (r, s), p in mono)
             ds = "".join(f"d[{r},{s}]" for r, s in word)
-            bits.append("*".join(x for x in (str(c), vars_, ds) if x))
+            bits.append("*".join(x for x in (str(c), _monomial_text(mono), ds)
+                                 if x))
         return " + ".join(bits)
 
 

@@ -176,7 +176,8 @@ def check_termination(ell, big_n: int) -> Fraction:
 
 
 def _gamma_fact(x: float) -> float:
-    """x! as Gamma(x+1), with poles mapped to infinity for the caller."""
+    """x! as Gamma(x+1); a value past the float range raises
+    CoefficientOverflow."""
     try:
         return math.gamma(x + 1.0)
     except OverflowError:
@@ -186,11 +187,8 @@ def _gamma_fact(x: float) -> float:
 def gl_coefficients(ell, big_n: int):
     """The termination coefficients a_n, n = 0..N.
 
-    Factorials of non-integers are evaluated as Gamma(x+1); a pole in one of
-    the denominator factorials makes the whole coefficient vanish (the
-    reciprocal gamma is entire), which is handled explicitly rather than by
-    overflow.  Within the termination condition the numerator factors never
-    sit on a pole.
+    Factorials of non-integers are evaluated as Gamma(x+1).  Within the
+    termination condition the numerator factors never sit on a pole.
     """
     f = check_termination(ell, big_n)
     try:
@@ -199,12 +197,8 @@ def gl_coefficients(ell, big_n: int):
         raise CoefficientOverflow("2 l overflows a float") from None
     out = []
     for nn in range(big_n + 1):
-        denom_args = (float(nn), float(big_n - nn))
-        if any(a < 0 and float(a).is_integer() for a in denom_args):
-            out.append(0.0)
-            continue
         num = _gamma_fact(two_ell - nn) * _gamma_fact(float(big_n) - two_ell - 1.5 + nn)
-        den = _gamma_fact(denom_args[0]) * _gamma_fact(denom_args[1])
+        den = _gamma_fact(float(nn)) * _gamma_fact(float(big_n - nn))
         out.append(num / den)
     return out
 

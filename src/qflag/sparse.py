@@ -1,15 +1,20 @@
 """Sparse exact sums: the additive arithmetic that the polynomial and
-operator classes share."""
+operator classes share, and the one ring of exact polynomials."""
 
+import functools
 from fractions import Fraction
 
 
 def exact(value):
-    """An int unchanged, any other real number as the equal Fraction.
+    """An int unchanged, any other real number as the equal Fraction, or as
+    its int when that Fraction is integral.
 
     A complex value raises TypeError.
     """
-    return value if type(value) is int else Fraction(value)
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return int(value) if value.denominator == 1 else value
 
 
 class SparseSum:
@@ -53,3 +58,69 @@ class SparseSum:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+
+@functools.lru_cache(maxsize=2048)
+def _merged(m1: tuple, m2: tuple) -> tuple:
+    """The monomial product ``m1 m2``; few pairs of monomials recur across
+    the generator calculus's products, as the generators share their
+    coefficients."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    # a symbol is held at most once per factor, so equal symbols sort into
+    # adjacent pairs; the rest keep their (symbol, power) tuples
+    out = []
+    for item in sorted(m1 + m2):
+        if out and out[-1][0] == item[0]:
+            out[-1] = (item[0], out[-1][1] + item[1])
+        else:
+            out.append(item)
+    return tuple(out)
+
+
+class Polynomial(SparseSum):
+    """Exact polynomial: {monomial: coefficient}.
+
+    A monomial is a tuple of (symbol, power) pairs sorted by symbol, each
+    symbol held once with a positive power; the empty tuple is the
+    constant monomial.  Subclasses choose the symbols.  A number multiplies
+    as a constant, and a product with a polynomial of another class raises
+    TypeError.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, value):
+        return cls({(): exact(value)})
+
+    def __mul__(self, o):
+        if type(o) is not type(self):
+            o = self.constant(o)
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in o.terms.items():
+                m = _merged(m1, m2)
+                c = c1 * c2
+                out[m] = out[m] + c if m in out else c
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+    def diff(self, sym):
+        """Partial derivative with respect to ``sym``."""
+        out = {}
+        for mono, c in self.terms.items():
+            for idx, (var, power) in enumerate(mono):
+                if var == sym:
+                    rest = ((var, power - 1),) if power > 1 else ()
+                    # lowering one symbol maps distinct monomials to
+                    # distinct ones, so the derivative needs no accumulation
+                    out[mono[:idx] + rest + mono[idx + 1:]] = c * power
+                    break
+        return type(self)(out)
+
+    def degree(self) -> int:
+        return max((sum(p for _, p in m) for m in self.terms), default=0)

@@ -66,12 +66,15 @@ def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:
 
 
 def same_bits(got, want) -> bool:
-    """Equal type and bit-equal values, through dicts of results."""
+    """Equal type and bit-equal values, through dicts, lists and tuples of
+    results."""
     if type(got) is not type(want):
         return False
     if isinstance(want, dict):
         return got.keys() == want.keys() and all(same_bits(got[k], want[k])
                                                   for k in want)
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(map(same_bits, got, want))
     if isinstance(want, QuatMatrix):
         return np.array_equal(got.a, want.a)
     if isinstance(want, Quaternion):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -136,16 +137,16 @@ def test_verify_curvature_det_gap_fails_a_check_not_the_run(monkeypatch,
 
 
 def test_verify_em_decomposition_mismatch_fails_a_check(monkeypatch, capsys):
-    # p* psi off by one flipped vector component: a failed check (exit 1),
-    # not a traceback
-    real = emfield.apply_pstar
+    # p* psi, as decompose assembles it from the partials, off by one
+    # flipped vector component: a failed check (exit 1), not a traceback
+    real = emfield._pstar
 
-    def flipped(psi):
-        comps = list(real(psi).components)
+    def flipped(d):
+        comps = list(real(d).components)
         comps[2] = -comps[2]
         return emfield.QPolyField(tuple(comps))
 
-    monkeypatch.setattr(emfield, "apply_pstar", flipped)
+    monkeypatch.setattr(emfield, "_pstar", flipped)
     code, out, _ = run_cli(["verify", "em", "--seed", "7"], capsys)
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -451,6 +452,15 @@ def test_polynomial_parser():
         -(RealPoly.x(2) + RealPoly.constant(1)) * 3
     assert parse_polynomial("x0**2") == RealPoly.x(0) * RealPoly.x(0)
     assert parse_polynomial("1/2 * x1") == RealPoly.x(1) * 0.5
+
+
+def test_parsed_coefficients_are_ints_where_integral():
+    # ints multiply faster than the equal Fractions and print alike
+    kinds = {c: type(c) for c in parse_polynomial("2*x1 + 3").terms.values()}
+    assert kinds == {2: int, 3: int}
+    kinds = {c: type(c) for c in
+             parse_polynomial("4/2*x1 + 0.5 + 1.0*x2").terms.values()}
+    assert kinds == {2: int, 0.5: Fraction, 1: int}
 
 
 def test_field_spec():

@@ -314,11 +314,10 @@ def test_grouped_factors_have_the_bits_of_per_side_factors():
             left = QuatMatrix.identity(n) + x @ x.adjoint()
             right = QuatMatrix.identity(n) + x.adjoint() @ x
             # both Gram routes, each side factored alone
-            for got, want in zip(
-                    _gram_factors(x, "inv") + _gram_factors(x, "invsqrt"),
-                    (left.inv(), right.inv(), func_hermitian(left, "invsqrt"),
-                     func_hermitian(right, "invsqrt"))):
-                assert np.array_equal(got.a, want.a)
+            assert same_bits(
+                _gram_factors(x, "inv") + _gram_factors(x, "invsqrt"),
+                [left.inv(), right.inv(), func_hermitian(left, "invsqrt"),
+                 func_hermitian(right, "invsqrt")])
             # coset_element from one spectrum per side
             xi = QuatMatrix(local.normal(0.0, 0.5, batch + (n, n, 4)))
             xi_adj = xi.adjoint()

@@ -56,8 +56,9 @@ def test_zbar_canonicalisation():
     assert ZB(0, 1) == -Z(1, 0)
     assert ZB(1, 0) == -Z(0, 1)
     assert ZB(1, 1) == Z(0, 0)
-    # conjugation is an involution
-    f = Z(0, 0) * Z(1, 1) + Z(0, 1) * 3
+    # conjugation is an involution, on coefficients as on operators
+    f = DiffOperator.multiplication(Z(0, 0) * Z(1, 1) + Z(0, 1) * 3)
+    assert f.conjugate() != f
     assert f.conjugate().conjugate() == f
 
 

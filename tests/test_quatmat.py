@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import mat_close, quat_close, real_matrix
+from conftest import mat_close, quat_close, real_matrix, same_bits
 from qflag.errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
                           NonSquare, NotGroupElement, NotHyperHermitian,
                           SingularInvSqrt, SingularMatrix)
@@ -851,3 +851,14 @@ def test_adjoint_equals_the_old_formula_with_signed_zeros(shape):
     assert got.flags.c_contiguous
     assert np.array_equal(got, old)
     assert np.array_equal(np.signbit(got), np.signbit(old))
+
+
+def test_same_bits_compares_lists_and_tuples_by_bits():
+    m = QuatMatrix(np.random.default_rng(616).normal(size=(2, 2, 4)))
+    copy = QuatMatrix(m.a.copy())
+    changed = QuatMatrix(m.a.copy())
+    changed.a[0, 0, 0] = np.nextafter(changed.a[0, 0, 0], np.inf)
+    assert same_bits([m], [copy]) and same_bits((m, 1.5), (copy, 1.5))
+    assert same_bits({"x": [m, (copy,)]}, {"x": [copy, (m,)]})
+    assert not same_bits([m], [changed]) and not same_bits([m], (m,))
+    assert not same_bits([m], [m, m]) and not same_bits((1.5,), (1,))

@@ -1,17 +1,19 @@
-"""The sparse exact sum shared by RealPoly, PolyFunction and DiffOperator."""
+"""The sparse exact sum shared by RealPoly, PolyFunction and DiffOperator,
+and the polynomial ring of the first two."""
 
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflag.emfield import RealPoly
+from qflag.emfield import RealPoly, exponents
 from qflag.liealg import DiffOperator, PolyFunction
 
 # one key of each class, a nonzero coefficient and the zero coefficient
 CASES = {
-    RealPoly: ((1, 0, 2, 0), Fraction(3, 2), 0),
+    RealPoly: (((0, 1), (2, 2)), Fraction(3, 2), 0),
     PolyFunction: ((((0, 1), 2),), -2, 0),
     DiffOperator: (((((0, 1), 1),), ((1, 0),)), Fraction(1, 3), Fraction(0)),
 }
@@ -60,10 +62,15 @@ def test_sums_of_two_classes_raise(left, right):
         a - b
 
 
+def dense(poly):
+    """The terms of a RealPoly keyed by exponent 4-tuples."""
+    return {exponents(m): c for m, c in poly.terms.items()}
+
+
 def test_numbers_are_coerced_where_they_enter():
-    assert RealPoly.constant(0.5).terms == {(0, 0, 0, 0): Fraction(1, 2)}
-    assert type(RealPoly.constant(3).terms[0, 0, 0, 0]) is int
-    assert (RealPoly.x(1) * 0.25).terms == {(0, 1, 0, 0): Fraction(1, 4)}
+    assert dense(RealPoly.constant(0.5)) == {(0, 0, 0, 0): Fraction(1, 2)}
+    assert type(dense(RealPoly.constant(3))[0, 0, 0, 0]) is int
+    assert dense(RealPoly.x(1) * 0.25) == {(0, 1, 0, 0): Fraction(1, 4)}
     assert PolyFunction.constant(2).terms == {(): 2}
     assert type(PolyFunction.constant(2).terms[()]) is int
     assert PolyFunction.constant(0).is_zero()
@@ -78,6 +85,47 @@ def test_numbers_are_coerced_where_they_enter():
         DiffOperator.d(0, 0).scaled(0.5j)
     with pytest.raises(TypeError):
         RealPoly.constant(1j)
+    # integral values enter as ints, whatever their type
+    assert type(RealPoly.constant(Fraction(6, 3)).terms[()]) is int
+    assert type(PolyFunction.constant(2.0).terms[()]) is int
+    assert type(PolyFunction.constant(np.int64(-4)).terms[()]) is int
+    assert type(DiffOperator.d(0, 0).scaled(Fraction(-4, 2)).terms[
+        (), ((0, 0),)]) is int
+
+
+# polynomials of each class over a few symbols with small coefficients
+_SYMBOLS = {RealPoly: st.sampled_from(range(4)),
+            PolyFunction: st.sampled_from([(0, 0), (0, 1), (1, 0), (2, 3)])}
+
+
+def _polynomials(cls):
+    monomials = st.dictionaries(_SYMBOLS[cls], st.integers(1, 3), max_size=3)
+    monomials = monomials.map(lambda m: tuple(sorted(m.items())))
+    coefficients = st.one_of(st.integers(-3, 3),
+                             st.fractions(-2, 2, max_denominator=3))
+    return st.dictionaries(monomials, coefficients, max_size=4).map(cls)
+
+
+_OTHER = {RealPoly: PolyFunction.z(0, 1), PolyFunction: RealPoly.x(1)}
+_RING_CASES = st.sampled_from([RealPoly, PolyFunction]).flatmap(
+    lambda cls: st.tuples(_polynomials(cls), _polynomials(cls), _SYMBOLS[cls]))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_RING_CASES)
+def test_ring_laws_hold_on_both_polynomial_classes(case):
+    f, g, sym = case
+    assert (f * g).diff(sym) == f.diff(sym) * g + f * g.diff(sym)
+    assert f * g == g * f
+    assert 3 * f == f * 3 == f * type(f).constant(3)
+    if not (f.is_zero() or g.is_zero()):
+        assert (f * g).degree() == f.degree() + g.degree()
+    # as with sums, the two classes do not mix
+    other = _OTHER[type(f)]
+    with pytest.raises(TypeError):
+        f * other
+    with pytest.raises(TypeError):
+        other * f
 
 
 # operators over a few keys with small coefficients, so that sums cancel

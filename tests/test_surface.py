@@ -9,7 +9,9 @@ The match is by bare name, not by binding: a method counts as used when an
 attribute of that name is read anywhere, so two definitions that share a
 name (``zero`` on two classes, say) hide each other when only one of them
 has a caller.  The test finds names that nothing reaches, not every
-definition that only the tests reach.
+definition that only the tests reach; so the public method names defined on
+more than one class are pinned, and a new one fails until it is checked by
+hand and added.
 """
 
 import ast
@@ -26,6 +28,15 @@ ALLOWED = {
         "the paper's closed form X = Z (1 - Z* Z)^-1/2 of the coset point",
     "coset.trivial_action":
         "the constant sigma of haar_average that the README documents",
+}
+
+
+# Public method names defined on more than one class, each checked to have a
+# caller outside the tests on every class that defines it.
+SHARED = {
+    "blocks": "QuatMatrix.blocks, and GroupElement.blocks for bench/workloads",
+    "n": "StateVector.n and GroupElement.n, the quaternionic dimension",
+    "norm_sq": "Quaternion.norm_sq and StateVector.norm_sq",
 }
 
 
@@ -88,3 +99,15 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     assert sorted(set(unused) - set(ALLOWED)) == []
     # an allowance that is no longer needed goes too
     assert sorted(set(ALLOWED) - set(unused)) == []
+
+
+def test_public_method_names_shared_by_classes_are_pinned():
+    owners = {}
+    for path, tree in _trees().items():
+        if path.parent != ROOT / "src" / "qflag":
+            continue
+        for qualname, name, _ in _definitions(path, tree):
+            if qualname.count(".") == 2 and not name.startswith("_"):
+                owners.setdefault(name, []).append(qualname)
+    shared = {name for name, where in owners.items() if len(where) > 1}
+    assert sorted(shared) == sorted(SHARED)
