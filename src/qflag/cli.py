@@ -93,6 +93,14 @@ def _require_seed(seed: int) -> None:
         raise UsageError(f"--seed must be a non-negative integer, got {seed}")
 
 
+def _require_range(flag: str, value, lo, hi) -> None:
+    """Refuse a flag value outside ``lo`` to ``hi`` (NaN included).  The
+    bounds print with ``:g``, which writes integers below 10^6, as every
+    ceiling here is, as their plain digits."""
+    if not lo <= value <= hi:
+        raise UsageError(f"{flag} must be {lo:g} to {hi:g}, got {value}")
+
+
 def _require_out_path(out_path) -> None:
     """Refuse an ``--out`` path that cannot be written, before any work."""
     if out_path is None:
@@ -150,9 +158,7 @@ def _parse_half_integer(text: str) -> Fraction:
 
 
 def cmd_verify(args) -> int:
-    if not 0 <= args.trials <= MAX_VERIFY_TRIALS:
-        raise UsageError(f"--trials must be 0 to {MAX_VERIFY_TRIALS}, "
-                         f"got {args.trials}")
+    _require_range("--trials", args.trials, 0, MAX_VERIFY_TRIALS)
     _require_seed(args.seed)
     cfg = RunConfig(seed=args.seed, trials=args.trials,
                     tol_overrides=_parse_tol(args.tol))
@@ -163,9 +169,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lb(args) -> int:
     ell = _parse_half_integer(args.ell)
-    if not 1 <= args.samples <= MAX_LB_SAMPLES:
-        raise UsageError(f"--samples must be 1 to {MAX_LB_SAMPLES}, "
-                         f"got {args.samples}")
+    _require_range("--samples", args.samples, 1, MAX_LB_SAMPLES)
     if ell == 0 and args.big_n == 0:
         sol = s4lb.make_f0()
     else:
@@ -251,16 +255,10 @@ def cmd_em(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    if not 0 <= args.steps <= MAX_EVOLVE_STEPS:
-        raise UsageError(f"--steps must be 0 to {MAX_EVOLVE_STEPS}, "
-                         f"got {args.steps}")
-    if not 1 <= args.n <= MAX_EVOLVE_N:
-        raise UsageError(f"--n must be 1 to {MAX_EVOLVE_N}, got {args.n}")
-    if not abs(args.t_max) <= MAX_EVOLVE_T:
-        raise UsageError(f"--t-max must be -{MAX_EVOLVE_T:g} to "
-                         f"{MAX_EVOLVE_T:g}, got {args.t_max}")
-    if not 0 <= args.split <= args.n:
-        raise UsageError(f"--split must be 0 to {args.n}, got {args.split}")
+    _require_range("--steps", args.steps, 0, MAX_EVOLVE_STEPS)
+    _require_range("--n", args.n, 1, MAX_EVOLVE_N)
+    _require_range("--t-max", args.t_max, -MAX_EVOLVE_T, MAX_EVOLVE_T)
+    _require_range("--split", args.split, 0, args.n)
     _require_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     gen = random_skew_adjoint(rng, args.n)
@@ -296,31 +294,17 @@ class _SpecError(UsageError):
     """An ``em`` argument that does not parse: a usage error (exit 2)."""
 
 
+# One token after optional whitespace: "**" (read as "^"), an operator, a
+# variable or a number; any other character is an error.
+_TOKEN = re.compile(r"\s*(?:(\*\*)|([-+*()^]|x[0-3]|\d[\d./]*)|(\S))")
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*()^":
-            if text.startswith("**", i):
-                tokens.append("^")
-                i += 2
-            else:
-                tokens.append(ch)
-                i += 1
-        elif ch == "x" and i + 1 < len(text) and text[i + 1] in "0123":
-            tokens.append(text[i:i + 2])
-            i += 2
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in "./"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise _SpecError(f"unexpected character {ch!r} in polynomial")
+    for power, token, other in _TOKEN.findall(text):
+        if other:
+            raise _SpecError(f"unexpected character {other!r} in polynomial")
+        tokens.append("^" if power else token)
     return tokens
 
 

@@ -21,9 +21,9 @@ Gram factors of the most recent point: (1+XX*)^{-1} and (1+X*X)^{-1} from
 :meth:`QuatMatrix.inv`, (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from
 :func:`func_hermitian`.  A factor is computed again only when the point's
 content changes, so successive calls at one point return the bits that
-fresh calls would.  The two sides of a route that are computed together go
-through one call per size: at a square point one ``solve`` for both
-inverses and one ``eigh`` for both inverse square roots.
+fresh calls would.  Each route factors both sides together, into one slot
+per route, with one call per size: at a square point one ``solve`` for
+both inverses and one ``eigh`` for both inverse square roots.
 """
 
 from __future__ import annotations
@@ -204,38 +204,42 @@ def cross_ratio(pa: GrassmannPoint, pb: GrassmannPoint,
     return _scalar_trace(prod)
 
 
-# The four Gram factors of the most recent point X: (1+XX*)^{-1} and
-# (1+X*X)^{-1} from QuatMatrix.inv, (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from
-# func_hermitian, one slot each.  A slot is one (array shape, array bytes,
-# factor) tuple, replaced in one assignment, so a reader never pairs one
-# point's key with another point's factor; keying on the content of X means
-# an in-place edit of X misses.  A factorisation that raises is not stored,
-# and stored factors are read-only.
+# The Gram factors of the most recent point X, one slot per route: "inv"
+# holds (1+XX*)^{-1} and (1+X*X)^{-1} from QuatMatrix.inv, "invsqrt" holds
+# (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from func_hermitian.  A slot is one
+# (array shape, array bytes, factors) tuple, replaced in one assignment, so
+# a reader never pairs one point's key with another point's factors; keying
+# on the content of X means an in-place edit of X misses.  A factorisation
+# that raises is not stored, and stored factors are read-only.
 _GRAM_FACTORS = {}
 
 
-def _gram_factors(x: QuatMatrix, route: str, sides=("left", "right")) -> list:
+def _gram_factors(x: QuatMatrix, route: str) -> list:
     """The inverses (``route`` "inv") or inverse square roots ("invsqrt") of
-    1 + X X* ("left") and 1 + X* X ("right"), one for each of ``sides`` in
-    order.  The sides whose slots hold another X are factored together,
-    one call per size (:func:`_by_size`)."""
+    1 + X X* and 1 + X* X, in that order, factored together with one call
+    per size (:func:`_by_size`)."""
     key = x.a.shape, x.a.tobytes()
-    slots = {side: _GRAM_FACTORS.get((side, route)) for side in sides}
-    missing = [side for side, slot in slots.items()
-               if slot is None or slot[:2] != key]
-    if missing:
-        grams = [QuatMatrix.identity(x.rows) + x @ x.adjoint() if side == "left"
-                 else QuatMatrix.identity(x.cols) + x.adjoint() @ x
-                 for side in missing]
+    slot = _GRAM_FACTORS.get(route)
+    if slot is None or slot[:2] != key:
+        grams = [QuatMatrix.identity(x.rows) + x @ x.adjoint(),
+                 QuatMatrix.identity(x.cols) + x.adjoint() @ x]
         if route == "inv":
             factors = _inverses(grams)
         else:
             factors = [f for (f,) in _by_size(
                 grams, lambda s: [func_hermitian(s, "invsqrt")])]
-        for side, factor in zip(missing, factors):
+        for factor in factors:
             factor.a.flags.writeable = False
-            slots[side] = _GRAM_FACTORS[side, route] = key + (factor,)
-    return [slots[side][2] for side in sides]
+        slot = _GRAM_FACTORS[route] = key + (tuple(factors),)
+    return list(slot[2])
+
+
+def _check_tangents(x: QuatMatrix, *tangents: QuatMatrix) -> None:
+    """Refuse a tangent whose shape is not the point's."""
+    for dx in tangents:
+        if dx.shape != x.shape:
+            raise ShapeMismatch(
+                f"tangent shape {dx.shape} != point shape {x.shape}")
 
 
 def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:
@@ -248,8 +252,7 @@ def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:
     (1+X*X)^{-1/2} (see :func:`metric_form_hermitian`).
     """
     x = point.x
-    if dx.shape != x.shape:
-        raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
+    _check_tangents(x, dx)
     left, right = _gram_factors(x, "inv")
     return _scalar_trace(left @ dx @ right @ dx.adjoint())
 
@@ -262,8 +265,7 @@ def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix) -> float:
     the pulled-back invariant form and tr(w w*) is a sum of squared norms.
     """
     x = point.x
-    if dx.shape != x.shape:
-        raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
+    _check_tangents(x, dx)
     astar, dmat = _gram_factors(x, "invsqrt")
     w = astar @ dx @ dmat
     return _float_or_batch((w.a ** 2).reshape(w.batch + (-1,)).sum(axis=-1))
@@ -275,9 +277,8 @@ def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix) -> float:
     tr[(1+XX*)^{-1} dX dX* - (1+XX*)^{-1} dX X* (1+XX*)^{-1} X dX*].
     """
     x = point.x
-    if dx.shape != x.shape:
-        raise ShapeMismatch(f"tangent shape {dx.shape} != point shape {x.shape}")
-    (left,) = _gram_factors(x, "inv", ("left",))
+    _check_tangents(x, dx)
+    left = _gram_factors(x, "inv")[0]
     term1 = left @ dx @ dx.adjoint()
     term2 = left @ dx @ x.adjoint() @ left @ x @ dx.adjoint()
     return _scalar_trace(term1 - term2)

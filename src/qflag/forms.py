@@ -28,7 +28,7 @@ import itertools
 
 import numpy as np
 
-from .coset import _gram_factors
+from .coset import _check_tangents, _gram_factors
 from .errors import DimensionMismatch
 from .quaternion import MUL_TABLE
 from .quatmat import _CONJ, QuatMatrix, block_matrix, expm
@@ -137,8 +137,7 @@ def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix) -> dict:
     traces R11 and R22 are ``(..., 4)`` arrays in place of quaternions.
     """
     y = point.x
-    if du.shape != y.shape or dv.shape != y.shape:
-        raise DimensionMismatch("tangents must match the point shape")
+    _check_tangents(y, du, dv)
     astar, dmat = _gram_factors(y, "invsqrt")
     w_u = astar @ du @ dmat
     w_v = astar @ dv @ dmat

@@ -347,6 +347,13 @@ def _check_col(a: int, k: int, n: int):
         raise IndexOutOfRange(f"column index {a} outside 0..{2 * (n - k) - 1}")
 
 
+def _check_p_indices(alpha: int, a: int, k: int, n: int):
+    """The partition and the (row, column) index of a p generator."""
+    _check_dims(k, n)
+    _check_row(alpha, k)
+    _check_col(a, k, n)
+
+
 def gen_h(alpha: int, beta: int, k: int, n: int) -> DiffOperator:
     """System-side generator h_{alpha beta} = z_{alpha b} d_{beta b} - zbar_{beta b} dbar_{alpha b}."""
     _check_dims(k, n)
@@ -377,9 +384,7 @@ def gen_H(a: int, b: int, k: int, n: int) -> DiffOperator:
 
 def gen_p(alpha: int, a: int, k: int, n: int) -> DiffOperator:
     """Off-diagonal generator p_{alpha a} = dbar_{alpha a} + z_{alpha b} z_{mu a} d_{mu b}."""
-    _check_dims(k, n)
-    _check_row(alpha, k)
-    _check_col(a, k, n)
+    _check_p_indices(alpha, a, k, n)
     op = DiffOperator.dbar(alpha, a)
     for b in range(2 * (n - k)):
         for mu in range(2 * k):
@@ -395,7 +400,7 @@ def gen_pbar(alpha: int, a: int, k: int, n: int) -> DiffOperator:
 
 def gen_p_via_H(alpha: int, a: int, k: int, n: int) -> DiffOperator:
     """Alternative form (delta + z zbar) dbar + z H, equal to gen_p exactly."""
-    _check_dims(k, n)
+    _check_p_indices(alpha, a, k, n)
     op = DiffOperator.dbar(alpha, a)
     for beta in range(2 * k):
         for b in range(2 * (n - k)):
@@ -410,7 +415,7 @@ def gen_p_via_H(alpha: int, a: int, k: int, n: int) -> DiffOperator:
 
 def gen_p_via_h(alpha: int, a: int, k: int, n: int) -> DiffOperator:
     """Alternative form (delta + z zbar) dbar + z h, equal to gen_p exactly."""
-    _check_dims(k, n)
+    _check_p_indices(alpha, a, k, n)
     op = DiffOperator.dbar(alpha, a)
     for b in range(2 * (n - k)):
         for mu in range(2 * k):

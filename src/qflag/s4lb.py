@@ -227,11 +227,20 @@ class RadialSolution:
         return math.sqrt(self.theta_sq)
 
     def value(self, omega: float) -> float:
+        """The profile at ``omega`` in (0, pi); a point outside, or so near
+        a pole that the powers of sin(omega) leave the float range, raises
+        :class:`ChartBoundary`."""
+        if not 0.0 < omega < math.pi:
+            raise ChartBoundary(f"omega = {omega} outside (0, pi)")
         s = math.sin(omega)
-        if self.kind == "f0":
-            return -math.cos(omega) / s ** 2 + math.log(math.tan(omega / 2.0))
-        return sum(a * s ** (2 * nn - 2 * (float(self.ell) + 1))
-                   for nn, a in enumerate(self.coeffs))
+        try:
+            if self.kind == "f0":
+                return -math.cos(omega) / s ** 2 + math.log(math.tan(omega / 2.0))
+            return sum(a * s ** (2 * nn - 2 * (float(self.ell) + 1))
+                       for nn, a in enumerate(self.coeffs))
+        except (ZeroDivisionError, OverflowError):
+            raise ChartBoundary(f"omega = {omega} is too close to a pole "
+                                "for a float value") from None
 
     def _jet(self, omega: float) -> tuple:
         """(f, f', f'') at ``omega``: :meth:`value`, then both derivatives
@@ -302,8 +311,10 @@ def weighted_absolute_integral(sol: RadialSolution, eps: float) -> float:
 
     Monotone bounded as eps -> 0 exactly when the source profile is
     integrable against the volume weight; the polynomial family with l > 1/2
-    diverges.
+    diverges.  ``eps`` outside (0, pi/2) raises :class:`ChartBoundary`.
     """
+    if not 0.0 < eps < math.pi / 2:
+        raise ChartBoundary(f"eps = {eps} outside (0, pi/2)")
     xs = np.linspace(eps, math.pi - eps, 4000)
     ys = np.array([abs(sol.value(x)) * math.sin(x) ** 3 for x in xs])
     return float(np.trapezoid(ys, xs))

@@ -5,6 +5,8 @@ identities its module promises on seeded random draws: it declares its
 check names once, draws from the generator keyed by (seed, first name) and
 yields one ``(residual, tolerance[, detail])`` per name, which the runner
 turns into a :class:`CheckResult`.  A check's suite is its name's prefix.
+An exact check's residual is its failure count (:func:`_failures`), at
+tolerance 0.5.
 The CLI renders the results as JSON; tests assert on them directly, and a
 rerun with the same configuration is bit-identical.
 
@@ -38,9 +40,8 @@ from . import coset, dynamics, emfield, forms, liealg, roots as roots_mod, s4lb
 from .coset import GrassmannPoint
 from .errors import QflagError, UnknownSuite, UnknownTolerance
 from .quaternion import (Quaternion, from_m2c, j_conjugate,
-                         random_unit_quaternion, random_unit_quaternions,
-                         sq_norms, to_m2c)
-from .quatmat import (GroupElement, QuatMatrix, expm, func_hermitian,
+                         random_unit_quaternions, sq_norms, to_m2c)
+from .quatmat import (_CONJ, GroupElement, QuatMatrix, expm, func_hermitian,
                       random_group_element, random_skew_adjoint, sp2nc_form,
                       to_sp2nc)
 
@@ -143,6 +144,11 @@ def s3_moments(rng: np.random.Generator, draws: int):
         comp[0] += total
         total = comp.sum(axis=0)
     return total / draws, fourth / (4 * draws)
+
+
+def _failures(oks) -> float:
+    """The residual of an exact check: how many of ``oks`` are false."""
+    return float(sum(not ok for ok in oks))
 
 
 # (check names, body) of every check unit, in report order
@@ -386,17 +392,15 @@ def _(cfg, rng):
 @_unit("coset.haar_equivariance", "coset.haar_inner_product")
 def _(cfg, rng):
     x = random_group_element(rng, 2)
-    xi = [random_unit_quaternion(rng) for _ in range(2)]
-    x_xi = GroupElement(x.m @ QuatMatrix.diag([u.to_array() for u in xi]),
-                        check=False)
+    xi = random_unit_quaternions(rng, 2)
+    x_xi = GroupElement(x.m @ QuatMatrix.diag(xi), check=False)
 
     def alpha(shifted):
         return shifted[:, [0, 1], [0, 1]]     # the entries (0, 0) and (1, 1)
 
     f_shift = coset.haar_average(alpha, coset.fundamental_action, x_xi)
     f_base = coset.haar_average(alpha, coset.fundamental_action, x)
-    xi_conj = np.array([u.conj().to_array() for u in xi])
-    moved = coset.fundamental_action(xi_conj, f_base)
+    moved = coset.fundamental_action(xi * _CONJ, f_base)
     yield (float(_quat_norm(f_shift - moved).max()), 1e-12,
            "exact average over the Hurwitz-unit fiber nodes")
     yield (abs(coset.inner_product(f_shift, f_shift)
@@ -491,42 +495,30 @@ def _(cfg, rng):
 
 @_unit("liealg.generator_skewness")
 def _(cfg, rng):
-    bad = 0
-    for al in range(2):
-        for be in range(2):
-            if liealg.gen_h(al, be, 1, 2).conjugate() != -liealg.gen_h(be, al, 1, 2):
-                bad += 1
-            if liealg.gen_H(al, be, 1, 2).conjugate() != -liealg.gen_H(be, al, 1, 2):
-                bad += 1
-    yield float(bad), 0.5, "h* = -h and H* = -H as operator identities"
+    yield (_failures(gen(al, be, 1, 2).conjugate() == -gen(be, al, 1, 2)
+                     for al, be in np.ndindex(2, 2)
+                     for gen in (liealg.gen_h, liealg.gen_H)),
+           0.5, "h* = -h and H* = -H as operator identities")
 
 
 @_unit("liealg.p_three_forms")
 def _(cfg, rng):
-    bad = 0
-    for al in range(2):
-        for a in range(2):
-            p = liealg.gen_p(al, a, 1, 2)
-            if p != liealg.gen_p_via_H(al, a, 1, 2):
-                bad += 1
-            if p != liealg.gen_p_via_h(al, a, 1, 2):
-                bad += 1
-            if liealg.linear_part(p) != liealg.DiffOperator.dbar(al, a):
-                bad += 1
-    yield (float(bad), 0.5,
+    def oks(al, a):
+        p = liealg.gen_p(al, a, 1, 2)
+        return (p == liealg.gen_p_via_H(al, a, 1, 2),
+                p == liealg.gen_p_via_h(al, a, 1, 2),
+                liealg.linear_part(p) == liealg.DiffOperator.dbar(al, a))
+
+    yield (_failures(ok for ij in np.ndindex(2, 2) for ok in oks(*ij)), 0.5,
            "all displayed forms of p agree; linear part is dbar")
 
 
 @_unit("liealg.j_contraction_symmetry")
 def _(cfg, rng):
-    bad = 0
-    for al in range(2):
-        for be in range(2):
-            if liealg.Jh(al, be, 1, 2) != liealg.Jh(be, al, 1, 2):
-                bad += 1
-            if liealg.JH(al, be, 1, 2) != liealg.JH(be, al, 1, 2):
-                bad += 1
-    yield float(bad), 0.5, "(Jh) and (JH) are symmetric"
+    yield (_failures(j(al, be, 1, 2) == j(be, al, 1, 2)
+                     for al, be in np.ndindex(2, 2)
+                     for j in (liealg.Jh, liealg.JH)),
+           0.5, "(Jh) and (JH) are symmetric")
 
 
 @_unit("liealg.ladder_shifts")
@@ -542,17 +534,11 @@ def _(cfg, rng):
 @_unit("liealg.laplace_beltrami")
 def _(cfg, rng):
     lap = liealg.laplace_beltrami(1, 2)
-    bad = 0
-    if not lap.apply(liealg.PolyFunction.constant(1)).is_zero():
-        bad += 1
-    if lap.conjugate() != lap:
-        bad += 1
     # at (1, 2) each of h, H, p and pbar has 2 x 2 index pairs
-    for kind in ("h", "H", "p", "pbar"):
-        for ij in np.ndindex(2, 2):
-            if not liealg.commutator(lap, liealg.generator(kind, ij, 1, 2)).is_zero():
-                bad += 1
-    yield (float(bad), 0.5,
+    commutes = (liealg.commutator(lap, liealg.generator(kind, ij, 1, 2)).is_zero()
+                for kind in ("h", "H", "p", "pbar") for ij in np.ndindex(2, 2))
+    yield (_failures((lap.apply(liealg.PolyFunction.constant(1)).is_zero(),
+                      lap.conjugate() == lap, *commutes)), 0.5,
            "kills constants, J-invariant, commutes with all 16 generators")
 
 
@@ -627,14 +613,10 @@ def _(cfg, rng):
 
 @_unit("em.pstar_linearity")
 def _(cfg, rng):
-    bad = 0
-    for _ in range(cfg.count(50)):
-        a = emfield.random_field(rng)
-        b = emfield.random_field(rng)
-        if emfield.apply_pstar(a + b) != (emfield.apply_pstar(a)
-                                          + emfield.apply_pstar(b)):
-            bad += 1
-    yield float(bad), 0.5
+    pairs = ((emfield.random_field(rng), emfield.random_field(rng))
+             for _ in range(cfg.count(50)))
+    pstar = emfield.apply_pstar
+    yield _failures(pstar(a + b) == pstar(a) + pstar(b) for a, b in pairs), 0.5
 
 
 @_unit("em.product_identity")
@@ -704,60 +686,46 @@ def _(cfg, rng):
 
 @_unit("roots.counts_and_closure")
 def _(cfg, rng):
-    bad = 0
-    for n in range(1, 7):
+    def oks(n):
         system = roots_mod.generate(n)
-        if len(system.roots) != 2 * n * n:
-            bad += 1
-        if len(set(system.roots)) != len(system.roots):
-            bad += 1
-        if any(tuple(-c for c in r) not in system for r in system.roots):
-            bad += 1
-    yield float(bad), 0.5, "2 n^2 roots, negation closed, no duplicates"
+        return (len(system.roots) == 2 * n * n,
+                len(set(system.roots)) == len(system.roots),
+                all(tuple(-c for c in r) in system for r in system.roots))
+
+    yield (_failures(ok for n in range(1, 7) for ok in oks(n)), 0.5,
+           "2 n^2 roots, negation closed, no duplicates")
 
 
 @_unit("roots.subalgebra_embedding")
 def _(cfg, rng):
-    bad = 0
-    for m, n in ((1, 2), (2, 3), (3, 5)):
-        if not roots_mod.embed_check(m, n):
-            bad += 1
-    if (1, 1, 1) in roots_mod.generate(3):
-        bad += 1
-    yield float(bad), 0.5
+    yield _failures([*(roots_mod.embed_check(m, n)
+                       for m, n in ((1, 2), (2, 3), (3, 5))),
+                     (1, 1, 1) not in roots_mod.generate(3)]), 0.5
 
 
 @_unit("roots.particle_labels")
 def _(cfg, rng):
-    bad = 0
     lep = roots_mod.particle_label([((2, 0, 0, 0), None)])
-    if lep.classification != "lepton":
-        bad += 1
     mes = roots_mod.particle_label([((1, 0, 0, 0), None), ((0, 1, 0, 0), None)])
-    if mes.label != "ud" or mes.classification != "meson":
-        bad += 1
     mes_bar = roots_mod.particle_label([((-1, 0, 0, 0), None),
                                         ((0, 1, 0, 0), None)])
-    if mes_bar.label != "u" + roots_mod.BAR + "d":
-        bad += 1
     baryon = roots_mod.particle_label([((1, 0, 0, 0), "i"),
                                        ((1, 0, 0, 0), "j"),
                                        ((0, 1, 0, 0), "k")])
-    if baryon.label != "uud" or baryon.classification != "baryon":
-        bad += 1
-    for label in (lep, mes, mes_bar, baryon):
-        if roots_mod.parse_label(label.canonical()) != label:
-            bad += 1
-    yield float(bad), 0.5, "verbatim label examples and round-trip"
+    round_trips = (roots_mod.parse_label(label.canonical()) == label
+                   for label in (lep, mes, mes_bar, baryon))
+    yield (_failures([lep.classification == "lepton",
+                      mes.label == "ud" and mes.classification == "meson",
+                      mes_bar.label == "u" + roots_mod.BAR + "d",
+                      baryon.label == "uud" and baryon.classification == "baryon",
+                      *round_trips]),
+           0.5, "verbatim label examples and round-trip")
 
 
 @_unit("roots.euler_characteristic")
 def _(cfg, rng):
-    bad = 0
-    for dim in (2, 4, 12):
-        if roots_mod.euler_characteristic(dim) != 2:
-            bad += 1
-    yield float(bad), 0.5
+    yield _failures(roots_mod.euler_characteristic(dim) == 2
+                    for dim in (2, 4, 12)), 0.5
 
 
 # -- runner -------------------------------------------------------------------

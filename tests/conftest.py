@@ -1,7 +1,14 @@
 import numpy as np
+from hypothesis import settings
 
 from qflag.quaternion import Quaternion
 from qflag.quatmat import QuatMatrix, func_hermitian
+
+# Every property test replays the same examples, with no deadline and no
+# example database; a test sets only its own example count.
+settings.register_profile("qflag", deadline=None, database=None,
+                          derandomize=True)
+settings.load_profile("qflag")
 
 _ACCEPTANCE_RESULTS = []
 

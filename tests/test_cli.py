@@ -16,7 +16,7 @@ from qflag.cli import (MAX_EM_DEGREE, MAX_EM_NESTING, MAX_EVOLVE_N, MAX_EVOLVE_S
                        MAX_ROOTS_RANK, MAX_VERIFY_TRIALS, main,
                        parse_field_spec, parse_polynomial)
 from qflag.emfield import RealPoly
-from qflag.errors import SingularMatrix
+from qflag.errors import SingularMatrix, UsageError
 
 
 def run_cli(argv, capsys):
@@ -213,7 +213,7 @@ _TOL_KEYS = st.one_of(st.sampled_from(["roots.counts_and_closure",
 _TOL_VALUES = st.one_of(st.floats().map(repr), st.text(max_size=20))
 
 
-@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.one_of(st.builds("{}={}".format, _TOL_KEYS, _TOL_VALUES),
                  st.text(max_size=40)))
 def test_verify_any_tol_text_ends_in_an_exit_code(tol):
@@ -348,7 +348,7 @@ def test_lb_ell_exponent_past_four_digits_is_usage_error(ell, capsys):
     assert out == "" and "--ell" in err
 
 
-@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.one_of(st.integers().map(str), st.fractions().map(str),
                  st.floats().map(repr),
                  st.text(alphabet="0123456789eE+-./_ ", max_size=10)))
@@ -425,7 +425,7 @@ def _main_code(argv) -> int:
             return exc.code
 
 
-@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.data())
 def test_roots_any_argv_ends_in_an_exit_code(data):
     argv = _any_argv(data, "roots", {
@@ -441,6 +441,52 @@ def test_roots_any_argv_ends_in_an_exit_code(data):
 
 
 # -- em ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, want", [
+    ("x1**2", ["x1", "^", "2"]),
+    ("x1 ** 2", ["x1", "^", "2"]),
+    ("\tx0 *  x3\t", ["x0", "*", "x3"]),
+    (" 1/2/3 ", ["1/2/3"]),
+    ("x1+", ["x1", "+"]),
+    ("(x2-3)^2", ["(", "x2", "-", "3", ")", "^", "2"]),
+    ("", []),
+    ("x4", "unexpected character 'x' in polynomial"),
+    (".5", "unexpected character '.' in polynomial"),
+    ("x1 / 2", "unexpected character '/' in polynomial"),
+])
+def test_tokens_of_ascii_specs(text, want):
+    if isinstance(want, list):
+        assert cli._tokenize(text) == want
+    else:
+        with pytest.raises(UsageError) as info:
+            cli._tokenize(text)
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "all", "--trials", "-1"], "--trials must be 0 to 1000, got -1"),
+    (["verify", "all", "--trials", "1001"],
+     "--trials must be 0 to 1000, got 1001"),
+    (["lb", "--ell", "1", "--samples", "0"],
+     "--samples must be 1 to 10000, got 0"),
+    (["lb", "--ell", "1", "--samples", "10001"],
+     "--samples must be 1 to 10000, got 10001"),
+    (["evolve", "--steps", "-1"], "--steps must be 0 to 1000, got -1"),
+    (["evolve", "--steps", "1001"], "--steps must be 0 to 1000, got 1001"),
+    (["evolve", "--n", "0"], "--n must be 1 to 64, got 0"),
+    (["evolve", "--n", "65"], "--n must be 1 to 64, got 65"),
+    (["evolve", "--t-max", "-10001"],
+     "--t-max must be -10000 to 10000, got -10001.0"),
+    (["evolve", "--t-max", "10001"],
+     "--t-max must be -10000 to 10000, got 10001.0"),
+    (["evolve", "--t-max", "nan"], "--t-max must be -10000 to 10000, got nan"),
+    (["evolve", "--split", "-1"], "--split must be 0 to 3, got -1"),
+    (["evolve", "--split", "4"], "--split must be 0 to 3, got 4"),
+])
+def test_bounded_flags_refuse_out_of_range_values_in_one_form(argv, message,
+                                                              capsys):
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
 
 def test_polynomial_parser():
     assert parse_polynomial("x1") == RealPoly.x(1)
@@ -546,7 +592,7 @@ def test_em_nesting_at_the_ceiling(capsys):
                                               "exponents": [0, 0, 0, 0]}]
 
 
-@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.lists(st.sampled_from(["x0", "x1", "x2", "x3",
                                   *"0123456789+-*/^(). "]),
                 max_size=12).map("".join))
@@ -635,7 +681,7 @@ def test_evolve_above_its_ceilings_is_usage_error(argv, capsys):
     assert out == "" and "error:" in err and argv[0] in err
 
 
-@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.data())
 def test_evolve_any_argv_ends_in_an_exit_code(data):
     # --steps stays at 3 or fewer, so that no example builds a long table

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 
@@ -391,6 +392,39 @@ def geometry_draw(local, batch=(), j=2, k=3):
     """A j x k point and two tangents, of batch shape ``batch``."""
     return [QuatMatrix(local.normal(0.0, scale, batch + (j, k, 4)))
             for scale in (0.5, 1.0, 1.0)]
+
+
+def test_a_points_two_gram_inverses_take_one_inv_call_in_either_order(
+        monkeypatch):
+    calls = []
+    inv = QuatMatrix.inv
+
+    def counted(self, *args):
+        calls.append(self.shape)
+        return inv(self, *args)
+
+    monkeypatch.setattr(QuatMatrix, "inv", counted)
+    local = np.random.default_rng(615)
+    dx = random_quatmat(local, 2, 2)
+    for first, second in ((metric_form, metric_form_expanded),
+                          (metric_form_expanded, metric_form)):
+        point = GrassmannPoint(random_quatmat(local, 2, 2, 0.5))
+        calls.clear()
+        first(point, dx)
+        second(point, dx)
+        assert calls == [(2, 2)], first.__name__
+
+
+def test_mis_shaped_tangents_raise_shape_mismatch_naming_both_shapes():
+    point = random_point(2, 3)
+    good, bad = random_quatmat(rng, 2, 3), random_quatmat(rng, 3, 2)
+    message = re.escape("tangent shape (3, 2) != point shape (2, 3)")
+    for name, call in GEOMETRY_CALLS.items():
+        # the metric forms read only the first tangent
+        pairs = [(bad, good)] + [(good, bad)] * (name == "curvature_blocks")
+        for du, dv in pairs:
+            with pytest.raises(ShapeMismatch, match=message):
+                call(point, du, dv)
 
 
 def test_shared_gram_factors_give_the_bits_of_fresh_calls():

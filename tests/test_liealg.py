@@ -273,6 +273,13 @@ def test_generator_index_gates():
         generator("bogus", (0, 0), 1, 2)
 
 
+@pytest.mark.parametrize("form", [gen_p, gen_p_via_H, gen_p_via_h])
+@pytest.mark.parametrize("alpha, a", [(7, 0), (0, 9), (-1, 0), (0, -1)])
+def test_every_form_of_p_gates_its_row_and_column(form, alpha, a):
+    with pytest.raises(IndexOutOfRange):
+        form(alpha, a, 1, 2)
+
+
 def test_h_applied_to_constant_and_variable():
     assert gen_h(0, 1, 1, 2).apply(PolyFunction.constant(1)).is_zero()
     # hand-computed smallest case: h_{01} z_{1b} = z_{0b} + (J correction)

@@ -162,6 +162,22 @@ def test_values_near_the_poles_need_no_derivative():
     assert math.isfinite(make_gl(1, 0).value(1e-60))
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, 2.0, math.pi / 2, math.nan])
+def test_weighted_integral_outside_its_range_is_a_chart_boundary(eps):
+    # eps <= 0 reaches the poles; eps >= pi/2 leaves an empty or reversed
+    # interval
+    with pytest.raises(ChartBoundary):
+        weighted_absolute_integral(make_f0(), eps)
+
+
+@pytest.mark.parametrize("omega", [0.0, -0.5, math.pi, 3.2, math.nan, 1e-200])
+def test_values_outside_the_chart_are_a_chart_boundary(omega):
+    # 1e-200 is interior, but the profile there is past the float range
+    for sol in (make_f0(), make_gl(1, 0)):
+        with pytest.raises(ChartBoundary):
+            sol.value(omega)
+
+
 def test_gl_residuals():
     for ell, big_n in ((1, 0), (Fraction(3, 2), 0), (2, 0), (2, 1)):
         sol = make_gl(ell, big_n)

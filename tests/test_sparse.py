@@ -111,7 +111,7 @@ _RING_CASES = st.sampled_from([RealPoly, PolyFunction]).flatmap(
     lambda cls: st.tuples(_polynomials(cls), _polynomials(cls), _SYMBOLS[cls]))
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@settings(max_examples=80)
 @given(_RING_CASES)
 def test_ring_laws_hold_on_both_polynomial_classes(case):
     f, g, sym = case
@@ -148,7 +148,7 @@ _OPERATOR_PAIRS = st.one_of(
         lambda ac: (ac[0], ac[0].scaled(ac[1]))))
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(_OPERATOR_PAIRS)
 def test_operator_equality_agrees_with_subtraction(pair):
     a, b = pair
