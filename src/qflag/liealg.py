@@ -21,14 +21,18 @@ exactly and are never built; the order is still asserted); compositions
 of generators produce genuine second-order operators, which is how the
 Laplace-Beltrami composite is assembled.
 
-A commutation table makes each generator the operand of dozens of
-products, so the pieces of a product that depend on one operand alone are
-built once per operator and kept on it: its terms split by the symbols a
-left word differentiates, and its terms differentiated by each such split
-(see :func:`_leibniz_cross`).  Keeping them is safe because operators never
-change in place: every sum, scaling or product is a new value that builds
-its own.  Monomial and word products go through small bounded caches, since
-the generators share their coefficient monomials.
+The generators h, H and p are built directly as their maps of
+(monomial, word) terms; only the cross-check forms of p
+(:func:`gen_p_via_H`, :func:`gen_p_via_h`) and the Laplace-Beltrami
+composite are assembled by operator products.  A commutation table makes
+each generator the operand of dozens of products, so the pieces of a
+product that depend on one operand alone are built once per operator and
+kept on it: its terms split by the symbols a left word differentiates, and
+its terms differentiated by each such split (see :func:`_leibniz_cross`).
+Keeping them is safe because operators never change in place: every sum,
+scaling or product is a new value that builds its own.  Monomial and word
+products go through small bounded caches, since the generators share their
+coefficient monomials.
 """
 
 from __future__ import annotations
@@ -47,6 +51,12 @@ def mate(i: int) -> int:
 
 def kappa(i: int) -> int:
     return 1 if i % 2 == 1 else -1
+
+
+def _j_image(row: int, col: int):
+    """(sign, symbol) of the J substitution on the symbol ``(row, col)``:
+    zbar_{row col} = sign z_{mate row, mate col}, and likewise for dbar."""
+    return kappa(row) * kappa(col), (mate(row), mate(col))
 
 
 def jval(r: int, c: int) -> int:
@@ -73,8 +83,8 @@ class PolyFunction(Polynomial):
 
     @classmethod
     def zbar(cls, row: int, col: int) -> "PolyFunction":
-        sign = kappa(row) * kappa(col)
-        return cls({(((mate(row), mate(col)), 1),): sign})
+        sign, sym = _j_image(row, col)
+        return cls({((sym, 1),): sign})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -98,12 +108,13 @@ def _conjugate_monomial(mono):
     The substitution maps distinct monomials to distinct images, so a
     conjugated sum needs no accumulation.
     """
-    sign = 1
-    for (row, col), power in mono:
+    sign, image = 1, []
+    for sym, power in mono:
+        s, sym = _j_image(*sym)
         if power % 2 == 1:
-            sign *= kappa(row) * kappa(col)
-    return sign, tuple(sorted(((mate(row), mate(col)), power)
-                              for (row, col), power in mono))
+            sign *= s
+        image.append((sym, power))
+    return sign, tuple(sorted(image))
 
 
 # -- differential operators ------------------------------------------------------
@@ -128,8 +139,8 @@ class DiffOperator(SparseSum):
 
     @classmethod
     def dbar(cls, row: int, col: int) -> "DiffOperator":
-        sign = kappa(row) * kappa(col)
-        return cls({((), ((mate(row), mate(col)),)): sign})
+        sign, sym = _j_image(row, col)
+        return cls({((), (sym,)): sign})
 
     @classmethod
     def multiplication(cls, poly: PolyFunction) -> "DiffOperator":
@@ -145,17 +156,16 @@ class DiffOperator(SparseSum):
         return DiffOperator({k: c * c0 for k, c in self.terms.items()})
 
     def apply(self, f: PolyFunction) -> PolyFunction:
-        out = PolyFunction()
+        out = {}
         for (mono, word), c in self.terms.items():
             g = f
             for sym in word:
                 g = g.diff(sym)
                 if g.is_zero():
                     break
-            if g.is_zero():
-                continue
-            out = out + PolyFunction({mono: c}) * g
-        return out
+            for m, c2 in (PolyFunction({mono: c}) * g).terms.items():
+                out[m] = out.get(m, 0) + c2
+        return PolyFunction(out)
 
     def compose(self, o: "DiffOperator") -> "DiffOperator":
         """Operator product self o other, expanded by the Leibniz rule.
@@ -174,9 +184,8 @@ class DiffOperator(SparseSum):
                 m = _merged(m1, m2)
                 for w1, c1 in left_terms:
                     for w2, c2 in right_terms:
-                        key = (m, _joined(w1, w2))
-                        c = c1 * c2
-                        out[key] = out[key] + c if key in out else c
+                        key = (m, _joined(w1, w2) if w1 else w2)
+                        out[key] = out.get(key, 0) + c1 * c2
         _leibniz_cross(self, o, 1, out)
         return DiffOperator(out)
 
@@ -186,9 +195,12 @@ class DiffOperator(SparseSum):
         out = {}
         for (mono, word), c in self.terms.items():
             sign, m = _conjugate_monomial(mono)
-            for row, col in word:
-                sign *= kappa(row) * kappa(col)
-            out[m, tuple(sorted((mate(r), mate(s)) for r, s in word))] = sign * c
+            image = []
+            for sym in word:
+                s, sym = _j_image(*sym)
+                sign *= s
+                image.append(sym)
+            out[m, tuple(sorted(image))] = sign * c
         return DiffOperator(out)
 
     def _splits(self) -> dict:
@@ -267,8 +279,10 @@ def _by_monomial(op: DiffOperator) -> dict:
 
 @functools.lru_cache(maxsize=1024)
 def _joined(w1: tuple, w2: tuple) -> tuple:
-    """The sorted word ``w1 + w2``; few pairs of words recur across products."""
-    return tuple(sorted(w1 + w2)) if w1 else w2
+    """The sorted word ``w1 + w2`` for a non-empty ``w1`` (callers pass an
+    empty left word through without the call); few pairs of words recur
+    across products."""
+    return tuple(sorted(w1 + w2))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -307,8 +321,7 @@ def _leibniz_cross(left: DiffOperator, right: DiffOperator, sign: int,
                 c1 = -c1
             for m2, w2, c2 in lowered:
                 key = (_merged(m1, m2), _joined(passed, w2) if passed else w2)
-                c = c1 * c2
-                out[key] = out[key] + c if key in out else c
+                out[key] = out.get(key, 0) + c1 * c2
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
@@ -354,18 +367,27 @@ def _check_p_indices(alpha: int, a: int, k: int, n: int):
     _check_col(a, k, n)
 
 
+def _rotation(pairs) -> DiffOperator:
+    """Sum of z_s d_t - zbar_t dbar_s over the symbol pairs (s, t), built
+    term by term; terms that land on one key add, and zero sums drop."""
+    out = {}
+    for s, t in pairs:
+        sign_t, t_image = _j_image(*t)
+        sign_s, s_image = _j_image(*s)
+        z_d = (((s, 1),), (t,))
+        # zbar_t dbar_s = sign_t sign_s z_{t'} d_{s'}, primes the J images
+        zbar_dbar = (((t_image, 1),), (s_image,))
+        out[z_d] = out.get(z_d, 0) + 1
+        out[zbar_dbar] = out.get(zbar_dbar, 0) - sign_t * sign_s
+    return DiffOperator(out)
+
+
 def gen_h(alpha: int, beta: int, k: int, n: int) -> DiffOperator:
     """System-side generator h_{alpha beta} = z_{alpha b} d_{beta b} - zbar_{beta b} dbar_{alpha b}."""
     _check_dims(k, n)
     _check_row(alpha, k)
     _check_row(beta, k)
-    op = DiffOperator.zero()
-    for b in range(2 * (n - k)):
-        op = op + DiffOperator.multiplication(PolyFunction.z(alpha, b)).compose(
-            DiffOperator.d(beta, b))
-        op = op - DiffOperator.multiplication(PolyFunction.zbar(beta, b)).compose(
-            DiffOperator.dbar(alpha, b))
-    return op
+    return _rotation(((alpha, b), (beta, b)) for b in range(2 * (n - k)))
 
 
 def gen_H(a: int, b: int, k: int, n: int) -> DiffOperator:
@@ -373,25 +395,22 @@ def gen_H(a: int, b: int, k: int, n: int) -> DiffOperator:
     _check_dims(k, n)
     _check_col(a, k, n)
     _check_col(b, k, n)
-    op = DiffOperator.zero()
-    for mu in range(2 * k):
-        op = op + DiffOperator.multiplication(PolyFunction.z(mu, a)).compose(
-            DiffOperator.d(mu, b))
-        op = op - DiffOperator.multiplication(PolyFunction.zbar(mu, b)).compose(
-            DiffOperator.dbar(mu, a))
-    return op
+    return _rotation(((mu, a), (mu, b)) for mu in range(2 * k))
 
 
 def gen_p(alpha: int, a: int, k: int, n: int) -> DiffOperator:
-    """Off-diagonal generator p_{alpha a} = dbar_{alpha a} + z_{alpha b} z_{mu a} d_{mu b}."""
+    """Off-diagonal generator p_{alpha a} = dbar_{alpha a} + z_{alpha b} z_{mu a} d_{mu b}.
+
+    Each (b, mu) gives its own word d_{mu b}, so no two terms share a key.
+    """
     _check_p_indices(alpha, a, k, n)
-    op = DiffOperator.dbar(alpha, a)
+    sign, sym = _j_image(alpha, a)
+    out = {((), (sym,)): sign}
     for b in range(2 * (n - k)):
         for mu in range(2 * k):
-            coeff = PolyFunction.z(alpha, b) * PolyFunction.z(mu, a)
-            op = op + DiffOperator.multiplication(coeff).compose(
-                DiffOperator.d(mu, b))
-    return op
+            mono = _merged((((alpha, b), 1),), (((mu, a), 1),))
+            out[mono, ((mu, b),)] = 1
+    return DiffOperator(out)
 
 
 def gen_pbar(alpha: int, a: int, k: int, n: int) -> DiffOperator:
@@ -399,7 +418,11 @@ def gen_pbar(alpha: int, a: int, k: int, n: int) -> DiffOperator:
 
 
 def gen_p_via_H(alpha: int, a: int, k: int, n: int) -> DiffOperator:
-    """Alternative form (delta + z zbar) dbar + z H, equal to gen_p exactly."""
+    """Alternative form (delta + z zbar) dbar + z H, equal to gen_p exactly.
+
+    A cross-check route: it is assembled by operator products from the
+    built H generators, independently of how :func:`gen_p` builds its terms.
+    """
     _check_p_indices(alpha, a, k, n)
     op = DiffOperator.dbar(alpha, a)
     for beta in range(2 * k):
@@ -414,7 +437,11 @@ def gen_p_via_H(alpha: int, a: int, k: int, n: int) -> DiffOperator:
 
 
 def gen_p_via_h(alpha: int, a: int, k: int, n: int) -> DiffOperator:
-    """Alternative form (delta + z zbar) dbar + z h, equal to gen_p exactly."""
+    """Alternative form (delta + z zbar) dbar + z h, equal to gen_p exactly.
+
+    A cross-check route: it is assembled by operator products from the
+    built h generators, independently of how :func:`gen_p` builds its terms.
+    """
     _check_p_indices(alpha, a, k, n)
     op = DiffOperator.dbar(alpha, a)
     for b in range(2 * (n - k)):
@@ -486,14 +513,14 @@ def _commutators(table: dict, pairs):
         yield (x, y), lhs
 
 
-def _combination(*pairs) -> DiffOperator:
-    """Sum of c x op over the (c, op) pairs whose c is nonzero."""
+def _combination(pairs) -> DiffOperator:
+    """Sum of c x op over the (c, op) pairs whose c is nonzero; ``pairs``
+    may be an iterator, so only the op being added need be held."""
     out = {}
     for c0, op in pairs:
         if c0:
             for key, c in op.terms.items():
-                c *= c0
-                out[key] = out[key] + c if key in out else c
+                out[key] = out.get(key, 0) + c * c0
     return DiffOperator(out)
 
 
@@ -522,44 +549,44 @@ def _relation_cases(k: int, n: int):
             h, itertools.product(row_pairs, repeat=2)):
         # d_{be mu} h_{al nu} - d_{al nu} h_{mu be}
         #   - (h J)_{al mu} J_{be nu} + (J h)_{be nu} J_{mu al}
-        yield "[h,h]", lhs, _combination(
+        yield "[h,h]", lhs, _combination((
             (_delta(be, mu), h[al, nu]),
             (-_delta(al, nu), h[mu, be]),
             (-jval(mate(mu), mu) * jval(be, nu), h[al, mate(mu)]),
-            (jval(be, mate(be)) * jval(mu, al), h[mate(be), nu]))
+            (jval(be, mate(be)) * jval(mu, al), h[mate(be), nu])))
     for ((a, b), (c, d)), lhs in _commutators(
             H, itertools.product(col_pairs, repeat=2)):
         # d_{bc} H_{ad} - d_{ad} H_{cb} - (H J)_{ac} J_{bd} + (J H)_{db} J_{ca}
-        yield "[H,H]", lhs, _combination(
+        yield "[H,H]", lhs, _combination((
             (_delta(b, c), H[a, d]),
             (-_delta(a, d), H[c, b]),
             (-jval(mate(c), c) * jval(b, d), H[a, mate(c)]),
-            (jval(d, mate(d)) * jval(c, a), H[mate(d), b]))
+            (jval(d, mate(d)) * jval(c, a), H[mate(d), b])))
     for al, be in row_pairs:
         for a, b in col_pairs:
             yield "[h,H]", commutator(h[al, be], H[a, b]), DiffOperator.zero()
     for al, a in row_cols:
         for mu, nu in row_pairs:
             # -d_{al nu} p_{mu a} - (J p)_{nu a} J_{al mu}
-            yield "[p,h]", commutator(p[al, a], h[mu, nu]), _combination(
+            yield "[p,h]", commutator(p[al, a], h[mu, nu]), _combination((
                 (-_delta(al, nu), p[mu, a]),
-                (-jval(nu, mate(nu)) * jval(al, mu), p[mate(nu), a]))
+                (-jval(nu, mate(nu)) * jval(al, mu), p[mate(nu), a])))
     for al in range(K):
         for a, b, c in itertools.product(range(A), repeat=3):
             # -d_{ac} p_{al b} + (p J)_{al c} J_{ab}
-            yield "[p,H]", commutator(p[al, a], H[b, c]), _combination(
+            yield "[p,H]", commutator(p[al, a], H[b, c]), _combination((
                 (-_delta(a, c), p[al, b]),
-                (jval(mate(c), c) * jval(a, b), p[al, mate(c)]))
+                (jval(mate(c), c) * jval(a, b), p[al, mate(c)])))
     pp_pairs = (((al, a), (be, b)) for al, be in row_pairs for a, b in col_pairs)
     for ((al, a), (be, b)), lhs in _commutators(p, pp_pairs):
         # -(h J)_{al be} J_{ab} - (H J)_{ab} J_{al be}
-        yield "[p,p]", lhs, _combination(
+        yield "[p,p]", lhs, _combination((
             (-jval(mate(be), be) * jval(a, b), h[al, mate(be)]),
-            (-jval(mate(b), b) * jval(al, be), H[a, mate(b)]))
+            (-jval(mate(b), b) * jval(al, be), H[a, mate(b)])))
     for al, be in row_pairs:
         for a, b in col_pairs:
-            yield "[pbar,p]", commutator(pbar[al, a], p[be, b]), _combination(
-                (_delta(al, be), H[b, a]), (_delta(a, b), h[be, al]))
+            yield "[pbar,p]", commutator(pbar[al, a], p[be, b]), _combination((
+                (_delta(al, be), H[b, a]), (_delta(a, b), h[be, al])))
 
 
 def verify_commutation_table(k: int, n: int) -> dict:
@@ -659,18 +686,12 @@ def laplace_beltrami(k: int, n: int) -> DiffOperator:
     _check_dims(k, n)
     K, A = 2 * k, 2 * (n - k)
     p_ops = [gen_p(al, a, k, n) for al in range(K) for a in range(A)]
-    total = DiffOperator.zero()
-    for al, be in itertools.product(range(K), repeat=2):
-        op = gen_h(al, be, k, n)
-        total = total + op.compose(op.conjugate())
-    for op in p_ops:
-        total = total + op.compose(op.conjugate())
-    for a, b in itertools.product(range(A), repeat=2):
-        op = gen_H(a, b, k, n)
-        total = total + op.compose(op.conjugate())
-    for op in p_ops:
-        total = total + op.conjugate().compose(op)
-    return total
+    h_ops = [gen_h(al, be, k, n)
+             for al, be in itertools.product(range(K), repeat=2)]
+    H_ops = [gen_H(a, b, k, n) for a, b in itertools.product(range(A), repeat=2)]
+    return _combination(itertools.chain(
+        ((1, op.compose(op.conjugate())) for op in h_ops + p_ops + H_ops),
+        ((1, op.conjugate().compose(op)) for op in p_ops)))
 
 
 def linear_part(op: DiffOperator) -> DiffOperator:

@@ -39,7 +39,7 @@ class SparseSum:
             return NotImplemented
         out = dict(self.terms)
         for k, c in o.terms.items():
-            out[k] = out[k] + c if k in out else c
+            out[k] = out.get(k, 0) + c
         return type(self)(out)
 
     def __sub__(self, o):
@@ -47,7 +47,7 @@ class SparseSum:
             return NotImplemented
         out = dict(self.terms)
         for k, c in o.terms.items():
-            out[k] = out[k] - c if k in out else -c
+            out[k] = out.get(k, 0) - c
         return type(self)(out)
 
     def __neg__(self):
@@ -103,8 +103,7 @@ class Polynomial(SparseSum):
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 m = _merged(m1, m2)
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
+                out[m] = out.get(m, 0) + c1 * c2
         return type(self)(out)
 
     __rmul__ = __mul__

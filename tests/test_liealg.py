@@ -94,6 +94,13 @@ def test_apply_distributes_over_sums():
     assert op.apply(f + g) == op.apply(f) + op.apply(g)
 
 
+def test_apply_to_a_polynomial_of_another_class_raises_type_error():
+    from qflag.emfield import RealPoly
+    with pytest.raises(TypeError):
+        DiffOperator.multiplication(PolyFunction.constant(2)).apply(
+            RealPoly.x(0))
+
+
 def test_commutator_with_self_vanishes():
     op = gen_p(0, 0, 1, 2)
     assert commutator(op, op).is_zero()
@@ -317,6 +324,79 @@ def test_p_three_displayed_forms_agree():
 def test_p_linear_part_is_dbar():
     for al, a in itertools.product(range(2), repeat=2):
         assert linear_part(gen_p(al, a, 1, 2)) == DiffOperator.dbar(al, a)
+
+
+def _composed_generators(k: int, n: int):
+    """Every h, H, p and pbar at (k, n), each summed from products
+    multiplication(coefficient) o derivative, as the displayed forms read."""
+    K, A = 2 * k, 2 * (n - k)
+
+    def term(coeff, d):
+        return DiffOperator.multiplication(coeff).compose(d)
+
+    out = {}
+    for al, be in itertools.product(range(K), repeat=2):
+        op = DiffOperator.zero()
+        for b in range(A):
+            op = op + term(Z(al, b), DiffOperator.d(be, b))
+            op = op - term(ZB(be, b), DiffOperator.dbar(al, b))
+        out["h", al, be] = op
+    for a, b in itertools.product(range(A), repeat=2):
+        op = DiffOperator.zero()
+        for mu in range(K):
+            op = op + term(Z(mu, a), DiffOperator.d(mu, b))
+            op = op - term(ZB(mu, b), DiffOperator.dbar(mu, a))
+        out["H", a, b] = op
+    for al, a in itertools.product(range(K), range(A)):
+        op = DiffOperator.dbar(al, a)
+        for b, mu in itertools.product(range(A), range(K)):
+            op = op + term(Z(al, b) * Z(mu, a), DiffOperator.d(mu, b))
+        out["p", al, a] = op
+        out["pbar", al, a] = op.conjugate()
+    return out
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+def test_generators_equal_their_composed_forms(k, n):
+    # the builders write each term directly; the reference composes them
+    for (kind, i, j), ref in _composed_generators(k, n).items():
+        got = generator(kind, (i, j), k, n)
+        assert got.terms == ref.terms, (kind, i, j)
+        assert repr(got) == repr(ref), (kind, i, j)
+
+
+def _compose_calls(monkeypatch):
+    """A list that records each DiffOperator.compose call from now on."""
+    calls = []
+    real = DiffOperator.compose
+
+    def counted(self, o):
+        calls.append(1)
+        return real(self, o)
+
+    monkeypatch.setattr(DiffOperator, "compose", counted)
+    return calls
+
+
+def test_generators_are_built_without_compose(monkeypatch):
+    calls = _compose_calls(monkeypatch)
+    k, n = 1, 4
+    for kind, (rows, cols) in {"h": (2 * k, 2 * k),
+                               "H": (2 * (n - k), 2 * (n - k)),
+                               "p": (2 * k, 2 * (n - k)),
+                               "pbar": (2 * k, 2 * (n - k))}.items():
+        for ij in itertools.product(range(rows), range(cols)):
+            generator(kind, ij, k, n)
+    assert not calls
+    # the table's commutators come from the cross terms alone
+    assert verify_commutation_table(k, n)["all_passed"]
+    assert not calls
+    # the cross-check form of p and the composite still compose
+    gen_p_via_H(0, 0, 1, 2)
+    assert calls
+    calls.clear()
+    laplace_beltrami(1, 2)
+    assert calls
 
 
 def test_j_contracted_symmetry():

@@ -3,9 +3,9 @@
 Each test swaps in one known fault (a wrong quaternion product rule, with
 the tables that ``@`` and the exact field products derive from it, a
 misplaced block in the exponential that differentiates ``exp``, a biased
-S^3 sampler, a wrong commutator cross term or a raising generator that
-does not raise) and runs ``qflag verify``: the run must write its report
-and exit 1.
+S^3 sampler, a wrong commutator cross term, a generator with a wrong sign
+or missing terms, or a raising generator that does not raise) and runs
+``qflag verify``: the run must write its report and exit 1.
 """
 
 import json
@@ -169,3 +169,41 @@ def test_raising_by_a_cartan_generator_fails_ladder_shifts(monkeypatch,
     assert "liealg.ladder_shifts" not in failed
     assert failed["liealg.ladder_shifts.error"]["detail"].startswith(
         "NotEigenvector: raising produced eigenvalue")
+
+
+def _liealg_failures(capsys):
+    """The failed checks of ``verify all --seed 42`` at default trials,
+    which must all be in the exact generator suite."""
+    failed = _failures(capsys, ["verify", "all", "--seed", "42"])
+    assert {name.split(".")[0] for name in failed} == {"liealg"}
+    return failed
+
+
+def test_flipped_conjugate_half_of_the_rotations_fails_liealg(monkeypatch,
+                                                              capsys):
+    # h and H read as z_s d_t + zbar_t dbar_s: still first order and
+    # J-covariant, but no longer skew, and their brackets leave the algebra
+    DiffOperator, PolyFunction = liealg.DiffOperator, liealg.PolyFunction
+
+    def flipped(pairs):
+        op = DiffOperator.zero()
+        for s, t in pairs:
+            op = op + DiffOperator.multiplication(PolyFunction.z(*s)).compose(
+                DiffOperator.d(*t))
+            op = op + DiffOperator.multiplication(PolyFunction.zbar(*t)).compose(
+                DiffOperator.dbar(*s))
+        return op
+
+    monkeypatch.setattr(liealg, "_rotation", flipped)
+    assert {"liealg.commutation_table_k1_n2",
+            "liealg.generator_skewness"} <= set(_liealg_failures(capsys))
+
+
+def test_p_without_its_quadratic_terms_fails_p_three_forms(monkeypatch,
+                                                           capsys):
+    # p_{alpha a} read as its linear part dbar_{alpha a}: the composed
+    # cross-check forms keep their quadratic terms and disagree
+    real = liealg.gen_p
+    monkeypatch.setattr(liealg, "gen_p",
+                        lambda *args: liealg.linear_part(real(*args)))
+    assert "liealg.p_three_forms" in _liealg_failures(capsys)
