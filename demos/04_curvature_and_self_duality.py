@@ -47,6 +47,6 @@ print("Hodge eigenvalues: +1 sector residual =", star_plus,
       ", -1 sector residual =", star_minus)
 
 q = random_quatmat(rng, 2, 5, 0.8)
-lhs, rhs = curvature_trace(q, 5, 2)
+lhs, rhs = curvature_trace(q)
 print("\nmetric-tensor trace identity: lhs =", lhs, " rhs =", rhs)
-print("metric-tensor determinant |1+QQ*|^-(k+n) =", curvature_det(q, 5, 2))
+print("metric-tensor determinant |1+QQ*|^-(k+n) =", curvature_det(q))

@@ -141,17 +141,16 @@ def _parse_tol(entries) -> dict:
     return out
 
 
-def _parse_half_integer(text: str) -> Fraction:
+def _parse_ell(text: str) -> Fraction:
+    """``--ell`` as an exact number; whether it is a half-integer is
+    :func:`s4lb.make_gl`'s rule."""
     if _LONG_ELL_EXPONENT.search(text):
         raise UsageError(f"--ell exponents have at most 4 digits, got {text!r}")
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--ell expects a number such as 1 or 3/2, "
                          f"got {text!r}") from exc
-    if value.denominator not in (1, 2):
-        raise QflagError(f"--ell must be an integer or half-integer, got {text}")
-    return value
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -168,7 +167,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lb(args) -> int:
-    ell = _parse_half_integer(args.ell)
+    ell = _parse_ell(args.ell)
     _require_range("--samples", args.samples, 1, MAX_LB_SAMPLES)
     if ell == 0 and args.big_n == 0:
         sol = s4lb.make_f0()

@@ -31,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import config
-from .errors import (DegenerateQuadruple, DimensionMismatch, PairingFailure,
-                     ShapeMismatch, SingularDenominator, TooManyFibers)
+from .errors import (DegenerateQuadruple, PairingFailure, ShapeMismatch,
+                     SingularDenominator, TooManyFibers)
 from .quaternion import HURWITZ_UNITS
 from .quatmat import (GroupElement, QuatMatrix, _by_size, _check_partition,
                       _funcs_hermitian, _inverses, _stack, _wrap, block_matrix,
@@ -317,18 +317,18 @@ def inversion_invariance_residual(point: GrassmannPoint, dx: QuatMatrix):
     return abs(after - metric_form(point, dx))
 
 
-def curvature_trace(q: QuatMatrix, n: int, k: int) -> tuple:
+def curvature_trace(q: QuatMatrix) -> tuple:
     """Both sides of the metric-tensor trace identity.
 
-    For a k x n quaternion matrix Q, with traces taken in the complex
-    embedding so that an m x m quaternion identity contributes 2m,
+    For a k x n quaternion matrix Q (k and n are ``q``'s rows and columns),
+    with traces taken in the complex embedding so that an m x m quaternion
+    identity contributes 2m,
 
         tr[(1 + Q* Q)^{-1}]  =  2(n - k) + tr[(1 + Q Q*)^{-1}].
 
     Returns (lhs, rhs), each a float or an array of the batch shape.
     """
-    if q.shape != (k, n):
-        raise DimensionMismatch(f"expected a {k} x {n} matrix, got {q.shape}")
+    k, n = q.shape
     emb = q.embed()
     adj = emb.conj().swapaxes(-1, -2)
     lhs_mat = np.linalg.inv(np.eye(2 * n) + adj @ emb)
@@ -338,17 +338,17 @@ def curvature_trace(q: QuatMatrix, n: int, k: int) -> tuple:
     return _float_or_batch(lhs), _float_or_batch(rhs)
 
 
-def curvature_det_gap(q: QuatMatrix, n: int, k: int) -> tuple:
-    """The quaternionic determinant |1 + Q Q*| and its relative gap to the
-    square root of the complex-embedding determinant det(1 + E E*).
+def curvature_det_gap(q: QuatMatrix) -> tuple:
+    """The quaternionic determinant |1 + Q Q*| of a k x n matrix Q (k and n
+    are ``q``'s rows and columns) and its relative gap to the square root
+    of the complex-embedding determinant det(1 + E E*).
 
     |1 + Q Q*| is the product of the deduplicated real eigenvalues of Q Q*,
     each shifted by one; the embedding determinant is an independent route
     to the same number.  Both values are floats for a single matrix and
     arrays of the batch shape for a batch.
     """
-    if q.shape != (k, n):
-        raise DimensionMismatch(f"expected a {k} x {n} matrix, got {q.shape}")
+    k = q.rows
     evs = eigvals_hyperhermitian(q @ q.adjoint())
     det_quat = np.prod(1.0 + evs, axis=-1)
     emb = q.embed()
@@ -359,13 +359,15 @@ def curvature_det_gap(q: QuatMatrix, n: int, k: int) -> tuple:
     return _float_or_batch(det_quat), _float_or_batch(gap)
 
 
-def curvature_det(q: QuatMatrix, n: int, k: int) -> float:
-    """det of the metric tensor, |1 + Q Q*|^{-(k+n)}.
+def curvature_det(q: QuatMatrix) -> float:
+    """det of the metric tensor, |1 + Q Q*|^{-(k+n)}, for a k x n matrix Q
+    (k and n are ``q``'s rows and columns).
 
     Raises :class:`PairingFailure` when the two routes of
     :func:`curvature_det_gap` differ by more than 1e-8 relative.
     """
-    det_quat, gap = curvature_det_gap(q, n, k)
+    k, n = q.shape
+    det_quat, gap = curvature_det_gap(q)
     if np.any(gap > 1e-8):
         raise PairingFailure(
             f"eigenvalue product and embedding determinant root differ by "

@@ -134,10 +134,6 @@ class DiffOperator(SparseSum):
         return cls()
 
     @classmethod
-    def d(cls, row: int, col: int) -> "DiffOperator":
-        return cls({((), ((row, col),)): 1})
-
-    @classmethod
     def dbar(cls, row: int, col: int) -> "DiffOperator":
         sign, sym = _j_image(row, col)
         return cls({((), (sym,)): sign})
@@ -345,26 +341,18 @@ def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
 
 # -- the generators ---------------------------------------------------------------
 
-def _check_dims(k: int, n: int):
+def _check_indices(k: int, n: int, rows=(), cols=()):
+    """Raise IndexOutOfRange unless (k, n) is a partition, each of ``rows``
+    lies in 0..2k-1 and each of ``cols`` in 0..2(n-k)-1, checked in that
+    order."""
     if k < 1 or n - k < 1:
         raise IndexOutOfRange(f"partition requires k >= 1 and n-k >= 1, got ({k}, {n})")
-
-
-def _check_row(alpha: int, k: int):
-    if not 0 <= alpha < 2 * k:
-        raise IndexOutOfRange(f"row index {alpha} outside 0..{2 * k - 1}")
-
-
-def _check_col(a: int, k: int, n: int):
-    if not 0 <= a < 2 * (n - k):
-        raise IndexOutOfRange(f"column index {a} outside 0..{2 * (n - k) - 1}")
-
-
-def _check_p_indices(alpha: int, a: int, k: int, n: int):
-    """The partition and the (row, column) index of a p generator."""
-    _check_dims(k, n)
-    _check_row(alpha, k)
-    _check_col(a, k, n)
+    for alpha in rows:
+        if not 0 <= alpha < 2 * k:
+            raise IndexOutOfRange(f"row index {alpha} outside 0..{2 * k - 1}")
+    for a in cols:
+        if not 0 <= a < 2 * (n - k):
+            raise IndexOutOfRange(f"column index {a} outside 0..{2 * (n - k) - 1}")
 
 
 def _rotation(pairs) -> DiffOperator:
@@ -384,17 +372,13 @@ def _rotation(pairs) -> DiffOperator:
 
 def gen_h(alpha: int, beta: int, k: int, n: int) -> DiffOperator:
     """System-side generator h_{alpha beta} = z_{alpha b} d_{beta b} - zbar_{beta b} dbar_{alpha b}."""
-    _check_dims(k, n)
-    _check_row(alpha, k)
-    _check_row(beta, k)
+    _check_indices(k, n, rows=(alpha, beta))
     return _rotation(((alpha, b), (beta, b)) for b in range(2 * (n - k)))
 
 
 def gen_H(a: int, b: int, k: int, n: int) -> DiffOperator:
     """Surroundings-side generator H_{ab} = z_{mu a} d_{mu b} - zbar_{mu b} dbar_{mu a}."""
-    _check_dims(k, n)
-    _check_col(a, k, n)
-    _check_col(b, k, n)
+    _check_indices(k, n, cols=(a, b))
     return _rotation(((mu, a), (mu, b)) for mu in range(2 * k))
 
 
@@ -403,7 +387,7 @@ def gen_p(alpha: int, a: int, k: int, n: int) -> DiffOperator:
 
     Each (b, mu) gives its own word d_{mu b}, so no two terms share a key.
     """
-    _check_p_indices(alpha, a, k, n)
+    _check_indices(k, n, rows=(alpha,), cols=(a,))
     sign, sym = _j_image(alpha, a)
     out = {((), (sym,)): sign}
     for b in range(2 * (n - k)):
@@ -423,7 +407,7 @@ def gen_p_via_H(alpha: int, a: int, k: int, n: int) -> DiffOperator:
     A cross-check route: it is assembled by operator products from the
     built H generators, independently of how :func:`gen_p` builds its terms.
     """
-    _check_p_indices(alpha, a, k, n)
+    _check_indices(k, n, rows=(alpha,), cols=(a,))
     op = DiffOperator.dbar(alpha, a)
     for beta in range(2 * k):
         for b in range(2 * (n - k)):
@@ -442,7 +426,7 @@ def gen_p_via_h(alpha: int, a: int, k: int, n: int) -> DiffOperator:
     A cross-check route: it is assembled by operator products from the
     built h generators, independently of how :func:`gen_p` builds its terms.
     """
-    _check_p_indices(alpha, a, k, n)
+    _check_indices(k, n, rows=(alpha,), cols=(a,))
     op = DiffOperator.dbar(alpha, a)
     for b in range(2 * (n - k)):
         for mu in range(2 * k):
@@ -524,25 +508,32 @@ def _combination(pairs) -> DiffOperator:
     return DiffOperator(out)
 
 
+def _families(k: int, n: int):
+    """The h, H and p generators of a partition, each family a table keyed
+    by its index pairs in row-major order."""
+    _check_indices(k, n)
+    K, A = 2 * k, 2 * (n - k)
+    h = {ij: gen_h(*ij, k, n) for ij in itertools.product(range(K), repeat=2)}
+    H = {ab: gen_H(*ab, k, n) for ab in itertools.product(range(A), repeat=2)}
+    p = {ia: gen_p(*ia, k, n) for ia in itertools.product(range(K), range(A))}
+    return h, H, p
+
+
 def _relation_cases(k: int, n: int):
     """Yield (family, lhs, rhs) for every index combination of the seven
     commutation relations, with the right sides as displayed.
 
-    Each generator is built once, into a table per kind, and every case
-    reads its operators from those tables.  A right side adds each table
-    operator once per nonzero Kronecker or J coefficient, with the sign of
-    its J contraction (see :func:`_left_j`) folded into that coefficient.
-    In the [h,h], [H,H] and [p,p] families every ordered pair of generators
-    appears, and [Y, X] is exactly -[X, Y]; so each pair is composed once
-    (see :func:`_commutators`) and the case order is unchanged.
+    Each generator is built once, into the tables of :func:`_families`, and
+    every case reads its operators from those tables.  A right side adds
+    each table operator once per nonzero Kronecker or J coefficient, with
+    the sign of its J contraction (see :func:`_left_j`) folded into that
+    coefficient.  In the [h,h], [H,H] and [p,p] families every ordered pair
+    of generators appears, and [Y, X] is exactly -[X, Y]; so each pair is
+    composed once (see :func:`_commutators`) and the case order is
+    unchanged.
     """
-    K, A = 2 * k, 2 * (n - k)
-    row_pairs = list(itertools.product(range(K), repeat=2))
-    col_pairs = list(itertools.product(range(A), repeat=2))
-    row_cols = list(itertools.product(range(K), range(A)))
-    h = {ij: gen_h(*ij, k, n) for ij in row_pairs}
-    H = {ab: gen_H(*ab, k, n) for ab in col_pairs}
-    p = {ia: gen_p(*ia, k, n) for ia in row_cols}
+    h, H, p = _families(k, n)
+    row_pairs, col_pairs, row_cols = list(h), list(H), list(p)
     pbar = {ia: op.conjugate() for ia, op in p.items()}
 
     for ((al, be), (mu, nu)), lhs in _commutators(
@@ -571,12 +562,11 @@ def _relation_cases(k: int, n: int):
             yield "[p,h]", commutator(p[al, a], h[mu, nu]), _combination((
                 (-_delta(al, nu), p[mu, a]),
                 (-jval(nu, mate(nu)) * jval(al, mu), p[mate(nu), a])))
-    for al in range(K):
-        for a, b, c in itertools.product(range(A), repeat=3):
-            # -d_{ac} p_{al b} + (p J)_{al c} J_{ab}
-            yield "[p,H]", commutator(p[al, a], H[b, c]), _combination((
-                (-_delta(a, c), p[al, b]),
-                (jval(mate(c), c) * jval(a, b), p[al, mate(c)])))
+    for (al, a), (b, c) in itertools.product(row_cols, col_pairs):
+        # -d_{ac} p_{al b} + (p J)_{al c} J_{ab}
+        yield "[p,H]", commutator(p[al, a], H[b, c]), _combination((
+            (-_delta(a, c), p[al, b]),
+            (jval(mate(c), c) * jval(a, b), p[al, mate(c)])))
     pp_pairs = (((al, a), (be, b)) for al, be in row_pairs for a, b in col_pairs)
     for ((al, a), (be, b)), lhs in _commutators(p, pp_pairs):
         # -(h J)_{al be} J_{ab} - (H J)_{ab} J_{al be}
@@ -597,7 +587,6 @@ def verify_commutation_table(k: int, n: int) -> dict:
     against successive ``apply``).  A family that fails the displayed form
     is reported with its failure count rather than silently rewritten.
     """
-    _check_dims(k, n)
     families = {}
     for family, lhs, rhs in _relation_cases(k, n):
         entry = families.setdefault(family, {"cases": 0, "operator_failures": 0})
@@ -625,20 +614,10 @@ def eigenvalue_of(op: DiffOperator, f: PolyFunction):
     if f.is_zero():
         raise NotEigenvector("the zero polynomial is not an eigenvector")
     g = op.apply(f)
-    if g.is_zero():
-        return 0
     mono, c = next(iter(f.terms.items()))
-    top = g.terms.get(mono)
-    if top is None:
-        raise NotEigenvector("image lost the leading monomial")
-    lam = Fraction(top) / c
-    if lam.denominator == 1:
-        lam = lam.numerator
-    for m2, c2 in f.terms.items():
-        if g.terms.get(m2, 0) != c2 * lam:
-            raise NotEigenvector("image is not a scalar multiple of the input")
-    if len(g.terms) != len(f.terms):
-        raise NotEigenvector("image has extra monomials")
+    lam = exact(Fraction(g.terms.get(mono, 0), c))
+    if g != f * lam:
+        raise NotEigenvector("image is not a scalar multiple of the input")
     return lam
 
 
@@ -683,15 +662,11 @@ def laplace_beltrami(k: int, n: int) -> DiffOperator:
     annihilates constants, is invariant under the J conjugation, and
     commutes with every Cartan generator.
     """
-    _check_dims(k, n)
-    K, A = 2 * k, 2 * (n - k)
-    p_ops = [gen_p(al, a, k, n) for al in range(K) for a in range(A)]
-    h_ops = [gen_h(al, be, k, n)
-             for al, be in itertools.product(range(K), repeat=2)]
-    H_ops = [gen_H(a, b, k, n) for a, b in itertools.product(range(A), repeat=2)]
+    h, H, p = _families(k, n)
     return _combination(itertools.chain(
-        ((1, op.compose(op.conjugate())) for op in h_ops + p_ops + H_ops),
-        ((1, op.conjugate().compose(op)) for op in p_ops)))
+        ((1, op.compose(op.conjugate()))
+         for op in itertools.chain(h.values(), p.values(), H.values())),
+        ((1, op.conjugate().compose(op)) for op in p.values())))
 
 
 def linear_part(op: DiffOperator) -> DiffOperator:

@@ -357,7 +357,7 @@ def _(cfg, rng):
     worst = 0.0
     for n, k in ((3, 1), (5, 2), (6, 3)):
         (q,) = _draw_batches(rng, cfg.count(100), _quatmat_draw(k, n, 0.8))
-        lhs, rhs = coset.curvature_trace(q, n, k)
+        lhs, rhs = coset.curvature_trace(q)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     yield worst, 1e-9
 
@@ -365,7 +365,7 @@ def _(cfg, rng):
 @_unit("coset.curvature_det_consistency")
 def _(cfg, rng):
     (q,) = _draw_batches(rng, cfg.count(200), _quatmat_draw(2, 4, 0.7))
-    _, gap = coset.curvature_det_gap(q, 4, 2)
+    _, gap = coset.curvature_det_gap(q)
     yield (float(gap.max()), 1e-8,
            "eigenvalue product vs embedding determinant root")
 

@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import settings
 
+from qflag.liealg import DiffOperator
 from qflag.quaternion import Quaternion
 from qflag.quatmat import QuatMatrix, func_hermitian
 
@@ -29,6 +30,12 @@ def real_matrix(m) -> QuatMatrix:
     a = np.zeros(m.shape + (4,))
     a[..., 0] = m
     return QuatMatrix(a)
+
+
+def derivative(row: int, col: int) -> DiffOperator:
+    """The derivative d_{row col}: one single-symbol word with constant
+    coefficient 1."""
+    return DiffOperator({((), ((row, col),)): 1})
 
 
 def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:

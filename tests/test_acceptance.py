@@ -134,7 +134,7 @@ def test_criterion_06_curvature_trace_identity():
     for n, k in ((3, 1), (5, 2), (6, 3)):
         for _ in range(100):
             q = random_quatmat(rng, k, n, 0.8)
-            lhs, rhs = coset.curvature_trace(q, n, k)
+            lhs, rhs = coset.curvature_trace(q)
             worst = max(worst, abs(lhs - rhs))
     passed = worst < 1e-9
     record_criterion(6, "curvature trace identity, (n,k) in "

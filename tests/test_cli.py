@@ -123,8 +123,8 @@ def test_verify_curvature_det_gap_fails_a_check_not_the_run(monkeypatch,
     # a disagreeing determinant is a failed check (exit 1), not an error
     real = coset.curvature_det_gap
 
-    def widened(q, n, k):
-        det, gap = real(q, n, k)
+    def widened(q):
+        det, gap = real(q)
         return det, gap + 1e-6
 
     monkeypatch.setattr(coset, "curvature_det_gap", widened)
@@ -193,7 +193,7 @@ def test_verify_unknown_tol_name_fails_before_any_unit_runs(monkeypatch,
 
 def test_verify_tol_naming_a_check_of_a_raising_unit_is_accepted(monkeypatch,
                                                                  capsys):
-    def broken(*args, **kwargs):
+    def broken(q):
         raise SingularMatrix("broken on purpose")
 
     monkeypatch.setattr(coset, "curvature_trace", broken)

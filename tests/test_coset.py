@@ -654,7 +654,7 @@ def test_tangent_through_connection_and_metric2():
 # -- curvature invariants -----------------------------------------------------------------
 
 def test_curvature_trace_zero_matrix():
-    lhs, rhs = curvature_trace(QuatMatrix.zeros(1, 3), 3, 1)
+    lhs, rhs = curvature_trace(QuatMatrix.zeros(1, 3))
     assert abs(lhs - rhs) < 1e-12
     assert lhs == pytest.approx(6.0)   # embedded identity trace 2n
 
@@ -663,47 +663,67 @@ def test_curvature_trace_identity():
     for n, k in ((3, 1), (5, 2), (6, 3)):
         for _ in range(100):
             q = random_quatmat(rng, k, n, 0.8)
-            lhs, rhs = curvature_trace(q, n, k)
+            lhs, rhs = curvature_trace(q)
             assert abs(lhs - rhs) < 1e-9
     # a stacked input gives arrays of the batch shape, equal to the singles
     q = QuatMatrix(np.stack([random_quatmat(rng, 2, 5, 0.8).a
                              for _ in range(6)]).reshape(2, 3, 2, 5, 4))
-    lhs, rhs = curvature_trace(q, 5, 2)
+    lhs, rhs = curvature_trace(q)
     assert lhs.shape == rhs.shape == (2, 3)
     assert np.abs(lhs - rhs).max() < 1e-9
-    assert (lhs[1, 2], rhs[1, 2]) == curvature_trace(QuatMatrix(q.a[1, 2]), 5, 2)
+    assert (lhs[1, 2], rhs[1, 2]) == curvature_trace(QuatMatrix(q.a[1, 2]))
+    # k and n come off the shape, so the identity holds with n - k negative
+    # (5 x 2, rhs offset -6) and zero (3 x 3), singly and in a batch
+    local = np.random.default_rng(3303)
+    for k, n in ((5, 2), (3, 3)):
+        q = QuatMatrix(local.normal(0.0, 0.8, (7, k, n, 4)))
+        lhs, rhs = curvature_trace(q)
+        assert lhs.shape == rhs.shape == (7,)
+        assert np.abs(lhs - rhs).max() < 1e-9
+        single_lhs, single_rhs = curvature_trace(QuatMatrix(q.a[3]))
+        assert type(single_lhs) is float
+        assert abs(single_lhs - single_rhs) < 1e-9
+        assert single_lhs == pytest.approx(lhs[3], rel=1e-12)
 
 
 def test_curvature_trace_scalar_oracle():
     q = random_quatmat(rng, 1, 1, 0.8)
     qq = Quaternion.from_array(q.a[0, 0]).norm_sq()
-    lhs, rhs = curvature_trace(q, 1, 1)
+    lhs, rhs = curvature_trace(q)
     assert lhs == pytest.approx(2.0 / (1.0 + qq), abs=1e-12)
     assert rhs == pytest.approx(2.0 / (1.0 + qq), abs=1e-12)
 
 
-def test_curvature_trace_shape_gate():
-    with pytest.raises(DimensionMismatch):
-        curvature_trace(random_quatmat(rng, 2, 2), 3, 1)
-
-
 def test_curvature_det():
-    assert curvature_det(QuatMatrix.zeros(1, 3), 3, 1) == pytest.approx(1.0)
+    assert curvature_det(QuatMatrix.zeros(1, 3)) == pytest.approx(1.0)
     q = random_quatmat(rng, 1, 1, 0.9)
     qq = Quaternion.from_array(q.a[0, 0]).norm_sq()
     n, k = 1, 1
-    assert curvature_det(q, n, k) == pytest.approx((1 + qq) ** (-(k + n)),
-                                                   rel=1e-12)
+    assert curvature_det(q) == pytest.approx((1 + qq) ** (-(k + n)),
+                                             rel=1e-12)
     for _ in range(200):
         q = random_quatmat(rng, 2, 4, 0.7)
-        val = curvature_det(q, 4, 2)   # internal embedding cross-check
+        val = curvature_det(q)   # internal embedding cross-check
         assert 0.0 < val <= 1.0 + 1e-12
+    # k > n and k = n: |1 + Q Q*| = |1 + Q* Q| (Sylvester), so the n x k
+    # adjoint has the same determinant and the same exponent k + n
+    local = np.random.default_rng(3304)
+    for k, n in ((5, 2), (3, 3)):
+        q = QuatMatrix(local.normal(0.0, 0.7, (5, k, n, 4)))
+        vals = curvature_det(q)
+        assert vals.shape == (5,)
+        assert np.all((vals > 0.0) & (vals <= 1.0 + 1e-12))
+        assert np.allclose(vals, curvature_det(q.adjoint()), rtol=1e-10,
+                           atol=0.0)
+        single = curvature_det(QuatMatrix(q.a[2]))
+        assert type(single) is float
+        assert single == pytest.approx(vals[2], rel=1e-12)
 
 
 def test_curvature_det_gap_batch_equals_the_singles():
     qs = [random_quatmat(rng, 2, 4, 0.7) for _ in range(20)]
-    det, gap = curvature_det_gap(QuatMatrix(np.stack([q.a for q in qs])), 4, 2)
-    singles = [curvature_det_gap(q, 4, 2) for q in qs]
+    det, gap = curvature_det_gap(QuatMatrix(np.stack([q.a for q in qs])))
+    singles = [curvature_det_gap(q) for q in qs]
     assert all(type(d) is float and type(g) is float for d, g in singles)
     assert np.array_equal(det, [d for d, _ in singles])
     assert np.array_equal(gap, [g for _, g in singles])
@@ -717,7 +737,7 @@ def test_curvature_det_refuses_disagreeing_routes(monkeypatch):
     monkeypatch.setattr(coset_mod, "eigvals_hyperhermitian",
                         lambda p: real(p) * 1.01)
     with pytest.raises(PairingFailure):
-        curvature_det(random_quatmat(rng, 2, 4, 0.7), 4, 2)
+        curvature_det(random_quatmat(rng, 2, 4, 0.7))
 
 
 # -- batched points and group elements ----------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import derivative
 from qflag import liealg
 from qflag.errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
 from qflag.liealg import (DiffOperator, PolyFunction, cartan_H,
@@ -64,8 +65,8 @@ def test_zbar_canonicalisation():
 
 def test_derivative_rules():
     # d z = delta, dbar z = J-pattern constants
-    assert DiffOperator.d(0, 0).apply(Z(0, 0)) == PolyFunction.constant(1)
-    assert DiffOperator.d(0, 0).apply(Z(0, 1)).is_zero()
+    assert derivative(0, 0).apply(Z(0, 0)) == PolyFunction.constant(1)
+    assert derivative(0, 0).apply(Z(0, 1)).is_zero()
     got = DiffOperator.dbar(0, 0).apply(Z(1, 1))
     assert got == PolyFunction.constant(kappa(0) * kappa(0))
     assert DiffOperator.dbar(0, 0).apply(ZB(0, 0)) == PolyFunction.constant(1)
@@ -82,7 +83,7 @@ def test_mate_kappa_jval():
 # -- operator engine -------------------------------------------------------------
 
 def test_apply_euler_operator():
-    zd = DiffOperator.multiplication(Z(0, 0)).compose(DiffOperator.d(0, 0))
+    zd = DiffOperator.multiplication(Z(0, 0)).compose(derivative(0, 0))
     f = Z(0, 0) * Z(0, 0)
     assert zd.apply(f) == f * 2
 
@@ -109,14 +110,14 @@ def test_commutator_with_self_vanishes():
 def test_commutator_second_order_cancellation():
     # products of first-order operators contain second-order pieces; the
     # commutator removes them structurally
-    a = DiffOperator.multiplication(Z(0, 0)).compose(DiffOperator.d(1, 1))
-    b = DiffOperator.multiplication(Z(1, 0)).compose(DiffOperator.d(0, 1))
+    a = DiffOperator.multiplication(Z(0, 0)).compose(derivative(1, 1))
+    b = DiffOperator.multiplication(Z(1, 0)).compose(derivative(0, 1))
     assert a.compose(b).order() == 2
     assert commutator(a, b).order() <= 1
 
 
 def test_composition_leibniz_on_repeated_symbols():
-    dd = DiffOperator.d(0, 0).compose(DiffOperator.d(0, 0))
+    dd = derivative(0, 0).compose(derivative(0, 0))
     f = Z(0, 0) * Z(0, 0) * Z(0, 0)
     assert dd.apply(f) == Z(0, 0) * 6
 
@@ -264,7 +265,7 @@ def test_difference_and_zero_scaling():
     assert a.scaled(0).is_zero() and a.scaled(0) == DiffOperator.zero()
     assert a.scaled(-1) == -a
     # an int and the equal Fraction scale alike
-    d = DiffOperator.d(0, 0)
+    d = derivative(0, 0)
     assert d.scaled(Fraction(1)) == d and hash(d.scaled(Fraction(1))) == hash(d)
     assert d.scaled(Fraction(1, 2)) != d
 
@@ -338,19 +339,19 @@ def _composed_generators(k: int, n: int):
     for al, be in itertools.product(range(K), repeat=2):
         op = DiffOperator.zero()
         for b in range(A):
-            op = op + term(Z(al, b), DiffOperator.d(be, b))
+            op = op + term(Z(al, b), derivative(be, b))
             op = op - term(ZB(be, b), DiffOperator.dbar(al, b))
         out["h", al, be] = op
     for a, b in itertools.product(range(A), repeat=2):
         op = DiffOperator.zero()
         for mu in range(K):
-            op = op + term(Z(mu, a), DiffOperator.d(mu, b))
+            op = op + term(Z(mu, a), derivative(mu, b))
             op = op - term(ZB(mu, b), DiffOperator.dbar(mu, a))
         out["H", a, b] = op
     for al, a in itertools.product(range(K), range(A)):
         op = DiffOperator.dbar(al, a)
         for b, mu in itertools.product(range(A), range(K)):
-            op = op + term(Z(al, b) * Z(mu, a), DiffOperator.d(mu, b))
+            op = op + term(Z(al, b) * Z(mu, a), derivative(mu, b))
         out["p", al, a] = op
         out["pbar", al, a] = op.conjugate()
     return out
@@ -614,7 +615,7 @@ def test_eigenvalue_non_integer_rational():
 
 def test_rational_coefficients_print_plainly():
     assert repr(Z(0, 0) * Fraction(1, 2)) == "1/2*z[0,0]"
-    assert repr(DiffOperator.d(0, 0).scaled(-1)) == "-1*d[0,0]"
+    assert repr(derivative(0, 0).scaled(-1)) == "-1*d[0,0]"
     # an integral eigenvalue comes back as an int, even from a Fraction input
     lam = eigenvalue_of(cartan_H(0, 1, 2), Z(0, 0) * Fraction(1, 2))
     assert lam == 1 and type(lam) is int and repr(lam) == "1"
@@ -623,6 +624,10 @@ def test_rational_coefficients_print_plainly():
 def test_ladder_rejects_non_eigenvector():
     with pytest.raises(NotEigenvector):
         ladder_check(1, 2, Z(0, 0) + PolyFunction.constant(1))
+    # an image that loses the input's monomial, and one that gains another
+    for coeff in (Z(0, 1), Z(0, 1) + PolyFunction.constant(1)):
+        with pytest.raises(NotEigenvector):
+            eigenvalue_of(DiffOperator.multiplication(coeff), Z(0, 0))
 
 
 def test_annihilated_vector_reported_as_none():

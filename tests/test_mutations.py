@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import derivative
 from qflag import emfield, forms, liealg, quatmat, verify
 from qflag.cli import main
 from qflag.quaternion import BASIS, MUL_TABLE, Quaternion
@@ -189,7 +190,7 @@ def test_flipped_conjugate_half_of_the_rotations_fails_liealg(monkeypatch,
         op = DiffOperator.zero()
         for s, t in pairs:
             op = op + DiffOperator.multiplication(PolyFunction.z(*s)).compose(
-                DiffOperator.d(*t))
+                derivative(*t))
             op = op + DiffOperator.multiplication(PolyFunction.zbar(*t)).compose(
                 DiffOperator.dbar(*s))
         return op

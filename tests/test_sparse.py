@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import derivative
 from qflag.emfield import RealPoly, exponents
 from qflag.liealg import DiffOperator, PolyFunction
 
@@ -76,20 +77,20 @@ def test_numbers_are_coerced_where_they_enter():
     assert PolyFunction.constant(0).is_zero()
     assert (PolyFunction.z(0, 0) * 3).terms == {(((0, 0), 1),): 3}
     assert (PolyFunction.z(0, 0) * 0.25).terms == {(((0, 0), 1),): Fraction(1, 4)}
-    assert DiffOperator.d(0, 0).scaled(0).is_zero()
-    assert DiffOperator.d(0, 0).scaled(0.5).terms == {
+    assert derivative(0, 0).scaled(0).is_zero()
+    assert derivative(0, 0).scaled(0.5).terms == {
         ((), ((0, 0),)): Fraction(1, 2)}
     with pytest.raises(TypeError):
         PolyFunction.constant(1j)
     with pytest.raises(TypeError):
-        DiffOperator.d(0, 0).scaled(0.5j)
+        derivative(0, 0).scaled(0.5j)
     with pytest.raises(TypeError):
         RealPoly.constant(1j)
     # integral values enter as ints, whatever their type
     assert type(RealPoly.constant(Fraction(6, 3)).terms[()]) is int
     assert type(PolyFunction.constant(2.0).terms[()]) is int
     assert type(PolyFunction.constant(np.int64(-4)).terms[()]) is int
-    assert type(DiffOperator.d(0, 0).scaled(Fraction(-4, 2)).terms[
+    assert type(derivative(0, 0).scaled(Fraction(-4, 2)).terms[
         (), ((0, 0),)]) is int
 
 

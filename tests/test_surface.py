@@ -2,8 +2,11 @@
 
 Every public function, method and module constant of ``src/qflag`` must be
 referenced by name somewhere in ``src/``, ``bench/`` or ``demos/`` outside
-its own definition: as an ``ast.Name``, an ``ast.Attribute`` or an import
-alias.  ``__init__.py`` re-exports do not count as uses.
+its own definition.  A module-level function or constant counts as used
+through an ``ast.Name``, an ``ast.Attribute`` or an import alias; a method
+only through an ``ast.Attribute`` or an import alias, since a bare name
+(``a, b, c, d = ...``) is a local variable, never a method.
+``__init__.py`` re-exports do not count as uses.
 
 The match is by bare name, not by binding: a method counts as used when an
 attribute of that name is read anywhere, so two definitions that share a
@@ -67,38 +70,74 @@ def _definitions(path, tree):
 
 
 def _references(trees):
-    """{bare name: ids of the nodes that reference it}."""
-    refs = {}
+    """({bare name: ids of the ``ast.Name`` nodes that reference it}, {bare
+    name: ids of the ``ast.Attribute`` and import alias nodes})."""
+    names, attributes = {}, {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                name = node.id
+                names.setdefault(node.id, set()).add(id(node))
             elif isinstance(node, ast.Attribute):
-                name = node.attr
+                attributes.setdefault(node.attr, set()).add(id(node))
             elif isinstance(node, ast.alias):
                 name = node.name.rsplit(".", 1)[-1]
-            else:
-                continue
-            refs.setdefault(name, set()).add(id(node))
-    return refs
+                attributes.setdefault(name, set()).add(id(node))
+    return names, attributes
 
 
-def test_every_public_library_name_has_a_caller_outside_the_tests():
-    trees = _trees()
-    refs = _references(trees)
+def _unused(trees, package):
+    """Qualified names of the public definitions in the modules of
+    ``package`` that nothing in ``trees`` references outside the
+    definition itself."""
+    names, attributes = _references(trees)
     unused = []
     for path, tree in trees.items():
-        if path.parent != ROOT / "src" / "qflag":
+        if path.parent != package:
             continue
         for qualname, name, node in _definitions(path, tree):
             if name.startswith("_"):
                 continue
+            refs = attributes.get(name, set())
+            if qualname.count(".") == 1:   # a module-level function or constant
+                refs = refs | names.get(name, set())
             inside = {id(n) for n in ast.walk(node)}
-            if not refs.get(name, set()) - inside:
+            if not refs - inside:
                 unused.append(qualname)
+    return unused
+
+
+def test_every_public_library_name_has_a_caller_outside_the_tests():
+    unused = _unused(_trees(), ROOT / "src" / "qflag")
     assert sorted(set(unused) - set(ALLOWED)) == []
     # an allowance that is no longer needed goes too
     assert sorted(set(ALLOWED) - set(unused)) == []
+
+
+def test_a_method_reached_only_through_a_same_named_local_is_unused():
+    package = ROOT / "src" / "toy"
+    library = """
+class Op:
+    def d(self):
+        return 1
+
+    def used(self):
+        return 2
+
+
+def helper(x):
+    return x
+
+
+def caller(op):
+    d = op.used()
+    a, b, c, d = d, d, d, d
+    return helper(d)
+"""
+    user = "import toy\ntoy.caller(toy.Op())\n"
+    trees = {package / "toy.py": ast.parse(library),
+             ROOT / "bench" / "user.py": ast.parse(user)}
+    # the local d hides nothing; helper's bare-name call still counts
+    assert _unused(trees, package) == ["toy.Op.d"]
 
 
 def test_public_method_names_shared_by_classes_are_pinned():

@@ -167,7 +167,7 @@ def test_verify_coset_peak_rss_is_bounded():
 # -- failures inside a unit -------------------------------------------------------
 
 def test_error_inside_a_suite_is_a_failed_check(monkeypatch):
-    def broken(*args, **kwargs):
+    def broken(q):
         raise SingularMatrix("broken on purpose")
 
     monkeypatch.setattr(coset, "curvature_trace", broken)
