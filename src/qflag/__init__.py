@@ -18,11 +18,10 @@ from .coset import (GrassmannPoint, coset_element, cross_ratio, curvature_det,
                     metric_form_expanded, transport_identities)
 from .forms import (connection_blocks, curvature_blocks, dY_wedge, hodge_star,
                     maurer_cartan_residual, wedge)
-from .liealg import (DiffOperator, PolyFunction, commutator, generator,
-                     ladder_check, laplace_beltrami, verify_commutation_table)
+from .liealg import (DiffOperator, PolyFunction, commutator, ladder_check,
+                     laplace_beltrami, verify_commutation_table)
 from .s4lb import (RadialSolution, angular_jet, angular_metric, einstein_check,
-                   fs_jet, fs_metric, gl_coefficients, lb_radial_residual,
-                   make_f0, make_gl)
+                   fs_jet, fs_metric, lb_radial_residual, make_f0, make_gl)
 from .emfield import (FieldDecomposition, QPolyField, RealPoly, apply_pstar,
                       decompose, quaternion_product_identity)
 from .dynamics import (StateVector, cocycle_residual, evolve, geodesic_block,

@@ -207,8 +207,7 @@ def cmd_lb(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    if args.n > MAX_ROOTS_RANK:
-        raise UsageError(f"rank must be at most {MAX_ROOTS_RANK}, got {args.n}")
+    _require_range("rank", args.n, 1, MAX_ROOTS_RANK)
     system = roots_mod.generate(args.n)
     if args.format == "csv":
         dims = args.projection

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset import coset_generator
-from .errors import DimensionMismatch, PartitionMismatch
-from .quaternion import require_unit, sq_norms
+from .errors import PartitionMismatch
+from .quaternion import require_quaternions, require_unit, sq_norms
 from .quatmat import (GroupElement, QuatMatrix, _stack, _wrap, expm,
                       require_skew_adjoint)
 
@@ -33,9 +33,7 @@ class StateVector:
     split: int
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        if self.a.ndim < 2 or self.a.shape[-1] != 4:
-            raise DimensionMismatch(f"expected shape (..., n, 4), got {self.a.shape}")
+        self.a = require_quaternions(self.a, "(..., n, 4)")
         if not 0 <= self.split <= self.n:
             raise PartitionMismatch(f"split {self.split} outside 0..{self.n}")
 

@@ -30,21 +30,13 @@ import numpy as np
 
 from .coset import _check_tangents, _gram_factors
 from .errors import DimensionMismatch
-from .quaternion import MUL_TABLE
+from .quaternion import MUL_TABLE, require_quaternions
 from .quatmat import _CONJ, QuatMatrix, block_matrix, expm
-
-
-def _one_form(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != 4:
-        raise DimensionMismatch(f"a one-form is a (..., dim, 4) array, "
-                                f"not {a.shape}")
-    return a
 
 
 def wedge(a, b) -> np.ndarray:
     """The two-form a ^ b of two one-forms; batch axes broadcast."""
-    a, b = _one_form(a), _one_form(b)
+    a, b = (require_quaternions(f, "(..., dim, 4)") for f in (a, b))
     if a.shape[-2] != b.shape[-2]:
         raise DimensionMismatch("forms live over different base spaces")
     try:
@@ -83,10 +75,7 @@ for _p in itertools.permutations(range(4)):
 def hodge_star(form) -> np.ndarray:
     """Euclidean Hodge star (*f)_ab = 1/2 eps_abcd f_cd on two-forms over
     four base differentials."""
-    form = np.asarray(form, dtype=float)
-    if form.ndim < 3 or form.shape[-1] != 4:
-        raise DimensionMismatch(f"a two-form is a (..., dim, dim, 4) array, "
-                                f"not {form.shape}")
+    form = require_quaternions(form, "(..., dim, dim, 4)")
     if form.shape[-3:-1] != (4, 4):
         raise DimensionMismatch("the star operator is defined for dim 4")
     return 0.5 * np.einsum("abcd,...cdu->...abu", LEVI_CIVITA, form)

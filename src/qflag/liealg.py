@@ -130,10 +130,6 @@ class DiffOperator(SparseSum):
     __slots__ = ("_split", "_held", "_lowered")
 
     @classmethod
-    def zero(cls) -> "DiffOperator":
-        return cls()
-
-    @classmethod
     def dbar(cls, row: int, col: int) -> "DiffOperator":
         sign, sym = _j_image(row, col)
         return cls({((), (sym,)): sign})
@@ -439,20 +435,6 @@ def gen_p_via_h(alpha: int, a: int, k: int, n: int) -> DiffOperator:
     return op
 
 
-def generator(kind: str, indices, k: int, n: int) -> DiffOperator:
-    """Dispatch by kind: 'h' and 'H' take (i, j), 'p' and 'pbar' take (row, col)."""
-    i, j = indices
-    if kind == "h":
-        return gen_h(i, j, k, n)
-    if kind == "H":
-        return gen_H(i, j, k, n)
-    if kind == "p":
-        return gen_p(i, j, k, n)
-    if kind == "pbar":
-        return gen_pbar(i, j, k, n)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 # -- J-contracted generator families ------------------------------------------
 # (J X)_{d j} contracts the first index of a generator family X with the
 # almost complex structure, (X J)_{i c} the second; only one term of each sum
@@ -555,7 +537,7 @@ def _relation_cases(k: int, n: int):
             (jval(d, mate(d)) * jval(c, a), H[mate(d), b])))
     for al, be in row_pairs:
         for a, b in col_pairs:
-            yield "[h,H]", commutator(h[al, be], H[a, b]), DiffOperator.zero()
+            yield "[h,H]", commutator(h[al, be], H[a, b]), DiffOperator()
     for al, a in row_cols:
         for mu, nu in row_pairs:
             # -d_{al nu} p_{mu a} - (J p)_{nu a} J_{al mu}

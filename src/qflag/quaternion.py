@@ -169,12 +169,19 @@ def sq_norms(q) -> np.ndarray:
     return w * w + x * x + y * y + z * z
 
 
+def require_quaternions(a, layout: str) -> np.ndarray:
+    """``a`` as a float array once it has ``layout``'s axes, such as
+    ``"(..., n, 4)"``: at least one per comma, the last of length 4."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < layout.count(",") or a.shape[-1] != 4:
+        raise DimensionMismatch(f"expected shape {layout}, got {a.shape}")
+    return a
+
+
 def require_unit(q) -> np.ndarray:
     """``q`` as a ``(..., 4)`` float array once every squared norm is 1
     within 1e-12."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 0 or q.shape[-1] != 4:
-        raise DimensionMismatch(f"expected shape (..., 4), got {q.shape}")
+    q = require_quaternions(q, "(..., 4)")
     gap = np.abs(sq_norms(q) - 1.0).max(initial=0.0)
     if not gap <= 1e-12:
         raise NotUnitQuaternion(f"|q|^2 differs from 1 by {gap:.3e}")

@@ -58,7 +58,8 @@ from .errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
                      NonSquare, NotGroupElement, NotHyperHermitian,
                      NotSkewAdjoint, PairingFailure, SingularInvSqrt,
                      SingularMatrix)
-from .quaternion import M2C, MUL_TABLE, Quaternion, m2c_blocks
+from .quaternion import (M2C, MUL_TABLE, Quaternion, m2c_blocks,
+                         require_quaternions)
 
 # _RIGHT_TABLE[q, 4 p + r] = MUL_TABLE[p, q, r]: one entry's components times
 # it give the 4x4 real matrix of right multiplication by that entry.
@@ -93,11 +94,7 @@ class QuatMatrix:
     __array_ufunc__ = None
 
     def __init__(self, a):
-        a = np.asarray(a, dtype=float)
-        if a.ndim < 3 or a.shape[-1] != 4:
-            raise DimensionMismatch(
-                f"expected shape (..., rows, cols, 4), got {a.shape}")
-        self.a = a
+        self.a = require_quaternions(a, "(..., rows, cols, 4)")
 
     # -- constructors ---------------------------------------------------------
 

@@ -151,17 +151,15 @@ def random_chart_points(rng: np.random.Generator, count: int):
 # -- radial solutions ------------------------------------------------------------
 
 
-def _as_fraction(ell) -> Fraction:
+def check_termination(ell, big_n: int) -> Fraction:
+    """``ell`` as a Fraction once it is a nonnegative integer or
+    half-integer and ``big_n`` a nonnegative integer inside the termination
+    bound."""
     f = Fraction(ell).limit_denominator(2)
     if Fraction(ell) != f or f.denominator not in (1, 2):
         raise TerminationViolated(f"l must be integer or half-integer, got {ell}")
     if f < 0:
         raise TerminationViolated(f"l must be nonnegative, got {ell}")
-    return f
-
-
-def check_termination(ell, big_n: int) -> Fraction:
-    f = _as_fraction(ell)
     if big_n < 0 or big_n != int(big_n):
         raise TerminationViolated(f"N must be a nonnegative integer, got {big_n}")
     if f.denominator == 2:
@@ -184,13 +182,12 @@ def _gamma_fact(x: float) -> float:
         raise CoefficientOverflow(f"({x:g})! overflows a float") from None
 
 
-def gl_coefficients(ell, big_n: int):
-    """The termination coefficients a_n, n = 0..N.
+def _gl_coefficients(f: Fraction, big_n: int) -> list:
+    """The termination coefficients a_n, n = 0..N, of the checked l = ``f``.
 
     Factorials of non-integers are evaluated as Gamma(x+1).  Within the
     termination condition the numerator factors never sit on a pole.
     """
-    f = check_termination(ell, big_n)
     try:
         two_ell = float(2 * f)
     except OverflowError:
@@ -201,11 +198,6 @@ def gl_coefficients(ell, big_n: int):
         den = _gamma_fact(float(nn)) * _gamma_fact(float(big_n - nn))
         out.append(num / den)
     return out
-
-
-def theta_squared(ell, big_n: int) -> float:
-    f = _as_fraction(ell)
-    return float((f + 1 - big_n) * (f - Fraction(1, 2) - big_n))
 
 
 @dataclass(frozen=True)
@@ -266,8 +258,8 @@ def make_gl(ell, big_n: int) -> RadialSolution:
     f = check_termination(ell, big_n)
     return RadialSolution(
         kind="g_ell", ell=f, big_n=big_n,
-        coeffs=tuple(gl_coefficients(f, big_n)),
-        theta_sq=theta_squared(f, big_n),
+        coeffs=tuple(_gl_coefficients(f, big_n)),
+        theta_sq=float((f + 1 - big_n) * (f - Fraction(1, 2) - big_n)),
         integrable=bool(f <= Fraction(1, 2)),
     )
 

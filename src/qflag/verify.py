@@ -535,8 +535,10 @@ def _(cfg, rng):
 def _(cfg, rng):
     lap = liealg.laplace_beltrami(1, 2)
     # at (1, 2) each of h, H, p and pbar has 2 x 2 index pairs
-    commutes = (liealg.commutator(lap, liealg.generator(kind, ij, 1, 2)).is_zero()
-                for kind in ("h", "H", "p", "pbar") for ij in np.ndindex(2, 2))
+    commutes = (liealg.commutator(lap, gen(*ij, 1, 2)).is_zero()
+                for gen in (liealg.gen_h, liealg.gen_H, liealg.gen_p,
+                            liealg.gen_pbar)
+                for ij in np.ndindex(2, 2))
     yield (_failures((lap.apply(liealg.PolyFunction.constant(1)).is_zero(),
                       lap.conjugate() == lap, *commutes)), 0.5,
            "kills constants, J-invariant, commutes with all 16 generators")

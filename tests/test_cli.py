@@ -388,12 +388,6 @@ def test_roots_csv_projection(capsys):
     assert sorted(lines[1:]) == ["-2,0", "2,0"]
 
 
-def test_roots_domain_error(capsys):
-    code, _, err = run_cli(["roots", "0"], capsys)
-    assert code == 3
-    assert "error" in err
-
-
 def test_roots_at_rank_ceiling(capsys):
     code, out, _ = run_cli(["roots", str(MAX_ROOTS_RANK), "--format", "csv"],
                            capsys)
@@ -482,6 +476,8 @@ def test_tokens_of_ascii_specs(text, want):
     (["evolve", "--t-max", "nan"], "--t-max must be -10000 to 10000, got nan"),
     (["evolve", "--split", "-1"], "--split must be 0 to 3, got -1"),
     (["evolve", "--split", "4"], "--split must be 0 to 3, got 4"),
+    (["roots", "0"], "rank must be 1 to 64, got 0"),
+    (["roots", "65"], "rank must be 1 to 64, got 65"),
 ])
 def test_bounded_flags_refuse_out_of_range_values_in_one_form(argv, message,
                                                               capsys):

@@ -187,7 +187,7 @@ def test_flipped_conjugate_half_of_the_rotations_fails_liealg(monkeypatch,
     DiffOperator, PolyFunction = liealg.DiffOperator, liealg.PolyFunction
 
     def flipped(pairs):
-        op = DiffOperator.zero()
+        op = DiffOperator()
         for s, t in pairs:
             op = op + DiffOperator.multiplication(PolyFunction.z(*s)).compose(
                 derivative(*t))

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import quat_close
-from qflag.errors import MalformedM2C, NotUnitQuaternion
+from qflag.dynamics import StateVector
+from qflag.errors import DimensionMismatch, MalformedM2C, NotUnitQuaternion
+from qflag.forms import hodge_star, wedge
 from qflag.quaternion import (HURWITZ_UNITS, MUL_TABLE, E, I, J, K,
                               Quaternion, from_m2c, j_conjugate, m2c_blocks,
                               random_quaternion, random_unit_quaternion,
                               random_unit_quaternions, require_unit,
                               sq_norms, to_m2c)
+from qflag.quatmat import QuatMatrix
 
 rng = np.random.default_rng(101)
 
@@ -205,6 +208,25 @@ def test_unit_sampling_and_gate():
     units[17, 2] += 1e-6
     with pytest.raises(NotUnitQuaternion):
         require_unit(units.reshape(20, 10, 4))
+
+
+@pytest.mark.parametrize("entry, layout", [
+    (QuatMatrix, "(..., rows, cols, 4)"),
+    (lambda a: StateVector(a, 0), "(..., n, 4)"),
+    (lambda a: wedge(a, np.eye(4)), "(..., dim, 4)"),
+    (lambda a: wedge(np.eye(4), a), "(..., dim, 4)"),
+    (hodge_star, "(..., dim, dim, 4)"),
+    (require_unit, "(..., 4)"),
+], ids=["QuatMatrix", "StateVector", "wedge-left", "wedge-right",
+        "hodge_star", "require_unit"])
+@pytest.mark.parametrize("bad", ["last-axis-3", "too-few-axes"])
+def test_every_quaternion_array_entry_has_one_shape_gate(entry, layout, bad):
+    axes = layout.count(",")
+    shape = {"last-axis-3": (2,) * (axes - 1) + (3,),
+             "too-few-axes": (4,) * (axes - 1)}[bad]
+    with pytest.raises(DimensionMismatch) as info:
+        entry(np.zeros(shape))
+    assert str(info.value) == f"expected shape {layout}, got {shape}"
 
 
 def test_unit_sampler_reads_one_block():

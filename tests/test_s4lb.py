@@ -6,10 +6,9 @@ import pytest
 
 from qflag.errors import ChartBoundary, TerminationViolated, TooCloseToPole
 from qflag.s4lb import (_ricci, angular_jet, angular_metric, einstein_check,
-                        fs_jet, fs_metric, gl_coefficients, lb_radial_residual,
+                        fs_jet, fs_metric, lb_radial_residual,
                         lb_radial_residual_scaled, make_f0, make_gl,
-                        random_chart_points, theta_squared,
-                        weighted_absolute_integral)
+                        random_chart_points, weighted_absolute_integral)
 
 rng = np.random.default_rng(505)
 
@@ -203,17 +202,17 @@ def test_theta_values():
     assert make_gl(2, 1).theta == 1.0
     for ell, big_n in ((1, 0), (2, 1), (3, 2)):
         expected = (ell + 1 - big_n) * (ell - 0.5 - big_n)
-        assert theta_squared(ell, big_n) == expected
+        assert make_gl(ell, big_n).theta_sq == expected
 
 
 def test_gl_coefficients_values():
     # N = 0: single coefficient (2l)! Gamma(N - 2l - 1/2); here 2! Gamma(-5/2)
-    coeffs = gl_coefficients(1, 0)
+    coeffs = make_gl(1, 0).coeffs
     assert len(coeffs) == 1
     assert coeffs[0] == pytest.approx(math.gamma(3) * math.gamma(-2.5),
                                       rel=1e-12)
     # ratio a1/a0 for (2, 1) from the gamma form
-    coeffs = gl_coefficients(2, 1)
+    coeffs = make_gl(2, 1).coeffs
     assert coeffs[1] / coeffs[0] == pytest.approx(-7.0 / 8.0, rel=1e-12)
 
 
@@ -233,7 +232,7 @@ def test_termination_gates():
     with pytest.raises(TerminationViolated):
         make_gl(1.3, 0)               # not half-integer
     with pytest.raises(TerminationViolated):
-        gl_coefficients(2, -1)
+        make_gl(2, -1)
 
 
 def test_pole_exclusion_gate():
