@@ -441,17 +441,12 @@ def gen_p_via_h(alpha: int, a: int, k: int, n: int) -> DiffOperator:
 # survives because J is a signed permutation: (J X)_{d j} = J_{d, mate d}
 # X_{mate d, j} and (X J)_{i c} = X_{i, mate c} J_{mate c, c}.
 
-def _left_j(gen, d: int, j: int) -> DiffOperator:
-    """(J X)_{d j} for the generator family ``gen(i, j)``."""
-    return gen(mate(d), j).scaled(jval(d, mate(d)))
-
-
 def Jh(beta: int, nu: int, k: int, n: int) -> DiffOperator:
-    return _left_j(lambda i, j: gen_h(i, j, k, n), beta, nu)
+    return gen_h(mate(beta), nu, k, n).scaled(jval(beta, mate(beta)))
 
 
 def JH(d: int, b: int, k: int, n: int) -> DiffOperator:
-    return _left_j(lambda i, j: gen_H(i, j, k, n), d, b)
+    return gen_H(mate(d), b, k, n).scaled(jval(d, mate(d)))
 
 
 # -- commutation table -----------------------------------------------------------
@@ -508,7 +503,7 @@ def _relation_cases(k: int, n: int):
     Each generator is built once, into the tables of :func:`_families`, and
     every case reads its operators from those tables.  A right side adds
     each table operator once per nonzero Kronecker or J coefficient, with
-    the sign of its J contraction (see :func:`_left_j`) folded into that
+    the sign of its J contraction (see :func:`Jh`) folded into that
     coefficient.  In the [h,h], [H,H] and [p,p] families every ordered pair
     of generators appears, and [Y, X] is exactly -[X, Y]; so each pair is
     composed once (see :func:`_commutators`) and the case order is

@@ -430,8 +430,8 @@ def expm(m: QuatMatrix) -> QuatMatrix:
     step = max(1, _EXPM_BLOCK_BYTES // (128 * max(m.rows, 1) ** 2))
     out = np.empty_like(rows)
     for start in range(0, len(rows), step):
-        out[start:start + step] = _expm(QuatMatrix(rows[start:start + step])).a
-    return QuatMatrix(out.reshape(m.a.shape))
+        out[start:start + step] = _expm(_wrap(rows[start:start + step])).a
+    return _wrap(out.reshape(m.a.shape))
 
 
 def _expm(m: QuatMatrix) -> QuatMatrix:
@@ -453,11 +453,8 @@ def _expm(m: QuatMatrix) -> QuatMatrix:
         result = result + term
     for done in range(int(count)):
         need = squarings > done
-        if need.all():
-            result = result @ result
-        else:
-            part = QuatMatrix(result.a[need])
-            result.a[need] = (part @ part).a
+        part = _wrap(result.a[need])
+        result.a[need] = (part @ part).a
     return result
 
 
@@ -490,30 +487,6 @@ def eigvals_hyperhermitian(p: QuatMatrix) -> np.ndarray:
     return (even + odd) / 2.0
 
 
-_SMALL = 1e-8
-
-
-def _sinc_sqrt(lam: np.ndarray) -> np.ndarray:
-    """sin(sqrt(t))/sqrt(t), extended as an entire function of t."""
-    out = np.empty_like(lam)
-    tiny = np.abs(lam) < _SMALL
-    out[tiny] = 1.0 - lam[tiny] / 6.0 + lam[tiny] ** 2 / 120.0
-    pos = (~tiny) & (lam > 0)
-    neg = (~tiny) & (lam < 0)
-    out[pos] = np.sin(np.sqrt(lam[pos])) / np.sqrt(lam[pos])
-    out[neg] = np.sinh(np.sqrt(-lam[neg])) / np.sqrt(-lam[neg])
-    return out
-
-
-def _cos_sqrt(lam: np.ndarray) -> np.ndarray:
-    """cos(sqrt(t)) as an entire function of t."""
-    out = np.empty_like(lam)
-    pos = lam >= 0
-    out[pos] = np.cos(np.sqrt(lam[pos]))
-    out[~pos] = np.cosh(np.sqrt(-lam[~pos]))
-    return out
-
-
 def func_hermitian(p: QuatMatrix, kind: str) -> QuatMatrix:
     """Apply a scalar function to a hyper-Hermitian matrix spectrally.
 
@@ -522,6 +495,10 @@ def func_hermitian(p: QuatMatrix, kind: str) -> QuatMatrix:
     gives cos of the operator square root of P) and are the pieces needed
     for the exponential coset parameterisation, where
     ``sinc_sqrt(x xi*) @ xi`` stays finite for rank-deficient arguments.
+    Both are entire in the eigenvalue: ``t = s^2 >= 0`` gives ``cos s``
+    and ``sin(s)/s`` (1 at ``t = 0``), and a negative eigenvalue ``-s^2``,
+    such as a zero eigenvalue's rounding, gives ``cosh s`` and
+    ``sinh(s)/s``.
     """
     return _funcs_hermitian(p, (kind,))[0]
 
@@ -542,9 +519,11 @@ def _funcs_hermitian(p: QuatMatrix, kinds) -> list:
                 raise SingularInvSqrt(f"minimum eigenvalue {lam.min():.3e}")
             vals = 1.0 / np.sqrt(lam)
         elif kind == "cos_sqrt":
-            vals = _cos_sqrt(lam)
+            # + 0j: a negative eigenvalue -s^2 takes the root i s, not NaN,
+            # so the cos and sinc below give cosh s and sinh(s)/s
+            vals = np.cos(np.sqrt(lam + 0j)).real
         elif kind == "sinc_sqrt":
-            vals = _sinc_sqrt(lam)
+            vals = np.sinc(np.sqrt(lam + 0j) / np.pi).real
         else:
             raise ValueError(f"unknown scalar function tag {kind!r}")
         out.append(QuatMatrix.project((vec * vals[..., None, :]) @ vec_adj))
@@ -598,11 +577,7 @@ def interleave_to_block_permutation(n: int) -> np.ndarray:
     Conjugation by it carries the block-diagonal almost complex structure
     1_n (x) j into the symplectic form j (x) 1_n.
     """
-    perm = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        for s in range(2):
-            perm[s * n + i, 2 * i + s] = 1.0
-    return perm
+    return np.eye(2 * n)[[2 * i + s for s in range(2) for i in range(n)]]
 
 
 def to_sp2nc(g: GroupElement) -> np.ndarray:

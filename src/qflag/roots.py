@@ -11,6 +11,7 @@ classify as lepton, meson, or baryon.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import InvalidRank, OddDimension, UnsupportedWeightCount
@@ -37,18 +38,11 @@ def generate(n: int) -> RootSystem:
     """All 2 n^2 roots of the rank-n algebra, sorted lexicographically."""
     if not isinstance(n, int) or n < 1:
         raise InvalidRank(f"rank must be a positive integer, got {n!r}")
-    roots = set()
-    for i in range(n):
-        for sign in (2, -2):
-            vec = [0] * n
-            vec[i] = sign
-            roots.add(tuple(vec))
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    vec = [0] * n
-                    vec[i], vec[j] = si, sj
-                    roots.add(tuple(vec))
+    # i == j gives the long roots ±2 L_i and, with opposite signs, zero
+    roots = {tuple(si * (m == i) + sj * (m == j) for m in range(n))
+             for i in range(n) for j in range(i, n)
+             for si in (1, -1) for sj in (1, -1)}
+    roots.discard((0,) * n)
     return RootSystem(n, tuple(sorted(roots)))
 
 
@@ -119,29 +113,23 @@ def particle_label(weights) -> ParticleLabel:
 
 def parse_label(text: str, n: int = 4) -> ParticleLabel:
     """Parse the canonical rendering back into weight terms."""
+    index = {_symbol(i): i for i in range(n)}
+    # longest name first: from rank 123 on, q123 is one name, not q12 then 3
+    symbol = re.compile(
+        f"({'|'.join(sorted(index, key=len, reverse=True))})({BAR})?")
     terms = []
     for chunk in text.split():
-        if "@" in chunk:
-            body, tag = chunk.split("@", 1)
-        else:
-            body, tag = chunk, None
+        body, at, tag = chunk.partition("@")
         vec = [0] * n
         idx = 0
         while idx < len(body):
-            name = None
-            for cand_idx in range(n):
-                cand = _symbol(cand_idx)
-                if body.startswith(cand, idx):
-                    name, name_idx = cand, cand_idx
-            if name is None:
+            match = symbol.match(body, idx)
+            # at n <= 0 the alternation is empty and matches an empty name
+            if not (match and match[1]):
                 raise UnsupportedWeightCount(f"unparseable symbol at {body[idx:]!r}")
-            idx += len(name)
-            sign = 1
-            if idx < len(body) and body[idx] == BAR:
-                sign = -1
-                idx += 1
-            vec[name_idx] += sign
-        terms.append((tuple(vec), tag))
+            vec[index[match[1]]] += -1 if match[2] else 1
+            idx = match.end()
+        terms.append((tuple(vec), tag if at else None))
     return particle_label(terms)
 
 

@@ -262,6 +262,18 @@ def test_func_hermitian():
     p = real_matrix([[t * t]])
     got = func_hermitian(p, "sinc_sqrt").a[0, 0, 0]
     assert abs(got - math.sin(t) / t) < 1e-14
+    # a negative eigenvalue -t^2 gives cosh t and sinh(t)/t
+    for t in (0.5, 3.0):
+        p = real_matrix([[-t * t]])
+        for kind, want in (("cos_sqrt", math.cosh(t)),
+                           ("sinc_sqrt", math.sinh(t) / t)):
+            got = func_hermitian(p, kind).a[0, 0, 0]
+            assert abs(got - want) <= 1e-14 * want
+    # near zero, of either sign, both follow the first terms of their series
+    for lam in (1e-12, -1e-12, 0.0):
+        p = real_matrix([[lam]])
+        for kind, want in (("cos_sqrt", 1 - lam / 2), ("sinc_sqrt", 1 - lam / 6)):
+            assert abs(func_hermitian(p, kind).a[0, 0, 0] - want) <= 1e-15
     for _ in range(200):
         q = random_quatmat(rng, 3, 3)
         p = q @ q.adjoint()

@@ -114,6 +114,26 @@ def test_generic_names_beyond_four():
     lab = particle_label([((0, 0, 0, 0, 1), None)])
     assert lab.label == "q5"
     assert parse_label(lab.canonical(), n=5) == lab
+    # q10, a barred q12 and a tagged u at rank 12
+    vec = [0] * 12
+    vec[9], vec[11] = 1, -1
+    lab = particle_label([(vec, None), ((1,) + (0,) * 11, "i")])
+    assert lab.canonical() == "q10q12" + BAR + " u@i"
+    assert parse_label(lab.canonical(), n=12) == lab
+    # the longest name wins: at rank 123, q123 is one symbol, not q12 then 3
+    assert parse_label("q123", n=123).terms == (((0,) * 122 + (1,), None),)
+
+
+@pytest.mark.parametrize("text, n, rest", [
+    ("ux", 4, "x"),
+    ("q5", 4, "q5"),
+    ("q50", 10, "0"),
+    ("u", 0, "u"),
+])
+def test_parse_label_refuses_an_unknown_symbol(text, n, rest):
+    with pytest.raises(UnsupportedWeightCount) as err:
+        parse_label(text, n=n)
+    assert str(err.value) == f"unparseable symbol at {rest!r}"
 
 
 def test_weight_count_gate():
