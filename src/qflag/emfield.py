@@ -32,6 +32,15 @@ _PRODUCT = [[next((c, v) for c, v in enumerate(signs) if v) for signs in row]
             for row in MUL_TABLE.astype(int).tolist()]
 
 
+def exponents(mono) -> tuple:
+    """The exponent 4-tuple (e0, e1, e2, e3) of a :class:`RealPoly`
+    monomial; its lexicographic order is the order in which terms print."""
+    expo = [0, 0, 0, 0]
+    for axis, power in mono:
+        expo[axis] = power
+    return tuple(expo)
+
+
 class RealPoly(Polynomial):
     """Exact polynomial in (x0, x1, x2, x3), on the axes 0..3 as symbols:
     ``{((axis, power), ...): coefficient}`` (see :func:`exponents` for the
@@ -42,30 +51,15 @@ class RealPoly(Polynomial):
     """
 
     __slots__ = ()
+    _order = staticmethod(exponents)
 
     @classmethod
     def x(cls, axis: int) -> "RealPoly":
         return cls({((axis, 1),): 1})
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, c in sorted(self.terms.items(),
-                              key=lambda term: exponents(term[0])):
-            text = "*".join(f"x{i}" + (f"^{p}" if p > 1 else "")
-                            for i, p in mono)
-            bits.append(f"{c}" + (f"*{text}" if text else ""))
-        return " + ".join(bits)
-
-
-def exponents(mono) -> tuple:
-    """The exponent 4-tuple (e0, e1, e2, e3) of a :class:`RealPoly`
-    monomial; its lexicographic order is the order in which terms print."""
-    expo = [0, 0, 0, 0]
-    for axis, power in mono:
-        expo[axis] = power
-    return tuple(expo)
+    @staticmethod
+    def _texts(mono) -> tuple:
+        return tuple(f"x{i}" + (f"^{p}" if p > 1 else "") for i, p in mono)
 
 
 @dataclass
@@ -112,14 +106,12 @@ def _partials(psi: QPolyField) -> list:
 def _pstar(d) -> QPolyField:
     """sum over r, s of e_r e_s d[r][s]: p* psi assembled from its partials
     by the quaternion product table."""
-    out = [RealPoly() for _ in range(4)]
+    pairs = [[] for _ in range(4)]
     for r, row in enumerate(d):
         for s, part in enumerate(row):
-            if part.is_zero():
-                continue
             comp, sign = _PRODUCT[r][s]
-            out[comp] = out[comp] + (part if sign > 0 else -part)
-    return QPolyField(tuple(out))
+            pairs[comp].append((sign, part))
+    return QPolyField(tuple(RealPoly.combination(p) for p in pairs))
 
 
 def apply_pstar(psi: QPolyField) -> QPolyField:

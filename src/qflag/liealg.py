@@ -86,20 +86,10 @@ class PolyFunction(Polynomial):
         sign, sym = _j_image(row, col)
         return cls({((sym, 1),): sign})
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, c in sorted(self.terms.items()):
-            vars_ = _monomial_text(mono)
-            bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
-        return " + ".join(bits)
-
-
-def _monomial_text(mono) -> str:
-    """A coefficient monomial as the polynomial and operator reprs print it."""
-    return "".join(f"z[{r},{s}]" + (f"^{p}" if p > 1 else "")
-                   for (r, s), p in mono)
+    @staticmethod
+    def _texts(mono) -> tuple:
+        return ("".join(f"z[{r},{s}]" + (f"^{p}" if p > 1 else "")
+                        for (r, s), p in mono),)
 
 
 def _conjugate_monomial(mono):
@@ -142,22 +132,13 @@ class DiffOperator(SparseSum):
         return max((len(w) for _, w in self.terms), default=0)
 
     def scaled(self, value) -> "DiffOperator":
-        c0 = exact(value)
-        if not c0:
-            return DiffOperator()
-        return DiffOperator({k: c * c0 for k, c in self.terms.items()})
+        return self.combination(((exact(value), self),))
 
     def apply(self, f: PolyFunction) -> PolyFunction:
-        out = {}
-        for (mono, word), c in self.terms.items():
-            g = f
-            for sym in word:
-                g = g.diff(sym)
-                if g.is_zero():
-                    break
-            for m, c2 in (PolyFunction({mono: c}) * g).terms.items():
-                out[m] = out.get(m, 0) + c2
-        return PolyFunction(out)
+        return PolyFunction.combination(
+            (c, PolyFunction({mono: 1})
+             * functools.reduce(PolyFunction.diff, word, f))
+            for (mono, word), c in self.terms.items())
 
     def compose(self, o: "DiffOperator") -> "DiffOperator":
         """Operator product self o other, expanded by the Leibniz rule.
@@ -249,15 +230,11 @@ class DiffOperator(SparseSum):
         self._lowered[hit] = out
         return out
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (mono, word), c in sorted(self.terms.items()):
-            ds = "".join(f"d[{r},{s}]" for r, s in word)
-            bits.append("*".join(x for x in (str(c), _monomial_text(mono), ds)
-                                 if x))
-        return " + ".join(bits)
+    @staticmethod
+    def _texts(key) -> tuple:
+        mono, word = key
+        return PolyFunction._texts(mono) + (
+            "".join(f"d[{r},{s}]" for r, s in word),)
 
 
 def _by_monomial(op: DiffOperator) -> dict:
@@ -474,17 +451,6 @@ def _commutators(table: dict, pairs):
         yield (x, y), lhs
 
 
-def _combination(pairs) -> DiffOperator:
-    """Sum of c x op over the (c, op) pairs whose c is nonzero; ``pairs``
-    may be an iterator, so only the op being added need be held."""
-    out = {}
-    for c0, op in pairs:
-        if c0:
-            for key, c in op.terms.items():
-                out[key] = out.get(key, 0) + c * c0
-    return DiffOperator(out)
-
-
 def _families(k: int, n: int):
     """The h, H and p generators of a partition, each family a table keyed
     by its index pairs in row-major order."""
@@ -513,46 +479,40 @@ def _relation_cases(k: int, n: int):
     row_pairs, col_pairs, row_cols = list(h), list(H), list(p)
     pbar = {ia: op.conjugate() for ia, op in p.items()}
 
-    for ((al, be), (mu, nu)), lhs in _commutators(
-            h, itertools.product(row_pairs, repeat=2)):
-        # d_{be mu} h_{al nu} - d_{al nu} h_{mu be}
-        #   - (h J)_{al mu} J_{be nu} + (J h)_{be nu} J_{mu al}
-        yield "[h,h]", lhs, _combination((
-            (_delta(be, mu), h[al, nu]),
-            (-_delta(al, nu), h[mu, be]),
-            (-jval(mate(mu), mu) * jval(be, nu), h[al, mate(mu)]),
-            (jval(be, mate(be)) * jval(mu, al), h[mate(be), nu])))
-    for ((a, b), (c, d)), lhs in _commutators(
-            H, itertools.product(col_pairs, repeat=2)):
-        # d_{bc} H_{ad} - d_{ad} H_{cb} - (H J)_{ac} J_{bd} + (J H)_{db} J_{ca}
-        yield "[H,H]", lhs, _combination((
-            (_delta(b, c), H[a, d]),
-            (-_delta(a, d), H[c, b]),
-            (-jval(mate(c), c) * jval(b, d), H[a, mate(c)]),
-            (jval(d, mate(d)) * jval(c, a), H[mate(d), b])))
+    combination = DiffOperator.combination
+    for family, X in (("[h,h]", h), ("[H,H]", H)):
+        for ((a, b), (c, d)), lhs in _commutators(
+                X, itertools.product(X, repeat=2)):
+            # d_{bc} X_{ad} - d_{ad} X_{cb} - (X J)_{ac} J_{bd}
+            #   + (J X)_{db} J_{ca}, where J X is symmetric in its indices
+            yield family, lhs, combination((
+                (_delta(b, c), X[a, d]),
+                (-_delta(a, d), X[c, b]),
+                (-jval(mate(c), c) * jval(b, d), X[a, mate(c)]),
+                (jval(d, mate(d)) * jval(c, a), X[mate(d), b])))
     for al, be in row_pairs:
         for a, b in col_pairs:
             yield "[h,H]", commutator(h[al, be], H[a, b]), DiffOperator()
     for al, a in row_cols:
         for mu, nu in row_pairs:
             # -d_{al nu} p_{mu a} - (J p)_{nu a} J_{al mu}
-            yield "[p,h]", commutator(p[al, a], h[mu, nu]), _combination((
+            yield "[p,h]", commutator(p[al, a], h[mu, nu]), combination((
                 (-_delta(al, nu), p[mu, a]),
                 (-jval(nu, mate(nu)) * jval(al, mu), p[mate(nu), a])))
     for (al, a), (b, c) in itertools.product(row_cols, col_pairs):
         # -d_{ac} p_{al b} + (p J)_{al c} J_{ab}
-        yield "[p,H]", commutator(p[al, a], H[b, c]), _combination((
+        yield "[p,H]", commutator(p[al, a], H[b, c]), combination((
             (-_delta(a, c), p[al, b]),
             (jval(mate(c), c) * jval(a, b), p[al, mate(c)])))
     pp_pairs = (((al, a), (be, b)) for al, be in row_pairs for a, b in col_pairs)
     for ((al, a), (be, b)), lhs in _commutators(p, pp_pairs):
         # -(h J)_{al be} J_{ab} - (H J)_{ab} J_{al be}
-        yield "[p,p]", lhs, _combination((
+        yield "[p,p]", lhs, combination((
             (-jval(mate(be), be) * jval(a, b), h[al, mate(be)]),
             (-jval(mate(b), b) * jval(al, be), H[a, mate(b)])))
     for al, be in row_pairs:
         for a, b in col_pairs:
-            yield "[pbar,p]", commutator(pbar[al, a], p[be, b]), _combination((
+            yield "[pbar,p]", commutator(pbar[al, a], p[be, b]), combination((
                 (_delta(al, be), H[b, a]), (_delta(a, b), h[be, al])))
 
 
@@ -640,7 +600,7 @@ def laplace_beltrami(k: int, n: int) -> DiffOperator:
     commutes with every Cartan generator.
     """
     h, H, p = _families(k, n)
-    return _combination(itertools.chain(
+    return DiffOperator.combination(itertools.chain(
         ((1, op.compose(op.conjugate()))
          for op in itertools.chain(h.values(), p.values(), H.values())),
         ((1, op.conjugate().compose(op)) for op in p.values())))

@@ -11,6 +11,7 @@ classify as lepton, meson, or baryon.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -30,14 +31,24 @@ class RootSystem:
     n: int
     roots: tuple
 
+    @functools.cached_property
+    def _members(self) -> frozenset:
+        """The roots as a set, built on the first membership test; it is not
+        a field, so repr, equality and hashing ignore it."""
+        return frozenset(self.roots)
+
     def __contains__(self, vec) -> bool:
-        return tuple(vec) in set(self.roots)
+        return tuple(vec) in self._members
+
+
+def _require_rank(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise InvalidRank(f"rank must be a positive integer, got {n!r}")
 
 
 def generate(n: int) -> RootSystem:
     """All 2 n^2 roots of the rank-n algebra, sorted lexicographically."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidRank(f"rank must be a positive integer, got {n!r}")
+    _require_rank(n)
     # i == j gives the long roots ±2 L_i and, with opposite signs, zero
     roots = {tuple(si * (m == i) + sj * (m == j) for m in range(n))
              for i in range(n) for j in range(i, n)
@@ -50,11 +61,8 @@ def embed_check(m: int, n: int) -> bool:
     """True when every rank-m root, zero padded, is a rank-n root."""
     if not 1 <= m < n:
         raise InvalidRank(f"need 1 <= m < n, got m={m}, n={n}")
-    big = set(generate(n).roots)
-    for root in generate(m).roots:
-        if tuple(root) + (0,) * (n - m) not in big:
-            return False
-    return True
+    big, padding = generate(n), (0,) * (n - m)
+    return all(root + padding in big for root in generate(m).roots)
 
 
 def euler_characteristic(sphere_dim: int) -> int:
@@ -113,6 +121,7 @@ def particle_label(weights) -> ParticleLabel:
 
 def parse_label(text: str, n: int = 4) -> ParticleLabel:
     """Parse the canonical rendering back into weight terms."""
+    _require_rank(n)
     index = {_symbol(i): i for i in range(n)}
     # longest name first: from rank 123 on, q123 is one name, not q12 then 3
     symbol = re.compile(
@@ -120,12 +129,13 @@ def parse_label(text: str, n: int = 4) -> ParticleLabel:
     terms = []
     for chunk in text.split():
         body, at, tag = chunk.partition("@")
+        if not body:
+            raise UnsupportedWeightCount(f"term {chunk!r} has no symbol")
         vec = [0] * n
         idx = 0
         while idx < len(body):
             match = symbol.match(body, idx)
-            # at n <= 0 the alternation is empty and matches an empty name
-            if not (match and match[1]):
+            if not match:
                 raise UnsupportedWeightCount(f"unparseable symbol at {body[idx:]!r}")
             vec[index[match[1]]] += -1 if match[2] else 1
             idx = match.end()

@@ -23,7 +23,8 @@ class SparseSum:
     The constructor takes exact coefficients as given and drops zero ones;
     subclasses coerce numbers from callers where they enter (see
     :func:`exact`).  Values of two classes are never equal, and adding or
-    subtracting them raises TypeError.
+    subtracting them raises TypeError.  A subclass prints its keys through
+    ``_texts(key)``, the tuple of texts that follow the coefficient.
     """
 
     __slots__ = ("terms",)
@@ -34,30 +35,50 @@ class SparseSum:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @classmethod
+    def combination(cls, pairs):
+        """Sum of c x s over the (c, s) pairs whose c is nonzero; ``pairs``
+        may be an iterator, so only the s being added need be held.  An s of
+        another class raises TypeError."""
+        out = {}
+        for c0, s in pairs:
+            if type(s) is not cls:
+                raise TypeError(f"cannot combine {type(s).__name__} "
+                                f"into {cls.__name__}")
+            if c0:
+                for k, c in s.terms.items():
+                    out[k] = out.get(k, 0) + c * c0
+        return cls(out)
+
     def __add__(self, o):
         if type(o) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in o.terms.items():
-            out[k] = out.get(k, 0) + c
-        return type(self)(out)
+        return self.combination(((1, self), (1, o)))
 
     def __sub__(self, o):
         if type(o) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in o.terms.items():
-            out[k] = out.get(k, 0) - c
-        return type(self)(out)
+        return self.combination(((1, self), (-1, o)))
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self.combination(((-1, self),))
 
     def __eq__(self, o) -> bool:
         return type(o) is type(self) and self.terms == o.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+    # the sort key of the printed terms, applied to each key; None keeps the
+    # keys' natural order
+    _order = None
+
+    def __repr__(self) -> str:
+        """The terms joined by " + ", or "0" for an empty sum; a term is its
+        coefficient and the non-empty texts of its key, joined by "*"."""
+        return " + ".join(
+            "*".join(t for t in (str(self.terms[k]), *self._texts(k)) if t)
+            for k in sorted(self.terms, key=self._order)) or "0"
 
 
 @functools.lru_cache(maxsize=2048)

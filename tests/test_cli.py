@@ -530,6 +530,17 @@ def test_em_curl_example(capsys):
     assert doc["display"]["scalar"] == "0"
 
 
+def test_em_display_block(capsys):
+    code, out, _ = run_cli(["em", "A0=3/2*x1^2*x3 - 0.25*x0", "A2=(x0-x3)^2"],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["display"] == {
+        "scalar": "-1/4",
+        "electric": ["-3*x1*x3", "2*x3 + -2*x0", "-3/2*x1^2"],
+        "magnetic": ["-2*x3 + 2*x0", "0", "0"],
+    }
+
+
 def test_em_bad_spec(capsys):
     # every unparseable em argument is a usage error, as the degree
     # ceiling on the same argument is

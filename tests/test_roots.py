@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -38,6 +39,22 @@ def test_negation_closure():
         system = generate(n)
         for root in system.roots:
             assert tuple(-c for c in root) in system
+
+
+def test_membership_agrees_with_a_scan_of_the_roots():
+    for n in range(1, 9):
+        system = generate(n)
+        vectors = [v for r in system.roots for v in (r, tuple(-c for c in r))]
+        for vec in vectors + [(0,) * n, (1,) * n]:
+            assert (vec in system) == any(vec == r for r in system.roots)
+
+
+def test_membership_is_linear_in_the_tests():
+    system = generate(64)
+    start = time.perf_counter()
+    # the 8,192 tests of verify's negation-closure check
+    assert all(tuple(-c for c in r) in system for r in system.roots)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_long_and_short_roots_present():
@@ -128,12 +145,28 @@ def test_generic_names_beyond_four():
     ("ux", 4, "x"),
     ("q5", 4, "q5"),
     ("q50", 10, "0"),
-    ("u", 0, "u"),
 ])
 def test_parse_label_refuses_an_unknown_symbol(text, n, rest):
     with pytest.raises(UnsupportedWeightCount) as err:
         parse_label(text, n=n)
     assert str(err.value) == f"unparseable symbol at {rest!r}"
+
+
+@pytest.mark.parametrize("text, n, error, message", [
+    pytest.param("@i", -1, InvalidRank,
+                 "rank must be a positive integer, got -1", id="@i--1"),
+    pytest.param("u", 0, InvalidRank,
+                 "rank must be a positive integer, got 0", id="u-0"),
+    pytest.param("@k", 4, UnsupportedWeightCount, "term '@k' has no symbol",
+                 id="@k-4"),
+    pytest.param("u @k", 4, UnsupportedWeightCount, "term '@k' has no symbol",
+                 id="u @k-4"),
+])
+def test_parse_label_refuses_a_bad_rank_or_an_empty_term(text, n, error,
+                                                          message):
+    with pytest.raises(error) as err:
+        parse_label(text, n=n)
+    assert str(err.value) == message
 
 
 def test_weight_count_gate():

@@ -61,6 +61,51 @@ def test_sums_of_two_classes_raise(left, right):
         a + b
     with pytest.raises(TypeError):
         a - b
+    # a combination checks every pair, whatever its coefficient
+    for c in (1, 0):
+        with pytest.raises(TypeError):
+            left.combination([(1, a), (c, b)])
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda c: c.__name__)
+def test_combination_of_ints_keeps_int_coefficients(cls):
+    key = CASES[cls][0]
+    a = cls({key: 3})
+    out = cls.combination(iter([(2, a), (0, a), (-5, a)]))
+    assert out.terms == {key: -9} and type(out.terms[key]) is int
+    assert cls.combination([]).is_zero() and cls.combination([(0, a)]).is_zero()
+
+
+# one literal of each layout: a term is its coefficient and its non-empty key
+# texts joined by "*"; RealPoly terms print in the order of their exponent
+# 4-tuples, the others in their keys' natural order
+_x, _z = RealPoly.x, PolyFunction.z
+_LAYOUTS = [
+    (RealPoly(), "0"),
+    (RealPoly.constant(3), "3"),
+    (RealPoly.constant(Fraction(-1, 2)), "-1/2"),
+    (_x(2) * _x(0) * _x(0) * -3 + _x(1) * Fraction(5, 4) - RealPoly.constant(7),
+     "-7 + 5/4*x1 + -3*x0^2*x2"),
+    (PolyFunction(), "0"),
+    (PolyFunction.constant(-2), "-2"),
+    (PolyFunction.constant(Fraction(2, 3)), "2/3"),
+    (_z(0, 1) * _z(0, 1) * _z(1, 0) * Fraction(-3, 2) + _z(0, 0)
+     + PolyFunction.constant(4), "4 + 1*z[0,0] + -3/2*z[0,1]^2z[1,0]"),
+    (DiffOperator(), "0"),
+    (DiffOperator({((), ()): Fraction(-5, 3)}), "-5/3"),
+    (DiffOperator({((), ((0, 1),)): 1}), "1*d[0,1]"),
+    (DiffOperator({((), ((0, 0), (1, 0))): -2}), "-2*d[0,0]d[1,0]"),
+    (DiffOperator({((((0, 1), 2),), ()): Fraction(1, 3)}), "1/3*z[0,1]^2"),
+    (DiffOperator({((((0, 0), 1), ((1, 1), 3)), ((0, 1), (0, 1))): -1,
+                   ((), ()): 5,
+                   ((((1, 0), 1),), ((1, 1),)): Fraction(-7, 2)}),
+     "5 + -1*z[0,0]z[1,1]^3*d[0,1]d[0,1] + -7/2*z[1,0]*d[1,1]"),
+]
+
+
+def test_each_class_prints_the_one_term_layout():
+    for value, text in _LAYOUTS:
+        assert repr(value) == text
 
 
 def dense(poly):
@@ -119,6 +164,11 @@ def test_ring_laws_hold_on_both_polynomial_classes(case):
     assert (f * g).diff(sym) == f.diff(sym) * g + f * g.diff(sym)
     assert f * g == g * f
     assert 3 * f == f * 3 == f * type(f).constant(3)
+    # a combination is the fold of the products by its coefficients, which
+    # it reads from an iterator in one pass; a zero coefficient adds nothing
+    third = Fraction(-1, 3)
+    assert type(f).combination(iter([(2, f), (0, f * g), (third, g)])) == \
+        2 * f + g * third
     if not (f.is_zero() or g.is_zero()):
         assert (f * g).degree() == f.degree() + g.degree()
     # as with sums, the two classes do not mix
@@ -149,9 +199,19 @@ _OPERATOR_PAIRS = st.one_of(
         lambda ac: (ac[0], ac[0].scaled(ac[1]))))
 
 
+def _times(c, op):
+    """c x op as the multiplication operator c composed on the left."""
+    return DiffOperator.multiplication(PolyFunction.constant(c)).compose(op)
+
+
 @settings(max_examples=60)
 @given(_OPERATOR_PAIRS)
 def test_operator_equality_agrees_with_subtraction(pair):
     a, b = pair
     assert (a == b) == (a - b).is_zero()
     assert a - b == a + (-b)
+    # a combination is the fold of its scaled operators, and of its
+    # operators composed with constants on the left
+    third = Fraction(-1, 3)
+    assert DiffOperator.combination(iter([(2, a), (0, b), (third, b)])) == \
+        a.scaled(2) + b.scaled(third) == _times(2, a) + _times(third, b)
