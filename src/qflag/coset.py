@@ -13,8 +13,8 @@ forms, trace/determinant curvature invariants, and exact averages of
 equivariant functions over the internal-motion fibers.
 
 Points and group elements may be batches (see :mod:`qflag.quatmat`).  A
-scalar result is a ``float`` for a single point and an array of the batch
-shape for a batch.
+scalar result is what numpy's reduction returns: an ``np.float64`` for a
+single point and an array of the batch shape for a batch.
 
 The three metric forms and :func:`qflag.forms.curvature_blocks` share the
 Gram factors of the most recent point: (1+XX*)^{-1} and (1+X*X)^{-1} from
@@ -60,19 +60,13 @@ class GrassmannPoint:
 
 
 def _scalar_trace(m: QuatMatrix):
-    """Scalar part of the trace of a square matrix: a float, or an array of
-    the batch shape."""
-    return _float_or_batch(m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1))
-
-
-def _float_or_batch(values: np.ndarray):
-    """A float for batch shape (), else the array of the batch shape."""
-    return float(values) if values.ndim == 0 else values
+    """Scalar part of the trace of each square matrix of a batch."""
+    return m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1)
 
 
 def _max_abs_each(m: QuatMatrix):
     """Largest component magnitude of each matrix of a batch."""
-    return _float_or_batch(np.abs(m.a).max(axis=(-3, -2, -1), initial=0.0))
+    return np.abs(m.a).max(axis=(-3, -2, -1), initial=0.0)
 
 
 def coset_element(xi: QuatMatrix) -> GroupElement:
@@ -191,7 +185,7 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
 
 
 def cross_ratio(pa: GrassmannPoint, pb: GrassmannPoint,
-                pc: GrassmannPoint, pd: GrassmannPoint) -> float:
+                pc: GrassmannPoint, pd: GrassmannPoint):
     """Scalar part of tr[(Ya-Yb)(Yc-Yb)^{-1}(Yc-Yd)(Ya-Yd)^{-1}].
 
     Invariant under simultaneous group action on all four points.  The two
@@ -242,7 +236,7 @@ def _check_tangents(x: QuatMatrix, *tangents: QuatMatrix) -> None:
                 f"tangent shape {dx.shape} != point shape {x.shape}")
 
 
-def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:
+def metric_form(point: GrassmannPoint, dx: QuatMatrix):
     """Invariant line element tr[(1+XX*)^{-1} dX (1+X*X)^{-1} dX*].
 
     The scalar part of the quaternion trace is returned.  Quaternion traces
@@ -257,7 +251,7 @@ def metric_form(point: GrassmannPoint, dx: QuatMatrix) -> float:
     return _scalar_trace(left @ dx @ right @ dx.adjoint())
 
 
-def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix) -> float:
+def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix):
     """Same line element as tr(w w*) with w = A* dX D, manifestly real.
 
     Here A* = (1+XX*)^{-1/2} and D = (1+X*X)^{-1/2} are the diagonal blocks
@@ -268,10 +262,10 @@ def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix) -> float:
     _check_tangents(x, dx)
     astar, dmat = _gram_factors(x, "invsqrt")
     w = astar @ dx @ dmat
-    return _float_or_batch((w.a ** 2).reshape(w.batch + (-1,)).sum(axis=-1))
+    return (w.a ** 2).reshape(w.batch + (-1,)).sum(axis=-1)
 
 
-def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix) -> float:
+def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix):
     """Second form of the line element, with (1+X*X)^{-1} eliminated:
 
     tr[(1+XX*)^{-1} dX dX* - (1+XX*)^{-1} dX X* (1+XX*)^{-1} X dX*].
@@ -297,7 +291,7 @@ def pushforward_tangent(g: GroupElement, point: GrassmannPoint,
 
 
 def metric_invariance_residual(g: GroupElement, point: GrassmannPoint,
-                               dx: QuatMatrix) -> float:
+                               dx: QuatMatrix):
     """|ds^2 at (X, dX) - ds^2 at (g X, g_* dX)| with the exact g_*."""
     y, dy = _transport(g, point, dx)
     after = metric_form(GrassmannPoint(y), dy)
@@ -326,7 +320,7 @@ def curvature_trace(q: QuatMatrix) -> tuple:
 
         tr[(1 + Q* Q)^{-1}]  =  2(n - k) + tr[(1 + Q Q*)^{-1}].
 
-    Returns (lhs, rhs), each a float or an array of the batch shape.
+    Returns (lhs, rhs).
     """
     k, n = q.shape
     emb = q.embed()
@@ -335,7 +329,7 @@ def curvature_trace(q: QuatMatrix) -> tuple:
     rhs_mat = np.linalg.inv(np.eye(2 * k) + emb @ adj)
     lhs = np.trace(lhs_mat, axis1=-2, axis2=-1).real
     rhs = 2.0 * (n - k) + np.trace(rhs_mat, axis1=-2, axis2=-1).real
-    return _float_or_batch(lhs), _float_or_batch(rhs)
+    return lhs, rhs
 
 
 def curvature_det_gap(q: QuatMatrix) -> tuple:
@@ -345,8 +339,7 @@ def curvature_det_gap(q: QuatMatrix) -> tuple:
 
     |1 + Q Q*| is the product of the deduplicated real eigenvalues of Q Q*,
     each shifted by one; the embedding determinant is an independent route
-    to the same number.  Both values are floats for a single matrix and
-    arrays of the batch shape for a batch.
+    to the same number.
     """
     k = q.rows
     evs = eigvals_hyperhermitian(q @ q.adjoint())
@@ -356,10 +349,10 @@ def curvature_det_gap(q: QuatMatrix) -> tuple:
                             + emb @ emb.conj().swapaxes(-1, -2)).real
     ref = np.sqrt(np.maximum(det_emb, 0.0))
     gap = np.abs(det_quat - ref) / np.maximum(1.0, np.abs(ref))
-    return _float_or_batch(det_quat), _float_or_batch(gap)
+    return det_quat, gap
 
 
-def curvature_det(q: QuatMatrix) -> float:
+def curvature_det(q: QuatMatrix):
     """det of the metric tensor, |1 + Q Q*|^{-(k+n)}, for a k x n matrix Q
     (k and n are ``q``'s rows and columns).
 
@@ -417,4 +410,4 @@ def haar_average(alpha, sigma, x: GroupElement) -> np.ndarray:
 
 def inner_product(u: np.ndarray, v: np.ndarray):
     """Scalar part of sum_i conj(u_i) v_i for (..., m, 4) arrays."""
-    return _float_or_batch((u * v).sum(axis=(-2, -1)))
+    return (u * v).sum(axis=(-2, -1))

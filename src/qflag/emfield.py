@@ -153,7 +153,7 @@ def quaternion_product_identity(v, w) -> float:
     assembled = np.empty(direct.shape)
     assembled[..., 0] = v[..., 0] * w[..., 0] - (vv * wv).sum(axis=-1)
     assembled[..., 1:] = v[..., :1] * wv + w[..., :1] * vv + np.cross(vv, wv)
-    return float(np.sqrt(((direct - assembled) ** 2).sum(axis=-1)).max())
+    return np.sqrt(((direct - assembled) ** 2).sum(axis=-1)).max()
 
 
 @functools.lru_cache(maxsize=8)

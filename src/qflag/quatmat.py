@@ -198,7 +198,7 @@ class QuatMatrix:
 
     def max_abs(self) -> float:
         """Largest magnitude over all real components of the whole batch."""
-        return float(np.abs(self.a).max()) if self.a.size else 0.0
+        return np.abs(self.a).max(initial=0.0)
 
     # -- complex embedding --------------------------------------------------------
 
@@ -249,9 +249,8 @@ class QuatMatrix:
             cond = _norm1(emb) * _norm1(sol)
         except np.linalg.LinAlgError:
             cond = np.float64(np.inf)
-        # the worst matrix decides (a NaN is the worst); a single matrix
-        # skips the reduction, which costs more than the test itself
-        worst = cond.max(initial=0.0) if cond.ndim else cond
+        # the worst matrix decides (a NaN is the worst)
+        worst = cond.max(initial=0.0)
         if worst <= config.COND_LIMIT:
             try:
                 return QuatMatrix.project(sol)

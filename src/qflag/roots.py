@@ -12,6 +12,7 @@ classify as lepton, meson, or baryon.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -41,14 +42,20 @@ class RootSystem:
         return tuple(vec) in self._members
 
 
-def _require_rank(n) -> None:
-    if not isinstance(n, int) or n < 1:
+def _require_rank(n) -> int:
+    """``n`` as an int, once it is a positive integer of an integer type."""
+    try:
+        rank = operator.index(n)
+    except TypeError:
+        rank = 0
+    if rank < 1 or isinstance(n, bool):     # True is no rank
         raise InvalidRank(f"rank must be a positive integer, got {n!r}")
+    return rank
 
 
 def generate(n: int) -> RootSystem:
     """All 2 n^2 roots of the rank-n algebra, sorted lexicographically."""
-    _require_rank(n)
+    n = _require_rank(n)
     # i == j gives the long roots ±2 L_i and, with opposite signs, zero
     roots = {tuple(si * (m == i) + sj * (m == j) for m in range(n))
              for i in range(n) for j in range(i, n)
@@ -59,7 +66,8 @@ def generate(n: int) -> RootSystem:
 
 def embed_check(m: int, n: int) -> bool:
     """True when every rank-m root, zero padded, is a rank-n root."""
-    if not 1 <= m < n:
+    m, n = _require_rank(m), _require_rank(n)
+    if not m < n:
         raise InvalidRank(f"need 1 <= m < n, got m={m}, n={n}")
     big, padding = generate(n), (0,) * (n - m)
     return all(root + padding in big for root in generate(m).roots)
@@ -121,7 +129,7 @@ def particle_label(weights) -> ParticleLabel:
 
 def parse_label(text: str, n: int = 4) -> ParticleLabel:
     """Parse the canonical rendering back into weight terms."""
-    _require_rank(n)
+    n = _require_rank(n)
     index = {_symbol(i): i for i in range(n)}
     # longest name first: from rank 123 on, q123 is one name, not q12 then 3
     symbol = re.compile(

@@ -37,6 +37,7 @@ half-integer factorials are evaluated through the gamma function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,8 +52,8 @@ POLE_MARGIN = 0.05
 def fs_metric(y) -> np.ndarray:
     """Round metric on the y-chart: (I - y y'/(1+|y|^2)) / (1+|y|^2)."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (4,):
-        raise ChartBoundary(f"expected a point in R^4, got shape {y.shape}")
+    if y.shape != (4,) or not np.isfinite(y).all():
+        raise ChartBoundary(f"expected a finite point in R^4, got {y}")
     s = 1.0 + float(y @ y)
     return (np.eye(4) - np.outer(y, y) / s) / s
 
@@ -137,10 +138,10 @@ def einstein_check(points, metric_fn=fs_jet) -> dict:
     """
     g, dg, ddg = map(np.array, zip(*map(metric_fn, points)))
     ric = _ricci(g, dg, ddg)
-    lam = float(np.trace(np.linalg.solve(g, ric), axis1=1, axis2=2).mean() / 4)
+    lam = np.trace(np.linalg.solve(g, ric), axis1=1, axis2=2).mean() / 4
     return {"lambda": lam,
-            "relative_spread": float(np.abs(ric - lam * g).max() / abs(lam)),
-            "max_offdiagonal_ricci": float(np.abs(ric[g == 0.0]).max(initial=0.0))}
+            "relative_spread": np.abs(ric - lam * g).max() / abs(lam),
+            "max_offdiagonal_ricci": np.abs(ric[g == 0.0]).max(initial=0.0)}
 
 
 def random_chart_points(rng: np.random.Generator, count: int):
@@ -153,23 +154,27 @@ def random_chart_points(rng: np.random.Generator, count: int):
 
 def check_termination(ell, big_n: int) -> Fraction:
     """``ell`` as a Fraction once it is a nonnegative integer or
-    half-integer and ``big_n`` a nonnegative integer inside the termination
-    bound."""
-    f = Fraction(ell).limit_denominator(2)
-    if Fraction(ell) != f or f.denominator not in (1, 2):
+    half-integer (a NaN or an infinity is neither) and ``big_n`` a
+    nonnegative integer, of an integer type, inside the termination bound."""
+    try:
+        f = Fraction(ell)
+    except (TypeError, ValueError, OverflowError):
+        f = None
+    if f is None or f.denominator not in (1, 2):
         raise TerminationViolated(f"l must be integer or half-integer, got {ell}")
     if f < 0:
         raise TerminationViolated(f"l must be nonnegative, got {ell}")
-    if big_n < 0 or big_n != int(big_n):
+    try:
+        n = operator.index(big_n)
+    except TypeError:               # a float, 1.0 included
+        n = -1
+    if n < 0:
         raise TerminationViolated(f"N must be a nonnegative integer, got {big_n}")
-    if f.denominator == 2:
-        if not Fraction(big_n) < f - Fraction(1, 2):
-            raise TerminationViolated(
-                f"half-integer l = {f} requires N < l - 1/2, got N = {big_n}")
-    else:
-        if not Fraction(big_n) < f + 1:
-            raise TerminationViolated(
-                f"integer l = {f} requires N < l + 1, got N = {big_n}")
+    kind, bound, rule = (("half-integer", f - Fraction(1, 2), "l - 1/2")
+                         if f.denominator == 2 else ("integer", f + 1, "l + 1"))
+    if not n < bound:
+        raise TerminationViolated(
+            f"{kind} l = {f} requires N < {rule}, got N = {big_n}")
     return f
 
 
@@ -309,4 +314,4 @@ def weighted_absolute_integral(sol: RadialSolution, eps: float) -> float:
         raise ChartBoundary(f"eps = {eps} outside (0, pi/2)")
     xs = np.linspace(eps, math.pi - eps, 4000)
     ys = np.array([abs(sol.value(x)) * math.sin(x) ** 3 for x in xs])
-    return float(np.trapezoid(ys, xs))
+    return np.trapezoid(ys, xs)

@@ -49,8 +49,7 @@ def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:
         return QuatMatrix.identity(x.cols) + x.adjoint() @ x
 
     def scalar_trace(m):
-        values = m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1)
-        return float(values) if values.ndim == 0 else values
+        return m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1)
 
     def curvature_blocks():
         astar = func_hermitian(gram_left(), "invsqrt")
@@ -73,8 +72,7 @@ def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:
         "metric_form_expanded": scalar_trace(
             left @ du @ du.adjoint()
             - left @ du @ x.adjoint() @ left @ x @ du.adjoint()),
-        "metric_form_hermitian": (float(hermitian) if hermitian.ndim == 0
-                                  else hermitian),
+        "metric_form_hermitian": hermitian,
         "curvature_blocks": curvature_blocks(),
     }
 

@@ -294,8 +294,7 @@ def per_side_transport(g, xa, xb):
     la_star = (xa.adjoint() @ c.adjoint() + d.adjoint()).inv()
 
     def worst(m):
-        values = np.abs(m.a).max(axis=(-3, -2, -1))
-        return float(values) if values.ndim == 0 else values
+        return np.abs(m.a).max(axis=(-3, -2, -1))
 
     return {"one_plus_y_ystar": worst(eye_j + ya @ yb.adjoint()
                                       - la @ (eye_j + xa @ xb.adjoint())
@@ -596,7 +595,7 @@ def test_metric_inversion_invariance_scalar():
     singles = [inversion_invariance_residual(GrassmannPoint(QuatMatrix(x)),
                                              QuatMatrix(dx))
                for x, dx in zip(q.a, dq.a)]
-    assert all(type(v) is float for v in singles)
+    assert all(type(v) is np.float64 for v in singles)
     assert np.array_equal(res, singles)
 
 
@@ -681,7 +680,7 @@ def test_curvature_trace_identity():
         assert lhs.shape == rhs.shape == (7,)
         assert np.abs(lhs - rhs).max() < 1e-9
         single_lhs, single_rhs = curvature_trace(QuatMatrix(q.a[3]))
-        assert type(single_lhs) is float
+        assert type(single_lhs) is np.float64
         assert abs(single_lhs - single_rhs) < 1e-9
         assert single_lhs == pytest.approx(lhs[3], rel=1e-12)
 
@@ -716,7 +715,7 @@ def test_curvature_det():
         assert np.allclose(vals, curvature_det(q.adjoint()), rtol=1e-10,
                            atol=0.0)
         single = curvature_det(QuatMatrix(q.a[2]))
-        assert type(single) is float
+        assert type(single) is np.float64
         assert single == pytest.approx(vals[2], rel=1e-12)
 
 
@@ -724,7 +723,8 @@ def test_curvature_det_gap_batch_equals_the_singles():
     qs = [random_quatmat(rng, 2, 4, 0.7) for _ in range(20)]
     det, gap = curvature_det_gap(QuatMatrix(np.stack([q.a for q in qs])))
     singles = [curvature_det_gap(q) for q in qs]
-    assert all(type(d) is float and type(g) is float for d, g in singles)
+    assert all(type(d) is np.float64 and type(g) is np.float64
+               for d, g in singles)
     assert np.array_equal(det, [d for d, _ in singles])
     assert np.array_equal(gap, [g for _, g in singles])
     assert gap.max() < 1e-13
@@ -765,7 +765,7 @@ def test_batched_coset_calls_equal_the_stacked_singles():
         return np.array_equal(got.a, np.stack([m.a for m in per_draw]))
 
     def same_floats(got, per_draw):
-        assert all(type(v) is float for v in per_draw)
+        assert all(type(v) is np.float64 for v in per_draw)
         return isinstance(got, np.ndarray) and np.array_equal(got, per_draw)
 
     for action in (lft_apply, lft_apply_second_form):
@@ -783,6 +783,15 @@ def test_batched_coset_calls_equal_the_stacked_singles():
         assert same_floats(form(batch[0], dx),
                            [form(single_points(i)[0], dxs[i])
                             for i in range(count)])
+    qs = pts[2]
+    for call in (curvature_trace, curvature_det_gap):
+        got, per_draw = call(stack(qs)), [call(q) for q in qs]
+        for side in (0, 1):
+            assert same_floats(got[side], [r[side] for r in per_draw])
+    assert same_floats(curvature_det(stack(qs)), [curvature_det(q) for q in qs])
+    us, vs = [q.a[0] for q in pts[2]], [q.a[1] for q in pts[3]]
+    assert same_floats(inner_product(np.stack(us), np.stack(vs)),
+                       [inner_product(u, v) for u, v in zip(us, vs)])
     assert same_floats(metric_invariance_residual(g, batch[0], dx),
                        [metric_invariance_residual(singles[i],
                                                    single_points(i)[0], dxs[i])

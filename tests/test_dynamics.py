@@ -101,6 +101,14 @@ def test_norms_add_rows_in_order():
     assert StateVector(np.zeros((2, 0, 4)), 0).norm_sq().shape == (2,)
 
 
+def test_a_single_state_norm_is_numpys_scalar():
+    psi = random_state(rng, 3, 1)
+    assert type(psi.norm_sq()) is np.float64
+    assert type(psi.system_norm_sq()) is np.float64
+    batch = StateVector(np.stack([psi.a] * 4).reshape(2, 2, 3, 4), 1)
+    assert batch.norm_sq().shape == batch.system_norm_sq().shape == (2, 2)
+
+
 def test_evolve_gates():
     psi = random_state(rng, 3, 1)
     with pytest.raises(NotSkewAdjoint):

@@ -129,3 +129,8 @@ def test_product_identity():
     assert quat_close(v * v, Quaternion(-v.norm_sq()))
     pairs = rng.normal(0.0, 1.0, (10_000, 2, 4))
     assert quaternion_product_identity(pairs[:, 0], pairs[:, 1]) < 1e-13
+    # the worst residual is numpy's scalar, for one pair and for a batch
+    assert type(quaternion_product_identity(v.to_array(),
+                                            v.to_array())) is np.float64
+    assert type(quaternion_product_identity(pairs[:, 0],
+                                            pairs[:, 1])) is np.float64

@@ -81,6 +81,15 @@ def test_matmul_rectangular_and_empty_shapes():
     assert empty_sum.shape == (2, 4) and not empty_sum.a.any()
 
 
+def test_max_abs_is_numpys_scalar_over_the_whole_batch():
+    m = QuatMatrix(np.arange(24.0).reshape(2, 1, 3, 4) - 20.0)
+    for mat, want in ((m, 20.0), (QuatMatrix(m.a[1]), 8.0),
+                      (QuatMatrix.zeros(0, 3), 0.0),
+                      (QuatMatrix(np.zeros((2, 0, 0, 4))), 0.0)):
+        got = mat.max_abs()
+        assert type(got) is np.float64 and got == want
+
+
 def test_matmul_non_contiguous_operands():
     g = random_group_element(kernel_rng, 5)
     a, b, c, d = g.m.blocks(2, 3)

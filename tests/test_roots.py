@@ -1,6 +1,7 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from qflag.errors import InvalidRank, OddDimension, UnsupportedWeightCount
@@ -70,6 +71,19 @@ def test_rank_gate():
         generate(0)
     with pytest.raises(InvalidRank):
         embed_check(2, 2)
+
+
+def test_rank_is_read_as_an_integer_type():
+    # a numpy integer is a rank, and the system holds a Python int
+    system = generate(np.int64(2))
+    assert system == generate(2) and type(system.n) is int
+    assert parse_label("u", n=np.int64(4)) == parse_label("u")
+    # a bool is not, nor is a float, and embed_check gates both ranks first
+    for call in (lambda: generate(True), lambda: generate(2.0),
+                 lambda: embed_check(1.5, 3), lambda: embed_check(1, 3.0)):
+        with pytest.raises(InvalidRank, match="rank must be a positive "
+                                              "integer"):
+            call()
 
 
 def test_embedding():

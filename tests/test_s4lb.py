@@ -25,6 +25,16 @@ def test_fs_metric_origin_is_identity():
     assert np.allclose(fs_metric(np.zeros(4)), np.eye(4))
 
 
+@pytest.mark.parametrize("y", [[math.nan, 0.0, 0.0, 0.0],
+                               [0.0, math.inf, 0.0, 0.0],
+                               [0.0, 0.0, 0.0, -math.inf]])
+def test_fs_chart_refuses_a_non_finite_point(y):
+    # the polar chart refuses NaN the same way (angular_metric)
+    for call in (fs_metric, fs_jet):
+        with pytest.raises(ChartBoundary, match="finite point"):
+            call(y)
+
+
 def test_fs_metric_positive_definite():
     for _ in range(50):
         y = rng.uniform(-2, 2, 4)
@@ -121,6 +131,14 @@ def test_einstein_angular_chart_scale_relation():
     rep = einstein_check(pts, metric_fn=angular_jet)
     assert rep["relative_spread"] < 1e-12
     assert rep["lambda"] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_einstein_and_integral_values_are_numpys_scalars():
+    for rep in (einstein_check(random_chart_points(rng, 3)),
+                einstein_check([np.array([1.0, 1.0, 0.5, 0.5])],
+                               metric_fn=angular_jet)):
+        assert {type(v) for v in rep.values()} == {np.float64}
+    assert type(weighted_absolute_integral(make_f0(), 0.1)) is np.float64
 
 
 def test_ricci_is_symmetric():
@@ -233,6 +251,28 @@ def test_termination_gates():
         make_gl(1.3, 0)               # not half-integer
     with pytest.raises(TerminationViolated):
         make_gl(2, -1)
+
+
+@pytest.mark.parametrize("ell, big_n, message", [
+    # N is read as an integer type: a float N, even 1.0, never reaches the
+    # coefficient loop
+    (1, 1.0, "N must be a nonnegative integer, got 1.0"),
+    (1, math.nan, "N must be a nonnegative integer, got nan"),
+    (1, math.inf, "N must be a nonnegative integer, got inf"),
+    # an l with no exact value is no integer or half-integer
+    (math.nan, 0, "l must be integer or half-integer, got nan"),
+    (math.inf, 0, "l must be integer or half-integer, got inf"),
+])
+def test_termination_gate_refuses_what_the_body_cannot_take(ell, big_n,
+                                                             message):
+    with pytest.raises(TerminationViolated) as err:
+        make_gl(ell, big_n)
+    assert str(err.value) == message
+
+
+def test_termination_gate_takes_numpy_integers():
+    sol = make_gl(np.int64(2), np.int64(1))
+    assert sol.coeffs == make_gl(2, 1).coeffs
 
 
 def test_pole_exclusion_gate():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -184,3 +185,19 @@ def test_error_inside_a_suite_is_a_failed_check(monkeypatch):
     assert not rep["passed"] and not error["passed"]
     assert error["detail"].startswith("SingularMatrix: broken on purpose")
     assert all(c["passed"] for c in rep["checks"] if c is not error)
+    assert_plain_rows(rep["checks"])
+
+
+def assert_plain_rows(rows):
+    """Every report row holds exactly Python str, bool and float values."""
+    want = {"name": str, "passed": bool, "residual": float,
+            "tolerance": float, "detail": str}
+    for row in rows:
+        assert {key: type(value) for key, value in row.items()} == want
+
+
+def test_report_rows_hold_plain_python_values():
+    rep = run_suite("all", RunConfig(seed=5, trials=3))
+    assert rep["passed"] is True
+    assert_plain_rows(rep["checks"])
+    json.dumps(rep)     # np.bool_ or an array would not serialise
