@@ -52,9 +52,11 @@ POLE_MARGIN = 0.05
 def fs_metric(y) -> np.ndarray:
     """Round metric on the y-chart: (I - y y'/(1+|y|^2)) / (1+|y|^2)."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (4,) or not np.isfinite(y).all():
-        raise ChartBoundary(f"expected a finite point in R^4, got {y}")
-    s = 1.0 + float(y @ y)
+    # a NaN, an infinity or a |y|^2 that overflows leaves s non-finite
+    with np.errstate(over="ignore"):
+        s = 1.0 + float(y @ y) if y.shape == (4,) else math.nan
+    if not math.isfinite(s):
+        raise ChartBoundary(f"not a finite point in R^4 of finite |y|^2: {y}")
     return (np.eye(4) - np.outer(y, y) / s) / s
 
 

@@ -6,6 +6,9 @@ check names once, draws from the generator keyed by (seed, first name) and
 yields one ``(residual, tolerance[, detail])`` per name, which the runner
 turns into a report row (:func:`_check`).  A check's suite is its name's
 prefix.
+A unit yields its residuals unreduced, as a number, an array or a tuple of
+numbers and arrays; the row holds their largest entry, and a NaN anywhere
+is the worst value, so it fails the check.
 An exact check's residual is its failure count (:func:`_failures`), at
 tolerance 0.5.
 The CLI renders the results as JSON; tests assert on them directly, and a
@@ -52,11 +55,13 @@ S3_BLOCK = 1 << 14
 
 
 def _check(name: str, residual, tolerance, detail: str = "") -> dict:
-    """One report row, its numbers as plain Python ``bool`` and ``float``:
-    the one place a library result leaves numpy's types (``np.bool_`` is
-    not JSON-serialisable)."""
-    return {"name": name, "passed": bool(residual < tolerance),
-            "residual": float(residual), "tolerance": float(tolerance),
+    """One report row, its residual the largest entry of ``residual`` (0.0
+    for an empty array) as a plain Python ``float``: the one place a library
+    result leaves numpy's types (``np.bool_`` is not JSON-serialisable)."""
+    parts = residual if isinstance(residual, tuple) else (residual,)
+    worst = float(np.max([np.max(r, initial=0.0) for r in parts]))
+    return {"name": name, "passed": bool(worst < tolerance),
+            "residual": worst, "tolerance": float(tolerance),
             "detail": detail}
 
 
@@ -183,26 +188,24 @@ def _(cfg, rng):
     a, b = _quat_pairs(rng, cfg.count(10_000))
     lhs = sq_norms((a @ b).a)
     rhs = sq_norms(a.a) * sq_norms(b.a)
-    yield (np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))).max(), 1e-12
+    yield np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)), 1e-12
 
 
 @_unit("quaternion.conj_antihomomorphism")
 def _(cfg, rng):
     a, b = _quat_pairs(rng, cfg.count(10_000))
-    yield _quat_norm(((a @ b).adjoint()
-                      - b.adjoint() @ a.adjoint()).a).max(), 1e-13
+    yield _quat_norm(((a @ b).adjoint() - b.adjoint() @ a.adjoint()).a), 1e-13
 
 
 @_unit("quaternion.m2c_homomorphism", "quaternion.m2c_round_trip")
 def _(cfg, rng):
     a, b = _quat_pairs(rng, cfg.count(10_000))
-    worst = np.abs((a @ b).embed() - a.embed() @ b.embed()).max()
     # spot check on 16 pairs of the scalar API forms still uses
     ps, qs = ([Quaternion.from_array(v) for v in m.a[:16, 0, 0]]
               for m in (a, b))
-    worst = max([worst] + [np.abs(to_m2c(p * q) - to_m2c(p) @ to_m2c(q)).max()
-                           for p, q in zip(ps, qs)])
-    yield worst, 1e-12
+    yield ((np.abs((a @ b).embed() - a.embed() @ b.embed()),
+            *(np.abs(to_m2c(p * q) - to_m2c(p) @ to_m2c(q))
+              for p, q in zip(ps, qs))), 1e-12)
     yield (_failures([np.array_equal(QuatMatrix.project(a.embed()).a, a.a),
                       *(from_m2c(to_m2c(p)) == p for p in ps)]),
            0.5, "bit-exact inverse of the embedding")
@@ -212,8 +215,8 @@ def _(cfg, rng):
 def _(cfg, rng):
     (m,) = _draw_batches(rng, cfg.count(1000), _quatmat_draw(1, 1))
     m = m.embed()
-    yield (max(np.abs(j_conjugate(m) - m.conj()).max(),
-               np.abs(j_conjugate(j_conjugate(m)) - m).max()), 1e-13,
+    yield ((np.abs(j_conjugate(m) - m.conj()),
+            np.abs(j_conjugate(j_conjugate(m)) - m)), 1e-13,
            "entrywise conjugate and involution")
 
 
@@ -223,10 +226,9 @@ def _(cfg, rng):
 def _(cfg, rng):
     a, b, c = _draw_batches(rng, cfg.count(500), _quatmat_draw(3, 4),
                             _quatmat_draw(4, 2), _quatmat_draw(3, 4))
-    yield max(np.abs((a @ b).embed() - a.embed() @ b.embed()).max(),
-              np.abs(a.adjoint().embed()
-                     - a.embed().conj().swapaxes(-1, -2)).max(),
-              np.abs((a + c).embed() - (a.embed() + c.embed())).max()), 1e-11
+    yield (np.abs((a @ b).embed() - a.embed() @ b.embed()),
+           np.abs(a.adjoint().embed() - a.embed().conj().swapaxes(-1, -2)),
+           np.abs((a + c).embed() - (a.embed() + c.embed()))), 1e-11
 
 
 @_unit("quatmat.exp_group_membership")
@@ -245,7 +247,7 @@ def _(cfg, rng):
 @_unit("quatmat.unit_determinant")
 def _(cfg, rng):
     (gen,) = _draw_batches(rng, cfg.count(100), _skew_draw(3, 0.7))
-    yield np.abs(np.abs(np.linalg.det(expm(gen).embed())) - 1.0).max(), 1e-9
+    yield np.abs(np.abs(np.linalg.det(expm(gen).embed())) - 1.0), 1e-9
 
 
 @_unit("quatmat.sqrt_remultiplication")
@@ -254,7 +256,7 @@ def _(cfg, rng):
     p = q @ q.adjoint()
     r = func_hermitian(p, "sqrt")
     scale = np.maximum(1.0, np.abs(p.a).max(axis=(-3, -2, -1), keepdims=True))
-    yield (np.abs((r @ r - p).a) / scale).max(), 1e-9
+    yield np.abs((r @ r - p).a) / scale, 1e-9
 
 
 @_unit("quatmat.sp2nc_conditions")
@@ -262,9 +264,8 @@ def _(cfg, rng):
     (gen,) = _draw_batches(rng, cfg.count(100), _skew_draw(2, 0.7))
     big = to_sp2nc(GroupElement(expm(gen), check=False))
     form = sp2nc_form(2)
-    yield (max(np.abs(big.swapaxes(-1, -2) @ form @ big - form).max(),
-               np.abs(big.conj().swapaxes(-1, -2) @ big - np.eye(4)).max()),
-           1e-10,
+    yield ((np.abs(big.swapaxes(-1, -2) @ form @ big - form),
+            np.abs(big.conj().swapaxes(-1, -2) @ big - np.eye(4))), 1e-10,
            "simultaneously complex symplectic and unitary")
 
 
@@ -300,7 +301,7 @@ def _(cfg, rng):
     gen, xa, xb = _draw_batches(rng, cfg.count(500), _GROUP_GEN, _HALF, _HALF)
     res = coset.transport_identities(GroupElement(expm(gen)),
                                      GrassmannPoint(xa), GrassmannPoint(xb))
-    yield max(r.max() for r in res.values()), 1e-9
+    yield tuple(res.values()), 1e-9
 
 
 @_unit("coset.cross_ratio_invariance")
@@ -311,7 +312,7 @@ def _(cfg, rng):
     pts = [GrassmannPoint(p) for p in pts]
     cr = coset.cross_ratio(*pts)
     cr_moved = coset.cross_ratio(*[coset.lft_apply(g, p) for p in pts])
-    yield (np.abs(cr - cr_moved) / np.maximum(1.0, np.abs(cr))).max(), 1e-8
+    yield np.abs(cr - cr_moved) / np.maximum(1.0, np.abs(cr)), 1e-8
 
 
 @_unit("coset.metric_two_versions")
@@ -319,7 +320,7 @@ def _(cfg, rng):
     x, dx = _draw_batches(rng, cfg.count(500), _HALF, _TANGENT)
     x = GrassmannPoint(x)
     yield np.abs(coset.metric_form(x, dx)
-                 - coset.metric_form_expanded(x, dx)).max(), 1e-10
+                 - coset.metric_form_expanded(x, dx)), 1e-10
 
 
 @_unit("coset.metric_pushforward_invariance")
@@ -327,7 +328,7 @@ def _(cfg, rng):
     gen, x, dx = _draw_batches(rng, cfg.count(100), _GROUP_GEN,
                                _quatmat_draw(2, 2, 0.4), _TANGENT)
     yield coset.metric_invariance_residual(
-        GroupElement(expm(gen)), GrassmannPoint(x), dx).max(), 1e-11
+        GroupElement(expm(gen)), GrassmannPoint(x), dx), 1e-11
 
 
 @_unit("coset.metric_inversion_invariance")
@@ -335,8 +336,7 @@ def _(cfg, rng):
     q, dq = _quat_pairs(rng, cfg.count(200))
     keep = _quat_norm(q.a[:, 0, 0]) >= 0.1
     yield coset.inversion_invariance_residual(
-        GrassmannPoint(QuatMatrix(q.a[keep])),
-        QuatMatrix(dq.a[keep])).max(initial=0.0), 1e-12
+        GrassmannPoint(QuatMatrix(q.a[keep])), QuatMatrix(dq.a[keep])), 1e-12
 
 
 @_unit("coset.curvature_trace_identity")
@@ -344,14 +344,14 @@ def _(cfg, rng):
     traces = (coset.curvature_trace(*_draw_batches(
                   rng, cfg.count(100), _quatmat_draw(k, n, 0.8)))
               for n, k in ((3, 1), (5, 2), (6, 3)))
-    yield max(np.abs(lhs - rhs).max() for lhs, rhs in traces), 1e-9
+    yield tuple(np.abs(lhs - rhs) for lhs, rhs in traces), 1e-9
 
 
 @_unit("coset.curvature_det_consistency")
 def _(cfg, rng):
     (q,) = _draw_batches(rng, cfg.count(200), _quatmat_draw(2, 4, 0.7))
     _, gap = coset.curvature_det_gap(q)
-    yield (gap.max(), 1e-8,
+    yield (gap, 1e-8,
            "eigenvalue product vs embedding determinant root")
 
 
@@ -360,7 +360,7 @@ def _(cfg, rng):
     draws = cfg.count(1_000_000)
     means, fourth = s3_moments(rng, draws)
     sigma = 0.5 / math.sqrt(draws)   # per-component std of a unit 3-sphere
-    yield (np.abs(means).max() / sigma, 4.0,
+    yield (np.abs(means) / sigma, 4.0,
            "component means in units of the standard error")
     # On S^3, E[q_c^4] = 3/24 = 1/8, E[q_c^8] = 105/1920 and
     # E[q_c^4 q_d^4] = 9/1920, so the mean of q_c^4 over the 4 components has
@@ -386,7 +386,7 @@ def _(cfg, rng):
     f_shift = coset.haar_average(alpha, coset.fundamental_action, x_xi)
     f_base = coset.haar_average(alpha, coset.fundamental_action, x)
     moved = coset.fundamental_action(xi * _CONJ, f_base)
-    yield (_quat_norm(f_shift - moved).max(), 1e-12,
+    yield (_quat_norm(f_shift - moved), 1e-12,
            "exact average over the Hurwitz-unit fiber nodes")
     yield (abs(coset.inner_product(f_shift, f_shift)
                - coset.inner_product(moved, moved)), 1e-12,
@@ -402,20 +402,19 @@ def _(cfg, rng):
     rows, cols = [0, 2, 0, 1, 0, 1], [1, 3, 2, 3, 3, 2]
     expected_sd = 2.0 * np.array([[0, -1, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0],
                                   [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, -1]])
-    worst = max(_quat_norm(sd[rows, cols] - expected_sd).max(),
-                _quat_norm(sd[0, 1:] + asd[0, 1:]).max(), np.abs(sd[..., 0]).max())
-    yield (worst, 1e-15,
+    yield ((_quat_norm(sd[rows, cols] - expected_sd),
+            _quat_norm(sd[0, 1:] + asd[0, 1:]), np.abs(sd[..., 0])), 1e-15,
            "displayed +/- area-element pattern, no scalar part")
-    worst = max(_quat_norm(forms.hodge_star(sd) - sd).max(),
-                _quat_norm(forms.hodge_star(asd) + asd).max())
-    yield worst, 1e-15, "+1 on the first product, -1 on the second"
+    yield ((_quat_norm(forms.hodge_star(sd) - sd),
+            _quat_norm(forms.hodge_star(asd) + asd)), 1e-15,
+           "+1 on the first product, -1 on the second")
 
 
 @_unit("forms.wedge_bilinearity")
 def _(cfg, rng):
     a, b, c = rng.standard_normal((cfg.count(100), 3, 4, 4)).swapaxes(0, 1)
     diff = forms.wedge(a + b, c) - (forms.wedge(a, c) + forms.wedge(b, c))
-    yield _quat_norm(diff).max(), 1e-12
+    yield _quat_norm(diff), 1e-12
 
 
 @_unit("forms.connection_skewness", "forms.connection_block_pairing",
@@ -436,7 +435,7 @@ def _(cfg, rng):
     gen.a[:, :2, 2:, :] = 0.0
     gen.a[:, 2:, :2, :] = 0.0
     _, w12, w21, _ = forms.connection_blocks(gen, 0.4, 2, 2)
-    yield (max(w12.max_abs(), w21.max_abs()), 1e-11,
+    yield ((w12.max_abs(), w21.max_abs()), 1e-11,
            "block-diagonal paths carry no off-diagonal connection")
 
 
@@ -461,10 +460,10 @@ def _(cfg, rng):
     swapped = forms.curvature_blocks(x, v, u)
     yield (blocks["omega11"] + swapped["omega11"]).max_abs(), 1e-12
     yield (np.abs(np.abs(blocks["r11"][..., 0])
-                  - np.abs(blocks["r22"][..., 0])).max(), 1e-8,
+                  - np.abs(blocks["r22"][..., 0])), 1e-8,
            "matrix-trace scalar parts agree (both vanish)")
     b1 = forms.curvature_blocks(x1, u1, v1)
-    yield (np.abs(_quat_norm(b1["r11"]) - _quat_norm(b1["r22"])).max(), 1e-8,
+    yield (np.abs(_quat_norm(b1["r11"]) - _quat_norm(b1["r22"])), 1e-8,
            "the two pieces share magnitude for two particles")
 
 
@@ -535,7 +534,7 @@ def _(cfg, rng):
 def _(cfg, rng):
     f0 = s4lb.make_f0()
     grid = np.linspace(0.1, math.pi - 0.1, 50)
-    yield max(abs(s4lb.lb_radial_residual(f0, w)) for w in grid), 1e-10
+    yield np.abs([s4lb.lb_radial_residual(f0, w) for w in grid]), 1e-10
     yield (abs(f0.value(math.pi / 2)), 1e-12,
            "continuity across the equator, value zero there")
 
@@ -545,11 +544,11 @@ def _(cfg, rng):
     grid_gl = np.linspace(0.3, math.pi - 0.3, 50)
     sols = [s4lb.make_gl(ell, big_n)
             for ell, big_n in ((1, 0), (Fraction(3, 2), 0), (2, 0), (2, 1))]
-    yield max(abs(s4lb.lb_radial_residual(sol, w))
-              for sol in sols for w in grid_gl), 1e-8
-    yield (max(abs(s.theta - math.sqrt((s.ell + 1 - s.big_n)
-                                       * (s.ell - Fraction(1, 2) - s.big_n)))
-               for s in sols), 1e-15, "sqrt((l+1-N)(l-1/2-N)) exactly")
+    yield np.abs([s4lb.lb_radial_residual(sol, w)
+                  for sol in sols for w in grid_gl]), 1e-8
+    yield (np.abs([s.theta - math.sqrt((s.ell + 1 - s.big_n)
+                                       * (s.ell - Fraction(1, 2) - s.big_n))
+                   for s in sols]), 1e-15, "sqrt((l+1-N)(l-1/2-N)) exactly")
 
 
 @_unit("s4.integrability_flags")
@@ -571,11 +570,11 @@ def _(cfg, rng):
     yield rep["relative_spread"], 1e-12, f"lambda = {rep['lambda']:.6f}"
     # a random y-chart point has no zero metric entry; the polar chart's
     # off-diagonal entries are exact zeros
-    yield (max(rep["max_offdiagonal_ricci"], rep_ang["max_offdiagonal_ricci"]),
+    yield ((rep["max_offdiagonal_ricci"], rep_ang["max_offdiagonal_ricci"]),
            1e-12, "Ricci where the metric vanishes, both charts")
     # the polar metric is 4x the unit round one; Ricci is scale invariant
     gap = abs(4.0 * rep_ang["lambda"] - rep["lambda"]) / abs(rep["lambda"])
-    yield (max(gap, rep_ang["relative_spread"]), 1e-12,
+    yield ((gap, rep_ang["relative_spread"]), 1e-12,
            f"angular lambda = {rep_ang['lambda']:.6f}")
 
 
@@ -616,7 +615,7 @@ def _(cfg, rng):
     gen = random_skew_adjoint(rng, 3)
     psi = dynamics.random_state(rng, 3, 1)
     moved = dynamics.evolve(gen, psi, np.linspace(0.0, 10.0, 100))
-    yield np.abs(moved.norm_sq() - psi.norm_sq()).max(), 1e-9
+    yield np.abs(moved.norm_sq() - psi.norm_sq()), 1e-9
 
 
 @_unit("dynamics.block_diagonal_isolation")
@@ -626,7 +625,7 @@ def _(cfg, rng):
     genb.a[1:, :1, :] = 0.0
     psi = dynamics.random_state(rng, 3, 1)
     moved = dynamics.evolve(genb, psi, np.linspace(0.0, 10.0, 40))
-    yield (np.abs(moved.system_norm_sq() - psi.system_norm_sq()).max(), 1e-9,
+    yield (np.abs(moved.system_norm_sq() - psi.system_norm_sq()), 1e-9,
            "no norm crosses a non-interacting partition")
 
 
@@ -662,7 +661,7 @@ def _(cfg, rng):
     psi = dynamics.StateVector(psi.a[..., 0, :], 2)
     rec = dynamics.transition_split(gen, psi).reconstruction()
     direct = (gen @ QuatMatrix(psi.a[..., None, :])).a[..., 0, :]
-    yield _quat_norm(rec - direct).max(), 1e-12
+    yield _quat_norm(rec - direct), 1e-12
 
 
 # -- roots -------------------------------------------------------------------------

@@ -9,12 +9,13 @@ or missing terms, or a raising generator that does not raise) and runs
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import derivative
-from qflag import emfield, forms, liealg, quatmat, verify
+from qflag import coset, emfield, forms, liealg, quatmat, s4lb, verify
 from qflag.cli import main
 from qflag.quaternion import BASIS, MUL_TABLE, Quaternion
 
@@ -141,6 +142,35 @@ def test_cube_sampler_fails_only_s3_fourth_moment(monkeypatch, capsys):
     failed = _failed_checks(capsys, trials=None)
     assert set(failed) == {"coset.s3_fourth_moment"}
     assert failed["coset.s3_fourth_moment"]["residual"] > 100.0
+
+
+def test_nan_radial_residuals_fail_the_radial_checks(monkeypatch, capsys):
+    # NaN from omega = 1 on: every grid's first points stay finite, so a
+    # worst-of that drops a NaN after the first value would pass
+    real = s4lb.lb_radial_residual
+    monkeypatch.setattr(s4lb, "lb_radial_residual",
+                        lambda sol, w: math.nan if w >= 1.0 else real(sol, w))
+    failed = _failures(capsys, ["verify", "all", "--seed", "42",
+                                "--trials", "20"])
+    assert set(failed) == {"s4.f0_residual", "s4.gl_residual"}
+    assert all(math.isnan(row["residual"]) for row in failed.values())
+
+
+def test_nan_in_the_last_transport_identity_fails_its_check(monkeypatch,
+                                                           capsys):
+    real = coset.transport_identities
+
+    def last_nan(*args):
+        res = dict(real(*args))
+        last = list(res)[-1]
+        res[last] = res[last].copy()
+        res[last][-1] = math.nan
+        return res
+
+    monkeypatch.setattr(coset, "transport_identities", last_nan)
+    failed = _failures(capsys, ["verify", "all", "--seed", "42",
+                                "--trials", "20"])
+    assert set(failed) == {"coset.transport_identities"}
 
 
 def test_doubled_cross_terms_fail_the_commutation_tables(monkeypatch, capsys):

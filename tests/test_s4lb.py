@@ -27,9 +27,12 @@ def test_fs_metric_origin_is_identity():
 
 @pytest.mark.parametrize("y", [[math.nan, 0.0, 0.0, 0.0],
                                [0.0, math.inf, 0.0, 0.0],
-                               [0.0, 0.0, 0.0, -math.inf]])
+                               [0.0, 0.0, 0.0, -math.inf],
+                               [1e200, 0.0, 0.0, 0.0]])
 def test_fs_chart_refuses_a_non_finite_point(y):
-    # the polar chart refuses NaN the same way (angular_metric)
+    # the polar chart refuses NaN the same way (angular_metric); at 1e200,
+    # |y|^2 overflows, and the refusal raises no numpy overflow warning
+    # (an error under this suite's warning filter)
     for call in (fs_metric, fs_jet):
         with pytest.raises(ChartBoundary, match="finite point"):
             call(y)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import qflag
 from qflag import coset, dynamics
 from qflag.errors import SingularMatrix, UnknownSuite
 from qflag.quatmat import random_quatmat, random_skew_adjoint
-from qflag.verify import (S3_BLOCK, SUITES, UNITS, RunConfig, _draw_batches,
-                          _quatmat_draw, _skew_draw, run_suite,
+from qflag.verify import (S3_BLOCK, SUITES, UNITS, RunConfig, _check,
+                          _draw_batches, _quatmat_draw, _skew_draw, run_suite,
                           s3_moments)
 
 
@@ -194,6 +195,24 @@ def assert_plain_rows(rows):
             "tolerance": float, "detail": str}
     for row in rows:
         assert {key: type(value) for key, value in row.items()} == want
+
+
+def test_report_row_holds_the_largest_entry_and_fails_on_any_nan():
+    # a NaN in the second part of a tuple, and one after a finite entry
+    for residual in ((np.zeros(3), np.array([1e-3, math.nan])),
+                     np.array([1e-3, 2e-3, math.nan])):
+        row = _check("suite.check", residual, 0.5)
+        assert math.isnan(row["residual"]) and row["passed"] is False
+    # a number, a 2-d array and a numpy scalar in one tuple
+    row = _check("suite.check", (1e-3, np.array([[4e-3]]), np.float64(2e-3)),
+                 0.5)
+    assert row["residual"] == 4e-3 and row["passed"] is True
+    # no draws survived a filter: an empty array counts as 0.0
+    assert _check("suite.check", np.array([]), 1e-12)["residual"] == 0.0
+    # an exact check's failure count
+    row = _check("suite.check", 3, 0.5)
+    assert row["residual"] == 3.0 and row["passed"] is False
+    assert_plain_rows([row])
 
 
 def test_report_rows_hold_plain_python_values():
