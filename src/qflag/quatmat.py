@@ -442,19 +442,20 @@ def _expm(m: QuatMatrix) -> QuatMatrix:
     count = squarings.max(initial=0.0)
     if not count < np.inf:
         raise NonFiniteMatrix("exponential of a NaN or infinite entry")
-    squarings = squarings.astype(int)
-    scale = np.ldexp(1.0, -squarings)        # exact powers of two
-    scaled = m * scale
+    # most squarings first, so that the matrices a squaring step still
+    # needs are a prefix of the batch
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order].astype(int)
+    scaled = _wrap(m.a[order]) * np.ldexp(1.0, -squarings)   # powers of two
     result = QuatMatrix.identity(n)
     term = QuatMatrix.identity(n)
     for k in range(1, 19):
         term = (term @ scaled) * (1.0 / k)
         result = result + term
     for done in range(int(count)):
-        need = squarings > done
-        part = _wrap(result.a[need])
-        result.a[need] = (part @ part).a
-    return result
+        part = _wrap(result.a[:np.count_nonzero(squarings > done)])
+        part.a[...] = (part @ part).a
+    return _wrap(result.a[np.argsort(order)])
 
 
 def _hermitian_embedding(p: QuatMatrix, what: str, not_hermitian: str):

@@ -29,11 +29,23 @@ A :class:`~qflag.errors.QflagError` raised inside a unit (say, a broken
 kernel making a drawn element non-unitary) replaces its checks with the
 failed check ``<first name>.error``, the message as its detail; the other
 units still run, and the run writes its report and fails with it.
+
+Concurrency: :func:`run_suite` starts the units named in ``BACKGROUND``
+(only the S^3 sampling statistics) on a second thread before any suite
+runs, and every other unit runs in report order on the calling thread.
+Each unit draws from its own stream, so the report does not depend on how
+the two threads interleave.  Only this unit overlaps: it spends nearly all
+its time in numpy calls on large blocks, which release the GIL, while the
+other units are interpreter-bound, so a second of them on another thread
+would only wait for the lock.  A background unit calls no entry point the
+benchmark's tracer wraps, since the tracer keeps one span stack for the
+process.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,12 +178,13 @@ def _unit(*names):
     return register
 
 
-def _run_unit(names, body, cfg: RunConfig) -> list:
-    """A unit's checks under ``cfg``'s tolerances, or, if it raises a
-    :class:`QflagError`, the one failed check ``<first name>.error`` (a
-    broken kernel fails checks; it does not crash the run)."""
+def _run_unit(names, body, cfg: RunConfig, rng: np.random.Generator) -> list:
+    """A unit's checks under ``cfg``'s tolerances, drawn from ``rng``, or,
+    if it raises a :class:`QflagError`, the one failed check
+    ``<first name>.error`` (a broken kernel fails checks; it does not crash
+    the run)."""
     try:
-        rows = list(body(cfg, cfg.rng(names[0])))
+        rows = list(body(cfg, rng))
     except QflagError as exc:
         return [_check(f"{names[0]}.error", 1.0, 0.5,
                        f"{type(exc).__name__}: {exc}; not run: "
@@ -712,24 +725,68 @@ def _(cfg, rng):
 
 # -- runner -------------------------------------------------------------------
 
+# first names of the units run_suite starts on a second thread: their time
+# is spent in numpy calls that release the GIL (see the module docstring)
+BACKGROUND = {"coset.s3_sampling_uniform"}
+
+
+def _suite_of(names) -> str:
+    return names[0].split(".", 1)[0]
+
+
+class _Started(threading.Thread):
+    """One unit running on a thread of its own from construction.  Its
+    generator is opened on the constructing thread, so every stream opens
+    in a fixed order."""
+
+    def __init__(self, names, body, cfg: RunConfig):
+        super().__init__(name=names[0])
+        self._unit = names, body, cfg, cfg.rng(names[0])
+        self.start()
+
+    def run(self):
+        # whatever the unit raises is handed to the thread that waits
+        try:
+            self._outcome = _run_unit(*self._unit)
+        except BaseException as exc:
+            self._outcome = exc
+
+    def wait(self) -> list:
+        """Wait for the unit's rows; re-raise what it raised beyond a
+        :class:`QflagError`, which is already its ``.error`` row."""
+        self.join()
+        if isinstance(self._outcome, BaseException):
+            raise self._outcome
+        return self._outcome
+
+
 def _suite_runner(suite: str):
-    def run(cfg: RunConfig) -> list:
-        return [check for names, body in UNITS
-                if names[0].split(".", 1)[0] == suite
-                for check in _run_unit(names, body, cfg)]
+    def run(cfg: RunConfig, started=None) -> list:
+        """The suite's checks in report order; a unit in ``started`` (first
+        name -> :class:`_Started`) gives its rows from its own thread."""
+        started = started or {}
+        return [check for names, body in UNITS if _suite_of(names) == suite
+                for check in (started[names[0]].wait()
+                              if names[0] in started else
+                              _run_unit(names, body, cfg, cfg.rng(names[0])))]
     return run
 
 
 # suite name -> the runner of its units, in report order
-SUITES = {suite: _suite_runner(suite) for suite in
-          dict.fromkeys(names[0].split(".", 1)[0] for names, _ in UNITS)}
+SUITES = {suite: _suite_runner(suite)
+          for suite in dict.fromkeys(_suite_of(names) for names, _ in UNITS)}
 
 
 def run_suite(name: str, cfg: RunConfig) -> dict:
     """Run one named suite (or 'all') and assemble the report.
 
     Every check name is declared up front, so a tolerance override that
-    names no check of the run fails before any work.
+    names no check of the run fails before any work.  The run's units in
+    ``BACKGROUND`` start first, each on a thread of its own with its
+    generator opened here; the suites then run in order through their
+    ``SUITES`` runners, and a started unit's rows take their report
+    position.  An exception other than a :class:`QflagError` is raised
+    here once every started thread has ended, whichever thread raised it.
     """
     if name == "all":
         suites = list(SUITES)
@@ -744,7 +801,14 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
     if unknown:
         raise UnknownTolerance(
             f"--tol names no check of this run: {', '.join(unknown)}")
-    checks = [check for suite in suites for check in SUITES[suite](cfg)]
+    started = {names[0]: _Started(names, body, cfg) for names, body in UNITS
+               if names[0] in BACKGROUND and _suite_of(names) in suites}
+    try:
+        checks = [check for suite in suites
+                  for check in SUITES[suite](cfg, started)]
+    finally:
+        for unit in started.values():
+            unit.join()
     return {
         "spec_version": SCHEMA_VERSION,
         "suite": name,

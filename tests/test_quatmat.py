@@ -568,6 +568,12 @@ def test_batched_expm_squares_each_matrix_its_own_number_of_times():
     for g, e in zip(gens, got.a):
         assert (QuatMatrix(e) - series_exp(g)).max_abs() < 1e-12
 
+    # the counts 7, 0, 4, 0, 7, 1, 4 out of order and repeated: the batch is
+    # squared sorted by count and comes back in its own order
+    mixed = [unit * s for s in (40.0, 0.3, 5.0, 0.3, 40.0, 0.8, 5.0)]
+    got = expm(QuatMatrix(stack(mixed)))
+    assert np.array_equal(got.a, stack([expm(g) for g in mixed]))
+
     # at n = 4 a batch runs in blocks of 2**18 // (128 * 16) = 128 matrices;
     # 300 span three blocks, whose largest norms take 7, 4 and 1 squarings,
     # and the counts differ inside each block

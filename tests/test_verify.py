@@ -3,18 +3,19 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import qflag
-from qflag import coset, dynamics
+from qflag import coset, dynamics, verify
 from qflag.errors import SingularMatrix, UnknownSuite
 from qflag.quatmat import random_quatmat, random_skew_adjoint
-from qflag.verify import (S3_BLOCK, SUITES, UNITS, RunConfig, _check,
-                          _draw_batches, _quatmat_draw, _skew_draw, run_suite,
-                          s3_moments)
+from qflag.verify import (BACKGROUND, S3_BLOCK, SUITES, UNITS, RunConfig,
+                          _check, _draw_batches, _quatmat_draw, _run_unit,
+                          _skew_draw, run_suite, s3_moments)
 
 
 def test_unknown_suite_raises():
@@ -51,8 +52,56 @@ def test_units_draw_from_the_streams_of_their_first_names(monkeypatch):
     run_suite("all", RunConfig(trials=1))
     second = {"forms.curvature_antisymmetry": ["forms.curvature_blocks"],
               "s4.einstein_y_chart": ["s4.einstein_angular_chart"]}
-    assert keys == [key for names, _ in UNITS
+    # the S^3 unit's stream opens first, as its thread starts; the rest
+    # follow in report order
+    started = sorted(UNITS, key=lambda unit: unit[0][0] not in BACKGROUND)
+    assert keys[0] == "coset.s3_sampling_uniform"
+    assert keys == [key for names, _ in started
                     for key in [names[0]] + second.get(names[0], [])]
+
+
+@pytest.mark.parametrize("seed", [42, 977])
+@pytest.mark.parametrize("trials", [1, 3])
+def test_run_suite_equals_a_serial_loop_in_report_order(seed, trials):
+    # the S^3 unit runs on its own thread; its rows and every other row
+    # are those of one unit after the other on one thread
+    cfg = RunConfig(seed=seed, trials=trials)
+    serial = [check for names, body in UNITS
+              for check in _run_unit(names, body, cfg, cfg.rng(names[0]))]
+    assert run_suite("all", cfg)["checks"] == serial
+
+
+def test_error_in_the_background_unit_is_its_error_row(monkeypatch):
+    def broken(rng, count):
+        raise SingularMatrix("broken on purpose")
+
+    monkeypatch.setattr(verify, "random_unit_quaternions", broken)
+    rep = run_suite("all", RunConfig(seed=42, trials=1))
+    names = [c["name"] for c in rep["checks"]]
+    declared = [name for names, _ in UNITS for name in names]
+    at = declared.index("coset.s3_sampling_uniform")
+    # the later units that draw S^3 points fail too; the rows before are kept
+    assert names[:at + 1] == (declared[:at]
+                              + ["coset.s3_sampling_uniform.error"])
+    assert rep["checks"][at]["detail"] == (
+        "SingularMatrix: broken on purpose; not run: "
+        "coset.s3_sampling_uniform, coset.s3_fourth_moment")
+    assert not rep["passed"]
+
+
+@pytest.mark.parametrize("where", ["random_unit_quaternions", "_quat_pairs"])
+def test_other_exceptions_propagate_after_the_thread_is_joined(monkeypatch,
+                                                               where):
+    # raised on the S^3 unit's thread, or on the calling thread while that
+    # unit is still drawing its 10^6 points
+    def broken(rng, count):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(verify, where, broken)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="broken on purpose"):
+        run_suite("all", RunConfig(seed=42))
+    assert threading.active_count() == threads
 
 
 def test_single_suite_report_shape():
