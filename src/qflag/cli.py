@@ -74,8 +74,8 @@ MAX_LB_SCALED_RESIDUAL = 1e-6
 _LONG_ELL_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9](_?\d){4}")
 # Largest degree ``qflag em`` multiplies out, checked on each exponent and each
 # product before it is formed: a degree-d polynomial in x0..x3 has up to
-# C(d + 4, 4) terms.  Four dense components at this ceiling take 2-3 s and
-# 97 MB peak RSS on a 2-vCPU x86-64 machine (4.5 s and 181 MB at degree 20).
+# C(d + 4, 4) terms.  Four dense components at this ceiling take 0.7-0.8 s and
+# 82 MB peak RSS on a 2-vCPU x86-64 machine (1.5-1.9 s and 144 MB at degree 20).
 MAX_EM_DEGREE = 16
 # Deepest ``qflag em`` nesting, counting each open parenthesis and each unary
 # minus sign, checked before the parser recurses into the level.  A level

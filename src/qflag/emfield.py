@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QflagError
+from .errors import IndexOutOfRange, QflagError
 from .quaternion import MUL_TABLE
 from .quatmat import QuatMatrix
-from .sparse import Polynomial
+from .sparse import Polynomial, power
 
 # e_r * e_s = sign e_c for (c, sign) = _PRODUCT[r][s], read off the product
 # table once as plain ints
@@ -33,18 +33,15 @@ _PRODUCT = [[next((c, v) for c, v in enumerate(signs) if v) for signs in row]
 
 
 def exponents(mono) -> tuple:
-    """The exponent 4-tuple (e0, e1, e2, e3) of a :class:`RealPoly`
+    """The exponent 4-tuple (e0, e1, e2, e3) of a packed :class:`RealPoly`
     monomial; its lexicographic order is the order in which terms print."""
-    expo = [0, 0, 0, 0]
-    for axis, power in mono:
-        expo[axis] = power
-    return tuple(expo)
+    return tuple(power(mono, axis) for axis in range(4))
 
 
 class RealPoly(Polynomial):
-    """Exact polynomial in (x0, x1, x2, x3), on the axes 0..3 as symbols:
-    ``{((axis, power), ...): coefficient}`` (see :func:`exponents` for the
-    dense exponent 4-tuple of a monomial).
+    """Exact polynomial in (x0, x1, x2, x3), on the axes 0..3 as symbols,
+    each axis its own field of the packed monomial (see :func:`exponents`
+    for a monomial's dense exponent 4-tuple).
 
     Coefficients are ints where integral and Fractions otherwise; an int and
     the equal Fraction compare, hash and print alike.
@@ -53,13 +50,24 @@ class RealPoly(Polynomial):
     __slots__ = ()
     _order = staticmethod(exponents)
 
+    @staticmethod
+    def _index(axis: int) -> int:
+        if axis not in range(4):
+            raise IndexOutOfRange(f"axis {axis} outside 0..3")
+        return axis
+
+    @staticmethod
+    def _symbol(index: int) -> int:
+        return index
+
     @classmethod
     def x(cls, axis: int) -> "RealPoly":
-        return cls({((axis, 1),): 1})
+        return cls({cls.monomial(((axis, 1),)): 1})
 
     @staticmethod
     def _texts(mono) -> tuple:
-        return tuple(f"x{i}" + (f"^{p}" if p > 1 else "") for i, p in mono)
+        return tuple(f"x{i}" + (f"^{p}" if p > 1 else "")
+                     for i, p in enumerate(exponents(mono)) if p)
 
 
 @dataclass
@@ -161,7 +169,7 @@ def _monomials(max_degree: int) -> tuple:
     """The monomials of total degree at most ``max_degree``, in the
     lexicographic order of their exponent 4-tuples; built once per degree,
     so the fields drawn share their monomials."""
-    return tuple(tuple((axis, p) for axis, p in enumerate(expo) if p)
+    return tuple(RealPoly.monomial(enumerate(expo))
                  for expo in itertools.product(range(max_degree + 1), repeat=4)
                  if sum(expo) <= max_degree)
 

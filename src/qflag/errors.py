@@ -72,7 +72,14 @@ class TooManyFibers(QflagError):
 # -- symbolic operator engine ----------------------------------------------
 
 class IndexOutOfRange(QflagError):
-    """Generator index outside the range fixed by the partition dimensions."""
+    """Generator index outside the range fixed by the partition dimensions,
+    or a polynomial symbol with no field: a negative matrix index, an axis
+    outside 0..3, or an index past ``sparse.MAX_SYMBOLS``."""
+
+
+class ExponentOverflow(QflagError):
+    """A power, derivative count or total degree above ``sparse.MAX_POWER``,
+    the largest that one field of a packed monomial or word holds."""
 
 
 class SecondOrderResidue(QflagError):

@@ -27,22 +27,30 @@ The generators h, H and p are built directly as their maps of
 composite are assembled by operator products.  A commutation table makes
 each generator the operand of dozens of products, so the pieces of a
 product that depend on one operand alone are built once per operator and
-kept on it: its terms split by the symbols a left word differentiates, and
-its terms differentiated by each such split (see :func:`_leibniz_cross`).
-Keeping them is safe because operators never change in place: every sum,
-scaling or product is a new value that builds its own.  Monomial and word
-products go through small bounded caches, since the generators share their
-coefficient monomials.
+kept on it: its terms split by the sub-multisets a left word
+differentiates, and its terms differentiated by each such sub-multiset
+(see :func:`_leibniz_cross`).  Keeping them is safe because operators never
+change in place: every sum, scaling or product is a new value that builds
+its own.
+
+A term's key is a pair of ints, its coefficient monomial and its word,
+packed as :mod:`qflag.sparse` packs monomials on the fields of the symbols
+``(row, col)`` (see :class:`PolyFunction`); a word holds the count of each
+derivative symbol.  So a monomial product and a word join are each one
+integer add, and no cache is kept across operators.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
-from .sparse import Polynomial, SparseSum, _merged, exact
+from .sparse import (MAX_POWER, Polynomial, SparseSum, check_guard, exact,
+                     fields, key_degree, power, unit)
 
 
 def mate(i: int) -> int:
@@ -73,38 +81,89 @@ def jval(r: int, c: int) -> int:
 class PolyFunction(Polynomial):
     """Sparse exact polynomial in the matrix entries, on the symbols
     ``(row, col)``; the public constructors accept barred symbols and
-    canonicalise them immediately."""
+    canonicalise them immediately.
+
+    The symbol ``(row, col)`` holds the field at the Cantor pairing
+    ``(row + col)(row + col + 1)/2 + col`` of its indices, the same for
+    every partition; a negative index raises IndexOutOfRange.
+    """
 
     __slots__ = ()
 
+    @staticmethod
+    def _index(sym) -> int:
+        row, col = sym
+        if row < 0 or col < 0:
+            raise IndexOutOfRange(f"symbol {sym} has a negative index")
+        diagonal = row + col
+        return diagonal * (diagonal + 1) // 2 + col
+
+    @staticmethod
+    def _symbol(index: int) -> tuple:
+        diagonal = (math.isqrt(8 * index + 1) - 1) // 2
+        col = index - diagonal * (diagonal + 1) // 2
+        return diagonal - col, col
+
     @classmethod
     def z(cls, row: int, col: int) -> "PolyFunction":
-        return cls({(((row, col), 1),): 1})
+        return cls({_unit((row, col)): 1})
 
     @classmethod
     def zbar(cls, row: int, col: int) -> "PolyFunction":
         sign, sym = _j_image(row, col)
-        return cls({((sym, 1),): sign})
+        return cls({_unit(sym): sign})
 
-    @staticmethod
-    def _texts(mono) -> tuple:
-        return ("".join(f"z[{r},{s}]" + (f"^{p}" if p > 1 else "")
-                        for (r, s), p in mono),)
+    @classmethod
+    def _texts(cls, mono) -> tuple:
+        return (_monomial_text(cls.powers(mono)),)
 
 
-def _conjugate_monomial(mono):
-    """(sign, image) of a monomial under the J substitution.
+def _monomial_text(powers) -> str:
+    """The text of a monomial from its sorted (symbol, power) pairs."""
+    return "".join(f"z[{r},{s}]" + (f"^{p}" if p > 1 else "")
+                   for (r, s), p in powers)
 
-    The substitution maps distinct monomials to distinct images, so a
-    conjugated sum needs no accumulation.
+
+def _unit(sym) -> int:
+    """The packed key of the symbol ``sym`` to the first power: the monomial
+    z_sym, or the word d_sym."""
+    return unit(PolyFunction._index(sym))
+
+
+def _conjugate_key(key: int):
+    """(sign, image) of a packed monomial or word under the J substitution;
+    each symbol's sign enters once per power.
+
+    The substitution maps distinct keys to distinct images, so a conjugated
+    sum needs no accumulation.
     """
-    sign, image = 1, []
-    for sym, power in mono:
-        s, sym = _j_image(*sym)
+    sign, image = 1, 0
+    for index, power in fields(key):
+        s, sym = _j_image(*PolyFunction._symbol(index))
         if power % 2 == 1:
             sign *= s
-        image.append((sym, power))
-    return sign, tuple(sorted(image))
+        image += power * _unit(sym)
+    return sign, image
+
+
+def _word_symbols(word: int) -> tuple:
+    """The sorted derivative symbols of a packed word, each repeated as
+    often as the word holds it."""
+    return tuple(sym for sym, count in PolyFunction.powers(word)
+                 for _ in range(count))
+
+
+def _checked(left: "DiffOperator", right: "DiffOperator", out: dict) -> dict:
+    """``out``, the (monomial, word) terms of a product of ``left`` and
+    ``right``, once no key has a power or derivative count past MAX_POWER.
+
+    A key of the product has degree at most the sum of the factors' largest
+    degrees (see :meth:`DiffOperator._top`), so only a product whose sum
+    passes MAX_POWER checks its keys (see :func:`sparse.check_guard`).
+    """
+    if left._top() + right._top() > MAX_POWER:
+        check_guard(itertools.chain.from_iterable(out))
+    return out
 
 
 # -- differential operators ------------------------------------------------------
@@ -112,24 +171,44 @@ def _conjugate_monomial(mono):
 class DiffOperator(SparseSum):
     """Sparse sum of (polynomial coefficient) x (product of derivatives).
 
-    Keys are (monomial, word) with the word a sorted tuple of derivative
-    symbols ``(row, col)``; an empty word is a multiplication operator.
-    Derivative symbols commute, so sorted words are canonical.
+    Keys are (monomial, word), both packed on the fields of
+    :class:`PolyFunction`'s symbols: a word holds how often each derivative
+    symbol ``(row, col)`` occurs.  Derivative symbols commute, so this
+    multiset is canonical; the empty word 0 is a multiplication operator.
     """
 
-    __slots__ = ("_split", "_held", "_lowered")
+    __slots__ = ("_split", "_held", "_lowered", "_bound")
+
+    @staticmethod
+    def key(powers=(), word=()) -> tuple:
+        """The packed (monomial, word) key of the term whose coefficient
+        monomial has the (symbol, power) pairs ``powers`` and whose word
+        differentiates by each symbol of ``word``, repeats included."""
+        return (PolyFunction.monomial(powers),
+                PolyFunction.monomial((sym, 1) for sym in word))
+
+    @staticmethod
+    def parts(key) -> tuple:
+        """(powers, word) of a packed key, the inverse of :meth:`key`: the
+        monomial's sorted (symbol, power) pairs and the sorted word with its
+        repeats; also the order in which terms print."""
+        mono, word = key
+        return PolyFunction.powers(mono), _word_symbols(word)
+
+    _order = parts
 
     @classmethod
     def dbar(cls, row: int, col: int) -> "DiffOperator":
         sign, sym = _j_image(row, col)
-        return cls({((), (sym,)): sign})
+        return cls({cls.key(word=(sym,)): sign})
 
     @classmethod
     def multiplication(cls, poly: PolyFunction) -> "DiffOperator":
-        return cls({(m, ()): c for m, c in poly.terms.items()})
+        return cls({(m, 0): c for m, c in poly.terms.items()})
 
     def order(self) -> int:
-        return max((len(w) for _, w in self.terms), default=0)
+        return max(map(key_degree, map(operator.itemgetter(1), self.terms)),
+                   default=0)
 
     def scaled(self, value) -> "DiffOperator":
         return self.combination(((exact(value), self),))
@@ -137,74 +216,80 @@ class DiffOperator(SparseSum):
     def apply(self, f: PolyFunction) -> PolyFunction:
         return PolyFunction.combination(
             (c, PolyFunction({mono: 1})
-             * functools.reduce(PolyFunction.diff, word, f))
+             * functools.reduce(PolyFunction.diff, _word_symbols(word), f))
             for (mono, word), c in self.terms.items())
 
     def compose(self, o: "DiffOperator") -> "DiffOperator":
         """Operator product self o other, expanded by the Leibniz rule.
 
-        Each subset of a left word differentiates the right coefficient.  The
-        empty subset gives the juxtaposition term: coefficient product
-        ``m1 m2`` times the merged word ``w1 + w2``, with weight ``c1 c2``.
-        It is symmetric in the two factors, so it cancels exactly from
-        ``ab - ba`` (see :func:`commutator`); the rest comes from
-        :func:`_leibniz_cross`.
+        Each sub-multiset of a left word differentiates the right
+        coefficient.  The empty one gives the juxtaposition term:
+        coefficient product ``m1 m2`` times the joined word ``w1 + w2``,
+        with weight ``c1 c2``.  It is symmetric in the two factors, so it
+        cancels exactly from ``ab - ba`` (see :func:`commutator`); the rest
+        comes from :func:`_leibniz_cross`.
         """
         out = {}
-        right = _by_monomial(o).items()
-        for m1, left_terms in _by_monomial(self).items():
-            for m2, right_terms in right:
-                m = _merged(m1, m2)
-                for w1, c1 in left_terms:
-                    for w2, c2 in right_terms:
-                        key = (m, _joined(w1, w2) if w1 else w2)
-                        out[key] = out.get(key, 0) + c1 * c2
+        right = o.terms.items()
+        for (m1, w1), c1 in self.terms.items():
+            for (m2, w2), c2 in right:
+                key = (m1 + m2, w1 + w2)
+                out[key] = out.get(key, 0) + c1 * c2
         _leibniz_cross(self, o, 1, out)
-        return DiffOperator(out)
+        return DiffOperator._taking(_checked(self, o, out))
 
     def conjugate(self) -> "DiffOperator":
         """Formal quaternionic conjugation: the J substitution on coefficient
         and word alike."""
         out = {}
         for (mono, word), c in self.terms.items():
-            sign, m = _conjugate_monomial(mono)
-            image = []
-            for sym in word:
-                s, sym = _j_image(*sym)
-                sign *= s
-                image.append(sym)
-            out[m, tuple(sorted(image))] = sign * c
+            sign_m, m = _conjugate_key(mono)
+            sign_w, w = _conjugate_key(word)
+            out[m, w] = sign_m * sign_w * c
         return DiffOperator(out)
 
     def _splits(self) -> dict:
-        """This operator as the left factor of a product: for each ``hit``,
-        the (monomial, passed word, coefficient) of its terms, once for
-        each split of the word into ``hit`` and ``passed`` (see
-        :func:`_hit_splits`)."""
+        """This operator as the left factor of a product: for each packed
+        ``hit``, the (index, count) of each symbol it holds and the
+        (monomial, passed word, weighted coefficient) of each term whose
+        word holds ``hit`` as a sub-multiset (see :func:`_sub_multisets`)."""
         try:
             return self._split
         except AttributeError:
             split = {}
             for (m1, w1), c1 in self.terms.items():
-                for hit, passed in _hit_splits(w1):
-                    split.setdefault(hit, []).append((m1, passed, c1))
+                for hit, taken, weight in _sub_multisets(w1):
+                    split.setdefault(hit, (taken, []))[1].append(
+                        (m1, w1 - hit, c1 * weight))
             self._split = split
             return split
 
+    def _top(self) -> int:
+        """The largest degree of a monomial or a word of this operator."""
+        try:
+            return self._bound
+        except AttributeError:
+            self._bound = max(map(key_degree,
+                                  itertools.chain.from_iterable(self.terms)),
+                              default=0)
+            return self._bound
+
     def _held_symbols(self) -> set:
-        """The symbols that the coefficient monomials hold."""
+        """The indices of the symbols that the coefficient monomials
+        hold."""
         try:
             return self._held
         except AttributeError:
-            self._held = {var for m2, _ in self.terms for var, _ in m2}
+            held = functools.reduce(operator.or_, (m for m, _ in self.terms), 0)
+            self._held = {index for index, _ in fields(held)}
             return self._held
 
-    def _lowered_by(self, hit: tuple) -> list:
+    def _lowered_by(self, hit: int, taken: tuple) -> list:
         """This operator as the right factor of a product whose left word
-        hits ``hit``, a tuple whose first symbol :meth:`_held_symbols`
-        holds: the (monomial, word, coefficient) of each term whose
-        monomial holds every symbol of ``hit``, with those powers taken
-        down into the coefficient."""
+        hits ``hit``, whose symbols have the (index, count) pairs ``taken``:
+        the (monomial, word, coefficient) of each term whose monomial holds
+        ``hit``, with those powers taken down into the coefficient (a
+        falling factorial per symbol)."""
         try:
             return self._lowered[hit]
         except AttributeError:
@@ -213,84 +298,72 @@ class DiffOperator(SparseSum):
             pass
         out = []
         for (m2, w2), c2 in self.terms.items():
-            powers = dict(m2)
-            factor = 1
-            for sym in hit:
-                p = powers.get(sym, 0)
-                if not p:
+            factor = c2
+            for index, count in taken:
+                p = power(m2, index)
+                if p < count:
                     break
-                factor *= p
-                if p == 1:
-                    del powers[sym]
-                else:
-                    powers[sym] = p - 1
+                factor *= math.perm(p, count)
             else:
-                # m2 is sorted, and removing or lowering a power keeps it so
-                out.append((tuple(powers.items()), w2, c2 * factor))
+                out.append((m2 - hit, w2, factor))
         self._lowered[hit] = out
         return out
 
-    @staticmethod
-    def _texts(key) -> tuple:
-        mono, word = key
-        return PolyFunction._texts(mono) + (
-            "".join(f"d[{r},{s}]" for r, s in word),)
+    @classmethod
+    def _texts(cls, key) -> tuple:
+        powers, word = cls.parts(key)
+        return _monomial_text(powers), "".join(f"d[{r},{s}]" for r, s in word)
 
 
-def _by_monomial(op: DiffOperator) -> dict:
-    """The (word, coefficient) pairs of ``op``, grouped by coefficient
-    monomial, so that a product merges each pair of monomials once."""
-    out = {}
-    for (m, w), c in op.terms.items():
-        out.setdefault(m, []).append((w, c))
-    return out
-
-
-@functools.lru_cache(maxsize=1024)
-def _joined(w1: tuple, w2: tuple) -> tuple:
-    """The sorted word ``w1 + w2`` for a non-empty ``w1`` (callers pass an
-    empty left word through without the call); few pairs of words recur
-    across products."""
-    return tuple(sorted(w1 + w2))
-
-
-@functools.lru_cache(maxsize=4096)
-def _hit_splits(word: tuple) -> tuple:
-    """(hit, passed) for each non-empty subset of ``word`` by position."""
-    return tuple((tuple(s for s, h in zip(word, mask) if h),
-                  tuple(s for s, h in zip(word, mask) if not h))
-                 for mask in itertools.product((False, True), repeat=len(word))
-                 if any(mask))
+def _sub_multisets(word: int) -> list:
+    """(hit, taken, weight) for each non-empty sub-multiset ``hit`` of a
+    packed word: ``taken`` holds the (index, count) of each of its symbols,
+    and ``weight`` is the number of ways to pick it from the word by
+    position, the product over symbols of C(count in word, count in hit)."""
+    subs = [(0, (), 1)]
+    for index, count in fields(word):
+        step = unit(index)
+        subs = [(hit + h * step, taken + ((index, h),) if h else taken,
+                 weight * math.comb(count, h))
+                for hit, taken, weight in subs for h in range(count + 1)]
+    return subs[1:]
 
 
 def _leibniz_cross(left: DiffOperator, right: DiffOperator, sign: int,
                    out: dict) -> None:
     """Add ``sign`` times the cross terms of ``left o right`` into ``out``.
 
-    A cross term is one in which a non-empty subset of a left word (by
-    position, so a repeated symbol is hit once per copy) differentiates the
-    right coefficient monomial on its exponents; the factor is the product
-    of the powers taken down, and the rest of the left word passes through.
+    A cross term is one in which a non-empty sub-multiset of a left word
+    differentiates the right coefficient monomial on its exponents; the
+    factor is the number of ways to pick the sub-multiset from the word by
+    position times the falling factorials of the powers taken down, and
+    the rest of the left word passes through.  This equals the expansion
+    over subsets by position, in which a repeated symbol is hit once per
+    copy.
 
     Both halves are cached on their operators, which never change in
-    place: the left terms grouped by the subset they hit
+    place: the left terms grouped by the sub-multiset they hit
     (:meth:`DiffOperator._splits`), and the right terms differentiated by
-    each such subset (:meth:`DiffOperator._lowered_by`), so a generator
-    that is the right factor of many products differentiates its terms
-    once per subset.  A subset whose first symbol no right monomial holds
-    is skipped before anything is built.
+    each such sub-multiset (:meth:`DiffOperator._lowered_by`), so a
+    generator that is the right factor of many products differentiates its
+    terms once per sub-multiset.  A sub-multiset whose first symbol no
+    right monomial holds is skipped before anything is built, and so is
+    every left term when the right coefficients are all constant.
     """
     held = right._held_symbols()
-    for hit, left_terms in left._splits().items():
-        if hit[0] not in held:
+    if not held:
+        return
+    get = out.get
+    for hit, (taken, left_terms) in left._splits().items():
+        if taken[0][0] not in held:
             continue
-        lowered = right._lowered_by(hit)
+        lowered = right._lowered_by(hit, taken)
         for m1, passed, c1 in left_terms:
             if sign < 0:
                 c1 = -c1
             for m2, w2, c2 in lowered:
-                key = (_merged(m1, m2), _joined(passed, w2) if passed else w2)
-                out[key] = out.get(key, 0) + c1 * c2
+                key = (m1 + m2, passed + w2)
+                out[key] = get(key, 0) + c1 * c2
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
@@ -305,7 +378,7 @@ def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     terms = {}
     _leibniz_cross(a, b, 1, terms)
     _leibniz_cross(b, a, -1, terms)
-    out = DiffOperator(terms)
+    out = DiffOperator._taking(_checked(a, b, terms))
     if out.order() > 1 and a.order() <= 1 and b.order() <= 1:
         raise SecondOrderResidue(
             "second-order terms failed to cancel in a first-order commutator")
@@ -335,9 +408,9 @@ def _rotation(pairs) -> DiffOperator:
     for s, t in pairs:
         sign_t, t_image = _j_image(*t)
         sign_s, s_image = _j_image(*s)
-        z_d = (((s, 1),), (t,))
+        z_d = (_unit(s), _unit(t))
         # zbar_t dbar_s = sign_t sign_s z_{t'} d_{s'}, primes the J images
-        zbar_dbar = (((t_image, 1),), (s_image,))
+        zbar_dbar = (_unit(t_image), _unit(s_image))
         out[z_d] = out.get(z_d, 0) + 1
         out[zbar_dbar] = out.get(zbar_dbar, 0) - sign_t * sign_s
     return DiffOperator(out)
@@ -362,11 +435,10 @@ def gen_p(alpha: int, a: int, k: int, n: int) -> DiffOperator:
     """
     _check_indices(k, n, rows=(alpha,), cols=(a,))
     sign, sym = _j_image(alpha, a)
-    out = {((), (sym,)): sign}
+    out = {(0, _unit(sym)): sign}
     for b in range(2 * (n - k)):
         for mu in range(2 * k):
-            mono = _merged((((alpha, b), 1),), (((mu, a), 1),))
-            out[mono, ((mu, b),)] = 1
+            out[_unit((alpha, b)) + _unit((mu, a)), _unit((mu, b))] = 1
     return DiffOperator(out)
 
 

@@ -1,8 +1,32 @@
 """Sparse exact sums: the additive arithmetic that the polynomial and
-operator classes share, and the one ring of exact polynomials."""
+operator classes share, and the one ring of exact polynomials.
 
-import functools
+A monomial is one int of ``FIELD_BITS``-bit fields.  The symbol with index
+i owns field i + 1, which holds its power; field 0 holds the total degree,
+the sum of the others.  Every field's top bit is a guard that every stored
+key leaves clear, so a field holds at most ``MAX_POWER``.  A monomial
+product is then one integer add, and a derivative a field test and a
+subtraction; the degree is the low field.  No symbol's power exceeds the
+degree, so an add that takes any power past ``MAX_POWER`` sets the guard
+bit of the degree field, without carrying into the next field.  A product
+that could build such a key checks that bit on each key before it stores
+them (:func:`check_guard`), and a polynomial product, whose degree is the
+sum of its factors' degrees, checks those before it multiplies; either
+raises :class:`ExponentOverflow`.  Keys are decoded only where text is
+printed, and for the order in which terms print.
+"""
+
+import operator
 from fractions import Fraction
+
+from .errors import ExponentOverflow, IndexOutOfRange
+
+FIELD_BITS = 16
+MAX_POWER = (1 << FIELD_BITS - 1) - 1
+# the number of symbol indices a key may use, which bounds a key's size: a
+# symbol at index i makes every key that holds it 16 (i + 2) bits long
+MAX_SYMBOLS = 4095
+_DEGREE_GUARD = MAX_POWER + 1
 
 
 def exact(value):
@@ -15,6 +39,45 @@ def exact(value):
         return value
     value = Fraction(value)
     return int(value) if value.denominator == 1 else value
+
+
+def unit(index: int) -> int:
+    """The key of the symbol with index ``index`` to the first power; an
+    index outside 0..MAX_SYMBOLS-1 raises IndexOutOfRange."""
+    index = operator.index(index)
+    if not 0 <= index < MAX_SYMBOLS:
+        raise IndexOutOfRange(f"symbol index {index} outside 0..{MAX_SYMBOLS - 1}")
+    return (1 << FIELD_BITS * (index + 1)) + 1
+
+
+def check_guard(keys) -> None:
+    """Raise ExponentOverflow if the degree field of any of ``keys`` has its
+    guard bit set: an add took a power past MAX_POWER."""
+    if any(map(_DEGREE_GUARD.__and__, keys)):
+        raise ExponentOverflow(f"a power or derivative count passed {MAX_POWER}, "
+                               f"the largest a monomial field holds")
+
+
+# the total degree of a key, its low field
+key_degree = MAX_POWER.__and__
+
+
+def power(key: int, index: int) -> int:
+    """The power of the symbol with index ``index`` in ``key``."""
+    return key >> FIELD_BITS * (index + 1) & MAX_POWER
+
+
+def fields(key: int) -> list:
+    """The (symbol index, power) pairs of the symbols that ``key`` holds, by
+    index."""
+    out = []
+    key >>= FIELD_BITS
+    while key:
+        index = ((key & -key).bit_length() - 1) // FIELD_BITS
+        p = key >> FIELD_BITS * index & MAX_POWER
+        out.append((index, p))
+        key -= p << FIELD_BITS * index
+    return out
 
 
 class SparseSum:
@@ -32,6 +95,16 @@ class SparseSum:
     def __init__(self, terms=None):
         self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
+    @classmethod
+    def _taking(cls, terms: dict):
+        """The sum of ``terms``, a dict that nothing else holds, kept as it
+        is unless it holds a zero coefficient."""
+        if not all(terms.values()):
+            return cls(terms)
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -48,7 +121,7 @@ class SparseSum:
             if c0:
                 for k, c in s.terms.items():
                     out[k] = out.get(k, 0) + c * c0
-        return cls(out)
+        return cls._taking(out)
 
     def __add__(self, o):
         if type(o) is not type(self):
@@ -81,66 +154,72 @@ class SparseSum:
             for k in sorted(self.terms, key=self._order)) or "0"
 
 
-@functools.lru_cache(maxsize=2048)
-def _merged(m1: tuple, m2: tuple) -> tuple:
-    """The monomial product ``m1 m2``; few pairs of monomials recur across
-    the generator calculus's products, as the generators share their
-    coefficients."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    # a symbol is held at most once per factor, so equal symbols sort into
-    # adjacent pairs; the rest keep their (symbol, power) tuples
-    out = []
-    for item in sorted(m1 + m2):
-        if out and out[-1][0] == item[0]:
-            out[-1] = (item[0], out[-1][1] + item[1])
-        else:
-            out.append(item)
-    return tuple(out)
-
-
 class Polynomial(SparseSum):
     """Exact polynomial: {monomial: coefficient}.
 
-    A monomial is a tuple of (symbol, power) pairs sorted by symbol, each
-    symbol held once with a positive power; the empty tuple is the
-    constant monomial.  Subclasses choose the symbols.  A number multiplies
-    as a constant, and a product with a polynomial of another class raises
-    TypeError.
+    A monomial is packed as the module docstring says; 0 is the constant
+    monomial.  Subclasses choose the symbols: ``_index(symbol)`` gives a
+    symbol's index and ``_symbol(index)`` takes it back.  A number
+    multiplies as a constant, and a product with a polynomial of another
+    class raises TypeError.
     """
 
     __slots__ = ()
 
     @classmethod
+    def monomial(cls, powers) -> int:
+        """The packed monomial of the (symbol, power) pairs ``powers``; the
+        powers of a repeated symbol add.  A power outside 0..MAX_POWER, or a
+        sum of them past it, raises ExponentOverflow."""
+        key = 0
+        for sym, p in powers:
+            if not 0 <= p <= MAX_POWER:
+                raise ExponentOverflow(f"power {p} outside 0..{MAX_POWER}")
+            key += p * unit(cls._index(sym))
+            check_guard((key,))
+        return key
+
+    @classmethod
+    def powers(cls, mono: int) -> tuple:
+        """The (symbol, power) pairs of a packed monomial, sorted by symbol,
+        the inverse of :meth:`monomial`; also the order in which terms
+        print."""
+        return tuple(sorted((cls._symbol(i), p) for i, p in fields(mono)))
+
+    _order = powers
+
+    @classmethod
     def constant(cls, value):
-        return cls({(): exact(value)})
+        return cls({0: exact(value)})
 
     def __mul__(self, o):
         if type(o) is not type(self):
             o = self.constant(o)
+        # a product's degree is the sum of its factors' degrees
+        if self.degree() + o.degree() > MAX_POWER:
+            raise ExponentOverflow(f"a product of degree above {MAX_POWER}, "
+                                   f"the largest a monomial field holds")
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                m = _merged(m1, m2)
+                m = m1 + m2
                 out[m] = out.get(m, 0) + c1 * c2
-        return type(self)(out)
+        return self._taking(out)
 
     __rmul__ = __mul__
 
     def diff(self, sym):
         """Partial derivative with respect to ``sym``."""
+        index = self._index(sym)
+        step = unit(index)
         out = {}
         for mono, c in self.terms.items():
-            for idx, (var, power) in enumerate(mono):
-                if var == sym:
-                    rest = ((var, power - 1),) if power > 1 else ()
-                    # lowering one symbol maps distinct monomials to
-                    # distinct ones, so the derivative needs no accumulation
-                    out[mono[:idx] + rest + mono[idx + 1:]] = c * power
-                    break
-        return type(self)(out)
+            p = power(mono, index)
+            if p:
+                # lowering one field maps distinct monomials to distinct
+                # ones, so the derivative needs no accumulation
+                out[mono - step] = c * p
+        return self._taking(out)
 
     def degree(self) -> int:
-        return max((sum(p for _, p in m) for m in self.terms), default=0)
+        return max(map(key_degree, self.terms), default=0)

@@ -35,7 +35,16 @@ def real_matrix(m) -> QuatMatrix:
 def derivative(row: int, col: int) -> DiffOperator:
     """The derivative d_{row col}: one single-symbol word with constant
     coefficient 1."""
-    return DiffOperator({((), ((row, col),)): 1})
+    return DiffOperator({DiffOperator.key(word=((row, col),)): 1})
+
+
+def from_tuples(cls, terms: dict):
+    """A value of ``cls`` from {key: coefficient} with each key in tuple
+    form, packed through the class's codec: (symbol, power) pairs for a
+    polynomial, and a pair (such pairs, word of symbols) for an operator."""
+    if cls is DiffOperator:
+        return cls({cls.key(*key): c for key, c in terms.items()})
+    return cls({cls.monomial(key): c for key, c in terms.items()})
 
 
 def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import derivative
+from conftest import derivative, from_tuples
 from qflag import liealg
 from qflag.errors import IndexOutOfRange, NotEigenvector, SecondOrderResidue
 from qflag.liealg import (DiffOperator, PolyFunction, cartan_H,
@@ -29,7 +29,7 @@ def monomials_up_to_degree(k: int, n: int, max_degree: int):
             powers = {}
             for var in combo:
                 powers[var] = powers.get(var, 0) + 1
-            out.append(PolyFunction({tuple(sorted(powers.items())): 1}))
+            out.append(PolyFunction({PolyFunction.monomial(powers.items()): 1}))
     return out
 
 
@@ -49,7 +49,7 @@ def test_polynomial_ring():
     assert hash(two) == hash(PolyFunction.constant(Fraction(2)))
     assert {two: "two"}[PolyFunction.constant(Fraction(4, 2))] == "two"
     assert repr(two) == repr(PolyFunction.constant(Fraction(2))) == "2"
-    assert PolyFunction({(): Fraction(0)}).is_zero()
+    assert PolyFunction({PolyFunction.monomial(()): Fraction(0)}).is_zero()
 
 
 def test_zbar_canonicalisation():
@@ -134,19 +134,19 @@ def _random_operator(rng, variables, integer):
             c = rng.randint(-3, 3)
         else:
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        terms[(tuple(sorted(mono.items())), word)] = c
-    return DiffOperator(terms)
+        terms[tuple(sorted(mono.items())), word] = c
+    return from_tuples(DiffOperator, terms)
 
 
 def _shared_operator():
     """Powers 0 to 3, repeated symbols in monomial and word, and Fraction
     coefficients, at (k, n) = (1, 2)."""
     s, t = (0, 0), (1, 1)
-    return DiffOperator({((), (s,)): Fraction(1, 3),
-                         (((s, 1),), (s, s)): -2,
-                         (((s, 2), (t, 1)), (t,)): Fraction(-5, 2),
-                         (((s, 3),), (s, t)): 4,
-                         ((((0, 1), 1), (t, 3)), ()): Fraction(7, 4)})
+    return from_tuples(DiffOperator, {((), (s,)): Fraction(1, 3),
+                                      (((s, 1),), (s, s)): -2,
+                                      (((s, 2), (t, 1)), (t,)): Fraction(-5, 2),
+                                      (((s, 3),), (s, t)): 4,
+                                      ((((0, 1), 1), (t, 3)), ()): Fraction(7, 4)})
 
 
 def test_compose_agrees_with_successive_application():
@@ -221,27 +221,69 @@ def test_commutator_refuses_second_order_residue(monkeypatch):
     def leaky(left, right, sign, out):
         real(left, right, sign, out)
         if sign > 0:
-            out[((), ((0, 0), (1, 1)))] = 1
+            out[DiffOperator.key(word=((0, 0), (1, 1)))] = 1
 
     monkeypatch.setattr(liealg, "_leibniz_cross", leaky)
     with pytest.raises(SecondOrderResidue):
         commutator(gen_h(0, 1, 1, 2), gen_H(1, 0, 1, 2))
-    dd = DiffOperator({((), ((0, 0), (0, 1))): 1})
+    dd = from_tuples(DiffOperator, {((), ((0, 0), (0, 1))): 1})
     assert commutator(dd, gen_h(0, 0, 1, 2)).order() == 2
+
+
+def _compose_by_position(left: dict, right: dict) -> dict:
+    """left o right on tuple-form terms {(powers, word): c}, expanded over
+    the subsets of each left word by position, so that a repeated symbol is
+    hit once per copy: the expansion the sub-multiset enumeration replaces."""
+    out = {}
+    for (m1, w1), c1 in left.items():
+        for (m2, w2), c2 in right.items():
+            for mask in itertools.product((False, True), repeat=len(w1)):
+                powers, factor = dict(m2), c1 * c2
+                for sym, hit in zip(w1, mask):
+                    if hit:
+                        factor *= powers.get(sym, 0)
+                        powers[sym] = powers.get(sym, 0) - 1
+                if not factor:
+                    continue
+                for sym, p in m1:
+                    powers[sym] = powers.get(sym, 0) + p
+                mono = tuple(sorted((sym, p) for sym, p in powers.items() if p))
+                word = tuple(sorted([sym for sym, hit in zip(w1, mask)
+                                     if not hit] + list(w2)))
+                out[mono, word] = out.get((mono, word), 0) + factor
+    return out
 
 
 def test_compose_repeated_symbol_in_both_words():
     # z^2 d d composed with z^3 d: the Leibniz expansion hits z^3 twice,
     # d d (z^3 d) = z^3 d^3 + 6 z^2 d^2 + 6 z d, weighted by -3 * 1/2
-    s = (0, 0)
-    a = DiffOperator({(((s, 2),), (s, s)): -3})
-    b = DiffOperator({(((s, 3),), (s,)): Fraction(1, 2)})
-    want = DiffOperator({(((s, 5),), (s, s, s)): Fraction(-3, 2),
-                         (((s, 4),), (s, s)): -9,
-                         (((s, 3),), (s,)): -9})
+    s, t = (0, 0), (1, 1)
+    a = from_tuples(DiffOperator, {(((s, 2),), (s, s)): -3})
+    b = from_tuples(DiffOperator, {(((s, 3),), (s,)): Fraction(1, 2)})
+    want = from_tuples(DiffOperator, {(((s, 5),), (s, s, s)): Fraction(-3, 2),
+                                      (((s, 4),), (s, s)): -9,
+                                      (((s, 3),), (s,)): -9})
     assert a.compose(b) == want
     for f in monomials_up_to_degree(1, 2, 3):
         assert want.apply(f) == a.apply(b.apply(f))
+    # the sub-multiset enumeration, with binomial weights, equals the
+    # expansion over subsets by position, for first- and second-order
+    # operands whose words and monomials repeat symbols
+    operands = [
+        {((), (s,)): 2, (((s, 1), (t, 2)), (t,)): Fraction(-1, 3)},
+        {(((s, 2),), (s, s)): -3, (((t, 1),), (s, t)): 5, ((), ()): 7},
+        {(((s, 3), (t, 1)), (s, t)): Fraction(1, 2), (((t, 2),), (t, t)): 1},
+        {(((s, 1), (t, 1)), (s, s)): 4, (((s, 2), (t, 3)), (s, t)): -1,
+         (((s, 3),), (s,)): Fraction(2, 5)},
+    ]
+    for left, right in itertools.product(operands, repeat=2):
+        want = from_tuples(DiffOperator, _compose_by_position(left, right))
+        a, b = from_tuples(DiffOperator, left), from_tuples(DiffOperator, right)
+        assert a.compose(b) == want, (left, right)
+        assert commutator(a, b) == want - from_tuples(
+            DiffOperator, _compose_by_position(right, left)), (left, right)
+    assert {DiffOperator.order(from_tuples(DiffOperator, o))
+            for o in operands} == {1, 2}
 
 
 @pytest.mark.parametrize("word", [((0, 0),), ((0, 0), (0, 0)),
@@ -252,8 +294,8 @@ def test_compose_hit_symbol_absent_once_or_squared(word, power):
     # times; compose must match B then A through apply
     s, t = (0, 0), (1, 1)
     mono = (((s, power),) if power else ()) + ((t, 1),)
-    a = DiffOperator({((((1, 0), 1),), word): -2})
-    b = DiffOperator({(mono, ((0, 1),)): Fraction(1, 3)})
+    a = from_tuples(DiffOperator, {((((1, 0), 1),), word): -2})
+    b = from_tuples(DiffOperator, {(mono, ((0, 1),)): Fraction(1, 3)})
     ab = a.compose(b)
     for f in monomials_up_to_degree(1, 2, 3):
         assert ab.apply(f) == a.apply(b.apply(f)), f
