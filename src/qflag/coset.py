@@ -22,8 +22,8 @@ Gram factors of the most recent point: (1+XX*)^{-1} and (1+X*X)^{-1} from
 :func:`func_hermitian`.  A factor is computed again only when the point's
 content changes, so successive calls at one point return the bits that
 fresh calls would.  Each route factors both sides together, into one slot
-per route, with one call per size: at a square point one ``solve`` for
-both inverses and one ``eigh`` for both inverse square roots.
+per route, with one call per size: at a square point one ``np.linalg.inv``
+for both inverses and one ``eigh`` for both inverse square roots.
 """
 
 from __future__ import annotations
@@ -125,13 +125,19 @@ def lft_apply(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
 
 
 def lft_apply_second_form(g: GroupElement, point: GrassmannPoint) -> GrassmannPoint:
-    """Equivalent left-quotient form Y = (-X B* + A*)^{-1}(X D* - C*)."""
-    x = point.x
-    a, b, c, d = g.m.blocks(point.j, point.k)
-    den = -(x @ b.adjoint()) + a.adjoint()
+    """Equivalent left-quotient form Y = (-X B* + A*)^{-1}(X D* - C*).
+
+    g* is [[A*, C*], [B*, D*]], so X B* and X D* come from one product of X
+    with its rows [B*, D*]."""
+    x, j = point.x, point.j
+    _check_partition(g.m, j, point.k)
+    adj = g.m.adjoint().a
+    xbd = (x @ _wrap(adj[..., j:, :, :])).a               # [X B*, X D*]
+    den = -_wrap(xbd[..., :j, :]) + _wrap(adj[..., :j, :j, :])
     den_inv = den.inv(SingularDenominator(
         "A* - X B* is singular; the point is mapped to infinity"))
-    return GrassmannPoint(den_inv @ (x @ d.adjoint() - c.adjoint()))
+    return GrassmannPoint(
+        den_inv @ (_wrap(xbd[..., j:, :]) - _wrap(adj[..., :j, j:, :])))
 
 
 def transport_identities(g: GroupElement, pa: GrassmannPoint,
@@ -175,12 +181,9 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
     rhs = la_star @ (eye_k + xa.adjoint() @ xb) @ rb
     res["one_plus_ystar_y"] = _max_abs_each(lhs - rhs)
 
-    diff = ya - yb
-    rhs = la @ (xa - xb) @ rb
-    res["difference_a"] = _max_abs_each(diff - rhs)
-
-    rhs = lb @ (xa - xb) @ ra
-    res["difference_b"] = _max_abs_each(diff - rhs)
+    # both differences from one chain: la (Xa - Xb) rb and lb (Xa - Xb) ra
+    rhs = _stack([la, lb]) @ (xa - xb) @ _stack([rb, ra])
+    res["difference_a"], res["difference_b"] = _max_abs_each(ya - yb - rhs)
     return res
 
 
@@ -273,8 +276,9 @@ def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix):
     x = point.x
     _check_tangents(x, dx)
     left = _gram_factors(x, "inv")[0]
-    term1 = left @ dx @ dx.adjoint()
-    term2 = left @ dx @ x.adjoint() @ left @ x @ dx.adjoint()
+    left_dx, dx_adj = left @ dx, dx.adjoint()
+    term1 = left_dx @ dx_adj
+    term2 = left_dx @ x.adjoint() @ left @ x @ dx_adj
     return _scalar_trace(term1 - term2)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .coset import _check_tangents, _gram_factors
 from .errors import DimensionMismatch
 from .quaternion import MUL_TABLE, require_quaternions
-from .quatmat import _CONJ, QuatMatrix, block_matrix, expm
+from .quatmat import _CONJ, QuatMatrix, _stack, _wrap, block_matrix, expm
 
 
 def wedge(a, b) -> np.ndarray:
@@ -127,18 +127,30 @@ def curvature_blocks(point, du: QuatMatrix, dv: QuatMatrix) -> dict:
     """
     y = point.x
     _check_tangents(y, du, dv)
+    # each pair of products that differ only by swapping du and dv is one
+    # product of the stacked pair [u, v] with [v, u] or its adjoint
+    d = _stack([du, dv], y.batch)
+    d_adj = d.adjoint()
     astar, dmat = _gram_factors(y, "invsqrt")
-    w_u = astar @ du @ dmat
-    w_v = astar @ dv @ dmat
-    omega11 = w_u @ w_v.adjoint() - w_v @ w_u.adjoint()
-    omega22 = w_u.adjoint() @ w_v - w_v.adjoint() @ w_u
+    w = astar @ d @ dmat                                # [w_u, w_v]
+    w_adj = w.adjoint()
+    omega11 = _difference(w @ _swapped(w_adj))
+    omega22 = _difference(w_adj @ _swapped(w))
 
     s1_inv, s2_inv = _gram_factors(y, "inv")
-    r11 = (du @ s2_inv @ dv.adjoint() @ s1_inv
-           - dv @ s2_inv @ du.adjoint() @ s1_inv).trace()
-    r22 = (du.adjoint() @ s1_inv @ dv @ s2_inv
-           - dv.adjoint() @ s1_inv @ du @ s2_inv).trace()
+    r11 = _difference(d @ s2_inv @ _swapped(d_adj) @ s1_inv).trace()
+    r22 = _difference(d_adj @ s1_inv @ _swapped(d) @ s2_inv).trace()
     return {"omega11": omega11, "omega22": omega22, "r11": r11, "r22": r22}
+
+
+def _swapped(pair: QuatMatrix) -> QuatMatrix:
+    """A stacked pair [u, v] as [v, u]."""
+    return _wrap(pair.a[::-1])
+
+
+def _difference(pair: QuatMatrix) -> QuatMatrix:
+    """u - v for a stacked pair [u, v]."""
+    return _wrap(pair.a[0] - pair.a[1])
 
 
 def maurer_cartan_residual(a: QuatMatrix, b: QuatMatrix, s: float,

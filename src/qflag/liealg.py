@@ -248,21 +248,33 @@ class DiffOperator(SparseSum):
             out[m, w] = sign_m * sign_w * c
         return DiffOperator(out)
 
-    def _splits(self) -> dict:
-        """This operator as the left factor of a product: for each packed
-        ``hit``, the (index, count) of each symbol it holds and the
-        (monomial, passed word, weighted coefficient) of each term whose
-        word holds ``hit`` as a sub-multiset (see :func:`_sub_multisets`)."""
+    def _splits(self, cap: int) -> dict:
+        """This operator as the left factor of a product whose right
+        coefficient monomials have degree at most ``cap``: for each packed
+        ``hit`` of degree at most ``cap``, the (index, count) of each symbol
+        it holds and the (monomial, passed word, weighted coefficient) of
+        each term whose word holds ``hit`` as a sub-multiset (see
+        :func:`_sub_multisets`).  A hit of higher degree differentiates
+        every right monomial to zero.  The splits are kept per ``cap``; no
+        word has a sub-multiset of degree above the order, so every ``cap``
+        above it shares the split at the order."""
         try:
-            return self._split
+            return self._split[cap]
         except AttributeError:
+            self._split = {}
+        except KeyError:
+            pass
+        order = self.order()
+        if cap > order:
+            split = self._splits(order)
+        else:
             split = {}
             for (m1, w1), c1 in self.terms.items():
-                for hit, taken, weight in _sub_multisets(w1):
+                for hit, taken, weight in _sub_multisets(w1, cap):
                     split.setdefault(hit, (taken, []))[1].append(
                         (m1, w1 - hit, c1 * weight))
-            self._split = split
-            return split
+        self._split[cap] = split
+        return split
 
     def _top(self) -> int:
         """The largest degree of a monomial or a word of this operator."""
@@ -274,14 +286,16 @@ class DiffOperator(SparseSum):
                               default=0)
             return self._bound
 
-    def _held_symbols(self) -> set:
-        """The indices of the symbols that the coefficient monomials
-        hold."""
+    def _held_symbols(self) -> tuple:
+        """The indices of the symbols that the coefficient monomials hold,
+        and the largest degree of a coefficient monomial."""
         try:
             return self._held
         except AttributeError:
-            held = functools.reduce(operator.or_, (m for m, _ in self.terms), 0)
-            self._held = {index for index, _ in fields(held)}
+            monomials = [m for m, _ in self.terms]
+            held = functools.reduce(operator.or_, monomials, 0)
+            self._held = ({index for index, _ in fields(held)},
+                          max(map(key_degree, monomials), default=0))
             return self._held
 
     def _lowered_by(self, hit: int, taken: tuple) -> list:
@@ -315,17 +329,20 @@ class DiffOperator(SparseSum):
         return _monomial_text(powers), "".join(f"d[{r},{s}]" for r, s in word)
 
 
-def _sub_multisets(word: int) -> list:
+def _sub_multisets(word: int, cap: int) -> list:
     """(hit, taken, weight) for each non-empty sub-multiset ``hit`` of a
-    packed word: ``taken`` holds the (index, count) of each of its symbols,
-    and ``weight`` is the number of ways to pick it from the word by
-    position, the product over symbols of C(count in word, count in hit)."""
+    packed word whose degree is at most ``cap``: ``taken`` holds the
+    (index, count) of each of its symbols, and ``weight`` is the number of
+    ways to pick it from the word by position, the product over symbols of
+    C(count in word, count in hit).  Only those are built, so a word
+    d^c with c far above ``cap`` costs ``cap + 1`` binomials, not c + 1."""
     subs = [(0, (), 1)]
     for index, count in fields(word):
         step = unit(index)
         subs = [(hit + h * step, taken + ((index, h),) if h else taken,
                  weight * math.comb(count, h))
-                for hit, taken, weight in subs for h in range(count + 1)]
+                for hit, taken, weight in subs
+                for h in range(min(count, cap - key_degree(hit)) + 1)]
     return subs[1:]
 
 
@@ -346,15 +363,16 @@ def _leibniz_cross(left: DiffOperator, right: DiffOperator, sign: int,
     (:meth:`DiffOperator._splits`), and the right terms differentiated by
     each such sub-multiset (:meth:`DiffOperator._lowered_by`), so a
     generator that is the right factor of many products differentiates its
-    terms once per sub-multiset.  A sub-multiset whose first symbol no
-    right monomial holds is skipped before anything is built, and so is
-    every left term when the right coefficients are all constant.
+    terms once per sub-multiset.  A sub-multiset of higher degree than
+    every right monomial is never built; one whose first symbol no right
+    monomial holds is skipped before anything is built, and so is every
+    left term when the right coefficients are all constant.
     """
-    held = right._held_symbols()
+    held, degree = right._held_symbols()
     if not held:
         return
     get = out.get
-    for hit, (taken, left_terms) in left._splits().items():
+    for hit, (taken, left_terms) in left._splits(degree).items():
         if taken[0][0] not in held:
             continue
         lowered = right._lowered_by(hit, taken)

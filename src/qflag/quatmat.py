@@ -28,11 +28,12 @@ residuals against the quaternionic structure, and refuses a block whose
 residuals are too large.  ``inv`` and ``func_hermitian`` read their complex
 results back through it, so every readback is checked.
 
-:meth:`QuatMatrix.inv` is the one inverse: it solves the embedding E against
-the identity, projects back, and raises (by default :class:`SingularMatrix`)
-unless ``||E||_1 ||E^-1||_1 <= config.COND_LIMIT`` and the solution passes
-the structure check, a test that also refuses an exactly singular matrix and
-any NaN entry.
+:meth:`QuatMatrix.inv` is the one inverse: it inverts the embedding E with
+one ``np.linalg.inv`` call (LAPACK ``gesv`` against an identity that numpy
+builds itself), projects back, and raises (by default
+:class:`SingularMatrix`) unless ``||E||_1 ||E^-1||_1 <= config.COND_LIMIT``
+and the inverse passes the structure check, a test that also refuses an
+exactly singular matrix and any NaN entry.
 
 Every check keeps its meaning per matrix of a batch: tolerances are relative
 to each matrix's own scale, and a batch raises the error that a loop over
@@ -237,15 +238,16 @@ class QuatMatrix:
         return _wrap(np.ascontiguousarray(out[..., :4]))
 
     def inv(self, err: Exception = None) -> "QuatMatrix":
-        """Inverse via the complex embedding, read back through the checked
-        :meth:`project`; raises ``err`` (default :class:`SingularMatrix`)
-        when any matrix is past the condition ceiling or its solution fails
-        the structure check."""
+        """Inverse via the complex embedding, one ``np.linalg.inv`` call for
+        the whole batch, read back through the checked :meth:`project`;
+        raises ``err`` (default :class:`SingularMatrix`) when any matrix is
+        past the condition ceiling or its inverse fails the structure
+        check."""
         if not self.is_square():
             raise NonSquare("inverse of a non-square matrix")
         emb = self.embed()
         try:
-            sol = np.linalg.solve(emb, np.eye(2 * self.rows, dtype=complex))
+            sol = np.linalg.inv(emb)
             cond = _norm1(emb) * _norm1(sol)
         except np.linalg.LinAlgError:
             cond = np.float64(np.inf)

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -21,14 +22,16 @@ from qflag.coset import (MAX_HAAR_FIBERS, GrassmannPoint, _action,
                          metric_invariance_residual, pushforward_tangent,
                          transport_identities, trivial_action)
 from qflag.errors import (DegenerateQuadruple, DimensionMismatch, NonSquare,
-                          PairingFailure, QflagError, ShapeMismatch,
+                          NotHyperHermitian, PairingFailure, QflagError,
+                          ShapeMismatch,
                           SingularDenominator, SingularMatrix, TooManyFibers)
 from qflag.forms import curvature_blocks
 from qflag.quaternion import (HURWITZ_UNITS, Quaternion, random_quaternion,
                               random_unit_quaternion)
-from qflag.quatmat import (GroupElement, QuatMatrix, block_matrix, expm,
-                           func_hermitian, random_group_element,
-                           random_quatmat, random_skew_adjoint)
+from qflag.quatmat import (GroupElement, QuatMatrix, _inverses, _stack, _wrap,
+                           block_matrix, expm, func_hermitian,
+                           random_group_element, random_quatmat,
+                           random_skew_adjoint)
 from qflag.verify import s3_moments
 
 rng = np.random.default_rng(303)
@@ -235,10 +238,10 @@ def test_transport_identities_error_paths():
 
 
 def test_grouped_calls_solve_and_diagonalise_once_per_group(monkeypatch):
-    # one solve or eigh per size of matrix: transport_identities inverts
+    # one inv or eigh per size of matrix: transport_identities inverts
     # C X + D, then its transport factors; cross_ratio inverts in 1 call;
     # coset_element takes sinc_sqrt and cos_sqrt of xi xi* and xi* xi
-    counts = {"solve": 0, "eigh": 0}
+    counts = {"inv": 0, "eigh": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
             counts[_name] += 1
@@ -257,9 +260,9 @@ def test_grouped_calls_solve_and_diagonalise_once_per_group(monkeypatch):
                  "coset_element": lambda: coset_element(pts[2].x),
                  "geometry": geometry_calls, "geometry again": geometry_calls}
         for name, want in expected.items():
-            counts.update(solve=0, eigh=0)
+            counts.update(inv=0, eigh=0)
             calls[name]()
-            assert counts == dict(zip(("solve", "eigh"), want)), name
+            assert counts == dict(zip(("inv", "eigh"), want)), name
 
     # a square point: both sides of each pair share one call
     g = GroupElement(expm(random_skew_adjoint(rng, 4, 0.7)))
@@ -957,3 +960,176 @@ def test_s3_sampling_mean():
     sigma = 0.5 / math.sqrt(draws)
     assert np.abs(means).max() < 4.0 * sigma
     assert abs(fourth - 0.125) < 4.0 / math.sqrt(640.0 * draws)
+
+
+# -- products that share an operand keep the bits of separate products --------
+# Each rewritten call against its earlier formula, written out here with
+# one product per operand: lft_apply_second_form, the transport
+# differences, metric_form_expanded and curvature_blocks.
+
+def _outcome(call, *args):
+    """``call(*args)`` with every warning an error: its result (a point's
+    matrix for a point), or the class and message of the QflagError it
+    raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(*args)
+        except QflagError as exc:
+            return type(exc), str(exc)
+    return out.x if isinstance(out, GrassmannPoint) else out
+
+
+def _separate_second_form(g, point):
+    x = point.x
+    a, b, c, d = g.m.blocks(point.j, point.k)
+    den = -(x @ b.adjoint()) + a.adjoint()
+    den_inv = den.inv(SingularDenominator(
+        "A* - X B* is singular; the point is mapped to infinity"))
+    return GrassmannPoint(den_inv @ (x @ d.adjoint() - c.adjoint()))
+
+
+def _separate_transport(g, pa, pb):
+    xa, xb = pa.x, pb.x
+    a, b, c, d = g.m.blocks(pa.j, pa.k)
+    both = _stack([xa, xb], g.m.batch)
+    _, _, y, r = _action(g, both)
+    (ya, yb), (ra, rb) = map(_wrap, y.a), map(_wrap, r.a)
+    eye_j, eye_k = QuatMatrix.identity(pa.j), QuatMatrix.identity(pa.k)
+    left = (a.adjoint() - both @ b.adjoint()).a
+    la, lb, rb_star, la_star = _inverses(
+        [_wrap(left[0]), _wrap(left[1]), a - b @ xb.adjoint(),
+         xa.adjoint() @ c.adjoint() + d.adjoint()],
+        SingularDenominator("transport factor is singular"))
+
+    def worst(m):
+        return np.abs(m.a).max(axis=(-3, -2, -1), initial=0.0)
+
+    diff = ya - yb
+    return {"one_plus_y_ystar": worst(eye_j + ya @ yb.adjoint()
+                                      - la @ (eye_j + xa @ xb.adjoint())
+                                      @ rb_star),
+            "one_plus_ystar_y": worst(eye_k + ya.adjoint() @ yb
+                                      - la_star @ (eye_k + xa.adjoint() @ xb)
+                                      @ rb),
+            "difference_a": worst(diff - la @ (xa - xb) @ rb),
+            "difference_b": worst(diff - lb @ (xa - xb) @ ra)}
+
+
+def _scalar_trace(m):
+    return m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1)
+
+
+def _separate_expanded(point, dx):
+    x = point.x
+    left = _gram_factors(x, "inv")[0]
+    term1 = left @ dx @ dx.adjoint()
+    term2 = left @ dx @ x.adjoint() @ left @ x @ dx.adjoint()
+    return _scalar_trace(term1 - term2)
+
+
+def _separate_curvature(point, du, dv):
+    y = point.x
+    astar, dmat = _gram_factors(y, "invsqrt")
+    w_u = astar @ du @ dmat
+    w_v = astar @ dv @ dmat
+    s1_inv, s2_inv = _gram_factors(y, "inv")
+    return {"omega11": w_u @ w_v.adjoint() - w_v @ w_u.adjoint(),
+            "omega22": w_u.adjoint() @ w_v - w_v.adjoint() @ w_u,
+            "r11": (du @ s2_inv @ dv.adjoint() @ s1_inv
+                    - dv @ s2_inv @ du.adjoint() @ s1_inv).trace(),
+            "r22": (du.adjoint() @ s1_inv @ dv @ s2_inv
+                    - dv.adjoint() @ s1_inv @ du @ s2_inv).trace()}
+
+
+def _pinned_calls(g, pa, pb, du, dv):
+    """(rewritten call, its separate-product formula, arguments)."""
+    return [(lft_apply_second_form, _separate_second_form, (g, pa)),
+            (transport_identities, _separate_transport, (g, pa, pb)),
+            (metric_form_expanded, _separate_expanded, (pa, du)),
+            (curvature_blocks, _separate_curvature, (pa, du, dv))]
+
+
+def _batched_group_element(local, n, batch):
+    gens = QuatMatrix(local.normal(0.0, 0.7, batch + (n, n, 4)))
+    return GroupElement(expm((gens - gens.adjoint()) * 0.5))
+
+
+# (j, k), then the batch shapes of the group element, the points and the
+# tangents: single, batched, mixed, and empty batches and matrices
+PIN_CASES = [(shape, batches)
+             for shape in ((1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (3, 1),
+                           (1, 3), (0, 2), (2, 0))
+             for batches in (((), (), ()), ((4,), (4,), (4,)),
+                             ((), (4,), ()), ((4,), (), (2, 4)),
+                             ((0,), (0,), (0,)))]
+
+
+@pytest.mark.parametrize("shape, batches", PIN_CASES)
+def test_rewritten_calls_keep_the_bits_of_separate_products(shape, batches):
+    local = np.random.default_rng(617)
+    (j, k), (g_batch, x_batch, d_batch) = shape, batches
+    g = _batched_group_element(local, j + k, g_batch)
+    pa, pb = (GrassmannPoint(QuatMatrix(local.normal(0.0, 0.5, x_batch
+                                                     + (j, k, 4))))
+              for _ in range(2))
+    du, dv = (QuatMatrix(local.normal(0.0, 1.0, d_batch + (j, k, 4)))
+              for _ in range(2))
+    for new, old, args in _pinned_calls(g, pa, pb, du, dv):
+        want = _outcome(old, *args)
+        assert not isinstance(want, tuple), want
+        assert same_bits(_outcome(new, *args), want), new.__name__
+
+
+def _swap(n):
+    """The block swap [[0, 1], [1, 0]] of Sp(2n): A = D = 0, B = C = 1."""
+    eye = QuatMatrix.identity(n)
+    zero = QuatMatrix.zeros(n, n)
+    return GroupElement(block_matrix([[zero, eye], [eye, zero]]))
+
+
+def _in_batch(x, batch):
+    """``x`` as the middle matrix of a batch of three; the other two are X
+    with a NaN read as 0 and each diagonal scalar part set to 1, well
+    inside every ceiling."""
+    if not batch:
+        return x
+    fine = x.a.copy()
+    np.nan_to_num(fine, copy=False)
+    fine[..., range(x.rows), range(x.rows), 0] = 1.0
+    return QuatMatrix(np.stack([fine, x.a, fine]))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_rewritten_calls_fail_as_separate_products_do(batch):
+    local = np.random.default_rng(618)
+    du, dv = random_quatmat(local, 2, 2), random_quatmat(local, 2, 2)
+    other = GrassmannPoint(QuatMatrix(local.normal(0.0, 0.5, (2, 2, 4))))
+    nan = QuatMatrix.identity(2)
+    nan.a[1, 0, 3] = np.nan
+    cases = {
+        # a NaN entry: every call fails quietly
+        "nan": (GroupElement(QuatMatrix.identity(4)), nan,
+                [SingularDenominator, SingularDenominator, SingularMatrix,
+                 NotHyperHermitian]),
+        # X = 0 under the block swap: A* - X B* = -X is exactly singular
+        "singular": (_swap(2), QuatMatrix.zeros(2, 2),
+                     [SingularDenominator, SingularDenominator, None, None]),
+        # -X one step past the condition ceiling
+        "past the ceiling": (_swap(2), real_matrix(np.diag([1.0, 1e-13])),
+                             [SingularDenominator, SingularDenominator,
+                              None, None]),
+        # 1 + X X* at condition 1e14, past the ceiling of the Gram inverse
+        "gram past the ceiling": (GroupElement(QuatMatrix.identity(4)),
+                                  real_matrix(np.diag([1e7, 1.0])),
+                                  [None, None, SingularMatrix,
+                                   SingularMatrix]),
+    }
+    for name, (g, x, errors) in cases.items():
+        point = GrassmannPoint(_in_batch(x, batch))
+        for (new, old, args), error in zip(
+                _pinned_calls(g, point, other, du, dv), errors):
+            want = _outcome(old, *args)
+            if error is not None:
+                assert want[0] is error, (name, new.__name__, want)
+            assert same_bits(_outcome(new, *args), want), (name, new.__name__)

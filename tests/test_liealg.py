@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -299,6 +300,43 @@ def test_compose_hit_symbol_absent_once_or_squared(word, power):
     ab = a.compose(b)
     for f in monomials_up_to_degree(1, 2, 3):
         assert ab.apply(f) == a.apply(b.apply(f)), f
+
+
+@pytest.mark.parametrize("c", [1 << 12, 1 << 13])
+def test_high_power_word_builds_only_the_splits_a_right_monomial_takes(
+        monkeypatch, c):
+    # d^c (z f) = z d^c f + c d^(c-1) f: z takes at most one derivative, so
+    # the left word's split holds the empty sub-multiset and d, two
+    # binomials, not the c + 1 of every sub-multiset of d^c
+    s = (0, 0)
+    calls = []
+
+    def counted(n, k, _comb=math.comb):
+        calls.append((n, k))
+        return _comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counted)
+    dc = from_tuples(DiffOperator, {((), (s,) * c): 1})
+    z = DiffOperator.multiplication(PolyFunction.z(*s))
+    want = from_tuples(DiffOperator, {(((s, 1),), (s,) * c): 1,
+                                      ((), (s,) * (c - 1)): c})
+    assert dc.compose(z) == want
+    assert calls == [(c, 0), (c, 1)]
+    # z^3 takes up to three: d^c (z^3 f) = z^3 d^c f + 3c z^2 d^(c-1) f
+    # + 3c(c-1) z d^(c-2) f + c(c-1)(c-2) d^(c-3) f, from a split of its own
+    calls.clear()
+    z3 = DiffOperator.multiplication(PolyFunction.z(*s) * PolyFunction.z(*s)
+                                     * PolyFunction.z(*s))
+    want3 = from_tuples(DiffOperator, {
+        (((s, 3),), (s,) * c): 1, (((s, 2),), (s,) * (c - 1)): 3 * c,
+        (((s, 1),), (s,) * (c - 2)): 3 * c * (c - 1),
+        ((), (s,) * (c - 3)): c * (c - 1) * (c - 2)})
+    assert dc.compose(z3) == want3
+    assert calls == [(c, h) for h in range(4)]
+    # both splits stay on the left operator: neither is built again
+    calls.clear()
+    assert dc.compose(z) == want and dc.compose(z3) == want3
+    assert commutator(dc, z) == want - z.compose(dc) and calls == []
 
 
 def test_difference_and_zero_scaling():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import mat_close, quat_close, real_matrix, same_bits
+from qflag import config
 from qflag.errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
                           NonSquare, NotGroupElement, NotHyperHermitian,
                           SingularInvSqrt, SingularMatrix)
@@ -889,3 +890,80 @@ def test_same_bits_compares_lists_and_tuples_by_bits():
     assert same_bits({"x": [m, (copy,)]}, {"x": [copy, (m,)]})
     assert not same_bits([m], [changed]) and not same_bits([m], (m,))
     assert not same_bits([m], [m, m]) and not same_bits((1.5,), (1,))
+
+
+# -- the one LAPACK inverse keeps the bits and errors of solve(E, 1) ----------
+
+def _solved_inverse(m: QuatMatrix) -> QuatMatrix:
+    """QuatMatrix.inv as written with np.linalg.solve of the embedding
+    against an identity built here."""
+    emb = m.embed()
+    try:
+        sol = np.linalg.solve(emb, np.eye(2 * m.rows, dtype=complex))
+        cond = (np.abs(emb).sum(axis=-2).max(axis=-1, initial=0.0)
+                * np.abs(sol).sum(axis=-2).max(axis=-1, initial=0.0))
+    except np.linalg.LinAlgError:
+        cond = np.float64(np.inf)
+    worst = cond.max(initial=0.0)
+    if worst <= config.COND_LIMIT:
+        try:
+            return QuatMatrix.project(sol)
+        except MalformedM2C as exc:
+            reason = f"solution off the quaternionic structure: {exc}"
+    else:
+        reason = (f"1-norm condition number {worst:.3e} > "
+                  f"{config.COND_LIMIT:.0e}")
+    raise SingularMatrix(reason)
+
+
+def _inverse_outcome(inverse, m):
+    """``inverse(m)`` with every warning an error, or the class and message
+    of the SingularMatrix it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return inverse(m)
+        except SingularMatrix as exc:
+            return type(exc), str(exc)
+
+
+def _with_entry(batch, n, value, index=()):
+    """A batch of well-conditioned n x n matrices whose entry (n - 1, 0)
+    has j-part ``value``, in every matrix or, given ``index``, in that
+    one."""
+    local = np.random.default_rng(619)
+    a = local.normal(0.0, 0.3, batch + (n, n, 4))
+    a[..., range(n), range(n), 0] += 2.0
+    if n:
+        a[(index or (...,)) + (n - 1, 0, 2)] = value
+    return QuatMatrix(a)
+
+
+INV_PIN_CASES = {
+    **{f"single n={n}": (lambda n=n: _with_entry((), n, 0.1))
+       for n in (0, 1, 2, 3, 16, 64)},
+    **{f"batch {b} n={n}": (lambda b=b, n=n: _with_entry(b, n, 0.1))
+       for b, n in (((2,), 1), ((500,), 2), ((5, 3), 3), ((3,), 0),
+                    ((0,), 2), ((0, 4), 3))},
+    "nan single": lambda: _with_entry((), 2, np.nan),
+    "nan in a batch": lambda: _with_entry((4,), 3, np.nan, (2,)),
+    "singular single": lambda: QuatMatrix.zeros(2, 2),
+    "singular in a batch": lambda: QuatMatrix(np.stack(
+        [QuatMatrix.identity(2).a, real_matrix([[1.0, 2.0], [2.0, 4.0]]).a])),
+    "past the ceiling": lambda: real_matrix(np.diag([1.0, 1e-13])),
+    "past the ceiling in a batch": lambda: real_matrix(
+        [np.eye(2), np.diag([1.0, 1e-13])]),
+    "off the structure": lambda: (
+        random_group_element(np.random.default_rng(611), 2).m
+        @ real_matrix(np.diag([1.0, 1e-8]))
+        @ random_group_element(np.random.default_rng(612), 2).m),
+}
+
+
+@pytest.mark.parametrize("name", list(INV_PIN_CASES))
+def test_inv_keeps_the_bits_and_errors_of_solving_against_the_identity(name):
+    m = INV_PIN_CASES[name]()
+    want = _inverse_outcome(_solved_inverse, m)
+    assert same_bits(_inverse_outcome(QuatMatrix.inv, m), want)
+    failing = name.startswith(("nan", "singular", "past", "off"))
+    assert isinstance(want, tuple) == failing, want
