@@ -30,23 +30,24 @@ kernel making a drawn element non-unitary) replaces its checks with the
 failed check ``<first name>.error``, the message as its detail; the other
 units still run, and the run writes its report and fails with it.
 
-Concurrency: :func:`run_suite` starts the units named in ``BACKGROUND``
-(only the S^3 sampling statistics) on a second thread before any suite
-runs, and every other unit runs in report order on the calling thread.
-Each unit draws from its own stream, so the report does not depend on how
-the two threads interleave.  Only this unit overlaps: it spends nearly all
-its time in numpy calls on large blocks, which release the GIL, while the
-other units are interpreter-bound, so a second of them on another thread
-would only wait for the lock.  A background unit calls no entry point the
-benchmark's tracer wraps, since the tracer keeps one span stack for the
-process.
+Concurrency: :func:`run_suite` opens the generators of the units named in
+``BACKGROUND`` (only the S^3 sampling statistics) and submits them to a
+``concurrent.futures`` thread pool before any suite runs; every other unit
+runs in report order on the calling thread, and a suite reads a submitted
+unit's rows from its future.  Each unit draws from its own stream, so the
+report does not depend on how the two threads interleave.  Only this unit
+overlaps: it spends nearly all its time in numpy calls on large blocks,
+which release the GIL, while the other units are interpreter-bound, so a
+second of them on another thread would only wait for the lock.  A
+background unit calls no entry point the benchmark's tracer wraps, since
+the tracer keeps one span stack for the process.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -317,7 +318,7 @@ def _(cfg, rng):
     yield tuple(res.values()), 1e-9
 
 
-@_unit("coset.cross_ratio_invariance")
+@_unit("coset.cross_ratio_invariance", "coset.cross_ratio_value")
 def _(cfg, rng):
     gen, *pts = _draw_batches(rng, cfg.count(500), _GROUP_GEN,
                               _HALF, _HALF, _HALF, _HALF)
@@ -325,15 +326,21 @@ def _(cfg, rng):
     pts = [GrassmannPoint(p) for p in pts]
     cr = coset.cross_ratio(*pts)
     cr_moved = coset.cross_ratio(*[coset.lft_apply(g, p) for p in pts])
-    yield np.abs(cr - cr_moved) / np.maximum(1.0, np.abs(cr)), 1e-8
+    scale = np.maximum(1.0, np.abs(cr))
+    yield np.abs(cr - cr_moved) / scale, 1e-8
+    a, b, c, d = (p.x for p in pts)
+    flipped = (a - b) @ (b - c).inv() @ (c - d) @ (d - a).inv()
+    yield (np.abs(flipped.trace()[..., 0] - cr) / scale, 1e-8,
+           "both inverted differences negated")
 
 
 @_unit("coset.metric_two_versions")
 def _(cfg, rng):
     x, dx = _draw_batches(rng, cfg.count(500), _HALF, _TANGENT)
     x = GrassmannPoint(x)
-    yield np.abs(coset.metric_form(x, dx)
-                 - coset.metric_form_expanded(x, dx)), 1e-10
+    form = coset.metric_form(x, dx)
+    yield (np.abs(form - coset.metric_form_expanded(x, dx)),
+           np.abs(form - coset.metric_form_hermitian(x, dx))), 1e-10
 
 
 @_unit("coset.metric_pushforward_invariance")
@@ -461,7 +468,7 @@ def _(cfg, rng):
 
 
 @_unit("forms.curvature_antisymmetry", "forms.curvature_scalar_parts",
-       "forms.curvature_rank_one_magnitude")
+       "forms.curvature_rank_one_magnitude", "forms.curvature_origin")
 def _(cfg, rng):
     rng = cfg.rng("forms.curvature_blocks")    # named after the call it feeds
     single = _quatmat_draw(1, 1)
@@ -478,6 +485,11 @@ def _(cfg, rng):
     b1 = forms.curvature_blocks(x1, u1, v1)
     yield (np.abs(_quat_norm(b1["r11"]) - _quat_norm(b1["r22"])), 1e-8,
            "the two pieces share magnitude for two particles")
+    origin = forms.curvature_blocks(GrassmannPoint(QuatMatrix.zeros(1, 1)),
+                                    u1, v1)
+    yield (_quat_norm(origin["r11"] - (u1 @ v1.adjoint()
+                                       - v1 @ u1.adjoint()).trace()), 1e-12,
+           "R11 = tr(u v* - v u*) at X = 0, which pins the sign")
 
 
 # -- liealg --------------------------------------------------------------------
@@ -734,39 +746,13 @@ def _suite_of(names) -> str:
     return names[0].split(".", 1)[0]
 
 
-class _Started(threading.Thread):
-    """One unit running on a thread of its own from construction.  Its
-    generator is opened on the constructing thread, so every stream opens
-    in a fixed order."""
-
-    def __init__(self, names, body, cfg: RunConfig):
-        super().__init__(name=names[0])
-        self._unit = names, body, cfg, cfg.rng(names[0])
-        self.start()
-
-    def run(self):
-        # whatever the unit raises is handed to the thread that waits
-        try:
-            self._outcome = _run_unit(*self._unit)
-        except BaseException as exc:
-            self._outcome = exc
-
-    def wait(self) -> list:
-        """Wait for the unit's rows; re-raise what it raised beyond a
-        :class:`QflagError`, which is already its ``.error`` row."""
-        self.join()
-        if isinstance(self._outcome, BaseException):
-            raise self._outcome
-        return self._outcome
-
-
 def _suite_runner(suite: str):
     def run(cfg: RunConfig, started=None) -> list:
         """The suite's checks in report order; a unit in ``started`` (first
-        name -> :class:`_Started`) gives its rows from its own thread."""
+        name -> future of its rows) gives the rows it computed in the pool."""
         started = started or {}
         return [check for names, body in UNITS if _suite_of(names) == suite
-                for check in (started[names[0]].wait()
+                for check in (started[names[0]].result()
                               if names[0] in started else
                               _run_unit(names, body, cfg, cfg.rng(names[0])))]
     return run
@@ -782,11 +768,11 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
 
     Every check name is declared up front, so a tolerance override that
     names no check of the run fails before any work.  The run's units in
-    ``BACKGROUND`` start first, each on a thread of its own with its
+    ``BACKGROUND`` start first, each submitted to a thread pool with its
     generator opened here; the suites then run in order through their
     ``SUITES`` runners, and a started unit's rows take their report
     position.  An exception other than a :class:`QflagError` is raised
-    here once every started thread has ended, whichever thread raised it.
+    here once the pool's threads have ended, whichever thread raised it.
     """
     if name == "all":
         suites = list(SUITES)
@@ -801,14 +787,13 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
     if unknown:
         raise UnknownTolerance(
             f"--tol names no check of this run: {', '.join(unknown)}")
-    started = {names[0]: _Started(names, body, cfg) for names, body in UNITS
-               if names[0] in BACKGROUND and _suite_of(names) in suites}
-    try:
+    with ThreadPoolExecutor() as pool:
+        started = {names[0]: pool.submit(_run_unit, names, body, cfg,
+                                         cfg.rng(names[0]))
+                   for names, body in UNITS
+                   if names[0] in BACKGROUND and _suite_of(names) in suites}
         checks = [check for suite in suites
                   for check in SUITES[suite](cfg, started)]
-    finally:
-        for unit in started.values():
-            unit.join()
     return {
         "spec_version": SCHEMA_VERSION,
         "suite": name,

@@ -4,8 +4,10 @@ Each test swaps in one known fault (a wrong quaternion product rule, with
 the tables that ``@`` and the exact field products derive from it, a
 misplaced block in the exponential that differentiates ``exp``, a biased
 S^3 sampler, a wrong commutator cross term, a generator with a wrong sign
-or missing terms, or a raising generator that does not raise) and runs
-``qflag verify``: the run must write its report and exit 1.
+or missing terms, a raising generator that does not raise, a curvature of
+the wrong sign, a Gram factor's square root in place of its inverse, or a
+cross-ratio of swapped points) and runs ``qflag verify``: the run must
+write its report and exit 1.
 """
 
 import json
@@ -77,7 +79,10 @@ def test_flipped_product_sign_fails_checks(monkeypatch, capsys):
     # records the error, and the rest of its suite still runs and is named
     assert "unitarity residual" in failed[
         "dynamics.geodesic_block.error"]["detail"]
-    assert "coset.metric_two_versions" in failed
+    # the Gram matrices are no longer hyper-Hermitian, and the inverse
+    # square root behind metric_form_hermitian refuses them
+    assert "NotHyperHermitian" in failed[
+        "coset.metric_two_versions.error"]["detail"]
     assert not {f"{suite}.error" for suite in verify.SUITES} & set(failed)
 
 
@@ -238,3 +243,38 @@ def test_p_without_its_quadratic_terms_fails_p_three_forms(monkeypatch,
     monkeypatch.setattr(liealg, "gen_p",
                         lambda *args: liealg.linear_part(real(*args)))
     assert "liealg.p_three_forms" in _liealg_failures(capsys)
+
+
+def test_curvature_at_swapped_tangents_fails_curvature_origin(monkeypatch,
+                                                              capsys):
+    # evaluated at (dv, du): every curvature piece changes sign, which the
+    # antisymmetry, vanishing scalar parts and equal magnitudes all keep
+    real = forms.curvature_blocks
+    monkeypatch.setattr(forms, "curvature_blocks",
+                        lambda point, du, dv: real(point, dv, du))
+    assert set(_failed_checks(capsys, trials=None)) == {
+        "forms.curvature_origin"}
+
+
+def test_gram_square_root_in_place_of_its_inverse_fails_metric_two_versions(
+        monkeypatch, capsys):
+    # the inverse-square-root Gram factors read as square roots: the
+    # curvature checks read them only through Omega's antisymmetry, which
+    # square roots keep, so only the third metric form sees the fault
+    real = coset.func_hermitian
+    monkeypatch.setattr(coset, "func_hermitian", lambda p, kind: real(
+        p, "sqrt" if kind == "invsqrt" else kind))
+    monkeypatch.setattr(coset, "_GRAM_FACTORS", {})
+    assert set(_failed_checks(capsys, trials=None)) == {
+        "coset.metric_two_versions"}
+
+
+def test_cross_ratio_of_swapped_points_fails_cross_ratio_value(monkeypatch,
+                                                               capsys):
+    # the first two points swapped: still invariant under the group, so
+    # only the value against the negated differences sees it
+    real = coset.cross_ratio
+    monkeypatch.setattr(coset, "cross_ratio",
+                        lambda pa, pb, pc, pd: real(pb, pa, pc, pd))
+    assert set(_failed_checks(capsys, trials=None)) == {
+        "coset.cross_ratio_value"}

@@ -52,7 +52,7 @@ def test_units_draw_from_the_streams_of_their_first_names(monkeypatch):
     run_suite("all", RunConfig(trials=1))
     second = {"forms.curvature_antisymmetry": ["forms.curvature_blocks"],
               "s4.einstein_y_chart": ["s4.einstein_angular_chart"]}
-    # the S^3 unit's stream opens first, as its thread starts; the rest
+    # the S^3 unit's stream opens first, as it is submitted; the rest
     # follow in report order
     started = sorted(UNITS, key=lambda unit: unit[0][0] not in BACKGROUND)
     assert keys[0] == "coset.s3_sampling_uniform"
@@ -69,6 +69,20 @@ def test_run_suite_equals_a_serial_loop_in_report_order(seed, trials):
     serial = [check for names, body in UNITS
               for check in _run_unit(names, body, cfg, cfg.rng(names[0]))]
     assert run_suite("all", cfg)["checks"] == serial
+
+
+def test_the_s3_statistic_runs_off_the_calling_thread(monkeypatch):
+    # the overlap that the run's wall time rests on: lost, the report stays
+    # the same and only the clock would show it
+    real, idents = verify.s3_moments, []
+
+    def recorded(rng, draws):
+        idents.append(threading.get_ident())
+        return real(rng, draws)
+
+    monkeypatch.setattr(verify, "s3_moments", recorded)
+    run_suite("all", RunConfig(seed=42, trials=1))
+    assert len(idents) == 1 and idents[0] != threading.get_ident()
 
 
 def test_error_in_the_background_unit_is_its_error_row(monkeypatch):
