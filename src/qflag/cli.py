@@ -39,8 +39,9 @@ EXIT_DOMAIN = 3
 
 # Largest ``qflag verify --trials``: the count replaces every check's own draw
 # count, and the batched checks hold all their draws at once, so memory grows
-# with it.  ``verify all`` at this ceiling peaks at 54 MB RSS in about 2 s on
-# a 2-vCPU x86-64 machine (67 MB in about 5 s at 2000; 45 MB at the default
+# with it.  ``verify all`` at this ceiling peaks at 54 MB RSS in the calling
+# process and 36 MB in its forked child, in about 1.3 s on a 2-vCPU x86-64
+# machine (66 and 44 MB in about 2.5 s at 2000; 44 and 31 MB at the default
 # counts, where the S^3 sampling check streams its 10^6 points in blocks).
 MAX_VERIFY_TRIALS = 1000
 # Largest rank ``qflag roots`` lists: 2 n^2 roots of n entries each, so the

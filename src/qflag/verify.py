@@ -30,24 +30,19 @@ kernel making a drawn element non-unitary) replaces its checks with the
 failed check ``<first name>.error``, the message as its detail; the other
 units still run, and the run writes its report and fails with it.
 
-Concurrency: :func:`run_suite` opens the generators of the units named in
-``BACKGROUND`` (only the S^3 sampling statistics) and submits them to a
-``concurrent.futures`` thread pool before any suite runs; every other unit
-runs in report order on the calling thread, and a suite reads a submitted
-unit's rows from its future.  Each unit draws from its own stream, so the
-report does not depend on how the two threads interleave.  Only this unit
-overlaps: it spends nearly all its time in numpy calls on large blocks,
-which release the GIL, while the other units are interpreter-bound, so a
-second of them on another thread would only wait for the lock.  A
-background unit calls no entry point the benchmark's tracer wraps, since
-the tracer keeps one span stack for the process.
+Concurrency: :func:`run_suite` runs the units in ``FORKED``, about half of
+a serial run, in one forked child process (:func:`_fork`) beside the rest;
+each unit draws from its own stream, so the report is the same either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -737,9 +732,9 @@ def _(cfg, rng):
 
 # -- runner -------------------------------------------------------------------
 
-# first names of the units run_suite starts on a second thread: their time
-# is spent in numpy calls that release the GIL (see the module docstring)
-BACKGROUND = {"coset.s3_sampling_uniform"}
+# first names of the units run_suite runs in a forked child, in report order
+FORKED = ("coset.lft_two_forms", "coset.cross_ratio_invariance",
+          "coset.s3_sampling_uniform")
 
 
 def _suite_of(names) -> str:
@@ -747,13 +742,11 @@ def _suite_of(names) -> str:
 
 
 def _suite_runner(suite: str):
-    def run(cfg: RunConfig, started=None) -> list:
-        """The suite's checks in report order; a unit in ``started`` (first
-        name -> future of its rows) gives the rows it computed in the pool."""
-        started = started or {}
+    def run(cfg: RunConfig, forked=()) -> list:
+        """The suite's checks in report order; a unit in ``forked`` as its
+        first name, which run_suite replaces with the unit's rows."""
         return [check for names, body in UNITS if _suite_of(names) == suite
-                for check in (started[names[0]].result()
-                              if names[0] in started else
+                for check in ([names[0]] if names[0] in forked else
                               _run_unit(names, body, cfg, cfg.rng(names[0])))]
     return run
 
@@ -763,37 +756,71 @@ SUITES = {suite: _suite_runner(suite)
           for suite in dict.fromkeys(_suite_of(names) for names, _ in UNITS)}
 
 
+def _fork(suites: list, cfg: RunConfig):
+    """(pid, pipe) of a child that pickles to the pipe the rows of the run's
+    units in ``FORKED`` by first name, or a non-QflagError one raised; None
+    on one CPU (or none known), beside another thread, or if ``fork`` fails."""
+    units = [(names, body) for names, body in UNITS
+             if names[0] in FORKED and _suite_of(names) in suites]
+    if not (units and hasattr(os, "fork") and threading.active_count() == 1
+            and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1):
+        return None
+    rngs = [cfg.rng(names[0]) for names, _ in units]
+    read, write = os.pipe()
+    with open(write, "wb") as pipe:     # closed in the parent on return
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            return None
+        if pid:
+            return pid, open(read, "rb")
+        try:
+            try:
+                out = {names[0]: _run_unit(names, body, cfg, rng)
+                       for (names, body), rng in zip(units, rngs)}
+            except Exception as exc:
+                out = exc
+            pipe.write(pickle.dumps(out))
+            pipe.close()
+        finally:
+            os._exit(0)
+
+
 def run_suite(name: str, cfg: RunConfig) -> dict:
     """Run one named suite (or 'all') and assemble the report.
 
     Every check name is declared up front, so a tolerance override that
-    names no check of the run fails before any work.  The run's units in
-    ``BACKGROUND`` start first, each submitted to a thread pool with its
-    generator opened here; the suites then run in order through their
-    ``SUITES`` runners, and a started unit's rows take their report
-    position.  An exception other than a :class:`QflagError` is raised
-    here once the pool's threads have ended, whichever thread raised it.
+    names no check of the run fails before any work.  An exception other
+    than a :class:`QflagError`, here or in the child of :func:`_fork`, is
+    raised once the child is reaped.
     """
-    if name == "all":
-        suites = list(SUITES)
-    elif name in SUITES:
-        suites = [name]
-    else:
+    if name != "all" and name not in SUITES:
         raise UnknownSuite(f"no suite named {name!r}; "
                            f"choose from {', '.join(SUITES)} or all")
+    suites = list(SUITES) if name == "all" else [name]
     known = {check for names, _ in UNITS for check in names
              if check.split(".", 1)[0] in suites}
     unknown = [k for k in cfg.tol_overrides if k not in known]
     if unknown:
         raise UnknownTolerance(
             f"--tol names no check of this run: {', '.join(unknown)}")
-    with ThreadPoolExecutor() as pool:
-        started = {names[0]: pool.submit(_run_unit, names, body, cfg,
-                                         cfg.rng(names[0]))
-                   for names, body in UNITS
-                   if names[0] in BACKGROUND and _suite_of(names) in suites}
-        checks = [check for suite in suites
-                  for check in SUITES[suite](cfg, started)]
+    child = _fork(suites, cfg)
+    try:
+        parts = [part for suite in suites
+                 for part in SUITES[suite](cfg, FORKED if child else ())]
+        sent = child[1].read() if child else pickle.dumps({})
+    finally:
+        if child:   # a child whose pipe is read to its end only exits
+            os.kill(child[0], signal.SIGKILL)
+            child[1].close()
+            os.waitpid(child[0], 0)
+    rows = pickle.loads(sent) if sent else RuntimeError(
+        "the forked child sent no rows of " + ", ".join(FORKED))
+    if isinstance(rows, Exception):
+        raise rows
+    checks = [check for part in parts
+              for check in (rows[part] if isinstance(part, str) else [part])]
     return {
         "spec_version": SCHEMA_VERSION,
         "suite": name,

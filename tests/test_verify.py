@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import qflag
 from qflag import coset, dynamics, verify
 from qflag.errors import SingularMatrix, UnknownSuite
 from qflag.quatmat import random_quatmat, random_skew_adjoint
-from qflag.verify import (BACKGROUND, S3_BLOCK, SUITES, UNITS, RunConfig,
+from qflag.verify import (FORKED, S3_BLOCK, SUITES, UNITS, RunConfig,
                           _check, _draw_batches, _quatmat_draw, _run_unit,
                           _skew_draw, run_suite, s3_moments)
 
@@ -52,40 +53,110 @@ def test_units_draw_from_the_streams_of_their_first_names(monkeypatch):
     run_suite("all", RunConfig(trials=1))
     second = {"forms.curvature_antisymmetry": ["forms.curvature_blocks"],
               "s4.einstein_y_chart": ["s4.einstein_angular_chart"]}
-    # the S^3 unit's stream opens first, as it is submitted; the rest
+    # the forked units' streams open first, here, before the fork; the rest
     # follow in report order
-    started = sorted(UNITS, key=lambda unit: unit[0][0] not in BACKGROUND)
-    assert keys[0] == "coset.s3_sampling_uniform"
+    started = sorted(UNITS, key=lambda unit: unit[0][0] not in FORKED)
+    assert keys[:len(FORKED)] == list(FORKED)
     assert keys == [key for names, _ in started
                     for key in [names[0]] + second.get(names[0], [])]
+
+
+def test_forked_units_are_coset_units_in_report_order():
+    # run_suite opens their streams in this order, and the error for a
+    # child that sent nothing names all of them
+    declared = [names[0] for names, _ in UNITS]
+    assert list(FORKED) == sorted(FORKED, key=declared.index)
+    assert {name.split(".", 1)[0] for name in FORKED} == {"coset"}
+
+
+def serial_checks(cfg):
+    return [check for names, body in UNITS
+            for check in _run_unit(names, body, cfg, cfg.rng(names[0]))]
+
+
+FORKS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+         and len(os.sched_getaffinity(0)) > 1)
+needs_fork = pytest.mark.skipif(not FORKS, reason="forks only on 2+ CPUs")
+
+
+@pytest.fixture
+def no_leftovers():
+    """Fails the test if run_suite leaves a child process or a thread."""
+    threads = threading.active_count()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("seed", [42, 977])
 @pytest.mark.parametrize("trials", [1, 3])
 def test_run_suite_equals_a_serial_loop_in_report_order(seed, trials):
-    # the S^3 unit runs on its own thread; its rows and every other row
-    # are those of one unit after the other on one thread
+    # the forked units run in a child process; their rows and every other
+    # row are those of one unit after the other in one process
     cfg = RunConfig(seed=seed, trials=trials)
-    serial = [check for names, body in UNITS
-              for check in _run_unit(names, body, cfg, cfg.rng(names[0]))]
-    assert run_suite("all", cfg)["checks"] == serial
+    assert run_suite("all", cfg)["checks"] == serial_checks(cfg)
 
 
-def test_the_s3_statistic_runs_off_the_calling_thread(monkeypatch):
+def refuse_fork():
+    pytest.fail("run_suite forked where it should run serially")
+
+
+@pytest.mark.parametrize("cpus", [{0}, None])
+def test_one_cpu_runs_every_unit_here(monkeypatch, no_leftovers, cpus):
+    # None: a platform without os.sched_getaffinity, such as macOS
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+    monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
+    cfg = RunConfig(seed=42)
+    assert run_suite("all", cfg)["checks"] == serial_checks(cfg)
+
+
+def test_a_second_thread_keeps_every_unit_here(monkeypatch, no_leftovers):
+    # a fork copies only the calling thread, so a lock another thread holds
+    # would stay held in the child
+    monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        cfg = RunConfig(seed=42)
+        assert run_suite("all", cfg)["checks"] == serial_checks(cfg)
+    finally:
+        stop.set()
+        other.join()
+
+
+def test_a_failed_fork_runs_every_unit_here(monkeypatch, no_leftovers):
+    def failed():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(os, "fork", failed, raising=False)
+    cfg = RunConfig(seed=977, trials=3)
+    assert run_suite("all", cfg)["checks"] == serial_checks(cfg)
+
+
+@needs_fork
+def test_the_s3_statistic_runs_in_another_process(monkeypatch, tmp_path,
+                                                  no_leftovers):
     # the overlap that the run's wall time rests on: lost, the report stays
     # the same and only the clock would show it
-    real, idents = verify.s3_moments, []
+    real, out = verify.s3_moments, tmp_path / "pid"
 
     def recorded(rng, draws):
-        idents.append(threading.get_ident())
+        out.write_text(str(os.getpid()))
         return real(rng, draws)
 
     monkeypatch.setattr(verify, "s3_moments", recorded)
     run_suite("all", RunConfig(seed=42, trials=1))
-    assert len(idents) == 1 and idents[0] != threading.get_ident()
+    assert int(out.read_text()) != os.getpid()
 
 
-def test_error_in_the_background_unit_is_its_error_row(monkeypatch):
+def test_error_in_the_background_unit_is_its_error_row(monkeypatch,
+                                                       no_leftovers):
     def broken(rng, count):
         raise SingularMatrix("broken on purpose")
 
@@ -103,19 +174,47 @@ def test_error_in_the_background_unit_is_its_error_row(monkeypatch):
     assert not rep["passed"]
 
 
-@pytest.mark.parametrize("where", ["random_unit_quaternions", "_quat_pairs"])
-def test_other_exceptions_propagate_after_the_thread_is_joined(monkeypatch,
-                                                               where):
-    # raised on the S^3 unit's thread, or on the calling thread while that
-    # unit is still drawing its 10^6 points
+@needs_fork
+def test_an_exception_in_the_child_is_raised_here(monkeypatch, no_leftovers):
+    def broken(rng, draws):
+        raise RuntimeError(f"broken in process {os.getpid()}")
+
+    monkeypatch.setattr(verify, "s3_moments", broken)
+    with pytest.raises(RuntimeError, match="broken in process") as caught:
+        run_suite("all", RunConfig(seed=42))
+    assert str(os.getpid()) not in str(caught.value)
+
+
+@needs_fork
+def test_an_exception_here_ends_the_child(monkeypatch, no_leftovers):
+    # raised by the first quaternion unit while the child is still in its
+    # S^3 unit, here made to take a minute: the child is killed, not waited
+    # for
     def broken(rng, count):
         raise RuntimeError("broken on purpose")
 
-    monkeypatch.setattr(verify, where, broken)
-    threads = threading.active_count()
+    monkeypatch.setattr(verify, "_quat_pairs", broken)
+    monkeypatch.setattr(verify, "s3_moments",
+                        lambda rng, draws: time.sleep(60))
+    start = time.monotonic()
     with pytest.raises(RuntimeError, match="broken on purpose"):
         run_suite("all", RunConfig(seed=42))
-    assert threading.active_count() == threads
+    assert time.monotonic() - start < 30
+
+
+@needs_fork
+def test_a_child_that_exits_early_names_the_lost_units(monkeypatch,
+                                                      no_leftovers):
+    parent = os.getpid()
+
+    def exits(rng, draws):
+        assert os.getpid() != parent, "would end the test process"
+        os._exit(5)
+
+    monkeypatch.setattr(verify, "s3_moments", exits)
+    with pytest.raises(RuntimeError, match="sent no rows") as caught:
+        run_suite("all", RunConfig(seed=42, trials=1))
+    assert all(name in str(caught.value) for name in FORKED)
 
 
 def test_single_suite_report_shape():
