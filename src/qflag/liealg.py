@@ -25,13 +25,11 @@ The generators h, H and p are built directly as their maps of
 (monomial, word) terms; only the cross-check forms of p
 (:func:`gen_p_via_H`, :func:`gen_p_via_h`) and the Laplace-Beltrami
 composite are assembled by operator products.  A commutation table makes
-each generator the operand of dozens of products, so the pieces of a
-product that depend on one operand alone are built once per operator and
-kept on it: its terms split by the sub-multisets a left word
-differentiates, and its terms differentiated by each such sub-multiset
-(see :func:`_leibniz_cross`).  Keeping them is safe because operators never
-change in place: every sum, scaling or product is a new value that builds
-its own.
+each generator the right factor of dozens of products, so an operator
+keeps one table: per left word, its cross terms against that word (see
+:func:`_leibniz_cross`), built on the first product that needs them.
+Keeping it is safe because operators never change in place: every sum,
+scaling or product is a new value that builds its own.
 
 A term's key is a pair of ints, its coefficient monomial and its word,
 packed as :mod:`qflag.sparse` packs monomials on the fields of the symbols
@@ -177,7 +175,7 @@ class DiffOperator(SparseSum):
     multiset is canonical; the empty word 0 is a multiplication operator.
     """
 
-    __slots__ = ("_split", "_held", "_lowered", "_bound")
+    __slots__ = ("_cross", "_bound")
 
     @staticmethod
     def key(powers=(), word=()) -> tuple:
@@ -248,34 +246,6 @@ class DiffOperator(SparseSum):
             out[m, w] = sign_m * sign_w * c
         return DiffOperator(out)
 
-    def _splits(self, cap: int) -> dict:
-        """This operator as the left factor of a product whose right
-        coefficient monomials have degree at most ``cap``: for each packed
-        ``hit`` of degree at most ``cap``, the (index, count) of each symbol
-        it holds and the (monomial, passed word, weighted coefficient) of
-        each term whose word holds ``hit`` as a sub-multiset (see
-        :func:`_sub_multisets`).  A hit of higher degree differentiates
-        every right monomial to zero.  The splits are kept per ``cap``; no
-        word has a sub-multiset of degree above the order, so every ``cap``
-        above it shares the split at the order."""
-        try:
-            return self._split[cap]
-        except AttributeError:
-            self._split = {}
-        except KeyError:
-            pass
-        order = self.order()
-        if cap > order:
-            split = self._splits(order)
-        else:
-            split = {}
-            for (m1, w1), c1 in self.terms.items():
-                for hit, taken, weight in _sub_multisets(w1, cap):
-                    split.setdefault(hit, (taken, []))[1].append(
-                        (m1, w1 - hit, c1 * weight))
-        self._split[cap] = split
-        return split
-
     def _top(self) -> int:
         """The largest degree of a monomial or a word of this operator."""
         try:
@@ -286,64 +256,35 @@ class DiffOperator(SparseSum):
                               default=0)
             return self._bound
 
-    def _held_symbols(self) -> tuple:
-        """The indices of the symbols that the coefficient monomials hold,
-        and the largest degree of a coefficient monomial."""
-        try:
-            return self._held
-        except AttributeError:
-            monomials = [m for m, _ in self.terms]
-            held = functools.reduce(operator.or_, monomials, 0)
-            self._held = ({index for index, _ in fields(held)},
-                          max(map(key_degree, monomials), default=0))
-            return self._held
-
-    def _lowered_by(self, hit: int, taken: tuple) -> list:
-        """This operator as the right factor of a product whose left word
-        hits ``hit``, whose symbols have the (index, count) pairs ``taken``:
-        the (monomial, word, coefficient) of each term whose monomial holds
-        ``hit``, with those powers taken down into the coefficient (a
-        falling factorial per symbol)."""
-        try:
-            return self._lowered[hit]
-        except AttributeError:
-            self._lowered = {}
-        except KeyError:
-            pass
+    def _cross_terms(self, word: int) -> list:
+        """This operator as the right factor of a product whose left word is
+        ``word``: for each term (m2, w2, c2) and each non-empty sub-multiset
+        ``hit`` of ``word`` that m2 holds, the (monomial, word, coefficient)
+        ``(m2 - hit, w2 + word - hit, c2 * weight)``.  The weight is, per
+        symbol hit h times, C(count in word, h) ways to pick the copies by
+        position times the falling factorial P(power in m2, h) of the powers
+        taken down.  A symbol is hit at most as often as m2 holds it, so a
+        word d^c with c far above that power costs that power + 1 binomials,
+        not c + 1."""
+        symbols = [(index, count, unit(index)) for index, count in fields(word)]
         out = []
         for (m2, w2), c2 in self.terms.items():
-            factor = c2
-            for index, count in taken:
+            subs = [(0, c2)]
+            for index, count, step in symbols:
                 p = power(m2, index)
-                if p < count:
-                    break
-                factor *= math.perm(p, count)
-            else:
-                out.append((m2 - hit, w2, factor))
-        self._lowered[hit] = out
+                if p:
+                    subs = [(hit + h * step,
+                             weight * math.comb(count, h) * math.perm(p, h))
+                            for hit, weight in subs
+                            for h in range(min(count, p) + 1)]
+            for hit, weight in subs[1:]:
+                out.append((m2 - hit, w2 + word - hit, weight))
         return out
 
     @classmethod
     def _texts(cls, key) -> tuple:
         powers, word = cls.parts(key)
         return _monomial_text(powers), "".join(f"d[{r},{s}]" for r, s in word)
-
-
-def _sub_multisets(word: int, cap: int) -> list:
-    """(hit, taken, weight) for each non-empty sub-multiset ``hit`` of a
-    packed word whose degree is at most ``cap``: ``taken`` holds the
-    (index, count) of each of its symbols, and ``weight`` is the number of
-    ways to pick it from the word by position, the product over symbols of
-    C(count in word, count in hit).  Only those are built, so a word
-    d^c with c far above ``cap`` costs ``cap + 1`` binomials, not c + 1."""
-    subs = [(0, (), 1)]
-    for index, count in fields(word):
-        step = unit(index)
-        subs = [(hit + h * step, taken + ((index, h),) if h else taken,
-                 weight * math.comb(count, h))
-                for hit, taken, weight in subs
-                for h in range(min(count, cap - key_degree(hit)) + 1)]
-    return subs[1:]
 
 
 def _leibniz_cross(left: DiffOperator, right: DiffOperator, sign: int,
@@ -358,30 +299,30 @@ def _leibniz_cross(left: DiffOperator, right: DiffOperator, sign: int,
     over subsets by position, in which a repeated symbol is hit once per
     copy.
 
-    Both halves are cached on their operators, which never change in
-    place: the left terms grouped by the sub-multiset they hit
-    (:meth:`DiffOperator._splits`), and the right terms differentiated by
-    each such sub-multiset (:meth:`DiffOperator._lowered_by`), so a
-    generator that is the right factor of many products differentiates its
-    terms once per sub-multiset.  A sub-multiset of higher degree than
-    every right monomial is never built; one whose first symbol no right
-    monomial holds is skipped before anything is built, and so is every
-    left term when the right coefficients are all constant.
+    Everything but the left monomial and coefficient depends on the right
+    operator and the left word alone, so the right operator keeps a table
+    of its cross terms per left word (:meth:`DiffOperator._cross_terms`);
+    a generator that is the right factor of many products builds its entry
+    for a word once.  A left word that no right monomial's symbols meet
+    has an empty entry and is skipped.
     """
-    held, degree = right._held_symbols()
-    if not held:
-        return
+    try:
+        table = right._cross
+    except AttributeError:
+        table = right._cross = {}
     get = out.get
-    for hit, (taken, left_terms) in left._splits(degree).items():
-        if taken[0][0] not in held:
+    for (m1, w1), c1 in left.terms.items():
+        try:
+            terms = table[w1]
+        except KeyError:
+            terms = table[w1] = right._cross_terms(w1)
+        if not terms:
             continue
-        lowered = right._lowered_by(hit, taken)
-        for m1, passed, c1 in left_terms:
-            if sign < 0:
-                c1 = -c1
-            for m2, w2, c2 in lowered:
-                key = (m1 + m2, passed + w2)
-                out[key] = get(key, 0) + c1 * c2
+        if sign < 0:
+            c1 = -c1
+        for m2, w, c2 in terms:
+            key = (m1 + m2, w)
+            out[key] = get(key, 0) + c1 * c2
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:

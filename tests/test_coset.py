@@ -29,7 +29,8 @@ from qflag.forms import curvature_blocks
 from qflag.quaternion import (HURWITZ_UNITS, Quaternion, random_quaternion,
                               random_unit_quaternion)
 from qflag.quatmat import (GroupElement, QuatMatrix, _inverses, _stack, _wrap,
-                           block_matrix, expm, func_hermitian,
+                           block_matrix, eigvals_hyperhermitian, expm,
+                           func_hermitian,
                            random_group_element, random_quatmat,
                            random_skew_adjoint)
 from qflag.verify import s3_moments
@@ -73,6 +74,23 @@ def test_grassmann_point_consistency():
         other = func_hermitian(QuatMatrix.identity(2) - z @ z.adjoint(),
                                "invsqrt") @ z
         assert (x - other).max_abs() < 1e-9
+
+
+@pytest.mark.parametrize("j, k", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+def test_grassmann_from_coset_is_the_coset_element_acting_on_the_origin(j, k):
+    # X = Z (1 - Z* Z)^{-1/2} against the linear fractional action of
+    # coset_element(xi) on the origin, B D^{-1} with B = Z and
+    # D = cos sqrt(xi* xi); xi is scaled to largest singular values from
+    # 0.05 to 1.2
+    draws = np.random.default_rng(21)
+    origin = GrassmannPoint(QuatMatrix.zeros(j, k))
+    for top in np.linspace(0.05, 1.2, 24):
+        xi = random_quatmat(draws, j, k)
+        gram_top = eigvals_hyperhermitian(xi @ xi.adjoint())[-1]
+        xi = xi * (top / math.sqrt(gram_top))
+        want = lft_apply(coset_element(xi), origin).x
+        got = grassmann_from_coset(xi).x
+        assert (got - want).max_abs() <= 1e-11 * want.max_abs(), top
 
 
 def test_coset_element_z_gram_bounded():

@@ -303,11 +303,11 @@ def test_compose_hit_symbol_absent_once_or_squared(word, power):
 
 
 @pytest.mark.parametrize("c", [1 << 12, 1 << 13])
-def test_high_power_word_builds_only_the_splits_a_right_monomial_takes(
+def test_high_power_builds_only_the_hits_a_right_monomial_holds(
         monkeypatch, c):
     # d^c (z f) = z d^c f + c d^(c-1) f: z takes at most one derivative, so
-    # the left word's split holds the empty sub-multiset and d, two
-    # binomials, not the c + 1 of every sub-multiset of d^c
+    # z's cross terms against the word d^c walk h = 0 and 1, two binomials,
+    # not the c + 1 of every sub-multiset of d^c
     s = (0, 0)
     calls = []
 
@@ -323,7 +323,7 @@ def test_high_power_word_builds_only_the_splits_a_right_monomial_takes(
     assert dc.compose(z) == want
     assert calls == [(c, 0), (c, 1)]
     # z^3 takes up to three: d^c (z^3 f) = z^3 d^c f + 3c z^2 d^(c-1) f
-    # + 3c(c-1) z d^(c-2) f + c(c-1)(c-2) d^(c-3) f, from a split of its own
+    # + 3c(c-1) z d^(c-2) f + c(c-1)(c-2) d^(c-3) f, from z^3's own table
     calls.clear()
     z3 = DiffOperator.multiplication(PolyFunction.z(*s) * PolyFunction.z(*s)
                                      * PolyFunction.z(*s))
@@ -333,10 +333,43 @@ def test_high_power_word_builds_only_the_splits_a_right_monomial_takes(
         ((), (s,) * (c - 3)): c * (c - 1) * (c - 2)})
     assert dc.compose(z3) == want3
     assert calls == [(c, h) for h in range(4)]
-    # both splits stay on the left operator: neither is built again
+    # each right operator keeps its entry for d^c, and d^c's entry for the
+    # empty word of z is empty: nothing is built again
     calls.clear()
     assert dc.compose(z) == want and dc.compose(z3) == want3
     assert commutator(dc, z) == want - z.compose(dc) and calls == []
+    # mirrored: d (z^c f) = z^c d f + c z^(c-1) f, where the word d hits the
+    # power c at most once
+    d = derivative(*s)
+    zc = from_tuples(DiffOperator, {(((s, c),), ()): 1})
+    assert d.compose(zc) == from_tuples(DiffOperator, {
+        (((s, c),), (s,)): 1, (((s, c - 1),), ()): c})
+    assert calls == [(1, 0), (1, 1)]
+
+
+def test_cross_terms_are_built_once_per_right_operator_and_left_word(
+        monkeypatch):
+    # a table rebuilt on every product gives the same operators, only
+    # slower; the commutation table and the Laplace-Beltrami composite
+    # make each operator the right factor of many products with shared
+    # left words.  Every right operator is held, so no id is reused.
+    calls, held = [], []
+    real = DiffOperator._cross_terms
+
+    def counted(self, word):
+        calls.append((id(self), word))
+        held.append(self)
+        return real(self, word)
+
+    monkeypatch.setattr(DiffOperator, "_cross_terms", counted)
+    assert verify_commutation_table(1, 3)["all_passed"]
+    assert calls and len(set(calls)) == len(calls)
+    calls.clear()
+    lap = laplace_beltrami(1, 2)
+    for kind, gen in GENERATORS.items():
+        for ij in itertools.product(range(2), repeat=2):
+            assert commutator(lap, gen(*ij, 1, 2)).is_zero(), (kind, ij)
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_difference_and_zero_scaling():
