@@ -21,9 +21,9 @@ Gram factors of the most recent point: (1+XX*)^{-1} and (1+X*X)^{-1} from
 :meth:`QuatMatrix.inv`, (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from
 :func:`func_hermitian`.  A factor is computed again only when the point's
 content changes, so successive calls at one point return the bits that
-fresh calls would.  Each route factors both sides together, into one slot
-per route, with one call per size: at a square point one ``np.linalg.inv``
-for both inverses and one ``eigh`` for both inverse square roots.
+fresh calls would.  Both routes factor one Gram pair 1+XX*, 1+X*X per
+point, each into its own slot, with one call per size: at a square point
+one ``np.linalg.inv`` for both inverses and one ``eigh`` for both.
 """
 
 from __future__ import annotations
@@ -61,12 +61,12 @@ class GrassmannPoint:
 
 def _scalar_trace(m: QuatMatrix):
     """Scalar part of the trace of each square matrix of a batch."""
-    return m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1)
+    return np.add.reduce(m.a[..., 0].diagonal(0, -2, -1), axis=-1)
 
 
 def _max_abs_each(m: QuatMatrix):
     """Largest component magnitude of each matrix of a batch."""
-    return np.abs(m.a).max(axis=(-3, -2, -1), initial=0.0)
+    return np.maximum.reduce(np.abs(m.a), axis=(-3, -2, -1), initial=0.0)
 
 
 def coset_element(xi: QuatMatrix) -> GroupElement:
@@ -159,6 +159,7 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
     if (pa.j, pa.k) != (pb.j, pb.k):
         raise ShapeMismatch("points live on different Grassmannians")
     xa, xb = pa.x, pb.x
+    xa_adj, xb_adj = xa.adjoint(), xb.adjoint()
     a, b, c, d = g.m.blocks(pa.j, pa.k)
     both = _stack([xa, xb], g.m.batch)
     _, _, y, r = _action(g, both)
@@ -169,16 +170,16 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
     err = SingularDenominator("transport factor is singular")
     left = (a.adjoint() - both @ b.adjoint()).a
     la, lb, rb_star, la_star = _inverses(
-        [_wrap(left[0]), _wrap(left[1]), a - b @ xb.adjoint(),
-         xa.adjoint() @ c.adjoint() + d.adjoint()], err)
+        [_wrap(left[0]), _wrap(left[1]), a - b @ xb_adj,
+         xa_adj @ c.adjoint() + d.adjoint()], err)
 
     res = {}
     lhs = eye_j + ya @ yb.adjoint()
-    rhs = la @ (eye_j + xa @ xb.adjoint()) @ rb_star
+    rhs = la @ (eye_j + xa @ xb_adj) @ rb_star
     res["one_plus_y_ystar"] = _max_abs_each(lhs - rhs)
 
     lhs = eye_k + ya.adjoint() @ yb
-    rhs = la_star @ (eye_k + xa.adjoint() @ xb) @ rb
+    rhs = la_star @ (eye_k + xa_adj @ xb) @ rb
     res["one_plus_ystar_y"] = _max_abs_each(lhs - rhs)
 
     # both differences from one chain: la (Xa - Xb) rb and lb (Xa - Xb) ra
@@ -201,34 +202,42 @@ def cross_ratio(pa: GrassmannPoint, pb: GrassmannPoint,
     return _scalar_trace(prod)
 
 
-# The Gram factors of the most recent point X, one slot per route: "inv"
-# holds (1+XX*)^{-1} and (1+X*X)^{-1} from QuatMatrix.inv, "invsqrt" holds
+# The Gram pair and its factors at the most recent point X, one slot each:
+# "gram" holds 1+XX* and 1+X*X, which both routes read; "inv" holds
+# (1+XX*)^{-1} and (1+X*X)^{-1} from QuatMatrix.inv, "invsqrt" holds
 # (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from func_hermitian.  A slot is one
-# (array shape, array bytes, factors) tuple, replaced in one assignment, so
-# a reader never pairs one point's key with another point's factors; keying
+# (array shape, array bytes, matrices) tuple, replaced in one assignment, so
+# a reader never pairs one point's key with another point's matrices; keying
 # on the content of X means an in-place edit of X misses.  A factorisation
-# that raises is not stored, and stored factors are read-only.
+# that raises is not stored, and stored matrices are read-only.
 _GRAM_FACTORS = {}
+
+
+def _stored(name: str, key: tuple, build) -> tuple:
+    """Slot ``name``'s matrices if it holds ``key``, else ``build()``'s."""
+    slot = _GRAM_FACTORS.get(name)
+    if slot is None or slot[:2] != key:
+        mats = tuple(build())
+        for m in mats:
+            m.a.flags.writeable = False
+        slot = _GRAM_FACTORS[name] = key + (mats,)
+    return slot[2]
 
 
 def _gram_factors(x: QuatMatrix, route: str) -> list:
     """The inverses (``route`` "inv") or inverse square roots ("invsqrt") of
-    1 + X X* and 1 + X* X, in that order, factored together with one call
-    per size (:func:`_by_size`)."""
+    1 + XX* and 1 + X*X in that order, one call per size (:func:`_by_size`)."""
     key = x.a.shape, x.a.tobytes()
-    slot = _GRAM_FACTORS.get(route)
-    if slot is None or slot[:2] != key:
-        grams = [QuatMatrix.identity(x.rows) + x @ x.adjoint(),
-                 QuatMatrix.identity(x.cols) + x.adjoint() @ x]
+
+    def factors():
+        grams = _stored("gram", key, lambda: (
+            QuatMatrix.identity(x.rows) + x @ x.adjoint(),
+            QuatMatrix.identity(x.cols) + x.adjoint() @ x))
         if route == "inv":
-            factors = _inverses(grams)
-        else:
-            factors = [f for (f,) in _by_size(
-                grams, lambda s: [func_hermitian(s, "invsqrt")])]
-        for factor in factors:
-            factor.a.flags.writeable = False
-        slot = _GRAM_FACTORS[route] = key + (tuple(factors),)
-    return list(slot[2])
+            return _inverses(grams)
+        return [f for (f,) in _by_size(
+            grams, lambda s: [func_hermitian(s, "invsqrt")])]
+    return list(_stored(route, key, factors))
 
 
 def _check_tangents(x: QuatMatrix, *tangents: QuatMatrix) -> None:

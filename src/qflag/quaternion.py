@@ -118,8 +118,12 @@ def m2c_blocks(q) -> np.ndarray:
     entry of its block, without a warning."""
     q = np.asarray(q, dtype=float)
     with np.errstate(invalid="ignore"):      # 0 * inf in the zero entries
-        flat = q @ M2C
-    return flat.view(complex).reshape(q.shape[:-1] + (2, 2))
+        return _m2c_finite(q)
+
+
+def _m2c_finite(q: np.ndarray) -> np.ndarray:
+    """:func:`m2c_blocks` of a finite float array, without the float guard."""
+    return (q @ M2C).view(complex).reshape(q.shape[:-1] + (2, 2))
 
 
 def to_m2c(q: Quaternion) -> np.ndarray:

@@ -26,7 +26,13 @@ one way back, reads each 2x2 block as 8 reals and multiplies them by the
 constant 8x8 ``_READBACK``, whose columns give the quaternion and the block's
 residuals against the quaternionic structure, and refuses a block whose
 residuals are too large.  ``inv`` and ``func_hermitian`` read their complex
-results back through it, so every readback is checked.
+results back through that readback and check, so every readback is checked.
+
+A NaN or inf entry makes numpy warn inside a product (0 * inf), so ``embed``,
+``project`` and the predicates (on ``inf - inf``) enter ``np.errstate``
+first.  Two steps need no guard: ``inv``'s readback, as a finite
+``||E||_1 ||E^-1||_1`` leaves no NaN or inf in E^-1, and the eigen-solvers'
+embedding, as ``is_hermitian``, passed first, fails on any NaN or inf.
 
 :meth:`QuatMatrix.inv` is the one inverse: it inverts the embedding E with
 one ``np.linalg.inv`` call (LAPACK ``gesv`` against an identity that numpy
@@ -59,7 +65,7 @@ from .errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
                      NonSquare, NotGroupElement, NotHyperHermitian,
                      NotSkewAdjoint, PairingFailure, SingularInvSqrt,
                      SingularMatrix)
-from .quaternion import (M2C, MUL_TABLE, Quaternion, m2c_blocks,
+from .quaternion import (M2C, MUL_TABLE, Quaternion, _m2c_finite,
                          require_quaternions)
 
 # _RIGHT_TABLE[q, 4 p + r] = MUL_TABLE[p, q, r]: one entry's components times
@@ -199,14 +205,20 @@ class QuatMatrix:
 
     def max_abs(self) -> float:
         """Largest magnitude over all real components of the whole batch."""
-        return np.abs(self.a).max(initial=0.0)
+        return np.maximum.reduce(np.abs(self.a), axis=None, initial=0.0)
 
     # -- complex embedding --------------------------------------------------------
 
     def embed(self) -> np.ndarray:
         """(..., 2 rows, 2 cols) complex matrix with one 2x2 block per entry."""
-        return m2c_blocks(self.a).swapaxes(-3, -2).reshape(
-            self.batch + (2 * self.rows, 2 * self.cols))
+        with np.errstate(invalid="ignore"):     # 0 * inf in the zero entries
+            return self._embed()
+
+    def _embed(self) -> np.ndarray:
+        """:meth:`embed` of finite entries, without the float guard."""
+        a = self.a
+        return _m2c_finite(a).swapaxes(-3, -2).reshape(
+            a.shape[:-3] + (2 * a.shape[-3], 2 * a.shape[-2]))
 
     @classmethod
     def project(cls, emb) -> "QuatMatrix":
@@ -222,28 +234,16 @@ class QuatMatrix:
         emb = np.ascontiguousarray(emb, dtype=complex)
         if emb.ndim < 2 or emb.shape[-2] % 2 or emb.shape[-1] % 2:
             raise MalformedM2C("embedding dimensions must be even")
-        lead, (r2, c2) = emb.shape[:-2], emb.shape[-2:]
-        shape = lead + (r2 // 2, c2 // 2)
-        # (..., r, 2, c, 2 x (re, im)) reals to one row of 8 per block
-        blocks = emb.view(float).reshape(
-            lead + (r2 // 2, 2, c2 // 2, 4)).swapaxes(-3, -2).reshape(-1, 8)
         with np.errstate(invalid="ignore"):     # 0 * inf: NaN over the block
-            out = (blocks @ _READBACK).reshape(shape + (8,))
-        del blocks                        # free the copy before the residuals
-        worst = _worst_off_scale(out[..., 4:].view(complex), emb,
-                                 config.STRUCTURE, (-2, -1))
-        if worst is not None:
-            raise MalformedM2C(f"structure residual {worst:.3e} "
-                               f"exceeds {config.STRUCTURE:.1e} * scale")
-        return _wrap(np.ascontiguousarray(out[..., :4]))
+            return _read_back(emb)
 
     def inv(self, err: Exception = None) -> "QuatMatrix":
         """Inverse via the complex embedding, one ``np.linalg.inv`` call for
-        the whole batch, read back through the checked :meth:`project`;
+        the whole batch, read back through :meth:`project`'s check;
         raises ``err`` (default :class:`SingularMatrix`) when any matrix is
         past the condition ceiling or its inverse fails the structure
         check."""
-        if not self.is_square():
+        if self.a.shape[-3] != self.a.shape[-2]:
             raise NonSquare("inverse of a non-square matrix")
         emb = self.embed()
         try:
@@ -252,10 +252,11 @@ class QuatMatrix:
         except np.linalg.LinAlgError:
             cond = np.float64(np.inf)
         # the worst matrix decides (a NaN is the worst)
-        worst = cond.max(initial=0.0)
+        worst = np.maximum.reduce(cond, axis=None, initial=0.0)
         if worst <= config.COND_LIMIT:
+            # a finite condition number leaves no NaN or inf in sol
             try:
-                return QuatMatrix.project(sol)
+                return _read_back(sol)
             except MalformedM2C as exc:
                 reason = f"solution off the quaternionic structure: {exc}"
         else:
@@ -369,6 +370,23 @@ def _broadcast(arrays: list, batch: tuple = None) -> list:
     return [np.broadcast_to(a, common + a.shape[-3:]) for a in arrays]
 
 
+def _read_back(emb: np.ndarray) -> QuatMatrix:
+    """:meth:`QuatMatrix.project` of a finite embedding, unguarded."""
+    lead, (r2, c2) = emb.shape[:-2], emb.shape[-2:]
+    shape = lead + (r2 // 2, c2 // 2)
+    # (..., r, 2, c, 2 x (re, im)) reals to one row of 8 per block
+    blocks = emb.view(float).reshape(
+        lead + (r2 // 2, 2, c2 // 2, 4)).swapaxes(-3, -2).reshape(-1, 8)
+    out = (blocks @ _READBACK).reshape(shape + (8,))
+    del blocks                            # free the copy before the residuals
+    worst = _worst_off_scale(out[..., 4:].view(complex), emb,
+                             config.STRUCTURE, (-2, -1))
+    if worst is not None:
+        raise MalformedM2C(f"structure residual {worst:.3e} "
+                           f"exceeds {config.STRUCTURE:.1e} * scale")
+    return _wrap(np.ascontiguousarray(out[..., :4]))
+
+
 def _worst_off_scale(res: np.ndarray, ref: np.ndarray, tol: float,
                      ref_axes: tuple = _ENTRY_AXES):
     """The worst |res| (matrix axes ``_ENTRY_AXES``) over the matrices where
@@ -377,7 +395,7 @@ def _worst_off_scale(res: np.ndarray, ref: np.ndarray, tol: float,
     res = np.abs(res)
     # every scale is at least 1: a worst residual within the bare tolerance
     # passes without the per-matrix scales (NaN fails both)
-    if res.max(initial=0.0) <= tol:
+    if np.maximum.reduce(res, axis=None, initial=0.0) <= tol:
         return None
     res = res.max(axis=_ENTRY_AXES, initial=0.0)
     scale = np.maximum(1.0, np.abs(ref).max(axis=ref_axes, initial=0.0))
@@ -387,7 +405,7 @@ def _worst_off_scale(res: np.ndarray, ref: np.ndarray, tol: float,
 
 def _norm1(m: np.ndarray):
     """1-norm of each complex matrix of a batch."""
-    return np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
+    return np.maximum.reduce(np.add.reduce(np.abs(m), -2), -1, initial=0.0)
 
 
 def block_matrix(blocks) -> QuatMatrix:
@@ -467,7 +485,7 @@ def _hermitian_embedding(p: QuatMatrix, what: str, not_hermitian: str):
         raise NonSquare(f"{what} of a non-square matrix")
     if not p.is_hermitian():
         raise NotHyperHermitian(not_hermitian)
-    emb = p.embed()
+    emb = p._embed()       # is_hermitian refuses a NaN or infinite entry
     return (emb + emb.conj().swapaxes(-1, -2)) / 2.0
 
 

@@ -435,6 +435,23 @@ def test_a_points_two_gram_inverses_take_one_inv_call_in_either_order(
         assert calls == [(2, 2)], first.__name__
 
 
+def test_a_points_gram_pair_is_built_once_for_both_routes(monkeypatch):
+    calls = []
+    identity = QuatMatrix.identity
+
+    def counted(n):
+        calls.append(n)
+        return identity(n)
+
+    monkeypatch.setattr(QuatMatrix, "identity", staticmethod(counted))
+    x, du, dv = geometry_draw(np.random.default_rng(620))
+    point = GrassmannPoint(x)
+    for call in GEOMETRY_CALLS.values():
+        call(point, du, dv)
+    # 1 + X X* (2 x 2) and 1 + X* X (3 x 3), once for both routes
+    assert calls == [2, 3]
+
+
 def test_mis_shaped_tangents_raise_shape_mismatch_naming_both_shapes():
     point = random_point(2, 3)
     good, bad = random_quatmat(rng, 2, 3), random_quatmat(rng, 3, 2)
@@ -685,6 +702,17 @@ def test_curvature_trace_identity():
             q = random_quatmat(rng, k, n, 0.8)
             lhs, rhs = curvature_trace(q)
             assert abs(lhs - rhs) < 1e-9
+    # each side on its own, against the eigenvalues lam of Q* Q and mu of
+    # Q Q*: an error shared by both sides fails here
+    local = np.random.default_rng(3304)
+    for k, n in ((1, 2), (2, 3), (2, 5), (3, 3)):
+        q = random_quatmat(local, k, n, 0.8)
+        lam = eigvals_hyperhermitian(q.adjoint() @ q)
+        mu = eigvals_hyperhermitian(q @ q.adjoint())
+        lhs, rhs = curvature_trace(q)
+        assert abs(lhs - 2.0 * np.sum(1.0 / (1.0 + lam))) < 1e-12
+        assert abs(rhs - 2.0 * (n - k)
+                   - 2.0 * np.sum(1.0 / (1.0 + mu))) < 1e-12
     # a stacked input gives arrays of the batch shape, equal to the singles
     q = QuatMatrix(np.stack([random_quatmat(rng, 2, 5, 0.8).a
                              for _ in range(6)]).reshape(2, 3, 2, 5, 4))

@@ -947,6 +947,8 @@ INV_PIN_CASES = {
                     ((0,), 2), ((0, 4), 3))},
     "nan single": lambda: _with_entry((), 2, np.nan),
     "nan in a batch": lambda: _with_entry((4,), 3, np.nan, (2,)),
+    "inf single": lambda: _with_entry((), 2, np.inf),
+    "-inf in a batch": lambda: _with_entry((4,), 3, -np.inf, (2,)),
     "singular single": lambda: QuatMatrix.zeros(2, 2),
     "singular in a batch": lambda: QuatMatrix(np.stack(
         [QuatMatrix.identity(2).a, real_matrix([[1.0, 2.0], [2.0, 4.0]]).a])),
@@ -965,5 +967,11 @@ def test_inv_keeps_the_bits_and_errors_of_solving_against_the_identity(name):
     m = INV_PIN_CASES[name]()
     want = _inverse_outcome(_solved_inverse, m)
     assert same_bits(_inverse_outcome(QuatMatrix.inv, m), want)
-    failing = name.startswith(("nan", "singular", "past", "off"))
+    failing = name.startswith(("nan", "inf", "-inf", "singular", "past",
+                               "off"))
     assert isinstance(want, tuple) == failing, want
+    if "nan" in name or "inf" in name:
+        # a non-finite entry fails the condition test, so it never reaches
+        # the inverse's readback, which has no float guard
+        assert want == (SingularMatrix,
+                        "1-norm condition number nan > 1e+12"), want
