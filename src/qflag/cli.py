@@ -106,6 +106,8 @@ def _require_out_path(out_path) -> None:
     """Refuse an ``--out`` path that cannot be written, before any work."""
     if out_path is None:
         return
+    if not out_path:
+        raise UsageError("--out must name a file, got an empty path")
     folder = os.path.dirname(os.path.abspath(out_path))
     if not os.path.isdir(folder):
         raise UsageError(f"--out {out_path}: no directory {folder}")
@@ -431,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", action="append", metavar="KEY=VAL",
                           help="override a check tolerance by name; VAL is "
                                "a positive finite number")
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_lb = sub.add_parser("lb", help="radial solution table")
@@ -443,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"grid points between the pole exclusion zones, "
                            f"1 to {MAX_LB_SAMPLES}")
     p_lb.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_lb.add_argument("--out", default=None)
     p_lb.set_defaults(func=cmd_lb)
 
     p_roots = sub.add_parser("roots", help="root system listing")
@@ -452,14 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument("--projection", type=int, choices=[2, 3], default=2,
                          help="coordinates kept in the csv projection")
     p_roots.add_argument("--format", choices=["json", "csv"], default="json")
-    p_roots.add_argument("--out", default=None)
     p_roots.set_defaults(func=cmd_roots)
 
     p_em = sub.add_parser("em", help="scalar/E/B decomposition of a potential")
     p_em.add_argument("component", nargs="+",
                       help="assignments like A1=x1 (components A0..A3, "
                            "polynomials in x0..x3)")
-    p_em.add_argument("--out", default=None)
     p_em.set_defaults(func=cmd_em)
 
     p_evolve = sub.add_parser("evolve", help="trajectory table")
@@ -473,8 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
                                f"{MAX_EVOLVE_T:g}")
     p_evolve.add_argument("--steps", type=int, default=100,
                           help=f"table rows, 0 to {MAX_EVOLVE_STEPS}")
-    p_evolve.add_argument("--out", default=None)
     p_evolve.set_defaults(func=cmd_evolve)
+    for p_command in sub.choices.values():     # each one's last option
+        p_command.add_argument("--out", default=None)
     return parser
 
 

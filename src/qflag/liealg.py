@@ -603,20 +603,15 @@ def ladder_check(k: int, n: int, vector: PolyFunction) -> dict:
     n_alpha = eigenvalue_of(small, vector)
     out = {"H_eigenvalue": n_a, "h_eigenvalue": n_alpha,
            "raised": None, "lowered": None}
-    up = gen_p(0, 0, k, n).apply(vector)
-    if not up.is_zero():
-        out["raised"] = eigenvalue_of(big, up)
-        if out["raised"] != n_a + 1:
-            raise NotEigenvector(
-                f"raising produced eigenvalue {out['raised']}, "
-                f"expected {n_a + 1}")
-    down = gen_pbar(0, 0, k, n).apply(vector)
-    if not down.is_zero():
-        out["lowered"] = eigenvalue_of(small, down)
-        if out["lowered"] != n_alpha - 1:
-            raise NotEigenvector(
-                f"lowering produced eigenvalue {out['lowered']}, "
-                f"expected {n_alpha - 1}")
+    for key, verb, gen, cartan, expected in (
+            ("raised", "raising", gen_p, big, n_a + 1),
+            ("lowered", "lowering", gen_pbar, small, n_alpha - 1)):
+        image = gen(0, 0, k, n).apply(vector)
+        if not image.is_zero():
+            out[key] = eigenvalue_of(cartan, image)
+            if out[key] != expected:
+                raise NotEigenvector(f"{verb} produced eigenvalue {out[key]}, "
+                                     f"expected {expected}")
     return out
 
 

@@ -99,7 +99,8 @@ MUL_TABLE = np.array([[(p * q).to_array() for q in BASIS] for p in BASIS])
 JBLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-# m2c_blocks as a real map: row c holds (re, im) of m11, m12, m21, m22 of e_c
+# The 2x2 image as a real map: row c holds (re, im) of m11, m12, m21, m22 of
+# e_c.  QuatMatrix.embed is the one product with it.
 M2C = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],     # e
                 [0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0],    # i
                 [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],     # j
@@ -112,23 +113,10 @@ HURWITZ_UNITS = np.concatenate([np.eye(4), -np.eye(4), 0.5 * np.array(
     list(itertools.product((1.0, -1.0), repeat=4)))])
 
 
-def m2c_blocks(q) -> np.ndarray:
-    """2x2 complex images of a ``(..., 4)`` array of quaternions, as a
-    ``(..., 2, 2)`` array.  A NaN or infinite component puts a NaN in every
-    entry of its block, without a warning."""
-    q = np.asarray(q, dtype=float)
-    with np.errstate(invalid="ignore"):      # 0 * inf in the zero entries
-        return _m2c_finite(q)
-
-
-def _m2c_finite(q: np.ndarray) -> np.ndarray:
-    """:func:`m2c_blocks` of a finite float array, without the float guard."""
-    return (q @ M2C).view(complex).reshape(q.shape[:-1] + (2, 2))
-
-
 def to_m2c(q: Quaternion) -> np.ndarray:
     """2x2 complex image of ``q``; a ring homomorphism."""
-    return m2c_blocks(q.to_array())
+    from .quatmat import QuatMatrix        # quatmat imports this module
+    return QuatMatrix(q.to_array()[None, None]).embed()
 
 
 def from_m2c(m) -> Quaternion:

@@ -65,8 +65,7 @@ from .errors import (DimensionMismatch, MalformedM2C, NonFiniteMatrix,
                      NonSquare, NotGroupElement, NotHyperHermitian,
                      NotSkewAdjoint, PairingFailure, SingularInvSqrt,
                      SingularMatrix)
-from .quaternion import (M2C, MUL_TABLE, Quaternion, _m2c_finite,
-                         require_quaternions)
+from .quaternion import M2C, MUL_TABLE, Quaternion, require_quaternions
 
 # _RIGHT_TABLE[q, 4 p + r] = MUL_TABLE[p, q, r]: one entry's components times
 # it give the 4x4 real matrix of right multiplication by that entry.
@@ -217,7 +216,8 @@ class QuatMatrix:
     def _embed(self) -> np.ndarray:
         """:meth:`embed` of finite entries, without the float guard."""
         a = self.a
-        return _m2c_finite(a).swapaxes(-3, -2).reshape(
+        blocks = (a @ M2C).view(complex).reshape(a.shape[:-1] + (2, 2))
+        return blocks.swapaxes(-3, -2).reshape(
             a.shape[:-3] + (2 * a.shape[-3], 2 * a.shape[-2]))
 
     @classmethod

@@ -111,6 +111,19 @@ def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
     assert out == "" and "--out" in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "roots"], ["lb", "--ell", "1"],
+                                  ["roots", "2"], ["em", "A1=x1"],
+                                  ["evolve"]])
+def test_empty_out_is_usage_error(argv, monkeypatch, capsys):
+    # refused before the subcommand runs, not read as "write to stdout"
+    for name in ("cmd_verify", "cmd_lb", "cmd_roots", "cmd_em", "cmd_evolve"):
+        monkeypatch.setattr(cli, name,
+                            lambda args: pytest.fail("a subcommand ran"))
+    code, out, err = run_cli(argv + ["--out", ""], capsys)
+    assert code == 2
+    assert out == "" and "--out" in err
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_out_write_failure_is_usage_error(capsys):
     code, out, err = run_cli(["roots", "2", "--out", "/dev/full"], capsys)

@@ -207,6 +207,17 @@ def test_raising_by_a_cartan_generator_fails_ladder_shifts(monkeypatch,
         "NotEigenvector: raising produced eigenvalue")
 
 
+def test_lowering_by_a_raising_generator_fails_ladder_shifts(monkeypatch,
+                                                             capsys):
+    # pbar_{alpha a} read as p_{alpha a}: the image's h_{00} eigenvalue rises
+    # where it should fall, so the lowering half of ladder_check raises
+    monkeypatch.setattr(liealg, "gen_pbar", liealg.gen_p)
+    failed = _failures(capsys, ["verify", "liealg", "--seed", "42"])
+    assert set(failed) == {"liealg.ladder_shifts.error"}
+    assert failed["liealg.ladder_shifts.error"]["detail"].startswith(
+        "NotEigenvector: lowering produced eigenvalue 2, expected 0")
+
+
 def _liealg_failures(capsys):
     """The failed checks of ``verify all --seed 42`` at default trials,
     which must all be in the exact generator suite."""

@@ -9,7 +9,7 @@ from qflag.dynamics import StateVector
 from qflag.errors import DimensionMismatch, MalformedM2C, NotUnitQuaternion
 from qflag.forms import hodge_star, wedge
 from qflag.quaternion import (HURWITZ_UNITS, MUL_TABLE, E, I, J, K,
-                              Quaternion, from_m2c, j_conjugate, m2c_blocks,
+                              Quaternion, from_m2c, j_conjugate,
                               random_quaternion, random_unit_quaternion,
                               random_unit_quaternions, require_unit,
                               sq_norms, to_m2c)
@@ -96,6 +96,12 @@ def test_norm_equals_embedding_determinant():
         assert abs(det.imag) < 1e-12
 
 
+def embed_entries(q):
+    """:meth:`QuatMatrix.embed` of a ``(..., 4)`` array read as a stack of
+    1x1 matrices: a ``(..., 2, 2)`` array of the entries' images."""
+    return QuatMatrix(np.asarray(q)[..., None, None, :]).embed()
+
+
 def test_m2c_values():
     np.testing.assert_allclose(to_m2c(I), np.array([[0, 1], [-1, 0]]), atol=0)
     np.testing.assert_allclose(to_m2c(E), np.eye(2), atol=0)
@@ -103,9 +109,9 @@ def test_m2c_values():
     m = to_m2c(q)
     assert m[0, 0] == 1 + 4j and m[0, 1] == 2 + 3j
     assert m[1, 0] == -(2 - 3j) and m[1, 1] == 1 - 4j
-    # a stacked (..., 4) input: every block holds the same literal entries
+    # a stack of 1x1 matrices: every block holds the same literal entries
     qs = np.array([[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.0]])
-    blocks = m2c_blocks(np.stack([qs, 2.0 * qs, qs]))
+    blocks = embed_entries(np.stack([qs, 2.0 * qs, qs]))
     assert blocks.shape == (3, 2, 2, 2)
     for idx in np.ndindex(3, 2):
         s = (2.0 if idx[0] == 1 else 1.0) * (1.0 if idx[1] == 0 else -1.0)
@@ -128,7 +134,7 @@ def _m2c_four_entries(q):
 @pytest.mark.parametrize("shape", [(4,), (1000, 4), (50, 3, 3, 4), (0, 4)])
 def test_m2c_blocks_equal_the_four_entry_formula(shape):
     q = rng.normal(size=shape)
-    got, expect = m2c_blocks(q), _m2c_four_entries(q)
+    got, expect = embed_entries(q), _m2c_four_entries(q)
     assert got.shape == expect.shape
     assert np.array_equal(got, expect)
     assert np.array_equal(np.signbit(got.view(float)),

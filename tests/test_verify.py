@@ -98,6 +98,17 @@ def test_run_suite_equals_a_serial_loop_in_report_order(seed, trials):
     assert run_suite("all", cfg)["checks"] == serial_checks(cfg)
 
 
+@pytest.mark.parametrize("seed, trials", [(42, 1), (977, 3)])
+def test_each_suite_alone_equals_its_rows_of_all(seed, trials):
+    # a suite run alone draws from the same streams, and forks its coset
+    # units by the same rule, as its part of a run of all
+    cfg = RunConfig(seed=seed, trials=trials)
+    rows = run_suite("all", cfg)["checks"]
+    for suite in SUITES:
+        assert run_suite(suite, cfg)["checks"] == [
+            row for row in rows if row["name"].split(".", 1)[0] == suite]
+
+
 def refuse_fork():
     pytest.fail("run_suite forked where it should run serially")
 
