@@ -21,9 +21,9 @@ Gram factors of the most recent point: (1+XX*)^{-1} and (1+X*X)^{-1} from
 :meth:`QuatMatrix.inv`, (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from
 :func:`func_hermitian`.  A factor is computed again only when the point's
 content changes, so successive calls at one point return the bits that
-fresh calls would.  Both routes factor one Gram pair 1+XX*, 1+X*X per
-point, each into its own slot, with one call per size: at a square point
-one ``np.linalg.inv`` for both inverses and one ``eigh`` for both.
+fresh calls would.  These and :func:`coset_element` factor one (j+k)-square
+matrix built on G = [[0, X], [-X*, 0]] (:func:`coset_generator`) each, so a
+point takes one ``np.linalg.inv`` and one ``eigh`` at any shape.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from . import config
 from .errors import (DegenerateQuadruple, PairingFailure, ShapeMismatch,
                      SingularDenominator, TooManyFibers)
 from .quaternion import HURWITZ_UNITS
-from .quatmat import (GroupElement, QuatMatrix, _by_size, _check_partition,
+from .quatmat import (GroupElement, QuatMatrix, _check_partition,
                       _funcs_hermitian, _inverses, _stack, _wrap, block_matrix,
                       eigvals_hyperhermitian, func_hermitian)
 
@@ -69,31 +69,27 @@ def _max_abs_each(m: QuatMatrix):
     return np.maximum.reduce(np.abs(m.a), axis=(-3, -2, -1), initial=0.0)
 
 
-def coset_element(xi: QuatMatrix) -> GroupElement:
-    """Exponential of the off-diagonal generator [[0, xi], [-xi*, 0]].
+def coset_generator(xi: QuatMatrix) -> QuatMatrix:
+    """The skew block matrix [[0, xi], [-xi*, 0]] itself."""
+    j, k = xi.rows, xi.cols
+    return block_matrix([[QuatMatrix.zeros(j, j), xi],
+                         [-xi.adjoint(), QuatMatrix.zeros(k, k)]])
 
-    Built in closed form from scalar functions of xi xi*:
+
+def coset_element(xi: QuatMatrix) -> GroupElement:
+    """Exponential of the off-diagonal generator G = [[0, xi], [-xi*, 0]]:
+    its series cos sqrt(G*G) + sinc_sqrt(G*G) G, as G^2 = -G*G, from one
+    spectrum of G*G = diag(xi xi*, xi* xi).  In block form
 
         [[cos sqrt(xi xi*),  Z       ],
          [-Z*,               cos sqrt(xi* xi)]]
 
     with Z = sinc_sqrt(xi xi*) xi = (xi xi*)^{-1/2} sin (xi xi*)^{1/2} xi.
     """
-    xi_adj = xi.adjoint()
-    (sinc_left, cos_left), (_, cos_right) = _by_size(
-        [xi @ xi_adj, xi_adj @ xi],
-        lambda s: _funcs_hermitian(s, ("sinc_sqrt", "cos_sqrt")))
-    z = sinc_left @ xi
-    top = [cos_left, z]
-    bottom = [-z.adjoint(), cos_right]
-    return GroupElement(block_matrix([top, bottom]), tol=config.STRUCTURE * 10)
-
-
-def coset_generator(xi: QuatMatrix) -> QuatMatrix:
-    """The skew block matrix [[0, xi], [-xi*, 0]] itself."""
-    j, k = xi.rows, xi.cols
-    return block_matrix([[QuatMatrix.zeros(j, j), xi],
-                         [-xi.adjoint(), QuatMatrix.zeros(k, k)]])
+    gen = coset_generator(xi)
+    cos, sinc = _funcs_hermitian(gen.adjoint() @ gen,
+                                 ("cos_sqrt", "sinc_sqrt"))
+    return GroupElement(cos + sinc @ gen, tol=config.STRUCTURE * 10)
 
 
 def grassmann_from_coset(xi: QuatMatrix) -> GrassmannPoint:
@@ -148,42 +144,35 @@ def transport_identities(g: GroupElement, pa: GrassmannPoint,
     1 + Ya* Yb and (twice, with the roles of the two points exchanged in the
     flanking inverses) Ya - Yb through the group blocks.
 
-    The six inverses take two calls on a square point, in this order:
-    C Xa + D and C Xb + D as one batch, then the transport factors
-    A* - Xa B*, A* - Xb B*, A - B Xb* and Xa* C* + D* as another; a
-    j x k point with j != k takes one call for the j x j factors and one
-    for the k x k factor.  A batch raises its error if any of its matrices
-    is singular, so the error is the one that six separate calls in this
-    order would raise.
+    The four inverses take two calls, in this order: C Xa + D and C Xb + D
+    as one batch (ra, rb), then A* - Xa B* and A* - Xb B* (la, lb).  The
+    other two factors are their adjoints: (A - B Xb*)^{-1} = lb* and
+    (Xa* C* + D*)^{-1} = ra*.  A batch raises its error if any of its
+    matrices is singular, as four separate calls in this order would.
     """
     if (pa.j, pa.k) != (pb.j, pb.k):
         raise ShapeMismatch("points live on different Grassmannians")
     xa, xb = pa.x, pb.x
-    xa_adj, xb_adj = xa.adjoint(), xb.adjoint()
-    a, b, c, d = g.m.blocks(pa.j, pa.k)
+    a, b, _, _ = g.m.blocks(pa.j, pa.k)
     both = _stack([xa, xb], g.m.batch)
     _, _, y, r = _action(g, both)
     (ya, yb), (ra, rb) = map(_wrap, y.a), map(_wrap, r.a)
-    eye_j = QuatMatrix.identity(pa.j)
-    eye_k = QuatMatrix.identity(pa.k)
-
-    err = SingularDenominator("transport factor is singular")
-    left = (a.adjoint() - both @ b.adjoint()).a
-    la, lb, rb_star, la_star = _inverses(
-        [_wrap(left[0]), _wrap(left[1]), a - b @ xb_adj,
-         xa_adj @ c.adjoint() + d.adjoint()], err)
+    left = (a.adjoint() - both @ b.adjoint()).inv(
+        SingularDenominator("transport factor is singular"))
+    la, lb = map(_wrap, left.a)
+    eye_j, eye_k = QuatMatrix.identity(pa.j), QuatMatrix.identity(pa.k)
 
     res = {}
     lhs = eye_j + ya @ yb.adjoint()
-    rhs = la @ (eye_j + xa @ xb_adj) @ rb_star
+    rhs = la @ (eye_j + xa @ xb.adjoint()) @ lb.adjoint()
     res["one_plus_y_ystar"] = _max_abs_each(lhs - rhs)
 
     lhs = eye_k + ya.adjoint() @ yb
-    rhs = la_star @ (eye_k + xa_adj @ xb) @ rb
+    rhs = ra.adjoint() @ (eye_k + xa.adjoint() @ xb) @ rb
     res["one_plus_ystar_y"] = _max_abs_each(lhs - rhs)
 
     # both differences from one chain: la (Xa - Xb) rb and lb (Xa - Xb) ra
-    rhs = _stack([la, lb]) @ (xa - xb) @ _stack([rb, ra])
+    rhs = left @ (xa - xb) @ _stack([rb, ra])
     res["difference_a"], res["difference_b"] = _max_abs_each(ya - yb - rhs)
     return res
 
@@ -202,14 +191,13 @@ def cross_ratio(pa: GrassmannPoint, pb: GrassmannPoint,
     return _scalar_trace(prod)
 
 
-# The Gram pair and its factors at the most recent point X, one slot each:
-# "gram" holds 1+XX* and 1+X*X, which both routes read; "inv" holds
-# (1+XX*)^{-1} and (1+X*X)^{-1} from QuatMatrix.inv, "invsqrt" holds
-# (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from func_hermitian.  A slot is one
-# (array shape, array bytes, matrices) tuple, replaced in one assignment, so
-# a reader never pairs one point's key with another point's matrices; keying
-# on the content of X means an in-place edit of X misses.  A factorisation
-# that raises is not stored, and stored matrices are read-only.
+# The Gram factors at the most recent point X, one slot per route: "inv"
+# holds (1+XX*)^{-1} and (1+X*X)^{-1}, "invsqrt" holds (1+XX*)^{-1/2} and
+# (1+X*X)^{-1/2}.  A slot is one (array shape, array bytes, matrices) tuple,
+# replaced in one assignment, so a reader never pairs one point's key with
+# another point's matrices; keying on the content of X means an in-place
+# edit of X misses.  A factorisation that raises is not stored, and stored
+# matrices are read-only.
 _GRAM_FACTORS = {}
 
 
@@ -226,17 +214,17 @@ def _stored(name: str, key: tuple, build) -> tuple:
 
 def _gram_factors(x: QuatMatrix, route: str) -> list:
     """The inverses (``route`` "inv") or inverse square roots ("invsqrt") of
-    1 + XX* and 1 + X*X in that order, one call per size (:func:`_by_size`)."""
+    1 + XX* and 1 + X*X in that order: the diagonal blocks of (1 + G)^{-1},
+    of condition about |X| (1 + XX*'s is |X|^2), or of (1 + G*G)^{-1/2}, as
+    G*G = diag(XX*, X*X), for G = :func:`coset_generator` (X)."""
     key = x.a.shape, x.a.tobytes()
 
     def factors():
-        grams = _stored("gram", key, lambda: (
-            QuatMatrix.identity(x.rows) + x @ x.adjoint(),
-            QuatMatrix.identity(x.cols) + x.adjoint() @ x))
-        if route == "inv":
-            return _inverses(grams)
-        return [f for (f,) in _by_size(
-            grams, lambda s: [func_hermitian(s, "invsqrt")])]
+        gen = coset_generator(x)
+        eye = QuatMatrix.identity(x.rows + x.cols)
+        whole = ((eye + gen).inv() if route == "inv" else
+                 func_hermitian(eye + gen.adjoint() @ gen, "invsqrt"))
+        return whole.blocks(x.rows, x.cols)[::3]
     return list(_stored(route, key, factors))
 
 
@@ -269,6 +257,7 @@ def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix):
     Here A* = (1+XX*)^{-1/2} and D = (1+X*X)^{-1/2} are the diagonal blocks
     of the coset representative through X, so w is the off-diagonal block of
     the pulled-back invariant form and tr(w w*) is a sum of squared norms.
+    The eigh of 1 + G*G, of condition |X|^2, gives it an error of eps |X|^2.
     """
     x = point.x
     _check_tangents(x, dx)
@@ -281,6 +270,7 @@ def metric_form_expanded(point: GrassmannPoint, dx: QuatMatrix):
     """Second form of the line element, with (1+X*X)^{-1} eliminated:
 
     tr[(1+XX*)^{-1} dX dX* - (1+XX*)^{-1} dX X* (1+XX*)^{-1} X dX*].
+    Its two terms cancel far out, so its relative error grows as eps |X|^2.
     """
     x = point.x
     _check_tangents(x, dx)

@@ -43,11 +43,9 @@ exactly singular matrix and any NaN entry.
 
 Every check keeps its meaning per matrix of a batch: tolerances are relative
 to each matrix's own scale, and a batch raises the error that a loop over
-its matrices would raise if any one of them fails.  Factorisations that one
-routine needs on several matrices of one size go through one call on their
-stack (:func:`_by_size`): :func:`_inverses` takes one
-:meth:`QuatMatrix.inv` per size and raises the caller's error if any one
-fails.
+its matrices would raise if any one of them fails.  :func:`_inverses`
+inverts several matrices of one size with one :meth:`QuatMatrix.inv` of
+their stack and raises the caller's error if any one fails.
 
 The public constructor ``QuatMatrix(a)`` validates its argument.  Results
 that the class builds itself (``+``, ``-``, ``*``, ``@``, ``adjoint``,
@@ -317,36 +315,12 @@ def _check_partition(m: QuatMatrix, j: int, k: int) -> None:
         raise DimensionMismatch(f"partition {j}+{k} does not fit {m.shape}")
 
 
-def _by_size(mats, factor) -> list:
-    """``factor`` of each square matrix of ``mats``, one call per size.
-
-    The matrices of one size go to ``factor`` as one :func:`_stack`, so
-    their batch shapes broadcast; ``factor`` returns a list of stacks, and
-    entry i of the result lists matrix i's slices of them, each with the
-    common batch shape of its size.  Sizes go in the order they first
-    appear.  LAPACK factors each matrix of a stack on its own, so each
-    slice has the bits of ``factor`` of that matrix alone.
-    """
-    sizes = {}
-    for i, m in enumerate(mats):
-        sizes.setdefault(m.rows, []).append(i)
-    out = [None] * len(mats)
-    for members in sizes.values():
-        stacks = factor(_stack([mats[i] for i in members]))
-        for pos, i in enumerate(members):
-            out[i] = [_wrap(s.a[pos]) for s in stacks]
-    return out
-
-
 def _inverses(mats, err: Exception = None) -> list:
-    """Inverses of square matrices, one :meth:`QuatMatrix.inv` per size
-    (:func:`_by_size`).
-
-    Each equals the matrix's own ``inv(err)``; if any matrix fails, ``err``
-    is raised, as a loop over the matrices would raise it (without ``err``,
-    a :class:`SingularMatrix`).
-    """
-    return [inv for (inv,) in _by_size(mats, lambda s: [s.inv(err)])]
+    """Inverses of square matrices of one size, from one
+    :meth:`QuatMatrix.inv` of their :func:`_stack`: each is the matrix's own
+    ``inv(err)``, in the common batch shape, and if any matrix fails, ``err``
+    is raised as a loop would raise it (without ``err``, SingularMatrix)."""
+    return list(map(_wrap, _stack(mats).inv(err).a))
 
 
 def _stack(mats, batch: tuple = None) -> QuatMatrix:

@@ -535,7 +535,7 @@ def _(cfg, rng):
     yield 0.0, 0.5, "+1 under p, -1 under pbar, exact"
 
 
-@_unit("liealg.laplace_beltrami")
+@_unit("liealg.laplace_beltrami", "liealg.leibniz_associativity")
 def _(cfg, rng):
     lap = liealg.laplace_beltrami(1, 2)
     # at (1, 2) each of h, H, p and pbar has 2 x 2 index pairs
@@ -546,6 +546,14 @@ def _(cfg, rng):
     yield (_failures((lap.apply(liealg.PolyFunction.constant(1)).is_zero(),
                       lap.conjugate() == lap, *commutes)), 0.5,
            "kills constants, J-invariant, commutes with all 16 generators")
+    # lap o lap holds words with a repeated symbol, whose cross terms on
+    # squared coefficients carry the binomial C(count, h) for h = 1, 2
+    z = liealg.PolyFunction.z
+    m_f = liealg.DiffOperator.multiplication(
+        z(0, 0) * z(0, 0) * z(1, 1) + z(0, 1) * z(1, 0) * z(1, 0))
+    left, right = lap.compose(lap).compose(m_f), lap.compose(lap.compose(m_f))
+    yield (_failures((left == right,)), 0.5,
+           "(lap o lap) o M_f == lap o (lap o M_f), f = z00^2 z11 + z01 z10^2")
 
 
 # -- s4 ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import settings
 
+from qflag.coset import coset_generator
 from qflag.liealg import DiffOperator
 from qflag.quaternion import Quaternion
 from qflag.quatmat import QuatMatrix, func_hermitian
@@ -50,21 +51,29 @@ def from_tuples(cls, terms: dict):
 def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:
     """The three metric forms at the point ``x`` on ``du`` and its curvature
     blocks on (du, dv), keyed by function name, each from Gram factors of
-    its own, computed here anew."""
-    def gram_left():
-        return QuatMatrix.identity(x.rows) + x @ x.adjoint()
+    its own, computed here anew: the diagonal blocks of (1 + G)^{-1} and of
+    (1 + G*G)^{-1/2} for G = coset_generator(x)."""
+    j, k = x.shape
+    gen, eye = coset_generator(x), QuatMatrix.identity(j + k)
 
-    def gram_right():
-        return QuatMatrix.identity(x.cols) + x.adjoint() @ x
+    def diagonal_blocks(m):
+        a, _, _, d = m.blocks(j, k)
+        return a, d
+
+    def inverses():
+        return diagonal_blocks((eye + gen).inv())
+
+    def inverse_roots():
+        return diagonal_blocks(
+            func_hermitian(eye + gen.adjoint() @ gen, "invsqrt"))
 
     def scalar_trace(m):
         return m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1)
 
     def curvature_blocks():
-        astar = func_hermitian(gram_left(), "invsqrt")
-        dmat = func_hermitian(gram_right(), "invsqrt")
+        astar, dmat = inverse_roots()
         w_u, w_v = astar @ du @ dmat, astar @ dv @ dmat
-        s1_inv, s2_inv = gram_left().inv(), gram_right().inv()
+        s1_inv, s2_inv = inverses()
         return {"omega11": w_u @ w_v.adjoint() - w_v @ w_u.adjoint(),
                 "omega22": w_u.adjoint() @ w_v - w_v.adjoint() @ w_u,
                 "r11": (du @ s2_inv @ dv.adjoint() @ s1_inv
@@ -72,9 +81,9 @@ def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:
                 "r22": (du.adjoint() @ s1_inv @ dv @ s2_inv
                         - dv.adjoint() @ s1_inv @ du @ s2_inv).trace()}
 
-    left, right = gram_left().inv(), gram_right().inv()
-    w = (func_hermitian(gram_left(), "invsqrt") @ du
-         @ func_hermitian(gram_right(), "invsqrt"))
+    left, right = inverses()
+    astar, dmat = inverse_roots()
+    w = astar @ du @ dmat
     hermitian = (w.a ** 2).reshape(w.batch + (-1,)).sum(axis=-1)
     return {
         "metric_form": scalar_trace(left @ du @ right @ du.adjoint()),

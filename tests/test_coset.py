@@ -256,9 +256,10 @@ def test_transport_identities_error_paths():
 
 
 def test_grouped_calls_solve_and_diagonalise_once_per_group(monkeypatch):
-    # one inv or eigh per size of matrix: transport_identities inverts
-    # C X + D, then its transport factors; cross_ratio inverts in 1 call;
-    # coset_element takes sinc_sqrt and cos_sqrt of xi xi* and xi* xi
+    # one inv or eigh per group at any shape: transport_identities inverts
+    # C X + D, then A* - X B*; cross_ratio inverts in 1 call; coset_element
+    # takes cos_sqrt and sinc_sqrt of G*G, the Gram routes factor 1 + G and
+    # 1 + G*G, for the (j+k)-square G = coset_generator(X)
     counts = {"inv": 0, "eigh": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
@@ -282,37 +283,37 @@ def test_grouped_calls_solve_and_diagonalise_once_per_group(monkeypatch):
             calls[name]()
             assert counts == dict(zip(("inv", "eigh"), want)), name
 
-    # a square point: both sides of each pair share one call
+    # a square point
     g = GroupElement(expm(random_skew_adjoint(rng, 4, 0.7)))
     pts = [random_point() for _ in range(4)]
     du, dv = random_quatmat(rng, 2, 2), random_quatmat(rng, 2, 2)
     check(g, pts, du, dv, {"transport": (2, 0), "cross_ratio": (1, 0),
                            "coset_element": (0, 1), "geometry": (1, 1),
                            "geometry again": (0, 0)})
-    # a 1 x 2 point: two sizes, one call each
+    # a 1 x 2 point: the same counts
     local = np.random.default_rng(613)
     g = GroupElement(expm(random_skew_adjoint(local, 3, 0.7)))
     pts = [GrassmannPoint(random_quatmat(local, 1, 2, 0.5)) for _ in range(4)]
     du, dv = random_quatmat(local, 1, 2), random_quatmat(local, 1, 2)
-    check(g, pts, du, dv, {"transport": (3, 0), "coset_element": (0, 2),
-                           "geometry": (2, 2), "geometry again": (0, 0)})
+    check(g, pts, du, dv, {"transport": (2, 0), "coset_element": (0, 1),
+                           "geometry": (1, 1), "geometry again": (0, 0)})
     # internal results skip re-validation; the public constructor does not
     with pytest.raises(DimensionMismatch):
         QuatMatrix(np.zeros((2, 2)))
 
 
 def per_side_transport(g, xa, xb):
-    """transport_identities with each of its six inverses on its own: the
-    action at each point alone, then the four transport factors."""
+    """transport_identities with each of its four inverses on its own: the
+    action at each point alone, then A* - X B* at each point; the other two
+    factors are adjoints of these."""
     j, k = xa.rows, xa.cols
-    a, b, c, d = g.m.blocks(j, k)
+    a, b, _, _ = g.m.blocks(j, k)
     eye_j, eye_k = QuatMatrix.identity(j), QuatMatrix.identity(k)
     _, _, ya, ra = _action(g, xa)
     _, _, yb, rb = _action(g, xb)
     la = (a.adjoint() - xa @ b.adjoint()).inv()
     lb = (a.adjoint() - xb @ b.adjoint()).inv()
-    rb_star = (a - b @ xb.adjoint()).inv()
-    la_star = (xa.adjoint() @ c.adjoint() + d.adjoint()).inv()
+    rb_star, la_star = lb.adjoint(), ra.adjoint()
 
     def worst(m):
         return np.abs(m.a).max(axis=(-3, -2, -1))
@@ -334,19 +335,20 @@ def test_grouped_factors_have_the_bits_of_per_side_factors():
             x = QuatMatrix(local.normal(0.0, 0.5, batch + (n, n, 4)))
             left = QuatMatrix.identity(n) + x @ x.adjoint()
             right = QuatMatrix.identity(n) + x.adjoint() @ x
-            # both Gram routes, each side factored alone
-            assert same_bits(
-                _gram_factors(x, "inv") + _gram_factors(x, "invsqrt"),
-                [left.inv(), right.inv(), func_hermitian(left, "invsqrt"),
-                 func_hermitian(right, "invsqrt")])
-            # coset_element from one spectrum per side
+            # both Gram routes against each side factored alone
+            got = _gram_factors(x, "inv") + _gram_factors(x, "invsqrt")
+            want = [left.inv(), right.inv(), func_hermitian(left, "invsqrt"),
+                    func_hermitian(right, "invsqrt")]
+            for mine, theirs in zip(got, want, strict=True):
+                assert mat_close(mine, theirs, 1e-13)
+            # coset_element against one spectrum per side
             xi = QuatMatrix(local.normal(0.0, 0.5, batch + (n, n, 4)))
             xi_adj = xi.adjoint()
             z = func_hermitian(xi @ xi_adj, "sinc_sqrt") @ xi
             want = block_matrix([[func_hermitian(xi @ xi_adj, "cos_sqrt"), z],
                                  [-z.adjoint(),
                                   func_hermitian(xi_adj @ xi, "cos_sqrt")]])
-            assert np.array_equal(coset_element(xi).m.a, want.a)
+            assert mat_close(coset_element(xi).m, want, 1e-13)
             # every transport residual, the group element single or batched
             for g_batch in ((), batch):
                 gens = QuatMatrix(local.normal(
@@ -432,7 +434,7 @@ def test_a_points_two_gram_inverses_take_one_inv_call_in_either_order(
         calls.clear()
         first(point, dx)
         second(point, dx)
-        assert calls == [(2, 2)], first.__name__
+        assert calls == [(4, 4)], first.__name__
 
 
 def test_a_points_gram_pair_is_built_once_for_both_routes(monkeypatch):
@@ -448,8 +450,8 @@ def test_a_points_gram_pair_is_built_once_for_both_routes(monkeypatch):
     point = GrassmannPoint(x)
     for call in GEOMETRY_CALLS.values():
         call(point, du, dv)
-    # 1 + X X* (2 x 2) and 1 + X* X (3 x 3), once for both routes
-    assert calls == [2, 3]
+    # 1 + G and 1 + G*G (5 x 5 for G = coset_generator(X)), once each
+    assert calls == [5, 5]
 
 
 def test_mis_shaped_tangents_raise_shape_mismatch_naming_both_shapes():
@@ -585,6 +587,24 @@ def test_metric_scalar_case():
     p = GrassmannPoint(QuatMatrix([[q.to_array()]]))
     ds = metric_form(p, QuatMatrix([[dq.to_array()]]))
     assert abs(ds - dq.norm_sq() / (1 + q.norm_sq()) ** 2) < 1e-13
+
+
+def test_metric_form_matches_the_closed_form_far_from_the_origin():
+    # X = U diag(s, 1) W for group elements U, W: 1 + XX* = U diag(g) U* and
+    # 1 + X*X = W* diag(g) W with g = (1 + s^2, 2), so the line element is
+    # sum_ab |(U* dX W*)_ab|^2 / (g_a g_b).  metric_form inverts 1 + G, of
+    # condition about s; 1 + XX* has condition s^2
+    for s, bound in ((1e3, 1e-12), (1e4, 1e-11)):
+        g = np.array([1.0 + s * s, 2.0])
+        for seed in range(10):
+            local = np.random.default_rng(seed)
+            u, w = (random_group_element(local, 2).m for _ in range(2))
+            dx = random_quatmat(local, 2, 2)
+            x = u @ real_matrix(np.diag([s, 1.0])) @ w
+            rotated = u.adjoint() @ dx @ w.adjoint()
+            exact = ((rotated.a ** 2).sum(axis=-1) / np.outer(g, g)).sum()
+            got = metric_form(GrassmannPoint(x), dx)
+            assert abs(got - exact) <= bound * exact, (s, seed)
 
 
 def test_metric_positive():
@@ -1037,16 +1057,15 @@ def _separate_second_form(g, point):
 
 def _separate_transport(g, pa, pb):
     xa, xb = pa.x, pb.x
-    a, b, c, d = g.m.blocks(pa.j, pa.k)
+    a, b, _, _ = g.m.blocks(pa.j, pa.k)
     both = _stack([xa, xb], g.m.batch)
     _, _, y, r = _action(g, both)
     (ya, yb), (ra, rb) = map(_wrap, y.a), map(_wrap, r.a)
     eye_j, eye_k = QuatMatrix.identity(pa.j), QuatMatrix.identity(pa.k)
-    left = (a.adjoint() - both @ b.adjoint()).a
-    la, lb, rb_star, la_star = _inverses(
-        [_wrap(left[0]), _wrap(left[1]), a - b @ xb.adjoint(),
-         xa.adjoint() @ c.adjoint() + d.adjoint()],
+    la, lb = _inverses(
+        [a.adjoint() - xa @ b.adjoint(), a.adjoint() - xb @ b.adjoint()],
         SingularDenominator("transport factor is singular"))
+    rb_star, la_star = lb.adjoint(), ra.adjoint()
 
     def worst(m):
         return np.abs(m.a).max(axis=(-3, -2, -1), initial=0.0)
@@ -1165,9 +1184,10 @@ def test_rewritten_calls_fail_as_separate_products_do(batch):
         "past the ceiling": (_swap(2), real_matrix(np.diag([1.0, 1e-13])),
                              [SingularDenominator, SingularDenominator,
                               None, None]),
-        # 1 + X X* at condition 1e14, past the ceiling of the Gram inverse
+        # 1 + G at condition about 1e13, past the ceiling of the Gram
+        # inverse
         "gram past the ceiling": (GroupElement(QuatMatrix.identity(4)),
-                                  real_matrix(np.diag([1e7, 1.0])),
+                                  real_matrix(np.diag([1e13, 1.0])),
                                   [None, None, SingularMatrix,
                                    SingularMatrix]),
     }

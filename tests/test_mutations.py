@@ -3,11 +3,11 @@
 Each test swaps in one known fault (a wrong quaternion product rule, with
 the tables that ``@`` and the exact field products derive from it, a
 misplaced block in the exponential that differentiates ``exp``, a biased
-S^3 sampler, a wrong commutator cross term, a generator with a wrong sign
-or missing terms, a raising generator that does not raise, a curvature of
-the wrong sign, a Gram factor's square root in place of its inverse, or a
-cross-ratio of swapped points) and runs ``qflag verify``: the run must
-write its report and exit 1.
+S^3 sampler, a wrong commutator cross term, a cross-term binomial read as
+1, a generator with a wrong sign or missing terms, a raising generator that
+does not raise, a curvature of the wrong sign, a Gram factor's square root
+in place of its inverse, or a cross-ratio of swapped points) and runs
+``qflag verify``: the run must write its report and exit 1.
 """
 
 import json
@@ -193,6 +193,16 @@ def test_doubled_cross_terms_fail_the_commutation_tables(monkeypatch, capsys):
     assert {"liealg.commutation_table_k1_n2",
             "liealg.commutation_table_k1_n3"} <= set(failed)
     assert failed["liealg.commutation_table_k1_n2"]["residual"] > 0
+
+
+def test_cross_term_binomial_read_as_one_fails_leibniz_associativity(
+        monkeypatch, capsys):
+    # C(count, h) read as 1: only a left word that holds one symbol twice
+    # sees it, and lap o lap is the one left factor of the liealg suite
+    # that holds such a word
+    monkeypatch.setattr(math, "comb", lambda n, k: 1)
+    failed = _failures(capsys, ["verify", "liealg", "--seed", "42"])
+    assert set(failed) == {"liealg.leibniz_associativity"}
 
 
 def test_raising_by_a_cartan_generator_fails_ladder_shifts(monkeypatch,
