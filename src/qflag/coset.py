@@ -17,26 +17,26 @@ scalar result is what numpy's reduction returns: an ``np.float64`` for a
 single point and an array of the batch shape for a batch.
 
 The three metric forms and :func:`qflag.forms.curvature_blocks` share the
-Gram factors of the most recent point: (1+XX*)^{-1} and (1+X*X)^{-1} from
-:meth:`QuatMatrix.inv`, (1+XX*)^{-1/2} and (1+X*X)^{-1/2} from
-:func:`func_hermitian`.  A factor is computed again only when the point's
-content changes, so successive calls at one point return the bits that
-fresh calls would.  These and :func:`coset_element` factor one (j+k)-square
-matrix built on G = [[0, X], [-X*, 0]] (:func:`coset_generator`) each, so a
-point takes one ``np.linalg.inv`` and one ``eigh`` at any shape.
+Gram factors of the most recent point, read off G = [[0, X], [-X*, 0]]
+(:func:`coset_generator`) with no Gram product formed: (1+XX*)^{-1} and
+(1+X*X)^{-1} from :meth:`QuatMatrix.inv` of 1 + G, (1+XX*)^{-1/2} and
+(1+X*X)^{-1/2} from one ``eigh`` of the Hermitian iG.  A factor is computed
+again only when the point's content changes, so successive calls at one
+point return the bits that fresh calls would.  :func:`coset_element` is
+exp(G) from the spectrum of iG too, so a point takes one ``np.linalg.inv``
+and one ``eigh`` at any shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import config
 from .errors import (DegenerateQuadruple, PairingFailure, ShapeMismatch,
                      SingularDenominator, TooManyFibers)
 from .quaternion import HURWITZ_UNITS
 from .quatmat import (GroupElement, QuatMatrix, _check_partition,
-                      _funcs_hermitian, _inverses, _stack, _wrap, block_matrix,
-                      eigvals_hyperhermitian, func_hermitian)
+                      _func_skew_adjoint, _inverses, _stack, _wrap,
+                      block_matrix, eigvals_hyperhermitian, func_hermitian)
 
 
 class GrassmannPoint:
@@ -78,18 +78,16 @@ def coset_generator(xi: QuatMatrix) -> QuatMatrix:
 
 def coset_element(xi: QuatMatrix) -> GroupElement:
     """Exponential of the off-diagonal generator G = [[0, xi], [-xi*, 0]]:
-    its series cos sqrt(G*G) + sinc_sqrt(G*G) G, as G^2 = -G*G, from one
-    spectrum of G*G = diag(xi xi*, xi* xi).  In block form
+    exp(G) = exp(-i iG), from one eigendecomposition of the Hermitian iG.
+    In block form
 
         [[cos sqrt(xi xi*),  Z       ],
          [-Z*,               cos sqrt(xi* xi)]]
 
     with Z = sinc_sqrt(xi xi*) xi = (xi xi*)^{-1/2} sin (xi xi*)^{1/2} xi.
     """
-    gen = coset_generator(xi)
-    cos, sinc = _funcs_hermitian(gen.adjoint() @ gen,
-                                 ("cos_sqrt", "sinc_sqrt"))
-    return GroupElement(cos + sinc @ gen, tol=config.STRUCTURE * 10)
+    return GroupElement(_func_skew_adjoint(coset_generator(xi),
+                                           lambda t: np.exp(-1j * t)))
 
 
 def grassmann_from_coset(xi: QuatMatrix) -> GrassmannPoint:
@@ -214,16 +212,16 @@ def _stored(name: str, key: tuple, build) -> tuple:
 
 def _gram_factors(x: QuatMatrix, route: str) -> list:
     """The inverses (``route`` "inv") or inverse square roots ("invsqrt") of
-    1 + XX* and 1 + X*X in that order: the diagonal blocks of (1 + G)^{-1},
-    of condition about |X| (1 + XX*'s is |X|^2), or of (1 + G*G)^{-1/2}, as
-    G*G = diag(XX*, X*X), for G = :func:`coset_generator` (X)."""
+    1 + XX* and 1 + X*X in that order: the diagonal blocks of (1 + G)^{-1}
+    or of 1 / hypot(1, iG) = (1 + G*G)^{-1/2}, for G = :func:`coset_generator`
+    (X) and G*G = diag(XX*, X*X), each of condition about |X|."""
     key = x.a.shape, x.a.tobytes()
 
     def factors():
         gen = coset_generator(x)
-        eye = QuatMatrix.identity(x.rows + x.cols)
-        whole = ((eye + gen).inv() if route == "inv" else
-                 func_hermitian(eye + gen.adjoint() @ gen, "invsqrt"))
+        whole = ((QuatMatrix.identity(x.rows + x.cols) + gen).inv()
+                 if route == "inv" else
+                 _func_skew_adjoint(gen, lambda t: 1.0 / np.hypot(1.0, t)))
         return whole.blocks(x.rows, x.cols)[::3]
     return list(_stored(route, key, factors))
 
@@ -257,7 +255,6 @@ def metric_form_hermitian(point: GrassmannPoint, dx: QuatMatrix):
     Here A* = (1+XX*)^{-1/2} and D = (1+X*X)^{-1/2} are the diagonal blocks
     of the coset representative through X, so w is the off-diagonal block of
     the pulled-back invariant form and tr(w w*) is a sum of squared norms.
-    The eigh of 1 + G*G, of condition |X|^2, gives it an error of eps |X|^2.
     """
     x = point.x
     _check_tangents(x, dx)

@@ -25,14 +25,17 @@ multiplies each entry by ``quaternion.M2C``; :meth:`QuatMatrix.project`, the
 one way back, reads each 2x2 block as 8 reals and multiplies them by the
 constant 8x8 ``_READBACK``, whose columns give the quaternion and the block's
 residuals against the quaternionic structure, and refuses a block whose
-residuals are too large.  ``inv`` and ``func_hermitian`` read their complex
-results back through that readback and check, so every readback is checked.
+residuals are too large.  ``inv``, ``func_hermitian`` and the functions of
+a skew-adjoint matrix (``_func_skew_adjoint``, through one ``eigh`` of the
+Hermitian ``1j *`` its embedding) read their complex results back through
+that readback and check, so every readback is checked.
 
 A NaN or inf entry makes numpy warn inside a product (0 * inf), so ``embed``,
 ``project`` and the predicates (on ``inf - inf``) enter ``np.errstate``
 first.  Two steps need no guard: ``inv``'s readback, as a finite
 ``||E||_1 ||E^-1||_1`` leaves no NaN or inf in E^-1, and the eigen-solvers'
-embedding, as ``is_hermitian``, passed first, fails on any NaN or inf.
+embedding, as ``is_hermitian`` (or ``is_skew_adjoint``), passed first,
+fails on any NaN or inf.
 
 :meth:`QuatMatrix.inv` is the one inverse: it inverts the embedding E with
 one ``np.linalg.inv`` call (LAPACK ``gesv`` against an identity that numpy
@@ -484,44 +487,41 @@ def eigvals_hyperhermitian(p: QuatMatrix) -> np.ndarray:
 def func_hermitian(p: QuatMatrix, kind: str) -> QuatMatrix:
     """Apply a scalar function to a hyper-Hermitian matrix spectrally.
 
-    ``kind`` is one of ``sqrt``, ``invsqrt``, ``cos_sqrt``, ``sinc_sqrt``;
-    the last two treat the eigenvalue as a squared argument (cos_sqrt of P
-    gives cos of the operator square root of P) and are the pieces needed
-    for the exponential coset parameterisation, where
-    ``sinc_sqrt(x xi*) @ xi`` stays finite for rank-deficient arguments.
-    Both are entire in the eigenvalue: ``t = s^2 >= 0`` gives ``cos s``
-    and ``sin(s)/s`` (1 at ``t = 0``), and a negative eigenvalue ``-s^2``,
-    such as a zero eigenvalue's rounding, gives ``cosh s`` and
-    ``sinh(s)/s``.
+    ``kind`` is one of ``sqrt``, ``invsqrt``, ``sinc_sqrt``; the last reads
+    an eigenvalue t = s^2 as a squared argument and gives sin(s)/s (1 at
+    t = 0, sinh(s)/s at t = -s^2, such as a zero eigenvalue's rounding), so
+    ``sinc_sqrt(xi xi*) @ xi`` in :func:`qflag.coset.grassmann_from_coset`
+    stays finite for rank-deficient arguments.
     """
-    return _funcs_hermitian(p, (kind,))[0]
-
-
-def _funcs_hermitian(p: QuatMatrix, kinds) -> list:
-    """``[func_hermitian(p, kind) for kind in kinds]`` from one ``eigh``;
-    each result is read back on its own, in order."""
     emb = _hermitian_embedding(
         p, "matrix function", "matrix function requires a hyper-Hermitian input")
     lam, vec = np.linalg.eigh(emb)
-    vec_adj = vec.conj().swapaxes(-1, -2)
-    out = []
-    for kind in kinds:
-        if kind == "sqrt":
-            vals = np.sqrt(np.maximum(lam, 0.0))
-        elif kind == "invsqrt":
-            if np.any(lam <= config.IDENTITY):
-                raise SingularInvSqrt(f"minimum eigenvalue {lam.min():.3e}")
-            vals = 1.0 / np.sqrt(lam)
-        elif kind == "cos_sqrt":
-            # + 0j: a negative eigenvalue -s^2 takes the root i s, not NaN,
-            # so the cos and sinc below give cosh s and sinh(s)/s
-            vals = np.cos(np.sqrt(lam + 0j)).real
-        elif kind == "sinc_sqrt":
-            vals = np.sinc(np.sqrt(lam + 0j) / np.pi).real
-        else:
-            raise ValueError(f"unknown scalar function tag {kind!r}")
-        out.append(QuatMatrix.project((vec * vals[..., None, :]) @ vec_adj))
-    return out
+    if kind == "sqrt":
+        vals = np.sqrt(np.maximum(lam, 0.0))
+    elif kind == "invsqrt":
+        if np.any(lam <= config.IDENTITY):
+            raise SingularInvSqrt(f"minimum eigenvalue {lam.min():.3e}")
+        vals = 1.0 / np.sqrt(lam)
+    elif kind == "sinc_sqrt":
+        # + 0j: a negative eigenvalue -s^2 takes the root i s, not NaN
+        vals = np.sinc(np.sqrt(lam + 0j) / np.pi).real
+    else:
+        raise ValueError(f"unknown scalar function tag {kind!r}")
+    return _from_spectrum(vals, vec)
+
+
+def _func_skew_adjoint(g: QuatMatrix, f) -> QuatMatrix:
+    """f(iG) for a skew-adjoint G, from one ``eigh`` of the Hermitian iG: as
+    well conditioned as G; ``conj(f(-t)) = f(t)`` keeps it quaternionic."""
+    require_skew_adjoint(g)     # is_skew_adjoint refuses a NaN or inf entry
+    lam, vec = np.linalg.eigh(1j * g._embed())
+    return _from_spectrum(f(lam), vec)
+
+
+def _from_spectrum(vals: np.ndarray, vec: np.ndarray) -> QuatMatrix:
+    """V diag(vals) V*, read back through :meth:`QuatMatrix.project`."""
+    return QuatMatrix.project(
+        (vec * vals[..., None, :]) @ vec.conj().swapaxes(-1, -2))
 
 
 class GroupElement:
@@ -532,12 +532,12 @@ class GroupElement:
 
     __slots__ = ("m",)
 
-    def __init__(self, m: QuatMatrix, tol: float = None, check: bool = True):
+    def __init__(self, m: QuatMatrix, check: bool = True):
         if check:
             if not m.is_square():
                 raise NotGroupElement("group elements are square matrices")
             res = (m.adjoint() @ m - QuatMatrix.identity(m.rows)).max_abs()
-            if not res <= (config.IDENTITY if tol is None else tol):
+            if not res <= config.IDENTITY:
                 raise NotGroupElement(f"unitarity residual {res:.3e}")
         self.m = m
 

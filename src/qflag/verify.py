@@ -291,6 +291,23 @@ def _(cfg, rng):
            - expm(coset.coset_generator(xi))).max_abs(), 1e-9
 
 
+@_unit("coset.grassmann_from_coset")
+def _(cfg, rng):
+    # the paper's route X = Z (1 - Z* Z)^{-1/2} against exp(G) acting on the
+    # origin; xi at Frobenius norm 1.2 keeps its largest singular value
+    # below pi/2, where the route is defined
+    shapes = ((1, 1), (2, 1), (1, 2), (2, 2))
+    draws = _draw_batches(rng, cfg.count(50),
+                          *(_quatmat_draw(j, k) for j, k in shapes))
+    gaps = []
+    for xi in draws:
+        xi = xi * (1.2 / np.sqrt(np.square(xi.a).sum(axis=(-3, -2, -1))))
+        origin = GrassmannPoint(QuatMatrix.zeros(xi.rows, xi.cols))
+        want = coset.lft_apply(coset.coset_element(xi), origin).x
+        gaps.append((coset.grassmann_from_coset(xi).x - want).max_abs())
+    yield tuple(gaps), 1e-12
+
+
 @_unit("coset.lft_two_forms", "coset.lft_group_law")
 def _(cfg, rng):
     gen1, gen2, x = _draw_batches(rng, cfg.count(500), _GROUP_GEN,

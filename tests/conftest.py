@@ -4,7 +4,7 @@ from hypothesis import settings
 from qflag.coset import coset_generator
 from qflag.liealg import DiffOperator
 from qflag.quaternion import Quaternion
-from qflag.quatmat import QuatMatrix, func_hermitian
+from qflag.quatmat import QuatMatrix, _func_skew_adjoint
 
 # Every property test replays the same examples, with no deadline and no
 # example database; a test sets only its own example count.
@@ -52,7 +52,7 @@ def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:
     """The three metric forms at the point ``x`` on ``du`` and its curvature
     blocks on (du, dv), keyed by function name, each from Gram factors of
     its own, computed here anew: the diagonal blocks of (1 + G)^{-1} and of
-    (1 + G*G)^{-1/2} for G = coset_generator(x)."""
+    1 / hypot(1, iG) = (1 + G*G)^{-1/2} for G = coset_generator(x)."""
     j, k = x.shape
     gen, eye = coset_generator(x), QuatMatrix.identity(j + k)
 
@@ -65,7 +65,7 @@ def fresh_geometry(x: QuatMatrix, du: QuatMatrix, dv: QuatMatrix) -> dict:
 
     def inverse_roots():
         return diagonal_blocks(
-            func_hermitian(eye + gen.adjoint() @ gen, "invsqrt"))
+            _func_skew_adjoint(gen, lambda t: 1.0 / np.hypot(1.0, t)))
 
     def scalar_trace(m):
         return m.a[..., 0].diagonal(0, -2, -1).sum(axis=-1)

@@ -22,7 +22,8 @@ from qflag.coset import (MAX_HAAR_FIBERS, GrassmannPoint, _action,
                          metric_invariance_residual, pushforward_tangent,
                          transport_identities, trivial_action)
 from qflag.errors import (DegenerateQuadruple, DimensionMismatch, NonSquare,
-                          NotHyperHermitian, PairingFailure, QflagError,
+                          NotHyperHermitian, NotSkewAdjoint, PairingFailure,
+                          QflagError,
                           ShapeMismatch,
                           SingularDenominator, SingularMatrix, TooManyFibers)
 from qflag.forms import curvature_blocks
@@ -91,6 +92,17 @@ def test_grassmann_from_coset_is_the_coset_element_acting_on_the_origin(j, k):
         want = lft_apply(coset_element(xi), origin).x
         got = grassmann_from_coset(xi).x
         assert (got - want).max_abs() <= 1e-11 * want.max_abs(), top
+
+
+@pytest.mark.parametrize("j, k", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+def test_coset_element_is_unitary_far_from_the_origin(j, k):
+    # exp(G) from the spectrum of iG is unitary to rounding at any |xi|
+    draws = np.random.default_rng(22)
+    for scale in (3.0, 30.0, 300.0, 3e3, 3e4):
+        g = coset_element(QuatMatrix(draws.normal(0.0, scale,
+                                                  (50, j, k, 4)))).m
+        residual = g.adjoint() @ g - QuatMatrix.identity(j + k)
+        assert residual.max_abs() <= 1e-13, scale
 
 
 def test_coset_element_z_gram_bounded():
@@ -258,8 +270,8 @@ def test_transport_identities_error_paths():
 def test_grouped_calls_solve_and_diagonalise_once_per_group(monkeypatch):
     # one inv or eigh per group at any shape: transport_identities inverts
     # C X + D, then A* - X B*; cross_ratio inverts in 1 call; coset_element
-    # takes cos_sqrt and sinc_sqrt of G*G, the Gram routes factor 1 + G and
-    # 1 + G*G, for the (j+k)-square G = coset_generator(X)
+    # and the inverse square roots diagonalise iG, and the inverses factor
+    # 1 + G, for the (j+k)-square G = coset_generator(X)
     counts = {"inv": 0, "eigh": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
@@ -328,6 +340,15 @@ def per_side_transport(g, xa, xb):
             "difference_b": worst(ya - yb - lb @ (xa - xb) @ ra)}
 
 
+def gram_functions(p, *funcs):
+    """Each f(sqrt(P)) of the Gram matrix P = ``p``, from one
+    ``np.linalg.eigh`` of its embedding."""
+    lam, vec = np.linalg.eigh(p.embed())
+    root = np.sqrt(np.maximum(lam, 0.0))
+    return [QuatMatrix.project((vec * f(root)[..., None, :])
+                               @ vec.conj().swapaxes(-1, -2)) for f in funcs]
+
+
 def test_grouped_factors_have_the_bits_of_per_side_factors():
     local = np.random.default_rng(614)
     for n in (1, 2, 3):
@@ -341,13 +362,15 @@ def test_grouped_factors_have_the_bits_of_per_side_factors():
                     func_hermitian(right, "invsqrt")]
             for mine, theirs in zip(got, want, strict=True):
                 assert mat_close(mine, theirs, 1e-13)
-            # coset_element against one spectrum per side
+            # coset_element against the paper's block form, from one
+            # spectrum of xi xi* and one of xi* xi
             xi = QuatMatrix(local.normal(0.0, 0.5, batch + (n, n, 4)))
             xi_adj = xi.adjoint()
-            z = func_hermitian(xi @ xi_adj, "sinc_sqrt") @ xi
-            want = block_matrix([[func_hermitian(xi @ xi_adj, "cos_sqrt"), z],
-                                 [-z.adjoint(),
-                                  func_hermitian(xi_adj @ xi, "cos_sqrt")]])
+            cos_left, sinc_left = gram_functions(
+                xi @ xi_adj, np.cos, lambda s: np.sinc(s / np.pi))
+            (cos_right,) = gram_functions(xi_adj @ xi, np.cos)
+            z = sinc_left @ xi
+            want = block_matrix([[cos_left, z], [-z.adjoint(), cos_right]])
             assert mat_close(coset_element(xi).m, want, 1e-13)
             # every transport residual, the group element single or batched
             for g_batch in ((), batch):
@@ -450,8 +473,9 @@ def test_a_points_gram_pair_is_built_once_for_both_routes(monkeypatch):
     point = GrassmannPoint(x)
     for call in GEOMETRY_CALLS.values():
         call(point, du, dv)
-    # 1 + G and 1 + G*G (5 x 5 for G = coset_generator(X)), once each
-    assert calls == [5, 5]
+    # 1 + G (5 x 5 for G = coset_generator(X)), once; the inverse square
+    # roots, from the spectrum of iG, build no identity
+    assert calls == [5]
 
 
 def test_mis_shaped_tangents_raise_shape_mismatch_naming_both_shapes():
@@ -592,8 +616,9 @@ def test_metric_scalar_case():
 def test_metric_form_matches_the_closed_form_far_from_the_origin():
     # X = U diag(s, 1) W for group elements U, W: 1 + XX* = U diag(g) U* and
     # 1 + X*X = W* diag(g) W with g = (1 + s^2, 2), so the line element is
-    # sum_ab |(U* dX W*)_ab|^2 / (g_a g_b).  metric_form inverts 1 + G, of
-    # condition about s; 1 + XX* has condition s^2
+    # sum_ab |(U* dX W*)_ab|^2 / (g_a g_b).  metric_form inverts 1 + G and
+    # metric_form_hermitian diagonalises iG, both of condition about s;
+    # 1 + XX* has condition s^2
     for s, bound in ((1e3, 1e-12), (1e4, 1e-11)):
         g = np.array([1.0 + s * s, 2.0])
         for seed in range(10):
@@ -603,8 +628,9 @@ def test_metric_form_matches_the_closed_form_far_from_the_origin():
             x = u @ real_matrix(np.diag([s, 1.0])) @ w
             rotated = u.adjoint() @ dx @ w.adjoint()
             exact = ((rotated.a ** 2).sum(axis=-1) / np.outer(g, g)).sum()
-            got = metric_form(GrassmannPoint(x), dx)
-            assert abs(got - exact) <= bound * exact, (s, seed)
+            for form in (metric_form, metric_form_hermitian):
+                got = form(GrassmannPoint(x), dx)
+                assert abs(got - exact) <= bound * exact, (form, s, seed)
 
 
 def test_metric_positive():
@@ -1017,7 +1043,10 @@ def test_haar_average_refuses_more_fibers_before_any_work(monkeypatch):
 
 def test_fiber_element_is_group_member():
     units = [random_unit_quaternion(rng) for _ in range(3)]
-    GroupElement(QuatMatrix.diag([u.to_array() for u in units]), tol=1e-12)
+    fiber = QuatMatrix.diag([u.to_array() for u in units])
+    GroupElement(fiber)
+    unitarity = fiber.adjoint() @ fiber - QuatMatrix.identity(3)
+    assert unitarity.max_abs() <= 1e-12
 
 
 def test_s3_sampling_mean():
@@ -1176,7 +1205,7 @@ def test_rewritten_calls_fail_as_separate_products_do(batch):
         # a NaN entry: every call fails quietly
         "nan": (GroupElement(QuatMatrix.identity(4)), nan,
                 [SingularDenominator, SingularDenominator, SingularMatrix,
-                 NotHyperHermitian]),
+                 NotSkewAdjoint]),
         # X = 0 under the block swap: A* - X B* = -X is exactly singular
         "singular": (_swap(2), QuatMatrix.zeros(2, 2),
                      [SingularDenominator, SingularDenominator, None, None]),

@@ -182,7 +182,9 @@ def test_geodesic_block_periodicity_and_membership():
     assert (b1.m - b2.m).max_abs() < 1e-10
     blk = geodesic_block(u, omega, np.linspace(0, 5, 20))
     assert blk.m.batch == (20,)
-    GroupElement(blk.m, tol=1e-12)
+    GroupElement(blk.m)
+    unitarity = blk.m.adjoint() @ blk.m - QuatMatrix.identity(2)
+    assert unitarity.max_abs() <= 1e-12
 
 
 def test_geodesic_block_unit_gate():

@@ -6,7 +6,8 @@ misplaced block in the exponential that differentiates ``exp``, a biased
 S^3 sampler, a wrong commutator cross term, a cross-term binomial read as
 1, a generator with a wrong sign or missing terms, a raising generator that
 does not raise, a curvature of the wrong sign, a Gram factor's square root
-in place of its inverse, or a cross-ratio of swapped points) and runs
+in place of its inverse, the square root in place of the inverse one in
+the paper's coset route, or a cross-ratio of swapped points) and runs
 ``qflag verify``: the run must write its report and exit 1.
 """
 
@@ -79,10 +80,9 @@ def test_flipped_product_sign_fails_checks(monkeypatch, capsys):
     # records the error, and the rest of its suite still runs and is named
     assert "unitarity residual" in failed[
         "dynamics.geodesic_block.error"]["detail"]
-    # the Gram matrices are no longer hyper-Hermitian, and the inverse
-    # square root behind metric_form_hermitian refuses them
-    assert "NotHyperHermitian" in failed[
-        "coset.metric_two_versions.error"]["detail"]
+    # the inverse square roots come from the spectrum of iG, which reads no
+    # product, so the third metric form runs and disagrees with the others
+    assert "coset.metric_two_versions" in failed
     assert not {f"{suite}.error" for suite in verify.SUITES} & set(failed)
 
 
@@ -95,7 +95,13 @@ def test_transposed_product_table_fails_checks(monkeypatch, capsys):
             "quatmat.sp2nc_conditions", "coset.lft_two_forms",
             "coset.lft_group_law", "em.product_identity"} <= set(failed)
     assert "quaternion.norm_multiplicative" not in failed
-    assert not [n for n in failed if n.endswith(".error")]
+    # coset_element is exp(G) from the spectrum of iG, which reads no
+    # product: unitary in the true algebra, so the opposite algebra's g* g
+    # refuses it in the two units that build one
+    errors = [n for n in failed if n.endswith(".error")]
+    assert errors == ["coset.exponential_parameterisation.error",
+                      "coset.grassmann_from_coset.error"]
+    assert all("NotGroupElement" in failed[n]["detail"] for n in errors)
 
 
 def test_dual_block_below_the_diagonal_fails_connection_value(monkeypatch,
@@ -279,15 +285,27 @@ def test_curvature_at_swapped_tangents_fails_curvature_origin(monkeypatch,
 
 def test_gram_square_root_in_place_of_its_inverse_fails_metric_two_versions(
         monkeypatch, capsys):
-    # the inverse-square-root Gram factors read as square roots: the
-    # curvature checks read them only through Omega's antisymmetry, which
-    # square roots keep, so only the third metric form sees the fault
-    real = coset.func_hermitian
-    monkeypatch.setattr(coset, "func_hermitian", lambda p, kind: real(
-        p, "sqrt" if kind == "invsqrt" else kind))
+    # the inverse-square-root Gram factors 1 / hypot(1, iG) read as
+    # hypot(1, iG), the square roots: the curvature checks read them only
+    # through Omega's antisymmetry, which square roots keep, so only the
+    # third metric form sees the fault (the library calls np.hypot there
+    # alone)
+    real = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda a, b: 1.0 / real(a, b))
     monkeypatch.setattr(coset, "_GRAM_FACTORS", {})
     assert set(_failed_checks(capsys, trials=None)) == {
         "coset.metric_two_versions"}
+
+
+def test_invsqrt_read_as_sqrt_fails_grassmann_from_coset(monkeypatch, capsys):
+    # func_hermitian's inverse square root read as the square root in the
+    # paper's route X = Z (1 - Z* Z)^{-1/2}: only the check against the
+    # coset element acting on the origin reads that route
+    real = coset.func_hermitian
+    monkeypatch.setattr(coset, "func_hermitian", lambda p, kind: real(
+        p, "sqrt" if kind == "invsqrt" else kind))
+    assert set(_failed_checks(capsys, trials=None)) == {
+        "coset.grassmann_from_coset"}
 
 
 def test_cross_ratio_of_swapped_points_fails_cross_ratio_value(monkeypatch,

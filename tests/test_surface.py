@@ -27,8 +27,6 @@ ALLOWED = {
     "coset.pushforward_tangent":
         "the paper's closed form dY = (A - Y C) dX (C X + D)^-1 of the "
         "action on tangents",
-    "coset.grassmann_from_coset":
-        "the paper's closed form X = Z (1 - Z* Z)^-1/2 of the coset point",
     "coset.trivial_action":
         "the constant sigma of haar_average that the README documents",
 }
